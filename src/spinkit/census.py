@@ -49,6 +49,15 @@ class ManifoldCharData:
     spin: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise CensusDataError(f"{self.name!r}: name must be a string")
+        for key in ("p1_sq", "p2", "euler", "h7_rel_rank", "h8_z2_dim", "components"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CensusDataError(f"{self.name}: {key} must be an integer, got {value!r}")
+        for key in ("simply_connected", "has_boundary", "spin"):
+            if not isinstance(getattr(self, key), bool):
+                raise CensusDataError(f"{self.name}: {key} must be true or false")
         if self.components < 1:
             raise CensusDataError(f"{self.name}: components must be >= 1")
         if self.h7_rel_rank < 0 or self.h8_z2_dim < 0:

@@ -149,8 +149,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_torsor_check(args) -> int:
-    if args.max_order > 64:
-        raise SpinkitError("--max-order is capped at 64")
+    if not 1 <= args.max_order <= 64:
+        raise SpinkitError("--max-order must be between 1 and 64")
     results = []
     for group in abelian_groups_up_to(args.max_order):
         table = regular_difference_table(group)

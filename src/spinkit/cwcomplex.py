@@ -53,6 +53,10 @@ PI7_S7 = Z_COEFF
 PI8_S7 = Z2_COEFF
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class CWPairComplex:
     """Finite CW pair (X, Y) as integer boundary matrices plus Y-flags.
 
@@ -68,29 +72,39 @@ class CWPairComplex:
         sub: dict[int, list[int]] | None = None,
         name: str = "",
     ):
-        if len(cells) > MAX_DIMENSION or any(c < 0 for c in cells):
-            raise ComplexValidationError("cell counts must be nonnegative, dimensions 0..9")
-        self.cells = list(map(int, cells))
+        if not isinstance(cells, list) or len(cells) > MAX_DIMENSION or not all(
+            _is_int(c) and c >= 0 for c in cells
+        ):
+            raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
+        if not isinstance(name, str):
+            raise ComplexValidationError("the complex name must be a string")
+        self.cells = list(cells)
         self.dim = len(self.cells) - 1
         self.name = name
         self.boundary: dict[int, list[list[int]]] = {}
         boundary = boundary or {}
+        sub = sub or {}
+        if not set(boundary) | set(sub) <= set(range(self.dim + 1)) or 0 in boundary:
+            raise ComplexValidationError(f"boundary or sub data outside degrees 0..{self.dim}")
         for k in range(1, self.dim + 1):
             rows, cols = self.cells[k - 1], self.cells[k]
             matrix = boundary.get(k)
             if matrix is None:
                 matrix = [[0] * cols for _ in range(rows)]
-            if len(matrix) != rows or any(len(r) != cols for r in matrix):
-                raise ComplexValidationError(
-                    f"boundary matrix in degree {k} must be {rows}x{cols}"
-                )
-            self.boundary[k] = [[int(x) for x in r] for r in matrix]
-        sub = sub or {}
+            if not isinstance(matrix, list) or len(matrix) != rows or not all(
+                isinstance(r, list) and len(r) == cols for r in matrix
+            ):
+                raise ComplexValidationError(f"boundary matrix in degree {k} must be {rows}x{cols}")
+            if not all(_is_int(x) for r in matrix for x in r):
+                raise ComplexValidationError(f"boundary matrix in degree {k} must hold integers")
+            self.boundary[k] = [list(r) for r in matrix]
         self.sub: dict[int, list[bool]] = {}
         for k in range(0, self.dim + 1):
             flags = sub.get(k, [0] * self.cells[k])
-            if len(flags) != self.cells[k]:
+            if not isinstance(flags, list) or len(flags) != self.cells[k]:
                 raise ComplexValidationError(f"sub flags in degree {k} have wrong length")
+            if not all(isinstance(x, int) and x in (0, 1) for x in flags):
+                raise ComplexValidationError(f"sub flags in degree {k} must be 0, 1, true or false")
             self.sub[k] = [bool(x) for x in flags]
         self._validate()
 

@@ -2,8 +2,7 @@
 
 Matrices are tuples of tuples of ``Fraction`` (rows); vectors are tuples.
 Everything here is textbook Gaussian elimination kept exact, which is fast
-enough for the 8x8 .. 256x256 problems in this package.  ``rank_mod_p``
-offers a vectorised integer path for the one large rank certificate.
+enough for the 8x8 .. 256x256 problems in this package.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -32,10 +29,6 @@ def mat(rows: Iterable[Iterable[Scalar]]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def zeros(r: int, c: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(c)) for _ in range(r))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -146,13 +139,6 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return basis
 
 
-def row_space_contains(a: Matrix, v: Sequence[Scalar]) -> bool:
-    if not a:
-        return not any(Fraction(x) for x in v)
-    stacked = a + (vec(v),)
-    return rank(stacked) == rank(a)
-
-
 def intersection_dimension(a: Matrix, b: Matrix) -> int:
     """dim(rowspace(a) /\\ rowspace(b)) via rank(a) + rank(b) - rank(stack)."""
     ra, rb = rank(a), rank(b)
@@ -161,61 +147,26 @@ def intersection_dimension(a: Matrix, b: Matrix) -> int:
 
 
 def intersection_basis(a: Matrix, b: Matrix) -> list[Vector]:
-    """Basis of rowspace(a) /\\ rowspace(b).
+    """Basis of rowspace(a) /\\ rowspace(b) for matrices with independent rows.
 
-    Solves x^T a = y^T b by finding the kernel of [a^T | -b^T].
+    Solves x^T a = y^T b by finding the kernel of [a^T | -b^T].  Because the
+    rows of a and of b are independent, (x, y) -> x^T a is injective on that
+    kernel, so the images of a kernel basis are already a basis.
     """
+    if rank(a) != len(a) or rank(b) != len(b):
+        raise ValueError("intersection_basis needs matrices with independent rows")
     if not a or not b:
         return []
     at = transpose(a)
     bt = transpose(b)
     stacked = tuple(ra + tuple(-x for x in rb) for ra, rb in zip(at, bt))
-    out = []
-    for sol in kernel_basis(stacked):
-        coeffs = sol[: len(a)]
-        v = tuple(
-            sum((c * a[i][j] for i, c in enumerate(coeffs)), Fraction(0))
+    return [
+        tuple(
+            sum((c * a[i][j] for i, c in enumerate(sol[: len(a)])), Fraction(0))
             for j in range(len(a[0]))
         )
-        if any(v):
-            out.append(v)
-    # independent by construction of the kernel basis, but de-duplicate defensively
-    basis: list[Vector] = []
-    for v in out:
-        if not row_space_contains(tuple(basis), v):
-            basis.append(v)
-    return basis
-
-
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix over the field Z/p (p prime).
-
-    Exact: all arithmetic stays in int64 (requires p*p < 2**62 / ncols,
-    amply true for the small primes used here).  A full-rank result is a
-    certificate of full rank over Q, since reduction mod p can only drop
-    the rank.
-    """
-    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    if a.size == 0:
-        return 0
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        pivot_rows = np.nonzero(a[r:, c])[0]
-        if pivot_rows.size == 0:
-            continue
-        pivot = r + int(pivot_rows[0])
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+        for sol in kernel_basis(stacked)
+    ]
 
 
 def rational_square_root(x: Fraction) -> Fraction | None:

@@ -13,8 +13,9 @@ Complex file::
 
 ``cells[k]`` counts k-cells; ``boundary[str(k)]`` is the cells[k-1] x
 cells[k] integer incidence matrix, row-major, omitted when zero;
-``sub[str(k)]`` holds 0/1 flags marking subcomplex cells, omitted when all
-zero.
+``sub[str(k)]`` holds 0/1 (or false/true) flags marking subcomplex cells,
+omitted when all zero.  Counts and entries must be integers; any other key
+or type is an error.
 
 Manifold catalogue::
 
@@ -53,6 +54,16 @@ def data_path(filename: str) -> Path:
     return Path(str(resources.files("spinkit").joinpath("data", filename)))
 
 
+_COMPLEX_KEYS = ("name", "cells", "boundary", "sub")
+
+
+def _by_degree(raw: dict, key: str) -> dict[int, object]:
+    table = raw.get(key, {})
+    if not isinstance(table, dict) or not all(k.isdecimal() for k in table):
+        raise ComplexValidationError(f"'{key}' must map degrees to lists")
+    return {int(k): v for k, v in table.items()}
+
+
 def load_complex(path: str | Path) -> CWPairComplex:
     """Read a CW pair complex, raising ComplexValidationError on bad data."""
     try:
@@ -62,28 +73,18 @@ def load_complex(path: str | Path) -> CWPairComplex:
         raise ComplexValidationError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(raw, dict) or "cells" not in raw:
         raise ComplexValidationError(f"{path}: expected an object with a 'cells' list")
-    cells = raw["cells"]
-    if not isinstance(cells, list) or not all(isinstance(c, int) for c in cells):
-        raise ComplexValidationError(f"{path}: 'cells' must be a list of integers")
-    boundary = {int(k): v for k, v in raw.get("boundary", {}).items()}
-    sub = {int(k): v for k, v in raw.get("sub", {}).items()}
-    return CWPairComplex(cells, boundary, sub, name=raw.get("name", Path(path).stem))
-
-
-def save_complex(cx: CWPairComplex, path: str | Path) -> None:
-    payload = {
-        "name": cx.name,
-        "cells": cx.cells,
-        "boundary": {str(k): m for k, m in cx.boundary.items() if any(any(r) for r in m)},
-        "sub": {str(k): [int(f) for f in flags] for k, flags in cx.sub.items() if any(flags)},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    unknown = set(raw) - set(_COMPLEX_KEYS)
+    if unknown:
+        raise ComplexValidationError(f"{path}: unknown keys {sorted(unknown)}")
+    try:
+        boundary, sub = _by_degree(raw, "boundary"), _by_degree(raw, "sub")
+        return CWPairComplex(raw["cells"], boundary, sub, name=raw.get("name", Path(path).stem))
+    except ComplexValidationError as exc:
+        raise ComplexValidationError(f"{path}: {exc}") from None
 
 
 _REQUIRED_FIELDS = ("name", "p1_sq", "p2", "euler", "h7_rel_rank", "h8_z2_dim")
-_OPTIONAL_FIELDS = {"components": 1, "simply_connected": False, "has_boundary": False, "spin": True}
+_OPTIONAL_FIELDS = ("components", "simply_connected", "has_boundary", "spin")
 
 
 def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
@@ -107,8 +108,8 @@ def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
         unknown = set(rec) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
         if unknown:
             raise CensusDataError(f"{path}: {label} has unknown fields {sorted(unknown)}")
-        kwargs = {f: rec[f] for f in _REQUIRED_FIELDS}
-        for f, default in _OPTIONAL_FIELDS.items():
-            kwargs[f] = rec.get(f, default)
-        out.append(ManifoldCharData(**kwargs))
+        try:
+            out.append(ManifoldCharData(**rec))
+        except CensusDataError as exc:
+            raise CensusDataError(f"{path}: {exc}") from None
     return out

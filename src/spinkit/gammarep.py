@@ -156,13 +156,20 @@ class GammaRep:
     # -- construction-time consistency checks -------------------------------
 
     def _self_check_generators(self) -> None:
-        for i in range(8):
-            mi = _sp_to_matrix(self._gamma_sp[i])
-            for j in range(8):
-                mj = _sp_to_matrix(self._gamma_sp[j])
-                anti = la.mat_add(la.mat_mul(mi, mj), la.mat_mul(mj, mi))
-                want = la.mat_scale(la.identity(16), -2 if i == j else 0)
-                if anti != want:
+        """c(e_i)^2 = -1, and c(e_i) c(e_j) = -c(e_j) c(e_i) for i != j.
+
+        Two signed permutations sum to zero exactly when they share the
+        permutation and have opposite signs, so the relations are checked
+        on the column descriptions without building a matrix.
+        """
+        minus_one = (tuple(range(16)), (-1,) * 16)
+        for i, gi in enumerate(self._gamma_sp):
+            if _sp_compose(gi, gi) != minus_one:
+                raise InternalCheckError(f"generator anticommutator failed at ({i},{i})")
+            for j in range(i + 1, 8):
+                gj = self._gamma_sp[j]
+                (p1, s1), (p2, s2) = _sp_compose(gi, gj), _sp_compose(gj, gi)
+                if p1 != p2 or any(x != -y for x, y in zip(s1, s2)):
                     raise InternalCheckError(f"generator anticommutator failed at ({i},{j})")
 
     def _split_eigenspaces(self) -> tuple[Matrix, Matrix]:
@@ -411,25 +418,26 @@ def stabilizer_dimension(
     return len(basis) - la.rank(images)
 
 
-def g2_intersection_dimension(rep: GammaRep) -> int:
-    """Dimension of the intersection of the two so(7) copies inside so(8)."""
+def _so7_coordinate_pair(rep: GammaRep) -> tuple[Matrix, Matrix]:
+    """The 21x28 so(8) coordinates of the vector-type and spinor-type so(7) copies."""
     vector_side = la.mat([bivector_coordinates(x) for x in embedded_spin7_lie_basis()])
     spinor_side = la.mat(
         [bivector_coordinates(d_iota_plus(rep, x)) for x in spin7_lie_basis()]
     )
     if la.rank(vector_side) != 21 or la.rank(spinor_side) != 21:
         raise InternalCheckError("embedded so(7) copies should be 21-dimensional")
-    return la.intersection_dimension(vector_side, spinor_side)
+    return vector_side, spinor_side
+
+
+def g2_intersection_dimension(rep: GammaRep) -> int:
+    """Dimension of the intersection of the two so(7) copies inside so(8)."""
+    return la.intersection_dimension(*_so7_coordinate_pair(rep))
 
 
 def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
     """A basis of the intersection subalgebra, as Cl(0,8) bivectors."""
-    vector_side = la.mat([bivector_coordinates(x) for x in embedded_spin7_lie_basis()])
-    spinor_side = la.mat(
-        [bivector_coordinates(d_iota_plus(rep, x)) for x in spin7_lie_basis()]
-    )
     out = []
-    for coords in la.intersection_basis(vector_side, spinor_side):
+    for coords in la.intersection_basis(*_so7_coordinate_pair(rep)):
         terms = {mask: c for mask, c in zip(_BIVECTOR_MASKS, coords) if c}
         out.append(Multivector(8, terms))
     return out
@@ -468,15 +476,21 @@ def spin7_sphere_transitivity(rep: GammaRep, samples: int = 10, seed: int = 0) -
     )
 
 
-def monomial_span_rank(rep: GammaRep, prime: int = 46337) -> int:
-    """Rank over Z/p of the 256 flattened monomial matrices.
+def monomial_span_rank(rep: GammaRep) -> int:
+    """Rank over Q of the 256 monomial matrices c(e_A).
 
-    Full rank mod p certifies full rank over Q (reduction can only lower
-    the rank), so a return value of 256 is an exact witness that the
-    monomials span the whole 256-dimensional matrix space.
+    It is the rank of their integer trace Gram matrix tr(c(e_A)^T c(e_B)),
+    since over Q a Gram matrix has the rank of its vectors; a return value
+    of 256 is an exact witness that the monomials span the whole
+    256-dimensional matrix space.  For signed permutations the trace sums
+    the sign products over the columns that both send to the same row.
     """
-    rows = [rep.monomial_row(mask) for mask in range(256)]
-    return la.rank_mod_p(rows, prime)
+    monomials = [rep._mono_sp[mask] for mask in range(256)]
+    gram = [
+        [sum(sa[j] * sb[j] for j in range(16) if pa[j] == pb[j]) for pb, sb in monomials]
+        for pa, sa in monomials
+    ]
+    return la.rank(la.mat(gram))
 
 
 def omega8_element() -> SpinElement:

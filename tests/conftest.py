@@ -6,6 +6,29 @@ from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_i
 from spinkit.gammarep import build_cl8_rep
 
 
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over the field Z/p (p prime): the mod-p oracle.
+
+    Reduction mod p can only lower the rank, so over Z/p the result is at
+    most the rank over Q.
+    """
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 @pytest.fixture(scope="session")
 def rep():
     """The Cl(0,8) module; built once, immutable, shared by all tests."""

@@ -138,6 +138,25 @@ def test_validation_rules():
         )
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"components": "2"},
+        {"p1_sq": 1.5},
+        {"euler": True},
+        {"h8_z2_dim": None},
+        {"simply_connected": "no"},
+        {"has_boundary": 1},
+        {"spin": 0},
+        {"name": 5},
+    ],
+)
+def test_field_types(override):
+    fields = dict(name="typed", p1_sq=0, p2=0, euler=0, h7_rel_rank=0, h8_z2_dim=1)
+    with pytest.raises(CensusDataError):
+        ManifoldCharData(**{**fields, **override})
+
+
 def test_non_integral_warning():
     odd = ManifoldCharData("odd", 1, 0, 0, 0, 1, has_boundary=True)
     with warnings.catch_warnings(record=True) as caught:

@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinkit
 from spinkit.cli import main
 
 
@@ -134,6 +138,63 @@ def test_census_malformed_record_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "census", str(bad))
     assert code == 2
     assert "incomplete" in err
+
+
+def _record(**override):
+    rec = {"name": "bad-record", "p1_sq": 0, "p2": 0, "euler": 0, "h7_rel_rank": 0,
+           "h8_z2_dim": 1, "has_boundary": True}
+    return json.dumps({"manifolds": [{**rec, **override}]})
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        (["cohomology", "{file}", "--degree", "0"],
+         '{"cells": [1, 1], "boundary": {"1": [[1.5]]}}', "malformed.json"),
+        (["cohomology", "{file}", "--degree", "0"],
+         '{"cells": [1, 1], "boundary": {"1": [["a"]]}}', "malformed.json"),
+        (["cohomology", "{file}", "--degree", "0"], '{"cells": [1, true]}', "malformed.json"),
+        (["cohomology", "{file}", "--degree", "0"],
+         '{"cells": [1], "sub": {"0": [2]}}', "malformed.json"),
+        (["cohomology", "{file}", "--degree", "0"],
+         '{"cells": [1], "boundary": {"one": []}}', "malformed.json"),
+        (["cohomology", "{file}", "--degree", "0"], '{"cells": [1], "mystery": 0}', "malformed.json"),
+        (["census", "{file}"], _record(components="2"), "bad-record"),
+        (["census", "{file}"], _record(p1_sq=1.5), "bad-record"),
+        (["census", "{file}"], _record(simply_connected="no"), "bad-record"),
+        (["census", "{file}"], _record(spin=1), "bad-record"),
+        (["torsor-check", "--max-order", "0"], None, "--max-order"),
+        (["torsor-check", "--max-order", "-3"], None, "--max-order"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
+    path = tmp_path / "malformed.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_package_imports_with_the_standard_library_only():
+    # -I -S: no site-packages and no environment paths, so any third-party
+    # import anywhere in the package fails
+    src = Path(spinkit.__file__).resolve().parents[1]
+    code = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import spinkit\n"
+        "names = [m.name for m in pkgutil.iter_modules(spinkit.__path__, 'spinkit.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(len(names))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) >= 12
 
 
 def test_failing_check_maps_to_exit_1(capsys):

@@ -21,6 +21,7 @@ from spinkit.cwcomplex import (
     relative_cohomology,
 )
 from spinkit.errors import ComplexValidationError, DimensionMismatchError, ResidueError
+from conftest import rank_mod_p
 
 
 def disk8_pair():
@@ -45,6 +46,33 @@ def test_complex_validation():
         CWPairComplex([1, 1], boundary={1: [[1]]}, sub={1: [1]})
     with pytest.raises(ComplexValidationError):
         CWPairComplex([1, 1], boundary={1: [[1, 1]]})  # wrong shape
+
+
+@pytest.mark.parametrize(
+    "cells, boundary, sub",
+    [
+        ([1, 1], {1: [[1.5]]}, None),  # fractional incidence
+        ([1, 1], {1: [["a"]]}, None),
+        ([1, 1], {1: [[True]]}, None),
+        ([1, True], None, None),  # bool cell count
+        ([1, "1"], None, None),
+        ((1, 1), None, None),
+        ([1], None, {0: [2]}),  # flags are 0, 1, true or false
+        ([1], None, {0: [0.0]}),
+        ([1], None, {3: [1]}),  # degree beyond the dimension
+        ([1, 1], {2: [[1]]}, None),
+        ([1, 1], {1: 5}, None),
+    ],
+)
+def test_complex_entry_types(cells, boundary, sub):
+    with pytest.raises(ComplexValidationError):
+        CWPairComplex(cells, boundary, sub)
+
+
+def test_boolean_and_integer_flags_agree():
+    by_int = CWPairComplex([1, 1], {1: [[1]]}, {0: [1], 1: [0]})
+    by_bool = CWPairComplex([1, 1], {1: [[1]]}, {0: [True], 1: [False]})
+    assert by_int == by_bool and by_int.sub == {0: [True], 1: [False]}
 
 
 def test_interval_generators():
@@ -130,8 +158,8 @@ def test_cohomology_against_mod_p_rank_oracle(random_pair_complex):
                 n_k = len(cx.relative_indices(k))
                 up = cx.relative_coboundary_matrix(k)
                 down = cx.relative_coboundary_matrix(k - 1) if k else []
-                r_up = la.rank_mod_p(up, p) if up and up[0] else 0
-                r_down = la.rank_mod_p(down, p) if down and down[0] else 0
+                r_up = rank_mod_p(up, p) if up and up[0] else 0
+                r_down = rank_mod_p(down, p) if down and down[0] else 0
                 want = n_k - r_up - r_down
                 got = len(group.torsion) + group.free_rank
                 assert got == want, (cx.cells, k, p)

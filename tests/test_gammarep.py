@@ -6,9 +6,16 @@ from fractions import Fraction
 import pytest
 
 import spinkit.exactlinalg as la
-from spinkit.errors import ChiralityError, DimensionMismatchError, EmbeddingDomainError
+import spinkit.gammarep as gammarep
+from spinkit.errors import (
+    ChiralityError,
+    DimensionMismatchError,
+    EmbeddingDomainError,
+    InternalCheckError,
+)
 from spinkit.gammarep import (
     Spinor,
+    build_cl8_rep,
     chiral_action_matrix,
     clifford_action,
     common_fixed_space,
@@ -72,6 +79,26 @@ def test_gamma_square_is_minus_identity(rep):
 
 def test_monomial_span_is_full(rep):
     assert monomial_span_rank(rep) == 256
+
+
+def test_monomial_span_detects_a_repeated_monomial():
+    damaged = build_cl8_rep()
+    damaged._mono_sp[3] = damaged._mono_sp[5]
+    assert monomial_span_rank(damaged) == 255
+
+
+def test_flipped_generator_sign_fails_construction(monkeypatch):
+    real = gammarep._build_gamma_sp
+
+    def damaged():
+        gammas = real()
+        perm, sign = gammas[3]
+        gammas[3] = (perm, sign[:5] + (-sign[5],) + sign[6:])
+        return gammas
+
+    monkeypatch.setattr(gammarep, "_build_gamma_sp", damaged)
+    with pytest.raises(InternalCheckError, match="anticommutator"):
+        build_cl8_rep()
 
 
 def test_monomial_gram_is_diagonal(rep):
@@ -215,7 +242,8 @@ def test_common_fixed_space(rep):
     sub_basis = [Multivector.blade(7, [i, j]) for i in range(6) for j in range(i + 1, 6)]
     sub_space = common_fixed_space(rep, sub_basis)
     assert len(sub_space) >= 1
-    assert la.row_space_contains(la.mat(sub_space), psi.components)
+    # psi lies in the span: appending it does not raise the rank
+    assert la.rank(la.mat(sub_space + [psi.components])) == la.rank(la.mat(sub_space))
 
 
 def test_stabilizer_dimensions(rep):
@@ -240,6 +268,16 @@ def test_g2_intersection(rep):
         assert not any(la.mat_vec(chiral_action_matrix(rep, z, "+"), psi.components))
         col0 = tuple(ad_differential(z).entries[i][0] for i in range(8))
         assert not any(col0)
+
+
+def test_intersection_basis_needs_independent_rows():
+    a = la.mat([[1, 0, 0], [0, 1, 0]])
+    b = la.mat([[0, 1, 1], [1, 0, 0]])
+    assert la.intersection_basis(a, b) == [la.vec([1, 0, 0])]
+    with pytest.raises(ValueError):
+        la.intersection_basis(a + a[:1], b)
+    with pytest.raises(ValueError):
+        la.intersection_basis(a, b + b[:1])
 
 
 def test_sphere_transitivity(rep):

@@ -2,15 +2,11 @@
 
 import random
 
-import numpy as np
 import pytest
 
 import spinkit.exactlinalg as la
 from spinkit.snf import AbelianGroup, integer_rank, smith_diagonal
-
-
-def brute_force_rank_mod_p(rows, p):
-    return la.rank_mod_p(rows, p) if rows and rows[0] else 0
+from conftest import rank_mod_p
 
 
 def test_smith_diagonal_known_values():
@@ -48,7 +44,7 @@ def test_smith_rank_agrees_with_mod_p_bound():
         m = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
         rank_z = integer_rank(m)
         for p in (2, 3):
-            assert la.rank_mod_p(m, p) <= rank_z
+            assert rank_mod_p(m, p) <= rank_z
 
 
 def test_abelian_group_normalization():
@@ -81,11 +77,18 @@ def test_direct_sum():
     assert str(a.direct_sum(b)) == "Z^3 + Z/2 + Z/4"
 
 
-def test_rank_mod_p_numpy_path_is_exact():
-    rng = np.random.default_rng(2)
+def test_rank_mod_p_oracle_is_exact():
+    # a product of random 12 x k and k x 9 matrices has rank at most k
+    # over Q, and almost always exactly k
+    rng = random.Random(2)
     for _ in range(20):
-        m = rng.integers(-50, 50, size=(12, 9)).tolist()
-        r2 = la.rank_mod_p(m, 46337)
-        assert r2 == la.rank(la.mat(m)) or r2 < la.rank(la.mat(m))
-        # over a large random prime, rank drop has probability ~ 0
-        assert r2 == la.rank(la.mat(m))
+        k = rng.randint(0, 9)
+        left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(12)]
+        right = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(k)]
+        m = [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(9)] for row in left]
+        rank_q = la.rank(la.mat(m))
+        assert rank_q <= k
+        for p in (2, 3):
+            assert rank_mod_p(m, p) <= rank_q
+        # over a large prime, a rank drop has probability ~ 0
+        assert rank_mod_p(m, 46337) == rank_q
