@@ -19,6 +19,7 @@ Sign conventions, fixed once and checked by the tests:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ComplexValidationError, DimensionMismatchError, ResidueError
 from .snf import AbelianGroup, smith_diagonal
@@ -245,25 +246,19 @@ def coboundary(c: Cochain) -> Cochain:
 def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGroup) -> AbelianGroup:
     """H^k(X, Y; G) via Smith normal form over Z.
 
-    For G = Z/m the integral answer is converted with the coefficient
-    decomposition H^k(;Z/m) = H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m).
+    With up and down the Smith diagonals of delta_k and delta_(k-1), H^k over
+    Z is Z^free + sum Z/d over down.  For G = Z/m the universal coefficient
+    decomposition H^k(;Z/m) = H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m)
+    reduces every order d to gcd(d, m), with H^(k+1) torsion read from up.
     """
-    if coefficients.modulus == 0:
-        return _integral_cohomology(cx, k)
-    m = coefficients.modulus
-    here = _integral_cohomology(cx, k)
-    above = _integral_cohomology(cx, k + 1)
-    return here.tensor_with_cyclic(m).direct_sum(above.torsion_product_with_cyclic(m))
-
-
-def _integral_cohomology(cx: CWPairComplex, k: int) -> AbelianGroup:
     if k < 0 or k > cx.dim:
         return AbelianGroup(0)
+    m = coefficients.modulus
     n_k = len(cx.relative_indices(k))
     up = smith_diagonal(cx.relative_coboundary_matrix(k)) if k < cx.dim else []
     down = smith_diagonal(cx.relative_coboundary_matrix(k - 1)) if k > 0 else []
     free = n_k - len(up) - len(down)
-    return AbelianGroup.from_orders([0] * free + [d for d in down if d > 1])
+    return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 
 
 def product_with_interval(cx: CWPairComplex) -> CWPairComplex:

@@ -9,11 +9,17 @@ matrices are signed permutation matrices, so every monomial c(e_S) is one
 too and the whole module stays in exact integer arithmetic.
 
 The splitting S8 = S8+ + S8- is the eigenspace decomposition of c(omega8),
-omega8 = e0 e1 ... e7.  Conjugation (Ad) and the chiral restriction of c
-give the two non-conjugate copies of Spin(7) in Spin(8): ``iota_vector``
-is the blade-wise inclusion that stabilizes the vector e0, ``iota_plus``
-the lift of the 8-dimensional spin representation that stabilizes a
-positive unit spinor.
+omega8 = e0 e1 ... e7.  In this model c(omega8) is diagonal, -1 on the
+first octonion summand and +1 on the second, so S8- is the first summand
+and S8+ the second, each with its coordinate basis; the orientation probe
+sets the sign of the first basis vector of S8+.  The chiral action of an
+even element is therefore a signed block of its 16x16 matrix.
+
+Conjugation (Ad) and the chiral restriction of c give the two
+non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
+blade-wise inclusion that stabilizes the vector e0, ``iota_plus`` the lift
+of the 8-dimensional spin representation that stabilizes a positive unit
+spinor.
 """
 
 from __future__ import annotations
@@ -80,11 +86,14 @@ def _sp_identity(n: int) -> _SignedPerm:
 
 
 def _sp_to_matrix(sp: _SignedPerm) -> Matrix:
+    """The 16-row matrix whose column j is sign[j] * e_perm[j].
+
+    A chiral half is stored in the same column form, with 8 columns.
+    """
     perm, sign = sp
-    n = len(perm)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        rows[perm[j]][j] = Fraction(sign[j])
+    rows = [[Fraction(0)] * len(perm) for _ in range(16)]
+    for j, (r, s) in enumerate(zip(perm, sign)):
+        rows[r][j] = Fraction(s)
     return tuple(tuple(r) for r in rows)
 
 
@@ -149,8 +158,12 @@ class GammaRep:
             i = low.bit_length() - 1
             self._mono_sp[mask] = _sp_compose(self._gamma_sp[i], self._mono_sp[mask ^ low])
         self.gamma = tuple(_sp_to_matrix(sp) for sp in self._gamma_sp)
-        self.basis_plus, self.basis_minus = self._split_eigenspaces()
+        # chirality -> (rows, signs): basis spinor j is signs[j] * e_rows[j]
+        self._halves = self._split_eigenspaces()
         self._orient_positive_half()
+        # dense 16x8 views whose columns are the basis spinors
+        self.basis_plus = _sp_to_matrix(self._halves["+"])
+        self.basis_minus = _sp_to_matrix(self._halves["-"])
         self._psi: Spinor | None = None
 
     # -- construction-time consistency checks -------------------------------
@@ -172,19 +185,20 @@ class GammaRep:
                 if p1 != p2 or any(x != -y for x, y in zip(s1, s2)):
                     raise InternalCheckError(f"generator anticommutator failed at ({i},{j})")
 
-    def _split_eigenspaces(self) -> tuple[Matrix, Matrix]:
-        omega = self.monomial_matrix(255)
-        ident = la.identity(16)
-        plus = la.kernel_basis(la.mat_sub(omega, ident))
-        minus = la.kernel_basis(la.mat_add(omega, ident))
-        if len(plus) != 8 or len(minus) != 8:
+    def _split_eigenspaces(self) -> dict[str, _SignedPerm]:
+        """The chiral halves, read off the signed permutation c(omega8).
+
+        c(omega8) must be diagonal with eight +1 and eight -1 signs; each
+        half is then spanned by the coordinate vectors of its sign, which
+        are orthonormal by construction.
+        """
+        perm, sign = self._mono_sp[255]
+        if perm != tuple(range(16)) or sign.count(1) != 8:
             raise InternalCheckError("volume element eigenspaces are not 8+8 dimensional")
-        for basis in (plus, minus):
-            gram = tuple(tuple(la.dot(u, v) for v in basis) for u in basis)
-            if gram != la.identity(8):
-                raise InternalCheckError("eigenbasis is not orthonormal")
-        # columns of the returned matrices are the basis spinors
-        return la.transpose(la.mat(plus)), la.transpose(la.mat(minus))
+        return {
+            chirality: (tuple(j for j in range(16) if sign[j] == s), (1,) * 8)
+            for chirality, s in (("+", 1), ("-", -1))
+        }
 
     def _orient_positive_half(self) -> None:
         """Fix the orientation of S8+ so the spin-representation lift sends -1
@@ -193,33 +207,20 @@ class GammaRep:
         -1 = (e1 e2)^2 in the even Cl(0,7) copy, and the square of either
         preimage of a rotation is sign-unambiguous, so the test below does
         not depend on lift_rotation's sign canonicalization.  If the lift
-        lands on -omega8 the orientation of the constructed eigenbasis is
-        reversed by negating its first vector.
+        lands on -omega8 the orientation of S8+ is reversed by negating the
+        sign of its first basis vector.
         """
         bivector = Multivector.blade(8, [1, 2])
         half_turn = chiral_action_matrix(self, bivector, "+")
         eta = lift_rotation(RotationMatrix(half_turn))
         square = (eta * eta).value
         if square == -volume_element(8):
-            flipped = tuple(
-                tuple(-x if j == 0 else x for j, x in enumerate(row)) for row in self.basis_plus
-            )
-            self.basis_plus = flipped
+            rows, signs = self._halves["+"]
+            self._halves["+"] = rows, (-signs[0],) + signs[1:]
         elif square != volume_element(8):
             raise InternalCheckError("orientation probe did not land on +-omega8")
 
     # -- basic module structure ---------------------------------------------
-
-    def monomial_matrix(self, mask: int) -> Matrix:
-        return _sp_to_matrix(self._mono_sp[mask])
-
-    def monomial_row(self, mask: int) -> list[int]:
-        """The monomial matrix flattened row-major to 256 integers."""
-        perm, sign = self._mono_sp[mask]
-        row = [0] * 256
-        for j in range(16):
-            row[perm[j] * 16 + j] = sign[j]
-        return row
 
     def fixed_spinor(self) -> Spinor:
         """The positive spinor line fixed by the spinor-type Spin(7) copy."""
@@ -248,27 +249,26 @@ def clifford_action(rep: GammaRep, a: Multivector) -> Matrix:
     return tuple(tuple(row) for row in total)
 
 
-def _chiral_basis(rep: GammaRep, chirality: str) -> Matrix:
-    if chirality == "+":
-        return rep.basis_plus
-    if chirality == "-":
-        return rep.basis_minus
-    raise ValueError("chirality must be '+' or '-'")
-
-
 def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") -> Matrix:
-    """Matrix of c(a) restricted to one chiral half, in eigenbasis coordinates.
+    """Matrix of c(a) restricted to one chiral half, in the half's basis.
 
-    Raises ChiralityError when c(a) does not preserve the subspace (odd
-    elements exchange the halves).
+    With basis spinor j equal to signs[j] * e_rows[j], entry (i, j) is
+    signs[i] * signs[j] * c(a)[rows[i]][rows[j]].  Raises ChiralityError
+    when c(a) does not preserve the half, that is when a column of the half
+    has a nonzero entry in a row outside it (odd elements exchange the
+    halves).
     """
-    basis = _chiral_basis(rep, chirality)
+    if chirality not in ("+", "-"):
+        raise ValueError("chirality must be '+' or '-'")
+    rows, signs = rep._halves[chirality]
     m16 = clifford_action(rep, a)
-    image = la.mat_mul(m16, basis)
-    compressed = la.mat_mul(la.transpose(basis), image)
-    if la.mat_mul(basis, compressed) != image:
+    outside = [r for r in range(16) if r not in rows]
+    if any(m16[r][c] for c in rows for r in outside):
         raise ChiralityError("element does not preserve the chiral subspace")
-    return compressed
+    return tuple(
+        tuple(si * sj * m16[ri][rj] for rj, sj in zip(rows, signs))
+        for ri, si in zip(rows, signs)
+    )
 
 
 def delta8(rep: GammaRep, zeta: SpinElement, chirality: str = "+") -> Matrix:

@@ -126,26 +126,6 @@ class AbelianGroup:
             out *= t
         return out
 
-    def tensor_with_cyclic(self, m: int) -> "AbelianGroup":
-        """G (x) Z/m."""
-        if m <= 0:
-            raise ValueError("modulus must be positive")
-        orders = [m] * self.free_rank + [gcd(t, m) for t in self.torsion]
-        return AbelianGroup.from_orders(orders)
-
-    def torsion_product_with_cyclic(self, m: int) -> "AbelianGroup":
-        """Tor(G, Z/m): the free part drops, each Z/t contributes Z/gcd(t, m)."""
-        if m <= 0:
-            raise ValueError("modulus must be positive")
-        return AbelianGroup.from_orders([gcd(t, m) for t in self.torsion])
-
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        return AbelianGroup.from_orders(
-            [0] * (self.free_rank + other.free_rank)
-            + list(self.torsion)
-            + list(other.torsion)
-        )
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
-from spinkit.gammarep import build_cl8_rep
+from spinkit.errors import ChiralityError
+from spinkit.gammarep import build_cl8_rep, clifford_action
 
 
 def rank_mod_p(rows, p):
@@ -27,6 +29,21 @@ def rank_mod_p(rows, p):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def dense_chiral_action(rep, a, chirality):
+    """basis^T c(a) basis on the dense 16x8 view of a chiral half: the oracle
+    for chiral_action_matrix.
+
+    The half is preserved exactly when projecting the image back onto it
+    changes nothing.
+    """
+    basis = {"+": rep.basis_plus, "-": rep.basis_minus}[chirality]
+    image = la.mat_mul(clifford_action(rep, a), basis)
+    compressed = la.mat_mul(la.transpose(basis), image)
+    if la.mat_mul(basis, compressed) != image:
+        raise ChiralityError("element does not preserve the chiral subspace")
+    return compressed
 
 
 @pytest.fixture(scope="session")

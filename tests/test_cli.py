@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import spinkit
+import spinkit.cli as cli
 from spinkit.cli import main
+from spinkit.errors import TorsorError
+from spinkit.torsor import DifferenceTable
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +127,28 @@ def test_torsor_check(capsys):
     assert code1 == 0
     _, out2, _ = run_cli(capsys, "torsor-check", "--max-order", "1")
     assert out1 == out2
+
+
+def test_torsor_check_reports_torsor_errors_as_failures(capsys, monkeypatch):
+    def not_free(action):
+        raise TorsorError("action is not free")
+
+    monkeypatch.setattr(cli, "difference_from_action", not_free)
+    code, out, _ = run_cli(capsys, "torsor-check", "--max-order", "3")
+    assert code == 1
+    assert out.count("FAIL  [action is not free]") == 3
+    assert "# 0 passed, 3 failed" in out
+    monkeypatch.undo()
+
+    def constant_table(group):
+        carrier = ("a", "b")
+        table = {(x, y): group.zero for x in carrier for y in carrier}
+        return DifferenceTable(group, carrier, table)
+
+    monkeypatch.setattr(cli, "regular_difference_table", constant_table)
+    code, out, _ = run_cli(capsys, "torsor-check", "--max-order", "2")
+    assert code == 1
+    assert out.count("FAIL  [difference table is not affine: separation fails at (a,b)") == 2
 
 
 def test_torsor_check_order_cap(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
+from conftest import dense_chiral_action
 from spinkit.errors import (
     ChiralityError,
     DimensionMismatchError,
@@ -101,10 +102,19 @@ def test_flipped_generator_sign_fails_construction(monkeypatch):
         build_cl8_rep()
 
 
+def _monomial_row(rep, mask):
+    """The monomial matrix c(e_mask) flattened row-major to 256 integers."""
+    perm, sign = rep._mono_sp[mask]
+    row = [0] * 256
+    for j in range(16):
+        row[perm[j] * 16 + j] = sign[j]
+    return row
+
+
 def test_monomial_gram_is_diagonal(rep):
     # tr(c(e_S)^T c(e_T)) = 16 delta_ST: an independent orthogonality witness
     # (the trace form is the dot product of the flattened matrices)
-    rows = [rep.monomial_row(mask) for mask in range(256)]
+    rows = [_monomial_row(rep, mask) for mask in range(256)]
     for a in range(256):
         for b in range(a, 256):
             tr = sum(x * y for x, y in zip(rows[a], rows[b]))
@@ -131,6 +141,60 @@ def test_omega8_eigenspaces(rep):
     assert la.mat_mul(omega, rep.basis_minus) == la.mat_scale(rep.basis_minus, -1)
     assert la.mat_mul(la.transpose(rep.basis_plus), rep.basis_plus) == I8
     assert la.mat_mul(la.transpose(rep.basis_minus), rep.basis_minus) == I8
+
+
+def test_split_needs_a_diagonal_volume_element():
+    damaged = build_cl8_rep()
+    damaged._mono_sp[255] = damaged._mono_sp[1]  # c(e0) swaps the summands
+    with pytest.raises(InternalCheckError, match="8\\+8"):
+        damaged._split_eigenspaces()
+    damaged._mono_sp[255] = (tuple(range(16)), (1,) * 16)  # diagonal, one eigenvalue
+    with pytest.raises(InternalCheckError, match="8\\+8"):
+        damaged._split_eigenspaces()
+
+
+def test_chiral_action_matches_the_dense_oracle(rep):
+    rng = random.Random(12)
+    even_masks = [m for m in range(256) if not bin(m).count("1") & 1]
+    elements = [
+        Multivector(
+            8,
+            {
+                rng.choice(even_masks): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for _ in range(rng.randint(1, 12))
+            },
+        )
+        for _ in range(12)
+    ]
+    elements += [d_iota_plus(rep, x) for x in spin7_lie_basis()]
+    for a in elements:
+        for chirality in ("+", "-"):
+            assert chiral_action_matrix(rep, a, chirality) == dense_chiral_action(rep, a, chirality)
+
+
+def test_chiral_action_and_oracle_reject_unit_vectors(rep):
+    for i in range(8):
+        e = Multivector.basis_vector(8, i)
+        for chirality in ("+", "-"):
+            with pytest.raises(ChiralityError):
+                chiral_action_matrix(rep, e, chirality)
+            with pytest.raises(ChiralityError):
+                dense_chiral_action(rep, e, chirality)
+    with pytest.raises(ValueError):
+        chiral_action_matrix(rep, Multivector.scalar(8, 1), "full")
+
+
+def test_odd_element_killing_the_positive_half_acts_as_zero(rep):
+    # e0 (1 - omega8)/2 is odd, but (1 - omega8)/2 annihilates S8+, so S8+ is
+    # preserved (sent to 0); on S8- it is e0, which leaves the half
+    a = Multivector.basis_vector(8, 0) * (Multivector.scalar(8, 1) - volume_element(8)) * Fraction(1, 2)
+    zero = la.mat_scale(I8, 0)
+    assert chiral_action_matrix(rep, a, "+") == zero
+    assert dense_chiral_action(rep, a, "+") == zero
+    with pytest.raises(ChiralityError):
+        chiral_action_matrix(rep, a, "-")
+    with pytest.raises(ChiralityError):
+        dense_chiral_action(rep, a, "-")
 
 
 def test_unit_vectors_swap_halves(rep):

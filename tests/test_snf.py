@@ -1,10 +1,12 @@
 """Smith normal form and abelian group descriptors."""
 
 import random
+from math import gcd
 
 import pytest
 
 import spinkit.exactlinalg as la
+from spinkit.cwcomplex import CWPairComplex, CoefficientGroup, Z_COEFF, relative_cohomology
 from spinkit.snf import AbelianGroup, integer_rank, smith_diagonal
 from conftest import rank_mod_p
 
@@ -56,25 +58,37 @@ def test_abelian_group_normalization():
     assert AbelianGroup.from_orders([2, 3]).torsion == (6,)
     assert AbelianGroup.from_orders([0]).order() is None
     assert AbelianGroup.from_orders([2, 2]).order() == 4
+    assert str(AbelianGroup.from_orders([0, 2, 0, 0, 4])) == "Z^3 + Z/2 + Z/4"
     with pytest.raises(ValueError):
         AbelianGroup(1, (4, 2))
 
 
-def test_tensor_and_tor_with_cyclic():
-    g = AbelianGroup.from_orders([0, 4])  # Z + Z/4
-    assert str(g.tensor_with_cyclic(2)) == "Z/2 + Z/2"
-    assert str(g.torsion_product_with_cyclic(2)) == "Z/2"
-    assert str(g.tensor_with_cyclic(3)) == "Z/3"
-    assert g.torsion_product_with_cyclic(3).is_trivial()
-    z = AbelianGroup.from_orders([0])
-    assert str(z.tensor_with_cyclic(6)) == "Z/6"
-    assert z.torsion_product_with_cyclic(6).is_trivial()
+def test_relative_cohomology_mod_m_matches_universal_coefficients(random_pair_complex):
+    """H^k(;Z/m) = H^k(;Z) (x) Z/m + Tor(H^(k+1)(;Z), Z/m), from the Z answers."""
 
+    def tensor(g, m):
+        return [m] * g.free_rank + [gcd(t, m) for t in g.torsion]
 
-def test_direct_sum():
-    a = AbelianGroup.from_orders([0, 2])
-    b = AbelianGroup.from_orders([0, 0, 4])
-    assert str(a.direct_sum(b)) == "Z^3 + Z/2 + Z/4"
+    def tor(g, m):
+        return [gcd(t, m) for t in g.torsion]
+
+    # H^2 = Z + Z/4 and H^1 = 0 over Z
+    z_plus_z4 = CWPairComplex([0, 1, 2], boundary={2: [[4, 0]]})
+    assert str(relative_cohomology(z_plus_z4, 2, Z_COEFF)) == "Z + Z/4"
+    assert str(relative_cohomology(z_plus_z4, 2, CoefficientGroup(2))) == "Z/2 + Z/2"
+    assert str(relative_cohomology(z_plus_z4, 1, CoefficientGroup(2))) == "Z/2"
+    assert str(relative_cohomology(z_plus_z4, 2, CoefficientGroup(3))) == "Z/3"
+    assert relative_cohomology(z_plus_z4, 1, CoefficientGroup(3)).is_trivial()
+    assert str(relative_cohomology(z_plus_z4, 2, CoefficientGroup(6))) == "Z/2 + Z/6"
+    rng = random.Random(8)
+    complexes = [random_pair_complex(rng, max_pieces=9, dim=5) for _ in range(25)]
+    for cx in complexes + [z_plus_z4]:
+        for k in range(-1, cx.dim + 2):
+            here = relative_cohomology(cx, k, Z_COEFF)
+            above = relative_cohomology(cx, k + 1, Z_COEFF)
+            for m in (2, 3, 4, 6):
+                want = AbelianGroup.from_orders(tensor(here, m) + tor(above, m))
+                assert relative_cohomology(cx, k, CoefficientGroup(m)) == want, (cx.cells, k, m)
 
 
 def test_rank_mod_p_oracle_is_exact():
