@@ -5,8 +5,12 @@ incidence matrices, and flags marking a closed subcomplex Y.  Cochains
 carry values on *all* cells of their degree; a cochain is relative when it
 vanishes on Y, and since Y is closed the coboundary of a relative cochain
 is again relative.  Keeping the absolute values around is what lets the
-difference-cochain decomposition subtract the two end restrictions on the
-cylinder before reading off the interval component.
+difference-cochain decomposition compare the two end blocks of a cylinder
+cochain with the end cochains before reading off the interval component.
+
+Complexes are immutable: validated once, at construction, never changed
+afterwards.  Each pair keeps the one cylinder X x I that
+:func:`product_with_interval` builds and validates for it.
 
 Sign conventions, fixed once and checked by the tests:
 
@@ -108,25 +112,27 @@ class CWPairComplex:
                 raise ComplexValidationError(f"sub flags in degree {k} must be 0, 1, true or false")
             self.sub[k] = [bool(x) for x in flags]
         self._validate()
+        self._cylinder: CWPairComplex | None = None
 
     def _validate(self) -> None:
+        # column j of d_k d_(k+1) is the sum of x * (column t of d_k) over x = d_(k+1)[t][j] != 0
         for k in range(1, self.dim):
-            a, b = self.boundary.get(k), self.boundary.get(k + 1)
-            if not a or not b or not a[0]:
+            a, b = self.boundary[k], self.boundary[k + 1]
+            if not a:
                 continue
-            for i in range(len(a)):
-                for j in range(len(b[0])):
-                    if sum(a[i][t] * b[t][j] for t in range(len(b))):
-                        raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
+            a_cols = [[(i, y) for i, y in enumerate(col) if y] for col in zip(*a)]
+            for col in zip(*b):
+                acc = [0] * len(a)
+                for t, x in enumerate(col):
+                    if x:
+                        for i, y in a_cols[t]:
+                            acc[i] += x * y
+                if any(acc):
+                    raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
         for k in range(1, self.dim + 1):
-            for j in range(self.cells[k]):
-                if not self.sub[k][j]:
-                    continue
-                for i in range(self.cells[k - 1]):
-                    if self.boundary[k][i][j] and not self.sub[k - 1][i]:
-                        raise ComplexValidationError(
-                            "subcomplex is not closed under the boundary"
-                        )
+            for col, in_y in zip(zip(*self.boundary[k]), self.sub[k]):
+                if in_y and any(x and not y for x, y in zip(col, self.sub[k - 1])):
+                    raise ComplexValidationError("subcomplex is not closed under the boundary")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -265,8 +271,11 @@ def product_with_interval(cx: CWPairComplex) -> CWPairComplex:
     """The cylinder X x I with subcomplex (Y x I) u (X x dI).
 
     k-cells are ordered [s x 0 | s x 1 | t x I-bar] with s running over the
-    k-cells and t over the (k-1)-cells of X.
+    k-cells and t over the (k-1)-cells of X.  The cylinder is built and
+    validated on the first call; later calls return the same object.
     """
+    if cx._cylinder is not None:
+        return cx._cylinder
     dim = cx.dim + 1
     cells = [0] * (dim + 1)
     for k in range(dim + 1):
@@ -303,7 +312,9 @@ def product_with_interval(cx: CWPairComplex) -> CWPairComplex:
                 for i in range(nk2):
                     m[2 * nk1 + i][col] = bk1[i][t]
         boundary[k] = m
-    return CWPairComplex(cells, boundary, sub, name=f"{cx.name} x I" if cx.name else "cylinder")
+    name = f"{cx.name} x I" if cx.name else "cylinder"
+    cx._cylinder = CWPairComplex(cells, boundary, sub, name=name)
+    return cx._cylinder
 
 
 def interval_complex() -> CWPairComplex:
@@ -334,7 +345,7 @@ class IntervalCochainBasis:
 _GENERATOR_DEGREES = {"0": 0, "1": 0, "I": 1}
 
 
-def cross_with_interval(c: Cochain, gen: str, product: CWPairComplex | None = None) -> Cochain:
+def cross_with_interval(c: Cochain, gen: str) -> Cochain:
     """Cross product of a cochain on X with one interval generator.
 
     ``gen`` is "0", "1" (degree 0) or "I" (degree 1); the result lives on
@@ -343,46 +354,37 @@ def cross_with_interval(c: Cochain, gen: str, product: CWPairComplex | None = No
     if gen not in _GENERATOR_DEGREES:
         raise ValueError("interval generator must be one of '0', '1', 'I'")
     cx = c.complex
-    prod = product if product is not None else product_with_interval(cx)
+    prod = product_with_interval(cx)
     out_deg = c.degree + _GENERATOR_DEGREES[gen]
-    values = [0] * prod.cell_count(out_deg)
     n = cx.cell_count(out_deg)
-    if gen == "0":
-        for i, v in enumerate(c.values):
-            values[i] = v
-    elif gen == "1":
-        for i, v in enumerate(c.values):
-            values[n + i] = v
-    else:
-        for i, v in enumerate(c.values):
-            values[2 * n + i] = v
+    start = {"0": 0, "1": n, "I": 2 * n}[gen]
+    values = [0] * prod.cell_count(out_deg)
+    values[start : start + len(c.values)] = c.values
     return Cochain(prod, out_deg, c.coefficients, tuple(values))
 
 
 def difference_cochain(o_hat: Cochain, o0: Cochain, o1: Cochain) -> Cochain:
     """Solve  d x I-bar = o_hat - o0 x 0-bar - o1 x 1-bar  for d.
 
-    ``o_hat`` lives on the cylinder over the complex of ``o0``/``o1``;
-    subtracting the two end restrictions must leave a cochain supported on
-    the relative interval block, otherwise the inputs were inconsistent
-    and a ResidueError is raised.
+    ``o_hat`` lives on the cylinder over the complex of ``o0``/``o1``; its
+    two end blocks must equal ``o0`` and ``o1`` and its interval block must
+    vanish over the subcomplex, otherwise the inputs were inconsistent and a
+    ResidueError is raised.  The interval block is then d.
     """
     if o0.complex != o1.complex or o0.degree != o1.degree or o0.coefficients != o1.coefficients:
         raise DimensionMismatchError("end cochains must match in complex, degree and coefficients")
     base = o0.complex
-    prod = product_with_interval(base)
-    if o_hat.complex != prod or o_hat.coefficients != o0.coefficients:
+    if o_hat.complex != product_with_interval(base) or o_hat.coefficients != o0.coefficients:
         raise DimensionMismatchError("o_hat must live on the cylinder over the base complex")
     if o_hat.degree != o0.degree:
         raise DimensionMismatchError("o_hat must have the same degree as the end cochains")
     if not (o0.is_relative() and o1.is_relative()):
         raise ResidueError("end cochains must be relative on (X, Y)")
     m = o_hat.degree
-    residue = o_hat - cross_with_interval(o0, "0", prod) - cross_with_interval(o1, "1", prod)
     n = base.cell_count(m)
-    if any(residue.values[: 2 * n]):
+    if o_hat.values[:n] != o0.values or o_hat.values[n : 2 * n] != o1.values:
         raise ResidueError("inputs leave a residue on the end blocks of the cylinder")
-    interval_values = residue.values[2 * n :]
+    interval_values = o_hat.values[2 * n :]
     sub_flags = base.sub[m - 1]
     if any(v for v, f in zip(interval_values, sub_flags) if f):
         raise ResidueError("inputs leave a residue over the subcomplex")

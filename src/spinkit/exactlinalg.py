@@ -139,13 +139,6 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     return basis
 
 
-def intersection_dimension(a: Matrix, b: Matrix) -> int:
-    """dim(rowspace(a) /\\ rowspace(b)) via rank(a) + rank(b) - rank(stack)."""
-    ra, rb = rank(a), rank(b)
-    stacked = a + b
-    return ra + rb - rank(stacked)
-
-
 def intersection_basis(a: Matrix, b: Matrix) -> list[Vector]:
     """Basis of rowspace(a) /\\ rowspace(b) for matrices with independent rows.
 

@@ -429,13 +429,11 @@ def _so7_coordinate_pair(rep: GammaRep) -> tuple[Matrix, Matrix]:
     return vector_side, spinor_side
 
 
-def g2_intersection_dimension(rep: GammaRep) -> int:
-    """Dimension of the intersection of the two so(7) copies inside so(8)."""
-    return la.intersection_dimension(*_so7_coordinate_pair(rep))
-
-
 def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
-    """A basis of the intersection subalgebra, as Cl(0,8) bivectors."""
+    """A basis of the intersection of the two so(7) copies, as Cl(0,8) bivectors.
+
+    Its length is the dimension of the intersection.
+    """
     out = []
     for coords in la.intersection_basis(*_so7_coordinate_pair(rep)):
         terms = {mask: c for mask, c in zip(_BIVECTOR_MASKS, coords) if c}
@@ -513,7 +511,6 @@ __all__ = [
     "iota_vector",
     "common_fixed_space",
     "stabilizer_dimension",
-    "g2_intersection_dimension",
     "g2_intersection_basis",
     "spin7_sphere_transitivity",
     "spin7_lie_basis",

@@ -134,6 +134,3 @@ class AbelianGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-TRIVIAL_GROUP = AbelianGroup(0, ())

@@ -27,7 +27,6 @@ from .gammarep import (
     delta8,
     embedded_spin7_lie_basis,
     g2_intersection_basis,
-    g2_intersection_dimension,
     iota_plus,
     iota_vector,
     monomial_span_rank,
@@ -389,11 +388,11 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     results.append(_run("so(8)-stabilizer of unit spinors has dimension 21 (orbit rank 7)", stabilizer_21))
 
     def g2_dim() -> str | None:
-        dim = g2_intersection_dimension(rep)
-        if dim != 14:
-            return f"intersection dimension {dim} != 14"
+        basis = g2_intersection_basis(rep)
+        if len(basis) != 14:
+            return f"intersection dimension {len(basis)} != 14"
         psi = rep.fixed_spinor()
-        for z in g2_intersection_basis(rep):
+        for z in basis:
             if any(la.mat_vec(chiral_action_matrix(rep, z, "+"), psi.components)):
                 return "intersection element moves the fixed spinor"
             col0 = tuple(ad_differential(z).entries[i][0] for i in range(8))

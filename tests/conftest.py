@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
-from spinkit.errors import ChiralityError
+from spinkit.errors import ChiralityError, TorsorError
 from spinkit.gammarep import build_cl8_rep, clifford_action
 
 
@@ -44,6 +45,71 @@ def dense_chiral_action(rep, a, chirality):
     if la.mat_mul(basis, compressed) != image:
         raise ChiralityError("element does not preserve the chiral subspace")
     return compressed
+
+
+def dense_pair_check(dim, boundary, sub):
+    """The dense dd = 0 and Y-closure checks on a CW pair's data: the oracle
+    for CWPairComplex validation.
+
+    Returns the message the constructor should raise, or None when the data
+    is a valid pair.  Every boundary matrix in degrees 1..dim must be given.
+    """
+    for k in range(1, dim):
+        a, b = boundary[k], boundary[k + 1]
+        if not a or not b or not a[0]:
+            continue
+        for i in range(len(a)):
+            for j in range(len(b[0])):
+                if sum(a[i][t] * b[t][j] for t in range(len(b))):
+                    return f"dd != 0 between degrees {k + 1} and {k}"
+    for k in range(1, dim + 1):
+        for j, in_y in enumerate(sub[k]):
+            for i in range(len(boundary[k])):
+                if in_y and boundary[k][i][j] and not sub[k - 1][i]:
+                    return "subcomplex is not closed under the boundary"
+    return None
+
+
+def all_points_difference_axioms(d):
+    """The difference-table axioms checked at every pair and triple: the
+    oracle for verify_difference_axioms.  True when all of them hold."""
+    g = d.group
+    if not d.carrier or any(k not in d.table for k in product(d.carrier, repeat=2)):
+        return False
+    for x, y, z in product(d.carrier, repeat=3):
+        if d.difference(x, z) != g.add(d.difference(x, y), d.difference(y, z)):
+            return False
+    for x, y in product(d.carrier, repeat=2):
+        if (d.difference(x, y) == g.zero) != (x == y):
+            return False
+    for x in d.carrier:
+        if {d.difference(x, y) for y in d.carrier} != set(g.elements()):
+            return False
+    return len(d.carrier) == g.order()
+
+
+def all_points_validate_action(a):
+    """The action axioms checked at every point and every pair of group
+    elements: the oracle for the check in difference_from_action."""
+    g = a.group
+    elements = g.elements()
+    if not a.carrier:
+        raise TorsorError("carrier is empty")
+    for h, x in product(elements, a.carrier):
+        if (h, x) not in a.table:
+            raise TorsorError(f"action value missing for ({h},{x})")
+    for x in a.carrier:
+        if a.act(g.zero, x) != x:
+            raise TorsorError("zero does not act as the identity")
+    for h, k, x in product(elements, elements, a.carrier):
+        if a.act(k, a.act(h, x)) != a.act(g.add(h, k), x):
+            raise TorsorError("action is not compatible with addition")
+    for x in a.carrier:
+        orbit = {a.act(h, x) for h in elements}
+        if len(orbit) != len(elements):
+            raise TorsorError("action is not free")
+        if orbit != set(a.carrier):
+            raise TorsorError("action is not transitive")
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from spinkit.cwcomplex import (
     relative_cohomology,
 )
 from spinkit.errors import ComplexValidationError, DimensionMismatchError, ResidueError
-from conftest import rank_mod_p
+from conftest import dense_pair_check, rank_mod_p
 
 
 def disk8_pair():
@@ -185,19 +185,18 @@ def test_cross_product_identities(random_pair_complex):
     rng = random.Random(5)
     for _ in range(25):
         cx = random_pair_complex(rng)
-        prod = product_with_interval(cx)
         k = rng.randint(0, cx.dim - 1)
         c = Cochain(cx, k, Z_COEFF, tuple(rng.randint(-4, 4) for _ in range(cx.cell_count(k))))
         sign = -1 if k % 2 else 1
-        i_term = cross_with_interval(c, "I", prod)
-        assert coboundary(i_term) == cross_with_interval(coboundary(c), "I", prod)
-        lhs0 = coboundary(cross_with_interval(c, "0", prod))
-        want0 = cross_with_interval(coboundary(c), "0", prod) - (
+        i_term = cross_with_interval(c, "I")
+        assert coboundary(i_term) == cross_with_interval(coboundary(c), "I")
+        lhs0 = coboundary(cross_with_interval(c, "0"))
+        want0 = cross_with_interval(coboundary(c), "0") - (
             i_term if sign == 1 else -i_term
         )
         assert lhs0 == want0
-        lhs1 = coboundary(cross_with_interval(c, "1", prod))
-        want1 = cross_with_interval(coboundary(c), "1", prod) + (
+        lhs1 = coboundary(cross_with_interval(c, "1"))
+        want1 = cross_with_interval(coboundary(c), "1") + (
             i_term if sign == 1 else -i_term
         )
         assert lhs1 == want1
@@ -222,7 +221,6 @@ def test_difference_cochain_cocycle_case(random_pair_complex, consistent_differe
     while found < 10:
         cx = random_pair_complex(rng, max_pieces=10, dim=6)
         m = rng.randint(2, cx.dim - 1)
-        prod = product_with_interval(cx)
         # a relative cocycle supported on the interval block: z x I for a
         # relative cocycle z on the base
         nz = cx.cell_count(m - 1)
@@ -230,7 +228,7 @@ def test_difference_cochain_cocycle_case(random_pair_complex, consistent_differe
         z = Cochain(cx, m - 1, Z_COEFF, tuple(values))
         if not coboundary(z).is_zero():
             continue
-        o_hat = cross_with_interval(z, "I", prod)
+        o_hat = cross_with_interval(z, "I")
         o = Cochain.zero(cx, m, Z_COEFF)
         d = difference_cochain(o_hat, o, o)
         assert d == z
@@ -270,3 +268,64 @@ def test_difference_cochain_residue_errors(random_pair_complex, consistent_diffe
         difference_cochain(Cochain(prod, 3, Z_COEFF, tuple(bad)), o0, o1)
     with pytest.raises(DimensionMismatchError):
         difference_cochain(o_hat, o0, Cochain.zero(cx, 2, Z_COEFF))
+
+
+def test_one_cylinder_per_pair(random_pair_complex, consistent_difference_inputs, monkeypatch):
+    rng = random.Random(10)
+    cx = random_pair_complex(rng, max_pieces=10, dim=5)
+    while cx.cell_count(3) + cx.cell_count(2) == 0:
+        cx = random_pair_complex(rng, max_pieces=10, dim=5)
+    prod = product_with_interval(cx)
+    assert product_with_interval(cx) is prod
+    c = Cochain(cx, 2, Z_COEFF, tuple(rng.randint(-3, 3) for _ in range(cx.cell_count(2))))
+    assert all(cross_with_interval(c, gen).complex is prod for gen in "01I")
+    o_hat, o0, o1 = consistent_difference_inputs(cx, 3, rng, Z_COEFF)
+    assert o_hat.complex is prod
+
+    constructed = []
+    init = CWPairComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CWPairComplex, "__init__", counting_init)
+    d = difference_cochain(o_hat, o0, o1)
+    assert constructed == []
+    monkeypatch.undo()
+
+    # an equal cylinder over an equal copy of the base is still accepted
+    copy = CWPairComplex(cx.cells, cx.boundary, cx.sub)
+    other = product_with_interval(copy)
+    assert other is not prod and other == prod
+    assert difference_cochain(Cochain(other, 3, Z_COEFF, o_hat.values), o0, o1) == d
+    o0_copy = Cochain(copy, 3, Z_COEFF, o0.values)
+    o1_copy = Cochain(copy, 3, Z_COEFF, o1.values)
+    assert difference_cochain(o_hat, o0_copy, o1_copy).values == d.values
+
+
+def test_dd_check_matches_dense_oracle(random_pair_complex):
+    """Corrupt one boundary entry of random pairs and their cylinders: the
+    constructor rejects exactly what the dense check rejects, with its message."""
+    rng = random.Random(11)
+    outcomes = {"accepted": 0, "dd": 0, "closure": 0}
+    for trial in range(400):
+        cx = random_pair_complex(rng, max_pieces=8, dim=4)
+        if trial % 2:
+            cx = product_with_interval(cx)
+        degrees = [k for k in range(1, cx.dim + 1) if cx.cells[k] and cx.cells[k - 1]]
+        if not degrees:
+            continue
+        boundary = {k: [list(r) for r in m] for k, m in cx.boundary.items()}
+        k = rng.choice(degrees)
+        i, j = rng.randrange(cx.cells[k - 1]), rng.randrange(cx.cells[k])
+        boundary[k][i][j] += rng.choice([-2, -1, 1, 2])
+        want = dense_pair_check(cx.dim, boundary, cx.sub)
+        try:
+            CWPairComplex(cx.cells, boundary, cx.sub)
+            got = None
+        except ComplexValidationError as exc:
+            got = str(exc)
+        assert got == want, (cx.cells, k, i, j)
+        outcomes["accepted" if want is None else "dd" if want.startswith("dd") else "closure"] += 1
+    assert min(outcomes.values()) >= 10, outcomes

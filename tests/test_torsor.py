@@ -1,5 +1,7 @@
 """Difference-function axioms and the action equivalence, checked exhaustively."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from spinkit.torsor import (
     regular_difference_table,
     verify_difference_axioms,
 )
+from conftest import all_points_difference_axioms, all_points_validate_action
 
 
 def test_singleton_trivial_torsor():
@@ -119,3 +122,82 @@ def test_group_arithmetic_laws(orders, seed):
     assert g.add(a, g.neg(a)) == g.zero
     assert g.add(a, b) == g.add(b, a)
     assert g.sub(a, b) == g.add(a, g.neg(b))
+
+
+def test_empty_carrier_rejected():
+    for group in (FiniteAbelianGroup(()), FiniteAbelianGroup((2,))):
+        with pytest.raises(TorsorError, match="carrier is empty"):
+            difference_from_action(ActionTable(group, (), {}))
+        with pytest.raises(TorsorError, match="carrier is empty"):
+            action_from_difference(DifferenceTable(group, (), {}))
+
+
+def _random_torsor(group, rng):
+    """A difference table and an action table for a random bijection f : carrier -> group."""
+    elements = group.elements()
+    carrier = tuple(f"p{i}" for i in rng.sample(range(len(elements)), len(elements)))
+    f = dict(zip(carrier, rng.sample(elements, len(elements))))
+    inverse = {h: x for x, h in f.items()}
+    difference = {(x, y): group.sub(f[y], f[x]) for x in carrier for y in carrier}
+    action = {(h, x): inverse[group.add(f[x], h)] for h in elements for x in carrier}
+    return DifferenceTable(group, carrier, difference), ActionTable(group, carrier, action)
+
+
+def _rejects(check, table):
+    try:
+        check(table)
+    except TorsorError:
+        return True
+    return False
+
+
+def _corrupt_difference(d, rng):
+    """Change one or two entries, or swap two entries of one row, which keeps
+    every row a bijection so that only the cocycle law can fail."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        x, y, z = (rng.choice(d.carrier) for _ in range(3))
+        d.table[(x, y)], d.table[(x, z)] = d.table[(x, z)], d.table[(x, y)]
+    for _ in range(kind if kind < 3 else 0):
+        d.table[rng.choice(list(d.table))] = rng.choice(d.group.elements())
+    return d
+
+
+def _corrupt_action(a, rng):
+    """Change one or two entries, swap two entries of one point's orbit map,
+    or add a point that every element fixes, which leaves the action free
+    and compatible at the other points but not transitive."""
+    kind = rng.randrange(5)
+    if kind == 4:
+        carrier = list(a.carrier)
+        carrier.insert(rng.randrange(len(carrier) + 1), "q")
+        table = {**a.table, **{(h, "q"): "q" for h in a.group.elements()}}
+        return ActionTable(a.group, tuple(carrier), table)
+    if kind == 3:
+        x = rng.choice(a.carrier)
+        h, k = rng.choice(a.group.elements()), rng.choice(a.group.elements())
+        a.table[(h, x)], a.table[(k, x)] = a.table[(k, x)], a.table[(h, x)]
+    for _ in range(kind if kind < 3 else 0):
+        a.table[rng.choice(list(a.table))] = rng.choice(a.carrier)
+    return a
+
+
+def test_base_point_checks_match_all_points_oracles():
+    """Corrupt random difference and action tables over every group of order
+    <= 12: the base-point checks and the all-points oracles accept and reject
+    the same tables."""
+    rng = random.Random(13)
+    groups = abelian_groups_up_to(12)
+    verdicts = {True: 0, False: 0}
+    for trial in range(1200):
+        difference, action = _random_torsor(groups[trial % len(groups)], rng)
+        difference = _corrupt_difference(difference, rng)
+        action = _corrupt_action(action, rng)
+        passed = verify_difference_axioms(difference).passed
+        assert passed == all_points_difference_axioms(difference)
+        assert _rejects(action_from_difference, difference) == (not passed)
+        rejected = _rejects(difference_from_action, action)
+        assert rejected == _rejects(all_points_validate_action, action)
+        verdicts[passed] += 1
+        verdicts[not rejected] += 1
+    assert min(verdicts.values()) >= 200, verdicts
