@@ -378,6 +378,8 @@ def difference_cochain(o_hat: Cochain, o0: Cochain, o1: Cochain) -> Cochain:
         raise DimensionMismatchError("o_hat must live on the cylinder over the base complex")
     if o_hat.degree != o0.degree:
         raise DimensionMismatchError("o_hat must have the same degree as the end cochains")
+    if o0.degree < 1:
+        raise DimensionMismatchError("difference cochains need degree >= 1")
     if not (o0.is_relative() and o1.is_relative()):
         raise ResidueError("end cochains must be relative on (X, Y)")
     m = o_hat.degree

@@ -1,14 +1,16 @@
 """Small exact linear algebra kit over the rationals.
 
 Matrices are tuples of tuples of ``Fraction`` (rows); vectors are tuples.
-Everything here is textbook Gaussian elimination kept exact, which is fast
-enough for the 8x8 .. 256x256 problems in this package.
+Matrix products multiply integer numerators over each operand's common
+denominator.  Everything else is textbook Gaussian elimination kept exact,
+which is fast enough for the 8x8 .. 256x256 problems in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -35,9 +37,18 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
+def _over_common_denominator(rows: Matrix) -> tuple[int, list[list[int]]]:
+    """``(d, numerators)`` with entry (i, j) equal to numerators[i][j] / d."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """a b, as integer dot products over the two operands' common denominators."""
+    da, rows = _over_common_denominator(a)
+    db, cols = _over_common_denominator(transpose(b))
+    d = da * db
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in rows)
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:

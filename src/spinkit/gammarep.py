@@ -237,16 +237,26 @@ def build_cl8_rep() -> GammaRep:
     return GammaRep()
 
 
-def clifford_action(rep: GammaRep, a: Multivector) -> Matrix:
-    """The 16x16 matrix of Clifford multiplication by a multivector."""
+def _action_columns(
+    rep: GammaRep, a: Multivector, columns: range | tuple[int, ...]
+) -> tuple[int, list[list[int]]]:
+    """``(d, cols)``: cols[k] is column ``columns[k]`` of c(a) times d, as
+    16 integers, where d is the common denominator of a's coefficients."""
     if a.n != 8:
         raise DimensionMismatchError("clifford_action needs an element of Cl(0,8)")
-    total = [[Fraction(0)] * 16 for _ in range(16)]
-    for mask, coeff in a.terms.items():
+    d, terms = a.over_common_denominator()
+    cols = [[0] * 16 for _ in columns]
+    for mask, c in terms:
         perm, sign = rep._mono_sp[mask]
-        for j in range(16):
-            total[perm[j]][j] += coeff * sign[j]
-    return tuple(tuple(row) for row in total)
+        for col, j in zip(cols, columns):
+            col[perm[j]] += c * sign[j]
+    return d, cols
+
+
+def clifford_action(rep: GammaRep, a: Multivector) -> Matrix:
+    """The 16x16 matrix of Clifford multiplication by a multivector."""
+    d, cols = _action_columns(rep, a, range(16))
+    return tuple(tuple(Fraction(col[i], d) for col in cols) for i in range(16))
 
 
 def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") -> Matrix:
@@ -256,17 +266,17 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     signs[i] * signs[j] * c(a)[rows[i]][rows[j]].  Raises ChiralityError
     when c(a) does not preserve the half, that is when a column of the half
     has a nonzero entry in a row outside it (odd elements exchange the
-    halves).
+    halves).  Only the half's eight columns of c(a) are built.
     """
     if chirality not in ("+", "-"):
         raise ValueError("chirality must be '+' or '-'")
     rows, signs = rep._halves[chirality]
-    m16 = clifford_action(rep, a)
+    d, cols = _action_columns(rep, a, rows)
     outside = [r for r in range(16) if r not in rows]
-    if any(m16[r][c] for c in rows for r in outside):
+    if any(col[r] for col in cols for r in outside):
         raise ChiralityError("element does not preserve the chiral subspace")
     return tuple(
-        tuple(si * sj * m16[ri][rj] for rj, sj in zip(rows, signs))
+        tuple(Fraction(si * sj * col[ri], d) for col, sj in zip(cols, signs))
         for ri, si in zip(rows, signs)
     )
 

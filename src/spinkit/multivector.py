@@ -8,12 +8,17 @@ Conventions used throughout the package:
   and blades are kept in canonical ascending-index order;
 * coefficients are exact ``fractions.Fraction`` values and absent blades
   are zero, so every identity below is checked with ``==``, never with a
-  tolerance.
+  tolerance;
+* a product runs in integers: each operand is scaled to integer numerators
+  over the lcm of its denominators, the numerators are multiplied and
+  summed blade by blade, and one ``Fraction`` per output blade is built
+  over the product of the two denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
@@ -23,22 +28,19 @@ Scalar = Union[int, Fraction]
 MAX_GENERATORS = 8
 
 
-def blade_product(a: int, b: int) -> tuple[int, int]:
-    """Multiply basis blades given as bit masks.
+def _sign_mask(a: int) -> int:
+    """Bit j is the parity of (the bits of a above j) + (bit j of a)."""
+    out = 0
+    for j in range(MAX_GENERATORS):
+        if ((a >> (j + 1)).bit_count() + (a >> j & 1)) & 1:
+            out |= 1 << j
+    return out
 
-    Returns ``(mask, sign)`` with ``e_a * e_b = sign * e_mask``.  The sign
-    counts the transpositions needed to merge the two ascending index
-    sequences, plus one factor -1 for every repeated generator (e_i^2 = -1).
-    """
-    swaps = 0
-    x = a >> 1
-    while x:
-        swaps += (x & b).bit_count()
-        x >>= 1
-    sign = -1 if swaps & 1 else 1
-    if (a & b).bit_count() & 1:
-        sign = -sign
-    return a ^ b, sign
+
+# e_a * e_b = (-1)^popcount(b & _SIGN_MASKS[a]) * e_(a ^ b): moving e_j of b
+# left past the generators of a above j takes one transposition each, and
+# meeting e_j itself in a contributes e_j^2 = -1.
+_SIGN_MASKS = tuple(_sign_mask(a) for a in range(1 << MAX_GENERATORS))
 
 
 def blade_grade(mask: int) -> int:
@@ -64,6 +66,18 @@ class Multivector:
                 clean[mask] = c
         self.n = n
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[int, Fraction]) -> "Multivector":
+        """Wrap a result computed from valid multivectors of Cl(0,n).
+
+        ``terms`` must already map blades of Cl(0,n) to nonzero Fractions;
+        nothing is re-checked or copied.
+        """
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -95,6 +109,12 @@ class Multivector:
             raise DimensionMismatchError(f"expected {n} components, got {len(comps)}")
         return cls(n, {1 << i: c for i, c in enumerate(comps)})
 
+    def over_common_denominator(self) -> tuple[int, list[tuple[int, int]]]:
+        """``(d, [(mask, numerator), ...])`` with each coefficient equal to
+        numerator / d, where d is the lcm of the coefficients' denominators."""
+        d = lcm(*(c.denominator for c in self.terms.values()))
+        return d, [(m, c.numerator * (d // c.denominator)) for m, c in self.terms.items()]
+
     # -- ring structure ----------------------------------------------------
 
     def _check_same_algebra(self, other: "Multivector") -> None:
@@ -105,29 +125,37 @@ class Multivector:
         self._check_same_algebra(other)
         terms = dict(self.terms)
         for mask, c in other.terms.items():
-            terms[mask] = terms.get(mask, Fraction(0)) + c
-        return Multivector(self.n, terms)
+            total = terms.get(mask, 0) + c
+            if total:
+                terms[mask] = total
+            else:
+                del terms[mask]
+        return Multivector._trusted(self.n, terms)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.n, {m: -c for m, c in self.terms.items()})
+        return Multivector._trusted(self.n, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Union["Multivector", Scalar]) -> "Multivector":
         if isinstance(other, (int, Fraction)):
-            return Multivector(self.n, {m: c * other for m, c in self.terms.items()})
+            terms = {m: c * other for m, c in self.terms.items()} if other else {}
+            return Multivector._trusted(self.n, terms)
         self._check_same_algebra(other)
-        terms: dict[int, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mask, sign = blade_product(ma, mb)
-                acc = terms.get(mask, Fraction(0)) + sign * ca * cb
-                if acc:
-                    terms[mask] = acc
+        da, a = self.over_common_denominator()
+        db, b = other.over_common_denominator()
+        acc: dict[int, int] = {}
+        for ma, ca in a:
+            signs = _SIGN_MASKS[ma]
+            for mb, cb in b:
+                m = ma ^ mb
+                if (mb & signs).bit_count() & 1:
+                    acc[m] = acc.get(m, 0) - ca * cb
                 else:
-                    terms.pop(mask, None)
-        return Multivector(self.n, terms)
+                    acc[m] = acc.get(m, 0) + ca * cb
+        d = da * db
+        return Multivector._trusted(self.n, {m: Fraction(c, d) for m, c in acc.items() if c})
 
     def __rmul__(self, other: Scalar) -> "Multivector":
         if isinstance(other, (int, Fraction)):
@@ -157,7 +185,9 @@ class Multivector:
     # -- structure maps ----------------------------------------------------
 
     def grade(self, k: int) -> "Multivector":
-        return Multivector(self.n, {m: c for m, c in self.terms.items() if blade_grade(m) == k})
+        return Multivector._trusted(
+            self.n, {m: c for m, c in self.terms.items() if blade_grade(m) == k}
+        )
 
     def grades(self) -> set[int]:
         return {blade_grade(m) for m in self.terms}
@@ -172,7 +202,7 @@ class Multivector:
         return not self.terms
 
     def grade_involution(self) -> "Multivector":
-        return Multivector(
+        return Multivector._trusted(
             self.n,
             {m: -c if blade_grade(m) & 1 else c for m, c in self.terms.items()},
         )
@@ -182,7 +212,29 @@ class Multivector:
         for m, c in self.terms.items():
             k = blade_grade(m)
             terms[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector(self.n, terms)
+        return Multivector._trusted(self.n, terms)
+
+
+def vector_part_of_product(a: Multivector, b: Multivector) -> Multivector:
+    """The grade-1 part of a * b, computing only its n blades."""
+    a._check_same_algebra(b)
+    da, xs = a.over_common_denominator()
+    db, ys = b.over_common_denominator()
+    by_mask = dict(ys)
+    acc = [0] * a.n
+    for ma, ca in xs:
+        signs = _SIGN_MASKS[ma]
+        for i in range(a.n):
+            mb = ma ^ (1 << i)
+            cb = by_mask.get(mb)
+            if cb is None:
+                continue
+            if (mb & signs).bit_count() & 1:
+                acc[i] -= ca * cb
+            else:
+                acc[i] += ca * cb
+    d = da * db
+    return Multivector._trusted(a.n, {1 << i: Fraction(c, d) for i, c in enumerate(acc) if c})
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

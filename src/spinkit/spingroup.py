@@ -3,7 +3,11 @@ and constructive lifting between SO(n) and Spin(n).
 
 A spin element is an even multivector zeta with zeta * reverse(zeta) = 1
 whose conjugation preserves grade one.  Its rotation is read off column by
-column: column j of Ad(zeta) is the grade-1 part of zeta e_j zeta^{-1}.
+column: column j of Ad(zeta) is the grade-1 part v_j of zeta e_j zeta^{-1},
+and only that part is computed.  Since reverse(zeta) is then the inverse of
+zeta, the rest r_j = zeta e_j zeta^{-1} - v_j vanishes exactly when
+zeta e_j == v_j zeta, because (v_j + r_j) zeta = zeta e_j; that is the
+grade-1 check.
 
 Lifting a rotation works over the rationals whenever the product of the
 squared lengths of its reflection factors is a rational square (always the
@@ -20,7 +24,7 @@ from fractions import Fraction
 
 from . import exactlinalg as la
 from .errors import InvalidSpinElementError, LiftError
-from .multivector import Multivector, blade_grade
+from .multivector import Multivector, blade_grade, vector_part_of_product
 
 Matrix = la.Matrix
 
@@ -85,6 +89,7 @@ class SpinElement:
         norm = self.value * self.value.reverse()
         if norm != Multivector.scalar(self.n, 1):
             raise InvalidSpinElementError("spin element must satisfy zeta * reverse(zeta) = 1")
+        _conjugated_basis(self.value)  # raises unless conjugation preserves grade 1
 
     def inverse(self) -> "SpinElement":
         return SpinElement(self.value.reverse(), check=False)
@@ -123,17 +128,27 @@ class SpinElement:
         return cls(out)
 
 
+def _conjugated_basis(zeta: Multivector) -> list[tuple[Fraction, ...]]:
+    """Components of zeta e_j reverse(zeta) for j = 0 .. n-1.
+
+    Needs reverse(zeta) zeta = 1.  Raises InvalidSpinElementError unless
+    every image is a vector, checked as zeta e_j == v_j zeta for the
+    grade-1 part v_j (see the module docstring).
+    """
+    inv = zeta.reverse()
+    cols = []
+    for j in range(zeta.n):
+        moved = zeta * Multivector.basis_vector(zeta.n, j)
+        v = vector_part_of_product(moved, inv)
+        if v * zeta != moved:
+            raise InvalidSpinElementError("conjugation does not preserve grade 1")
+        cols.append(v.vector_components())
+    return cols
+
+
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:
     """The rotation x -> zeta x zeta^{-1} of R^n (the two-to-one cover map)."""
-    n = zeta.n
-    inv = zeta.value.reverse()
-    cols = []
-    for j in range(n):
-        image = zeta.value * Multivector.basis_vector(n, j) * inv
-        if image.grades() not in ({1}, set()):
-            raise InvalidSpinElementError("conjugation does not preserve grade 1")
-        cols.append(image.vector_components())
-    return RotationMatrix(la.transpose(la.mat(cols)))
+    return RotationMatrix(la.transpose(la.mat(_conjugated_basis(zeta.value))))
 
 
 def reflect(v: Multivector, x: Multivector) -> Multivector:

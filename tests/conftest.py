@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
-from spinkit.errors import ChiralityError, TorsorError
+from spinkit.errors import ChiralityError, InvalidSpinElementError, TorsorError
 from spinkit.gammarep import build_cl8_rep, clifford_action
+from spinkit.multivector import Multivector
 
 
 def rank_mod_p(rows, p):
@@ -30,6 +32,80 @@ def rank_mod_p(rows, p):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def swap_count_blade_product(a, b):
+    """(mask, sign) with e_a e_b = sign e_mask, counting transpositions
+    shift by shift: the oracle for the sign table of the product."""
+    swaps = 0
+    x = a >> 1
+    while x:
+        swaps += (x & b).bit_count()
+        x >>= 1
+    sign = -1 if swaps & 1 else 1
+    if (a & b).bit_count() & 1:
+        sign = -sign
+    return a ^ b, sign
+
+
+def fraction_mul(a, b):
+    """a * b accumulated term by term in Fractions: the oracle for
+    Multivector.__mul__.  Returns the blade -> Fraction dict."""
+    assert a.n == b.n
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mask, sign = swap_count_blade_product(ma, mb)
+            acc = terms.get(mask, Fraction(0)) + sign * ca * cb
+            if acc:
+                terms[mask] = acc
+            else:
+                terms.pop(mask, None)
+    return terms
+
+
+def fraction_adjoint_action(value):
+    """The matrix of x -> zeta x reverse(zeta) from the full Fraction products
+    zeta e_j reverse(zeta): the oracle for adjoint_action.  Raises
+    InvalidSpinElementError when an image is not a vector."""
+    n = value.n
+    inv = value.reverse()
+    cols = []
+    for j in range(n):
+        moved = Multivector(n, fraction_mul(value, Multivector.basis_vector(n, j)))
+        image = fraction_mul(moved, inv)
+        if any(mask.bit_count() != 1 for mask in image):
+            raise InvalidSpinElementError("conjugation does not preserve grade 1")
+        cols.append([image.get(1 << i, Fraction(0)) for i in range(n)])
+    return la.transpose(la.mat(cols))
+
+
+def fraction_spin_validate(value):
+    """The SpinElement checks on Fraction products: evenness,
+    zeta * reverse(zeta) = 1 and a vector image of every e_j under
+    conjugation.  The oracle for SpinElement validation."""
+    if any(mask.bit_count() & 1 for mask in value.terms):
+        raise InvalidSpinElementError("spin element must be even")
+    if fraction_mul(value, value.reverse()) != {0: Fraction(1)}:
+        raise InvalidSpinElementError("spin element must satisfy zeta * reverse(zeta) = 1")
+    fraction_adjoint_action(value)
+
+
+def fraction_mat_mul(a, b):
+    """Row-by-column sums of Fraction products: the oracle for la.mat_mul."""
+    bt = la.transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def fraction_clifford_action(rep, a):
+    """c(a) summed monomial by monomial in Fractions: the oracle for
+    clifford_action."""
+    total = [[Fraction(0)] * 16 for _ in range(16)]
+    for mask, coeff in a.terms.items():
+        perm, sign = rep._mono_sp[mask]
+        for j in range(16):
+            total[perm[j]][j] += coeff * sign[j]
+    return tuple(tuple(row) for row in total)
 
 
 def dense_chiral_action(rep, a, chirality):

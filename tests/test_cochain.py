@@ -17,6 +17,7 @@ from spinkit.cwcomplex import (
     coboundary,
     cross_with_interval,
     difference_cochain,
+    interval_complex,
     product_with_interval,
     relative_cohomology,
 )
@@ -268,6 +269,11 @@ def test_difference_cochain_residue_errors(random_pair_complex, consistent_diffe
         difference_cochain(Cochain(prod, 3, Z_COEFF, tuple(bad)), o0, o1)
     with pytest.raises(DimensionMismatchError):
         difference_cochain(o_hat, o0, Cochain.zero(cx, 2, Z_COEFF))
+    # degree 0: there is no degree -1 cochain to return
+    interval = interval_complex()
+    o = Cochain.zero(interval, 0, Z_COEFF)
+    with pytest.raises(DimensionMismatchError, match="degree >= 1"):
+        difference_cochain(Cochain.zero(product_with_interval(interval), 0, Z_COEFF), o, o)
 
 
 def test_one_cylinder_per_pair(random_pair_complex, consistent_difference_inputs, monkeypatch):

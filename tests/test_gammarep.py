@@ -7,7 +7,7 @@ import pytest
 
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
-from conftest import dense_chiral_action
+from conftest import dense_chiral_action, fraction_clifford_action
 from spinkit.errors import (
     ChiralityError,
     DimensionMismatchError,
@@ -128,6 +128,15 @@ def test_clifford_action_is_an_algebra_map(rep):
         assert clifford_action(rep, a * b) == la.mat_mul(
             clifford_action(rep, a), clifford_action(rep, b)
         )
+    for _ in range(10):
+        a = Multivector(
+            8,
+            {
+                rng.randrange(256): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for _ in range(rng.randint(0, 40))
+            },
+        )
+        assert clifford_action(rep, a) == fraction_clifford_action(rep, a)
     assert clifford_action(rep, Multivector.scalar(8, 1)) == I16
     with pytest.raises(DimensionMismatchError):
         clifford_action(rep, Multivector.scalar(7, 1))

@@ -13,17 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_mul
 from spinkit.errors import DimensionMismatchError, UnsupportedDimensionError
 from spinkit.multivector import (
     Multivector,
-    blade_product,
     chiral_projectors,
     geometric_product,
     grade_involution,
     p_iso,
     reverse,
+    vector_part_of_product,
     volume_element,
 )
+from spinkit.spingroup import random_spin
 
 
 def oracle_blade_product(a_indices, b_indices):
@@ -49,9 +51,10 @@ def mask_to_indices(mask):
 
 
 def test_blade_product_matches_oracle_exhaustively():
+    blades = [Multivector(8, {a: 1}) for a in range(256)]
     for a in range(256):
         for b in range(256):
-            mask, sign = blade_product(a, b)
+            ((mask, sign),) = (blades[a] * blades[b]).terms.items()
             want_idx, want_sign = oracle_blade_product(mask_to_indices(a), mask_to_indices(b))
             assert mask_to_indices(mask) == want_idx
             assert sign == want_sign
@@ -197,3 +200,62 @@ def test_p_iso_is_multiplicative(triple):
     image = p_iso(a * b)
     assert image == p_iso(a) * p_iso(b)
     assert all(bin(m).count("1") % 2 == 0 for m in image.terms)
+
+
+# -- the integer product against the Fraction oracle --------------------------
+
+_DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 12, 25, 49, 1001, 65536)
+
+
+@st.composite
+def rational_multivectors(draw, n):
+    """Sparse to dense elements of Cl(0,n) with mixed denominators."""
+    size = draw(st.integers(min_value=0, max_value=min(1 << n, 48)))
+    terms = {}
+    for _ in range(size):
+        mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        num = draw(st.integers(min_value=-10**6, max_value=10**6))
+        terms[mask] = Fraction(num, draw(st.sampled_from(_DENOMINATORS)))
+    return Multivector(n, terms)
+
+
+@st.composite
+def product_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    if n == 8 and draw(st.booleans()):
+        # dense Spin(8) elements: about 64 terms, denominators up to ~1e6
+        seeds = st.integers(min_value=0, max_value=10**6)
+        return random_spin(8, 2, draw(seeds)).value, random_spin(8, 2, draw(seeds)).value
+    return draw(rational_multivectors(n)), draw(rational_multivectors(n))
+
+
+def _is_canonical(a):
+    return all(
+        0 <= mask < 1 << a.n and type(c) is Fraction and c for mask, c in a.terms.items()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_product_matches_fraction_oracle(pair):
+    a, b = pair
+    want = fraction_mul(a, b)
+    product = a * b
+    assert product.terms == want
+    assert _is_canonical(product)
+    vector_part = vector_part_of_product(a, b)
+    assert vector_part.terms == {m: c for m, c in want.items() if m.bit_count() == 1}
+    assert _is_canonical(vector_part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_pairs(), st.sampled_from([0, 1, -3, Fraction(2, 7)]))
+def test_internal_results_are_canonical(pair, scale):
+    """Results built without re-validation equal what the checking
+    constructor makes of their terms."""
+    a, b = pair
+    results = (a + b, a - b, -a, a * scale, scale * a, a.reverse(), a.grade(2), a.grade_involution())
+    for result in results:
+        assert _is_canonical(result)
+        assert result == Multivector(a.n, result.terms)
+    assert (a + (-a)).terms == {}

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
+from conftest import fraction_adjoint_action, fraction_spin_validate
 from spinkit.errors import InvalidSpinElementError, LiftError
 from spinkit.multivector import Multivector, volume_element
 from spinkit.spingroup import (
@@ -29,6 +32,14 @@ def test_spin_element_invariants():
         SpinElement(Multivector.blade(8, [0, 1], 2))  # norm 4 != 1
     z = SpinElement(Multivector.blade(8, [0, 1]))
     assert z.inverse().value == z.value.reverse()
+    # (3 + 4 e0...e5)/5 is even with zeta * reverse(zeta) = 1, but it sends
+    # e0 to a vector plus a 5-vector
+    tilted = Multivector(6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)})
+    assert tilted * tilted.reverse() == Multivector.scalar(6, 1)
+    with pytest.raises(InvalidSpinElementError, match="grade 1"):
+        SpinElement(tilted)
+    with pytest.raises(InvalidSpinElementError, match="grade 1"):
+        adjoint_action(SpinElement(tilted, check=False))
 
 
 def test_adjoint_of_minus_one_is_identity():
@@ -180,3 +191,54 @@ def test_random_spin_contract():
     assert random_spin(8, 2, 8).value != z1.value
     with pytest.raises(ValueError):
         random_spin(8, 0, 1)
+
+
+_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+
+
+@st.composite
+def spin_candidates(draw):
+    """Even and odd elements on both sides of each SpinElement check.
+
+    (a + b e_S)/c with a^2 + b^2 = c^2 is a spin element when |S| = 2, fails
+    zeta * reverse(zeta) = 1 when |S| is 4 or 8, and passes that check but
+    not grade-1 preservation when |S| = 6.
+    """
+    kind = draw(st.sampled_from(["spin", "blade", "odd", "scaled", "perturbed"]))
+    n = draw(st.integers(min_value=6 if kind == "blade" else 1, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    zeta = random_spin(n, rng.choice([1, 2]), rng.randrange(10**6)).value
+    if kind == "blade":
+        a, b, c = rng.choice(_TRIPLES)
+        grade = draw(st.sampled_from([k for k in (2, 4, 6, 8) if k <= n]))
+        mask = rng.choice([m for m in range(1 << n) if m.bit_count() == grade])
+        tilt = Multivector(n, {0: Fraction(a, c)}) + Multivector(n, {mask: Fraction(b, c)})
+        return tilt * zeta if draw(st.booleans()) else tilt
+    if kind == "odd":
+        return zeta * Multivector.basis_vector(n, rng.randrange(n))
+    if kind == "scaled":
+        return zeta * Fraction(rng.choice([2, 3, -1, -2]), rng.choice([1, 3]))
+    if kind == "perturbed":
+        mask = rng.choice([m for m in range(1 << n) if not m.bit_count() & 1])
+        return zeta + Multivector(n, {mask: Fraction(rng.choice([-1, 1]), rng.randint(1, 9))})
+    return zeta
+
+
+def _rejection(check, value):
+    try:
+        check(value)
+    except InvalidSpinElementError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(spin_candidates())
+def test_spin_checks_match_fraction_oracles(value):
+    """SpinElement accepts and rejects exactly what the Fraction checks do,
+    with the same message, and adjoint_action agrees with the full
+    conjugation products on every accepted element."""
+    verdict = _rejection(SpinElement, value)
+    assert verdict == _rejection(fraction_spin_validate, value)
+    if verdict is None:
+        assert adjoint_action(SpinElement(value)).entries == fraction_adjoint_action(value)
