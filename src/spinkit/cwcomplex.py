@@ -10,7 +10,9 @@ cochain with the end cochains before reading off the interval component.
 
 Complexes are immutable: validated once, at construction, never changed
 afterwards.  Each pair keeps the one cylinder X x I that
-:func:`product_with_interval` builds and validates for it.
+:func:`product_with_interval` builds and validates for it, and the one
+Smith diagonal of each coboundary delta_k that :func:`relative_cohomology`
+reads for H^k and H^(k+1) over every coefficient group.
 
 Sign conventions, fixed once and checked by the tests:
 
@@ -113,6 +115,7 @@ class CWPairComplex:
             self.sub[k] = [bool(x) for x in flags]
         self._validate()
         self._cylinder: CWPairComplex | None = None
+        self._diagonals: dict[int, list[int]] = {}
 
     def _validate(self) -> None:
         # column j of d_k d_(k+1) is the sum of x * (column t of d_k) over x = d_(k+1)[t][j] != 0
@@ -249,6 +252,13 @@ def coboundary(c: Cochain) -> Cochain:
     return Cochain(cx, k + 1, c.coefficients, tuple(out))
 
 
+def _coboundary_diagonal(cx: CWPairComplex, k: int) -> list[int]:
+    """Smith diagonal of delta_k, computed on the first call for cx and k."""
+    if k not in cx._diagonals:
+        cx._diagonals[k] = smith_diagonal(cx.relative_coboundary_matrix(k))
+    return cx._diagonals[k]
+
+
 def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGroup) -> AbelianGroup:
     """H^k(X, Y; G) via Smith normal form over Z.
 
@@ -261,8 +271,8 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
         return AbelianGroup(0)
     m = coefficients.modulus
     n_k = len(cx.relative_indices(k))
-    up = smith_diagonal(cx.relative_coboundary_matrix(k)) if k < cx.dim else []
-    down = smith_diagonal(cx.relative_coboundary_matrix(k - 1)) if k > 0 else []
+    up = _coboundary_diagonal(cx, k) if k < cx.dim else []
+    down = _coboundary_diagonal(cx, k - 1) if k > 0 else []
     free = n_k - len(up) - len(down)
     return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 

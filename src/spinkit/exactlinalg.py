@@ -1,17 +1,20 @@
 """Small exact linear algebra kit over the rationals.
 
 Matrices are tuples of tuples of ``Fraction`` (rows); vectors are tuples.
-Matrix products multiply integer numerators over each operand's common
-denominator.  Everything else is textbook Gaussian elimination kept exact,
-which is fast enough for the 8x8 .. 256x256 problems in this package.
+Products multiply integer numerators over each operand's common
+denominator.  ``rank`` and ``kernel_basis`` eliminate on integer rows kept
+primitive (divided by their gcd) after every update, and ``det`` is
+Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
+
+from .errors import DimensionMismatchError
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -37,7 +40,7 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def _over_common_denominator(rows: Matrix) -> tuple[int, list[list[int]]]:
+def over_common_denominator(rows: Matrix) -> tuple[int, list[list[int]]]:
     """``(d, numerators)`` with entry (i, j) equal to numerators[i][j] / d."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
@@ -45,20 +48,36 @@ def _over_common_denominator(rows: Matrix) -> tuple[int, list[list[int]]]:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a b, as integer dot products over the two operands' common denominators."""
-    da, rows = _over_common_denominator(a)
-    db, cols = _over_common_denominator(transpose(b))
+    if a and len(a[0]) != len(b):
+        raise DimensionMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}-row matrix")
+    da, rows = over_common_denominator(a)
+    db, cols = over_common_denominator(transpose(b))
     d = da * db
     return tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in rows)
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
-    return tuple(sum(x * Fraction(y) for x, y in zip(row, v)) for row in a)
+    """a v, as integer dot products over the common denominators of a and v."""
+    if a and len(a[0]) != len(v):
+        raise DimensionMismatchError(f"cannot apply {len(a)}x{len(a[0])} matrix to length {len(v)}")
+    da, rows = over_common_denominator(a)
+    dv, (xs,) = over_common_denominator([v])
+    d = da * dv
+    return tuple(Fraction(sum(map(mul, row, xs)), d) for row in rows)
+
+
+def _check_same_shape(a: Matrix, b: Matrix) -> None:
+    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
+        raise DimensionMismatchError("matrices of different shapes")
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    _check_same_shape(a, b)
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    _check_same_shape(a, b)
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -68,7 +87,11 @@ def mat_scale(a: Matrix, s: Scalar) -> Matrix:
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"dot product of lengths {len(u)} and {len(v)}")
+    du, (xs,) = over_common_denominator([u])
+    dv, (ys,) = over_common_denominator([v])
+    return Fraction(sum(map(mul, xs, ys)), du * dv)
 
 
 def is_orthogonal(a: Matrix) -> bool:
@@ -80,72 +103,80 @@ def is_skew(a: Matrix) -> bool:
     return transpose(a) == tuple(tuple(-x for x in row) for row in a)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_rref(a: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination on primitive integer rows.
+
+    Returns (rows, pivot columns): row r has its pivot at pivots[r] and zeros
+    in every other pivot column, so the reduced row echelon form is row r
+    divided by its pivot entry.
+    """
+    rows = [_primitive(row) for row in over_common_denominator(a)[1]]
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        top = rows[r]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(top[c], f)
+                p, q = top[c] // g, f // g
+                rows[i] = _primitive([p * x - q * y for x, y in zip(rows[i], top)])
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == nrows:
             break
     return rows, pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    _, pivots = _rref([list(row) for row in a])
-    return len(pivots)
+    return len(_integer_rref(a)[1])
 
 
 def det(a: Matrix) -> Fraction:
+    """Determinant by Bareiss elimination on the integer numerators."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(row) for row in a]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+    d, rows = over_common_denominator(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top, p = rows[k], rows[k][k]
+        for i in range(k + 1, n):
+            row, f = rows[i], rows[i][k]
+            rows[i] = [0] * (k + 1) + [(p * row[j] - f * top[j]) // prev for j in range(k + 1, n)]
+        prev = p
+    return Fraction(sign * rows[-1][-1] if n else 1, d**n)
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
-    """Basis of the right null space {x : a x = 0}."""
+    """Basis of the right null space {x : a x = 0}, read off the reduced
+    row echelon form: one vector per free column f, with 1 at f."""
     if not a:
         return []
     ncols = len(a[0])
-    rows, pivots = _rref([list(row) for row in a])
+    rows, pivots = _integer_rref(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
@@ -171,14 +202,3 @@ def intersection_basis(a: Matrix, b: Matrix) -> list[Vector]:
         )
         for sol in kernel_basis(stacked)
     ]
-
-
-def rational_square_root(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if not a square."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None

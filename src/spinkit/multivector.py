@@ -145,17 +145,10 @@ class Multivector:
         self._check_same_algebra(other)
         da, a = self.over_common_denominator()
         db, b = other.over_common_denominator()
-        acc: dict[int, int] = {}
-        for ma, ca in a:
-            signs = _SIGN_MASKS[ma]
-            for mb, cb in b:
-                m = ma ^ mb
-                if (mb & signs).bit_count() & 1:
-                    acc[m] = acc.get(m, 0) - ca * cb
-                else:
-                    acc[m] = acc.get(m, 0) + ca * cb
         d = da * db
-        return Multivector._trusted(self.n, {m: Fraction(c, d) for m, c in acc.items() if c})
+        return Multivector._trusted(
+            self.n, {m: Fraction(c, d) for m, c in integer_product(a, b).items() if c}
+        )
 
     def __rmul__(self, other: Scalar) -> "Multivector":
         if isinstance(other, (int, Fraction)):
@@ -215,26 +208,39 @@ class Multivector:
         return Multivector._trusted(self.n, terms)
 
 
-def vector_part_of_product(a: Multivector, b: Multivector) -> Multivector:
-    """The grade-1 part of a * b, computing only its n blades."""
-    a._check_same_algebra(b)
-    da, xs = a.over_common_denominator()
-    db, ys = b.over_common_denominator()
-    by_mask = dict(ys)
-    acc = [0] * a.n
-    for ma, ca in xs:
+def integer_product(a: Iterable[tuple[int, int]], b: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Blade -> integer coefficient of the product of two elements given as
+    (mask, integer coefficient) pairs.  Coefficients that cancel stay as 0."""
+    b = list(b)
+    acc: dict[int, int] = {}
+    for ma, ca in a:
         signs = _SIGN_MASKS[ma]
-        for i in range(a.n):
+        for mb, cb in b:
+            m = ma ^ mb
+            if (mb & signs).bit_count() & 1:
+                acc[m] = acc.get(m, 0) - ca * cb
+            else:
+                acc[m] = acc.get(m, 0) + ca * cb
+    return acc
+
+
+def integer_vector_part(n: int, a: Iterable[tuple[int, int]], b: Mapping[int, int]) -> list[int]:
+    """The n grade-1 coefficients of a * b, computing only those blades, for
+    a given as (mask, integer coefficient) pairs and b as a blade -> integer
+    coefficient map."""
+    acc = [0] * n
+    for ma, ca in a:
+        signs = _SIGN_MASKS[ma]
+        for i in range(n):
             mb = ma ^ (1 << i)
-            cb = by_mask.get(mb)
+            cb = b.get(mb)
             if cb is None:
                 continue
             if (mb & signs).bit_count() & 1:
                 acc[i] -= ca * cb
             else:
                 acc[i] += ca * cb
-    d = da * db
-    return Multivector._trusted(a.n, {1 << i: Fraction(c, d) for i, c in enumerate(acc) if c})
+    return acc
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -257,19 +263,19 @@ def p_iso(a: Multivector) -> Multivector:
     The new generator takes index 0 and existing generators shift up by
     one: ``e_i -> e0 e_(i+1)``.  On even inputs this is the plain
     index-shifted inclusion.
+
+    In closed form the blade e_S, S = {i1 < ... < ik}, goes to
+    +e_((S << 1) | (k mod 2)).  Its image is e0 f1 e0 f2 ... e0 fk with
+    f_t = e_(i_t + 1) ascending and anticommuting with e0.  Moving every e0
+    to the front passes 0 + 1 + ... + (k-1) = k(k-1)/2 of the f_t, and
+    e0^k = (-1)^floor(k/2) e0^(k mod 2); the exponent k(k-1)/2 + floor(k/2)
+    is even for every k (check k mod 4), so the sign is always +1.
     """
     if a.n >= MAX_GENERATORS:
         raise UnsupportedDimensionError(f"cannot extend past {MAX_GENERATORS} generators")
-    m = a.n + 1
-    out = Multivector(m, {})
-    e0 = Multivector.basis_vector(m, 0)
-    for mask, coeff in a.terms.items():
-        factor = Multivector.scalar(m, coeff)
-        for i in range(a.n):
-            if mask >> i & 1:
-                factor = factor * e0 * Multivector.basis_vector(m, i + 1)
-        out = out + factor
-    return out
+    return Multivector._trusted(
+        a.n + 1, {(mask << 1) | (mask.bit_count() & 1): c for mask, c in a.terms.items()}
+    )
 
 
 def volume_element(n: int) -> Multivector:

@@ -7,13 +7,17 @@ column: column j of Ad(zeta) is the grade-1 part v_j of zeta e_j zeta^{-1},
 and only that part is computed.  Since reverse(zeta) is then the inverse of
 zeta, the rest r_j = zeta e_j zeta^{-1} - v_j vanishes exactly when
 zeta e_j == v_j zeta, because (v_j + r_j) zeta = zeta e_j; that is the
-grade-1 check.
+grade-1 check.  It runs on integer numerators: with zeta = Z/d, zeta e_j is
+a signed blade permutation of Z over d, v_j has numerators over d^2, and
+the check compares v_j Z with d^2 (Z e_j) over d^3.  A checked element
+keeps its columns, so ``adjoint_action`` does not compute them again.
 
-Lifting a rotation works over the rationals whenever the product of the
-squared lengths of its reflection factors is a rational square (always the
-case for rotations arising as Ad- or spin-representation images of rational
-spin elements); otherwise no rational lift exists and ``lift_rotation``
-raises.
+Lifting a rotation reflects integer columns, each over its own
+denominator, by primitive integer factors v: x -> (v.v) x - 2 (v.x) v,
+reduced by the gcd.  It works over the rationals whenever the product of
+the squared lengths of the factors is a square (always the case for
+rotations arising as Ad- or spin-representation images of rational spin
+elements); otherwise no rational lift exists and ``lift_rotation`` raises.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
+from operator import mul
 
 from . import exactlinalg as la
 from .errors import InvalidSpinElementError, LiftError
-from .multivector import Multivector, blade_grade, vector_part_of_product
+from .multivector import Multivector, blade_grade, integer_product, integer_vector_part
 
 Matrix = la.Matrix
 
@@ -38,6 +44,8 @@ class RotationMatrix:
     def __post_init__(self):
         a = la.mat(self.entries)
         object.__setattr__(self, "entries", a)
+        if not a:
+            raise ValueError("rotation matrix must be at least 1x1")
         if not la.is_orthogonal(a):
             raise ValueError("matrix is not orthogonal")
         if la.det(a) != 1:
@@ -75,11 +83,12 @@ class SkewMatrix:
 class SpinElement:
     """Point of Spin(n) represented by an even multivector of unit norm."""
 
-    __slots__ = ("value", "n")
+    __slots__ = ("value", "n", "_columns")
 
     def __init__(self, value: Multivector, check: bool = True):
         self.value = value
         self.n = value.n
+        self._columns: list[tuple[Fraction, ...]] | None = None
         if check:
             self._validate()
 
@@ -89,7 +98,8 @@ class SpinElement:
         norm = self.value * self.value.reverse()
         if norm != Multivector.scalar(self.n, 1):
             raise InvalidSpinElementError("spin element must satisfy zeta * reverse(zeta) = 1")
-        _conjugated_basis(self.value)  # raises unless conjugation preserves grade 1
+        # raises unless conjugation preserves grade 1
+        self._columns = _conjugated_basis(self.value)
 
     def inverse(self) -> "SpinElement":
         return SpinElement(self.value.reverse(), check=False)
@@ -98,7 +108,9 @@ class SpinElement:
         return SpinElement(self.value * other.value, check=False)
 
     def __neg__(self) -> "SpinElement":
-        return SpinElement(-self.value, check=False)
+        out = SpinElement(-self.value, check=False)
+        out._columns = self._columns  # Ad(-zeta) = Ad(zeta)
+        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SpinElement) and self.value == other.value
@@ -133,22 +145,27 @@ def _conjugated_basis(zeta: Multivector) -> list[tuple[Fraction, ...]]:
 
     Needs reverse(zeta) zeta = 1.  Raises InvalidSpinElementError unless
     every image is a vector, checked as zeta e_j == v_j zeta for the
-    grade-1 part v_j (see the module docstring).
+    grade-1 part v_j on integer numerators (see the module docstring).
     """
-    inv = zeta.reverse()
+    d, z = zeta.over_common_denominator()
+    inv = dict(zeta.reverse().over_common_denominator()[1])  # over d
+    dd = d * d
     cols = []
     for j in range(zeta.n):
-        moved = zeta * Multivector.basis_vector(zeta.n, j)
-        v = vector_part_of_product(moved, inv)
-        if v * zeta != moved:
+        moved = integer_product(z, [(1 << j, 1)])  # zeta e_j, over d
+        v = integer_vector_part(zeta.n, moved.items(), inv)  # over d^2
+        image = integer_product([(1 << i, c) for i, c in enumerate(v) if c], z)
+        if {m: c for m, c in image.items() if c} != {m: dd * c for m, c in moved.items()}:
             raise InvalidSpinElementError("conjugation does not preserve grade 1")
-        cols.append(v.vector_components())
+        cols.append(tuple(Fraction(c, dd) for c in v))
     return cols
 
 
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:
     """The rotation x -> zeta x zeta^{-1} of R^n (the two-to-one cover map)."""
-    return RotationMatrix(la.transpose(la.mat(_conjugated_basis(zeta.value))))
+    if zeta._columns is None:
+        zeta._columns = _conjugated_basis(zeta.value)
+    return RotationMatrix(la.transpose(la.mat(zeta._columns)))
 
 
 def reflect(v: Multivector, x: Multivector) -> Multivector:
@@ -163,45 +180,48 @@ def reflect(v: Multivector, x: Multivector) -> Multivector:
     return v * x * v
 
 
-def _unnormalized_reflection(v: tuple[Fraction, ...], x: list[Fraction]) -> list[Fraction]:
-    vv = la.dot(v, v)
-    vx = la.dot(v, x)
-    f = 2 * vx / vv
-    return [xi - f * vi for xi, vi in zip(x, v)]
+def _reflect_column(v: list[int], vv: int, x: list[int], d: int) -> tuple[int, list[list[int]]]:
+    """x/d reflected across v-perp for an integer v with vv = v.v, in lowest
+    terms as (denominator, [numerators])."""
+    f = 2 * sum(map(mul, v, x))
+    out = [vv * xi - f * vi for xi, vi in zip(x, v)]
+    g = gcd(vv * d, *out)
+    return vv * d // g, [[xi // g for xi in out]]
 
 
 def lift_rotation(rotation: RotationMatrix) -> SpinElement:
     """Constructive Cartan-Dieudonne lift of R in SO(n) to Spin(n).
 
-    Peels one column at a time with a (possibly non-unit) rational
-    reflection vector, multiplies the factors in the Clifford algebra and
-    rescales by the exact square root of the accumulated norm.  The result
-    satisfies adjoint_action(zeta) == R and is sign-canonicalized so that
-    its first nonzero coefficient in ascending blade order is positive.
+    Peels one column at a time with a primitive integer reflection vector,
+    multiplies the factors on integer numerators and rescales by the exact
+    square root of the accumulated norm.  The result satisfies
+    adjoint_action(zeta) == R and is sign-canonicalized so that its first
+    nonzero coefficient in ascending blade order is positive.
     """
     n = rotation.n
-    cols = [list(col) for col in la.transpose(rotation.entries)]
-    factors: list[tuple[Fraction, ...]] = []
+    # the peeled columns 0..j-1 are e_0..e_(j-1), orthogonal to every later
+    # factor, so only the columns after j are reflected
+    cols = [la.over_common_denominator([col]) for col in la.transpose(rotation.entries)]
+    product = {0: 1}
+    count, norm_sq = 0, 1
     for j in range(n):
-        ej = [Fraction(1 if i == j else 0) for i in range(n)]
-        x = cols[j]
-        if x == ej:
+        d, (v,) = cols[j]
+        v[j] -= d
+        if not any(v):
             continue
-        v = tuple(a - b for a, b in zip(x, ej))
-        factors.append(v)
-        cols = [_unnormalized_reflection(v, c) for c in cols]
-    if len(factors) % 2:
+        g = gcd(*v)
+        v = [x // g for x in v]
+        vv = sum(x * x for x in v)
+        count += 1
+        norm_sq *= vv
+        product = integer_product(product.items(), [(1 << i, x) for i, x in enumerate(v) if x])
+        cols[j + 1 :] = [_reflect_column(v, vv, x, dx) for dx, (x,) in cols[j + 1 :]]
+    if count % 2:
         raise LiftError("odd reflection count: input is orientation-reversing")
-
-    product = Multivector.scalar(n, 1)
-    norm_sq = Fraction(1)
-    for v in factors:
-        product = product * Multivector.vector(n, v)
-        norm_sq *= la.dot(v, v)
-    scale = la.rational_square_root(norm_sq)
-    if scale is None:
+    scale = isqrt(norm_sq)
+    if scale * scale != norm_sq:
         raise LiftError("rotation has no rational spin lift (spinor norm is not a square)")
-    zeta = product * (Fraction(1) / scale)
+    zeta = Multivector(n, {m: Fraction(c, scale) for m, c in product.items()})
 
     first = min(zeta.terms) if zeta.terms else 0
     if zeta.terms and zeta.terms[first] < 0:
@@ -250,12 +270,13 @@ def rational_unit_tuple(n: int, rng: random.Random) -> tuple[Fraction, ...]:
     parametrizes rational points of the sphere without any square roots.
     """
     while True:
-        w = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+        w = [rng.randint(-9, 9) for _ in range(n)]
         if any(w):
             break
     axis = rng.randrange(n)
-    e = [Fraction(1 if i == axis else 0) for i in range(n)]
-    return tuple(_unnormalized_reflection(tuple(w), e))
+    e = [1 if i == axis else 0 for i in range(n)]
+    d, (xs,) = _reflect_column(w, sum(x * x for x in w), e, 1)
+    return tuple(Fraction(x, d) for x in xs)
 
 
 def rational_unit_vector(n: int, rng: random.Random) -> Multivector:

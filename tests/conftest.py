@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, isqrt
 
 import pytest
 
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
-from spinkit.errors import ChiralityError, InvalidSpinElementError, TorsorError
+from spinkit.errors import ChiralityError, InvalidSpinElementError, LiftError, TorsorError
 from spinkit.gammarep import build_cl8_rep, clifford_action
 from spinkit.multivector import Multivector
+from spinkit.snf import AbelianGroup, smith_diagonal
 
 
 def rank_mod_p(rows, p):
@@ -95,6 +97,140 @@ def fraction_mat_mul(a, b):
     """Row-by-column sums of Fraction products: the oracle for la.mat_mul."""
     bt = la.transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def fraction_mat_vec(a, v):
+    """Row sums of Fraction products: the oracle for la.mat_vec."""
+    return tuple(sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def fraction_rref(rows):
+    """In-place reduced row echelon form in Fractions; returns (rows, pivot
+    column list).  The oracle for rank and kernel_basis."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def fraction_kernel_basis(a):
+    """Null space basis read off the Fraction RREF: the oracle for
+    la.kernel_basis."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    rows, pivots = fraction_rref([list(row) for row in a])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_det(a):
+    """Determinant by Fraction Gaussian elimination: the oracle for la.det."""
+    n = len(a)
+    rows = [list(row) for row in a]
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
+
+
+def fraction_reflection(v, x):
+    """x reflected across v-perp in Fractions, for a rational v != 0."""
+    vv = sum(a * a for a in v)
+    f = 2 * sum(a * b for a, b in zip(v, x)) / vv
+    return [xi - f * vi for xi, vi in zip(x, v)]
+
+
+def fraction_lift_rotation(rotation):
+    """The Cartan-Dieudonne lift with rational (not rescaled) reflection
+    vectors, reflecting every column in Fractions and multiplying the factors
+    as Multivectors: the oracle for lift_rotation.  Returns the
+    sign-canonical lift as a Multivector, or raises LiftError."""
+    n = rotation.n
+    cols = [list(col) for col in la.transpose(rotation.entries)]
+    factors = []
+    for j in range(n):
+        ej = [Fraction(1 if i == j else 0) for i in range(n)]
+        if cols[j] == ej:
+            continue
+        v = [a - b for a, b in zip(cols[j], ej)]
+        factors.append(v)
+        cols = [fraction_reflection(v, c) for c in cols]
+    if len(factors) % 2:
+        raise LiftError("odd reflection count: input is orientation-reversing")
+    zeta = Multivector.scalar(n, 1)
+    norm_sq = Fraction(1)
+    for v in factors:
+        zeta = zeta * Multivector.vector(n, v)
+        norm_sq *= sum(a * a for a in v)
+    num, den = norm_sq.numerator, norm_sq.denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        raise LiftError("rotation has no rational spin lift (spinor norm is not a square)")
+    root = Fraction(rn, rd)
+    zeta = zeta * (1 / root)
+    if zeta.terms[min(zeta.terms)] < 0:
+        zeta = -zeta
+    return zeta
+
+
+def loop_p_iso(a):
+    """p_iso by one Multivector product per generator, e_i -> e0 e_(i+1):
+    the oracle for the closed-form p_iso."""
+    m = a.n + 1
+    out = Multivector(m, {})
+    e0 = Multivector.basis_vector(m, 0)
+    for mask, coeff in a.terms.items():
+        factor = Multivector.scalar(m, coeff)
+        for i in range(a.n):
+            if mask >> i & 1:
+                factor = factor * e0 * Multivector.basis_vector(m, i + 1)
+        out = out + factor
+    return out
+
+
+def uncached_relative_cohomology(cx, k, coefficients):
+    """H^k(X, Y; G) from two fresh Smith diagonals: the oracle for the
+    diagonals relative_cohomology keeps on the complex."""
+    if k < 0 or k > cx.dim:
+        return AbelianGroup(0)
+    m = coefficients.modulus
+    up = smith_diagonal(cx.relative_coboundary_matrix(k)) if k < cx.dim else []
+    down = smith_diagonal(cx.relative_coboundary_matrix(k - 1)) if k > 0 else []
+    free = len(cx.relative_indices(k)) - len(up) - len(down)
+    return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 
 
 def fraction_clifford_action(rep, a):

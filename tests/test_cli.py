@@ -27,6 +27,15 @@ def test_verify_clifford_passes(capsys):
     assert out.rstrip().endswith("0 failed")
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+def test_verify_all_matches_golden_report(capsys, seed):
+    """The text report of `verify all` is byte-identical to the committed one."""
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", str(seed))
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"verify_all_seed{seed}.txt"
+    assert out.encode() == golden.read_bytes()
+
+
 def test_verify_structured_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "spin", "--seed", "3", "--format", "structured")
     assert code == 0

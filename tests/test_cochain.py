@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import spinkit.cwcomplex as cwcomplex
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import (
     CWPairComplex,
@@ -22,7 +23,7 @@ from spinkit.cwcomplex import (
     relative_cohomology,
 )
 from spinkit.errors import ComplexValidationError, DimensionMismatchError, ResidueError
-from conftest import dense_pair_check, rank_mod_p
+from conftest import dense_pair_check, rank_mod_p, uncached_relative_cohomology
 
 
 def disk8_pair():
@@ -308,6 +309,30 @@ def test_one_cylinder_per_pair(random_pair_complex, consistent_difference_inputs
     o0_copy = Cochain(copy, 3, Z_COEFF, o0.values)
     o1_copy = Cochain(copy, 3, Z_COEFF, o1.values)
     assert difference_cochain(o_hat, o0_copy, o1_copy).values == d.values
+
+
+def test_one_smith_diagonal_per_degree(random_pair_complex, monkeypatch):
+    """A sweep of H^k over Z, Z/2 and Z/3 takes one Smith diagonal per
+    coboundary delta_0 .. delta_(dim-1), and answers as fresh diagonals do."""
+    calls = []
+    real = cwcomplex.smith_diagonal
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    rng = random.Random(12)
+    coefficients = (Z_COEFF, Z2_COEFF, CoefficientGroup(3))
+    for _ in range(15):
+        cx = random_pair_complex(rng, max_pieces=12, dim=rng.randint(0, 6))
+        want = [uncached_relative_cohomology(cx, k, c) for c in coefficients for k in range(-1, cx.dim + 2)]
+        monkeypatch.setattr(cwcomplex, "smith_diagonal", counting)
+        calls.clear()
+        for _ in range(2):
+            got = [relative_cohomology(cx, k, c) for c in coefficients for k in range(-1, cx.dim + 2)]
+            assert got == want
+        assert len(calls) == cx.dim
+        monkeypatch.undo()
 
 
 def test_dd_check_matches_dense_oracle(random_pair_complex):

@@ -1,12 +1,20 @@
-"""Exact matrix products against the Fraction oracle."""
+"""Exact matrix products and integer elimination against the Fraction oracles."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
-from conftest import fraction_mat_mul
+from conftest import (
+    fraction_det,
+    fraction_kernel_basis,
+    fraction_mat_mul,
+    fraction_mat_vec,
+    fraction_rref,
+)
+from spinkit.errors import DimensionMismatchError
 
 _ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -44,3 +52,107 @@ def test_mat_mul_of_zero_and_empty_matrices():
     assert la.mat_mul((), b) == ()
     assert la.mat_mul(la.mat([[], []]), ()) == ((), ())
     assert la.mat_mul(la.identity(4), la.identity(4)) == la.identity(4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs(), st.data())
+def test_mat_vec_matches_fraction_oracle(pair, data):
+    a, _ = pair
+    width = len(a[0]) if a else data.draw(st.integers(0, 3))
+    v = tuple(data.draw(_ENTRIES) for _ in range(width))
+    assert la.mat_vec(a, v) == fraction_mat_vec(a, v)
+    if a:
+        assert la.mat_vec(a, v) == tuple(la.dot(row, v) for row in a)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Dense, zero and rank-deficient r x c matrices, r and c in 0..7; a
+    product through k < min(r, c) inner columns has rank at most k."""
+    r = draw(st.integers(min_value=0, max_value=7))
+    c = r if square else draw(st.integers(min_value=0, max_value=7))
+    kind = draw(st.sampled_from(["dense", "zero", "product", "repeated"]))
+    if kind == "zero":
+        return la.mat([[0] * c for _ in range(r)])
+    if kind == "product" and min(r, c) > 1:
+        k = draw(st.integers(min_value=1, max_value=min(r, c) - 1))
+        a = la.mat([[draw(_ENTRIES) for _ in range(k)] for _ in range(r)])
+        b = la.mat([[draw(_ENTRIES) for _ in range(c)] for _ in range(k)])
+        return la.mat_mul(a, b)
+    rows = [[draw(_ENTRIES) for _ in range(c)] for _ in range(r)]
+    if kind == "repeated" and r > 1:
+        s = draw(st.sampled_from([-2, 1, Fraction(1, 3)]))
+        rows[-1] = [s * x + y for x, y in zip(rows[0], rows[1])]
+    return la.mat(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_and_kernel_match_fraction_rref(a):
+    _, pivots = fraction_rref([list(row) for row in a])
+    assert la.rank(a) == len(pivots) == la.rank(la.transpose(a))
+    kernel = la.kernel_basis(a)
+    assert kernel == fraction_kernel_basis(a)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    if a:
+        assert len(kernel) == len(a[0]) - len(pivots)
+        assert all(not any(la.mat_vec(a, v)) for v in kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_fraction_elimination(a):
+    d = la.det(a)
+    assert d == fraction_det(a)
+    assert type(d) is Fraction
+    assert (d == 0) == (la.rank(a) < len(a))
+
+
+def test_elimination_on_zero_empty_and_non_square_inputs():
+    assert la.rank(()) == 0 and la.kernel_basis(()) == [] and la.det(()) == 1
+    zero = la.mat([[0] * 3] * 2)
+    assert la.rank(zero) == 0
+    assert la.kernel_basis(zero) == [tuple(row) for row in la.identity(3)]
+    assert la.det(la.mat([[0] * 3] * 3)) == 0
+    wide = la.mat([[1, 2, 3], [2, 4, 7]])
+    assert la.rank(wide) == 2
+    assert la.kernel_basis(wide) == [(Fraction(-2), Fraction(1), Fraction(0))]
+    with pytest.raises(ValueError):
+        la.det(wide)
+    assert la.det(la.mat([[0, 1], [1, 0]])) == -1
+    assert la.det(la.mat([[Fraction(1, 2), 3], [Fraction(-1, 3), 5]])) == Fraction(7, 2)
+
+
+def test_rank_of_the_monomial_gram(rep):
+    """The 256 x 256 trace Gram of the Cl(0,8) monomials is 16 I; a copy with
+    one row replaced by a combination of two others has rank 255."""
+    monomials = [rep._mono_sp[mask] for mask in range(256)]
+    gram = [
+        [sum(sa[j] * sb[j] for j in range(16) if pa[j] == pb[j]) for pb, sb in monomials]
+        for pa, sa in monomials
+    ]
+    assert la.mat(gram) == la.mat_scale(la.identity(256), 16)
+    assert la.rank(la.mat(gram)) == 256 and la.kernel_basis(la.mat(gram)) == []
+    gram[200] = [3 * x - y for x, y in zip(gram[5], gram[17])]
+    damaged = la.mat(gram)
+    assert la.rank(damaged) == 255 == len(fraction_rref([list(r) for r in damaged])[1])
+    assert la.kernel_basis(damaged) == fraction_kernel_basis(damaged)
+
+
+def test_mismatched_shapes_raise():
+    a = la.mat([[1, 2, 3], [4, 5, 6]])
+    b = la.mat([[1, 0], [0, 1]])
+    with pytest.raises(DimensionMismatchError):
+        la.mat_mul(a, b)  # 2x3 times 2x2
+    with pytest.raises(DimensionMismatchError):
+        la.mat_mul(b, ())
+    with pytest.raises(DimensionMismatchError):
+        la.mat_vec(a, (1, 1))
+    with pytest.raises(DimensionMismatchError):
+        la.dot([1, 2, 3], [1, 1])
+    with pytest.raises(DimensionMismatchError):
+        la.mat_add(a, b)
+    with pytest.raises(DimensionMismatchError):
+        la.mat_sub(b, la.mat([[1, 0]]))
+    assert la.mat_mul(b, a) == a
+    assert la.dot([1, 2, 3], [1, 1, Fraction(1, 3)]) == 4

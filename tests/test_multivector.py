@@ -13,16 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_mul
+from conftest import fraction_mul, loop_p_iso
 from spinkit.errors import DimensionMismatchError, UnsupportedDimensionError
 from spinkit.multivector import (
     Multivector,
     chiral_projectors,
     geometric_product,
     grade_involution,
+    integer_vector_part,
     p_iso,
     reverse,
-    vector_part_of_product,
     volume_element,
 )
 from spinkit.spingroup import random_spin
@@ -126,6 +126,21 @@ def test_p_iso_values():
     lhs = e(8, 0) * e(8, 2) * e(8, 0) * e(8, 3)
     assert lhs == Multivector.blade(8, [2, 3])
     assert p_iso(Multivector.blade(7, [1, 2])) == Multivector.blade(8, [2, 3])
+
+
+def test_p_iso_closed_form_matches_generator_products():
+    """Every blade of Cl(0,n), n = 1..7, goes to the image the product of
+    its generators' images gives, with sign +1."""
+    for n in range(1, 8):
+        for mask in range(1 << n):
+            blade = Multivector(n, {mask: Fraction(-3, 7)})
+            image = p_iso(blade)
+            assert image == loop_p_iso(blade)
+            assert image.terms == {(mask << 1) | (mask.bit_count() & 1): Fraction(-3, 7)}
+    rng = random.Random(8)
+    for n in range(1, 8):
+        a = Multivector(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in range(1 << n)})
+        assert p_iso(a) == loop_p_iso(a)
 
 
 def test_p_iso_rejects_cl8():
@@ -243,9 +258,12 @@ def test_product_matches_fraction_oracle(pair):
     product = a * b
     assert product.terms == want
     assert _is_canonical(product)
-    vector_part = vector_part_of_product(a, b)
-    assert vector_part.terms == {m: c for m, c in want.items() if m.bit_count() == 1}
-    assert _is_canonical(vector_part)
+    da, xs = a.over_common_denominator()
+    db, ys = b.over_common_denominator()
+    vector_part = integer_vector_part(a.n, xs, dict(ys))
+    assert {1 << i: Fraction(c, da * db) for i, c in enumerate(vector_part) if c} == {
+        m: c for m, c in want.items() if m.bit_count() == 1
+    }
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
-from conftest import fraction_adjoint_action, fraction_spin_validate
+import spinkit.spingroup as spingroup
+from conftest import fraction_adjoint_action, fraction_lift_rotation, fraction_spin_validate
 from spinkit.errors import InvalidSpinElementError, LiftError
 from spinkit.multivector import Multivector, volume_element
 from spinkit.spingroup import (
@@ -242,3 +243,102 @@ def test_spin_checks_match_fraction_oracles(value):
     assert verdict == _rejection(fraction_spin_validate, value)
     if verdict is None:
         assert adjoint_action(SpinElement(value)).entries == fraction_adjoint_action(value)
+
+
+def _pythagorean_rotation(n, rng):
+    """A product of rotations by Pythagorean angles in random coordinate
+    planes.  Its spinor norm is a square for some draws and not for others."""
+    r = la.identity(n)
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(n), 2)
+        a, b, c = rng.choice(_TRIPLES)
+        g = [list(row) for row in la.identity(n)]
+        g[i][i] = g[j][j] = Fraction(a, c)
+        g[i][j], g[j][i] = Fraction(-b, c), Fraction(b, c)
+        r = la.mat_mul(r, la.mat(g))
+    return RotationMatrix(r)
+
+
+def _lift_or_error(lift, rotation):
+    try:
+        return lift(rotation)
+    except LiftError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_lift_matches_fraction_reflection_oracle(n, k, seed, pythagorean):
+    """The integer lift equals the Fraction-reflection lift, and raises
+    LiftError with the same message where that one does."""
+    if pythagorean:
+        rotation = _pythagorean_rotation(n, random.Random(seed))
+    else:
+        rotation = adjoint_action(random_spin(n, k, seed))
+    got = _lift_or_error(lambda r: lift_rotation(r).value, rotation)
+    assert got == _lift_or_error(fraction_lift_rotation, rotation)
+    if not isinstance(got, str):
+        assert adjoint_action(lift_rotation(rotation)).entries == rotation.entries
+
+
+def test_lift_error_cases_match_the_oracle():
+    rng = random.Random(4)
+    irrational = [_pythagorean_rotation(n, rng) for n in (3, 5, 8) for _ in range(6)]
+    messages = {_lift_or_error(fraction_lift_rotation, r) for r in irrational}
+    assert "rotation has no rational spin lift (spinor norm is not a square)" in messages
+    for r in irrational:
+        assert _lift_or_error(lambda x: lift_rotation(x).value, r) == _lift_or_error(
+            fraction_lift_rotation, r
+        )
+    # an orientation-reversing matrix that skipped the RotationMatrix checks
+    swap = object.__new__(RotationMatrix)
+    object.__setattr__(swap, "entries", la.mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    for lift in (lift_rotation, fraction_lift_rotation):
+        with pytest.raises(LiftError, match="odd reflection count"):
+            lift(swap)
+
+
+def test_empty_rotation_matrix_is_rejected():
+    with pytest.raises(ValueError):
+        RotationMatrix(())
+
+
+def test_checked_elements_keep_their_columns(monkeypatch):
+    """_validate computes the grade-1 columns once; adjoint_action reuses
+    them, also for -zeta.  Unchecked elements compute theirs on demand and
+    a bad one still raises."""
+    calls = []
+    real = spingroup._conjugated_basis
+
+    def counting(zeta):
+        calls.append(zeta)
+        return real(zeta)
+
+    monkeypatch.setattr(spingroup, "_conjugated_basis", counting)
+    z = random_spin(6, 2, 12)
+    assert len(calls) == 1
+    rot = adjoint_action(z)
+    assert adjoint_action(-z).entries == rot.entries == fraction_adjoint_action(z.value)
+    assert len(calls) == 1
+    lifted = lift_rotation(rot)
+    assert len(calls) == 2
+    assert adjoint_action(lifted).entries == rot.entries
+    assert len(calls) == 2
+
+    unchecked = SpinElement(z.value * z.value, check=False)
+    assert len(calls) == 2
+    assert adjoint_action(unchecked).entries == fraction_adjoint_action(unchecked.value)
+    assert adjoint_action(unchecked).entries == la.mat_mul(rot.entries, rot.entries)
+    assert len(calls) == 3
+
+    tilted = SpinElement(Multivector(6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)}), check=False)
+    for _ in range(2):
+        with pytest.raises(InvalidSpinElementError, match="grade 1"):
+            adjoint_action(tilted)
+        with pytest.raises(InvalidSpinElementError, match="grade 1"):
+            adjoint_action(-tilted)
