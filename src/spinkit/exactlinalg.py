@@ -192,13 +192,7 @@ def intersection_basis(a: Matrix, b: Matrix) -> list[Vector]:
         raise ValueError("intersection_basis needs matrices with independent rows")
     if not a or not b:
         return []
-    at = transpose(a)
-    bt = transpose(b)
-    stacked = tuple(ra + tuple(-x for x in rb) for ra, rb in zip(at, bt))
-    return [
-        tuple(
-            sum((c * a[i][j] for i, c in enumerate(sol[: len(a)])), Fraction(0))
-            for j in range(len(a[0]))
-        )
-        for sol in kernel_basis(stacked)
-    ]
+    if len(a[0]) != len(b[0]):
+        raise DimensionMismatchError("intersection of row spaces of different widths")
+    stacked = tuple(ra + tuple(-x for x in rb) for ra, rb in zip(transpose(a), transpose(b)))
+    return list(mat_mul(tuple(sol[: len(a)] for sol in kernel_basis(stacked)), a))

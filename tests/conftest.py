@@ -146,6 +146,19 @@ def fraction_kernel_basis(a):
     return basis
 
 
+def fraction_intersection_basis(a, b):
+    """Images x^T a of a kernel basis of [a^T | -b^T], summed in Fractions:
+    the oracle for la.intersection_basis on matrices with independent rows."""
+    stacked = tuple(ra + tuple(-x for x in rb) for ra, rb in zip(la.transpose(a), la.transpose(b)))
+    return [
+        tuple(
+            sum((c * a[i][j] for i, c in enumerate(sol[: len(a)])), Fraction(0))
+            for j in range(len(a[0]))
+        )
+        for sol in fraction_kernel_basis(stacked)
+    ]
+
+
 def fraction_det(a):
     """Determinant by Fraction Gaussian elimination: the oracle for la.det."""
     n = len(a)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import spinkit.exactlinalg as la
 from conftest import (
     fraction_det,
+    fraction_intersection_basis,
     fraction_kernel_basis,
     fraction_mat_mul,
     fraction_mat_vec,
@@ -139,6 +140,24 @@ def test_rank_of_the_monomial_gram(rep):
     assert la.kernel_basis(damaged) == fraction_kernel_basis(damaged)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_intersection_basis_matches_fraction_oracle(data):
+    """Row spaces of random full-row-rank a and b, some sharing rows."""
+    c = data.draw(st.integers(min_value=1, max_value=6))
+    rows = [[data.draw(_ENTRIES) for _ in range(c)] for _ in range(2 * c)]
+    a = la.mat(rows[: data.draw(st.integers(1, c))])
+    b = la.mat(rows[data.draw(st.integers(0, len(a))) :][: data.draw(st.integers(1, c))])
+    if la.rank(a) < len(a) or la.rank(b) < len(b):
+        with pytest.raises(ValueError):
+            la.intersection_basis(a, b)
+        return
+    basis = la.intersection_basis(a, b)
+    assert basis == fraction_intersection_basis(a, b)
+    for v in basis:
+        assert la.rank(a + (v,)) == len(a) and la.rank(b + (v,)) == len(b)
+
+
 def test_mismatched_shapes_raise():
     a = la.mat([[1, 2, 3], [4, 5, 6]])
     b = la.mat([[1, 0], [0, 1]])
@@ -154,5 +173,7 @@ def test_mismatched_shapes_raise():
         la.mat_add(a, b)
     with pytest.raises(DimensionMismatchError):
         la.mat_sub(b, la.mat([[1, 0]]))
+    with pytest.raises(DimensionMismatchError):
+        la.intersection_basis(a, b)
     assert la.mat_mul(b, a) == a
     assert la.dot([1, 2, 3], [1, 1, Fraction(1, 3)]) == 4

@@ -288,10 +288,10 @@ def test_lift_matches_fraction_reflection_oracle(n, k, seed, pythagorean):
 
 def test_lift_error_cases_match_the_oracle():
     rng = random.Random(4)
-    irrational = [_pythagorean_rotation(n, rng) for n in (3, 5, 8) for _ in range(6)]
-    messages = {_lift_or_error(fraction_lift_rotation, r) for r in irrational}
+    rotations = [_pythagorean_rotation(n, rng) for n in (3, 5, 8) for _ in range(6)]
+    messages = {_lift_or_error(fraction_lift_rotation, r) for r in rotations}
     assert "rotation has no rational spin lift (spinor norm is not a square)" in messages
-    for r in irrational:
+    for r in rotations:
         assert _lift_or_error(lambda x: lift_rotation(x).value, r) == _lift_or_error(
             fraction_lift_rotation, r
         )
