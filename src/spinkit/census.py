@@ -1,17 +1,17 @@
-"""Characteristic-class arithmetic for Spin(7)- and G2-structure counting.
+"""Characteristic-class arithmetic for Spin(7)-structure counting.
 
 Everything here is desk arithmetic on characteristic numbers of a compact
-spin 8-manifold W:
+spin 8-manifold W, gathered by ``census_report``:
 
 * the positive spinor bundle has 16 e(S+) = 4 p2 - p1^2 + 8 e(TW), so a
   structure exists iff that rational vanishes;
 * when it exists and H^7(W, dW; Z) = 0, the structures extending a fixed
   boundary G2-structure form a torsor over H^8(W, dW; Z/2), hence are
   2^dim many -- exactly two for closed connected W;
-* on a spin 7-manifold the G2-structures form a Z-torsor;
-* for closed, simply connected, torsion-free cases the A-hat genus
-  (7 p1^2 - 4 p2)/5760 pins the holonomy group Spin(8 - A-hat) when it
-  lands in {1, 2, 3, 4}.
+* for closed, simply connected cases the A-hat genus
+  (7 p1^2 - 4 p2)/5760 pins the holonomy group Spin(8 - A-hat) of a
+  torsion-free structure when it lands in {1, 2, 3, 4} (Joyce, *Compact
+  Manifolds with Special Holonomy*, 2000, Prop. 10.5.4).
 
 The convention e(S-) = e(S+) - e(TW) is fixed here and repeated in every
 emitted report.
@@ -62,10 +62,13 @@ class ManifoldCharData:
             raise CensusDataError(f"{self.name}: components must be >= 1")
         if self.h7_rel_rank < 0 or self.h8_z2_dim < 0:
             raise CensusDataError(f"{self.name}: cohomological ranks must be >= 0")
-        if not self.has_boundary and self.components == 1 and self.h8_z2_dim != 1:
+        if not self.has_boundary and self.h8_z2_dim != self.components:
             raise CensusDataError(
-                f"{self.name}: a closed connected 8-manifold has h8_z2_dim = 1 (top class)"
+                f"{self.name}: a closed 8-manifold has h8_z2_dim = components "
+                "(one top class per component)"
             )
+        if self.simply_connected and self.components != 1:
+            raise CensusDataError(f"{self.name}: a simply connected manifold has one component")
         if self.simply_connected and self.h7_rel_rank != 0:
             raise CensusDataError(
                 f"{self.name}: simply connected manifolds have h7_rel_rank = 0"
@@ -90,53 +93,19 @@ def euler_positive_spinor(d: ManifoldCharData) -> Fraction:
     return value
 
 
-def euler_negative_spinor(d: ManifoldCharData) -> Fraction:
-    """e(S-) under the recorded convention e(S-) = e(S+) - e(TW)."""
-    return euler_positive_spinor(d) - d.euler
-
-
-def spin7_exists(d: ManifoldCharData) -> bool:
-    """Existence of a Spin(7)-structure: vanishing of e(S+)."""
-    return euler_positive_spinor(d) == 0
-
-
-def count_spin7_structures(d: ManifoldCharData, boundary_g2_fixed: bool = True):
-    """Number of Spin(7)-structures extending a fixed boundary G2-structure.
-
-    Returns the integer 2**h8_z2_dim when the relative degree-7 group
-    vanishes (torsor over H^8(W, dW; Z/2)); otherwise "undetermined",
-    since a nonzero primary difference escapes the counting argument.
-    """
-    if not spin7_exists(d):
-        raise CensusDataError(f"{d.name}: no Spin(7)-structure exists (e(S+) != 0)")
-    if d.has_boundary and not boundary_g2_fixed:
-        return "undetermined"
-    if d.h7_rel_rank > 0:
-        return "undetermined"
-    return 2**d.h8_z2_dim
-
-
-def count_g2_structures(spin: bool) -> str:
-    """G2-structures on a closed oriented spin 7-manifold form a Z-torsor."""
-    return "Z-torsor" if spin else "empty"
-
-
 def ahat_genus(d: ManifoldCharData) -> Fraction:
     """A-hat = (7 p1^2 - 4 p2) / 5760 (degree-8 term of the standard genus)."""
     return Fraction(7 * d.p1_sq - 4 * d.p2, 5760)
 
 
-def holonomy_from_ahat(d: ManifoldCharData, torsion_free: bool) -> str:
-    """Holonomy label for a closed, simply connected, torsion-free case."""
-    if d.has_boundary or not d.simply_connected or not torsion_free:
-        raise CensusDataError(
-            f"{d.name}: holonomy criterion needs closed, simply connected, torsion-free"
-        )
+def holonomy_from_ahat(d: ManifoldCharData) -> str | None:
+    """The holonomy label Spin(8 - A-hat) of a closed, simply connected W whose
+    A-hat is an integer in 1..4; None when the criterion does not apply."""
     d._require_spin()
+    if d.has_boundary or not d.simply_connected:
+        return None
     a = ahat_genus(d)
-    if a.denominator == 1 and 1 <= a <= 4:
-        return f"Spin({8 - int(a)})"
-    return "criterion inapplicable"
+    return f"Spin({8 - int(a)})" if a.denominator == 1 and 1 <= a <= 4 else None
 
 
 @dataclass(frozen=True)
@@ -156,30 +125,43 @@ class CensusReport:
             raise CensusDataError("existence flag must mirror the vanishing of e(S+)")
 
 
-def census_report(d: ManifoldCharData, boundary_g2_fixed: bool = True) -> CensusReport:
+def _structure_count(d: ManifoldCharData, e_plus: Fraction) -> int | str | None:
+    """Spin(7)-structures extending a fixed boundary G2-structure, given e(S+).
+
+    None when e(S+) != 0, as then no structure exists.  Otherwise
+    2**h8_z2_dim when the relative degree-7 group vanishes (torsor over
+    H^8(W, dW; Z/2)), and "undetermined" when it does not, since a nonzero
+    primary difference escapes the counting argument.
+    """
+    if e_plus != 0:
+        return None
+    return "undetermined" if d.h7_rel_rank > 0 else 2**d.h8_z2_dim
+
+
+def census_report(d: ManifoldCharData) -> CensusReport:
     """Full per-manifold report with a conditional holonomy note."""
     e_plus = euler_positive_spinor(d)
-    exists = e_plus == 0
-    count = count_spin7_structures(d, boundary_g2_fixed) if exists else None
-    a = ahat_genus(d)
-    note = ""
-    if (
-        exists
-        and not d.has_boundary
-        and d.simply_connected
-        and a.denominator == 1
-        and 1 <= a <= 4
-    ):
-        note = f"holonomy Spin({8 - int(a)}) if a torsion-free structure exists"
+    count = _structure_count(d, e_plus)
+    exists = count is not None
+    holonomy = holonomy_from_ahat(d) if exists else None
+    note = f"holonomy {holonomy} if a torsion-free structure exists" if holonomy else ""
     return CensusReport(
         name=d.name,
         e_s_plus=e_plus,
         e_s_minus=e_plus - d.euler,
         exists=exists,
         count=count,
-        ahat=a,
+        ahat=ahat_genus(d),
         holonomy_note=note,
     )
+
+
+def count_spin7_structures(d: ManifoldCharData) -> int | str:
+    """The census count; raises when no Spin(7)-structure exists."""
+    count = _structure_count(d, euler_positive_spinor(d))
+    if count is None:
+        raise CensusDataError(f"{d.name}: no Spin(7)-structure exists (e(S+) != 0)")
+    return count
 
 
 def torsor_size_cross_check(d: ManifoldCharData) -> bool:
@@ -192,8 +174,3 @@ def torsor_size_cross_check(d: ManifoldCharData) -> bool:
     if not verify_difference_axioms(table).passed:
         return False
     return len(table.carrier) == expected
-
-
-def signature_cross_check(d: ManifoldCharData, signature: int) -> bool:
-    """Hirzebruch check in dimension 8: 7 p2 - p1^2 = 45 sigma."""
-    return 7 * d.p2 - d.p1_sq == 45 * signature

@@ -156,9 +156,6 @@ class CWPairComplex:
             return []
         return [i for i in range(self.cells[k]) if not self.sub[k][i]]
 
-    def total_cells(self) -> int:
-        return sum(self.cells)
-
     def relative_coboundary_matrix(self, k: int) -> list[list[int]]:
         """delta: C^k(X,Y) -> C^(k+1)(X,Y), the restricted transpose of d_(k+1)."""
         rows = self.relative_indices(k + 1)

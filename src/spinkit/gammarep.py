@@ -24,7 +24,6 @@ spinor.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -42,7 +41,6 @@ from .spingroup import (
     SpinElement,
     lie_lift,
     lift_rotation,
-    rational_unit_tuple,
 )
 
 Matrix = la.Matrix
@@ -141,9 +139,6 @@ class Spinor:
 
     def is_zero(self) -> bool:
         return not any(self.components)
-
-    def norm_squared(self) -> Fraction:
-        return la.dot(self.components, self.components)
 
 
 class GammaRep:
@@ -428,60 +423,20 @@ def stabilizer_dimension(
     return len(basis) - la.rank(images)
 
 
-def _so7_coordinate_pair(rep: GammaRep) -> tuple[Matrix, Matrix]:
-    """The 21x28 so(8) coordinates of the vector-type and spinor-type so(7) copies."""
-    vector_side = la.mat([bivector_coordinates(x) for x in embedded_spin7_lie_basis()])
-    spinor_side = la.mat(
-        [bivector_coordinates(d_iota_plus(rep, x)) for x in spin7_lie_basis()]
-    )
-    if la.rank(vector_side) != 21 or la.rank(spinor_side) != 21:
-        raise InternalCheckError("embedded so(7) copies should be 21-dimensional")
-    return vector_side, spinor_side
-
-
 def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
     """A basis of the intersection of the two so(7) copies, as Cl(0,8) bivectors.
 
-    Its length is the dimension of the intersection.
+    Its length is the dimension of the intersection.  The two copies are
+    given by their 21x28 so(8) coordinates, and ``la.intersection_basis``
+    raises unless each has 21 independent rows.
     """
+    vector_side = la.mat([bivector_coordinates(x) for x in embedded_spin7_lie_basis()])
+    spinor_side = la.mat([bivector_coordinates(d_iota_plus(rep, x)) for x in spin7_lie_basis()])
     out = []
-    for coords in la.intersection_basis(*_so7_coordinate_pair(rep)):
+    for coords in la.intersection_basis(vector_side, spinor_side):
         terms = {mask: c for mask, c in zip(_BIVECTOR_MASKS, coords) if c}
         out.append(Multivector(8, terms))
     return out
-
-
-@dataclass(frozen=True)
-class TransitivityReport:
-    """Outcome of sampling stabilizers of the so(7) action on unit spinors."""
-
-    samples: int
-    stabilizer_dimension: int
-    orbit_rank: int
-    consistent: bool
-
-
-def spin7_sphere_transitivity(rep: GammaRep, samples: int = 10, seed: int = 0) -> TransitivityReport:
-    """Stabilizer/orbit dimensions of the chiral so(7) action at random unit spinors.
-
-    For every sampled rational unit spinor the annihilator inside the
-    embedded so(7) should have dimension 14 (the exceptional subalgebra)
-    and the orbit rank 21 - 14 = 7, the dimension of the 7-sphere.
-    """
-    rng = random.Random(seed)
-    algebra = embedded_spin7_lie_basis()
-    dims = set()
-    for _ in range(samples):
-        phi = Spinor(rational_unit_tuple(8, rng), "+")
-        dims.add(stabilizer_dimension(rep, phi, algebra))
-    dim = dims.pop() if len(dims) == 1 else -1
-    consistent = dim == 14
-    return TransitivityReport(
-        samples=samples,
-        stabilizer_dimension=dim if dim >= 0 else max(dims | {dim}),
-        orbit_rank=21 - dim if dim >= 0 else -1,
-        consistent=consistent,
-    )
 
 
 def monomial_span_rank(rep: GammaRep) -> int:
@@ -491,13 +446,20 @@ def monomial_span_rank(rep: GammaRep) -> int:
     since over Q a Gram matrix has the rank of its vectors; a return value
     of 256 is an exact witness that the monomials span the whole
     256-dimensional matrix space.  For signed permutations the trace sums
-    the sign products over the columns that both send to the same row.
+    the sign products over the columns that both send to the same row, so
+    the Gram matrix is accumulated over (column, row) buckets.
     """
-    monomials = [rep._mono_sp[mask] for mask in range(256)]
-    gram = [
-        [sum(sa[j] * sb[j] for j in range(16) if pa[j] == pb[j]) for pb, sb in monomials]
-        for pa, sa in monomials
-    ]
+    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for mask in range(256):
+        perm, sign = rep._mono_sp[mask]
+        for j in range(16):
+            buckets.setdefault((j, perm[j]), []).append((mask, sign[j]))
+    gram = [[0] * 256 for _ in range(256)]
+    for members in buckets.values():
+        for a, sa in members:
+            row = gram[a]
+            for b, sb in members:
+                row[b] += sa * sb
     return la.rank(la.mat(gram))
 
 
@@ -510,7 +472,6 @@ def omega8_element() -> SpinElement:
 __all__ = [
     "GammaRep",
     "Spinor",
-    "TransitivityReport",
     "build_cl8_rep",
     "clifford_action",
     "chiral_action_matrix",
@@ -522,7 +483,6 @@ __all__ = [
     "common_fixed_space",
     "stabilizer_dimension",
     "g2_intersection_basis",
-    "spin7_sphere_transitivity",
     "spin7_lie_basis",
     "embedded_spin7_lie_basis",
     "spin8_lie_basis",

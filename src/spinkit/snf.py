@@ -66,18 +66,21 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
                 break
         diag.append(abs(a[top][top]))
         top += 1
-
-    # enforce the divisibility chain d1 | d2 | ...
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[j] % diag[i]:
-                g = gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return [d for d in diag if d]
+    return _divisibility_chain(diag)
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    return len(smith_diagonal(rows))
+def _divisibility_chain(values: list[int]) -> list[int]:
+    """Rewrite positive integers in place as d1 | d2 | ... by gcd/lcm swaps.
+
+    One pass suffices: values[i] only shrinks to divisors of itself, and
+    later swaps replace two of its multiples by their gcd and lcm.
+    """
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[j] % values[i]:
+                g = gcd(values[i], values[j])
+                values[i], values[j] = g, values[i] * values[j] // g
+    return values
 
 
 @dataclass(frozen=True)
@@ -100,22 +103,8 @@ class AbelianGroup:
     def from_orders(cls, orders: list[int]) -> "AbelianGroup":
         """Build from arbitrary cyclic orders (0 meaning Z), normalizing."""
         free = sum(1 for d in orders if d == 0)
-        tors = sorted(d for d in orders if d > 1)
-        # normalize to a divisibility chain via pairwise gcd/lcm sweeps
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(tors)):
-                for j in range(i + 1, len(tors)):
-                    if tors[j] % tors[i]:
-                        g = gcd(tors[i], tors[j])
-                        tors[i], tors[j] = g, tors[i] * tors[j] // g
-                        changed = True
-            tors = sorted(t for t in tors if t > 1)
-        return cls(free, tuple(tors))
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
+        # the chain may start with 1s, which __post_init__ drops
+        return cls(free, tuple(_divisibility_chain([d for d in orders if d > 1])))
 
     def order(self) -> int | None:
         """Number of elements, or None when infinite."""

@@ -55,13 +55,6 @@ class RotationMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def __matmul__(self, other: "RotationMatrix") -> "RotationMatrix":
-        return RotationMatrix(la.mat_mul(self.entries, other.entries))
-
-    @classmethod
-    def identity(cls, n: int) -> "RotationMatrix":
-        return cls(la.identity(n))
-
 
 @dataclass(frozen=True)
 class SkewMatrix:
@@ -101,9 +94,6 @@ class SpinElement:
         # raises unless conjugation preserves grade 1
         self._columns = _conjugated_basis(self.value)
 
-    def inverse(self) -> "SpinElement":
-        return SpinElement(self.value.reverse(), check=False)
-
     def __mul__(self, other: "SpinElement") -> "SpinElement":
         return SpinElement(self.value * other.value, check=False)
 
@@ -120,10 +110,6 @@ class SpinElement:
 
     def __repr__(self) -> str:
         return f"SpinElement({self.value!r})"
-
-    @classmethod
-    def one(cls, n: int) -> "SpinElement":
-        return cls(Multivector.scalar(n, 1), check=False)
 
     @classmethod
     def from_unit_vectors(cls, vectors: list[Multivector]) -> "SpinElement":

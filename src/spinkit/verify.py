@@ -270,13 +270,14 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     ident16 = la.identity(16)
 
     def anticommutators() -> str | None:
+        minus_two, zero = la.mat_scale(ident16, -2), la.mat_scale(ident16, 0)
         for i in range(8):
             for j in range(8):
                 s = la.mat_add(
                     la.mat_mul(rep.gamma[i], rep.gamma[j]),
                     la.mat_mul(rep.gamma[j], rep.gamma[i]),
                 )
-                if s != la.mat_scale(ident16, -2 if i == j else 0):
+                if s != (minus_two if i == j else zero):
                     return f"pair ({i},{j})"
         return None
 

@@ -246,6 +246,24 @@ def uncached_relative_cohomology(cx, k, coefficients):
     return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 
 
+def sweep_until_stable(orders):
+    """Torsion coefficients of cyclic groups of the given orders, by gcd/lcm
+    sweeps repeated until one changes nothing: the oracle for the single
+    sweep in AbelianGroup.from_orders."""
+    tors = sorted(d for d in orders if d > 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(tors)):
+            for j in range(i + 1, len(tors)):
+                if tors[j] % tors[i]:
+                    g = gcd(tors[i], tors[j])
+                    tors[i], tors[j] = g, tors[i] * tors[j] // g
+                    changed = True
+        tors = sorted(t for t in tors if t > 1)
+    return tuple(tors)
+
+
 def fraction_clifford_action(rep, a):
     """c(a) summed monomial by monomial in Fractions: the oracle for
     clifford_action."""

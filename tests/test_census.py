@@ -11,13 +11,9 @@ from spinkit.census import (
     ManifoldCharData,
     ahat_genus,
     census_report,
-    count_g2_structures,
     count_spin7_structures,
-    euler_negative_spinor,
     euler_positive_spinor,
     holonomy_from_ahat,
-    signature_cross_check,
-    spin7_exists,
     torsor_size_cross_check,
 )
 from spinkit.errors import CensusDataError
@@ -64,32 +60,28 @@ def test_euler_class_formula():
 
 
 def test_negative_spinor_convention():
-    assert euler_negative_spinor(sphere8()) == -1
+    assert census_report(sphere8()).e_s_minus == -1
     zero = ManifoldCharData("flat", 0, 0, 0, 0, 1, has_boundary=True)
-    assert euler_negative_spinor(zero) == 0
+    assert census_report(zero).e_s_minus == 0
     d = holonomy_sample()
-    assert euler_positive_spinor(d) - euler_negative_spinor(d) == d.euler
+    assert euler_positive_spinor(d) - census_report(d).e_s_minus == d.euler
 
 
 def test_vanishing_of_two_forces_the_third():
     # e(S+) - e(S-) = e(TW) makes the three classes linearly dependent
     samples = [sphere8(), torus8(), quaternionic_plane(), holonomy_sample()]
     for d in samples:
-        triple = [euler_positive_spinor(d), euler_negative_spinor(d), Fraction(d.euler)]
+        report = census_report(d)
+        triple = [report.e_s_plus, report.e_s_minus, Fraction(d.euler)]
         if sum(1 for t in triple if t == 0) >= 2:
             assert all(t == 0 for t in triple)
 
 
 def test_existence():
-    assert not spin7_exists(sphere8())
-    assert not spin7_exists(quaternionic_plane())
-    assert spin7_exists(torus8())
-    assert spin7_exists(holonomy_sample())
-
-
-def test_signature_cross_check():
-    assert signature_cross_check(quaternionic_plane(), 1)
-    assert not signature_cross_check(quaternionic_plane(), 2)
+    assert not census_report(sphere8()).exists
+    assert not census_report(quaternionic_plane()).exists
+    assert census_report(torus8()).exists
+    assert census_report(holonomy_sample()).exists
 
 
 def test_counts():
@@ -102,29 +94,26 @@ def test_counts():
     with pytest.raises(CensusDataError):
         count_spin7_structures(sphere8())
     bounded = ManifoldCharData("bounded", 0, 0, 0, 0, 0, has_boundary=True)
-    assert count_spin7_structures(bounded, boundary_g2_fixed=True) == 1
-    assert count_spin7_structures(bounded, boundary_g2_fixed=False) == "undetermined"
-
-
-def test_g2_count():
-    assert count_g2_structures(True) == "Z-torsor"
-    assert count_g2_structures(False) == "empty"
+    assert count_spin7_structures(bounded) == 1
 
 
 def test_ahat_and_holonomy():
     assert ahat_genus(holonomy_sample()) == 1
-    assert holonomy_from_ahat(holonomy_sample(), torsion_free=True) == "Spin(7)"
+    assert holonomy_from_ahat(holonomy_sample()) == "Spin(7)"
     k3k3 = ManifoldCharData(
         "K3xK3", p1_sq=4608, p2=2304, euler=576, h7_rel_rank=0, h8_z2_dim=1, simply_connected=True
     )
     assert ahat_genus(k3k3) == 4
-    assert holonomy_from_ahat(k3k3, torsion_free=True) == "Spin(4)"
+    assert holonomy_from_ahat(k3k3) == "Spin(4)"
     assert ahat_genus(quaternionic_plane()) == 0
-    assert holonomy_from_ahat(quaternionic_plane(), torsion_free=True) == "criterion inapplicable"
+    assert holonomy_from_ahat(quaternionic_plane()) is None
+    # the same A-hat = 1 numbers without simple connectivity, or with boundary
+    assert holonomy_from_ahat(ManifoldCharData("nsc", 768, -96, 144, 0, 1)) is None
+    bounded = ManifoldCharData("bounded", 768, -96, 144, 0, 1, has_boundary=True)
+    assert holonomy_from_ahat(bounded) is None
+    assert census_report(bounded).holonomy_note == ""
     with pytest.raises(CensusDataError):
-        holonomy_from_ahat(holonomy_sample(), torsion_free=False)
-    with pytest.raises(CensusDataError):
-        holonomy_from_ahat(torus8(), torsion_free=True)  # not simply connected
+        holonomy_from_ahat(ManifoldCharData("nonspin", 768, -96, 144, 0, 1, spin=False))
 
 
 def test_validation_rules():
@@ -132,6 +121,10 @@ def test_validation_rules():
         ManifoldCharData("bad", 0, 0, 0, 0, 0)  # closed connected needs h8_z2_dim = 1
     with pytest.raises(CensusDataError):
         ManifoldCharData("bad", 0, 0, 0, 3, 1, simply_connected=True)
+    with pytest.raises(CensusDataError, match="h8_z2_dim = components"):
+        ManifoldCharData("bad", 0, 0, 0, 0, 5, components=2)  # closed: H^8(W; Z/2) = (Z/2)^c
+    with pytest.raises(CensusDataError, match="one component"):
+        ManifoldCharData("bad", 0, 0, 0, 0, 2, components=2, simply_connected=True)
     with pytest.raises(CensusDataError):
         euler_positive_spinor(
             ManifoldCharData("nonspin", 0, 0, 2, 0, 1, spin=False)
@@ -179,7 +172,7 @@ def test_bundled_catalogue_loads():
     names = [r.name for r in records]
     assert "S8" in names and "T8" in names and "HP2" in names
     by_name = {r.name: r for r in records}
-    assert not spin7_exists(by_name["S8"])
+    assert not census_report(by_name["S8"]).exists
     assert count_spin7_structures(by_name["closed-holonomy-sample"]) == 2
     assert count_spin7_structures(by_name["two-component-sample"]) == 4
 

@@ -36,6 +36,29 @@ def test_verify_all_matches_golden_report(capsys, seed):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["census"], "census_bundled.txt"),
+        (["census", "--format", "structured"], "census_bundled.json"),
+        # one non-integral e(S+) record (its warning appears once) and
+        # A-hat = 1 and A-hat = 4 records
+        (["census", "{data}/census_small_catalogue.json"], "census_small.txt"),
+        (["census", "{data}/census_small_catalogue.json", "--format", "structured"],
+         "census_small.json"),
+        (["torsor-check", "--max-order", "16"], "torsor_check_max16.txt"),
+        (["torsor-check", "--max-order", "16", "--format", "structured"],
+         "torsor_check_max16.json"),
+    ],
+)
+def test_output_matches_golden_report(capsys, argv, golden):
+    """census and torsor-check print byte for byte the committed outputs."""
+    data = Path(__file__).parent / "data"
+    code, out, _ = run_cli(capsys, *(a.replace("{data}", str(data)) for a in argv))
+    assert code == 0
+    assert out.encode() == (data / golden).read_bytes()
+
+
 def test_verify_structured_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "spin", "--seed", "3", "--format", "structured")
     assert code == 0
@@ -199,6 +222,9 @@ def _record(**override):
         (["census", "{file}"], _record(spin=1), "bad-record"),
         (["torsor-check", "--max-order", "0"], None, "--max-order"),
         (["torsor-check", "--max-order", "-3"], None, "--max-order"),
+        # a closed W with c components has H^8(W; Z/2) = (Z/2)^c
+        (["census", "{file}"], _record(has_boundary=False, components=2, h8_z2_dim=5), "bad-record"),
+        (["census", "{file}"], _record(simply_connected=True, components=2), "bad-record"),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
@@ -241,6 +267,14 @@ def test_failing_check_maps_to_exit_1(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out and "boom" in out
+
+
+def test_public_names_resolve():
+    import spinkit.gammarep as gammarep
+
+    for module in (spinkit, gammarep):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
 def test_usage_error_exit_code():

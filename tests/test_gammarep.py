@@ -25,6 +25,7 @@ from spinkit.gammarep import (
     delta7,
     delta8,
     embed_spin7,
+    embedded_spin7_lie_basis,
     g2_intersection_basis,
     iota_plus,
     iota_vector,
@@ -32,7 +33,6 @@ from spinkit.gammarep import (
     octonion_basis_product,
     omega8_element,
     spin7_lie_basis,
-    spin7_sphere_transitivity,
     stabilizer_dimension,
 )
 from spinkit.multivector import Multivector, volume_element
@@ -81,10 +81,25 @@ def test_monomial_span_is_full(rep):
     assert monomial_span_rank(rep) == 256
 
 
-def test_monomial_span_detects_a_repeated_monomial():
+def _ranked_gram(rep, monkeypatch):
+    """(rank, Gram matrix) of monomial_span_rank, the Gram caught on its way
+    into la.rank."""
+    seen, real_rank = [], la.rank
+    monkeypatch.setattr(la, "rank", lambda m: seen.append(m) or real_rank(m))
+    r = monomial_span_rank(rep)
+    (gram,) = seen
+    return r, gram
+
+
+def test_monomial_span_detects_a_repeated_monomial(monkeypatch):
     damaged = build_cl8_rep()
     damaged._mono_sp[3] = damaged._mono_sp[5]
-    assert monomial_span_rank(damaged) == 255
+    r, gram = _ranked_gram(damaged, monkeypatch)
+    assert r == 255
+    # off the diagonal too, the Gram is the trace form of the flattened matrices
+    rows = [_monomial_row(damaged, mask) for mask in range(256)]
+    for a in (3, 5):
+        assert list(gram[a]) == [sum(x * y for x, y in zip(rows[a], row)) for row in rows]
 
 
 def test_flipped_generator_sign_fails_construction(monkeypatch):
@@ -110,14 +125,16 @@ def _monomial_row(rep, mask):
     return row
 
 
-def test_monomial_gram_is_diagonal(rep):
+def test_monomial_gram_is_diagonal(rep, monkeypatch):
     # tr(c(e_S)^T c(e_T)) = 16 delta_ST: an independent orthogonality witness
-    # (the trace form is the dot product of the flattened matrices)
+    # (the trace form is the dot product of the flattened matrices), and the
+    # Gram that monomial_span_rank ranks
     rows = [_monomial_row(rep, mask) for mask in range(256)]
+    _, gram = _ranked_gram(rep, monkeypatch)
     for a in range(256):
         for b in range(a, 256):
             tr = sum(x * y for x, y in zip(rows[a], rows[b]))
-            assert tr == (16 if a == b else 0)
+            assert tr == (16 if a == b else 0) == gram[a][b] == gram[b][a]
 
 
 def test_clifford_action_is_an_algebra_map(rep):
@@ -310,7 +327,7 @@ def test_common_fixed_space(rep):
     line = common_fixed_space(rep, spin7_lie_basis())
     assert len(line) == 1
     psi = rep.fixed_spinor()
-    assert psi.norm_squared() > 0
+    assert la.dot(psi.components, psi.components) > 0
     sub_basis = [Multivector.blade(7, [i, j]) for i in range(6) for j in range(i + 1, 6)]
     sub_space = common_fixed_space(rep, sub_basis)
     assert len(sub_space) >= 1
@@ -352,10 +369,13 @@ def test_intersection_basis_needs_independent_rows():
 
 
 def test_sphere_transitivity(rep):
-    report = spin7_sphere_transitivity(rep, samples=10, seed=3)
-    assert report.consistent
-    assert report.stabilizer_dimension == 14
-    assert report.orbit_rank == 7
+    # the chiral so(7) stabilizes a 14-dim subalgebra at every unit spinor,
+    # so each orbit has rank 21 - 14 = 7, the dimension of the 7-sphere
+    rng = random.Random(3)
+    algebra = embedded_spin7_lie_basis()
+    for _ in range(10):
+        phi = Spinor(rational_unit_tuple(8, rng), "+")
+        assert stabilizer_dimension(rep, phi, algebra) == 14
 
 
 def test_sigma_plus_factors_through_rotations(rep):
@@ -370,4 +390,4 @@ def test_spinor_type_validation():
     with pytest.raises(ValueError):
         Spinor((1,) * 16, "sideways")
     full = Spinor((1,) + (0,) * 15, "full")
-    assert full.norm_squared() == 1
+    assert la.dot(full.components, full.components) == 1
