@@ -21,8 +21,18 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
+def _exact(x: Scalar) -> Fraction:
+    if isinstance(x, float):
+        raise TypeError("entries must be exact (int or Fraction), not float")
+    return Fraction(x)
+
+
 def vec(entries: Iterable[Scalar]) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    """Entries as Fractions: Fractions pass through, ints convert, floats raise."""
+    return tuple(
+        x if type(x) is Fraction else Fraction(x) if type(x) is int else _exact(x)
+        for x in entries
+    )
 
 
 def mat(rows: Iterable[Iterable[Scalar]]) -> Matrix:

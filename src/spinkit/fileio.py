@@ -15,7 +15,7 @@ Complex file::
 cells[k] integer incidence matrix, row-major, omitted when zero;
 ``sub[str(k)]`` holds 0/1 (or false/true) flags marking subcomplex cells,
 omitted when all zero.  Counts and entries must be integers; any other key
-or type is an error.
+or type, or a degree key not written as ``str(k)`` (``"07"``), is an error.
 
 Manifold catalogue::
 
@@ -27,6 +27,8 @@ Manifold catalogue::
 Field names match :class:`spinkit.census.ManifoldCharData` exactly;
 ``components`` (default 1) and the three flags (defaults false, false,
 true) may be omitted.
+
+In both formats a key repeated within one object is an error.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from pathlib import Path
 
 from .census import ManifoldCharData
 from .cwcomplex import CWPairComplex
-from .errors import ComplexValidationError, CensusDataError
+from .errors import CensusDataError, ComplexValidationError, SpinkitError
 
 DATA_DIR_ENV = "SPINKIT_DATA_DIR"
 
@@ -57,20 +59,37 @@ def data_path(filename: str) -> Path:
 _COMPLEX_KEYS = ("name", "cells", "boundary", "sub")
 
 
+def _read_json(path: str | Path, error: type[SpinkitError]):
+    """Parse a JSON file, raising ``error`` on bad syntax or a key repeated in one object."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{path}: key {key!r} appears twice in one object")
+            obj[key] = value
+        return obj
+
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
+
+
 def _by_degree(raw: dict, key: str) -> dict[int, object]:
     table = raw.get(key, {})
-    if not isinstance(table, dict) or not all(k.isdecimal() for k in table):
+    if not isinstance(table, dict):
         raise ComplexValidationError(f"'{key}' must map degrees to lists")
+    for k in table:
+        if not (k.isdecimal() and str(int(k)) == k):
+            raise ComplexValidationError(f"'{key}' has degree key {k!r}; write degrees as plain integers")
     return {int(k): v for k, v in table.items()}
 
 
 def load_complex(path: str | Path) -> CWPairComplex:
     """Read a CW pair complex, raising ComplexValidationError on bad data."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ComplexValidationError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
+    raw = _read_json(path, ComplexValidationError)
     if not isinstance(raw, dict) or "cells" not in raw:
         raise ComplexValidationError(f"{path}: expected an object with a 'cells' list")
     unknown = set(raw) - set(_COMPLEX_KEYS)
@@ -89,11 +108,7 @@ _OPTIONAL_FIELDS = ("components", "simply_connected", "has_boundary", "spin")
 
 def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
     """Read a manifold catalogue, naming the offending record on errors."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CensusDataError(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
+    raw = _read_json(path, CensusDataError)
     records = raw.get("manifolds") if isinstance(raw, dict) else None
     if not isinstance(records, list):
         raise CensusDataError(f"{path}: expected an object with a 'manifolds' list")

@@ -396,8 +396,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
         for z in basis:
             if any(la.mat_vec(chiral_action_matrix(rep, z, "+"), psi.components)):
                 return "intersection element moves the fixed spinor"
-            col0 = tuple(ad_differential(z).entries[i][0] for i in range(8))
-            if any(col0):
+            if any(row[0] for row in ad_differential(z).entries):
                 return "intersection element moves e0 infinitesimally"
         return None
 

@@ -180,7 +180,11 @@ def test_torsor_check_reports_torsor_errors_as_failures(capsys, monkeypatch):
     monkeypatch.setattr(cli, "regular_difference_table", constant_table)
     code, out, _ = run_cli(capsys, "torsor-check", "--max-order", "2")
     assert code == 1
-    assert out.count("FAIL  [difference table is not affine: separation fails at (a,b)") == 2
+    rows = out.splitlines()[1:3]
+    assert rows[0].startswith("0 (order 1) ")
+    assert rows[0].endswith("FAIL  [carrier size 2 != group order 1]")
+    assert rows[1].startswith("Z/2 (order 2) ")
+    assert rows[1].endswith("FAIL  [D(a, .) is not a bijection onto the group]")
 
 
 def test_torsor_check_order_cap(capsys):
@@ -225,6 +229,13 @@ def _record(**override):
         # a closed W with c components has H^8(W; Z/2) = (Z/2)^c
         (["census", "{file}"], _record(has_boundary=False, components=2, h8_z2_dim=5), "bad-record"),
         (["census", "{file}"], _record(simply_connected=True, components=2), "bad-record"),
+        # "07" would silently overwrite degree 7, and so would a repeated "7"
+        (["cohomology", "{file}", "--degree", "8"],
+         '{"cells": [1, 0, 0, 0, 0, 0, 0, 1, 1], "sub": {"7": [1], "07": [0]}}', "'07'"),
+        (["cohomology", "{file}", "--degree", "8"],
+         '{"cells": [1, 0, 0, 0, 0, 0, 0, 1, 1], "sub": {"7": [1], "7": [0]}}', "'7' appears twice"),
+        (["census", "{file}"], _record().replace('"euler": 0', '"euler": 0, "euler": 2'),
+         "'euler' appears twice"),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
@@ -234,6 +245,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
     code, out, err = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
     assert code == 2
     assert named in err
+    assert text is None or str(path) in err
     assert "Traceback" not in err and out == ""
 
 

@@ -308,6 +308,17 @@ def test_empty_rotation_matrix_is_rejected():
         RotationMatrix(())
 
 
+def test_float_entries_rejected():
+    # 0.1 is not 1/10: Fraction(0.1) would keep the binary expansion
+    with pytest.raises(TypeError, match="not float"):
+        SkewMatrix([[0, 0.1], [-0.1, 0]])
+    with pytest.raises(TypeError, match="not float"):
+        RotationMatrix([[1.0, 0], [0, 1]])
+    half = Fraction(1, 2)
+    exact = SkewMatrix([[0, half], [-half, 0]])
+    assert exact.entries[0][1] is half
+
+
 def test_checked_elements_keep_their_columns(monkeypatch):
     """_validate computes the grade-1 columns once; adjoint_action reuses
     them, also for -zeta.  Unchecked elements compute theirs on demand and

@@ -23,7 +23,7 @@ from conftest import all_points_difference_axioms, all_points_validate_action
 def test_singleton_trivial_torsor():
     trivial = FiniteAbelianGroup(())
     d = DifferenceTable(trivial, ("a",), {("a", "a"): ()})
-    assert verify_difference_axioms(d).passed
+    assert verify_difference_axioms(d) is None
     action = action_from_difference(d)
     assert action.act((), "a") == "a"
     assert difference_from_action(action).table == d.table
@@ -36,7 +36,7 @@ def test_two_point_torsor():
         ("a", "b"),
         {("a", "a"): (0,), ("b", "b"): (0,), ("a", "b"): (1,), ("b", "a"): (1,)},
     )
-    assert verify_difference_axioms(d).passed
+    assert verify_difference_axioms(d) is None
     action = action_from_difference(d)
     assert action.act((1,), "a") == "b"
     assert action.act((1,), "b") == "a"
@@ -46,9 +46,9 @@ def test_two_point_torsor():
 def test_degenerate_difference_fails_separation():
     z2 = FiniteAbelianGroup((2,))
     d = DifferenceTable(z2, ("a", "b"), {(x, y): (0,) for x in "ab" for y in "ab"})
-    report = verify_difference_axioms(d)
-    assert not report.passed
-    assert any("separation" in f for f in report.failures)
+    # D(a, b) = 0 with a != b: the base row D(a, .) is not injective
+    with pytest.raises(TorsorError, match=r"D\(a, \.\) is not a bijection"):
+        verify_difference_axioms(d)
     with pytest.raises(TorsorError):
         action_from_difference(d)
 
@@ -60,7 +60,8 @@ def test_wrong_carrier_size_fails():
         ("a", "b"),
         {("a", "a"): (0,), ("b", "b"): (0,), ("a", "b"): (1,), ("b", "a"): (3,)},
     )
-    assert not verify_difference_axioms(d).passed
+    with pytest.raises(TorsorError, match="carrier size 2 != group order 4"):
+        verify_difference_axioms(d)
 
 
 def test_regular_difference_of_cyclic_four():
@@ -69,7 +70,7 @@ def test_regular_difference_of_cyclic_four():
     # D(x, y) = y - x on the group itself
     assert d.difference("g0", "g3") == (3,)
     assert d.difference("g3", "g0") == (1,)
-    assert verify_difference_axioms(d).passed
+    assert verify_difference_axioms(d) is None
 
 
 def test_invalid_action_rejected():
@@ -92,8 +93,7 @@ def test_classification_count_up_to_16():
 def test_exhaustive_roundtrips_up_to_16():
     for group in abelian_groups_up_to(16):
         table = regular_difference_table(group)
-        report = verify_difference_axioms(table)
-        assert report.passed, (str(group), str(report))
+        verify_difference_axioms(table)
         action = action_from_difference(table)
         back = difference_from_action(action)
         assert back.table == table.table
@@ -130,6 +130,60 @@ def test_empty_carrier_rejected():
             difference_from_action(ActionTable(group, (), {}))
         with pytest.raises(TorsorError, match="carrier is empty"):
             action_from_difference(DifferenceTable(group, (), {}))
+
+
+Z2, Z3 = FiniteAbelianGroup((2,)), FiniteAbelianGroup((3,))
+
+
+def _difference(group, carrier, rows):
+    """The table with D(carrier[i], carrier[j]) = (rows[i][j],); None omits the entry."""
+    return DifferenceTable(group, carrier, {
+        (x, y): (v,) for x, row in zip(carrier, rows) for y, v in zip(carrier, row) if v is not None
+    })
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_difference(Z2, ("a", "b"), [[0, 1], [None, 0]]), r"missing difference value for \(b,a\)"),
+        (_difference(FiniteAbelianGroup((4,)), ("a", "b"), [[0, 1], [3, 0]]),
+         "carrier size 2 != group order 4"),
+        (_difference(Z3, ("a", "b", "c"), [[0, 1, 1], [2, 0, 0], [2, 0, 0]]),
+         r"D\(a, \.\) is not a bijection onto the group"),
+        # a repeated label: two entries, one point, so the base row misses (1,)
+        (_difference(Z2, ("a", "a"), [[0, 0], [0, 0]]), r"D\(a, \.\) is not a bijection onto the group"),
+        (_difference(Z2, ("a", "b"), [[0, 1], [1, 1]]), r"cocycle fails at \(a,b,b\)"),
+    ],
+)
+def test_difference_certificate_names_the_failed_step(table, message):
+    with pytest.raises(TorsorError, match=message):
+        verify_difference_axioms(table)
+    with pytest.raises(TorsorError, match=message):
+        action_from_difference(table)
+
+
+def _action(group, carrier, images):
+    """The table with h . carrier[j] = images[h][j]; None omits the entry."""
+    return ActionTable(group, carrier, {
+        (h, x): y for h, row in zip(group.elements(), images) for x, y in zip(carrier, row) if y is not None
+    })
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_action(Z2, ("a", "b"), ["ab", ("b", None)]), r"action value missing for \(\(1,\),b\)"),
+        (_action(Z2, ("a", "b"), ["ab", "ab"]), "action is not free"),
+        # q is fixed by every element: free and compatible at a, but not transitive
+        (_action(Z2, ("a", "b", "q"), ["abq", "baq"]), "action is not transitive"),
+        (_action(Z3, ("a", "b", "c"), ["abc", "bac", "cab"]), "action is not compatible with addition"),
+        # 0 . b = c is caught by compatibility at a: 0 . (1 . a) != 1 . a
+        (_action(Z3, ("a", "b", "c"), ["acb", "bca", "cab"]), "action is not compatible with addition"),
+    ],
+)
+def test_action_certificate_names_the_failed_step(table, message):
+    with pytest.raises(TorsorError, match=message):
+        difference_from_action(table)
 
 
 def _random_torsor(group, rng):
@@ -193,7 +247,7 @@ def test_base_point_checks_match_all_points_oracles():
         difference, action = _random_torsor(groups[trial % len(groups)], rng)
         difference = _corrupt_difference(difference, rng)
         action = _corrupt_action(action, rng)
-        passed = verify_difference_axioms(difference).passed
+        passed = not _rejects(verify_difference_axioms, difference)
         assert passed == all_points_difference_axioms(difference)
         assert _rejects(action_from_difference, difference) == (not passed)
         rejected = _rejects(difference_from_action, action)
