@@ -12,8 +12,10 @@ constructions below invert each other.
 
 Each direction is certified from one base point b = carrier[0]: the table
 is complete, the base-point map is a bijection onto its target, and the
-compatibility law holds at b.  For a difference table, D(b, z) =
-D(b, y) + D(y, z) gives D(y, z) = D(b, z) - D(b, y), so D(x, .) =
+compatibility law holds at b.  For a difference table, the base row
+D(b, .) is a bijection onto the reduced elements of H, and the law (a) at
+b is checked in the form D(y, z) = D(b, z) - D(b, y), as an equality of
+tuples, so every value is a reduced element and D(x, .) =
 D(b, .) - D(b, x).  Hence (a) holds at every triple; D(x, y) = 0 iff
 D(b, x) = D(b, y) iff x = y, which is (b); and every row is a translate
 of the bijection D(b, .), which is (c).  For an action, write x = h_x.b:
@@ -108,7 +110,7 @@ def verify_difference_axioms(d: DifferenceTable) -> None:
     if {d.difference(b, y) for y in d.carrier} != set(g.elements()):
         raise TorsorError(f"D({b}, .) is not a bijection onto the group")
     for y, z in product(d.carrier, repeat=2):
-        if d.difference(b, z) != g.add(d.difference(b, y), d.difference(y, z)):
+        if d.difference(y, z) != g.sub(d.difference(b, z), d.difference(b, y)):
             raise TorsorError(f"cocycle fails at ({b},{y},{z})")
 
 

@@ -146,13 +146,19 @@ def _difference(group, carrier, rows):
     "table, message",
     [
         (_difference(Z2, ("a", "b"), [[0, 1], [None, 0]]), r"missing difference value for \(b,a\)"),
-        (_difference(FiniteAbelianGroup((4,)), ("a", "b"), [[0, 1], [3, 0]]),
-         "carrier size 2 != group order 4"),
+        (_difference(Z2, ("a", "b", "c"), [[0, 1, 1], [1, 0, 0], [1, 0, 0]]),
+         "carrier size 3 != group order 2"),
         (_difference(Z3, ("a", "b", "c"), [[0, 1, 1], [2, 0, 0], [2, 0, 0]]),
          r"D\(a, \.\) is not a bijection onto the group"),
         # a repeated label: two entries, one point, so the base row misses (1,)
         (_difference(Z2, ("a", "a"), [[0, 0], [0, 0]]), r"D\(a, \.\) is not a bijection onto the group"),
         (_difference(Z2, ("a", "b"), [[0, 1], [1, 1]]), r"cocycle fails at \(a,b,b\)"),
+        # values off the base row that are not reduced elements of H: 2 = 0 mod 2,
+        # and a tuple longer than the group's
+        (_difference(Z2, ("a", "b"), [[0, 1], [1, 2]]), r"cocycle fails at \(a,b,b\)"),
+        (DifferenceTable(Z2, ("a", "b"),
+                         {("a", "a"): (0,), ("a", "b"): (1,), ("b", "a"): (1, 0), ("b", "b"): (0,)}),
+         r"cocycle fails at \(a,b,a\)"),
     ],
 )
 def test_difference_certificate_names_the_failed_step(table, message):
@@ -206,9 +212,15 @@ def _rejects(check, table):
 
 
 def _corrupt_difference(d, rng):
-    """Change one or two entries, or swap two entries of one row, which keeps
-    every row a bijection so that only the cocycle law can fail."""
-    kind = rng.randrange(4)
+    """Change one or two entries, swap two entries of one row, which keeps
+    every row a bijection so that only the cocycle law can fail, or write an
+    entry as an unreduced element of H: a coordinate plus its modulus, or the
+    tuple with a zero appended."""
+    kind = rng.randrange(5)
+    if kind == 4:
+        key = rng.choice(list(d.table))
+        h = d.table[key]
+        d.table[key] = (h[0] + d.group.orders[0],) + h[1:] if h and rng.randrange(2) else h + (0,)
     if kind == 3:
         x, y, z = (rng.choice(d.carrier) for _ in range(3))
         d.table[(x, y)], d.table[(x, z)] = d.table[(x, z)], d.table[(x, y)]
