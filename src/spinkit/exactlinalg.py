@@ -147,7 +147,9 @@ def _integer_rref(a: Matrix) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def rank(a: Matrix) -> int:
+def rank(a: Sequence[Sequence[Scalar]]) -> int:
+    """Rank over Q.  Rows of ints are accepted as they are: elimination
+    reads only each entry's numerator and denominator, which ints have."""
     return len(_integer_rref(a)[1])
 
 

@@ -447,7 +447,8 @@ def monomial_span_rank(rep: GammaRep) -> int:
     of 256 is an exact witness that the monomials span the whole
     256-dimensional matrix space.  For signed permutations the trace sums
     the sign products over the columns that both send to the same row, so
-    the Gram matrix is accumulated over (column, row) buckets.
+    the Gram matrix is accumulated over (column, row) buckets and ranked
+    as integers.
     """
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for mask in range(256):
@@ -460,7 +461,7 @@ def monomial_span_rank(rep: GammaRep) -> int:
             row = gram[a]
             for b, sb in members:
                 row[b] += sa * sb
-    return la.rank(la.mat(gram))
+    return la.rank(gram)
 
 
 def omega8_element() -> SpinElement:

@@ -12,6 +12,23 @@ a signed blade permutation of Z over d, v_j has numerators over d^2, and
 the check compares v_j Z with d^2 (Z e_j) over d^3.  A checked element
 keeps its columns, so ``adjoint_action`` does not compute them again.
 
+The grade-1 check also certifies the unit norm, so validation never forms
+the dense product zeta * reverse(zeta).  For an even zeta = sum c_S e_S the
+scalar part of zeta * reverse(zeta), and of reverse(zeta) * zeta, is
+sum c_S^2, since e_S reverse(e_S) = (-1)^|S| = 1 for even |S| and blades
+S != T contribute no scalar.  Validation checks sum c_S^2 == 1 on the
+integer numerators first, then runs the grade-1 check.  If
+zeta e_j = v_j zeta holds for vectors v_j, reversing gives
+e_j reverse(zeta) = reverse(zeta) v_j, so M = reverse(zeta) * zeta
+satisfies M e_j = reverse(zeta) v_j zeta = e_j M for every j.  M commutes
+with every generator, so it is central.  The centre of Cl(0,n) is the
+scalars, plus the pseudoscalar when n is odd, whose grade n is then odd;
+M is even, so it is a scalar, and that scalar is its scalar part
+sum c_S^2 = 1.  A left inverse in a finite-dimensional algebra is
+two-sided, so zeta * reverse(zeta) = 1 as well.  The dense product is
+formed only when the grade-1 check fails, to tell the two rejection
+messages apart.
+
 Lifting a rotation reflects integer columns, each over its own
 denominator, by primitive integer factors v: x -> (v.v) x - 2 (v.x) v,
 reduced by the gcd.  It works over the rationals whenever the product of
@@ -33,6 +50,8 @@ from .errors import InvalidSpinElementError, LiftError
 from .multivector import Multivector, blade_grade, integer_product, integer_vector_part
 
 Matrix = la.Matrix
+
+_NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"
 
 
 @dataclass(frozen=True)
@@ -88,11 +107,18 @@ class SpinElement:
     def _validate(self) -> None:
         if any(blade_grade(m) & 1 for m in self.value.terms):
             raise InvalidSpinElementError("spin element must be even")
-        norm = self.value * self.value.reverse()
-        if norm != Multivector.scalar(self.n, 1):
-            raise InvalidSpinElementError("spin element must satisfy zeta * reverse(zeta) = 1")
-        # raises unless conjugation preserves grade 1
-        self._columns = _conjugated_basis(self.value)
+        # sum c_S^2, the scalar part of zeta * reverse(zeta), on the numerators
+        d, z = self.value.over_common_denominator()
+        if sum(c * c for _, c in z) != d * d:
+            raise InvalidSpinElementError(_NORM_MESSAGE)
+        # the grade-1 certificate proves zeta * reverse(zeta) = 1 (module
+        # docstring); on failure the dense product picks the message
+        try:
+            self._columns = _conjugated_basis(self.value)
+        except InvalidSpinElementError:
+            if self.value * self.value.reverse() != Multivector.scalar(self.n, 1):
+                raise InvalidSpinElementError(_NORM_MESSAGE) from None
+            raise
 
     def __mul__(self, other: "SpinElement") -> "SpinElement":
         return SpinElement(self.value * other.value, check=False)
@@ -129,9 +155,11 @@ class SpinElement:
 def _conjugated_basis(zeta: Multivector) -> list[tuple[Fraction, ...]]:
     """Components of zeta e_j reverse(zeta) for j = 0 .. n-1.
 
-    Needs reverse(zeta) zeta = 1.  Raises InvalidSpinElementError unless
-    every image is a vector, checked as zeta e_j == v_j zeta for the
-    grade-1 part v_j on integer numerators (see the module docstring).
+    Raises InvalidSpinElementError unless every image is a vector, checked
+    as zeta e_j == v_j zeta for the grade-1 part v_j on integer numerators.
+    For an even zeta with sum c_S^2 = 1 a passing check proves
+    reverse(zeta) = zeta^{-1}, so the images are the columns of Ad(zeta)
+    (see the module docstring).
     """
     d, z = zeta.over_common_denominator()
     inv = dict(zeta.reverse().over_common_denominator()[1])  # over d

@@ -11,16 +11,18 @@ is the same data as a free transitive action of H on Gamma, and the two
 constructions below invert each other.
 
 Each direction is certified from one base point b = carrier[0]: the table
-is complete, the base-point map is a bijection onto its target, and the
-compatibility law holds at b.  For a difference table, the base row
-D(b, .) is a bijection onto the reduced elements of H, and the law (a) at
-b is checked in the form D(y, z) = D(b, z) - D(b, y), as an equality of
-tuples, so every value is a reduced element and D(x, .) =
-D(b, .) - D(b, x).  Hence (a) holds at every triple; D(x, y) = 0 iff
-D(b, x) = D(b, y) iff x = y, which is (b); and every row is a translate
-of the bijection D(b, .), which is (c).  For an action, write x = h_x.b:
-then k.(h.x) = (h_x + h + k).b = (h + k).x, the orbit h -> (h_x + h).b is
-a bijection, and 0.x = (h_x + 0).b = x, at every x.
+is complete, the carrier has as many labels as H has elements (so no label
+is repeated once the base-point map is a bijection), the base-point map is
+a bijection onto its target, and the compatibility law holds at b.  For a
+difference table, the base row D(b, .) is a bijection onto the reduced
+elements of H, and the law (a) at b is checked in the form
+D(y, z) = D(b, z) - D(b, y), as an equality of tuples, so every value is a
+reduced element and D(x, .) = D(b, .) - D(b, x).  Hence (a) holds at every
+triple; D(x, y) = 0 iff D(b, x) = D(b, y) iff x = y, which is (b); and
+every row is a translate of the bijection D(b, .), which is (c).  For an
+action, write x = h_x.b: then k.(h.x) = (h_x + h + k).b = (h + k).x, the
+orbit h -> (h_x + h).b is a bijection, and 0.x = (h_x + 0).b = x, at
+every x.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ def _validate_action(a: ActionTable) -> None:
     for h, x in product(elements, a.carrier):
         if (h, x) not in a.table:
             raise TorsorError(f"action value missing for ({h},{x})")
+    if len(a.carrier) != g.order():
+        raise TorsorError(f"carrier size {len(a.carrier)} != group order {g.order()}")
     b = a.carrier[0]
     orbit = {a.act(h, b) for h in elements}
     if len(orbit) != len(elements):

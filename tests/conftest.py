@@ -99,6 +99,23 @@ def fraction_mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
+def first_failing_anticommutator(gamma):
+    """"pair (i,j)" for the first of all 64 pairs, in row-major order, with
+    gamma_i gamma_j + gamma_j gamma_i != -2 delta_ij I, or None: the oracle
+    for the reps anticommutator check, which visits only i <= j."""
+    size = len(gamma[0])
+    for i, j in product(range(len(gamma)), repeat=2):
+        gij, gji = fraction_mat_mul(gamma[i], gamma[j]), fraction_mat_mul(gamma[j], gamma[i])
+        want = -2 if i == j else 0
+        if any(
+            gij[r][c] + gji[r][c] != (want if r == c else 0)
+            for r in range(size)
+            for c in range(size)
+        ):
+            return f"pair ({i},{j})"
+    return None
+
+
 def fraction_mat_vec(a, v):
     """Row sums of Fraction products: the oracle for la.mat_vec."""
     return tuple(sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a)
@@ -341,6 +358,8 @@ def all_points_validate_action(a):
     for h, x in product(elements, a.carrier):
         if (h, x) not in a.table:
             raise TorsorError(f"action value missing for ({h},{x})")
+    if len(a.carrier) != g.order():
+        raise TorsorError(f"carrier size {len(a.carrier)} != group order {g.order()}")
     for x in a.carrier:
         if a.act(g.zero, x) != x:
             raise TorsorError("zero does not act as the identity")

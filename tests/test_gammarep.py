@@ -7,7 +7,7 @@ import pytest
 
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
-from conftest import dense_chiral_action, fraction_clifford_action
+from conftest import dense_chiral_action, first_failing_anticommutator, fraction_clifford_action
 from spinkit.errors import (
     ChiralityError,
     DimensionMismatchError,
@@ -43,6 +43,7 @@ from spinkit.spingroup import (
     random_spin,
     rational_unit_tuple,
 )
+from spinkit.verify import reps_suite
 
 I8 = la.identity(8)
 I16 = la.identity(16)
@@ -71,6 +72,21 @@ def test_gamma_anticommutators(rep):
                 la.mat_mul(rep.gamma[i], rep.gamma[j]), la.mat_mul(rep.gamma[j], rep.gamma[i])
             )
             assert s == la.mat_scale(I16, -2 if i == j else 0)
+
+
+def test_anticommutator_check_names_the_first_failing_pair():
+    """One sign-flipped entry of gamma_5: the reps check, which visits only
+    i <= j, names the pair that the full 8x8 loop finds first."""
+    damaged = build_cl8_rep()
+    rows = [list(row) for row in damaged.gamma[5]]
+    r, c = next((r, c) for r in range(16) for c in range(16) if r != c and rows[r][c])
+    rows[r][c] = -rows[r][c]
+    damaged.gamma = damaged.gamma[:5] + (la.mat(rows),) + damaged.gamma[6:]
+    want = first_failing_anticommutator(damaged.gamma)
+    assert want is not None
+    name = "gamma anticommutators realize the generator relations"
+    (result,) = [x for x in reps_suite(0, damaged) if x.name == name]
+    assert (result.passed, result.detail) == (False, want)
 
 
 def test_gamma_square_is_minus_identity(rep):

@@ -11,6 +11,7 @@ import spinkit.exactlinalg as la
 import spinkit.spingroup as spingroup
 from conftest import fraction_adjoint_action, fraction_lift_rotation, fraction_spin_validate
 from spinkit.errors import InvalidSpinElementError, LiftError
+from spinkit.gammarep import iota_plus
 from spinkit.multivector import Multivector, volume_element
 from spinkit.spingroup import (
     RotationMatrix,
@@ -203,9 +204,11 @@ def spin_candidates(draw):
 
     (a + b e_S)/c with a^2 + b^2 = c^2 is a spin element when |S| = 2, fails
     zeta * reverse(zeta) = 1 when |S| is 4 or 8, and passes that check but
-    not grade-1 preservation when |S| = 6.
+    not grade-1 preservation when |S| = 6.  The 4- and 8-blade tilts have
+    sum c_S^2 = 1, so only the dense product tells their message apart.
+    The zero multivector fails zeta * reverse(zeta) = 1.
     """
-    kind = draw(st.sampled_from(["spin", "blade", "odd", "scaled", "perturbed"]))
+    kind = draw(st.sampled_from(["spin", "blade", "odd", "scaled", "perturbed", "zero"]))
     n = draw(st.integers(min_value=6 if kind == "blade" else 1, max_value=8))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
     zeta = random_spin(n, rng.choice([1, 2]), rng.randrange(10**6)).value
@@ -219,6 +222,8 @@ def spin_candidates(draw):
         return zeta * Multivector.basis_vector(n, rng.randrange(n))
     if kind == "scaled":
         return zeta * Fraction(rng.choice([2, 3, -1, -2]), rng.choice([1, 3]))
+    if kind == "zero":
+        return Multivector(n)
     if kind == "perturbed":
         mask = rng.choice([m for m in range(1 << n) if not m.bit_count() & 1])
         return zeta + Multivector(n, {mask: Fraction(rng.choice([-1, 1]), rng.randint(1, 9))})
@@ -243,6 +248,28 @@ def test_spin_checks_match_fraction_oracles(value):
     assert verdict == _rejection(fraction_spin_validate, value)
     if verdict is None:
         assert adjoint_action(SpinElement(value)).entries == fraction_adjoint_action(value)
+
+
+def test_validation_forms_no_dense_product(rep, monkeypatch):
+    """Validating a dense lifted Spin(8) element never calls
+    Multivector.__mul__: the unit norm follows from sum c_S^2 = 1 and the
+    grade-1 certificate, not from the product zeta * reverse(zeta)."""
+    calls = []
+    real = Multivector.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    for seed in range(3):
+        zeta = random_spin(7, 2, seed)
+        monkeypatch.setattr(Multivector, "__mul__", counting)
+        lifted = iota_plus(rep, zeta)
+        checked = SpinElement(lifted.value)
+        monkeypatch.setattr(Multivector, "__mul__", real)
+        assert len(lifted.value.terms) > 64
+        assert calls == []
+        assert checked.value * checked.value.reverse() == Multivector.scalar(8, 1)
 
 
 def _pythagorean_rotation(n, rng):

@@ -180,8 +180,8 @@ def _action(group, carrier, images):
     [
         (_action(Z2, ("a", "b"), ["ab", ("b", None)]), r"action value missing for \(\(1,\),b\)"),
         (_action(Z2, ("a", "b"), ["ab", "ab"]), "action is not free"),
-        # q is fixed by every element: free and compatible at a, but not transitive
-        (_action(Z2, ("a", "b", "q"), ["abq", "baq"]), "action is not transitive"),
+        # 1 . a = q lies outside the carrier: the orbit of a is free but not the carrier
+        (_action(Z2, ("a", "b"), ["ab", "qa"]), "action is not transitive"),
         (_action(Z3, ("a", "b", "c"), ["abc", "bac", "cab"]), "action is not compatible with addition"),
         # 0 . b = c is caught by compatibility at a: 0 . (1 . a) != 1 . a
         (_action(Z3, ("a", "b", "c"), ["acb", "bca", "cab"]), "action is not compatible with addition"),
@@ -190,6 +190,16 @@ def _action(group, carrier, images):
 def test_action_certificate_names_the_failed_step(table, message):
     with pytest.raises(TorsorError, match=message):
         difference_from_action(table)
+
+
+def test_action_with_a_repeated_label_is_rejected():
+    """The regular action of Z/2 on {a, b}, with a listed twice: every orbit
+    is free and equals the set of the carrier, so only the carrier size
+    tells it apart, on the action side as on the difference side."""
+    table = _action(Z2, ("a", "b", "a"), ["aba", "bab"])
+    for check in (difference_from_action, all_points_validate_action):
+        with pytest.raises(TorsorError, match="carrier size 3 != group order 2"):
+            check(table)
 
 
 def _random_torsor(group, rng):
@@ -232,7 +242,7 @@ def _corrupt_difference(d, rng):
 def _corrupt_action(a, rng):
     """Change one or two entries, swap two entries of one point's orbit map,
     or add a point that every element fixes, which leaves the action free
-    and compatible at the other points but not transitive."""
+    and compatible at the other points but makes the carrier too large."""
     kind = rng.randrange(5)
     if kind == 4:
         carrier = list(a.carrier)
