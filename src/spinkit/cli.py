@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 
@@ -39,13 +40,13 @@ EXIT_USAGE = 2
 
 
 def _parse_coefficients(text: str) -> CoefficientGroup:
-    text = text.strip().lower()
-    if text == "z":
+    # ASCII digits without a leading zero or surrounding space, so no other
+    # spelling silently becomes the same group
+    match = re.fullmatch(r"[zZ]([1-9][0-9]*)?", text)
+    if match and match[1] is None:
         return CoefficientGroup(0)
-    if text.startswith("z") and text[1:].isdigit():
-        modulus = int(text[1:])
-        if modulus >= 2:
-            return CoefficientGroup(modulus)
+    if match and int(match[1]) >= 2:
+        return CoefficientGroup(int(match[1]))
     raise argparse.ArgumentTypeError(f"coefficient spec {text!r} is not z or zN (N >= 2)")
 
 

@@ -76,18 +76,9 @@ def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
     return tuple(Fraction(sum(map(mul, row, xs)), d) for row in rows)
 
 
-def _check_same_shape(a: Matrix, b: Matrix) -> None:
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
         raise DimensionMismatchError("matrices of different shapes")
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    _check_same_shape(a, b)
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    _check_same_shape(a, b)
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 

@@ -15,6 +15,11 @@ and S8+ the second, each with its coordinate basis; the orientation probe
 sets the sign of the first basis vector of S8+.  The chiral action of an
 even element is therefore a signed block of its 16x16 matrix.
 
+The module has one form: the generators, the 256 monomials and the two
+halves are stored as signed permutations (``GammaRep.gamma``,
+``GammaRep.monomials``, ``GammaRep.halves``), and no dense copy is kept.
+The actions and the ``verify reps`` checks read these same permutations.
+
 Conjugation (Ad) and the chiral restriction of c give the two
 non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
 blade-wise inclusion that stabilizes the vector e0, ``iota_plus`` the lift
@@ -68,31 +73,43 @@ def octonion_basis_product(i: int, j: int) -> tuple[int, int]:
 
 
 # A signed permutation matrix is stored column-wise:
-# M e_j = sign[j] * e_perm[j].
+# M e_j = sign[j] * e_perm[j].  A chiral half is stored in the same column
+# form, with 8 columns: basis spinor j is sign[j] * e_perm[j].
 _SignedPerm = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _sp_compose(a: _SignedPerm, b: _SignedPerm) -> _SignedPerm:
+def sp_compose(a: _SignedPerm, b: _SignedPerm) -> _SignedPerm:
     """Matrix product a @ b (apply b first)."""
     pa, sa = a
     pb, sb = b
     return tuple(pa[pb[j]] for j in range(len(pb))), tuple(sb[j] * sa[pb[j]] for j in range(len(pb)))
 
 
-def _sp_identity(n: int) -> _SignedPerm:
+def sp_identity(n: int) -> _SignedPerm:
     return tuple(range(n)), (1,) * n
 
 
-def _sp_to_matrix(sp: _SignedPerm) -> Matrix:
-    """The 16-row matrix whose column j is sign[j] * e_perm[j].
+def generator_relation_failure(gammas: tuple[_SignedPerm, ...]) -> tuple[int, int] | None:
+    """The first pair (i, j) with i <= j, in row-major order, at which
+    c(e_i) c(e_j) + c(e_j) c(e_i) != -2 delta_ij, or None when all hold.
 
-    A chiral half is stored in the same column form, with 8 columns.
+    The sum is symmetric in i and j, so this is also the first failing pair
+    of the full row-major loop.  Two signed permutations sum to zero exactly
+    when they share the permutation and have opposite signs, so the
+    relations are checked on the column descriptions without building a
+    matrix.
     """
-    perm, sign = sp
-    rows = [[Fraction(0)] * len(perm) for _ in range(16)]
-    for j, (r, s) in enumerate(zip(perm, sign)):
-        rows[r][j] = Fraction(s)
-    return tuple(tuple(r) for r in rows)
+    n = len(gammas[0][0])
+    minus_one = (tuple(range(n)), (-1,) * n)
+    for i, gi in enumerate(gammas):
+        if sp_compose(gi, gi) != minus_one:
+            return i, i
+        for j in range(i + 1, len(gammas)):
+            gj = gammas[j]
+            (p1, s1), (p2, s2) = sp_compose(gi, gj), sp_compose(gj, gi)
+            if p1 != p2 or any(x != -y for x, y in zip(s1, s2)):
+                return i, j
+    return None
 
 
 def _left_mult_sp(i: int) -> _SignedPerm:
@@ -145,40 +162,22 @@ class GammaRep:
     """The action of Cl(0,8) on R^16 with its chiral splitting."""
 
     def __init__(self) -> None:
-        self._gamma_sp = _build_gamma_sp()
-        self._self_check_generators()
-        self._mono_sp: dict[int, _SignedPerm] = {0: _sp_identity(16)}
+        self.gamma: tuple[_SignedPerm, ...] = tuple(_build_gamma_sp())
+        failure = generator_relation_failure(self.gamma)
+        if failure is not None:
+            i, j = failure
+            raise InternalCheckError(f"generator anticommutator failed at ({i},{j})")
+        self.monomials: dict[int, _SignedPerm] = {0: sp_identity(16)}
         for mask in range(1, 256):
             low = mask & -mask
             i = low.bit_length() - 1
-            self._mono_sp[mask] = _sp_compose(self._gamma_sp[i], self._mono_sp[mask ^ low])
-        self.gamma = tuple(_sp_to_matrix(sp) for sp in self._gamma_sp)
+            self.monomials[mask] = sp_compose(self.gamma[i], self.monomials[mask ^ low])
         # chirality -> (rows, signs): basis spinor j is signs[j] * e_rows[j]
-        self._halves = self._split_eigenspaces()
+        self.halves = self._split_eigenspaces()
         self._orient_positive_half()
-        # dense 16x8 views whose columns are the basis spinors
-        self.basis_plus = _sp_to_matrix(self._halves["+"])
-        self.basis_minus = _sp_to_matrix(self._halves["-"])
         self._psi: Spinor | None = None
 
     # -- construction-time consistency checks -------------------------------
-
-    def _self_check_generators(self) -> None:
-        """c(e_i)^2 = -1, and c(e_i) c(e_j) = -c(e_j) c(e_i) for i != j.
-
-        Two signed permutations sum to zero exactly when they share the
-        permutation and have opposite signs, so the relations are checked
-        on the column descriptions without building a matrix.
-        """
-        minus_one = (tuple(range(16)), (-1,) * 16)
-        for i, gi in enumerate(self._gamma_sp):
-            if _sp_compose(gi, gi) != minus_one:
-                raise InternalCheckError(f"generator anticommutator failed at ({i},{i})")
-            for j in range(i + 1, 8):
-                gj = self._gamma_sp[j]
-                (p1, s1), (p2, s2) = _sp_compose(gi, gj), _sp_compose(gj, gi)
-                if p1 != p2 or any(x != -y for x, y in zip(s1, s2)):
-                    raise InternalCheckError(f"generator anticommutator failed at ({i},{j})")
 
     def _split_eigenspaces(self) -> dict[str, _SignedPerm]:
         """The chiral halves, read off the signed permutation c(omega8).
@@ -187,7 +186,7 @@ class GammaRep:
         half is then spanned by the coordinate vectors of its sign, which
         are orthonormal by construction.
         """
-        perm, sign = self._mono_sp[255]
+        perm, sign = self.monomials[255]
         if perm != tuple(range(16)) or sign.count(1) != 8:
             raise InternalCheckError("volume element eigenspaces are not 8+8 dimensional")
         return {
@@ -210,8 +209,8 @@ class GammaRep:
         eta = lift_rotation(RotationMatrix(half_turn))
         square = (eta * eta).value
         if square == -volume_element(8):
-            rows, signs = self._halves["+"]
-            self._halves["+"] = rows, (-signs[0],) + signs[1:]
+            rows, signs = self.halves["+"]
+            self.halves["+"] = rows, (-signs[0],) + signs[1:]
         elif square != volume_element(8):
             raise InternalCheckError("orientation probe did not land on +-omega8")
 
@@ -232,26 +231,20 @@ def build_cl8_rep() -> GammaRep:
     return GammaRep()
 
 
-def _action_columns(
+def action_columns(
     rep: GammaRep, a: Multivector, columns: range | tuple[int, ...]
 ) -> tuple[int, list[list[int]]]:
     """``(d, cols)``: cols[k] is column ``columns[k]`` of c(a) times d, as
     16 integers, where d is the common denominator of a's coefficients."""
     if a.n != 8:
-        raise DimensionMismatchError("clifford_action needs an element of Cl(0,8)")
+        raise DimensionMismatchError("the Cl(0,8) action needs an element of Cl(0,8)")
     d, terms = a.over_common_denominator()
     cols = [[0] * 16 for _ in columns]
     for mask, c in terms:
-        perm, sign = rep._mono_sp[mask]
+        perm, sign = rep.monomials[mask]
         for col, j in zip(cols, columns):
             col[perm[j]] += c * sign[j]
     return d, cols
-
-
-def clifford_action(rep: GammaRep, a: Multivector) -> Matrix:
-    """The 16x16 matrix of Clifford multiplication by a multivector."""
-    d, cols = _action_columns(rep, a, range(16))
-    return tuple(tuple(Fraction(col[i], d) for col in cols) for i in range(16))
 
 
 def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") -> Matrix:
@@ -265,8 +258,8 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     """
     if chirality not in ("+", "-"):
         raise ValueError("chirality must be '+' or '-'")
-    rows, signs = rep._halves[chirality]
-    d, cols = _action_columns(rep, a, rows)
+    rows, signs = rep.halves[chirality]
+    d, cols = action_columns(rep, a, rows)
     outside = [r for r in range(16) if r not in rows]
     if any(col[r] for col in cols for r in outside):
         raise ChiralityError("element does not preserve the chiral subspace")
@@ -452,7 +445,7 @@ def monomial_span_rank(rep: GammaRep) -> int:
     """
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for mask in range(256):
-        perm, sign = rep._mono_sp[mask]
+        perm, sign = rep.monomials[mask]
         for j in range(16):
             buckets.setdefault((j, perm[j]), []).append((mask, sign[j]))
     gram = [[0] * 256 for _ in range(256)]
@@ -474,7 +467,7 @@ __all__ = [
     "GammaRep",
     "Spinor",
     "build_cl8_rep",
-    "clifford_action",
+    "action_columns",
     "chiral_action_matrix",
     "delta8",
     "delta7",
@@ -493,4 +486,7 @@ __all__ = [
     "monomial_span_rank",
     "omega8_element",
     "octonion_basis_product",
+    "generator_relation_failure",
+    "sp_compose",
+    "sp_identity",
 ]

@@ -17,9 +17,9 @@ from . import exactlinalg as la
 from .gammarep import (
     GammaRep,
     Spinor,
+    action_columns,
     build_cl8_rep,
     chiral_action_matrix,
-    clifford_action,
     common_fixed_space,
     d_delta7,
     d_iota_plus,
@@ -27,10 +27,13 @@ from .gammarep import (
     delta8,
     embedded_spin7_lie_basis,
     g2_intersection_basis,
+    generator_relation_failure,
     iota_plus,
     iota_vector,
     monomial_span_rank,
     omega8_element,
+    sp_compose,
+    sp_identity,
     spin7_lie_basis,
     stabilizer_dimension,
 )
@@ -267,30 +270,22 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     results = []
     rep = rep if rep is not None else build_cl8_rep()
     ident8 = la.identity(8)
-    ident16 = la.identity(16)
 
+    # The module checks read the signed permutations the actions use:
+    # M e_j = s_j e_p(j), and a half's basis spinor j is s_j e_rows(j).
     def anticommutators() -> str | None:
-        minus_two, zero = la.mat_scale(ident16, -2), la.mat_scale(ident16, 0)
-        # S_ij = S_ji, and the failing pairs are symmetric, so the first
-        # failure in row-major order has i <= j
-        for i in range(8):
-            for j in range(i, 8):
-                s = la.mat_add(
-                    la.mat_mul(rep.gamma[i], rep.gamma[j]),
-                    la.mat_mul(rep.gamma[j], rep.gamma[i]),
-                )
-                if s != (minus_two if i == j else zero):
-                    return f"pair ({i},{j})"
-        return None
+        failure = generator_relation_failure(rep.gamma)
+        return None if failure is None else f"pair ({failure[0]},{failure[1]})"
 
     results.append(_run("gamma anticommutators realize the generator relations", anticommutators))
 
     def orthogonal_skew() -> str | None:
-        for i in range(8):
-            g = rep.gamma[i]
-            if not la.is_orthogonal(g):
+        # orthogonal: p permutes 0..15 and every s_j = +-1;
+        # skew: M[j][p(j)] = -s_j, that is p(p(j)) = j and s_p(j) = -s_j
+        for i, (perm, sign) in enumerate(rep.gamma):
+            if sorted(perm) != list(range(16)) or any(s * s != 1 for s in sign):
                 return f"gamma_{i} is not orthogonal"
-            if la.transpose(g) != la.mat_scale(g, -1):
+            if any(perm[perm[j]] != j or sign[perm[j]] != -sign[j] for j in range(16)):
                 return f"gamma_{i} is not skew"
         return None
 
@@ -303,32 +298,37 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     results.append(_run("256 monomial matrices span a 256-dimensional space", span))
 
     def eigensplit() -> str | None:
-        omega = clifford_action(rep, volume_element(8))
-        if la.mat_mul(omega, omega) != ident16:
+        omega = rep.monomials[255]
+        if sp_compose(omega, omega) != sp_identity(16):
             return "volume action does not square to 1"
-        for basis, sign in ((rep.basis_plus, 1), (rep.basis_minus, -1)):
-            if la.mat_mul(omega, basis) != la.mat_scale(basis, sign):
+        perm, sign = omega
+        for chirality, s in (("+", 1), ("-", -1)):
+            rows, signs = rep.halves[chirality]
+            if any(perm[r] != r or sign[r] != s for r in rows):
                 return "claimed eigenbasis is not an eigenbasis"
-            gram = la.mat_mul(la.transpose(basis), basis)
-            if gram != ident8:
+            if len(rows) != 8 or len(set(rows)) != 8 or any(x * x != 1 for x in signs):
                 return "eigenbasis is not orthonormal"
         return None
 
     results.append(_run("volume action splits R^16 into orthonormal 8+8 eigenspaces", eigensplit))
 
     def swap_isometry() -> str | None:
+        # d c(v) on a half's rows, as integer columns; the halves' signs are
+        # +-1 (eigensplit), so they change neither a zero entry nor |column|
+        plus, minus = rep.halves["+"][0], rep.halves["-"][0]
+        outside_minus = [r for r in range(16) if r not in minus]
+        outside_plus = [r for r in range(16) if r not in plus]
         for _ in range(25):
             v = Multivector.vector(8, rational_unit_tuple(8, rng))
-            m = clifford_action(rep, v)
-            image = la.mat_mul(m, rep.basis_plus)
-            back = la.mat_mul(rep.basis_minus, la.mat_mul(la.transpose(rep.basis_minus), image))
-            if back != image:
+            d, cols = action_columns(rep, v, plus)
+            if any(col[r] for col in cols for r in outside_minus):
                 return "unit vector does not map S+ into S-"
-            if la.mat_mul(la.transpose(image), image) != ident8:
-                return "unit vector action is not an isometry"
-            image2 = la.mat_mul(m, rep.basis_minus)
-            back2 = la.mat_mul(rep.basis_plus, la.mat_mul(la.transpose(rep.basis_plus), image2))
-            if back2 != image2:
+            for a, ca in enumerate(cols):
+                for b in range(a, len(cols)):
+                    if sum(x * y for x, y in zip(ca, cols[b])) != (d * d if a == b else 0):
+                        return "unit vector action is not an isometry"
+            _, cols = action_columns(rep, v, minus)
+            if any(col[r] for col in cols for r in outside_plus):
                 return "unit vector does not map S- into S+"
         return None
 

@@ -8,9 +8,10 @@ import pytest
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
 from spinkit.errors import ChiralityError, InvalidSpinElementError, LiftError, TorsorError
-from spinkit.gammarep import build_cl8_rep, clifford_action
-from spinkit.multivector import Multivector
+from spinkit.gammarep import build_cl8_rep
+from spinkit.multivector import Multivector, volume_element
 from spinkit.snf import AbelianGroup, smith_diagonal
+from spinkit.spingroup import rational_unit_tuple
 
 
 def rank_mod_p(rows, p):
@@ -281,12 +282,23 @@ def sweep_until_stable(orders):
     return tuple(tors)
 
 
+def dense_signed_perm(sp):
+    """The 16-row Fraction matrix whose column j is sign[j] * e_perm[j]: the
+    dense view of a generator or monomial (16 columns) or of a chiral half
+    (8 columns, its basis spinors)."""
+    perm, sign = sp
+    rows = [[Fraction(0)] * len(perm) for _ in range(16)]
+    for j, (r, s) in enumerate(zip(perm, sign)):
+        rows[r][j] = Fraction(s)
+    return tuple(tuple(r) for r in rows)
+
+
 def fraction_clifford_action(rep, a):
     """c(a) summed monomial by monomial in Fractions: the oracle for
-    clifford_action."""
+    action_columns."""
     total = [[Fraction(0)] * 16 for _ in range(16)]
     for mask, coeff in a.terms.items():
-        perm, sign = rep._mono_sp[mask]
+        perm, sign = rep.monomials[mask]
         for j in range(16):
             total[perm[j]][j] += coeff * sign[j]
     return tuple(tuple(row) for row in total)
@@ -299,12 +311,59 @@ def dense_chiral_action(rep, a, chirality):
     The half is preserved exactly when projecting the image back onto it
     changes nothing.
     """
-    basis = {"+": rep.basis_plus, "-": rep.basis_minus}[chirality]
-    image = la.mat_mul(clifford_action(rep, a), basis)
+    basis = dense_signed_perm(rep.halves[chirality])
+    image = la.mat_mul(fraction_clifford_action(rep, a), basis)
     compressed = la.mat_mul(la.transpose(basis), image)
     if la.mat_mul(basis, compressed) != image:
         raise ChiralityError("element does not preserve the chiral subspace")
     return compressed
+
+
+def dense_orthogonal_skew_failure(rep):
+    """The reps check "gamma matrices are orthogonal and skew-symmetric" on
+    dense 16x16 Fraction generators: its oracle.  Returns the failure detail
+    or None."""
+    for i, g in enumerate(map(dense_signed_perm, rep.gamma)):
+        gt = la.transpose(g)
+        if fraction_mat_mul(gt, g) != la.identity(16):
+            return f"gamma_{i} is not orthogonal"
+        if gt != la.mat_scale(g, -1):
+            return f"gamma_{i} is not skew"
+    return None
+
+
+def dense_eigensplit_failure(rep):
+    """The reps check "volume action splits R^16 into orthonormal 8+8
+    eigenspaces" on the dense c(omega8) and 16x8 halves: its oracle."""
+    omega = fraction_clifford_action(rep, volume_element(8))
+    if fraction_mat_mul(omega, omega) != la.identity(16):
+        return "volume action does not square to 1"
+    for chirality, sign in (("+", 1), ("-", -1)):
+        basis = dense_signed_perm(rep.halves[chirality])
+        if fraction_mat_mul(omega, basis) != la.mat_scale(basis, sign):
+            return "claimed eigenbasis is not an eigenbasis"
+        if fraction_mat_mul(la.transpose(basis), basis) != la.identity(8):
+            return "eigenbasis is not orthonormal"
+    return None
+
+
+def dense_swap_failure(rep, seed=0):
+    """The reps check "25 random unit vectors swap the chiral halves
+    isometrically" on dense Fraction matrices, drawing the vectors as
+    reps_suite(seed) does: its oracle."""
+    rng = random.Random(seed)
+    plus, minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
+    for _ in range(25):
+        m = fraction_clifford_action(rep, Multivector.vector(8, rational_unit_tuple(8, rng)))
+        image = fraction_mat_mul(m, plus)
+        if fraction_mat_mul(minus, fraction_mat_mul(la.transpose(minus), image)) != image:
+            return "unit vector does not map S+ into S-"
+        if fraction_mat_mul(la.transpose(image), image) != la.identity(8):
+            return "unit vector action is not an isometry"
+        image = fraction_mat_mul(m, minus)
+        if fraction_mat_mul(plus, fraction_mat_mul(la.transpose(plus), image)) != image:
+            return "unit vector does not map S- into S+"
+    return None
 
 
 def dense_pair_check(dim, boundary, sub):

@@ -27,7 +27,6 @@ from spinkit.cwcomplex import (
 from spinkit.gammarep import (
     Spinor,
     build_cl8_rep,
-    clifford_action,
     common_fixed_space,
     d_delta7,
     d_iota_plus,
@@ -54,7 +53,13 @@ from spinkit.torsor import (
     regular_difference_table,
     verify_difference_axioms,
 )
-from conftest import make_consistent_difference_inputs, make_random_pair_complex, rank_mod_p
+from conftest import (
+    dense_signed_perm,
+    fraction_clifford_action,
+    make_consistent_difference_inputs,
+    make_random_pair_complex,
+    rank_mod_p,
+)
 
 
 def criterion(num, label):
@@ -98,23 +103,24 @@ def test_criterion_2_representation_isomorphism():
 
 @criterion(3, "chirality: 8+8 eigenspaces; 25 unit vectors swap isometrically")
 def test_criterion_3_chirality(rep):
-    omega = clifford_action(rep, volume_element(8))
+    omega = fraction_clifford_action(rep, volume_element(8))
     ident16 = la.identity(16)
     assert la.mat_mul(omega, omega) == ident16
     plus = la.kernel_basis(la.mat_sub(omega, ident16))
-    minus = la.kernel_basis(la.mat_add(omega, ident16))
+    minus = la.kernel_basis(la.mat_sub(omega, la.mat_scale(ident16, -1)))
     assert len(plus) == 8 and len(minus) == 8
     ident8 = la.identity(8)
-    minus_projector = la.mat_mul(rep.basis_minus, la.transpose(rep.basis_minus))
-    plus_projector = la.mat_mul(rep.basis_plus, la.transpose(rep.basis_plus))
+    basis_plus, basis_minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
+    minus_projector = la.mat_mul(basis_minus, la.transpose(basis_minus))
+    plus_projector = la.mat_mul(basis_plus, la.transpose(basis_plus))
     rng = random.Random(2025)
     for _ in range(25):
         v = Multivector.vector(8, rational_unit_tuple(8, rng))
-        action = clifford_action(rep, v)
-        image_plus = la.mat_mul(action, rep.basis_plus)
+        action = fraction_clifford_action(rep, v)
+        image_plus = la.mat_mul(action, basis_plus)
         assert la.mat_mul(minus_projector, image_plus) == image_plus
         assert la.mat_mul(la.transpose(image_plus), image_plus) == ident8
-        image_minus = la.mat_mul(action, rep.basis_minus)
+        image_minus = la.mat_mul(action, basis_minus)
         assert la.mat_mul(plus_projector, image_minus) == image_minus
         assert la.mat_mul(la.transpose(image_minus), image_minus) == ident8
 

@@ -15,7 +15,10 @@ from spinkit.torsor import DifferenceTable
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a malformed flag by exiting
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -236,6 +239,15 @@ def _record(**override):
          '{"cells": [1, 0, 0, 0, 0, 0, 0, 1, 1], "sub": {"7": [1], "7": [0]}}', "'7' appears twice"),
         (["census", "{file}"], _record().replace('"euler": 0', '"euler": 0, "euler": 2'),
          "'euler' appears twice"),
+        # only z or z with ASCII digits, no leading zero, names a coefficient group
+        (["cohomology", "--degree", "0", "--coeff", "z02"], None,
+         "coefficient spec 'z02' is not z or zN"),
+        (["cohomology", "--degree", "0", "--coeff", " z2"], None,
+         "coefficient spec ' z2' is not z or zN"),
+        (["cohomology", "--degree", "0", "--coeff", "z\u0662"], None,
+         "coefficient spec 'z\u0662' is not z or zN"),
+        (["cohomology", "--degree", "0", "--coeff", "z\u00b2"], None,
+         "coefficient spec 'z\u00b2' is not z or zN"),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):

@@ -7,7 +7,15 @@ import pytest
 
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
-from conftest import dense_chiral_action, first_failing_anticommutator, fraction_clifford_action
+from conftest import (
+    dense_chiral_action,
+    dense_eigensplit_failure,
+    dense_orthogonal_skew_failure,
+    dense_signed_perm,
+    dense_swap_failure,
+    first_failing_anticommutator,
+    fraction_clifford_action,
+)
 from spinkit.errors import (
     ChiralityError,
     DimensionMismatchError,
@@ -16,9 +24,9 @@ from spinkit.errors import (
 )
 from spinkit.gammarep import (
     Spinor,
+    action_columns,
     build_cl8_rep,
     chiral_action_matrix,
-    clifford_action,
     common_fixed_space,
     d_delta7,
     d_iota_plus,
@@ -27,11 +35,13 @@ from spinkit.gammarep import (
     embed_spin7,
     embedded_spin7_lie_basis,
     g2_intersection_basis,
+    generator_relation_failure,
     iota_plus,
     iota_vector,
     monomial_span_rank,
     octonion_basis_product,
     omega8_element,
+    sp_compose,
     spin7_lie_basis,
     stabilizer_dimension,
 )
@@ -66,31 +76,120 @@ def test_octonion_table_is_alternative():
 
 
 def test_gamma_anticommutators(rep):
+    assert generator_relation_failure(rep.gamma) is None
+    dense = [dense_signed_perm(g) for g in rep.gamma]
     for i in range(8):
         for j in range(8):
-            s = la.mat_add(
-                la.mat_mul(rep.gamma[i], rep.gamma[j]), la.mat_mul(rep.gamma[j], rep.gamma[i])
-            )
-            assert s == la.mat_scale(I16, -2 if i == j else 0)
+            gij, gji = la.mat_mul(dense[i], dense[j]), la.mat_mul(dense[j], dense[i])
+            assert la.mat_sub(gij, la.mat_scale(gji, -1)) == la.mat_scale(I16, -2 if i == j else 0)
 
 
 def test_anticommutator_check_names_the_first_failing_pair():
-    """One sign-flipped entry of gamma_5: the reps check, which visits only
-    i <= j, names the pair that the full 8x8 loop finds first."""
+    """One sign-flipped column of gamma_5: the reps check, which visits only
+    i <= j, names the pair that the full 8x8 dense loop finds first."""
     damaged = build_cl8_rep()
-    rows = [list(row) for row in damaged.gamma[5]]
-    r, c = next((r, c) for r in range(16) for c in range(16) if r != c and rows[r][c])
-    rows[r][c] = -rows[r][c]
-    damaged.gamma = damaged.gamma[:5] + (la.mat(rows),) + damaged.gamma[6:]
-    want = first_failing_anticommutator(damaged.gamma)
+    g = damaged.gamma
+    damaged.gamma = g[:5] + (_redirected(g[5], 0, flip=True),) + g[6:]
+    want = first_failing_anticommutator([dense_signed_perm(g) for g in damaged.gamma])
     assert want is not None
     name = "gamma anticommutators realize the generator relations"
     (result,) = [x for x in reps_suite(0, damaged) if x.name == name]
     assert (result.passed, result.detail) == (False, want)
 
 
+def _redirected(sp, j, row=None, flip=False):
+    """A copy of the signed permutation sp with column j sent to ``row``
+    (when given) and its sign flipped (when ``flip``)."""
+    perm, sign = map(list, sp)
+    if row is not None:
+        perm[j] = row
+    if flip:
+        sign[j] = -sign[j]
+    return tuple(perm), tuple(sign)
+
+
+def _damage(rep, case):
+    """Break one part of a fresh module's column form."""
+    (plus, plus_signs), (minus, minus_signs) = rep.halves["+"], rep.halves["-"]
+    g3, e2 = rep.gamma[3], rep.monomials[1 << 2]
+    if case == "flip a sign of gamma_3":
+        rep.gamma = rep.gamma[:3] + (_redirected(g3, 0, flip=True),) + rep.gamma[4:]
+    elif case == "send two columns of gamma_3 to one row":
+        rep.gamma = rep.gamma[:3] + (_redirected(g3, 1, row=g3[0][0]),) + rep.gamma[4:]
+    elif case == "c(omega8) is c(e0)":
+        rep.monomials[255] = rep.gamma[0]
+    elif case == "exchange a row between the halves":
+        rep.halves["+"] = plus[:-1] + minus[:1], plus_signs
+        rep.halves["-"] = plus[-1:] + minus[1:], minus_signs
+    elif case == "repeat a row of S+":
+        rep.halves["+"] = plus[:1] + plus[:1] + plus[2:], plus_signs
+    elif case == "c(e2) is the even c(e0 e1)":
+        rep.monomials[1 << 2] = rep.monomials[0b11]
+    elif case == "double c(e2)":
+        rep.monomials[1 << 2] = e2[0], tuple(2 * x for x in e2[1])
+    elif case == "send two S+ columns of c(e2) to one row":
+        rep.monomials[1 << 2] = _redirected(e2, plus[1], row=e2[0][plus[0]])
+    elif case == "keep an S- column of c(e2) in S-":
+        rep.monomials[1 << 2] = _redirected(e2, minus[0], row=minus[0])
+    else:
+        raise ValueError(case)
+
+
+_ORTHOGONAL_SKEW = "gamma matrices are orthogonal and skew-symmetric"
+_EIGENSPLIT = "volume action splits R^16 into orthonormal 8+8 eigenspaces"
+_SWAP = "25 random unit vectors swap the chiral halves isometrically"
+
+
+@pytest.mark.parametrize(
+    "case, name, oracle, detail",
+    [
+        ("flip a sign of gamma_3", _ORTHOGONAL_SKEW, dense_orthogonal_skew_failure,
+         "gamma_3 is not skew"),
+        ("send two columns of gamma_3 to one row", _ORTHOGONAL_SKEW, dense_orthogonal_skew_failure,
+         "gamma_3 is not orthogonal"),
+        ("c(omega8) is c(e0)", _EIGENSPLIT, dense_eigensplit_failure,
+         "volume action does not square to 1"),
+        ("exchange a row between the halves", _EIGENSPLIT, dense_eigensplit_failure,
+         "claimed eigenbasis is not an eigenbasis"),
+        ("repeat a row of S+", _EIGENSPLIT, dense_eigensplit_failure,
+         "eigenbasis is not orthonormal"),
+        ("c(e2) is the even c(e0 e1)", _SWAP, dense_swap_failure,
+         "unit vector does not map S+ into S-"),
+        # c(v) is then c(v + v_2 e2): orthogonal columns of the wrong length
+        ("double c(e2)", _SWAP, dense_swap_failure, "unit vector action is not an isometry"),
+        ("send two S+ columns of c(e2) to one row", _SWAP, dense_swap_failure,
+         "unit vector action is not an isometry"),
+        ("keep an S- column of c(e2) in S-", _SWAP, dense_swap_failure,
+         "unit vector does not map S- into S+"),
+    ],
+)
+def test_module_check_names_the_damage(case, name, oracle, detail):
+    """Each reps module check, run on the signed permutations, reports the
+    detail that its dense Fraction oracle reports on the same damage."""
+    damaged = build_cl8_rep()
+    _damage(damaged, case)
+    (result,) = [x for x in reps_suite(0, damaged) if x.name == name]
+    assert (result.passed, result.detail) == (False, detail) == (False, oracle(damaged))
+
+
+def test_reps_verdict_builds_no_16_wide_matrix(rep, monkeypatch):
+    """The reps checks read the signed permutations: no la.mat_mul operand
+    of the whole verdict has 16 rows or 16 columns."""
+    shapes, real_mat_mul = [], la.mat_mul
+
+    def spy(a, b):
+        shapes.extend((len(m), len(m[0]) if m else 0) for m in (a, b))
+        return real_mat_mul(a, b)
+
+    monkeypatch.setattr(la, "mat_mul", spy)
+    assert all(x.passed for x in reps_suite(0, rep))
+    assert shapes and not [s for s in shapes if 16 in s]
+
+
 def test_gamma_square_is_minus_identity(rep):
-    assert la.mat_mul(rep.gamma[0], rep.gamma[0]) == la.mat_scale(I16, -1)
+    assert sp_compose(rep.gamma[0], rep.gamma[0]) == (tuple(range(16)), (-1,) * 16)
+    g0 = dense_signed_perm(rep.gamma[0])
+    assert la.mat_mul(g0, g0) == la.mat_scale(I16, -1)
 
 
 def test_monomial_span_is_full(rep):
@@ -109,7 +208,7 @@ def _ranked_gram(rep, monkeypatch):
 
 def test_monomial_span_detects_a_repeated_monomial(monkeypatch):
     damaged = build_cl8_rep()
-    damaged._mono_sp[3] = damaged._mono_sp[5]
+    damaged.monomials[3] = damaged.monomials[5]
     r, gram = _ranked_gram(damaged, monkeypatch)
     assert r == 255
     # off the diagonal too, the Gram is the trace form of the flattened matrices
@@ -134,7 +233,7 @@ def test_flipped_generator_sign_fails_construction(monkeypatch):
 
 def _monomial_row(rep, mask):
     """The monomial matrix c(e_mask) flattened row-major to 256 integers."""
-    perm, sign = rep._mono_sp[mask]
+    perm, sign = rep.monomials[mask]
     row = [0] * 256
     for j in range(16):
         row[perm[j] * 16 + j] = sign[j]
@@ -153,13 +252,19 @@ def test_monomial_gram_is_diagonal(rep, monkeypatch):
             assert tr == (16 if a == b else 0) == gram[a][b] == gram[b][a]
 
 
+def _clifford_action(rep, a):
+    """The 16x16 Fraction matrix of c(a), read off action_columns."""
+    d, cols = action_columns(rep, a, range(16))
+    return tuple(tuple(Fraction(col[i], d) for col in cols) for i in range(16))
+
+
 def test_clifford_action_is_an_algebra_map(rep):
     rng = random.Random(4)
     for _ in range(10):
         a = Multivector(8, {rng.randrange(256): Fraction(rng.randint(-5, 5), rng.randint(1, 3))})
         b = Multivector(8, {rng.randrange(256): rng.randint(-4, 4)})
-        assert clifford_action(rep, a * b) == la.mat_mul(
-            clifford_action(rep, a), clifford_action(rep, b)
+        assert _clifford_action(rep, a * b) == la.mat_mul(
+            _clifford_action(rep, a), _clifford_action(rep, b)
         )
     for _ in range(10):
         a = Multivector(
@@ -169,27 +274,28 @@ def test_clifford_action_is_an_algebra_map(rep):
                 for _ in range(rng.randint(0, 40))
             },
         )
-        assert clifford_action(rep, a) == fraction_clifford_action(rep, a)
-    assert clifford_action(rep, Multivector.scalar(8, 1)) == I16
+        assert _clifford_action(rep, a) == fraction_clifford_action(rep, a)
+    assert _clifford_action(rep, Multivector.scalar(8, 1)) == I16
     with pytest.raises(DimensionMismatchError):
-        clifford_action(rep, Multivector.scalar(7, 1))
+        action_columns(rep, Multivector.scalar(7, 1), range(16))
 
 
 def test_omega8_eigenspaces(rep):
-    omega = clifford_action(rep, volume_element(8))
+    omega = fraction_clifford_action(rep, volume_element(8))
+    plus, minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
     assert la.mat_mul(omega, omega) == I16
-    assert la.mat_mul(omega, rep.basis_plus) == rep.basis_plus
-    assert la.mat_mul(omega, rep.basis_minus) == la.mat_scale(rep.basis_minus, -1)
-    assert la.mat_mul(la.transpose(rep.basis_plus), rep.basis_plus) == I8
-    assert la.mat_mul(la.transpose(rep.basis_minus), rep.basis_minus) == I8
+    assert la.mat_mul(omega, plus) == plus
+    assert la.mat_mul(omega, minus) == la.mat_scale(minus, -1)
+    assert la.mat_mul(la.transpose(plus), plus) == I8
+    assert la.mat_mul(la.transpose(minus), minus) == I8
 
 
 def test_split_needs_a_diagonal_volume_element():
     damaged = build_cl8_rep()
-    damaged._mono_sp[255] = damaged._mono_sp[1]  # c(e0) swaps the summands
+    damaged.monomials[255] = damaged.monomials[1]  # c(e0) swaps the summands
     with pytest.raises(InternalCheckError, match="8\\+8"):
         damaged._split_eigenspaces()
-    damaged._mono_sp[255] = (tuple(range(16)), (1,) * 16)  # diagonal, one eigenvalue
+    damaged.monomials[255] = (tuple(range(16)), (1,) * 16)  # diagonal, one eigenvalue
     with pytest.raises(InternalCheckError, match="8\\+8"):
         damaged._split_eigenspaces()
 
@@ -240,11 +346,12 @@ def test_odd_element_killing_the_positive_half_acts_as_zero(rep):
 
 def test_unit_vectors_swap_halves(rep):
     rng = random.Random(9)
-    minus_projector = la.mat_mul(rep.basis_minus, la.transpose(rep.basis_minus))
+    plus, minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
+    minus_projector = la.mat_mul(minus, la.transpose(minus))
     for _ in range(10):
         v = Multivector.vector(8, rational_unit_tuple(8, rng))
-        m = clifford_action(rep, v)
-        image = la.mat_mul(m, rep.basis_plus)
+        m = fraction_clifford_action(rep, v)
+        image = la.mat_mul(m, plus)
         assert la.mat_mul(minus_projector, image) == image
         assert la.mat_mul(la.transpose(image), image) == I8
         with pytest.raises(ChiralityError):

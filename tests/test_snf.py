@@ -72,6 +72,29 @@ def test_from_orders_single_sweep_matches_repeated_sweeps(orders):
     assert g.torsion == sweep_until_stable(orders)
 
 
+def test_smith_diagonal_matches_sympy_invariant_factors():
+    """An oracle outside spinkit: sympy's invariant factors, zeros dropped,
+    on integer matrices up to 6 x 6."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda r: st.integers(1, 6).flatmap(
+                lambda c: st.lists(
+                    st.lists(st.integers(-20, 20), min_size=c, max_size=c), min_size=r, max_size=r
+                )
+            )
+        )
+    )
+    def agrees(m):
+        want = [int(abs(d)) for d in invariant_factors(sympy.Matrix(m), domain=sympy.ZZ) if d]
+        assert smith_diagonal(m) == want
+
+    agrees()
+
+
 def _z_plus_z4():
     """H^2 = Z + Z/4 and H^1 = 0 over Z."""
     return CWPairComplex([0, 1, 2], boundary={2: [[4, 0]]})
