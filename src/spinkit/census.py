@@ -4,7 +4,7 @@ Everything here is desk arithmetic on characteristic numbers of a compact
 spin 8-manifold W, gathered by ``census_report``:
 
 * the positive spinor bundle has 16 e(S+) = 4 p2 - p1^2 + 8 e(TW), so a
-  structure exists iff that rational vanishes;
+  structure exists iff that integer vanishes;
 * when it exists and H^7(W, dW; Z) = 0, the structures extending a fixed
   boundary G2-structure form a torsor over H^8(W, dW; Z/2), hence are
   2^dim many -- exactly two for closed connected W;
@@ -13,13 +13,15 @@ spin 8-manifold W, gathered by ``census_report``:
   torsion-free structure when it lands in {1, 2, 3, 4} (Joyce, *Compact
   Manifolds with Special Holonomy*, 2000, Prop. 10.5.4).
 
+A ``ManifoldCharData`` record is checked once, when it is built: it must be
+spin and have an integral e(S+), so the queries below are plain arithmetic.
+
 The convention e(S-) = e(S+) - e(TW) is fixed here and repeated in every
 emitted report.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,14 +30,15 @@ from .torsor import FiniteAbelianGroup, regular_difference_table, verify_differe
 
 NEGATIVE_CHIRALITY_CONVENTION = "e(S-) = e(S+) - e(TW)"
 
-
-class DataConsistencyWarning(UserWarning):
-    """Characteristic numbers are admissible input but not mutually consistent."""
+# The count 2**h8_z2_dim is printed in full.  2**14284 has 4300 digits and
+# 2**14285 has 4301, one past CPython's default int-to-str limit
+# (sys.get_int_max_str_digits()), so a larger h8_z2_dim has no printable count.
+MAX_H8_Z2_DIM = 14284
 
 
 @dataclass(frozen=True)
 class ManifoldCharData:
-    """Characteristic numbers and cohomological ranks of a compact 8-manifold."""
+    """Characteristic numbers and cohomological ranks of a compact spin 8-manifold."""
 
     name: str
     p1_sq: int
@@ -58,10 +61,17 @@ class ManifoldCharData:
         for key in ("simply_connected", "has_boundary", "spin"):
             if not isinstance(getattr(self, key), bool):
                 raise CensusDataError(f"{self.name}: {key} must be true or false")
+        if not self.spin:
+            raise CensusDataError(f"{self.name}: the census applies only to spin manifolds")
         if self.components < 1:
             raise CensusDataError(f"{self.name}: components must be >= 1")
         if self.h7_rel_rank < 0 or self.h8_z2_dim < 0:
             raise CensusDataError(f"{self.name}: cohomological ranks must be >= 0")
+        if self.h8_z2_dim > MAX_H8_Z2_DIM:
+            raise CensusDataError(
+                f"{self.name}: h8_z2_dim = {self.h8_z2_dim} is over {MAX_H8_Z2_DIM}, "
+                "past which the count 2^h8_z2_dim does not print"
+            )
         if not self.has_boundary and self.h8_z2_dim != self.components:
             raise CensusDataError(
                 f"{self.name}: a closed 8-manifold has h8_z2_dim = components "
@@ -73,24 +83,17 @@ class ManifoldCharData:
             raise CensusDataError(
                 f"{self.name}: simply connected manifolds have h7_rel_rank = 0"
             )
+        # the census reads existence off e(S+) for every record, with or
+        # without boundary; (4 p2 - p1^2 + 8 e)/16 + (p1^2 - 4 p2 + 8 e)/16
+        # = e, so the rule is the same whichever half carries the spinor
+        e_plus = Fraction(4 * self.p2 - self.p1_sq + 8 * self.euler, 16)
+        if e_plus.denominator != 1:
+            raise CensusDataError(f"{self.name}: e(S+) = {e_plus} is not an integer")
 
-    def _require_spin(self) -> None:
-        if not self.spin:
-            raise CensusDataError(f"{self.name}: census queries require a spin manifold")
 
-
-def euler_positive_spinor(d: ManifoldCharData) -> Fraction:
-    """e(S+) = (4 p2 - p1^2 + 8 e) / 16; warns when not an integer."""
-    d._require_spin()
-    value = Fraction(4 * d.p2 - d.p1_sq + 8 * d.euler, 16)
-    if value.denominator != 1:
-        warnings.warn(
-            f"{d.name}: e(S+) = {value} is not an integer; "
-            "characteristic numbers are not those of a closed spin 8-manifold",
-            DataConsistencyWarning,
-            stacklevel=2,
-        )
-    return value
+def euler_positive_spinor(d: ManifoldCharData) -> int:
+    """e(S+) = (4 p2 - p1^2 + 8 e) / 16, an integer on every valid record."""
+    return (4 * d.p2 - d.p1_sq + 8 * d.euler) // 16
 
 
 def ahat_genus(d: ManifoldCharData) -> Fraction:
@@ -101,7 +104,6 @@ def ahat_genus(d: ManifoldCharData) -> Fraction:
 def holonomy_from_ahat(d: ManifoldCharData) -> str | None:
     """The holonomy label Spin(8 - A-hat) of a closed, simply connected W whose
     A-hat is an integer in 1..4; None when the criterion does not apply."""
-    d._require_spin()
     if d.has_boundary or not d.simply_connected:
         return None
     a = ahat_genus(d)
@@ -113,8 +115,8 @@ class CensusReport:
     """Census outcome for one manifold record."""
 
     name: str
-    e_s_plus: Fraction
-    e_s_minus: Fraction
+    e_s_plus: int
+    e_s_minus: int
     exists: bool
     count: int | str | None
     ahat: Fraction
@@ -125,24 +127,23 @@ class CensusReport:
             raise CensusDataError("existence flag must mirror the vanishing of e(S+)")
 
 
-def _structure_count(d: ManifoldCharData, e_plus: Fraction) -> int | str | None:
-    """Spin(7)-structures extending a fixed boundary G2-structure, given e(S+).
-
-    None when e(S+) != 0, as then no structure exists.  Otherwise
-    2**h8_z2_dim when the relative degree-7 group vanishes (torsor over
-    H^8(W, dW; Z/2)), and "undetermined" when it does not, since a nonzero
-    primary difference escapes the counting argument.
-    """
-    if e_plus != 0:
-        return None
-    return "undetermined" if d.h7_rel_rank > 0 else 2**d.h8_z2_dim
-
-
 def census_report(d: ManifoldCharData) -> CensusReport:
-    """Full per-manifold report with a conditional holonomy note."""
+    """Full per-manifold report with the structure count and a conditional
+    holonomy note.
+
+    The count is None when e(S+) != 0, as then no structure exists.
+    Otherwise it is 2**h8_z2_dim when the relative degree-7 group vanishes
+    (torsor over H^8(W, dW; Z/2)), and "undetermined" when it does not,
+    since a nonzero primary difference escapes the counting argument.
+    """
     e_plus = euler_positive_spinor(d)
-    count = _structure_count(d, e_plus)
-    exists = count is not None
+    exists = e_plus == 0
+    if not exists:
+        count = None
+    elif d.h7_rel_rank > 0:
+        count = "undetermined"
+    else:
+        count = 2**d.h8_z2_dim
     holonomy = holonomy_from_ahat(d) if exists else None
     note = f"holonomy {holonomy} if a torsion-free structure exists" if holonomy else ""
     return CensusReport(
@@ -156,17 +157,14 @@ def census_report(d: ManifoldCharData) -> CensusReport:
     )
 
 
-def count_spin7_structures(d: ManifoldCharData) -> int | str:
-    """The census count; raises when no Spin(7)-structure exists."""
-    count = _structure_count(d, euler_positive_spinor(d))
-    if count is None:
-        raise CensusDataError(f"{d.name}: no Spin(7)-structure exists (e(S+) != 0)")
-    return count
-
-
 def torsor_size_cross_check(d: ManifoldCharData) -> bool:
-    """Cross-check the count against the torsor module on (Z/2)^h8_z2_dim."""
-    expected = count_spin7_structures(d)
+    """Cross-check the census count against the torsor module on (Z/2)^h8_z2_dim.
+
+    Raises when no Spin(7)-structure exists, as there is no count to check.
+    """
+    expected = census_report(d).count
+    if expected is None:
+        raise CensusDataError(f"{d.name}: no Spin(7)-structure exists (e(S+) != 0)")
     if not isinstance(expected, int):
         return True
     group = FiniteAbelianGroup((2,) * d.h8_z2_dim)

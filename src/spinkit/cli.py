@@ -20,9 +20,8 @@ import argparse
 import json
 import re
 import sys
-import warnings
 
-from .census import DataConsistencyWarning, census_report, NEGATIVE_CHIRALITY_CONVENTION
+from .census import NEGATIVE_CHIRALITY_CONVENTION, census_report
 from .cwcomplex import CoefficientGroup, relative_cohomology
 from .errors import SpinkitError, TorsorError
 from .fileio import BUNDLED_CATALOGUE, data_path, load_catalogue, load_complex
@@ -106,14 +105,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_census(args) -> int:
     path = args.file if args.file else data_path(BUNDLED_CATALOGUE)
-    records = load_catalogue(path)
-    rows = []
-    for d in records:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DataConsistencyWarning)
-            report = census_report(d)
-        notes = [str(w.message) for w in caught]
-        rows.append((report, notes))
+    rows = [census_report(d) for d in load_catalogue(path)]
     if args.format == "structured":
         payload = {
             "convention": NEGATIVE_CHIRALITY_CONVENTION,
@@ -126,9 +118,8 @@ def _cmd_census(args) -> int:
                     "count": r.count if isinstance(r.count, int) else (r.count or None),
                     "ahat": str(r.ahat),
                     "holonomy_note": r.holonomy_note,
-                    "warnings": notes,
                 }
-                for r, notes in rows
+                for r in rows
             ],
         }
         print(json.dumps(payload, indent=1))
@@ -136,13 +127,10 @@ def _cmd_census(args) -> int:
         header = f"{'manifold':<24} {'e(S+)':>8} {'exists':>6} {'count':>12}  note"
         print(header)
         print("-" * len(header))
-        for r, notes in rows:
+        for r in rows:
             count = "-" if r.count is None else str(r.count)
-            note = r.holonomy_note or ""
-            if notes:
-                note = (note + "; " if note else "") + "; ".join(notes)
-            print(f"{r.name:<24} {str(r.e_s_plus):>8} {str(r.exists).lower():>6} {count:>12}  {note}")
-        with_structure = sum(1 for r, _ in rows if r.exists)
+            print(f"{r.name:<24} {str(r.e_s_plus):>8} {str(r.exists).lower():>6} {count:>12}  {r.holonomy_note}")
+        with_structure = sum(1 for r in rows if r.exists)
         print(f"# {len(rows)} manifolds, {with_structure} admit a structure")
         print(f"# convention: {NEGATIVE_CHIRALITY_CONVENTION}")
     return EXIT_OK

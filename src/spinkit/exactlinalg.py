@@ -87,14 +87,6 @@ def mat_scale(a: Matrix, s: Scalar) -> Matrix:
     return tuple(tuple(x * f for x in row) for row in a)
 
 
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"dot product of lengths {len(u)} and {len(v)}")
-    du, (xs,) = over_common_denominator([u])
-    dv, (ys,) = over_common_denominator([v])
-    return Fraction(sum(map(mul, xs, ys)), du * dv)
-
-
 def is_orthogonal(a: Matrix) -> bool:
     n = len(a)
     return len(a[0]) == n and mat_mul(transpose(a), a) == identity(n)

@@ -1,6 +1,7 @@
 """On-disk formats: CW pair complexes and manifold catalogues.
 
-Both formats are JSON (arbitrary-precision integers come for free).
+Both formats are JSON.  An integer literal may have at most 4300 digits,
+CPython's default int-string limit; a longer one is an error.
 
 Complex file::
 
@@ -45,7 +46,6 @@ from .errors import CensusDataError, ComplexValidationError, SpinkitError
 DATA_DIR_ENV = "SPINKIT_DATA_DIR"
 
 BUNDLED_CATALOGUE = "manifolds.json"
-BUNDLED_COMPLEXES = ("disk8_rel_sphere7.json", "sphere7.json", "point.json")
 
 
 def data_path(filename: str) -> Path:
@@ -60,7 +60,8 @@ _COMPLEX_KEYS = ("name", "cells", "boundary", "sub")
 
 
 def _read_json(path: str | Path, error: type[SpinkitError]):
-    """Parse a JSON file, raising ``error`` on bad syntax or a key repeated in one object."""
+    """Parse a JSON file, raising ``error`` on bad syntax, an over-long integer
+    literal or a key repeated in one object."""
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
@@ -75,6 +76,11 @@ def _read_json(path: str | Path, error: type[SpinkitError]):
             return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
+    except error:
+        raise
+    except ValueError as exc:
+        # an integer literal over the int-string digit limit, or bytes that are not UTF-8
+        raise error(f"{path}: not valid input: {exc}") from None
 
 
 def _by_degree(raw: dict, key: str) -> dict[int, object]:

@@ -177,11 +177,6 @@ class Multivector:
 
     # -- structure maps ----------------------------------------------------
 
-    def grade(self, k: int) -> "Multivector":
-        return Multivector._trusted(
-            self.n, {m: c for m, c in self.terms.items() if blade_grade(m) == k}
-        )
-
     def grades(self) -> set[int]:
         return {blade_grade(m) for m in self.terms}
 

@@ -106,15 +106,6 @@ class AbelianGroup:
         # the chain may start with 1s, which __post_init__ drops
         return cls(free, tuple(_divisibility_chain([d for d in orders if d > 1])))
 
-    def order(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

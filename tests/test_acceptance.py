@@ -13,7 +13,6 @@ import spinkit.exactlinalg as la
 from spinkit.census import (
     ManifoldCharData,
     census_report,
-    count_spin7_structures,
     euler_positive_spinor,
 )
 from spinkit.cwcomplex import (
@@ -216,7 +215,7 @@ def test_criterion_9_census():
 
     sample = ManifoldCharData("sample", 768, -96, 144, 0, 1, simply_connected=True)
     assert euler_positive_spinor(sample) == 0
-    assert count_spin7_structures(sample) == 2
+    assert census_report(sample).count == 2
 
 
 @criterion(10, "verify all --seed 42 twice: byte-identical reports")

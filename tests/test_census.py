@@ -1,17 +1,15 @@
 """Characteristic-class census arithmetic and catalogue I/O."""
 
-import warnings
 from fractions import Fraction
 
 import pytest
 
 from spinkit.census import (
+    MAX_H8_Z2_DIM,
     CensusReport,
-    DataConsistencyWarning,
     ManifoldCharData,
     ahat_genus,
     census_report,
-    count_spin7_structures,
     euler_positive_spinor,
     holonomy_from_ahat,
     torsor_size_cross_check,
@@ -52,11 +50,9 @@ def test_euler_class_formula():
         ManifoldCharData("b", 0, 16, 0, 0, 2, components=2, has_boundary=True),
         ManifoldCharData("c", 0, 0, 16, 0, 2, components=2, has_boundary=True),
     ]
-    assert [euler_positive_spinor(d) for d in basis] == [
-        Fraction(-1),
-        Fraction(4),
-        Fraction(8),
-    ]
+    values = [euler_positive_spinor(d) for d in basis]
+    assert values == [-1, 4, 8]
+    assert all(type(v) is int for v in values)
 
 
 def test_negative_spinor_convention():
@@ -85,16 +81,20 @@ def test_existence():
 
 
 def test_counts():
-    assert count_spin7_structures(holonomy_sample()) == 2
-    assert count_spin7_structures(torus8()) == "undetermined"
+    assert census_report(holonomy_sample()).count == 2
+    assert census_report(torus8()).count == "undetermined"
     two = ManifoldCharData("pair", 0, 0, 0, 0, 2, components=2)
-    assert count_spin7_structures(two) == 4
+    assert census_report(two).count == 4
     assert torsor_size_cross_check(two)
     assert torsor_size_cross_check(holonomy_sample())
-    with pytest.raises(CensusDataError):
-        count_spin7_structures(sphere8())
+    assert torsor_size_cross_check(torus8())
+    assert census_report(sphere8()).count is None
+    with pytest.raises(CensusDataError, match=r"no Spin\(7\)-structure exists"):
+        torsor_size_cross_check(sphere8())
     bounded = ManifoldCharData("bounded", 0, 0, 0, 0, 0, has_boundary=True)
-    assert count_spin7_structures(bounded) == 1
+    assert census_report(bounded).count == 1
+    widest = ManifoldCharData("widest", 0, 0, 0, 0, MAX_H8_Z2_DIM, has_boundary=True)
+    assert len(str(census_report(widest).count)) == 4300
 
 
 def test_ahat_and_holonomy():
@@ -112,8 +112,6 @@ def test_ahat_and_holonomy():
     bounded = ManifoldCharData("bounded", 768, -96, 144, 0, 1, has_boundary=True)
     assert holonomy_from_ahat(bounded) is None
     assert census_report(bounded).holonomy_note == ""
-    with pytest.raises(CensusDataError):
-        holonomy_from_ahat(ManifoldCharData("nonspin", 768, -96, 144, 0, 1, spin=False))
 
 
 def test_validation_rules():
@@ -125,10 +123,10 @@ def test_validation_rules():
         ManifoldCharData("bad", 0, 0, 0, 0, 5, components=2)  # closed: H^8(W; Z/2) = (Z/2)^c
     with pytest.raises(CensusDataError, match="one component"):
         ManifoldCharData("bad", 0, 0, 0, 0, 2, components=2, simply_connected=True)
-    with pytest.raises(CensusDataError):
-        euler_positive_spinor(
-            ManifoldCharData("nonspin", 0, 0, 2, 0, 1, spin=False)
-        )
+    with pytest.raises(CensusDataError, match="nonspin: the census applies only to spin"):
+        ManifoldCharData("nonspin", 0, 0, 2, 0, 1, spin=False)
+    with pytest.raises(CensusDataError, match=f"wide: h8_z2_dim = {MAX_H8_Z2_DIM + 1} is over"):
+        ManifoldCharData("wide", 0, 0, 0, 0, MAX_H8_Z2_DIM + 1, has_boundary=True)
 
 
 @pytest.mark.parametrize(
@@ -150,13 +148,14 @@ def test_field_types(override):
         ManifoldCharData(**{**fields, **override})
 
 
-def test_non_integral_warning():
-    odd = ManifoldCharData("odd", 1, 0, 0, 0, 1, has_boundary=True)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = euler_positive_spinor(odd)
-    assert value == Fraction(-1, 16)
-    assert any(issubclass(w.category, DataConsistencyWarning) for w in caught)
+def test_non_integral_e_plus_rejected():
+    # 16 e(S+) = 4 p2 - p1^2 + 8 e must be divisible by 16, with or without boundary
+    with pytest.raises(CensusDataError, match=r"^odd: e\(S\+\) = -1/16 is not an integer$"):
+        ManifoldCharData("odd", 1, 0, 0, 0, 1, has_boundary=True)
+    with pytest.raises(CensusDataError, match=r"^closed: e\(S\+\) = -1/8 is not an integer$"):
+        ManifoldCharData("closed", 2, 0, 0, 0, 1)
+    with pytest.raises(CensusDataError, match=r"e\(S\+\) = 1/2 is not an integer"):
+        ManifoldCharData("half", 0, 2, 0, 0, 1, simply_connected=True)
 
 
 def test_census_report_and_invariant():
@@ -164,7 +163,7 @@ def test_census_report_and_invariant():
     assert report.exists and report.count == 2
     assert "Spin(7)" in report.holonomy_note
     with pytest.raises(CensusDataError):
-        CensusReport("x", Fraction(1), Fraction(0), True, None, Fraction(0))
+        CensusReport("x", 1, 0, True, None, Fraction(0))
 
 
 def test_bundled_catalogue_loads():
@@ -173,8 +172,8 @@ def test_bundled_catalogue_loads():
     assert "S8" in names and "T8" in names and "HP2" in names
     by_name = {r.name: r for r in records}
     assert not census_report(by_name["S8"]).exists
-    assert count_spin7_structures(by_name["closed-holonomy-sample"]) == 2
-    assert count_spin7_structures(by_name["two-component-sample"]) == 4
+    assert census_report(by_name["closed-holonomy-sample"]).count == 2
+    assert census_report(by_name["two-component-sample"]).count == 4
 
 
 def test_catalogue_errors(tmp_path):

@@ -58,8 +58,8 @@ def test_abelian_group_normalization():
     assert AbelianGroup.from_orders([0, 0, 1, 5]).free_rank == 2
     assert str(AbelianGroup.from_orders([])) == "0"
     assert AbelianGroup.from_orders([2, 3]).torsion == (6,)
-    assert AbelianGroup.from_orders([0]).order() is None
-    assert AbelianGroup.from_orders([2, 2]).order() == 4
+    assert AbelianGroup.from_orders([0]) == AbelianGroup(1)
+    assert AbelianGroup.from_orders([2, 2]).torsion == (2, 2)
     with pytest.raises(ValueError):
         AbelianGroup(1, (4, 2))
 
