@@ -35,6 +35,11 @@ NEGATIVE_CHIRALITY_CONVENTION = "e(S-) = e(S+) - e(TW)"
 # (sys.get_int_max_str_digits()), so a larger h8_z2_dim has no printable count.
 MAX_H8_Z2_DIM = 14284
 
+# e(S+) and A-hat have numerators 4 p2 - p1^2 + 8 e and 7 p1^2 - 4 p2, at
+# most 13 times the largest of |p1^2|, |p2|, |e|; below 10^4298 that stays
+# under 1.3 * 10^4299, which prints within the 4300-digit int-to-str limit.
+MAX_CHAR_NUMBER = 10**4298 - 1
+
 
 @dataclass(frozen=True)
 class ManifoldCharData:
@@ -63,6 +68,11 @@ class ManifoldCharData:
                 raise CensusDataError(f"{self.name}: {key} must be true or false")
         if not self.spin:
             raise CensusDataError(f"{self.name}: the census applies only to spin manifolds")
+        if max(abs(self.p1_sq), abs(self.p2), abs(self.euler)) > MAX_CHAR_NUMBER:
+            raise CensusDataError(
+                f"{self.name}: |p1_sq|, |p2| and |euler| must be below 10^4298, "
+                "past which e(S+) and A-hat do not print"
+            )
         if self.components < 1:
             raise CensusDataError(f"{self.name}: components must be >= 1")
         if self.h7_rel_rank < 0 or self.h8_z2_dim < 0:
@@ -117,14 +127,13 @@ class CensusReport:
     name: str
     e_s_plus: int
     e_s_minus: int
-    exists: bool
     count: int | str | None
     ahat: Fraction
     holonomy_note: str = ""
 
-    def __post_init__(self):
-        if self.exists != (self.e_s_plus == 0):
-            raise CensusDataError("existence flag must mirror the vanishing of e(S+)")
+    @property
+    def exists(self) -> bool:
+        return self.e_s_plus == 0
 
 
 def census_report(d: ManifoldCharData) -> CensusReport:
@@ -150,7 +159,6 @@ def census_report(d: ManifoldCharData) -> CensusReport:
         name=d.name,
         e_s_plus=e_plus,
         e_s_minus=e_plus - d.euler,
-        exists=exists,
         count=count,
         ahat=ahat_genus(d),
         holonomy_note=note,

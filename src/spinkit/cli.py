@@ -22,7 +22,7 @@ import re
 import sys
 
 from .census import NEGATIVE_CHIRALITY_CONVENTION, census_report
-from .cwcomplex import CoefficientGroup, relative_cohomology
+from .cwcomplex import Z_COEFF, CoefficientGroup, relative_cohomology
 from .errors import SpinkitError, TorsorError
 from .fileio import BUNDLED_CATALOGUE, data_path, load_catalogue, load_complex
 from .torsor import (
@@ -43,7 +43,7 @@ def _parse_coefficients(text: str) -> CoefficientGroup:
     # spelling silently becomes the same group
     match = re.fullmatch(r"[zZ]([1-9][0-9]*)?", text)
     if match and match[1] is None:
-        return CoefficientGroup(0)
+        return Z_COEFF
     if match and int(match[1]) >= 2:
         return CoefficientGroup(int(match[1]))
     raise argparse.ArgumentTypeError(f"coefficient spec {text!r} is not z or zN (N >= 2)")
@@ -81,6 +81,10 @@ def _cmd_cohomology(args) -> int:
     path = args.file if args.file else data_path("disk8_rel_sphere7.json")
     cx = load_complex(path)
     group = relative_cohomology(cx, args.degree, args.coeff)
+    try:
+        shown = str(group)
+    except ValueError:  # an order past the int-to-str digit limit
+        raise SpinkitError(f"{path}: H^{args.degree} has a torsion order too long to print")
     core = cx.name.strip() if cx.name else "X, Y"
     if core.startswith("(") and core.endswith(")"):
         core = core[1:-1]
@@ -91,7 +95,7 @@ def _cmd_cohomology(args) -> int:
                     "complex": cx.name,
                     "degree": args.degree,
                     "coefficients": str(args.coeff),
-                    "group": str(group),
+                    "group": shown,
                     "free_rank": group.free_rank,
                     "torsion": list(group.torsion),
                 },
@@ -99,7 +103,7 @@ def _cmd_cohomology(args) -> int:
             )
         )
     else:
-        print(f"H^{args.degree}({core}; {args.coeff}) = {group}")
+        print(f"H^{args.degree}({core}; {args.coeff}) = {shown}")
     return EXIT_OK
 
 
@@ -191,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = sub.add_parser("cohomology", help="relative cohomology of a CW pair file")
     p_coh.add_argument("file", nargs="?", help="complex file (default: bundled (D8, S7))")
     p_coh.add_argument("--degree", type=int, required=True)
-    p_coh.add_argument("--coeff", type=_parse_coefficients, default=CoefficientGroup(0),
+    p_coh.add_argument("--coeff", type=_parse_coefficients, default=Z_COEFF,
                        help="z (integers) or zN (mod N); default z")
     p_coh.add_argument("--format", choices=("text", "structured"), default="text")
     p_coh.set_defaults(func=_cmd_cohomology)

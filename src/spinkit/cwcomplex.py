@@ -14,17 +14,16 @@ afterwards.  Each pair keeps the one cylinder X x I that
 Smith diagonal of each coboundary delta_k that :func:`relative_cohomology`
 reads for H^k and H^(k+1) over every coefficient group.
 
-Sign conventions, fixed once and checked by the tests:
-
-* cylinder boundary: d(s x I) = (ds) x I + (-1)^dim(s) (s x 1 - s x 0);
-* cross products with the interval generators carry no extra sign, which
-  on the interval itself gives the generator relations
-  ``coboundary(zero_bar) = -i_bar`` and ``coboundary(one_bar) = i_bar``.
+Sign convention, fixed once and checked by the tests: products of pairs
+follow the Koszul rule d(a x b) = da x b + (-1)^|a| a x db.  The interval
+pair has dI = 1 - 0, so the cylinder has
+d(s x I) = (ds) x I + (-1)^dim(s) (s x 1 - s x 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 from .errors import ComplexValidationError, DimensionMismatchError, ResidueError
@@ -52,12 +51,6 @@ class CoefficientGroup:
 
 
 Z_COEFF = CoefficientGroup(0)
-Z2_COEFF = CoefficientGroup(2)
-
-# Degree-7 and degree-8 homotopy groups of the 7-sphere: the coefficient
-# groups in which the primary and secondary comparison data live.
-PI7_S7 = Z_COEFF
-PI8_S7 = Z2_COEFF
 
 
 def _is_int(x: object) -> bool:
@@ -274,100 +267,67 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 
 
-def product_with_interval(cx: CWPairComplex) -> CWPairComplex:
-    """The cylinder X x I with subcomplex (Y x I) u (X x dI).
+def _sparse_columns(cx: CWPairComplex) -> list[list[list[tuple[int, int]]]]:
+    """cols[k][a]: the nonzero (row, entry) pairs of column a of d_k."""
+    return [
+        [[(r, row[a]) for r, row in enumerate(cx.boundary.get(k, [])) if row[a]] for a in range(n)]
+        for k, n in enumerate(cx.cells)
+    ]
 
-    k-cells are ordered [s x 0 | s x 1 | t x I-bar] with s running over the
+
+def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) -> CWPairComplex:
+    """The product pair (X, A) x (Y, B) = (X x Y, X x B u A x Y).
+
+    Its k-cells a x b, |a| + |b| = k, are ordered by the cell b of Y (by
+    degree, then index) and then by the cell a of X; the boundary is
+    d(a x b) = da x b + (-1)^|a| a x db.  A product of dimension over 9 is
+    rejected by the constructor like any other complex.
+    """
+    dim = p.dim + q.dim
+    blocks = [(j, b) for j in range(q.dim + 1) for b in range(q.cells[j])]
+    cells, starts = [], []  # starts[k][j, b]: index of the first k-cell a x b
+    for k in range(dim + 1):
+        sizes = [p.cell_count(k - j) for j, _ in blocks]
+        cells.append(sum(sizes))
+        starts.append(dict(zip(blocks, accumulate(sizes, initial=0))))
+    boundary = {k: [[0] * cells[k] for _ in range(cells[k - 1])] for k in range(1, dim + 1)}
+    sub = {k: [False] * cells[k] for k in range(dim + 1)}
+    p_cols, q_cols = _sparse_columns(p), _sparse_columns(q)
+    for k in range(dim + 1):
+        for (j, b), col0 in starts[k].items():
+            i = k - j
+            n = p.cell_count(i)
+            if not n:
+                continue
+            sub[k][col0 : col0 + n] = [True] * n if q.sub[j][b] else p.sub[i]
+            if not k:
+                continue
+            m, down = boundary[k], starts[k - 1][j, b]
+            sign = -1 if i & 1 else 1
+            db = [(starts[k - 1][j - 1, r], sign * y) for r, y in q_cols[j][b]]
+            for a, da in enumerate(p_cols[i]):
+                for r, x in da:  # da x b
+                    m[down + r][col0 + a] = x
+                for row0, y in db:  # (-1)^|a| a x db
+                    m[row0 + a][col0 + a] = y
+    return CWPairComplex(cells, boundary, sub, name=f"{p.name} x {q.name}" if name is None else name)
+
+
+# (I, dI): the endpoints 0 and 1 in the subcomplex, dI = 1 - 0
+INTERVAL_PAIR = CWPairComplex([2, 1], {1: [[-1], [1]]}, {0: [1, 1]}, name="I")
+
+
+def product_with_interval(cx: CWPairComplex) -> CWPairComplex:
+    """The cylinder X x I with subcomplex (Y x I) u (X x dI), as the product
+    of pairs (X, Y) x (I, dI).
+
+    k-cells are ordered [s x 0 | s x 1 | t x I] with s running over the
     k-cells and t over the (k-1)-cells of X.  The cylinder is built and
     validated on the first call; later calls return the same object.
     """
-    if cx._cylinder is not None:
-        return cx._cylinder
-    dim = cx.dim + 1
-    cells = [0] * (dim + 1)
-    for k in range(dim + 1):
-        cells[k] = 2 * cx.cell_count(k) + cx.cell_count(k - 1)
-    boundary: dict[int, list[list[int]]] = {}
-    sub: dict[int, list[int]] = {}
-    for k in range(dim + 1):
-        flags = (
-            [1] * cx.cell_count(k)
-            + [1] * cx.cell_count(k)
-            + [1 if cx.sub[k - 1][t] else 0 for t in range(cx.cell_count(k - 1))]
-        )
-        sub[k] = flags
-    for k in range(1, dim + 1):
-        nk0 = cx.cell_count(k)
-        nk1 = cx.cell_count(k - 1)
-        nk2 = cx.cell_count(k - 2)
-        rows = 2 * nk1 + nk2
-        cols = 2 * nk0 + nk1
-        m = [[0] * cols for _ in range(rows)]
-        bk = cx.boundary.get(k)
-        bk1 = cx.boundary.get(k - 1)
-        sign = -1 if (k - 1) & 1 else 1
-        for j in range(nk0):  # columns s x 0 and s x 1
-            if bk:
-                for i in range(nk1):
-                    m[i][j] = bk[i][j]
-                    m[nk1 + i][nk0 + j] = bk[i][j]
-        for t in range(nk1):  # columns t x I-bar, dim t = k - 1
-            col = 2 * nk0 + t
-            m[t][col] = -sign
-            m[nk1 + t][col] = sign
-            if bk1:
-                for i in range(nk2):
-                    m[2 * nk1 + i][col] = bk1[i][t]
-        boundary[k] = m
-    name = f"{cx.name} x I" if cx.name else "cylinder"
-    cx._cylinder = CWPairComplex(cells, boundary, sub, name=name)
+    if cx._cylinder is None:
+        cx._cylinder = pair_product(cx, INTERVAL_PAIR, name=f"{cx.name} x I" if cx.name else "cylinder")
     return cx._cylinder
-
-
-def interval_complex() -> CWPairComplex:
-    """The unit interval: two 0-cells (endpoints 0, 1) and one 1-cell."""
-    return CWPairComplex([2, 1], {1: [[-1], [1]]}, name="interval")
-
-
-@dataclass(frozen=True)
-class IntervalCochainBasis:
-    """The generators 0-bar, 1-bar (degree 0) and I-bar (degree 1)."""
-
-    complex: CWPairComplex
-    zero_bar: Cochain
-    one_bar: Cochain
-    i_bar: Cochain
-
-    @classmethod
-    def standard(cls, coefficients: CoefficientGroup = Z_COEFF) -> "IntervalCochainBasis":
-        cx = interval_complex()
-        return cls(
-            complex=cx,
-            zero_bar=Cochain(cx, 0, coefficients, (1, 0)),
-            one_bar=Cochain(cx, 0, coefficients, (0, 1)),
-            i_bar=Cochain(cx, 1, coefficients, (1,)),
-        )
-
-
-_GENERATOR_DEGREES = {"0": 0, "1": 0, "I": 1}
-
-
-def cross_with_interval(c: Cochain, gen: str) -> Cochain:
-    """Cross product of a cochain on X with one interval generator.
-
-    ``gen`` is "0", "1" (degree 0) or "I" (degree 1); the result lives on
-    the cylinder, supported on the matching block of cells.
-    """
-    if gen not in _GENERATOR_DEGREES:
-        raise ValueError("interval generator must be one of '0', '1', 'I'")
-    cx = c.complex
-    prod = product_with_interval(cx)
-    out_deg = c.degree + _GENERATOR_DEGREES[gen]
-    n = cx.cell_count(out_deg)
-    start = {"0": 0, "1": n, "I": 2 * n}[gen]
-    values = [0] * prod.cell_count(out_deg)
-    values[start : start + len(c.values)] = c.values
-    return Cochain(prod, out_deg, c.coefficients, tuple(values))
 
 
 def difference_cochain(o_hat: Cochain, o0: Cochain, o1: Cochain) -> Cochain:

@@ -503,6 +503,51 @@ def make_consistent_difference_inputs(base: CWPairComplex, degree: int, rng: ran
     return o_hat, o0, o1
 
 
+def block_cylinder(cx: CWPairComplex) -> CWPairComplex:
+    """The cylinder X x I placed block by block: the oracle for
+    ``product_with_interval``.
+
+    k-cells are ordered [s x 0 | s x 1 | t x I] and d(t x I) =
+    dt x I - (-1)^(k-1) t x 0 + (-1)^(k-1) t x 1 for a (k-1)-cell t.
+    """
+    dim = cx.dim + 1
+    cells = [2 * cx.cell_count(k) + cx.cell_count(k - 1) for k in range(dim + 1)]
+    sub = {
+        k: [1] * (2 * cx.cell_count(k)) + [int(cx.sub[k - 1][t]) for t in range(cx.cell_count(k - 1))]
+        for k in range(dim + 1)
+    }
+    boundary = {}
+    for k in range(1, dim + 1):
+        nk0, nk1, nk2 = cx.cell_count(k), cx.cell_count(k - 1), cx.cell_count(k - 2)
+        m = [[0] * (2 * nk0 + nk1) for _ in range(2 * nk1 + nk2)]
+        sign = -1 if (k - 1) & 1 else 1
+        for j in range(nk0):  # columns s x 0 and s x 1
+            for i in range(nk1):
+                m[i][j] = m[nk1 + i][nk0 + j] = cx.boundary[k][i][j]
+        for t in range(nk1):  # columns t x I
+            col = 2 * nk0 + t
+            m[t][col] = -sign
+            m[nk1 + t][col] = sign
+            for i in range(nk2):
+                m[2 * nk1 + i][col] = cx.boundary[k - 1][i][t]
+        boundary[k] = m
+    return CWPairComplex(cells, boundary, sub)
+
+
+def cross_with_interval(c: Cochain, gen: str) -> Cochain:
+    """Cross product of a cochain on X with the interval generator "0", "1"
+    (degree 0) or "I" (degree 1): the cochain on the cylinder that is c on
+    the matching block of cells and zero elsewhere."""
+    cx = c.complex
+    prod = product_with_interval(cx)
+    out_deg = c.degree + (gen == "I")
+    n = cx.cell_count(out_deg)
+    start = {"0": 0, "1": n, "I": 2 * n}[gen]
+    values = [0] * prod.cell_count(out_deg)
+    values[start : start + len(c.values)] = c.values
+    return Cochain(prod, out_deg, c.coefficients, tuple(values))
+
+
 @pytest.fixture
 def random_pair_complex():
     return make_random_pair_complex

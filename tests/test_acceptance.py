@@ -17,7 +17,6 @@ from spinkit.census import (
 )
 from spinkit.cwcomplex import (
     CoefficientGroup,
-    Z2_COEFF,
     Z_COEFF,
     coboundary,
     difference_cochain,
@@ -166,7 +165,7 @@ def test_criterion_7_cochain_identities():
         assert sum(base.cells) <= 200
         if base.cell_count(8) + base.cell_count(7) == 0:
             continue
-        coeff = Z_COEFF if checked % 2 == 0 else Z2_COEFF
+        coeff = Z_COEFF if checked % 2 == 0 else CoefficientGroup(2)
         o_hat, o0, o1 = make_consistent_difference_inputs(base, 8, rng, coeff)
         d = difference_cochain(o_hat, o0, o1)
         assert coboundary(d) == o0 - o1  # degree-8 inputs: exact identity

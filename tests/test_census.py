@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spinkit.census import (
+    MAX_CHAR_NUMBER,
     MAX_H8_Z2_DIM,
     CensusReport,
     ManifoldCharData,
@@ -127,6 +128,11 @@ def test_validation_rules():
         ManifoldCharData("nonspin", 0, 0, 2, 0, 1, spin=False)
     with pytest.raises(CensusDataError, match=f"wide: h8_z2_dim = {MAX_H8_Z2_DIM + 1} is over"):
         ManifoldCharData("wide", 0, 0, 0, 0, MAX_H8_Z2_DIM + 1, has_boundary=True)
+    for key in ("p1_sq", "p2", "euler"):
+        for value in (MAX_CHAR_NUMBER + 1, -MAX_CHAR_NUMBER - 1):
+            numbers = {"p1_sq": 0, "p2": 0, "euler": 0, key: value}
+            with pytest.raises(CensusDataError, match=r"^big: \|p1_sq\|, \|p2\| and \|euler\| must"):
+                ManifoldCharData("big", **numbers, h7_rel_rank=0, h8_z2_dim=0, has_boundary=True)
 
 
 @pytest.mark.parametrize(
@@ -162,8 +168,9 @@ def test_census_report_and_invariant():
     report = census_report(holonomy_sample())
     assert report.exists and report.count == 2
     assert "Spin(7)" in report.holonomy_note
-    with pytest.raises(CensusDataError):
-        CensusReport("x", 1, 0, True, None, Fraction(0))
+    # existence is read off e(S+), so no report can contradict it
+    assert not CensusReport("x", 1, 0, None, Fraction(0)).exists
+    assert CensusReport("y", 0, -2, 1, Fraction(0)).exists
 
 
 def test_bundled_catalogue_loads():

@@ -6,12 +6,14 @@ import json
 import subprocess
 import sys
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import spinkit
 import spinkit.cli as cli
+from spinkit.census import MAX_CHAR_NUMBER
 from spinkit.cli import main
 from spinkit.errors import TorsorError
 from spinkit.torsor import DifferenceTable
@@ -270,6 +272,21 @@ def _record(**override):
         pytest.param(["cohomology", "{file}", "--degree", "0"],
                      '{"cells": [1, 1], "boundary": {"1": [[' + "7" * 5001 + ']]}}',
                      "5001 digits", id="cohomology-long-literal"),
+        # 4300-digit characteristic numbers whose e(S+) or A-hat would not print
+        pytest.param(["census", "{file}", "--format", "structured"],
+                     _record(p1_sq=10**4300 - 12, p2=-(10**4300 - 1), h8_z2_dim=0),
+                     "bad-record: |p1_sq|, |p2| and |euler| must be below 10^4298",
+                     id="census-4300-digits-structured"),
+        pytest.param(["census", "{file}"],
+                     _record(p1_sq=10**4300 - 11, p2=-(10**4300 - 1), h8_z2_dim=0),
+                     "bad-record: |p1_sq|, |p2| and |euler| must be below 10^4298",
+                     id="census-4300-digits-text"),
+        # 4300-digit coprime entries: H^1 = Z/AB has 8599 digits
+        *(pytest.param(["cohomology", "{file}", "--degree", "1", "--format", fmt],
+                       '{"cells": [2, 2], "boundary": {"1": [[%d, 0], [0, %d]]}}'
+                       % (10**4299 + 1, 10**4299 + 2),
+                       "H^1 has a torsion order too long to print", id=f"cohomology-long-torsion-{fmt}")
+          for fmt in ("text", "structured")),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
@@ -281,6 +298,30 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
     assert named in err
     assert text is None or str(path) in err
     assert "Traceback" not in err and out == ""
+
+
+def test_characteristic_numbers_at_the_bound_print(capsys, tmp_path):
+    """At |p1_sq|, |p2|, |euler| = MAX_CHAR_NUMBER the 13-fold numerator of
+    e(S+) still prints, in both formats and in the rejection message."""
+    top = MAX_CHAR_NUMBER
+    path = tmp_path / "cat.json"
+    path.write_text(_record(name="at-bound", p1_sq=top - 3, p2=-top, euler=-top, h8_z2_dim=0))
+    e_plus = (3 - 13 * top) // 16
+    assert 16 * e_plus == 3 - 13 * top
+    code, out, err = run_cli(capsys, "census", str(path), "--format", "structured")
+    assert code == 0, err
+    row = json.loads(out)["manifolds"][0]
+    assert row["e_s_plus"] == str(e_plus) and row["e_s_minus"] == str(e_plus + top)
+    assert row["ahat"] == str(Fraction(11 * top - 21, 5760))
+    code, out, err = run_cli(capsys, "census", str(path))
+    assert code == 0, err
+    assert f"at-bound                 {e_plus}  false            -" in out
+    # the rejected numerator 2 - 13 top has 4300 digits, the most that print
+    path.write_text(_record(name="at-bound", p1_sq=top - 2, p2=-top, euler=-top, h8_z2_dim=0))
+    code, out, err = run_cli(capsys, "census", str(path))
+    assert code == 2 and out == ""
+    assert f"at-bound: e(S+) = {2 - 13 * top}/16 is not an integer" in err
+    assert len(str(13 * top - 2)) == 4300
 
 
 def test_package_imports_with_the_standard_library_only():
@@ -323,11 +364,6 @@ def test_public_names_resolve():
         assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
-# the cochain algebra that ROADMAP item 2's second stage builds on; it is
-# kept, with only tests calling it, until that stage decides what it uses
-_DEFERRED_TO_ITEM_2 = {"IntervalCochainBasis", "PI7_S7", "PI8_S7", "cross_with_interval"}
-
-
 def test_every_module_level_name_is_used():
     """Each module-level def, class or constant in the package is read in the
     package or the benchmark outside its own definition, so no API survives
@@ -363,10 +399,7 @@ def test_every_module_level_name_is_used():
                 ]
                 if not outside and not name.startswith("__"):
                     unused.append((path.stem, name))
-    allowed = _DEFERRED_TO_ITEM_2 | set(spinkit.__all__)
-    assert [f"{m}.{n}" for m, n in unused if n not in allowed] == []
-    # the allowlist names nothing that has since found a caller or gone
-    assert {n for _, n in unused} >= _DEFERRED_TO_ITEM_2
+    assert [f"{m}.{n}" for m, n in unused if n not in spinkit.__all__] == []
 
 
 def test_usage_error_exit_code():

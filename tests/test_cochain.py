@@ -1,4 +1,4 @@
-"""Relative cochain algebra: coboundaries, cylinders, difference cochains."""
+"""Relative cochain algebra: coboundaries, products of pairs, cylinders, difference cochains."""
 
 import random
 
@@ -10,20 +10,23 @@ from spinkit.cwcomplex import (
     CWPairComplex,
     Cochain,
     CoefficientGroup,
-    IntervalCochainBasis,
-    PI7_S7,
-    PI8_S7,
-    Z2_COEFF,
+    INTERVAL_PAIR,
     Z_COEFF,
     coboundary,
-    cross_with_interval,
     difference_cochain,
-    interval_complex,
+    pair_product,
     product_with_interval,
     relative_cohomology,
 )
 from spinkit.errors import ComplexValidationError, DimensionMismatchError, ResidueError
-from conftest import dense_pair_check, rank_mod_p, uncached_relative_cohomology
+from spinkit.fileio import data_path, load_complex
+from conftest import (
+    block_cylinder,
+    cross_with_interval,
+    dense_pair_check,
+    rank_mod_p,
+    uncached_relative_cohomology,
+)
 
 
 def disk8_pair():
@@ -36,8 +39,10 @@ def disk8_pair():
 
 
 def test_named_coefficient_groups():
-    assert PI7_S7.modulus == 0 and str(PI7_S7) == "Z"
-    assert PI8_S7.modulus == 2 and str(PI8_S7) == "Z/2"
+    assert Z_COEFF.modulus == 0 and str(Z_COEFF) == "Z"
+    assert str(CoefficientGroup(2)) == "Z/2"
+    with pytest.raises(ValueError):
+        CoefficientGroup(-2)
 
 
 def test_complex_validation():
@@ -78,9 +83,13 @@ def test_boolean_and_integer_flags_agree():
 
 
 def test_interval_generators():
-    basis = IntervalCochainBasis.standard()
-    assert coboundary(basis.zero_bar) == -basis.i_bar
-    assert coboundary(basis.one_bar) == basis.i_bar
+    """On (I, dI): delta 0-bar = -I-bar and delta 1-bar = I-bar, and only
+    the 1-cell is relative."""
+    zero_bar, one_bar = (Cochain(INTERVAL_PAIR, 0, Z_COEFF, v) for v in ((1, 0), (0, 1)))
+    i_bar = Cochain(INTERVAL_PAIR, 1, Z_COEFF, (1,))
+    assert coboundary(zero_bar) == -i_bar
+    assert coboundary(one_bar) == i_bar
+    assert INTERVAL_PAIR.relative_indices(0) == [] and INTERVAL_PAIR.relative_indices(1) == [0]
 
 
 def test_coboundary_squares_to_zero(random_pair_complex):
@@ -90,7 +99,7 @@ def test_coboundary_squares_to_zero(random_pair_complex):
         k = rng.randint(0, cx.dim - 2)
         c = Cochain(cx, k, Z_COEFF, tuple(rng.randint(-5, 5) for _ in range(cx.cell_count(k))))
         assert coboundary(coboundary(c)).is_zero()
-        c2 = Cochain(cx, k, Z2_COEFF, tuple(rng.randint(0, 1) for _ in range(cx.cell_count(k))))
+        c2 = Cochain(cx, k, CoefficientGroup(2), tuple(rng.randint(0, 1) for _ in range(cx.cell_count(k))))
         assert coboundary(coboundary(c2)).is_zero()
     for _ in range(5):  # larger instances, up to two hundred cells
         cx = random_pair_complex(rng, max_pieces=95, dim=8)
@@ -122,7 +131,7 @@ def test_relative_cohomology_examples():
     point = CWPairComplex([1], name="point")
     assert str(relative_cohomology(point, 0, Z_COEFF)) == "Z"
     d8 = disk8_pair()
-    assert str(relative_cohomology(d8, 8, Z2_COEFF)) == "Z/2"
+    assert str(relative_cohomology(d8, 8, CoefficientGroup(2))) == "Z/2"
     assert str(relative_cohomology(d8, 8, Z_COEFF)) == "Z"
     assert str(relative_cohomology(d8, 7, Z_COEFF)) == "0"
     s7 = CWPairComplex([1, 0, 0, 0, 0, 0, 0, 1], name="S7")
@@ -130,7 +139,7 @@ def test_relative_cohomology_examples():
     # torsion + universal coefficients on a projective-plane-like complex
     rp2 = CWPairComplex([1, 1, 1], boundary={1: [[0]], 2: [[2]]})
     assert str(relative_cohomology(rp2, 2, Z_COEFF)) == "Z/2"
-    assert str(relative_cohomology(rp2, 1, Z2_COEFF)) == "Z/2"
+    assert str(relative_cohomology(rp2, 1, CoefficientGroup(2))) == "Z/2"
     assert str(relative_cohomology(rp2, 1, CoefficientGroup(3))) == "0"
 
 
@@ -181,6 +190,67 @@ def test_product_with_interval_counts_and_subcomplex(random_pair_complex):
         # relative cells of the cylinder pair are exactly (X \ Y) x interval
         for k in range(prod.dim + 1):
             assert len(prod.relative_indices(k)) == len(cx.relative_indices(k - 1))
+
+
+def test_product_with_interval_matches_block_oracle(random_pair_complex):
+    """The product (X, Y) x (I, dI) equals the cylinder placed block by
+    block, signs and subcomplex included, on every test complex.  A sign
+    flip of the form +-(-1)^|a| keeps dd = 0, so only this comparison
+    catches it."""
+    rng = random.Random(13)
+    fixed = [
+        CWPairComplex([]),
+        CWPairComplex([1], name="point"),
+        CWPairComplex([2, 1], {1: [[-1], [1]]}),
+        CWPairComplex([1, 1, 1], boundary={1: [[0]], 2: [[2]]}),
+        disk8_pair(),
+        *(load_complex(data_path(f)) for f in ("disk8_rel_sphere7.json", "point.json")),
+    ]
+    randoms = [random_pair_complex(rng, max_pieces=rng.randint(2, 12), dim=rng.randint(0, 8)) for _ in range(150)]
+    for cx in fixed + randoms:
+        assert product_with_interval(cx) == block_cylinder(cx), cx.cells
+    assert product_with_interval(disk8_pair()).name == "(D8, S7) x I"
+    assert product_with_interval(CWPairComplex([1])).name == "cylinder"
+
+
+def test_pair_product_of_two_intervals():
+    """(I, dI) x (I, dI) by hand: 1-cells [I x 0, I x 1, 0 x I, 1 x I] and
+    d(I x I) = dI x I - I x dI = 1 x I - 0 x I - I x 1 + I x 0."""
+    square = pair_product(INTERVAL_PAIR, INTERVAL_PAIR)
+    assert square.cells == [4, 4, 1]
+    assert square.boundary[2] == [[1], [-1], [-1], [1]]
+    # 0-cells [0 x 0, 1 x 0, 0 x 1, 1 x 1]
+    assert square.boundary[1] == [[-1, 0, -1, 0], [1, 0, 0, -1], [0, -1, 1, 0], [0, 1, 0, 1]]
+    assert square.sub == {0: [True] * 4, 1: [True] * 4, 2: [False]}
+    assert [str(relative_cohomology(square, k, Z_COEFF)) for k in range(3)] == ["0", "0", "Z"]
+
+
+def test_pair_product_kunneth(random_pair_complex):
+    """Over a field F_p, dim H^n(P x Q) = sum_i dim H^i(P) dim H^(n-i)(Q)."""
+
+    def betti(cx, k, p):
+        group = relative_cohomology(cx, k, CoefficientGroup(p))
+        return group.free_rank + len(group.torsion)
+
+    rng = random.Random(14)
+    for _ in range(60):
+        dp = rng.randint(0, 6)
+        p_cx = random_pair_complex(rng, max_pieces=6, dim=dp)
+        q_cx = random_pair_complex(rng, max_pieces=6, dim=rng.randint(0, min(5, 9 - dp)))
+        prod = pair_product(p_cx, q_cx)
+        assert prod.dim == p_cx.dim + q_cx.dim <= 9
+        for p in (2, 3):
+            for n in range(prod.dim + 1):
+                want = sum(betti(p_cx, i, p) * betti(q_cx, n - i, p) for i in range(n + 1))
+                assert betti(prod, n, p) == want, (p_cx.cells, q_cx.cells, n, p)
+
+
+def test_pair_product_dimension_cap():
+    assert pair_product(CWPairComplex([1] * 5), CWPairComplex([1] * 6)).dim == 9
+    with pytest.raises(ComplexValidationError, match="dimensions 0..9"):
+        pair_product(CWPairComplex([1] * 6), CWPairComplex([1] * 6))
+    with pytest.raises(ComplexValidationError, match="dimensions 0..9"):
+        product_with_interval(CWPairComplex([1] * 10))
 
 
 def test_cross_product_identities(random_pair_complex):
@@ -247,7 +317,7 @@ def test_difference_cochain_law(random_pair_complex, consistent_difference_input
         m = rng.randint(2, cx.dim - 1)
         if cx.cell_count(m) + cx.cell_count(m - 1) == 0:
             continue
-        coeff = rng.choice([Z_COEFF, Z2_COEFF])
+        coeff = rng.choice([Z_COEFF, CoefficientGroup(2)])
         o_hat, o0, o1 = consistent_difference_inputs(cx, m, rng, coeff)
         assert coboundary(o_hat).is_zero()
         d = difference_cochain(o_hat, o0, o1)
@@ -271,7 +341,7 @@ def test_difference_cochain_residue_errors(random_pair_complex, consistent_diffe
     with pytest.raises(DimensionMismatchError):
         difference_cochain(o_hat, o0, Cochain.zero(cx, 2, Z_COEFF))
     # degree 0: there is no degree -1 cochain to return
-    interval = interval_complex()
+    interval = CWPairComplex([2, 1], {1: [[-1], [1]]})
     o = Cochain.zero(interval, 0, Z_COEFF)
     with pytest.raises(DimensionMismatchError, match="degree >= 1"):
         difference_cochain(Cochain.zero(product_with_interval(interval), 0, Z_COEFF), o, o)
@@ -322,7 +392,7 @@ def test_one_smith_diagonal_per_degree(random_pair_complex, monkeypatch):
         return real(rows)
 
     rng = random.Random(12)
-    coefficients = (Z_COEFF, Z2_COEFF, CoefficientGroup(3))
+    coefficients = (Z_COEFF, CoefficientGroup(2), CoefficientGroup(3))
     for _ in range(15):
         cx = random_pair_complex(rng, max_pieces=12, dim=rng.randint(0, 6))
         want = [uncached_relative_cohomology(cx, k, c) for c in coefficients for k in range(-1, cx.dim + 2)]
