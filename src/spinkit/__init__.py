@@ -20,10 +20,7 @@ All algebraic identities are checked in exact rational arithmetic.
 from .multivector import (
     Multivector,
     chiral_projectors,
-    geometric_product,
-    grade_involution,
     p_iso,
-    reverse,
     volume_element,
 )
 from .spingroup import (
@@ -39,9 +36,6 @@ from .spingroup import (
 
 __all__ = [
     "Multivector",
-    "geometric_product",
-    "grade_involution",
-    "reverse",
     "p_iso",
     "volume_element",
     "chiral_projectors",

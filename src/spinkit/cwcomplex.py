@@ -9,7 +9,11 @@ difference-cochain decomposition compare the two end blocks of a cylinder
 cochain with the end cochains before reading off the interval component.
 
 Complexes are immutable: validated once, at construction, never changed
-afterwards.  Each pair keeps the one cylinder X x I that
+afterwards.  The constructor reads each boundary matrix once, into the
+nonzero (row, entry) columns of d_k that the pair keeps; the dd = 0 and
+closed-Y checks, :func:`pair_product` and :func:`coboundary` read those
+columns, while the dense ``boundary`` stays the public and file form.
+Each pair also keeps the one cylinder X x I that
 :func:`product_with_interval` builds and validates for it, and the one
 Smith diagonal of each coboundary delta_k that :func:`relative_cohomology`
 reads for H^k and H^(k+1) over every coefficient group.
@@ -40,6 +44,8 @@ class CoefficientGroup:
     modulus: int
 
     def __post_init__(self):
+        if type(self.modulus) is not int:
+            raise TypeError(f"modulus must be an integer, not {self.modulus!r}")
         if self.modulus < 0:
             raise ValueError("modulus must be >= 0 (0 meaning Z)")
 
@@ -51,10 +57,6 @@ class CoefficientGroup:
 
 
 Z_COEFF = CoefficientGroup(0)
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class CWPairComplex:
@@ -73,7 +75,7 @@ class CWPairComplex:
         name: str = "",
     ):
         if not isinstance(cells, list) or len(cells) > MAX_DIMENSION or not all(
-            _is_int(c) and c >= 0 for c in cells
+            type(c) is int and c >= 0 for c in cells
         ):
             raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
         if not isinstance(name, str):
@@ -82,6 +84,8 @@ class CWPairComplex:
         self.dim = len(self.cells) - 1
         self.name = name
         self.boundary: dict[int, list[list[int]]] = {}
+        # _columns[k][j]: the nonzero (row, entry) pairs of column j of d_k
+        self._columns: list[list[list[tuple[int, int]]]] = [[[] for _ in range(self.cell_count(0))]]
         boundary = boundary or {}
         sub = sub or {}
         if not set(boundary) | set(sub) <= set(range(self.dim + 1)) or 0 in boundary:
@@ -95,9 +99,15 @@ class CWPairComplex:
                 isinstance(r, list) and len(r) == cols for r in matrix
             ):
                 raise ComplexValidationError(f"boundary matrix in degree {k} must be {rows}x{cols}")
-            if not all(_is_int(x) for r in matrix for x in r):
-                raise ComplexValidationError(f"boundary matrix in degree {k} must hold integers")
+            columns: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+            for i, r in enumerate(matrix):
+                for j, x in enumerate(r):
+                    if type(x) is not int:
+                        raise ComplexValidationError(f"boundary matrix in degree {k} must hold integers")
+                    if x:
+                        columns[j].append((i, x))
             self.boundary[k] = [list(r) for r in matrix]
+            self._columns.append(columns)
         self.sub: dict[int, list[bool]] = {}
         for k in range(0, self.dim + 1):
             flags = sub.get(k, [0] * self.cells[k])
@@ -111,23 +121,20 @@ class CWPairComplex:
         self._diagonals: dict[int, list[int]] = {}
 
     def _validate(self) -> None:
-        # column j of d_k d_(k+1) is the sum of x * (column t of d_k) over x = d_(k+1)[t][j] != 0
+        # column j of d_k d_(k+1): the sum of x * (column t of d_k) over (t, x) in column j of d_(k+1)
         for k in range(1, self.dim):
-            a, b = self.boundary[k], self.boundary[k + 1]
-            if not a:
-                continue
-            a_cols = [[(i, y) for i, y in enumerate(col) if y] for col in zip(*a)]
-            for col in zip(*b):
-                acc = [0] * len(a)
-                for t, x in enumerate(col):
-                    if x:
-                        for i, y in a_cols[t]:
-                            acc[i] += x * y
-                if any(acc):
+            a_cols = self._columns[k]
+            for col in self._columns[k + 1]:
+                acc: dict[int, int] = {}
+                for t, x in col:
+                    for i, y in a_cols[t]:
+                        acc[i] = acc.get(i, 0) + x * y
+                if any(acc.values()):
                     raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
         for k in range(1, self.dim + 1):
-            for col, in_y in zip(zip(*self.boundary[k]), self.sub[k]):
-                if in_y and any(x and not y for x, y in zip(col, self.sub[k - 1])):
+            below = self.sub[k - 1]
+            for col, in_y in zip(self._columns[k], self.sub[k]):
+                if in_y and not all(below[i] for i, _ in col):
                     raise ComplexValidationError("subcomplex is not closed under the boundary")
 
     def __eq__(self, other: object) -> bool:
@@ -182,9 +189,10 @@ class Cochain:
             raise DimensionMismatchError(
                 f"expected {expected} values in degree {self.degree}, got {len(self.values)}"
             )
-        object.__setattr__(
-            self, "values", tuple(self.coefficients.reduce(int(v)) for v in self.values)
-        )
+        for v in self.values:
+            if type(v) is not int:
+                raise TypeError(f"cochain values must be integers, not {v!r}")
+        object.__setattr__(self, "values", tuple(map(self.coefficients.reduce, self.values)))
 
     @classmethod
     def zero(cls, complex: CWPairComplex, degree: int, coefficients: CoefficientGroup) -> "Cochain":
@@ -235,11 +243,9 @@ def coboundary(c: Cochain) -> Cochain:
     k = c.degree
     if k + 1 > cx.dim:
         raise DimensionMismatchError("coboundary would exceed the complex dimension")
-    b = cx.boundary[k + 1]
-    out = [
-        sum(b[i][j] * c.values[i] for i in range(cx.cells[k])) for j in range(cx.cells[k + 1])
-    ]
-    return Cochain(cx, k + 1, c.coefficients, tuple(out))
+    v = c.values
+    out = tuple(sum(x * v[i] for i, x in col) for col in cx._columns[k + 1])
+    return Cochain(cx, k + 1, c.coefficients, out)
 
 
 def _coboundary_diagonal(cx: CWPairComplex, k: int) -> list[int]:
@@ -267,14 +273,6 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 
 
-def _sparse_columns(cx: CWPairComplex) -> list[list[list[tuple[int, int]]]]:
-    """cols[k][a]: the nonzero (row, entry) pairs of column a of d_k."""
-    return [
-        [[(r, row[a]) for r, row in enumerate(cx.boundary.get(k, [])) if row[a]] for a in range(n)]
-        for k, n in enumerate(cx.cells)
-    ]
-
-
 def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) -> CWPairComplex:
     """The product pair (X, A) x (Y, B) = (X x Y, X x B u A x Y).
 
@@ -292,7 +290,7 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
         starts.append(dict(zip(blocks, accumulate(sizes, initial=0))))
     boundary = {k: [[0] * cells[k] for _ in range(cells[k - 1])] for k in range(1, dim + 1)}
     sub = {k: [False] * cells[k] for k in range(dim + 1)}
-    p_cols, q_cols = _sparse_columns(p), _sparse_columns(q)
+    p_cols, q_cols = p._columns, q._columns
     for k in range(dim + 1):
         for (j, b), col0 in starts[k].items():
             i = k - j

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from . import exactlinalg as la
 from .errors import (
@@ -43,6 +44,7 @@ from .errors import (
 from .multivector import Multivector, blade_grade, p_iso, volume_element
 from .spingroup import (
     RotationMatrix,
+    SkewMatrix,
     SpinElement,
     lie_lift,
     lift_rotation,
@@ -357,15 +359,11 @@ def d_delta7(rep: GammaRep, x: Multivector) -> Matrix:
 
 def d_iota_plus(rep: GammaRep, x: Multivector) -> Multivector:
     """Differential of iota_plus: the so(8) bivector with d(Ad) image d_delta7(x)."""
-    from .spingroup import SkewMatrix
-
     return lie_lift(SkewMatrix(d_delta7(rep, x)))
 
 
 def _normalize_line(v: Vector) -> Vector:
     """Scale a rational vector to primitive integers with positive lead."""
-    from math import gcd, lcm
-
     den = lcm(*(c.denominator for c in v)) if any(v) else 1
     ints = [int(c * den) for c in v]
     g = gcd(*ints) if any(ints) else 1
@@ -462,7 +460,7 @@ def omega8_element() -> SpinElement:
     return SpinElement(volume_element(8), check=False)
 
 
-# re-export for callers that want the matrices directly
+# public names of the module: the representation, its embeddings and checks
 __all__ = [
     "GammaRep",
     "Spinor",

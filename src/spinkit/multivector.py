@@ -186,16 +186,15 @@ class Multivector:
     def vector_components(self) -> tuple[Fraction, ...]:
         return tuple(self.terms.get(1 << i, Fraction(0)) for i in range(self.n))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def grade_involution(self) -> "Multivector":
+        """Blade of grade k scaled by (-1)^k; splits Cl into even/odd parts."""
         return Multivector._trusted(
             self.n,
             {m: -c if blade_grade(m) & 1 else c for m, c in self.terms.items()},
         )
 
     def reverse(self) -> "Multivector":
+        """Anti-automorphism scaling a grade-k blade by (-1)^(k(k-1)/2)."""
         terms = {}
         for m, c in self.terms.items():
             k = blade_grade(m)
@@ -236,20 +235,6 @@ def integer_vector_part(n: int, a: Iterable[tuple[int, int]], b: Mapping[int, in
             else:
                 acc[i] += ca * cb
     return acc
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def grade_involution(a: Multivector) -> Multivector:
-    """Blade of grade k scaled by (-1)^k; splits Cl into even/odd parts."""
-    return a.grade_involution()
-
-
-def reverse(a: Multivector) -> Multivector:
-    """Anti-automorphism scaling a grade-k blade by (-1)^(k(k-1)/2)."""
-    return a.reverse()
 
 
 def p_iso(a: Multivector) -> Multivector:

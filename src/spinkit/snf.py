@@ -18,7 +18,11 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
     Zero diagonal entries are dropped; the result lists the nontrivial
     elementary divisors (possibly 1s) of the matrix.
     """
-    a = [list(map(int, r)) for r in rows]
+    a = [list(r) for r in rows]
+    for r in a:
+        if not set(map(type, r)) <= {int}:
+            bad = next(x for x in r if type(x) is not int)
+            raise TypeError(f"Smith normal form needs integer entries, not {bad!r}")
     m = len(a)
     n = len(a[0]) if m else 0
     diag: list[int] = []

@@ -1,6 +1,8 @@
 """Relative cochain algebra: coboundaries, products of pairs, cylinders, difference cochains."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -69,11 +71,36 @@ def test_complex_validation():
         ([1], None, {3: [1]}),  # degree beyond the dimension
         ([1, 1], {2: [[1]]}, None),
         ([1, 1], {1: 5}, None),
+        ([1, 1], {1: [[0.0]]}, None),  # zero entries are type-checked too
+        ([1, 1], {1: [[False]]}, None),
     ],
 )
 def test_complex_entry_types(cells, boundary, sub):
     with pytest.raises(ComplexValidationError):
         CWPairComplex(cells, boundary, sub)
+
+
+def _interval_cochain(v):
+    return Cochain(INTERVAL_PAIR, 0, CoefficientGroup(2), (1, v))
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (_interval_cochain, 0.5),
+        (_interval_cochain, 1.0),
+        (_interval_cochain, Fraction(3, 2)),
+        (_interval_cochain, "3"),
+        (_interval_cochain, True),
+        (CoefficientGroup, 2.5),
+        (CoefficientGroup, True),
+        (CoefficientGroup, "2"),
+    ],
+    ids=lambda x: getattr(x, "__name__", repr(x)),
+)
+def test_integer_entry_points_reject_other_types(build, bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        build(bad)
 
 
 def test_boolean_and_integer_flags_agree():
@@ -107,6 +134,27 @@ def test_coboundary_squares_to_zero(random_pair_complex):
         k = rng.randint(0, cx.dim - 2)
         c = Cochain(cx, k, Z_COEFF, tuple(rng.randint(-5, 5) for _ in range(cx.cell_count(k))))
         assert coboundary(coboundary(c)).is_zero()
+
+
+def test_coboundary_matches_dense_oracle(random_pair_complex):
+    """delta c on random pairs, their cylinders and products: the reduced
+    dense product of c with the columns of the boundary matrix d_(k+1)."""
+    rng = random.Random(12)
+    for trial in range(60):
+        cx = random_pair_complex(rng, max_pieces=8, dim=4)
+        if trial % 3 == 1:
+            cx = product_with_interval(cx)
+        elif trial % 3 == 2:
+            cx = pair_product(cx, random_pair_complex(rng, max_pieces=4, dim=2))
+        for coeff in (Z_COEFF, CoefficientGroup(2), CoefficientGroup(3)):
+            for k in range(cx.dim):
+                values = tuple(rng.randint(-5, 5) for _ in range(cx.cell_count(k)))
+                b = cx.boundary[k + 1]
+                want = [
+                    coeff.reduce(sum(b[i][j] * values[i] for i in range(cx.cells[k])))
+                    for j in range(cx.cells[k + 1])
+                ]
+                assert list(coboundary(Cochain(cx, k, coeff, values)).values) == want
 
 
 def test_coboundary_degree_guard():

@@ -1,6 +1,8 @@
 """Smith normal form and abelian group descriptors."""
 
 import random
+import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -19,6 +21,12 @@ def test_smith_diagonal_known_values():
     assert smith_diagonal([[0, 0], [0, 0]]) == []
     assert smith_diagonal([[6]]) == [6]
     assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+
+
+@pytest.mark.parametrize("bad", [2.5, "4", Fraction(4), True], ids=repr)
+def test_smith_diagonal_rejects_non_integers(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        smith_diagonal([[2, 0], [0, bad]])
 
 
 def test_smith_divisibility_chain_and_determinant():
