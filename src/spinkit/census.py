@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CensusDataError, TorsorError
-from .torsor import FiniteAbelianGroup, regular_difference_table, verify_difference_axioms
+from .torsor import (
+    MAX_TORSOR_ORDER,
+    FiniteAbelianGroup,
+    regular_difference_table,
+    verify_difference_axioms,
+)
 
 NEGATIVE_CHIRALITY_CONVENTION = "e(S-) = e(S+) - e(TW)"
 
@@ -136,6 +141,15 @@ class CensusReport:
         return self.e_s_plus == 0
 
 
+def _structure_count(d: ManifoldCharData) -> int | str | None:
+    """The count that census_report prints and torsor_size_cross_check checks."""
+    if euler_positive_spinor(d) != 0:
+        return None
+    if d.h7_rel_rank > 0:
+        return "undetermined"
+    return 2**d.h8_z2_dim
+
+
 def census_report(d: ManifoldCharData) -> CensusReport:
     """Full per-manifold report with the structure count and a conditional
     holonomy note.
@@ -147,19 +161,13 @@ def census_report(d: ManifoldCharData) -> CensusReport:
     """
     e_plus = euler_positive_spinor(d)
     exists = e_plus == 0
-    if not exists:
-        count = None
-    elif d.h7_rel_rank > 0:
-        count = "undetermined"
-    else:
-        count = 2**d.h8_z2_dim
     holonomy = holonomy_from_ahat(d) if exists else None
     note = f"holonomy {holonomy} if a torsion-free structure exists" if holonomy else ""
     return CensusReport(
         name=d.name,
         e_s_plus=e_plus,
         e_s_minus=e_plus - d.euler,
-        count=count,
+        count=_structure_count(d),
         ahat=ahat_genus(d),
         holonomy_note=note,
     )
@@ -168,13 +176,20 @@ def census_report(d: ManifoldCharData) -> CensusReport:
 def torsor_size_cross_check(d: ManifoldCharData) -> bool:
     """Cross-check the census count against the torsor module on (Z/2)^h8_z2_dim.
 
-    Raises when no Spin(7)-structure exists, as there is no count to check.
+    Raises when no Spin(7)-structure exists, as there is no count to check,
+    and when 2^h8_z2_dim is over MAX_TORSOR_ORDER, past which the exhaustive
+    table (4^h8_z2_dim entries) is not built.
     """
-    expected = census_report(d).count
+    expected = _structure_count(d)
     if expected is None:
         raise CensusDataError(f"{d.name}: no Spin(7)-structure exists (e(S+) != 0)")
     if not isinstance(expected, int):
         return True
+    if expected > MAX_TORSOR_ORDER:
+        raise CensusDataError(
+            f"{d.name}: the cross-check's group (Z/2)^{d.h8_z2_dim} has order "
+            f"2^{d.h8_z2_dim}, over the exhaustive torsor cap of {MAX_TORSOR_ORDER}"
+        )
     group = FiniteAbelianGroup((2,) * d.h8_z2_dim)
     table = regular_difference_table(group)
     try:

@@ -26,6 +26,7 @@ from .cwcomplex import Z_COEFF, CoefficientGroup, relative_cohomology
 from .errors import SpinkitError, TorsorError
 from .fileio import BUNDLED_CATALOGUE, data_path, load_catalogue, load_complex
 from .torsor import (
+    MAX_TORSOR_ORDER,
     abelian_groups_up_to,
     action_from_difference,
     difference_from_action,
@@ -141,8 +142,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_torsor_check(args) -> int:
-    if not 1 <= args.max_order <= 64:
-        raise SpinkitError("--max-order must be between 1 and 64")
+    if not 1 <= args.max_order <= MAX_TORSOR_ORDER:
+        raise SpinkitError(f"--max-order must be between 1 and {MAX_TORSOR_ORDER}")
     results = []
     for group in abelian_groups_up_to(args.max_order):
         table = regular_difference_table(group)

@@ -23,16 +23,29 @@ every row is a translate of the bijection D(b, .), which is (c).  For an
 action, write x = h_x.b: then k.(h.x) = (h_x + h + k).b = (h + k).x, the
 orbit h -> (h_x + h).b is a bijection, and 0.x = (h_x + 0).b = x, at
 every x.
+
+All group arithmetic is read off one subtraction table per group,
+``FiniteAbelianGroup.differences`` (a -> {b: a - b}), built once per group
+instance and cached: the regular table reads D(x, y) = y - x from it, the
+cocycle step reads D(b, z) - D(b, y) from the row of D(b, z), and the
+compatibility step reads h + k = h - (-k), with -k taken from the row of
+zero.  A check of one group therefore builds its |H|^2 differences once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import TorsorError
 
 Element = tuple[int, ...]
+
+# The largest group order whose torsor tables are built exhaustively, by
+# torsor-check and by the census cross-check; an order-n group's tables
+# have n^2 entries each.
+MAX_TORSOR_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -42,7 +55,10 @@ class FiniteAbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
+        object.__setattr__(self, "orders", tuple(self.orders))
+        for m in self.orders:
+            if type(m) is not int:
+                raise TypeError(f"cyclic orders must be integers, not {m!r}")
         if any(m < 1 for m in self.orders):
             raise ValueError("cyclic orders must be positive")
 
@@ -59,14 +75,18 @@ class FiniteAbelianGroup:
     def elements(self) -> list[Element]:
         return list(product(*(range(m) for m in self.orders)))
 
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % m for x, m in zip(a, self.orders))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
+    @cached_property
+    def differences(self) -> dict[Element, dict[Element, Element]]:
+        """The subtraction table a -> {b: a - b}, rows and keys in the order of elements()."""
+        elements = self.elements()
+        # with b in product order, a - b runs over the product of the
+        # columns (a_i - t) mod m_i, t = 0 .. m_i - 1
+        return {
+            a: dict(zip(elements, product(*(
+                [(x - t) % m for t in range(m)] for x, m in zip(a, self.orders)
+            ))))
+            for a in elements
+        }
 
     def __str__(self) -> str:
         if self.order() == 1:
@@ -109,20 +129,22 @@ def verify_difference_axioms(d: DifferenceTable) -> None:
     if len(d.carrier) != g.order():
         raise TorsorError(f"carrier size {len(d.carrier)} != group order {g.order()}")
     b = d.carrier[0]
-    if {d.difference(b, y) for y in d.carrier} != set(g.elements()):
+    base = {y: d.table[(b, y)] for y in d.carrier}
+    if set(base.values()) != set(g.elements()):
         raise TorsorError(f"D({b}, .) is not a bijection onto the group")
-    for y, z in product(d.carrier, repeat=2):
-        if d.difference(y, z) != g.sub(d.difference(b, z), d.difference(b, y)):
-            raise TorsorError(f"cocycle fails at ({b},{y},{z})")
+    # D(b, z) - D(b, y) is the entry D(b, y) of the row of D(b, z)
+    base_rows = [(z, g.differences[base[z]]) for z in d.carrier]
+    for y in d.carrier:
+        h = base[y]
+        for z, row in base_rows:
+            if d.table[(y, z)] != row[h]:
+                raise TorsorError(f"cocycle fails at ({b},{y},{z})")
 
 
 def action_from_difference(d: DifferenceTable) -> ActionTable:
     """The action h . x = (the unique y with D(x, y) = h)."""
     verify_difference_axioms(d)
-    table: dict[tuple[Element, str], str] = {}
-    for x in d.carrier:
-        for y in d.carrier:
-            table[(d.difference(x, y), x)] = y
+    table = {(d.table[(x, y)], x): y for x in d.carrier for y in d.carrier}
     return ActionTable(d.group, d.carrier, table)
 
 
@@ -138,33 +160,34 @@ def _validate_action(a: ActionTable) -> None:
     if len(a.carrier) != g.order():
         raise TorsorError(f"carrier size {len(a.carrier)} != group order {g.order()}")
     b = a.carrier[0]
-    orbit = {a.act(h, b) for h in elements}
+    at_b = {h: a.table[(h, b)] for h in elements}
+    orbit = set(at_b.values())
     if len(orbit) != len(elements):
         raise TorsorError("action is not free")
     if orbit != set(a.carrier):
         raise TorsorError("action is not transitive")
-    for h, k in product(elements, repeat=2):
-        if a.act(k, a.act(h, b)) != a.act(g.add(h, k), b):
-            raise TorsorError("action is not compatible with addition")
+    # h + k = h - (-k), and -k is the entry k of the row of zero
+    negatives = list(g.differences[g.zero].items())
+    for h in elements:
+        row, x = g.differences[h], at_b[h]
+        for k, minus_k in negatives:
+            if a.table[(k, x)] != at_b[row[minus_k]]:
+                raise TorsorError("action is not compatible with addition")
 
 
 def difference_from_action(a: ActionTable) -> DifferenceTable:
     """D(x, y) = the unique h with y = h . x, for a free transitive action."""
     _validate_action(a)
-    table: dict[tuple[str, str], Element] = {}
-    for h, x in product(a.group.elements(), a.carrier):
-        table[(x, a.act(h, x))] = h
+    table = {(x, a.table[(h, x)]): h for h, x in product(a.group.elements(), a.carrier)}
     return DifferenceTable(a.group, a.carrier, table)
 
 
 def regular_difference_table(g: FiniteAbelianGroup) -> DifferenceTable:
     """The regular torsor: Gamma = H with D(x, y) = y - x."""
     labels = {e: "g" + "".join(str(c) for c in e) for e in g.elements()}
-    carrier = tuple(labels[e] for e in g.elements())
-    table = {
-        (labels[x], labels[y]): g.sub(y, x)
-        for x, y in product(g.elements(), repeat=2)
-    }
+    carrier = tuple(labels.values())
+    rows = [(labels[y], row) for y, row in g.differences.items()]
+    table = {(lx, ly): row[x] for x, lx in labels.items() for ly, row in rows}
     return DifferenceTable(g, carrier, table)
 
 

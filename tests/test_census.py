@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import spinkit.census as census
 from spinkit.census import (
     MAX_CHAR_NUMBER,
     MAX_H8_Z2_DIM,
@@ -17,6 +18,7 @@ from spinkit.census import (
 )
 from spinkit.errors import CensusDataError
 from spinkit.fileio import data_path, load_catalogue, load_complex
+from spinkit.torsor import MAX_TORSOR_ORDER
 
 
 def sphere8():
@@ -96,6 +98,23 @@ def test_counts():
     assert census_report(bounded).count == 1
     widest = ManifoldCharData("widest", 0, 0, 0, 0, MAX_H8_Z2_DIM, has_boundary=True)
     assert len(str(census_report(widest).count)) == 4300
+
+
+@pytest.mark.parametrize("h8_z2_dim", [7, 14, MAX_H8_Z2_DIM])
+def test_cross_check_refuses_groups_over_the_torsor_cap(monkeypatch, h8_z2_dim):
+    """2^h8_z2_dim over MAX_TORSOR_ORDER raises, naming the record and the cap,
+    before any table is built; 2^6 = 64 is still checked."""
+    def no_table(group):
+        raise AssertionError(f"built a table for {group}")
+
+    monkeypatch.setattr(census, "regular_difference_table", no_table)
+    wide = ManifoldCharData("wide", 0, 0, 0, 0, h8_z2_dim, has_boundary=True)
+    cap = rf"^wide: .*over the exhaustive torsor cap of {MAX_TORSOR_ORDER}$"
+    with pytest.raises(CensusDataError, match=cap):
+        torsor_size_cross_check(wide)
+    monkeypatch.undo()
+    assert MAX_TORSOR_ORDER == 64
+    assert torsor_size_cross_check(ManifoldCharData("at-cap", 0, 0, 0, 0, 6, has_boundary=True))
 
 
 def test_ahat_and_holonomy():

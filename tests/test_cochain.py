@@ -22,6 +22,7 @@ from spinkit.cwcomplex import (
 )
 from spinkit.errors import ComplexValidationError, DimensionMismatchError, ResidueError
 from spinkit.fileio import data_path, load_complex
+from spinkit.torsor import FiniteAbelianGroup
 from conftest import (
     block_cylinder,
     cross_with_interval,
@@ -84,6 +85,10 @@ def _interval_cochain(v):
     return Cochain(INTERVAL_PAIR, 0, CoefficientGroup(2), (1, v))
 
 
+def _cyclic_group(v):
+    return FiniteAbelianGroup((v, 2))
+
+
 @pytest.mark.parametrize(
     "build, bad",
     [
@@ -95,6 +100,9 @@ def _interval_cochain(v):
         (CoefficientGroup, 2.5),
         (CoefficientGroup, True),
         (CoefficientGroup, "2"),
+        (_cyclic_group, 2.7),
+        (_cyclic_group, True),
+        (_cyclic_group, "3"),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )

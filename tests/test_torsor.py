@@ -17,7 +17,13 @@ from spinkit.torsor import (
     regular_difference_table,
     verify_difference_axioms,
 )
-from conftest import all_points_difference_axioms, all_points_validate_action
+from conftest import (
+    all_points_difference_axioms,
+    all_points_validate_action,
+    group_add,
+    group_neg,
+    group_sub,
+)
 
 
 def test_singleton_trivial_torsor():
@@ -105,7 +111,7 @@ def test_antisymmetry_follows_from_axioms():
         d = regular_difference_table(group)
         for x in d.carrier:
             for y in d.carrier:
-                assert d.difference(x, y) == group.neg(d.difference(y, x))
+                assert d.difference(x, y) == group_neg(group, d.difference(y, x))
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,10 +124,21 @@ def test_group_arithmetic_laws(orders, seed):
     elements = g.elements()
     a = elements[seed % len(elements)]
     b = elements[(seed // 7) % len(elements)]
-    assert g.add(a, g.zero) == a
-    assert g.add(a, g.neg(a)) == g.zero
-    assert g.add(a, b) == g.add(b, a)
-    assert g.sub(a, b) == g.add(a, g.neg(b))
+    assert group_add(g, a, g.zero) == a
+    assert group_add(g, a, group_neg(g, a)) == g.zero
+    assert group_add(g, a, b) == group_add(g, b, a)
+    assert group_sub(g, a, b) == group_add(g, a, group_neg(g, b))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3))
+def test_subtraction_table_matches_componentwise_oracle(orders):
+    g = FiniteAbelianGroup(tuple(orders))
+    elements = g.elements()
+    assert list(g.differences) == elements
+    for a, row in g.differences.items():
+        assert list(row) == elements
+        assert all(row[b] == group_sub(g, a, b) for b in elements)
 
 
 def test_empty_carrier_rejected():
@@ -208,8 +225,8 @@ def _random_torsor(group, rng):
     carrier = tuple(f"p{i}" for i in rng.sample(range(len(elements)), len(elements)))
     f = dict(zip(carrier, rng.sample(elements, len(elements))))
     inverse = {h: x for x, h in f.items()}
-    difference = {(x, y): group.sub(f[y], f[x]) for x in carrier for y in carrier}
-    action = {(h, x): inverse[group.add(f[x], h)] for h in elements for x in carrier}
+    difference = {(x, y): group_sub(group, f[y], f[x]) for x in carrier for y in carrier}
+    action = {(h, x): inverse[group_add(group, f[x], h)] for h in elements for x in carrier}
     return DifferenceTable(group, carrier, difference), ActionTable(group, carrier, action)
 
 
