@@ -15,38 +15,42 @@ Subpackages are deliberately small and layered:
 * :mod:`spinkit.cli`       -- the `spinkit` command.
 
 All algebraic identities are checked in exact rational arithmetic.
+
+The names in ``__all__`` are re-exported from :mod:`spinkit.multivector` and
+:mod:`spinkit.spingroup`; each resolves on first use, so importing the
+package loads none of its submodules.
 """
 
-from .multivector import (
-    Multivector,
-    chiral_projectors,
-    p_iso,
-    volume_element,
-)
-from .spingroup import (
-    RotationMatrix,
-    SkewMatrix,
-    SpinElement,
-    adjoint_action,
-    lie_lift,
-    lift_rotation,
-    random_spin,
-    reflect,
-)
+from importlib import import_module
 
-__all__ = [
-    "Multivector",
-    "p_iso",
-    "volume_element",
-    "chiral_projectors",
-    "SpinElement",
-    "RotationMatrix",
-    "SkewMatrix",
-    "adjoint_action",
-    "reflect",
-    "lift_rotation",
-    "lie_lift",
-    "random_spin",
-]
+# Each re-exported name and the submodule that defines it; the module
+# __getattr__ (PEP 562) imports that submodule on first access.
+_EXPORTS = {
+    "Multivector": "multivector",
+    "p_iso": "multivector",
+    "volume_element": "multivector",
+    "chiral_projectors": "multivector",
+    "SpinElement": "spingroup",
+    "RotationMatrix": "spingroup",
+    "SkewMatrix": "spingroup",
+    "adjoint_action": "spingroup",
+    "reflect": "spingroup",
+    "lift_rotation": "spingroup",
+    "lie_lift": "spingroup",
+    "random_spin": "spingroup",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"

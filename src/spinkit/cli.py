@@ -12,6 +12,11 @@ files are used when FILE is omitted; the environment variable
 ``SPINKIT_DATA_DIR`` points lookups at a different data directory.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or input errors.
+
+Each subcommand imports its layer when it runs: ``verify`` loads the Clifford
+stack and ``cohomology`` the cellular one, so ``census`` and ``torsor-check``
+load neither.  The census and torsor layers are imported here, with the file
+readers.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import argparse
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .census import NEGATIVE_CHIRALITY_CONVENTION, census_report
-from .cwcomplex import Z_COEFF, CoefficientGroup, relative_cohomology
 from .errors import SpinkitError, TorsorError
 from .fileio import BUNDLED_CATALOGUE, data_path, load_catalogue, load_complex
 from .torsor import (
@@ -32,7 +37,9 @@ from .torsor import (
     difference_from_action,
     regular_difference_table,
 )
-from .verify import SCOPES, run_suites
+
+if TYPE_CHECKING:
+    from .cwcomplex import CoefficientGroup
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,6 +47,8 @@ EXIT_USAGE = 2
 
 
 def _parse_coefficients(text: str) -> CoefficientGroup:
+    from .cwcomplex import Z_COEFF, CoefficientGroup
+
     # ASCII digits without a leading zero or surrounding space, so no other
     # spelling silently becomes the same group
     match = re.fullmatch(r"[zZ]([1-9][0-9]*)?", text)
@@ -74,11 +83,15 @@ def _emit_checks(title: str, results, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     results = run_suites(args.scope, seed=args.seed)
     return _emit_checks(f"verify {args.scope} (seed {args.seed})", results, args.format)
 
 
 def _cmd_cohomology(args) -> int:
+    from .cwcomplex import relative_cohomology
+
     path = args.file if args.file else data_path("disk8_rel_sphere7.json")
     cx = load_complex(path)
     group = relative_cohomology(cx, args.degree, args.coeff)
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the exact verification suites")
-    p_verify.add_argument("scope", choices=(*SCOPES, "all"))
+    p_verify.add_argument("scope", choices=("clifford", "spin", "reps", "all"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "structured"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
@@ -196,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = sub.add_parser("cohomology", help="relative cohomology of a CW pair file")
     p_coh.add_argument("file", nargs="?", help="complex file (default: bundled (D8, S7))")
     p_coh.add_argument("--degree", type=int, required=True)
-    p_coh.add_argument("--coeff", type=_parse_coefficients, default=Z_COEFF,
+    p_coh.add_argument("--coeff", type=_parse_coefficients, default="z",
                        help="z (integers) or zN (mod N); default z")
     p_coh.add_argument("--format", choices=("text", "structured"), default="text")
     p_coh.set_defaults(func=_cmd_cohomology)
@@ -220,6 +233,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (SpinkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeEncodeError as exc:  # text output naming a character stdout cannot encode
+        shown = exc.object[exc.start : exc.end]
+        print(f"error: standard output ({exc.encoding}) cannot encode {shown!r}; "
+              "--format structured writes ASCII-only JSON", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,7 +1,8 @@
 """On-disk formats: CW pair complexes and manifold catalogues.
 
-Both formats are JSON.  An integer literal may have at most 4300 digits,
-CPython's default int-string limit; a longer one is an error.
+Both formats are JSON, read as UTF-8 (RFC 8259) whatever the locale.  An
+integer literal may have at most 4300 digits, CPython's default int-string
+limit; a longer one is an error.
 
 Complex file::
 
@@ -38,10 +39,13 @@ import json
 import os
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .census import ManifoldCharData
-from .cwcomplex import CWPairComplex
 from .errors import CensusDataError, ComplexValidationError, SpinkitError
+
+if TYPE_CHECKING:
+    from .census import ManifoldCharData
+    from .cwcomplex import CWPairComplex
 
 DATA_DIR_ENV = "SPINKIT_DATA_DIR"
 
@@ -72,7 +76,7 @@ def _read_json(path: str | Path, error: type[SpinkitError]):
         return obj
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON (line {exc.lineno}): {exc.msg}")
@@ -95,6 +99,8 @@ def _by_degree(raw: dict, key: str) -> dict[int, object]:
 
 def load_complex(path: str | Path) -> CWPairComplex:
     """Read a CW pair complex, raising ComplexValidationError on bad data."""
+    from .cwcomplex import CWPairComplex
+
     raw = _read_json(path, ComplexValidationError)
     if not isinstance(raw, dict) or "cells" not in raw:
         raise ComplexValidationError(f"{path}: expected an object with a 'cells' list")
@@ -114,6 +120,8 @@ _OPTIONAL_FIELDS = ("components", "simply_connected", "has_boundary", "spin")
 
 def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
     """Read a manifold catalogue, naming the offending record on errors."""
+    from .census import ManifoldCharData
+
     raw = _read_json(path, CensusDataError)
     records = raw.get("manifolds") if isinstance(raw, dict) else None
     if not isinstance(records, list):

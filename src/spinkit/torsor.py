@@ -34,6 +34,7 @@ zero.  A check of one group therefore builds its |H|^2 differences once.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -191,20 +192,21 @@ def regular_difference_table(g: FiniteAbelianGroup) -> DifferenceTable:
     return DifferenceTable(g, carrier, table)
 
 
-def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
+def abelian_groups_up_to(max_order: int) -> Iterator[FiniteAbelianGroup]:
     """All finite abelian groups of order <= max_order, one per isomorphism class.
 
     Each group is a product of prime-power cyclic factors; classes are
-    enumerated by partitions of the exponent of every prime factor.
+    enumerated by partitions of the exponent of every prime factor.  The
+    groups are yielded one at a time, so a caller that drops each group
+    after use also drops its cached subtraction table.
     """
-    out: list[FiniteAbelianGroup] = []
     for n in range(1, max_order + 1):
         per_prime = [
             [tuple(p**k for k in part) for part in _partitions(e, e)]
             for p, e in _prime_factorization(n).items()
         ]
-        out.extend(FiniteAbelianGroup(sum(shapes, ())) for shapes in product(*per_prime))
-    return out
+        for shapes in product(*per_prime):
+            yield FiniteAbelianGroup(sum(shapes, ()))
 
 
 def _partitions(n: int, cap: int):

@@ -187,7 +187,7 @@ def test_criterion_7_cochain_identities():
 
 @criterion(8, "torsor axioms + roundtrips for every abelian group of order <= 16")
 def test_criterion_8_torsor_equivalence():
-    groups = abelian_groups_up_to(16)
+    groups = list(abelian_groups_up_to(16))
     assert len(groups) == 25
     for group in groups:
         table = regular_difference_table(group)

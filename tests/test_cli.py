@@ -3,6 +3,7 @@
 import ast
 import io
 import json
+import os
 import subprocess
 import sys
 import tokenize
@@ -325,23 +326,68 @@ def test_characteristic_numbers_at_the_bound_print(capsys, tmp_path):
 
 
 def test_package_imports_with_the_standard_library_only():
+    """Each entry module loads only the spinkit modules it runs; afterwards
+    every submodule imports with the standard library alone."""
     # -I -S: no site-packages and no environment paths, so any third-party
     # import anywhere in the package fails
     src = Path(spinkit.__file__).resolve().parents[1]
-    code = (
-        "import importlib, pkgutil, sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "import spinkit\n"
-        "names = [m.name for m in pkgutil.iter_modules(spinkit.__path__, 'spinkit.')]\n"
-        "for name in names:\n"
-        "    importlib.import_module(name)\n"
-        "print(len(names))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
+    loads = {
+        "spinkit": set(),
+        "spinkit.cli": {"cli", "errors", "census", "torsor", "fileio"},
+        "spinkit.fileio": {"fileio", "errors"},
+    }
+    for target, submodules in loads.items():
+        code = (
+            "import importlib, json, pkgutil, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            f"importlib.import_module({target!r})\n"
+            "loaded = sorted(n for n in sys.modules if n.partition('.')[0] == 'spinkit')\n"
+            "import spinkit\n"
+            "names = [m.name for m in pkgutil.iter_modules(spinkit.__path__, 'spinkit.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(json.dumps([loaded, len(names)]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        loaded, count = json.loads(done.stdout)
+        assert set(loaded) == {"spinkit", *(f"spinkit.{m}" for m in submodules)}, target
+        assert count >= 12
+
+
+def test_verify_scopes_match_the_suites():
+    """The scopes the parser offers are the suites verify runs, plus all."""
+    from spinkit import verify
+
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    scope = next(a for a in sub.choices["verify"]._actions if a.dest == "scope")
+    assert tuple(scope.choices) == (*verify.SCOPES, "all")
+
+
+def test_catalogue_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    """A catalogue is UTF-8 whatever the locale; text output that stdout
+    cannot encode is a usage error, not a traceback."""
+    record = json.loads(_record(name="K\u00e4hler"))
+    path = tmp_path / "kahler.json"
+    path.write_bytes(json.dumps(record, ensure_ascii=False).encode("utf-8"))
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="C", PYTHONPATH=str(Path(spinkit.__file__).resolve().parents[1]))
+
+    def census(*flags):
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "spinkit.cli", "census", str(path), *flags],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = census("--format", "structured")
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) >= 12
+    assert [m["name"] for m in json.loads(done.stdout)["manifolds"]] == ["K\u00e4hler"]
+    done = census()
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and "--format structured" in done.stderr
 
 
 def test_failing_check_maps_to_exit_1(capsys):
@@ -362,6 +408,8 @@ def test_public_names_resolve():
     for module in (spinkit, gammarep):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+    # the package re-exports resolve lazily, and dir() still lists them
+    assert set(spinkit.__all__) <= set(dir(spinkit))
 
 
 def test_every_module_level_name_is_used():

@@ -89,7 +89,7 @@ def test_invalid_action_rejected():
 
 
 def test_classification_count_up_to_16():
-    groups = abelian_groups_up_to(16)
+    groups = list(abelian_groups_up_to(16))
     assert len(groups) == 25  # sum over n <= 16 of the number of abelian groups of order n
     orders = sorted(g.order() for g in groups)
     assert orders[0] == 1 and orders[-1] == 16
@@ -280,7 +280,7 @@ def test_base_point_checks_match_all_points_oracles():
     <= 12: the base-point checks and the all-points oracles accept and reject
     the same tables."""
     rng = random.Random(13)
-    groups = abelian_groups_up_to(12)
+    groups = list(abelian_groups_up_to(12))
     verdicts = {True: 0, False: 0}
     for trial in range(1200):
         difference, action = _random_torsor(groups[trial % len(groups)], rng)
