@@ -12,6 +12,8 @@ files are used when FILE is omitted; the environment variable
 ``SPINKIT_DATA_DIR`` points lookups at a different data directory.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or input errors.
+A text report is built whole and printed in one write, so a line that
+standard output cannot encode fails it before any of it is shown.
 
 Each subcommand imports its layer when it runs: ``verify`` loads the Clifford
 stack and ``cohomology`` the cellular one, so ``census`` and ``torsor-check``
@@ -72,13 +74,14 @@ def _emit_checks(title: str, results, fmt: str) -> int:
         }
         print(json.dumps(payload, indent=1))
     else:
-        print(f"# {title}")
         width = max(len(r.name) for r in results) if results else 0
+        lines = [f"# {title}"]
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             suffix = f"  [{r.detail}]" if r.detail else ""
-            print(f"{r.name:<{width}}  {status}{suffix}")
-        print(f"# {len(results) - len(failed)} passed, {len(failed)} failed")
+            lines.append(f"{r.name:<{width}}  {status}{suffix}")
+        lines.append(f"# {len(results) - len(failed)} passed, {len(failed)} failed")
+        print("\n".join(lines))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -143,14 +146,14 @@ def _cmd_census(args) -> int:
         print(json.dumps(payload, indent=1))
     else:
         header = f"{'manifold':<24} {'e(S+)':>8} {'exists':>6} {'count':>12}  note"
-        print(header)
-        print("-" * len(header))
+        lines = [header, "-" * len(header)]
         for r in rows:
             count = "-" if r.count is None else str(r.count)
-            print(f"{r.name:<24} {str(r.e_s_plus):>8} {str(r.exists).lower():>6} {count:>12}  {r.holonomy_note}")
+            lines.append(f"{r.name:<24} {str(r.e_s_plus):>8} {str(r.exists).lower():>6} {count:>12}  {r.holonomy_note}")
         with_structure = sum(1 for r in rows if r.exists)
-        print(f"# {len(rows)} manifolds, {with_structure} admit a structure")
-        print(f"# convention: {NEGATIVE_CHIRALITY_CONVENTION}")
+        lines.append(f"# {len(rows)} manifolds, {with_structure} admit a structure")
+        lines.append(f"# convention: {NEGATIVE_CHIRALITY_CONVENTION}")
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -184,11 +187,12 @@ def _cmd_torsor_check(args) -> int:
             )
         )
     else:
-        print(f"# torsor axioms + roundtrips for abelian groups of order <= {args.max_order}")
+        lines = [f"# torsor axioms + roundtrips for abelian groups of order <= {args.max_order}"]
         for name, ok, detail in results:
             suffix = f"  [{detail}]" if detail else ""
-            print(f"{name:<40} {'PASS' if ok else 'FAIL'}{suffix}")
-        print(f"# {len(results) - len(failed)} passed, {len(failed)} failed")
+            lines.append(f"{name:<40} {'PASS' if ok else 'FAIL'}{suffix}")
+        lines.append(f"# {len(results) - len(failed)} passed, {len(failed)} failed")
+        print("\n".join(lines))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -13,7 +13,9 @@ omega8 = e0 e1 ... e7.  In this model c(omega8) is diagonal, -1 on the
 first octonion summand and +1 on the second, so S8- is the first summand
 and S8+ the second, each with its coordinate basis; the orientation probe
 sets the sign of the first basis vector of S8+.  The chiral action of an
-even element is therefore a signed block of its 16x16 matrix.
+even element is therefore a signed block of its 16x16 matrix: the integer
+columns ``action_columns`` sums over the common denominator d of the
+element's coefficients, as an exact ``(d, rows)`` pair of ``exactlinalg``.
 
 The module has one form: the generators, the 256 monomials and the two
 halves are stored as signed permutations (``GammaRep.gamma``,
@@ -30,9 +32,7 @@ spinor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 
 from . import exactlinalg as la
 from .errors import (
@@ -49,9 +49,6 @@ from .spingroup import (
     lie_lift,
     lift_rotation,
 )
-
-Matrix = la.Matrix
-Vector = la.Vector
 
 # Fano-plane triples (a, b, c): cyclically e_a e_b = e_c.  The (i, i+1, i+3)
 # mod 7 orientation is one of the standard alternative-algebra conventions.
@@ -141,23 +138,26 @@ def _build_gamma_sp() -> list[_SignedPerm]:
 
 @dataclass(frozen=True)
 class Spinor:
-    """Element of the 16-dimensional module or of one chiral half."""
+    """Element of the 16-dimensional module or of one chiral half, its
+    components given as ``(d, entries)`` and held like a rotation's rows."""
 
-    components: Vector
+    components: tuple[int, tuple[int, ...]]
     chirality: str  # "+", "-", or "full"
 
     def __post_init__(self):
-        object.__setattr__(self, "components", la.vec(self.components))
+        d, v = self.components
+        d, (v,) = la.exact(d, [v])
+        object.__setattr__(self, "components", (d, v))
         if self.chirality not in ("+", "-", "full"):
             raise ValueError("chirality must be '+', '-' or 'full'")
         want = 16 if self.chirality == "full" else 8
-        if len(self.components) != want:
+        if len(v) != want:
             raise DimensionMismatchError(
-                f"{self.chirality} spinor needs {want} components, got {len(self.components)}"
+                f"{self.chirality} spinor needs {want} components, got {len(v)}"
             )
 
     def is_zero(self) -> bool:
-        return not any(self.components)
+        return not any(self.components[1])
 
 
 class GammaRep:
@@ -224,7 +224,7 @@ class GammaRep:
             basis = common_fixed_space(self, spin7_lie_basis())
             if len(basis) != 1:
                 raise InternalCheckError("fixed space of the spin(7) action is not a line")
-            self._psi = Spinor(basis[0], "+")
+            self._psi = Spinor((1, basis[0]), "+")
         return self._psi
 
 
@@ -249,7 +249,7 @@ def action_columns(
     return d, cols
 
 
-def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") -> Matrix:
+def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") -> la.Exact:
     """Matrix of c(a) restricted to one chiral half, in the half's basis.
 
     With basis spinor j equal to signs[j] * e_rows[j], entry (i, j) is
@@ -265,13 +265,12 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     outside = [r for r in range(16) if r not in rows]
     if any(col[r] for col in cols for r in outside):
         raise ChiralityError("element does not preserve the chiral subspace")
-    return tuple(
-        tuple(Fraction(si * sj * col[ri], d) for col, sj in zip(cols, signs))
-        for ri, si in zip(rows, signs)
+    return la.exact(
+        d, ([si * sj * col[ri] for col, sj in zip(cols, signs)] for ri, si in zip(rows, signs))
     )
 
 
-def delta8(rep: GammaRep, zeta: SpinElement, chirality: str = "+") -> Matrix:
+def delta8(rep: GammaRep, zeta: SpinElement, chirality: str = "+") -> la.Exact:
     """Chiral spin representation of Spin(8): c(zeta) on one eigenspace."""
     if zeta.n != 8:
         raise DimensionMismatchError("delta8 needs a Spin(8) element")
@@ -298,7 +297,7 @@ def embed_spin7(a: Multivector) -> Multivector:
     raise EmbeddingDomainError("expected an element of Cl(0,7) or embedded Cl(0,8)")
 
 
-def delta7(rep: GammaRep, zeta: SpinElement) -> Matrix:
+def delta7(rep: GammaRep, zeta: SpinElement) -> la.Exact:
     """Spin representation of Spin(7) on S8+ (does not descend to SO(7))."""
     embedded = embed_spin7(zeta.value)
     return chiral_action_matrix(rep, embedded, "+")
@@ -318,11 +317,12 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     """
     rotation = RotationMatrix(delta7(rep, zeta))
     eta = lift_rotation(rotation)
-    psi = rep.fixed_spinor().components
-    image = la.mat_vec(delta8(rep, eta, "+"), psi)
-    if image == psi:
+    _, psi = rep.fixed_spinor().components
+    d, m = delta8(rep, eta, "+")
+    (image,) = la.mat_mul((psi,), la.transpose(m))  # (m psi)^T
+    if image == tuple(d * x for x in psi):
         return eta
-    if image == tuple(-x for x in psi):
+    if image == tuple(-d * x for x in psi):
         return -eta
     raise InternalCheckError("candidate lift moves the fixed spinor line")
 
@@ -345,14 +345,17 @@ def spin8_lie_basis() -> list[Multivector]:
 _BIVECTOR_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(8), 2)]
 
 
-def bivector_coordinates(a: Multivector) -> Vector:
-    """Coordinates of a Cl(0,8) bivector in the fixed e_i e_j basis."""
+def bivector_coordinates(a: Multivector) -> tuple[int, tuple[int, ...]]:
+    """Coordinates of a Cl(0,8) bivector in the fixed e_i e_j basis, as
+    ``(d, numerators)`` over the common denominator of its coefficients."""
     if a.n != 8 or a.grades() not in ({2}, set()):
         raise ValueError("expected a bivector in Cl(0,8)")
-    return tuple(a.terms.get(mask, Fraction(0)) for mask in _BIVECTOR_MASKS)
+    d, terms = a.over_common_denominator()
+    numerators = dict(terms)
+    return d, tuple(numerators.get(mask, 0) for mask in _BIVECTOR_MASKS)
 
 
-def d_delta7(rep: GammaRep, x: Multivector) -> Matrix:
+def d_delta7(rep: GammaRep, x: Multivector) -> la.Exact:
     """Differential of delta7: the skew 8x8 chiral action of a so(7) element."""
     return chiral_action_matrix(rep, embed_spin7(x), "+")
 
@@ -362,33 +365,22 @@ def d_iota_plus(rep: GammaRep, x: Multivector) -> Multivector:
     return lie_lift(SkewMatrix(d_delta7(rep, x)))
 
 
-def _normalize_line(v: Vector) -> Vector:
-    """Scale a rational vector to primitive integers with positive lead."""
-    den = lcm(*(c.denominator for c in v)) if any(v) else 1
-    ints = [int(c * den) for c in v]
-    g = gcd(*ints) if any(ints) else 1
-    ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return la.vec(ints)
-
-
-def common_fixed_space(rep: GammaRep, generators: list[Multivector]) -> list[Vector]:
+def common_fixed_space(rep: GammaRep, generators: list[Multivector]) -> list[tuple[int, ...]]:
     """Joint kernel in S8+ of the spinor-embedding images of so(7) elements.
 
     Each generator x is mapped to d_iota_plus(x) and acts chirally; the
     exact intersection of the kernels is returned as a list of basis
-    vectors (primitive-integer normalized).  An empty generator list
-    imposes no condition and yields the full 8-dimensional space.
+    vectors, primitive integers as ``la.kernel_basis`` gives them.  A
+    kernel ignores each action's denominator, so only the integer rows are
+    stacked.  An empty generator list imposes no condition and yields the
+    full 8-dimensional space.
     """
-    stacked: list[Vector] = []
+    stacked: list[tuple[int, ...]] = []
     for x in generators:
-        action = chiral_action_matrix(rep, d_iota_plus(rep, x), "+")
-        stacked.extend(action)
+        stacked.extend(chiral_action_matrix(rep, d_iota_plus(rep, x), "+")[1])
     if not stacked:
-        return [tuple(row) for row in la.identity(8)]
-    return [_normalize_line(v) for v in la.kernel_basis(tuple(stacked))]
+        return list(la.identity(8))
+    return la.kernel_basis(stacked)
 
 
 def stabilizer_dimension(
@@ -405,12 +397,14 @@ def stabilizer_dimension(
     if psi.is_zero():
         raise ValueError("stabilizer of the zero spinor is not defined")
     basis = algebra if algebra is not None else spin8_lie_basis()
-    coords = la.mat([bivector_coordinates(x) for x in basis])
-    if la.rank(coords) != len(basis):
+    # a rank ignores the scale of each row, so every denominator is dropped
+    if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
         raise ValueError("algebra basis must be linearly independent")
-    images = la.mat(
-        [la.mat_vec(chiral_action_matrix(rep, x, "+"), psi.components) for x in basis]
-    )
+    psi_row = (psi.components[1],)
+    images = [
+        la.mat_mul(psi_row, la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0]
+        for x in basis
+    ]
     return len(basis) - la.rank(images)
 
 
@@ -418,11 +412,12 @@ def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
     """A basis of the intersection of the two so(7) copies, as Cl(0,8) bivectors.
 
     Its length is the dimension of the intersection.  The two copies are
-    given by their 21x28 so(8) coordinates, and ``la.intersection_basis``
-    raises unless each has 21 independent rows.
+    given by the integer rows of their 21x28 so(8) coordinates (a row space
+    ignores the scale of each row), and ``la.intersection_basis`` raises
+    unless each has 21 independent rows.
     """
-    vector_side = la.mat([bivector_coordinates(x) for x in embedded_spin7_lie_basis()])
-    spinor_side = la.mat([bivector_coordinates(d_iota_plus(rep, x)) for x in spin7_lie_basis()])
+    vector_side = [bivector_coordinates(x)[1] for x in embedded_spin7_lie_basis()]
+    spinor_side = [bivector_coordinates(d_iota_plus(rep, x))[1] for x in spin7_lie_basis()]
     out = []
     for coords in la.intersection_basis(vector_side, spinor_side):
         terms = {mask: c for mask, c in zip(_BIVECTOR_MASKS, coords) if c}

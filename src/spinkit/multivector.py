@@ -59,11 +59,11 @@ class Multivector:
         for mask, coeff in (terms or {}).items():
             if not 0 <= mask < (1 << n):
                 raise ValueError(f"blade mask {mask:#x} uses generators beyond n={n}")
-            if isinstance(coeff, float):
-                raise TypeError("coefficients must be exact (int or Fraction), not float")
-            c = Fraction(coeff)
-            if c:
-                clean[mask] = c
+            t = type(coeff)
+            if t is not Fraction and t is not int:
+                raise TypeError(f"coefficients must be exact (int or Fraction), not {t.__name__}")
+            if coeff:
+                clean[mask] = coeff if t is Fraction else Fraction(coeff)
         self.n = n
         self.terms = clean
 
@@ -182,9 +182,6 @@ class Multivector:
 
     def scalar_part(self) -> Fraction:
         return self.terms.get(0, Fraction(0))
-
-    def vector_components(self) -> tuple[Fraction, ...]:
-        return tuple(self.terms.get(1 << i, Fraction(0)) for i in range(self.n))
 
     def grade_involution(self) -> "Multivector":
         """Blade of grade k scaled by (-1)^k; splits Cl into even/odd parts."""

@@ -29,10 +29,10 @@ two-sided, so zeta * reverse(zeta) = 1 as well.  The dense product is
 formed only when the grade-1 check fails, to tell the two rejection
 messages apart.
 
-Lifting a rotation reflects integer columns, each over its own
-denominator, by primitive integer factors v: x -> (v.v) x - 2 (v.x) v,
-reduced by the gcd.  It works over the rationals whenever the product of
-the squared lengths of the factors is a square (always the case for
+Lifting a rotation reads the integer columns of its exact ``(d, rows)``
+form and reflects them by primitive integer factors v:
+x -> (v.v) x - 2 (v.x) v, each column then reduced by its gcd.  It works
+over the rationals whenever the product of the squared lengths of the factors is a square (always the case for
 rotations arising as Ad- or spin-representation images of rational spin
 elements); otherwise no rational lift exists and ``lift_rotation`` raises.
 """
@@ -49,47 +49,49 @@ from . import exactlinalg as la
 from .errors import InvalidSpinElementError, LiftError
 from .multivector import Multivector, blade_grade, integer_product, integer_vector_part
 
-Matrix = la.Matrix
-
 _NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"
 
 
 @dataclass(frozen=True)
 class RotationMatrix:
-    """Exact-rational element of SO(n)."""
+    """Element of SO(n), given as ``(d, rows)`` with int or Fraction entries
+    and held as ``exactlinalg.exact`` reduces it.  The checks run on the
+    integers: rows^T rows = d^2 I and det(rows) = d^n."""
 
-    entries: Matrix
+    entries: la.Exact
 
     def __post_init__(self):
-        a = la.mat(self.entries)
-        object.__setattr__(self, "entries", a)
+        d, a = la.exact(*self.entries)
+        object.__setattr__(self, "entries", (d, a))
         if not a:
             raise ValueError("rotation matrix must be at least 1x1")
-        if not la.is_orthogonal(a):
+        d2_identity = tuple(tuple(d * d * x for x in row) for row in la.identity(len(a)))
+        if len(a[0]) != len(a) or la.mat_mul(la.transpose(a), a) != d2_identity:
             raise ValueError("matrix is not orthogonal")
-        if la.det(a) != 1:
+        if la.det(a) != d ** len(a):
             raise ValueError("matrix has determinant != +1")
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.entries[1])
 
 
 @dataclass(frozen=True)
 class SkewMatrix:
-    """Exact-rational skew-symmetric matrix (an element of so(n))."""
+    """Skew-symmetric matrix (an element of so(n)), given and held like
+    :class:`RotationMatrix`."""
 
-    entries: Matrix
+    entries: la.Exact
 
     def __post_init__(self):
-        a = la.mat(self.entries)
-        object.__setattr__(self, "entries", a)
-        if not la.is_skew(a):
+        d, a = la.exact(*self.entries)
+        object.__setattr__(self, "entries", (d, a))
+        if la.transpose(a) != tuple(tuple(-x for x in row) for row in a):
             raise ValueError("matrix is not skew-symmetric")
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.entries[1])
 
 
 class SpinElement:
@@ -100,7 +102,7 @@ class SpinElement:
     def __init__(self, value: Multivector, check: bool = True):
         self.value = value
         self.n = value.n
-        self._columns: list[tuple[Fraction, ...]] | None = None
+        self._columns: tuple[int, list[list[int]]] | None = None
         if check:
             self._validate()
 
@@ -152,8 +154,9 @@ class SpinElement:
         return cls(out)
 
 
-def _conjugated_basis(zeta: Multivector) -> list[tuple[Fraction, ...]]:
-    """Components of zeta e_j reverse(zeta) for j = 0 .. n-1.
+def _conjugated_basis(zeta: Multivector) -> tuple[int, list[list[int]]]:
+    """``(d^2, cols)``: cols[j] / d^2 are the components of
+    zeta e_j reverse(zeta) for j = 0 .. n-1, where zeta = Z / d.
 
     Raises InvalidSpinElementError unless every image is a vector, checked
     as zeta e_j == v_j zeta for the grade-1 part v_j on integer numerators.
@@ -171,15 +174,16 @@ def _conjugated_basis(zeta: Multivector) -> list[tuple[Fraction, ...]]:
         image = integer_product([(1 << i, c) for i, c in enumerate(v) if c], z)
         if {m: c for m, c in image.items() if c} != {m: dd * c for m, c in moved.items()}:
             raise InvalidSpinElementError("conjugation does not preserve grade 1")
-        cols.append(tuple(Fraction(c, dd) for c in v))
-    return cols
+        cols.append(v)
+    return dd, cols
 
 
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:
     """The rotation x -> zeta x zeta^{-1} of R^n (the two-to-one cover map)."""
     if zeta._columns is None:
         zeta._columns = _conjugated_basis(zeta.value)
-    return RotationMatrix(la.transpose(la.mat(zeta._columns)))
+    dd, cols = zeta._columns
+    return RotationMatrix((dd, la.transpose(cols)))
 
 
 def reflect(v: Multivector, x: Multivector) -> Multivector:
@@ -194,13 +198,13 @@ def reflect(v: Multivector, x: Multivector) -> Multivector:
     return v * x * v
 
 
-def _reflect_column(v: list[int], vv: int, x: list[int], d: int) -> tuple[int, list[list[int]]]:
+def _reflect_column(v: list[int], vv: int, x: list[int], d: int) -> tuple[int, list[int]]:
     """x/d reflected across v-perp for an integer v with vv = v.v, in lowest
-    terms as (denominator, [numerators])."""
+    terms as (denominator, numerators)."""
     f = 2 * sum(map(mul, v, x))
     out = [vv * xi - f * vi for xi, vi in zip(x, v)]
     g = gcd(vv * d, *out)
-    return vv * d // g, [[xi // g for xi in out]]
+    return vv * d // g, [xi // g for xi in out]
 
 
 def lift_rotation(rotation: RotationMatrix) -> SpinElement:
@@ -215,11 +219,12 @@ def lift_rotation(rotation: RotationMatrix) -> SpinElement:
     n = rotation.n
     # the peeled columns 0..j-1 are e_0..e_(j-1), orthogonal to every later
     # factor, so only the columns after j are reflected
-    cols = [la.over_common_denominator([col]) for col in la.transpose(rotation.entries)]
+    d, rows = rotation.entries
+    cols = [(d, list(col)) for col in la.transpose(rows)]
     product = {0: 1}
     count, norm_sq = 0, 1
     for j in range(n):
-        d, (v,) = cols[j]
+        d, v = cols[j]
         v[j] -= d
         if not any(v):
             continue
@@ -229,7 +234,7 @@ def lift_rotation(rotation: RotationMatrix) -> SpinElement:
         count += 1
         norm_sq *= vv
         product = integer_product(product.items(), [(1 << i, x) for i, x in enumerate(v) if x])
-        cols[j + 1 :] = [_reflect_column(v, vv, x, dx) for dx, (x,) in cols[j + 1 :]]
+        cols[j + 1 :] = [_reflect_column(v, vv, x, dx) for dx, x in cols[j + 1 :]]
     if count % 2:
         raise LiftError("odd reflection count: input is orientation-reversing")
     scale = isqrt(norm_sq)
@@ -249,36 +254,40 @@ def lie_lift(a: SkewMatrix) -> Multivector:
     For column action (a x)_i = sum_j a_ij x_j and the e_i^2 = -1 metric
     this is B = (1/4) sum_ij a_ij e_j e_i.
     """
+    d, rows = a.entries
     n = a.n
-    terms: dict[int, Fraction] = {}
-    quarter = Fraction(1, 4)
+    terms: dict[int, int] = {}  # over 4d
     for i in range(n):
         for j in range(n):
-            c = a.entries[i][j]
+            c = rows[i][j]
             if not c or i == j:
                 continue
             # e_j e_i written in canonical order: sign -1 when j > i
             mask = (1 << i) | (1 << j)
-            sign = 1 if j < i else -1
-            terms[mask] = terms.get(mask, Fraction(0)) + sign * quarter * c
-    return Multivector(n, terms)
+            terms[mask] = terms.get(mask, 0) + (c if j < i else -c)
+    return Multivector(n, {m: Fraction(c, 4 * d) for m, c in terms.items()})
 
 
 def ad_differential(b: Multivector) -> SkewMatrix:
-    """Matrix of x -> b x - x b on grade-1 elements (inverse of lie_lift)."""
+    """Matrix of x -> b x - x b on grade-1 elements (inverse of lie_lift),
+    its column j the integer numerators of b e_j - e_j b over those of b."""
     n = b.n
+    d, terms = b.over_common_denominator()
     cols = []
     for j in range(n):
-        ej = Multivector.basis_vector(n, j)
-        image = b * ej - ej * b
-        if image.grades() not in ({1}, set()):
+        ej = [(1 << j, 1)]
+        image = integer_product(terms, ej)
+        for m, c in integer_product(ej, terms).items():
+            image[m] = image.get(m, 0) - c
+        if any(c and blade_grade(m) != 1 for m, c in image.items()):
             raise ValueError("commutator does not preserve grade 1")
-        cols.append(image.vector_components())
-    return SkewMatrix(la.transpose(la.mat(cols)))
+        cols.append([image.get(1 << i, 0) for i in range(n)])
+    return SkewMatrix((d, la.transpose(cols)))
 
 
-def rational_unit_tuple(n: int, rng: random.Random) -> tuple[Fraction, ...]:
-    """Deterministic-in-rng unit vector with rational coordinates.
+def rational_unit_tuple(n: int, rng: random.Random) -> tuple[int, tuple[int, ...]]:
+    """Deterministic-in-rng unit vector with rational coordinates, as the
+    exact pair ``(d, numerators)``.
 
     Reflects a coordinate vector across a random integer hyperplane, which
     parametrizes rational points of the sphere without any square roots.
@@ -289,13 +298,14 @@ def rational_unit_tuple(n: int, rng: random.Random) -> tuple[Fraction, ...]:
             break
     axis = rng.randrange(n)
     e = [1 if i == axis else 0 for i in range(n)]
-    d, (xs,) = _reflect_column(w, sum(x * x for x in w), e, 1)
-    return tuple(Fraction(x, d) for x in xs)
+    d, xs = _reflect_column(w, sum(x * x for x in w), e, 1)
+    return d, tuple(xs)
 
 
 def rational_unit_vector(n: int, rng: random.Random) -> Multivector:
     """Grade-1 multivector wrapper around :func:`rational_unit_tuple`."""
-    return Multivector.vector(n, rational_unit_tuple(n, rng))
+    d, xs = rational_unit_tuple(n, rng)
+    return Multivector.vector(n, [Fraction(x, d) for x in xs])
 
 
 def random_spin(n: int, k: int, seed: int) -> SpinElement:

@@ -1,9 +1,10 @@
 """Machine-checked verification suites behind the `verify` subcommand.
 
-Every check is exact: equality of rational matrices, multivectors, or
-integer ranks.  Randomized checks draw from a seeded generator, so a run
-is fully determined by (scope, seed).  Each check returns a short
-mathematical name plus PASS/FAIL and a one-line detail on failure.
+Every check is exact: equality of rational matrices in the ``(d, rows)``
+form of ``exactlinalg``, of multivectors, or of integer ranks.  Randomized
+checks draw from a seeded generator, so a run is fully determined by
+(scope, seed).  Each check returns a short mathematical name plus PASS/FAIL
+and a one-line detail on failure.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ from .spingroup import (
     reflect,
     SkewMatrix,
 )
+
+
+def _negated(m: la.Exact) -> la.Exact:
+    return m[0], tuple(tuple(-x for x in row) for row in m[1])
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,8 @@ def spin_suite(seed: int = 0) -> list[CheckResult]:
             z1 = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
             z2 = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
             lhs = adjoint_action(z1 * z2).entries
-            rhs = la.mat_mul(adjoint_action(z1).entries, adjoint_action(z2).entries)
-            if lhs != rhs:
+            (d1, r1), (d2, r2) = adjoint_action(z1).entries, adjoint_action(z2).entries
+            if lhs != la.exact(d1 * d2, la.mat_mul(r1, r2)):
                 return f"failed in Spin({n})"
         return None
 
@@ -188,7 +193,7 @@ def spin_suite(seed: int = 0) -> list[CheckResult]:
 
     def kernel() -> str | None:
         for n in (3, 7, 8):
-            ident = la.identity(n)
+            ident = (1, la.identity(n))
             for sign in (1, -1):
                 z = SpinElement(Multivector.scalar(n, sign), check=False)
                 if adjoint_action(z).entries != ident:
@@ -241,7 +246,7 @@ def spin_suite(seed: int = 0) -> list[CheckResult]:
                 for j in range(i):
                     entries[i][j] = rng.randint(-5, 5)
                     entries[j][i] = -entries[i][j]
-            a = SkewMatrix(la.mat(entries))
+            a = SkewMatrix((1, entries))
             if ad_differential(lie_lift(a)).entries != a.entries:
                 return f"skew lift fails for n={n}"
         return None
@@ -269,7 +274,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
     rep = rep if rep is not None else build_cl8_rep()
-    ident8 = la.identity(8)
+    ident8 = (1, la.identity(8))
 
     # The module checks read the signed permutations the actions use:
     # M e_j = s_j e_p(j), and a half's basis spinor j is s_j e_rows(j).
@@ -319,7 +324,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
         outside_minus = [r for r in range(16) if r not in minus]
         outside_plus = [r for r in range(16) if r not in plus]
         for _ in range(25):
-            v = Multivector.vector(8, rational_unit_tuple(8, rng))
+            v = rational_unit_vector(8, rng)
             d, cols = action_columns(rep, v, plus)
             if any(col[r] for col in cols for r in outside_minus):
                 return "unit vector does not map S+ into S-"
@@ -337,7 +342,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     def omega_signs() -> str | None:
         if delta8(rep, omega8_element(), "+") != ident8:
             return "volume element does not act as +1 on the positive half"
-        if delta8(rep, omega8_element(), "-") != la.mat_scale(ident8, -1):
+        if delta8(rep, omega8_element(), "-") != _negated(ident8):
             return "volume element does not act as -1 on the negative half"
         return None
 
@@ -394,11 +399,11 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
         basis = g2_intersection_basis(rep)
         if len(basis) != 14:
             return f"intersection dimension {len(basis)} != 14"
-        psi = rep.fixed_spinor()
+        psi = (rep.fixed_spinor().components[1],)
         for z in basis:
-            if any(la.mat_vec(chiral_action_matrix(rep, z, "+"), psi.components)):
+            if any(la.mat_mul(psi, la.transpose(chiral_action_matrix(rep, z, "+")[1]))[0]):
                 return "intersection element moves the fixed spinor"
-            if any(row[0] for row in ad_differential(z).entries):
+            if any(row[0] for row in ad_differential(z).entries[1]):
                 return "intersection element moves e0 infinitesimally"
         return None
 
@@ -421,12 +426,13 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
 
     def embeddings_differ() -> str | None:
         z = random_spin(7, 2, rng.randrange(10**6))
-        r_vec = adjoint_action(iota_vector(z)).entries
-        e0 = tuple(Fraction(1 if i == 0 else 0) for i in range(8))
-        if tuple(r_vec[i][0] for i in range(8)) != e0:
+        d, r_vec = adjoint_action(iota_vector(z)).entries
+        if tuple(row[0] for row in r_vec) != (d,) + (0,) * 7:
             return "vector-type embedding does not fix e0"
-        r_spin = adjoint_action(iota_plus(rep, z)).entries
-        fixed = la.kernel_basis(la.mat_sub(r_spin, la.identity(8)))
+        d, r_spin = adjoint_action(iota_plus(rep, z)).entries
+        fixed = la.kernel_basis(
+            [[x - d if i == j else x for j, x in enumerate(row)] for i, row in enumerate(r_spin)]
+        )
         if len(fixed) != 0:
             return "spinor-type rotation of a generic element has a fixed vector"
         return None
@@ -438,7 +444,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
             z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
             if delta8(rep, iota_plus(rep, z), "+") != delta8(rep, iota_plus(rep, -z), "+"):
                 return "chiral rep of the lift does not factor through the rotation group"
-            if delta7(rep, -z) != la.mat_scale(delta7(rep, z), -1):
+            if delta7(rep, -z) != _negated(delta7(rep, z)):
                 return "spin rep is not odd under negation"
         return None
 

@@ -11,7 +11,14 @@ from spinkit.errors import ChiralityError, InvalidSpinElementError, LiftError, T
 from spinkit.gammarep import build_cl8_rep
 from spinkit.multivector import Multivector, volume_element
 from spinkit.snf import AbelianGroup, smith_diagonal
-from spinkit.spingroup import rational_unit_tuple
+from spinkit.spingroup import rational_unit_vector
+
+
+def fraction_view(m):
+    """The rows of Fractions that an exact pair (d, rows) stands for: the
+    one way from the integer form back to the view the oracles read."""
+    d, rows = m
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
 
 
 def rank_mod_p(rows, p):
@@ -80,7 +87,7 @@ def fraction_adjoint_action(value):
         if any(mask.bit_count() != 1 for mask in image):
             raise InvalidSpinElementError("conjugation does not preserve grade 1")
         cols.append([image.get(1 << i, Fraction(0)) for i in range(n)])
-    return la.transpose(la.mat(cols))
+    return la.transpose(cols)
 
 
 def fraction_spin_validate(value):
@@ -95,7 +102,8 @@ def fraction_spin_validate(value):
 
 
 def fraction_mat_mul(a, b):
-    """Row-by-column sums of Fraction products: the oracle for la.mat_mul."""
+    """Row-by-column sums of Fraction products: the oracle for la.mat_mul
+    and for a product of exact pairs."""
     bt = la.transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
@@ -118,7 +126,8 @@ def first_failing_anticommutator(gamma):
 
 
 def fraction_mat_vec(a, v):
-    """Row sums of Fraction products: the oracle for la.mat_vec."""
+    """Row sums of Fraction products: the oracle for a matrix applied to a
+    vector, which the package writes as a one-row la.mat_mul."""
     return tuple(sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a)
 
 
@@ -210,7 +219,7 @@ def fraction_lift_rotation(rotation):
     as Multivectors: the oracle for lift_rotation.  Returns the
     sign-canonical lift as a Multivector, or raises LiftError."""
     n = rotation.n
-    cols = [list(col) for col in la.transpose(rotation.entries)]
+    cols = [list(col) for col in la.transpose(fraction_view(rotation.entries))]
     factors = []
     for j in range(n):
         ej = [Fraction(1 if i == j else 0) for i in range(n)]
@@ -312,9 +321,9 @@ def dense_chiral_action(rep, a, chirality):
     changes nothing.
     """
     basis = dense_signed_perm(rep.halves[chirality])
-    image = la.mat_mul(fraction_clifford_action(rep, a), basis)
-    compressed = la.mat_mul(la.transpose(basis), image)
-    if la.mat_mul(basis, compressed) != image:
+    image = fraction_mat_mul(fraction_clifford_action(rep, a), basis)
+    compressed = fraction_mat_mul(la.transpose(basis), image)
+    if fraction_mat_mul(basis, compressed) != image:
         raise ChiralityError("element does not preserve the chiral subspace")
     return compressed
 
@@ -327,7 +336,7 @@ def dense_orthogonal_skew_failure(rep):
         gt = la.transpose(g)
         if fraction_mat_mul(gt, g) != la.identity(16):
             return f"gamma_{i} is not orthogonal"
-        if gt != la.mat_scale(g, -1):
+        if gt != tuple(tuple(-x for x in row) for row in g):
             return f"gamma_{i} is not skew"
     return None
 
@@ -340,7 +349,7 @@ def dense_eigensplit_failure(rep):
         return "volume action does not square to 1"
     for chirality, sign in (("+", 1), ("-", -1)):
         basis = dense_signed_perm(rep.halves[chirality])
-        if fraction_mat_mul(omega, basis) != la.mat_scale(basis, sign):
+        if fraction_mat_mul(omega, basis) != tuple(tuple(sign * x for x in row) for row in basis):
             return "claimed eigenbasis is not an eigenbasis"
         if fraction_mat_mul(la.transpose(basis), basis) != la.identity(8):
             return "eigenbasis is not orthonormal"
@@ -354,7 +363,7 @@ def dense_swap_failure(rep, seed=0):
     rng = random.Random(seed)
     plus, minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
     for _ in range(25):
-        m = fraction_clifford_action(rep, Multivector.vector(8, rational_unit_tuple(8, rng)))
+        m = fraction_clifford_action(rep, rational_unit_vector(8, rng))
         image = fraction_mat_mul(m, plus)
         if fraction_mat_mul(minus, fraction_mat_mul(la.transpose(minus), image)) != image:
             return "unit vector does not map S+ into S-"

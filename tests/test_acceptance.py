@@ -43,6 +43,7 @@ from spinkit.spingroup import (
     adjoint_action,
     random_spin,
     rational_unit_tuple,
+    rational_unit_vector,
 )
 from spinkit.torsor import (
     abelian_groups_up_to,
@@ -101,21 +102,25 @@ def test_criterion_2_representation_isomorphism():
 
 @criterion(3, "chirality: 8+8 eigenspaces; 25 unit vectors swap isometrically")
 def test_criterion_3_chirality(rep):
-    omega = fraction_clifford_action(rep, volume_element(8))
+    d, omega = la.exact(1, fraction_clifford_action(rep, volume_element(8)))
     ident16 = la.identity(16)
-    assert la.mat_mul(omega, omega) == ident16
-    plus = la.kernel_basis(la.mat_sub(omega, ident16))
-    minus = la.kernel_basis(la.mat_sub(omega, la.mat_scale(ident16, -1)))
+    assert d == 1 and la.mat_mul(omega, omega) == ident16
+
+    def shifted(rows, s):  # rows - s I
+        return [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+    plus = la.kernel_basis(shifted(omega, 1))
+    minus = la.kernel_basis(shifted(omega, -1))
     assert len(plus) == 8 and len(minus) == 8
-    ident8 = la.identity(8)
-    basis_plus, basis_minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
+    _, basis_plus = la.exact(1, dense_signed_perm(rep.halves["+"]))
+    _, basis_minus = la.exact(1, dense_signed_perm(rep.halves["-"]))
     minus_projector = la.mat_mul(basis_minus, la.transpose(basis_minus))
     plus_projector = la.mat_mul(basis_plus, la.transpose(basis_plus))
     rng = random.Random(2025)
     for _ in range(25):
-        v = Multivector.vector(8, rational_unit_tuple(8, rng))
-        action = fraction_clifford_action(rep, v)
-        image_plus = la.mat_mul(action, basis_plus)
+        d, action = la.exact(1, fraction_clifford_action(rep, rational_unit_vector(8, rng)))
+        ident8 = tuple(tuple(d * d * x for x in row) for row in la.identity(8))  # d^2 I
+        image_plus = la.mat_mul(action, basis_plus)  # over d
         assert la.mat_mul(minus_projector, image_plus) == image_plus
         assert la.mat_mul(la.transpose(image_plus), image_plus) == ident8
         image_minus = la.mat_mul(action, basis_minus)

@@ -386,6 +386,7 @@ def test_catalogue_is_read_as_utf8_in_an_ascii_locale(tmp_path):
     assert [m["name"] for m in json.loads(done.stdout)["manifolds"]] == ["K\u00e4hler"]
     done = census()
     assert done.returncode == 2
+    assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and "--format structured" in done.stderr
 

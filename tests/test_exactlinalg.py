@@ -1,6 +1,7 @@
 """Exact matrix products and integer elimination against the Fraction oracles."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from conftest import (
     fraction_mat_mul,
     fraction_mat_vec,
     fraction_rref,
+    fraction_view,
 )
 from spinkit.errors import DimensionMismatchError
 
@@ -27,13 +29,31 @@ _ENTRIES = st.one_of(
 )
 
 
+def assert_exact_form(m, want):
+    """m is an exact pair in lowest terms whose value is the Fraction rows want."""
+    d, rows = m
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert gcd(d, *(x for row in rows for x in row)) == 1
+    assert fraction_view(m) == want
+
+
+def assert_primitive_multiple(v, w):
+    """v is the primitive integer vector on the ray of the nonzero Fraction
+    vector w; there is exactly one such vector."""
+    assert all(type(x) is int for x in v) and gcd(*v) == 1
+    f = next(i for i, x in enumerate(w) if x)
+    scale = v[f] / w[f]
+    assert scale > 0 and tuple(v) == tuple(scale * x for x in w)
+
+
 @st.composite
 def matrix_pairs(draw):
     """(a, b) of shapes r x k and k x c, each 0..6, some entirely zero."""
     r, k, c = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
     entries = st.just(Fraction(0)) if draw(st.integers(0, 4)) == 0 else _ENTRIES
-    a = la.mat([[draw(entries) for _ in range(k)] for _ in range(r)])
-    b = la.mat([[draw(_ENTRIES) for _ in range(c)] for _ in range(k)])
+    a = tuple(tuple(draw(entries) for _ in range(k)) for _ in range(r))
+    b = tuple(tuple(draw(_ENTRIES) for _ in range(c)) for _ in range(k))
     return a, b
 
 
@@ -41,27 +61,36 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_mat_mul_matches_fraction_oracle(pair):
     a, b = pair
-    product = la.mat_mul(a, b)
-    assert product == fraction_mat_mul(a, b)
-    assert all(type(x) is Fraction for row in product for x in row)
+    (da, ia), (db, ib) = la.exact(1, a), la.exact(1, b)
+    product = la.mat_mul(ia, ib)
+    assert all(type(x) is int for row in product for x in row)
+    assert_exact_form(la.exact(da * db, product), fraction_mat_mul(a, b))
 
 
 def test_mat_mul_of_zero_and_empty_matrices():
-    zero = la.mat([[0] * 3] * 2)
-    b = la.mat([[Fraction(1, 3), 2], [5, Fraction(-7, 2)], [0, 1]])
-    assert la.mat_mul(zero, b) == la.mat([[0, 0], [0, 0]])
+    zero = ((0, 0, 0), (0, 0, 0))
+    d, b = la.exact(1, [[Fraction(1, 3), 2], [5, Fraction(-7, 2)], [0, 1]])
+    assert (d, b) == (6, ((2, 12), (30, -21), (0, 6)))
+    assert la.mat_mul(zero, b) == ((0, 0), (0, 0))
+    assert la.exact(d, la.mat_mul(zero, b)) == (1, ((0, 0), (0, 0)))
     assert la.mat_mul((), b) == ()
-    assert la.mat_mul(la.mat([[], []]), ()) == ((), ())
+    assert la.mat_mul(((), ()), ()) == ((), ())
     assert la.mat_mul(la.identity(4), la.identity(4)) == la.identity(4)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrix_pairs(), st.data())
 def test_mat_vec_matches_fraction_oracle(pair, data):
+    """a v as the product of exact pairs with v as one column.  A column
+    with no rows reads back as no columns, so each row is summed: that gives
+    the zero entries a v has when v is empty."""
     a, _ = pair
     width = len(a[0]) if a else data.draw(st.integers(0, 3))
     v = tuple(data.draw(_ENTRIES) for _ in range(width))
-    assert la.mat_vec(a, v) == fraction_mat_vec(a, v)
+    (da, ia), (dv, (iv,)) = la.exact(1, a), la.exact(1, [v])
+    column = la.mat_mul(ia, [(x,) for x in iv])
+    got = la.exact(da * dv, [(sum(row),) for row in column])
+    assert_exact_form(got, tuple((x,) for x in fraction_mat_vec(a, v)))
 
 
 @st.composite
@@ -72,54 +101,71 @@ def matrices(draw, square=False):
     c = r if square else draw(st.integers(min_value=0, max_value=7))
     kind = draw(st.sampled_from(["dense", "zero", "product", "repeated"]))
     if kind == "zero":
-        return la.mat([[0] * c for _ in range(r)])
+        return tuple(tuple(Fraction(0) for _ in range(c)) for _ in range(r))
     if kind == "product" and min(r, c) > 1:
         k = draw(st.integers(min_value=1, max_value=min(r, c) - 1))
-        a = la.mat([[draw(_ENTRIES) for _ in range(k)] for _ in range(r)])
-        b = la.mat([[draw(_ENTRIES) for _ in range(c)] for _ in range(k)])
-        return la.mat_mul(a, b)
+        a = tuple(tuple(draw(_ENTRIES) for _ in range(k)) for _ in range(r))
+        b = tuple(tuple(draw(_ENTRIES) for _ in range(c)) for _ in range(k))
+        return fraction_mat_mul(a, b)
     rows = [[draw(_ENTRIES) for _ in range(c)] for _ in range(r)]
     if kind == "repeated" and r > 1:
         s = draw(st.sampled_from([-2, 1, Fraction(1, 3)]))
         rows[-1] = [s * x + y for x, y in zip(rows[0], rows[1])]
-    return la.mat(rows)
+    return tuple(map(tuple, rows))
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rank_and_kernel_match_fraction_rref(a):
     _, pivots = fraction_rref([list(row) for row in a])
-    assert la.rank(a) == len(pivots) == la.rank(la.transpose(a))
-    kernel = la.kernel_basis(a)
-    assert kernel == fraction_kernel_basis(a)
-    assert all(type(x) is Fraction for v in kernel for x in v)
+    _, ia = la.exact(1, a)
+    assert la.rank(ia) == len(pivots) == la.rank(la.transpose(ia))
+    kernel = la.kernel_basis(ia)
+    oracle = fraction_kernel_basis(a)
+    assert len(kernel) == len(oracle)
+    for v, w in zip(kernel, oracle):
+        assert_primitive_multiple(v, w)
     if a:
         assert len(kernel) == len(a[0]) - len(pivots)
-        assert all(not any(la.mat_vec(a, v)) for v in kernel)
+        assert all(not any(la.mat_mul((v,), la.transpose(ia))[0]) for v in kernel)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(square=True))
 def test_det_matches_fraction_elimination(a):
-    d = la.det(a)
-    assert d == fraction_det(a)
-    assert type(d) is Fraction
-    assert (d == 0) == (la.rank(a) < len(a))
+    d, ia = la.exact(1, a)
+    det = la.det(ia)
+    assert type(det) is int
+    assert_exact_form(la.exact(d ** len(ia), ((det,),)), ((fraction_det(a),),))
+    assert (det == 0) == (la.rank(ia) < len(ia))
 
 
 def test_elimination_on_zero_empty_and_non_square_inputs():
     assert la.rank(()) == 0 and la.kernel_basis(()) == [] and la.det(()) == 1
-    zero = la.mat([[0] * 3] * 2)
+    zero = ((0, 0, 0), (0, 0, 0))
     assert la.rank(zero) == 0
-    assert la.kernel_basis(zero) == [tuple(row) for row in la.identity(3)]
-    assert la.det(la.mat([[0] * 3] * 3)) == 0
-    wide = la.mat([[1, 2, 3], [2, 4, 7]])
+    assert la.kernel_basis(zero) == list(la.identity(3))
+    assert la.det(((0, 0, 0),) * 3) == 0
+    wide = ((1, 2, 3), (2, 4, 7))
     assert la.rank(wide) == 2
-    assert la.kernel_basis(wide) == [(Fraction(-2), Fraction(1), Fraction(0))]
+    assert la.kernel_basis(wide) == [(-2, 1, 0)]
     with pytest.raises(ValueError):
         la.det(wide)
-    assert la.det(la.mat([[0, 1], [1, 0]])) == -1
-    assert la.det(la.mat([[Fraction(1, 2), 3], [Fraction(-1, 3), 5]])) == Fraction(7, 2)
+    assert la.det(((0, 1), (1, 0))) == -1
+    d, rows = la.exact(1, [[Fraction(1, 2), 3], [Fraction(-1, 3), 5]])
+    assert Fraction(la.det(rows), d**2) == Fraction(7, 2)
+
+
+def test_exact_form_is_in_lowest_terms():
+    assert la.exact(4, [[2, -6], [0, 8]]) == (2, ((1, -3), (0, 4)))
+    assert la.exact(3, [[Fraction(3, 2), 0]]) == (2, ((1, 0),))
+    assert la.exact(5, [[0, 0]]) == (1, ((0, 0),))
+    assert la.exact(7, []) == (1, ())
+    with pytest.raises(ValueError, match="ragged"):
+        la.exact(1, [[1, 2], [3]])
+    for d in (0, -2, True, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="denominator"):
+            la.exact(d, [[1]])
 
 
 def test_rank_of_the_monomial_gram(rep):
@@ -130,43 +176,50 @@ def test_rank_of_the_monomial_gram(rep):
         [sum(sa[j] * sb[j] for j in range(16) if pa[j] == pb[j]) for pb, sb in monomials]
         for pa, sa in monomials
     ]
-    assert la.mat(gram) == la.mat_scale(la.identity(256), 16)
-    assert la.rank(la.mat(gram)) == 256 and la.kernel_basis(la.mat(gram)) == []
+    assert la.exact(16, gram) == (1, la.identity(256))  # gram / 16 = I
+    assert la.rank(gram) == 256 and la.kernel_basis(gram) == []
     gram[200] = [3 * x - y for x, y in zip(gram[5], gram[17])]
-    damaged = la.mat(gram)
-    assert la.rank(damaged) == 255 == len(fraction_rref([list(r) for r in damaged])[1])
-    assert la.kernel_basis(damaged) == fraction_kernel_basis(damaged)
+    damaged = fraction_view((1, gram))
+    assert la.rank(gram) == 255 == len(fraction_rref([list(r) for r in damaged])[1])
+    kernel, oracle = la.kernel_basis(gram), fraction_kernel_basis(damaged)
+    assert len(kernel) == len(oracle) == 1
+    assert_primitive_multiple(kernel[0], oracle[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_intersection_basis_matches_fraction_oracle(data):
-    """Row spaces of random full-row-rank a and b, some sharing rows."""
+    """Row spaces of random full-row-rank a and b, some sharing rows.  A row
+    space ignores the scale of each row, so the integer rows of a and b span
+    the same spaces, and each basis vector is the oracle's scaled to
+    primitive integers."""
     c = data.draw(st.integers(min_value=1, max_value=6))
-    rows = [[data.draw(_ENTRIES) for _ in range(c)] for _ in range(2 * c)]
-    a = la.mat(rows[: data.draw(st.integers(1, c))])
-    b = la.mat(rows[data.draw(st.integers(0, len(a))) :][: data.draw(st.integers(1, c))])
-    if la.rank(a) < len(a) or la.rank(b) < len(b):
+    rows = [tuple(data.draw(_ENTRIES) for _ in range(c)) for _ in range(2 * c)]
+    a = tuple(rows[: data.draw(st.integers(1, c))])
+    b = tuple(rows[data.draw(st.integers(0, len(a))) :][: data.draw(st.integers(1, c))])
+    ia, ib = la.exact(1, a)[1], la.exact(1, b)[1]
+    if la.rank(ia) < len(ia) or la.rank(ib) < len(ib):
         with pytest.raises(ValueError):
-            la.intersection_basis(a, b)
+            la.intersection_basis(ia, ib)
         return
-    basis = la.intersection_basis(a, b)
-    assert basis == fraction_intersection_basis(a, b)
+    basis = la.intersection_basis(ia, ib)
+    oracle = fraction_intersection_basis(a, b)
+    assert len(basis) == len(oracle)
+    for v, w in zip(basis, oracle):
+        assert_primitive_multiple(v, w)
     for v in basis:
-        assert la.rank(a + (v,)) == len(a) and la.rank(b + (v,)) == len(b)
+        assert la.rank(ia + (v,)) == len(ia) and la.rank(ib + (v,)) == len(ib)
 
 
 def test_mismatched_shapes_raise():
-    a = la.mat([[1, 2, 3], [4, 5, 6]])
-    b = la.mat([[1, 0], [0, 1]])
+    a = ((1, 2, 3), (4, 5, 6))
+    b = ((1, 0), (0, 1))
     with pytest.raises(DimensionMismatchError):
         la.mat_mul(a, b)  # 2x3 times 2x2
     with pytest.raises(DimensionMismatchError):
         la.mat_mul(b, ())
     with pytest.raises(DimensionMismatchError):
-        la.mat_vec(a, (1, 1))
-    with pytest.raises(DimensionMismatchError):
-        la.mat_sub(b, la.mat([[1, 0]]))
+        la.mat_mul(a, ((1,), (1,)))  # a applied to a vector of length 2
     with pytest.raises(DimensionMismatchError):
         la.intersection_basis(a, b)
     assert la.mat_mul(b, a) == a

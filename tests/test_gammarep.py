@@ -15,6 +15,8 @@ from conftest import (
     dense_swap_failure,
     first_failing_anticommutator,
     fraction_clifford_action,
+    fraction_mat_mul,
+    fraction_view,
 )
 from spinkit.errors import (
     ChiralityError,
@@ -52,11 +54,22 @@ from spinkit.spingroup import (
     adjoint_action,
     random_spin,
     rational_unit_tuple,
+    rational_unit_vector,
 )
 from spinkit.verify import reps_suite
 
 I8 = la.identity(8)
 I16 = la.identity(16)
+
+
+def _negated(rows):
+    return tuple(tuple(-x for x in row) for row in rows)
+
+
+def _product(a, b):
+    """The product of two exact pairs, as an exact pair."""
+    (da, ra), (db, rb) = a, b
+    return la.exact(da * db, la.mat_mul(ra, rb))
 
 
 def test_octonion_table_is_alternative():
@@ -77,11 +90,12 @@ def test_octonion_table_is_alternative():
 
 def test_gamma_anticommutators(rep):
     assert generator_relation_failure(rep.gamma) is None
-    dense = [dense_signed_perm(g) for g in rep.gamma]
+    dense = [la.exact(1, dense_signed_perm(g))[1] for g in rep.gamma]
     for i in range(8):
         for j in range(8):
             gij, gji = la.mat_mul(dense[i], dense[j]), la.mat_mul(dense[j], dense[i])
-            assert la.mat_sub(gij, la.mat_scale(gji, -1)) == la.mat_scale(I16, -2 if i == j else 0)
+            total = tuple(tuple(map(sum, zip(r1, r2))) for r1, r2 in zip(gij, gji))
+            assert total == tuple(tuple(-2 * x * (i == j) for x in row) for row in I16)
 
 
 def test_anticommutator_check_names_the_first_failing_pair():
@@ -188,8 +202,8 @@ def test_reps_verdict_builds_no_16_wide_matrix(rep, monkeypatch):
 
 def test_gamma_square_is_minus_identity(rep):
     assert sp_compose(rep.gamma[0], rep.gamma[0]) == (tuple(range(16)), (-1,) * 16)
-    g0 = dense_signed_perm(rep.gamma[0])
-    assert la.mat_mul(g0, g0) == la.mat_scale(I16, -1)
+    _, g0 = la.exact(1, dense_signed_perm(rep.gamma[0]))
+    assert la.mat_mul(g0, g0) == _negated(I16)
 
 
 def test_monomial_span_is_full(rep):
@@ -253,9 +267,9 @@ def test_monomial_gram_is_diagonal(rep, monkeypatch):
 
 
 def _clifford_action(rep, a):
-    """The 16x16 Fraction matrix of c(a), read off action_columns."""
+    """The 16x16 matrix of c(a) as an exact pair, read off action_columns."""
     d, cols = action_columns(rep, a, range(16))
-    return tuple(tuple(Fraction(col[i], d) for col in cols) for i in range(16))
+    return la.exact(d, la.transpose(cols))
 
 
 def test_clifford_action_is_an_algebra_map(rep):
@@ -263,7 +277,7 @@ def test_clifford_action_is_an_algebra_map(rep):
     for _ in range(10):
         a = Multivector(8, {rng.randrange(256): Fraction(rng.randint(-5, 5), rng.randint(1, 3))})
         b = Multivector(8, {rng.randrange(256): rng.randint(-4, 4)})
-        assert _clifford_action(rep, a * b) == la.mat_mul(
+        assert _clifford_action(rep, a * b) == _product(
             _clifford_action(rep, a), _clifford_action(rep, b)
         )
     for _ in range(10):
@@ -274,8 +288,8 @@ def test_clifford_action_is_an_algebra_map(rep):
                 for _ in range(rng.randint(0, 40))
             },
         )
-        assert _clifford_action(rep, a) == fraction_clifford_action(rep, a)
-    assert _clifford_action(rep, Multivector.scalar(8, 1)) == I16
+        assert fraction_view(_clifford_action(rep, a)) == fraction_clifford_action(rep, a)
+    assert _clifford_action(rep, Multivector.scalar(8, 1)) == (1, I16)
     with pytest.raises(DimensionMismatchError):
         action_columns(rep, Multivector.scalar(7, 1), range(16))
 
@@ -283,11 +297,11 @@ def test_clifford_action_is_an_algebra_map(rep):
 def test_omega8_eigenspaces(rep):
     omega = fraction_clifford_action(rep, volume_element(8))
     plus, minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
-    assert la.mat_mul(omega, omega) == I16
-    assert la.mat_mul(omega, plus) == plus
-    assert la.mat_mul(omega, minus) == la.mat_scale(minus, -1)
-    assert la.mat_mul(la.transpose(plus), plus) == I8
-    assert la.mat_mul(la.transpose(minus), minus) == I8
+    assert fraction_mat_mul(omega, omega) == I16
+    assert fraction_mat_mul(omega, plus) == plus
+    assert fraction_mat_mul(omega, minus) == _negated(minus)
+    assert fraction_mat_mul(la.transpose(plus), plus) == I8
+    assert fraction_mat_mul(la.transpose(minus), minus) == I8
 
 
 def test_split_needs_a_diagonal_volume_element():
@@ -316,7 +330,9 @@ def test_chiral_action_matches_the_dense_oracle(rep):
     elements += [d_iota_plus(rep, x) for x in spin7_lie_basis()]
     for a in elements:
         for chirality in ("+", "-"):
-            assert chiral_action_matrix(rep, a, chirality) == dense_chiral_action(rep, a, chirality)
+            # exact() of the oracle's Fractions is the one lowest-terms pair
+            want = la.exact(1, dense_chiral_action(rep, a, chirality))
+            assert chiral_action_matrix(rep, a, chirality) == want
 
 
 def test_chiral_action_and_oracle_reject_unit_vectors(rep):
@@ -335,8 +351,8 @@ def test_odd_element_killing_the_positive_half_acts_as_zero(rep):
     # e0 (1 - omega8)/2 is odd, but (1 - omega8)/2 annihilates S8+, so S8+ is
     # preserved (sent to 0); on S8- it is e0, which leaves the half
     a = Multivector.basis_vector(8, 0) * (Multivector.scalar(8, 1) - volume_element(8)) * Fraction(1, 2)
-    zero = la.mat_scale(I8, 0)
-    assert chiral_action_matrix(rep, a, "+") == zero
+    zero = ((0,) * 8,) * 8
+    assert chiral_action_matrix(rep, a, "+") == (1, zero)
     assert dense_chiral_action(rep, a, "+") == zero
     with pytest.raises(ChiralityError):
         chiral_action_matrix(rep, a, "-")
@@ -347,45 +363,45 @@ def test_odd_element_killing_the_positive_half_acts_as_zero(rep):
 def test_unit_vectors_swap_halves(rep):
     rng = random.Random(9)
     plus, minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
-    minus_projector = la.mat_mul(minus, la.transpose(minus))
+    minus_projector = fraction_mat_mul(minus, la.transpose(minus))
     for _ in range(10):
-        v = Multivector.vector(8, rational_unit_tuple(8, rng))
+        v = rational_unit_vector(8, rng)
         m = fraction_clifford_action(rep, v)
-        image = la.mat_mul(m, plus)
-        assert la.mat_mul(minus_projector, image) == image
-        assert la.mat_mul(la.transpose(image), image) == I8
+        image = fraction_mat_mul(m, plus)
+        assert fraction_mat_mul(minus_projector, image) == image
+        assert fraction_mat_mul(la.transpose(image), image) == I8
         with pytest.raises(ChiralityError):
             chiral_action_matrix(rep, v, "+")
 
 
 def test_delta8_values(rep):
     one = SpinElement(Multivector.scalar(8, 1), check=False)
-    assert delta8(rep, one, "+") == I8
-    assert delta8(rep, omega8_element(), "+") == I8
-    assert delta8(rep, omega8_element(), "-") == la.mat_scale(I8, -1)
+    assert delta8(rep, one, "+") == (1, I8)
+    assert delta8(rep, omega8_element(), "+") == (1, I8)
+    assert delta8(rep, omega8_element(), "-") == (1, _negated(I8))
 
 
 def test_delta8_orthogonal_on_20_random_elements(rep):
     for seed in range(20):
         z = random_spin(8, 1, seed)
-        m = delta8(rep, z, "+" if seed % 2 else "-")
-        assert la.mat_mul(la.transpose(m), m) == I8
+        d, m = delta8(rep, z, "+" if seed % 2 else "-")
+        assert _product((d, la.transpose(m)), (d, m)) == (1, I8)
 
 
 def test_delta8_is_a_homomorphism(rep):
     z1, z2 = random_spin(8, 1, 21), random_spin(8, 2, 22)
-    assert delta8(rep, z1 * z2, "+") == la.mat_mul(delta8(rep, z1, "+"), delta8(rep, z2, "+"))
+    assert delta8(rep, z1 * z2, "+") == _product(delta8(rep, z1, "+"), delta8(rep, z2, "+"))
 
 
 def test_delta7_values(rep):
     one = SpinElement(Multivector.scalar(7, 1), check=False)
     minus_one = SpinElement(Multivector.scalar(7, -1), check=False)
-    assert delta7(rep, one) == I8
-    assert delta7(rep, minus_one) == la.mat_scale(I8, -1)
+    assert delta7(rep, one) == (1, I8)
+    assert delta7(rep, minus_one) == (1, _negated(I8))
     z = SpinElement(Multivector.blade(7, [0, 1]))  # embeds as e1 e2
-    m = delta7(rep, z)
-    assert la.mat_mul(la.transpose(m), m) == I8
-    assert la.mat_mul(m, m) == la.mat_scale(I8, -1)  # (e1 e2)^2 = -1
+    d, m = delta7(rep, z)
+    assert _product((d, la.transpose(m)), (d, m)) == (1, I8)
+    assert _product((d, m), (d, m)) == (1, _negated(I8))  # (e1 e2)^2 = -1
 
 
 def test_delta7_domain_errors(rep):
@@ -407,8 +423,8 @@ def test_iota_vector(rep):
     z = random_spin(7, 2, 31)
     eta = iota_vector(z)
     assert eta.value == embed_spin7(z.value)
-    r = adjoint_action(eta).entries
-    assert tuple(r[i][0] for i in range(8)) == tuple(Fraction(1 if i == 0 else 0) for i in range(8))
+    d, r = adjoint_action(eta).entries
+    assert tuple(r[i][0] for i in range(8)) == (d,) + (0,) * 7
     minus_one = SpinElement(Multivector.scalar(7, -1), check=False)
     assert iota_vector(minus_one).value == Multivector.scalar(8, -1)
 
@@ -433,7 +449,7 @@ def test_iota_plus_is_multiplicative(rep):
         rhs = iota_plus(rep, z1) * iota_plus(rep, z2)
         assert lhs.value == rhs.value
         # in particular the conjugation images compose
-        assert adjoint_action(lhs).entries == la.mat_mul(
+        assert adjoint_action(lhs).entries == _product(
             adjoint_action(iota_plus(rep, z1)).entries,
             adjoint_action(iota_plus(rep, z2)).entries,
         )
@@ -449,13 +465,15 @@ def test_common_fixed_space(rep):
     assert len(full) == 8
     line = common_fixed_space(rep, spin7_lie_basis())
     assert len(line) == 1
+    assert full == list(I8)
     psi = rep.fixed_spinor()
-    assert sum(c * c for c in psi.components) > 0
+    assert psi.components == (1, line[0])
+    assert sum(c * c for c in psi.components[1]) > 0
     sub_basis = [Multivector.blade(7, [i, j]) for i in range(6) for j in range(i + 1, 6)]
     sub_space = common_fixed_space(rep, sub_basis)
     assert len(sub_space) >= 1
     # psi lies in the span: appending it does not raise the rank
-    assert la.rank(la.mat(sub_space + [psi.components])) == la.rank(la.mat(sub_space))
+    assert la.rank(sub_space + [psi.components[1]]) == la.rank(sub_space)
 
 
 def test_stabilizer_dimensions(rep):
@@ -466,7 +484,7 @@ def test_stabilizer_dimensions(rep):
         phi = Spinor(rational_unit_tuple(8, rng), "+")
         assert stabilizer_dimension(rep, phi) == 21
     with pytest.raises(ValueError):
-        stabilizer_dimension(rep, Spinor((0,) * 8, "+"))
+        stabilizer_dimension(rep, Spinor((1, (0,) * 8), "+"))
     with pytest.raises(ChiralityError):
         stabilizer_dimension(rep, Spinor(psi.components, "-"))
 
@@ -476,15 +494,16 @@ def test_g2_intersection(rep):
     assert len(basis) == 14  # the dimension of the intersection
     psi = rep.fixed_spinor()
     for z in basis:
-        assert not any(la.mat_vec(chiral_action_matrix(rep, z, "+"), psi.components))
-        col0 = tuple(ad_differential(z).entries[i][0] for i in range(8))
+        _, m = chiral_action_matrix(rep, z, "+")
+        assert not any(la.mat_mul((psi.components[1],), la.transpose(m))[0])  # (m psi)^T
+        col0 = tuple(ad_differential(z).entries[1][i][0] for i in range(8))
         assert not any(col0)
 
 
 def test_intersection_basis_needs_independent_rows():
-    a = la.mat([[1, 0, 0], [0, 1, 0]])
-    b = la.mat([[0, 1, 1], [1, 0, 0]])
-    assert la.intersection_basis(a, b) == [la.vec([1, 0, 0])]
+    a = ((1, 0, 0), (0, 1, 0))
+    b = ((0, 1, 1), (1, 0, 0))
+    assert la.intersection_basis(a, b) == ((1, 0, 0),)
     with pytest.raises(ValueError):
         la.intersection_basis(a + a[:1], b)
     with pytest.raises(ValueError):
@@ -504,13 +523,14 @@ def test_sphere_transitivity(rep):
 def test_sigma_plus_factors_through_rotations(rep):
     z = random_spin(7, 2, 77)
     assert delta8(rep, iota_plus(rep, z), "+") == delta8(rep, iota_plus(rep, -z), "+")
-    assert delta7(rep, -z) == la.mat_scale(delta7(rep, z), -1)
+    d, m = delta7(rep, z)
+    assert delta7(rep, -z) == (d, _negated(m))
 
 
 def test_spinor_type_validation():
     with pytest.raises(DimensionMismatchError):
-        Spinor((1, 0, 0), "+")
+        Spinor((1, (1, 0, 0)), "+")
     with pytest.raises(ValueError):
-        Spinor((1,) * 16, "sideways")
-    full = Spinor((1,) + (0,) * 15, "full")
-    assert sum(c * c for c in full.components) == 1
+        Spinor((1, (1,) * 16), "sideways")
+    full = Spinor((1, (1,) + (0,) * 15), "full")
+    assert sum(c * c for c in full.components[1]) == 1

@@ -7,6 +7,7 @@ repeats with a factor -1 each.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -83,9 +84,18 @@ def test_dimension_mismatch_rejected():
         e(7, 0) * e(8, 0)
 
 
-def test_float_coefficients_rejected():
-    with pytest.raises(TypeError):
-        Multivector(8, {0: 0.5})
+@pytest.mark.parametrize(
+    "terms, kind",
+    [
+        pytest.param({0: 0.5}, "float", id="float"),
+        pytest.param({0: "1/2", 3: True}, "str", id="str"),
+        pytest.param({0: Fraction(1, 2), 3: True}, "bool", id="bool"),
+        pytest.param({0: Decimal("0.1")}, "Decimal", id="Decimal"),
+    ],
+)
+def test_float_coefficients_rejected(terms, kind):
+    with pytest.raises(TypeError, match=f"not {kind}$"):
+        Multivector(8, terms)
 
 
 def test_grade_involution_values():

@@ -1,6 +1,7 @@
 """Spin group: conjugation cover, reflections, lifting, Lie algebra section."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,15 @@ from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
 import spinkit.spingroup as spingroup
-from conftest import fraction_adjoint_action, fraction_lift_rotation, fraction_spin_validate
+from conftest import (
+    fraction_adjoint_action,
+    fraction_lift_rotation,
+    fraction_mat_mul,
+    fraction_spin_validate,
+    fraction_view,
+)
 from spinkit.errors import InvalidSpinElementError, LiftError
-from spinkit.gammarep import iota_plus
+from spinkit.gammarep import Spinor, iota_plus
 from spinkit.multivector import Multivector, volume_element
 from spinkit.spingroup import (
     RotationMatrix,
@@ -47,15 +54,15 @@ def test_spin_element_invariants():
 def test_adjoint_of_minus_one_is_identity():
     for n in (3, 7, 8):
         z = SpinElement(Multivector.scalar(n, -1), check=False)
-        assert adjoint_action(z).entries == la.identity(n)
+        assert adjoint_action(z).entries == (1, la.identity(n))
 
 
 def test_adjoint_of_plane_bivector_is_half_turn():
     z = SpinElement(Multivector.blade(8, [1, 2]))
-    r = adjoint_action(z).entries
+    d, r = adjoint_action(z).entries
+    assert d == 1
     for j in range(8):
-        want = Fraction(-1) if j in (1, 2) else Fraction(1)
-        assert r[j][j] == want
+        assert r[j][j] == (-1 if j in (1, 2) else 1)
     assert sum(1 for i in range(8) for j in range(8) if r[i][j] and i != j) == 0
 
 
@@ -63,7 +70,8 @@ def test_adjoint_is_rotation_on_random_elements():
     for seed in range(20):
         z = random_spin(8, 2, seed)
         rot = adjoint_action(z)  # RotationMatrix validates orthogonality, det +1
-        assert la.det(rot.entries) == 1
+        d, r = rot.entries
+        assert la.det(r) == d**8
 
 
 def test_adjoint_homomorphism_and_two_to_one():
@@ -72,12 +80,14 @@ def test_adjoint_homomorphism_and_two_to_one():
         n = rng.choice([3, 7, 8])
         z1 = random_spin(n, 1, rng.randrange(10**6))
         z2 = random_spin(n, 2, rng.randrange(10**6))
-        assert adjoint_action(z1 * z2).entries == la.mat_mul(
-            adjoint_action(z1).entries, adjoint_action(z2).entries
+        (d1, r1), (d2, r2) = adjoint_action(z1).entries, adjoint_action(z2).entries
+        assert adjoint_action(z1 * z2).entries == la.exact(d1 * d2, la.mat_mul(r1, r2))
+        assert fraction_view(adjoint_action(z1 * z2).entries) == fraction_mat_mul(
+            fraction_view((d1, r1)), fraction_view((d2, r2))
         )
         assert adjoint_action(-z1).entries == adjoint_action(z1).entries
         if z1.value not in (Multivector.scalar(n, 1), Multivector.scalar(n, -1)):
-            assert adjoint_action(z1).entries != la.identity(n)
+            assert adjoint_action(z1).entries != (1, la.identity(n))
 
 
 def test_reflection_basic_values():
@@ -105,11 +115,11 @@ def test_reflection_requires_unit_vector():
 
 
 def test_lift_identity_and_sign_canonicalization():
-    ident = RotationMatrix(la.identity(8))
+    ident = RotationMatrix((1, la.identity(8)))
     z = lift_rotation(ident)
     assert z.value == Multivector.scalar(8, 1)
-    half_turn = la.mat(
-        [[-1 if i == j and i < 2 else (1 if i == j else 0) for j in range(8)] for i in range(8)]
+    half_turn = la.exact(
+        1, [[-1 if i == j and i < 2 else (1 if i == j else 0) for j in range(8)] for i in range(8)]
     )
     z = lift_rotation(RotationMatrix(half_turn))
     assert z.value in (Multivector.blade(8, [0, 1]), -Multivector.blade(8, [0, 1]))
@@ -119,8 +129,8 @@ def test_lift_identity_and_sign_canonicalization():
 
 
 def test_lift_of_minus_identity_is_volume_element():
-    minus = la.mat([[-1 if i == j else 0 for j in range(8)] for i in range(8)])
-    assert lift_rotation(RotationMatrix(minus)).value == volume_element(8)
+    minus = [[-1 if i == j else 0 for j in range(8)] for i in range(8)]
+    assert lift_rotation(RotationMatrix((1, minus))).value == volume_element(8)
 
 
 def test_lift_roundtrip_on_random_rotations():
@@ -134,25 +144,25 @@ def test_lift_roundtrip_on_random_rotations():
 
 
 def test_lift_rejects_orientation_reversal():
-    refl = la.mat([[-1 if i == j == 0 else (1 if i == j else 0) for j in range(8)] for i in range(8)])
+    refl = [[-1 if i == j == 0 else (1 if i == j else 0) for j in range(8)] for i in range(8)]
+    with pytest.raises(ValueError, match="determinant"):
+        RotationMatrix((1, refl))  # det -1 rejected at the type level
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     with pytest.raises(ValueError):
-        RotationMatrix(refl)  # det -1 rejected at the type level
-    swap = la.mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        lift_rotation(RotationMatrix(swap))
+        lift_rotation(RotationMatrix((1, swap)))
 
 
 def test_lift_rejects_irrational_spinor_norm():
     # rotation by acos(3/5): its lift needs sqrt(4/5), not rational
-    r = la.mat(
-        [
-            [Fraction(3, 5), Fraction(-4, 5), 0],
-            [Fraction(4, 5), Fraction(3, 5), 0],
-            [0, 0, 1],
-        ]
-    )
+    r = [
+        [Fraction(3, 5), Fraction(-4, 5), 0],
+        [Fraction(4, 5), Fraction(3, 5), 0],
+        [0, 0, 1],
+    ]
+    rotation = RotationMatrix((1, r))
+    assert rotation.entries == (5, ((3, -4, 0), (4, 3, 0), (0, 0, 5)))
     with pytest.raises(LiftError):
-        lift_rotation(RotationMatrix(r))
+        lift_rotation(rotation)
 
 
 def test_even_reflection_count_matches_adjoint():
@@ -170,9 +180,9 @@ def test_lie_lift_inverts_ad_differential():
     rng = random.Random(2)
     elementary = [[0] * 8 for _ in range(8)]
     elementary[0][1], elementary[1][0] = 1, -1
-    b = lie_lift(SkewMatrix(la.mat(elementary)))
+    b = lie_lift(SkewMatrix((1, elementary)))
     assert b == Multivector.blade(8, [0, 1], Fraction(-1, 2))
-    assert ad_differential(b).entries == la.mat(elementary)
+    assert ad_differential(b).entries == la.exact(1, elementary)
     for _ in range(20):
         n = rng.choice([4, 7, 8])
         entries = [[0] * n for _ in range(n)]
@@ -180,9 +190,22 @@ def test_lie_lift_inverts_ad_differential():
             for j in range(i):
                 entries[i][j] = rng.randint(-6, 6)
                 entries[j][i] = -entries[i][j]
-        a = SkewMatrix(la.mat(entries))
+        a = SkewMatrix((1, entries))
         assert ad_differential(lie_lift(a)).entries == a.entries
-    assert lie_lift(SkewMatrix(la.mat([[0] * 8 for _ in range(8)]))).terms == {}
+        halved = SkewMatrix((2, entries))
+        assert lie_lift(halved) == lie_lift(a) * Fraction(1, 2)
+        assert ad_differential(lie_lift(halved)).entries == halved.entries
+        # column j holds b e_j - e_j b, here from Multivector products
+        b = lie_lift(halved)
+        d, rows = ad_differential(b).entries
+        for j in range(n):
+            ej = Multivector.basis_vector(n, j)
+            column = Multivector.vector(n, [Fraction(row[j], d) for row in rows])
+            assert column == b * ej - ej * b
+    assert lie_lift(SkewMatrix((1, [[0] * 8 for _ in range(8)]))).terms == {}
+    # e0 e1 e2 e3 - e3 e0 e1 e2 = 2 e0 e1 e2 e3 is not a vector
+    with pytest.raises(ValueError, match="does not preserve grade 1"):
+        ad_differential(Multivector.blade(8, [0, 1, 2]))
 
 
 def test_random_spin_contract():
@@ -247,7 +270,8 @@ def test_spin_checks_match_fraction_oracles(value):
     verdict = _rejection(SpinElement, value)
     assert verdict == _rejection(fraction_spin_validate, value)
     if verdict is None:
-        assert adjoint_action(SpinElement(value)).entries == fraction_adjoint_action(value)
+        got = adjoint_action(SpinElement(value)).entries
+        assert fraction_view(got) == fraction_adjoint_action(value)
 
 
 def test_validation_forms_no_dense_product(rep, monkeypatch):
@@ -275,15 +299,15 @@ def test_validation_forms_no_dense_product(rep, monkeypatch):
 def _pythagorean_rotation(n, rng):
     """A product of rotations by Pythagorean angles in random coordinate
     planes.  Its spinor norm is a square for some draws and not for others."""
-    r = la.identity(n)
+    d, r = 1, la.identity(n)
     for _ in range(rng.randint(1, 4)):
         i, j = rng.sample(range(n), 2)
         a, b, c = rng.choice(_TRIPLES)
-        g = [list(row) for row in la.identity(n)]
-        g[i][i] = g[j][j] = Fraction(a, c)
-        g[i][j], g[j][i] = Fraction(-b, c), Fraction(b, c)
-        r = la.mat_mul(r, la.mat(g))
-    return RotationMatrix(r)
+        g = [[c * x for x in row] for row in la.identity(n)]  # over c
+        g[i][i] = g[j][j] = a
+        g[i][j], g[j][i] = -b, b
+        d, r = la.exact(d * c, la.mat_mul(r, g))
+    return RotationMatrix((d, r))
 
 
 def _lift_or_error(lift, rotation):
@@ -324,26 +348,44 @@ def test_lift_error_cases_match_the_oracle():
         )
     # an orientation-reversing matrix that skipped the RotationMatrix checks
     swap = object.__new__(RotationMatrix)
-    object.__setattr__(swap, "entries", la.mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    object.__setattr__(swap, "entries", (1, ((0, 1, 0), (1, 0, 0), (0, 0, 1))))
     for lift in (lift_rotation, fraction_lift_rotation):
         with pytest.raises(LiftError, match="odd reflection count"):
             lift(swap)
 
 
 def test_empty_rotation_matrix_is_rejected():
-    with pytest.raises(ValueError):
-        RotationMatrix(())
+    with pytest.raises(ValueError, match="at least 1x1"):
+        RotationMatrix((1, ()))
 
 
-def test_float_entries_rejected():
-    # 0.1 is not 1/10: Fraction(0.1) would keep the binary expansion
-    with pytest.raises(TypeError, match="not float"):
-        SkewMatrix([[0, 0.1], [-0.1, 0]])
-    with pytest.raises(TypeError, match="not float"):
-        RotationMatrix([[1.0, 0], [0, 1]])
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        # 0.1 is not 1/10: Fraction(0.1) would keep the binary expansion
+        pytest.param(lambda: SkewMatrix((1, [[0, 0.1], [-0.1, 0]])), "float", id="skew-float"),
+        pytest.param(lambda: RotationMatrix((1, [[1.0, 0], [0, 1]])), "float", id="rotation-float"),
+        pytest.param(lambda: RotationMatrix((1, [["1", 0], [0, True]])), "str", id="rotation-str"),
+        pytest.param(lambda: RotationMatrix((1, [[True, 0], [0, 1]])), "bool", id="rotation-bool"),
+        pytest.param(lambda: SkewMatrix((1, [[0, "3"], ["-3", 0]])), "str", id="skew-str"),
+        pytest.param(
+            lambda: SkewMatrix((1, [[0, Decimal("0.1")], [Decimal("-0.1"), 0]])), "Decimal",
+            id="skew-Decimal",
+        ),
+        pytest.param(lambda: Spinor((1, ["1"] + [0] * 7), "+"), "str", id="spinor-str"),
+    ],
+)
+def test_float_entries_rejected(build, kind):
+    with pytest.raises(TypeError, match=f"not {kind}$"):
+        build()
+
+
+def test_fraction_entries_are_held_over_one_denominator():
     half = Fraction(1, 2)
-    exact = SkewMatrix([[0, half], [-half, 0]])
-    assert exact.entries[0][1] is half
+    exact = SkewMatrix((1, [[0, half], [-half, 0]]))
+    assert exact.entries == (2, ((0, 1), (-1, 0)))
+    assert SkewMatrix((4, [[0, 2], [-2, 0]])) == exact
+    assert Spinor((3, [half] + [0] * 7), "+").components == (6, (1,) + (0,) * 7)
 
 
 def test_checked_elements_keep_their_columns(monkeypatch):
@@ -361,7 +403,8 @@ def test_checked_elements_keep_their_columns(monkeypatch):
     z = random_spin(6, 2, 12)
     assert len(calls) == 1
     rot = adjoint_action(z)
-    assert adjoint_action(-z).entries == rot.entries == fraction_adjoint_action(z.value)
+    assert adjoint_action(-z).entries == rot.entries
+    assert fraction_view(rot.entries) == fraction_adjoint_action(z.value)
     assert len(calls) == 1
     lifted = lift_rotation(rot)
     assert len(calls) == 2
@@ -370,8 +413,11 @@ def test_checked_elements_keep_their_columns(monkeypatch):
 
     unchecked = SpinElement(z.value * z.value, check=False)
     assert len(calls) == 2
-    assert adjoint_action(unchecked).entries == fraction_adjoint_action(unchecked.value)
-    assert adjoint_action(unchecked).entries == la.mat_mul(rot.entries, rot.entries)
+    assert fraction_view(adjoint_action(unchecked).entries) == fraction_adjoint_action(
+        unchecked.value
+    )
+    d, r = rot.entries
+    assert adjoint_action(unchecked).entries == la.exact(d * d, la.mat_mul(r, r))
     assert len(calls) == 3
 
     tilted = SpinElement(Multivector(6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)}), check=False)
