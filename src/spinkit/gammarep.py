@@ -240,13 +240,12 @@ def action_columns(
     16 integers, where d is the common denominator of a's coefficients."""
     if a.n != 8:
         raise DimensionMismatchError("the Cl(0,8) action needs an element of Cl(0,8)")
-    d, terms = a.over_common_denominator()
     cols = [[0] * 16 for _ in columns]
-    for mask, c in terms:
+    for mask, c in a.terms.items():
         perm, sign = rep.monomials[mask]
         for col, j in zip(cols, columns):
             col[perm[j]] += c * sign[j]
-    return d, cols
+    return a.d, cols
 
 
 def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") -> la.Exact:
@@ -350,9 +349,7 @@ def bivector_coordinates(a: Multivector) -> tuple[int, tuple[int, ...]]:
     ``(d, numerators)`` over the common denominator of its coefficients."""
     if a.n != 8 or a.grades() not in ({2}, set()):
         raise ValueError("expected a bivector in Cl(0,8)")
-    d, terms = a.over_common_denominator()
-    numerators = dict(terms)
-    return d, tuple(numerators.get(mask, 0) for mask in _BIVECTOR_MASKS)
+    return a.d, tuple(a.terms.get(mask, 0) for mask in _BIVECTOR_MASKS)
 
 
 def d_delta7(rep: GammaRep, x: Multivector) -> la.Exact:

@@ -6,22 +6,23 @@ Conventions used throughout the package:
   (negative-definite convention: ``v*w + w*v = -2<v,w>``);
 * a basis blade is encoded as an n-bit mask, bit i meaning "contains e_i",
   and blades are kept in canonical ascending-index order;
-* coefficients are exact ``fractions.Fraction`` values and absent blades
-  are zero, so every identity below is checked with ``==``, never with a
+* a multivector has the one exact form of ``exactlinalg``: nonzero integer
+  numerators ``terms`` (blade -> int) over one positive denominator ``d``,
+  in lowest terms (gcd of d and every numerator 1), and absent blades are
+  zero, so every identity below is checked with ``==``, never with a
   tolerance;
-* a product runs in integers: each operand is scaled to integer numerators
-  over the lcm of its denominators, the numerators are multiplied and
-  summed blade by blade, and one ``Fraction`` per output blade is built
-  over the product of the two denominators.
+* a product multiplies the numerators blade by blade over the product of
+  the two denominators and divides out one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
+from .exactlinalg import exact
 
 Scalar = Union[int, Fraction]
 
@@ -48,35 +49,36 @@ def blade_grade(mask: int) -> int:
 
 
 class Multivector:
-    """Element of Cl(0,n) as a sparse blade -> Fraction mapping."""
+    """Element of Cl(0,n): blade -> nonzero int numerator ``terms`` over the
+    positive denominator ``d``, in lowest terms."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "d", "terms")
 
     def __init__(self, n: int, terms: Mapping[int, Scalar] | None = None):
         if not 1 <= n <= MAX_GENERATORS:
             raise UnsupportedDimensionError(f"generator count must be 1..{MAX_GENERATORS}, got {n}")
-        clean: dict[int, Fraction] = {}
-        for mask, coeff in (terms or {}).items():
+        terms = dict(terms or {})
+        for mask in terms:
+            if type(mask) is not int:
+                raise TypeError(f"blade masks must be int, not {type(mask).__name__}")
             if not 0 <= mask < (1 << n):
                 raise ValueError(f"blade mask {mask:#x} uses generators beyond n={n}")
-            t = type(coeff)
-            if t is not Fraction and t is not int:
-                raise TypeError(f"coefficients must be exact (int or Fraction), not {t.__name__}")
-            if coeff:
-                clean[mask] = coeff if t is Fraction else Fraction(coeff)
+        d, (numerators,) = exact(1, [terms.values()])
         self.n = n
-        self.terms = clean
+        self.d = d
+        self.terms = {m: c for m, c in zip(terms, numerators) if c}
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[int, Fraction]) -> "Multivector":
-        """Wrap a result computed from valid multivectors of Cl(0,n).
-
-        ``terms`` must already map blades of Cl(0,n) to nonzero Fractions;
-        nothing is re-checked or copied.
-        """
+    def _over(cls, n: int, d: int, numerators: Mapping[int, int]) -> "Multivector":
+        """The element of Cl(0,n) with the given blade -> int numerators over
+        d > 0: zeros are dropped and the gcd divided out, nothing else is
+        checked."""
+        terms = {m: c for m, c in numerators.items() if c}
+        g = gcd(d, *terms.values())
         out = object.__new__(cls)
         out.n = n
-        out.terms = terms
+        out.d = d // g
+        out.terms = {m: c // g for m, c in terms.items()} if g > 1 else terms
         return out
 
     # -- constructors ------------------------------------------------------
@@ -109,12 +111,6 @@ class Multivector:
             raise DimensionMismatchError(f"expected {n} components, got {len(comps)}")
         return cls(n, {1 << i: c for i, c in enumerate(comps)})
 
-    def over_common_denominator(self) -> tuple[int, list[tuple[int, int]]]:
-        """``(d, [(mask, numerator), ...])`` with each coefficient equal to
-        numerator / d, where d is the lcm of the coefficients' denominators."""
-        d = lcm(*(c.denominator for c in self.terms.values()))
-        return d, [(m, c.numerator * (d // c.denominator)) for m, c in self.terms.items()]
-
     # -- ring structure ----------------------------------------------------
 
     def _check_same_algebra(self, other: "Multivector") -> None:
@@ -123,54 +119,53 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check_same_algebra(other)
-        terms = dict(self.terms)
-        for mask, c in other.terms.items():
-            total = terms.get(mask, 0) + c
-            if total:
-                terms[mask] = total
-            else:
-                del terms[mask]
-        return Multivector._trusted(self.n, terms)
+        d = lcm(self.d, other.d)
+        fa, fb = d // self.d, d // other.d
+        terms = {m: c * fa for m, c in self.terms.items()}
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) + c * fb
+        return Multivector._over(self.n, d, terms)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector._trusted(self.n, {m: -c for m, c in self.terms.items()})
+        return Multivector._over(self.n, self.d, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Union["Multivector", Scalar]) -> "Multivector":
-        if isinstance(other, (int, Fraction)):
-            terms = {m: c * other for m, c in self.terms.items()} if other else {}
-            return Multivector._trusted(self.n, terms)
+        t = type(other)
+        if t is int or t is Fraction:
+            p = other.numerator
+            return Multivector._over(
+                self.n, self.d * other.denominator, {m: c * p for m, c in self.terms.items()}
+            )
+        if not isinstance(other, Multivector):
+            raise TypeError(f"multiplier must be a Multivector, int or Fraction, not {t.__name__}")
         self._check_same_algebra(other)
-        da, a = self.over_common_denominator()
-        db, b = other.over_common_denominator()
-        d = da * db
-        return Multivector._trusted(
-            self.n, {m: Fraction(c, d) for m, c in integer_product(a, b).items() if c}
+        return Multivector._over(
+            self.n, self.d * other.d, integer_product(self.terms.items(), other.terms.items())
         )
 
     def __rmul__(self, other: Scalar) -> "Multivector":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        return self * other  # scalars commute; __mul__ rejects anything else
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Multivector)
             and self.n == other.n
+            and self.d == other.d
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.d, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
             return f"Multivector({self.n}, 0)"
         parts = []
         for mask in sorted(self.terms):
-            c = self.terms[mask]
+            c = Fraction(self.terms[mask], self.d)
             name = "1" if mask == 0 else "".join(f"e{i}" for i in range(self.n) if mask >> i & 1)
             parts.append(f"{c}*{name}" if mask else f"{c}")
         return f"Multivector({self.n}, {' + '.join(parts)})"
@@ -181,13 +176,12 @@ class Multivector:
         return {blade_grade(m) for m in self.terms}
 
     def scalar_part(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.d)
 
     def grade_involution(self) -> "Multivector":
         """Blade of grade k scaled by (-1)^k; splits Cl into even/odd parts."""
-        return Multivector._trusted(
-            self.n,
-            {m: -c if blade_grade(m) & 1 else c for m, c in self.terms.items()},
+        return Multivector._over(
+            self.n, self.d, {m: -c if blade_grade(m) & 1 else c for m, c in self.terms.items()}
         )
 
     def reverse(self) -> "Multivector":
@@ -196,7 +190,7 @@ class Multivector:
         for m, c in self.terms.items():
             k = blade_grade(m)
             terms[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector._trusted(self.n, terms)
+        return Multivector._over(self.n, self.d, terms)
 
 
 def integer_product(a: Iterable[tuple[int, int]], b: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -250,8 +244,8 @@ def p_iso(a: Multivector) -> Multivector:
     """
     if a.n >= MAX_GENERATORS:
         raise UnsupportedDimensionError(f"cannot extend past {MAX_GENERATORS} generators")
-    return Multivector._trusted(
-        a.n + 1, {(mask << 1) | (mask.bit_count() & 1): c for mask, c in a.terms.items()}
+    return Multivector._over(
+        a.n + 1, a.d, {(mask << 1) | (mask.bit_count() & 1): c for mask, c in a.terms.items()}
     )
 
 

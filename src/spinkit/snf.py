@@ -95,9 +95,12 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        tors = tuple(int(t) for t in self.torsion if int(t) != 1)
+        for x in (self.free_rank, *self.torsion):
+            if type(x) is not int:
+                raise TypeError(f"group invariants must be int, not {x!r}")
+        if self.free_rank < 0 or any(t < 1 for t in self.torsion):
+            raise ValueError("free rank must be nonnegative and torsion orders positive")
+        tors = tuple(t for t in self.torsion if t != 1)
         for a, b in zip(tors, tors[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")

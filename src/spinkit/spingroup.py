@@ -7,7 +7,8 @@ column: column j of Ad(zeta) is the grade-1 part v_j of zeta e_j zeta^{-1},
 and only that part is computed.  Since reverse(zeta) is then the inverse of
 zeta, the rest r_j = zeta e_j zeta^{-1} - v_j vanishes exactly when
 zeta e_j == v_j zeta, because (v_j + r_j) zeta = zeta e_j; that is the
-grade-1 check.  It runs on integer numerators: with zeta = Z/d, zeta e_j is
+grade-1 check.  It runs on the element's own exact form, the integer
+numerators ``terms`` over one denominator ``d``: with zeta = Z/d, zeta e_j is
 a signed blade permutation of Z over d, v_j has numerators over d^2, and
 the check compares v_j Z with d^2 (Z e_j) over d^3.  A checked element
 keeps its columns, so ``adjoint_action`` does not compute them again.
@@ -35,13 +36,14 @@ x -> (v.v) x - 2 (v.x) v, each column then reduced by its gcd.  It works
 over the rationals whenever the product of the squared lengths of the factors is a square (always the case for
 rotations arising as Ad- or spin-representation images of rational spin
 elements); otherwise no rational lift exists and ``lift_rotation`` raises.
+Lifts, Lie lifts and random unit vectors are built in the same form, over
+the root of that product, over 4d and over the reflection's denominator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 
@@ -110,8 +112,7 @@ class SpinElement:
         if any(blade_grade(m) & 1 for m in self.value.terms):
             raise InvalidSpinElementError("spin element must be even")
         # sum c_S^2, the scalar part of zeta * reverse(zeta), on the numerators
-        d, z = self.value.over_common_denominator()
-        if sum(c * c for _, c in z) != d * d:
+        if sum(c * c for c in self.value.terms.values()) != self.value.d ** 2:
             raise InvalidSpinElementError(_NORM_MESSAGE)
         # the grade-1 certificate proves zeta * reverse(zeta) = 1 (module
         # docstring); on failure the dense product picks the message
@@ -164,9 +165,9 @@ def _conjugated_basis(zeta: Multivector) -> tuple[int, list[list[int]]]:
     reverse(zeta) = zeta^{-1}, so the images are the columns of Ad(zeta)
     (see the module docstring).
     """
-    d, z = zeta.over_common_denominator()
-    inv = dict(zeta.reverse().over_common_denominator()[1])  # over d
-    dd = d * d
+    z = zeta.terms.items()
+    inv = zeta.reverse().terms  # over d
+    dd = zeta.d * zeta.d
     cols = []
     for j in range(zeta.n):
         moved = integer_product(z, [(1 << j, 1)])  # zeta e_j, over d
@@ -240,7 +241,7 @@ def lift_rotation(rotation: RotationMatrix) -> SpinElement:
     scale = isqrt(norm_sq)
     if scale * scale != norm_sq:
         raise LiftError("rotation has no rational spin lift (spinor norm is not a square)")
-    zeta = Multivector(n, {m: Fraction(c, scale) for m, c in product.items()})
+    zeta = Multivector._over(n, scale, product)
 
     first = min(zeta.terms) if zeta.terms else 0
     if zeta.terms and zeta.terms[first] < 0:
@@ -265,14 +266,14 @@ def lie_lift(a: SkewMatrix) -> Multivector:
             # e_j e_i written in canonical order: sign -1 when j > i
             mask = (1 << i) | (1 << j)
             terms[mask] = terms.get(mask, 0) + (c if j < i else -c)
-    return Multivector(n, {m: Fraction(c, 4 * d) for m, c in terms.items()})
+    return Multivector._over(n, 4 * d, terms)
 
 
 def ad_differential(b: Multivector) -> SkewMatrix:
     """Matrix of x -> b x - x b on grade-1 elements (inverse of lie_lift),
     its column j the integer numerators of b e_j - e_j b over those of b."""
     n = b.n
-    d, terms = b.over_common_denominator()
+    terms = b.terms.items()
     cols = []
     for j in range(n):
         ej = [(1 << j, 1)]
@@ -282,7 +283,7 @@ def ad_differential(b: Multivector) -> SkewMatrix:
         if any(c and blade_grade(m) != 1 for m, c in image.items()):
             raise ValueError("commutator does not preserve grade 1")
         cols.append([image.get(1 << i, 0) for i in range(n)])
-    return SkewMatrix((d, la.transpose(cols)))
+    return SkewMatrix((b.d, la.transpose(cols)))
 
 
 def rational_unit_tuple(n: int, rng: random.Random) -> tuple[int, tuple[int, ...]]:
@@ -305,7 +306,7 @@ def rational_unit_tuple(n: int, rng: random.Random) -> tuple[int, tuple[int, ...
 def rational_unit_vector(n: int, rng: random.Random) -> Multivector:
     """Grade-1 multivector wrapper around :func:`rational_unit_tuple`."""
     d, xs = rational_unit_tuple(n, rng)
-    return Multivector.vector(n, [Fraction(x, d) for x in xs])
+    return Multivector._over(n, d, {1 << i: x for i, x in enumerate(xs)})
 
 
 def random_spin(n: int, k: int, seed: int) -> SpinElement:

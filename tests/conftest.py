@@ -21,6 +21,13 @@ def fraction_view(m):
     return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
 
 
+def fraction_terms(a):
+    """The blade -> Fraction coefficients a Multivector stands for: the one
+    way from its integer numerators over a.d back to the view the oracles
+    read."""
+    return {mask: Fraction(c, a.d) for mask, c in a.terms.items()}
+
+
 def rank_mod_p(rows, p):
     """Rank of an integer matrix over the field Z/p (p prime): the mod-p oracle.
 
@@ -63,8 +70,8 @@ def fraction_mul(a, b):
     Multivector.__mul__.  Returns the blade -> Fraction dict."""
     assert a.n == b.n
     terms = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in fraction_terms(a).items():
+        for mb, cb in fraction_terms(b).items():
             mask, sign = swap_count_blade_product(ma, mb)
             acc = terms.get(mask, Fraction(0)) + sign * ca * cb
             if acc:
@@ -241,7 +248,8 @@ def fraction_lift_rotation(rotation):
         raise LiftError("rotation has no rational spin lift (spinor norm is not a square)")
     root = Fraction(rn, rd)
     zeta = zeta * (1 / root)
-    if zeta.terms[min(zeta.terms)] < 0:
+    coefficients = fraction_terms(zeta)
+    if coefficients[min(coefficients)] < 0:
         zeta = -zeta
     return zeta
 
@@ -252,7 +260,7 @@ def loop_p_iso(a):
     m = a.n + 1
     out = Multivector(m, {})
     e0 = Multivector.basis_vector(m, 0)
-    for mask, coeff in a.terms.items():
+    for mask, coeff in fraction_terms(a).items():
         factor = Multivector.scalar(m, coeff)
         for i in range(a.n):
             if mask >> i & 1:
@@ -306,7 +314,7 @@ def fraction_clifford_action(rep, a):
     """c(a) summed monomial by monomial in Fractions: the oracle for
     action_columns."""
     total = [[Fraction(0)] * 16 for _ in range(16)]
-    for mask, coeff in a.terms.items():
+    for mask, coeff in fraction_terms(a).items():
         perm, sign = rep.monomials[mask]
         for j in range(16):
             total[perm[j]][j] += coeff * sign[j]

@@ -335,6 +335,7 @@ def test_package_imports_with_the_standard_library_only():
         "spinkit": set(),
         "spinkit.cli": {"cli", "errors", "census", "torsor", "fileio"},
         "spinkit.fileio": {"fileio", "errors"},
+        "spinkit.multivector": {"multivector", "exactlinalg", "errors"},
     }
     for target, submodules in loads.items():
         code = (

@@ -22,6 +22,7 @@ from spinkit.cwcomplex import (
 )
 from spinkit.errors import ComplexValidationError, DimensionMismatchError, ResidueError
 from spinkit.fileio import data_path, load_complex
+from spinkit.snf import AbelianGroup
 from spinkit.torsor import FiniteAbelianGroup
 from conftest import (
     block_cylinder,
@@ -89,6 +90,10 @@ def _cyclic_group(v):
     return FiniteAbelianGroup((v, 2))
 
 
+def _torsion_group(v):
+    return AbelianGroup(0, (v,))
+
+
 @pytest.mark.parametrize(
     "build, bad",
     [
@@ -103,6 +108,11 @@ def _cyclic_group(v):
         (_cyclic_group, 2.7),
         (_cyclic_group, True),
         (_cyclic_group, "3"),
+        (_torsion_group, 2.7),
+        (_torsion_group, "4"),
+        (_torsion_group, True),
+        (AbelianGroup, 1.5),
+        (AbelianGroup, True),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )

@@ -9,12 +9,13 @@ repeats with a factor -1 each.
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_mul, loop_p_iso
+from conftest import fraction_mul, fraction_terms, loop_p_iso
 from spinkit.errors import DimensionMismatchError, UnsupportedDimensionError
 from spinkit.multivector import (
     Multivector,
@@ -85,17 +86,26 @@ def test_dimension_mismatch_rejected():
 
 
 @pytest.mark.parametrize(
-    "terms, kind",
+    "build, kind",
     [
-        pytest.param({0: 0.5}, "float", id="float"),
-        pytest.param({0: "1/2", 3: True}, "str", id="str"),
-        pytest.param({0: Fraction(1, 2), 3: True}, "bool", id="bool"),
-        pytest.param({0: Decimal("0.1")}, "Decimal", id="Decimal"),
+        pytest.param(lambda: Multivector(8, {0: 0.5}), "float", id="float"),
+        pytest.param(lambda: Multivector(8, {0: "1/2", 3: True}), "str", id="str"),
+        pytest.param(lambda: Multivector(8, {0: Fraction(1, 2), 3: True}), "bool", id="bool"),
+        pytest.param(lambda: Multivector(8, {0: Decimal("0.1")}), "Decimal", id="Decimal"),
+        pytest.param(lambda: Multivector(2, {True: 1}), "bool", id="bool-mask"),
+        pytest.param(lambda: Multivector(2, {1.0: 1}), "float", id="float-mask"),
+        pytest.param(lambda: Multivector.scalar(2, 3) * True, "bool", id="times-bool"),
+        pytest.param(lambda: True * Multivector.scalar(2, 3), "bool", id="bool-times"),
+        pytest.param(lambda: Multivector.scalar(2, 3) * 0.5, "float", id="times-float"),
+        pytest.param(lambda: 0.5 * Multivector.scalar(2, 3), "float", id="float-times"),
+        pytest.param(lambda: Multivector.scalar(2, 3) * "2", "str", id="times-str"),
     ],
 )
-def test_float_coefficients_rejected(terms, kind):
+def test_float_coefficients_rejected(build, kind):
+    """Coefficients, blade masks and scalar factors must be exact ints or
+    Fractions (masks ints), bool excluded; nothing is coerced."""
     with pytest.raises(TypeError, match=f"not {kind}$"):
-        Multivector(8, terms)
+        build()
 
 
 def test_grade_involution_values():
@@ -143,7 +153,7 @@ def test_p_iso_closed_form_matches_generator_products():
             blade = Multivector(n, {mask: Fraction(-3, 7)})
             image = p_iso(blade)
             assert image == loop_p_iso(blade)
-            assert image.terms == {(mask << 1) | (mask.bit_count() & 1): Fraction(-3, 7)}
+            assert fraction_terms(image) == {(mask << 1) | (mask.bit_count() & 1): Fraction(-3, 7)}
     rng = random.Random(8)
     for n in range(1, 8):
         a = Multivector(n, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in range(1 << n)})
@@ -252,8 +262,16 @@ def product_pairs(draw):
 
 
 def _is_canonical(a):
-    return all(
-        0 <= mask < 1 << a.n and type(c) is Fraction and c for mask, c in a.terms.items()
+    """The one exact form: an int d > 0 and nonzero int numerators on blades
+    of Cl(0,n), with gcd 1."""
+    return (
+        type(a.d) is int
+        and a.d > 0
+        and all(
+            type(mask) is int and 0 <= mask < 1 << a.n and type(c) is int and c
+            for mask, c in a.terms.items()
+        )
+        and gcd(a.d, *a.terms.values()) == 1
     )
 
 
@@ -263,12 +281,10 @@ def test_product_matches_fraction_oracle(pair):
     a, b = pair
     want = fraction_mul(a, b)
     product = a * b
-    assert product.terms == want
+    assert fraction_terms(product) == want
     assert _is_canonical(product)
-    da, xs = a.over_common_denominator()
-    db, ys = b.over_common_denominator()
-    vector_part = integer_vector_part(a.n, xs, dict(ys))
-    assert {1 << i: Fraction(c, da * db) for i, c in enumerate(vector_part) if c} == {
+    vector_part = integer_vector_part(a.n, a.terms.items(), b.terms)
+    assert {1 << i: Fraction(c, a.d * b.d) for i, c in enumerate(vector_part) if c} == {
         m: c for m, c in want.items() if m.bit_count() == 1
     }
 
@@ -282,5 +298,6 @@ def test_internal_results_are_canonical(pair, scale):
     results = (a + b, a - b, -a, a * scale, scale * a, a.reverse(), a.grade_involution())
     for result in results:
         assert _is_canonical(result)
-        assert result == Multivector(a.n, result.terms)
-    assert (a + (-a)).terms == {}
+        checked = Multivector(a.n, fraction_terms(result))
+        assert result == checked and hash(result) == hash(checked)
+    assert (a + (-a)).terms == {} and (a + (-a)).d == 1

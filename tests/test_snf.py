@@ -70,6 +70,12 @@ def test_abelian_group_normalization():
     assert AbelianGroup.from_orders([2, 2]).torsion == (2, 2)
     with pytest.raises(ValueError):
         AbelianGroup(1, (4, 2))
+    assert AbelianGroup(0, (1, 2, 1, 4)).torsion == (2, 4)
+    for torsion in ((0,), (-3,), (2, 0)):
+        with pytest.raises(ValueError, match="torsion orders positive"):
+            AbelianGroup(0, torsion)
+    with pytest.raises(ValueError, match="free rank must be nonnegative"):
+        AbelianGroup(-1)
 
 
 @settings(max_examples=300, deadline=None)
