@@ -55,6 +55,8 @@ class Multivector:
     __slots__ = ("n", "d", "terms")
 
     def __init__(self, n: int, terms: Mapping[int, Scalar] | None = None):
+        if type(n) is not int:
+            raise TypeError(f"generator count {n!r} must be int, not {type(n).__name__}")
         if not 1 <= n <= MAX_GENERATORS:
             raise UnsupportedDimensionError(f"generator count must be 1..{MAX_GENERATORS}, got {n}")
         terms = dict(terms or {})
@@ -114,6 +116,8 @@ class Multivector:
     # -- ring structure ----------------------------------------------------
 
     def _check_same_algebra(self, other: "Multivector") -> None:
+        if not isinstance(other, Multivector):
+            raise TypeError(f"operand must be a Multivector, not {type(other).__name__}")
         if self.n != other.n:
             raise DimensionMismatchError(f"mixing Cl(0,{self.n}) with Cl(0,{other.n})")
 
@@ -127,6 +131,7 @@ class Multivector:
         return Multivector._over(self.n, d, terms)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
+        self._check_same_algebra(other)
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
@@ -206,25 +211,6 @@ def integer_product(a: Iterable[tuple[int, int]], b: Iterable[tuple[int, int]]) 
                 acc[m] = acc.get(m, 0) - ca * cb
             else:
                 acc[m] = acc.get(m, 0) + ca * cb
-    return acc
-
-
-def integer_vector_part(n: int, a: Iterable[tuple[int, int]], b: Mapping[int, int]) -> list[int]:
-    """The n grade-1 coefficients of a * b, computing only those blades, for
-    a given as (mask, integer coefficient) pairs and b as a blade -> integer
-    coefficient map."""
-    acc = [0] * n
-    for ma, ca in a:
-        signs = _SIGN_MASKS[ma]
-        for i in range(n):
-            mb = ma ^ (1 << i)
-            cb = b.get(mb)
-            if cb is None:
-                continue
-            if (mb & signs).bit_count() & 1:
-                acc[i] -= ca * cb
-            else:
-                acc[i] += ca * cb
     return acc
 
 

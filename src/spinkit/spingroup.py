@@ -2,16 +2,18 @@
 and constructive lifting between SO(n) and Spin(n).
 
 A spin element is an even multivector zeta with zeta * reverse(zeta) = 1
-whose conjugation preserves grade one.  Its rotation is read off column by
-column: column j of Ad(zeta) is the grade-1 part v_j of zeta e_j zeta^{-1},
-and only that part is computed.  Since reverse(zeta) is then the inverse of
-zeta, the rest r_j = zeta e_j zeta^{-1} - v_j vanishes exactly when
-zeta e_j == v_j zeta, because (v_j + r_j) zeta = zeta e_j; that is the
-grade-1 check.  It runs on the element's own exact form, the integer
-numerators ``terms`` over one denominator ``d``: with zeta = Z/d, zeta e_j is
-a signed blade permutation of Z over d, v_j has numerators over d^2, and
-the check compares v_j Z with d^2 (Z e_j) over d^3.  A checked element
-keeps its columns, so ``adjoint_action`` does not compute them again.
+whose conjugation preserves grade one.  On its exact form zeta = Z/d
+(numerators ``terms`` over ``d``) let rows k of X and Y hold the numerators
+of Z e_k and of e_k Z over the blades B they reach.  Column j of Ad(zeta),
+the grade-1 part v_j of zeta e_j reverse(zeta), is row j of V = X W^T over d^2:
+Ad(zeta)_ij = <e_i Z, Z e_j> / d^2 with <a, b> = sum_B (-1)^(|B|+1) a_B b_B,
+since reverse(Z) e_i = reverse(e_i Z), the e_i coefficient of P is minus the
+scalar part of P e_i, and that of a reverse(b) is sum_B (-1)^|B| a_B b_B.  W
+is Y with that parity sign folded in (W = Y for an even zeta).  The grade-1
+check is zeta e_j == v_j zeta on every blade, d^2 X == V Y row by row: once
+reverse(zeta) = zeta^{-1} the rest r_j = zeta e_j zeta^{-1} - v_j vanishes
+exactly then, since (v_j + r_j) zeta = zeta e_j.  A checked element keeps
+its columns, so ``adjoint_action`` does not compute them again.
 
 The grade-1 check also certifies the unit norm, so validation never forms
 the dense product zeta * reverse(zeta).  For an even zeta = sum c_S e_S the
@@ -49,7 +51,7 @@ from operator import mul
 
 from . import exactlinalg as la
 from .errors import InvalidSpinElementError, LiftError
-from .multivector import Multivector, blade_grade, integer_product, integer_vector_part
+from .multivector import Multivector, blade_grade, integer_product
 
 _NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"
 
@@ -104,7 +106,7 @@ class SpinElement:
     def __init__(self, value: Multivector, check: bool = True):
         self.value = value
         self.n = value.n
-        self._columns: tuple[int, list[list[int]]] | None = None
+        self._columns: tuple[int, la.Rows] | None = None
         if check:
             self._validate()
 
@@ -155,27 +157,30 @@ class SpinElement:
         return cls(out)
 
 
-def _conjugated_basis(zeta: Multivector) -> tuple[int, list[list[int]]]:
-    """``(d^2, cols)``: cols[j] / d^2 are the components of
-    zeta e_j reverse(zeta) for j = 0 .. n-1, where zeta = Z / d.
+def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
+    """``(d^2, cols)``: cols[j] / d^2 are the components of the grade-1 part
+    v_j of zeta e_j reverse(zeta), zeta = Z / d, read off V = X W^T (module
+    docstring).
 
     Raises InvalidSpinElementError unless every image is a vector, checked
-    as zeta e_j == v_j zeta for the grade-1 part v_j on integer numerators.
-    For an even zeta with sum c_S^2 = 1 a passing check proves
-    reverse(zeta) = zeta^{-1}, so the images are the columns of Ad(zeta)
-    (see the module docstring).
+    as zeta e_j == v_j zeta on every blade: d^2 X == V Y.  For an even zeta
+    with sum c_S^2 = 1 a passing check proves reverse(zeta) = zeta^{-1}, so
+    the images are the columns of Ad(zeta).
     """
     z = zeta.terms.items()
-    inv = zeta.reverse().terms  # over d
+    right = [integer_product(z, [(1 << k, 1)]) for k in range(zeta.n)]  # Z e_k
+    left = [integer_product([(1 << k, 1)], z) for k in range(zeta.n)]  # e_k Z
+    # both reach the blades m ^ e_k; zeta = 0 gets one zero column
+    blades = sorted({m for row in right for m in row}) or [0]
+    x = [[row.get(m, 0) for m in blades] for row in right]
+    y = [[row.get(m, 0) for m in blades] for row in left]
+    # the parity sign (-1)^(|B|+1), +1 on every blade B an even zeta reaches
+    w = [[c if blade_grade(m) & 1 else -c for m, c in zip(blades, row)] for row in y]
+    cols = la.mat_mul(x, la.transpose(w))  # over d^2
     dd = zeta.d * zeta.d
-    cols = []
-    for j in range(zeta.n):
-        moved = integer_product(z, [(1 << j, 1)])  # zeta e_j, over d
-        v = integer_vector_part(zeta.n, moved.items(), inv)  # over d^2
-        image = integer_product([(1 << i, c) for i, c in enumerate(v) if c], z)
-        if {m: c for m, c in image.items() if c} != {m: dd * c for m, c in moved.items()}:
+    for v, row in zip(cols, x):
+        if la.mat_mul((v,), y)[0] != tuple(dd * c for c in row):
             raise InvalidSpinElementError("conjugation does not preserve grade 1")
-        cols.append(v)
     return dd, cols
 
 

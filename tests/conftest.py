@@ -9,7 +9,7 @@ import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
 from spinkit.errors import ChiralityError, InvalidSpinElementError, LiftError, TorsorError
 from spinkit.gammarep import build_cl8_rep
-from spinkit.multivector import Multivector, volume_element
+from spinkit.multivector import Multivector, integer_product, volume_element
 from spinkit.snf import AbelianGroup, smith_diagonal
 from spinkit.spingroup import rational_unit_vector
 
@@ -106,6 +106,38 @@ def fraction_spin_validate(value):
     if fraction_mul(value, value.reverse()) != {0: Fraction(1)}:
         raise InvalidSpinElementError("spin element must satisfy zeta * reverse(zeta) = 1")
     fraction_adjoint_action(value)
+
+
+def integer_vector_part(n, a, b):
+    """The n grade-1 coefficients of a * b, computing only those blades, for
+    a given as (mask, integer coefficient) pairs and b as a blade -> integer
+    coefficient map, with signs from swap_count_blade_product."""
+    acc = [0] * n
+    for ma, ca in a:
+        for i in range(n):
+            cb = b.get(ma ^ (1 << i))
+            if cb is not None:
+                acc[i] += swap_count_blade_product(ma, ma ^ (1 << i))[1] * ca * cb
+    return acc
+
+
+def loop_conjugated_basis(zeta):
+    """``(d^2, cols)`` blade by blade, for zeta = Z / d: for each j the
+    grade-1 part v_j of (Z e_j) reverse(Z) over d^2, then the check
+    v_j Z == d^2 (Z e_j) on every blade.  The oracle for
+    spingroup._conjugated_basis."""
+    z = zeta.terms.items()
+    inv = zeta.reverse().terms
+    dd = zeta.d * zeta.d
+    cols = []
+    for j in range(zeta.n):
+        moved = integer_product(z, [(1 << j, 1)])
+        v = integer_vector_part(zeta.n, moved.items(), inv)
+        image = integer_product([(1 << i, c) for i, c in enumerate(v) if c], z)
+        if {m: c for m, c in image.items() if c} != {m: dd * c for m, c in moved.items()}:
+            raise InvalidSpinElementError("conjugation does not preserve grade 1")
+        cols.append(v)
+    return dd, cols
 
 
 def fraction_mat_mul(a, b):

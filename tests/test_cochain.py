@@ -22,6 +22,7 @@ from spinkit.cwcomplex import (
 )
 from spinkit.errors import ComplexValidationError, DimensionMismatchError, ResidueError
 from spinkit.fileio import data_path, load_complex
+from spinkit.multivector import Multivector
 from spinkit.snf import AbelianGroup
 from spinkit.torsor import FiniteAbelianGroup
 from conftest import (
@@ -94,6 +95,10 @@ def _torsion_group(v):
     return AbelianGroup(0, (v,))
 
 
+def _generator_count(v):
+    return Multivector(v, {0: 1})
+
+
 @pytest.mark.parametrize(
     "build, bad",
     [
@@ -113,6 +118,8 @@ def _torsion_group(v):
         (_torsion_group, True),
         (AbelianGroup, 1.5),
         (AbelianGroup, True),
+        (_generator_count, 2.0),
+        (_generator_count, True),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_mul, fraction_terms, loop_p_iso
+from conftest import fraction_mul, fraction_terms, integer_vector_part, loop_p_iso
 from spinkit.errors import DimensionMismatchError, UnsupportedDimensionError
 from spinkit.multivector import (
     Multivector,
     chiral_projectors,
-    integer_vector_part,
     p_iso,
     volume_element,
 )
@@ -99,11 +98,18 @@ def test_dimension_mismatch_rejected():
         pytest.param(lambda: Multivector.scalar(2, 3) * 0.5, "float", id="times-float"),
         pytest.param(lambda: 0.5 * Multivector.scalar(2, 3), "float", id="float-times"),
         pytest.param(lambda: Multivector.scalar(2, 3) * "2", "str", id="times-str"),
+        pytest.param(lambda: Multivector.scalar(2, 3) + 1, "int", id="plus-int"),
+        pytest.param(lambda: Multivector.scalar(2, 3) + True, "bool", id="plus-bool"),
+        pytest.param(lambda: Multivector.scalar(2, 3) - 0.5, "float", id="minus-float"),
+        pytest.param(lambda: Multivector.scalar(2, 3) - "2", "str", id="minus-str"),
+        pytest.param(lambda: Multivector(2.0, {0: 1}), "float", id="float-n"),
+        pytest.param(lambda: Multivector(True, {0: 1}), "bool", id="bool-n"),
     ],
 )
 def test_float_coefficients_rejected(build, kind):
     """Coefficients, blade masks and scalar factors must be exact ints or
-    Fractions (masks ints), bool excluded; nothing is coerced."""
+    Fractions (masks and the generator count ints), bool excluded, and a
+    sum or difference takes Multivectors only; nothing is coerced."""
     with pytest.raises(TypeError, match=f"not {kind}$"):
         build()
 

@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
@@ -16,6 +16,7 @@ from conftest import (
     fraction_mat_mul,
     fraction_spin_validate,
     fraction_view,
+    loop_conjugated_basis,
 )
 from spinkit.errors import InvalidSpinElementError, LiftError
 from spinkit.gammarep import Spinor, iota_plus
@@ -272,6 +273,84 @@ def test_spin_checks_match_fraction_oracles(value):
     if verdict is None:
         got = adjoint_action(SpinElement(value)).entries
         assert fraction_view(got) == fraction_adjoint_action(value)
+
+
+# 5/4 + 3/4 omega, omega the pseudoscalar, is central in Cl(0,3) and Cl(0,7)
+# (e0e1e2 in Cl(0,3)) and has unit norm, since reverse(omega) = -omega and
+# omega^2 = 1 there, so conjugation by it is the identity although it is
+# neither even nor odd
+_CENTRAL = tuple(Multivector(n, {0: Fraction(5, 4), (1 << n) - 1: Fraction(3, 4)}) for n in (3, 7))
+
+
+def _random_terms(rng, n, parity):
+    """A few rational coefficients on blades of the given grade parity, or of
+    both parities for parity None."""
+    masks = [m for m in range(1 << n) if parity is None or m.bit_count() & 1 == parity]
+    return Multivector(
+        n, {rng.choice(masks): Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(4)}
+    )
+
+
+@st.composite
+def conjugation_inputs(draw):
+    """Spin elements for n = 1..8 and their products, non-unit even, odd and
+    mixed-parity elements, the central cases and zero."""
+    kind = draw(st.sampled_from(["spin", "product", "even", "odd", "mixed", "central", "zero"]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    zeta = random_spin(n, rng.choice([1, 2]), rng.randrange(10**6)).value
+    if kind == "product":
+        return zeta * random_spin(n, rng.choice([1, 2]), rng.randrange(10**6)).value
+    if kind == "even":
+        if rng.random() < 0.5:
+            return zeta * Fraction(rng.choice([2, 3, -2]), rng.choice([1, 3, 5]))
+        return zeta + _random_terms(rng, n, 0)
+    if kind == "odd":
+        if rng.random() < 0.5:
+            # an odd versor: its images are vectors, but reverse(zeta) = -zeta^{-1}
+            return zeta * rational_unit_vector(n, rng)
+        return _random_terms(rng, n, 1)
+    if kind == "mixed":
+        return zeta + _random_terms(rng, n, None)
+    if kind == "central":
+        return rng.choice(_CENTRAL)
+    if kind == "zero":
+        return Multivector(n)
+    return zeta
+
+
+def _basis_or_error(kernel, value):
+    try:
+        dd, cols = kernel(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dd, [list(col) for col in cols]
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugation_inputs())
+@example(_CENTRAL[0])
+@example(_CENTRAL[1])
+@example(Multivector(7, {0: Fraction(5, 4), 0b111: Fraction(3, 4)}))  # not central: rejected
+@example(Multivector(8))
+def test_conjugated_basis_matches_blade_loop(value):
+    """The two matrix products return the blade loop's (d^2, cols), or raise
+    its exception with its message."""
+    got = _basis_or_error(spingroup._conjugated_basis, value)
+    assert got == _basis_or_error(loop_conjugated_basis, value)
+
+
+def test_central_and_zero_conjugation():
+    """Ad of the mixed-parity central elements is the identity; zero gives
+    zero columns, which adjoint_action rejects as not orthogonal."""
+    for value in _CENTRAL:
+        dd, cols = spingroup._conjugated_basis(value)
+        assert la.exact(dd, cols) == (1, la.identity(value.n))
+        assert adjoint_action(SpinElement(value, check=False)).entries == (1, la.identity(value.n))
+    for n in (1, 8):
+        assert spingroup._conjugated_basis(Multivector(n)) == (1, ((0,) * n,) * n)
+        with pytest.raises(ValueError, match="matrix is not orthogonal"):
+            adjoint_action(SpinElement(Multivector(n), check=False))
 
 
 def test_validation_forms_no_dense_product(rep, monkeypatch):

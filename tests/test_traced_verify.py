@@ -35,3 +35,6 @@ def test_traced_verify_all_passes():
     metrics, unseen = tracer.metrics()
     assert unseen == []
     assert metrics["exactlinalg.mat_mul.mults"][0] > 0
+    # validation that no longer runs through SpinElement._validate would
+    # leave spingroup.spin_validate.self_s at zero
+    assert any(span[3] == "spingroup.spin_validate" for span in tracer.spans)
