@@ -98,17 +98,21 @@ class ManifoldCharData:
             raise CensusDataError(
                 f"{self.name}: simply connected manifolds have h7_rel_rank = 0"
             )
-        # the census reads existence off e(S+) for every record, with or
-        # without boundary; (4 p2 - p1^2 + 8 e)/16 + (p1^2 - 4 p2 + 8 e)/16
-        # = e, so the rule is the same whichever half carries the spinor
-        e_plus = Fraction(4 * self.p2 - self.p1_sq + 8 * self.euler, 16)
-        if e_plus.denominator != 1:
-            raise CensusDataError(f"{self.name}: e(S+) = {e_plus} is not an integer")
+        euler_positive_spinor(self)  # raises unless e(S+) is an integer
 
 
 def euler_positive_spinor(d: ManifoldCharData) -> int:
-    """e(S+) = (4 p2 - p1^2 + 8 e) / 16, an integer on every valid record."""
-    return (4 * d.p2 - d.p1_sq + 8 * d.euler) // 16
+    """e(S+) = (4 p2 - p1^2 + 8 e) / 16; raises CensusDataError naming the
+    record when it is not an integer, so no valid record reaches the raise.
+
+    The census reads existence off e(S+) for every record, with or without
+    boundary; (4 p2 - p1^2 + 8 e)/16 + (p1^2 - 4 p2 + 8 e)/16 = e, so the
+    rule is the same whichever half carries the spinor.
+    """
+    numerator = 4 * d.p2 - d.p1_sq + 8 * d.euler
+    if numerator % 16:
+        raise CensusDataError(f"{d.name}: e(S+) = {Fraction(numerator, 16)} is not an integer")
+    return numerator // 16
 
 
 def ahat_genus(d: ManifoldCharData) -> Fraction:

@@ -31,8 +31,8 @@ spinor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from . import exactlinalg as la
 from .errors import (
@@ -136,30 +136,6 @@ def _build_gamma_sp() -> list[_SignedPerm]:
     return gammas
 
 
-@dataclass(frozen=True)
-class Spinor:
-    """Element of the 16-dimensional module or of one chiral half, its
-    components given as ``(d, entries)`` and held like a rotation's rows."""
-
-    components: tuple[int, tuple[int, ...]]
-    chirality: str  # "+", "-", or "full"
-
-    def __post_init__(self):
-        d, v = self.components
-        d, (v,) = la.exact(d, [v])
-        object.__setattr__(self, "components", (d, v))
-        if self.chirality not in ("+", "-", "full"):
-            raise ValueError("chirality must be '+', '-' or 'full'")
-        want = 16 if self.chirality == "full" else 8
-        if len(v) != want:
-            raise DimensionMismatchError(
-                f"{self.chirality} spinor needs {want} components, got {len(v)}"
-            )
-
-    def is_zero(self) -> bool:
-        return not any(self.components[1])
-
-
 class GammaRep:
     """The action of Cl(0,8) on R^16 with its chiral splitting."""
 
@@ -177,7 +153,7 @@ class GammaRep:
         # chirality -> (rows, signs): basis spinor j is signs[j] * e_rows[j]
         self.halves = self._split_eigenspaces()
         self._orient_positive_half()
-        self._psi: Spinor | None = None
+        self._psi: tuple[int, tuple[int, ...]] | None = None
 
     # -- construction-time consistency checks -------------------------------
 
@@ -218,13 +194,14 @@ class GammaRep:
 
     # -- basic module structure ---------------------------------------------
 
-    def fixed_spinor(self) -> Spinor:
-        """The positive spinor line fixed by the spinor-type Spin(7) copy."""
+    def fixed_spinor(self) -> tuple[int, tuple[int, ...]]:
+        """The positive spinor line fixed by the spinor-type Spin(7) copy, as
+        ``(1, primitive integer entries)`` in the basis of S8+."""
         if self._psi is None:
             basis = common_fixed_space(self, spin7_lie_basis())
             if len(basis) != 1:
                 raise InternalCheckError("fixed space of the spin(7) action is not a line")
-            self._psi = Spinor((1, basis[0]), "+")
+            self._psi = 1, basis[0]
         return self._psi
 
 
@@ -316,7 +293,7 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     """
     rotation = RotationMatrix(delta7(rep, zeta))
     eta = lift_rotation(rotation)
-    _, psi = rep.fixed_spinor().components
+    psi = rep.fixed_spinor()[1]
     d, m = delta8(rep, eta, "+")
     (image,) = la.mat_mul((psi,), la.transpose(m))  # (m psi)^T
     if image == tuple(d * x for x in psi):
@@ -381,26 +358,27 @@ def common_fixed_space(rep: GammaRep, generators: list[Multivector]) -> list[tup
 
 
 def stabilizer_dimension(
-    rep: GammaRep, psi: Spinor, algebra: list[Multivector] | None = None
+    rep: GammaRep, psi: tuple[int, Iterable], algebra: list[Multivector] | None = None
 ) -> int:
     """Dimension of the annihilator of psi inside a Lie subalgebra of so(8).
 
-    ``algebra`` is a linearly independent list of bivectors acting through
-    the chiral representation; the default is the full 28-dimensional
-    bivector basis.
+    psi is a positive spinor ``(d, entries)``: eight int or Fraction entries
+    over d, in the basis of S8+.  ``algebra`` is a linearly independent list
+    of bivectors acting through the chiral representation; the default is
+    the full 28-dimensional bivector basis.
     """
-    if psi.chirality != "+":
-        raise ChiralityError("stabilizer is computed for positive-chirality spinors")
-    if psi.is_zero():
+    d, entries = psi
+    _, (v,) = la.exact(d, [entries])
+    if len(v) != 8:
+        raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
+    if not any(v):
         raise ValueError("stabilizer of the zero spinor is not defined")
     basis = algebra if algebra is not None else spin8_lie_basis()
     # a rank ignores the scale of each row, so every denominator is dropped
     if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
         raise ValueError("algebra basis must be linearly independent")
-    psi_row = (psi.components[1],)
     images = [
-        la.mat_mul(psi_row, la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0]
-        for x in basis
+        la.mat_mul((v,), la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0] for x in basis
     ]
     return len(basis) - la.rank(images)
 
@@ -451,32 +429,3 @@ def omega8_element() -> SpinElement:
     """The oriented volume element as a point of Spin(8)."""
     return SpinElement(volume_element(8), check=False)
 
-
-# public names of the module: the representation, its embeddings and checks
-__all__ = [
-    "GammaRep",
-    "Spinor",
-    "build_cl8_rep",
-    "action_columns",
-    "chiral_action_matrix",
-    "delta8",
-    "delta7",
-    "embed_spin7",
-    "iota_plus",
-    "iota_vector",
-    "common_fixed_space",
-    "stabilizer_dimension",
-    "g2_intersection_basis",
-    "spin7_lie_basis",
-    "embedded_spin7_lie_basis",
-    "spin8_lie_basis",
-    "bivector_coordinates",
-    "d_delta7",
-    "d_iota_plus",
-    "monomial_span_rank",
-    "omega8_element",
-    "octonion_basis_product",
-    "generator_relation_failure",
-    "sp_compose",
-    "sp_identity",
-]

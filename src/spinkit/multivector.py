@@ -106,13 +106,6 @@ class Multivector:
             mask |= 1 << i
         return cls(n, {mask: coeff})
 
-    @classmethod
-    def vector(cls, n: int, components: Iterable[Scalar]) -> "Multivector":
-        comps = list(components)
-        if len(comps) != n:
-            raise DimensionMismatchError(f"expected {n} components, got {len(comps)}")
-        return cls(n, {1 << i: c for i, c in enumerate(comps)})
-
     # -- ring structure ----------------------------------------------------
 
     def _check_same_algebra(self, other: "Multivector") -> None:

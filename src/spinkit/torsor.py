@@ -97,26 +97,20 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class DifferenceTable:
-    """Carrier set with a candidate affine difference function."""
+    """Carrier set with a candidate affine difference function D(x, y) = table[(x, y)]."""
 
     group: FiniteAbelianGroup
     carrier: tuple[str, ...]
     table: dict[tuple[str, str], Element] = field(compare=False)
 
-    def difference(self, x: str, y: str) -> Element:
-        return self.table[(x, y)]
-
 
 @dataclass(frozen=True)
 class ActionTable:
-    """Carrier set with a candidate group action h . x."""
+    """Carrier set with a candidate group action h . x = table[(h, x)]."""
 
     group: FiniteAbelianGroup
     carrier: tuple[str, ...]
     table: dict[tuple[Element, str], str] = field(compare=False)
-
-    def act(self, h: Element, x: str) -> str:
-        return self.table[(h, x)]
 
 
 def verify_difference_axioms(d: DifferenceTable) -> None:

@@ -23,7 +23,6 @@ from spinkit.cwcomplex import (
     relative_cohomology,
 )
 from spinkit.gammarep import (
-    Spinor,
     build_cl8_rep,
     common_fixed_space,
     d_delta7,
@@ -156,8 +155,7 @@ def test_criterion_6_homogeneous_spaces(rep):
     assert 28 - stabilizer_dimension(rep, psi) == 7
     rng = random.Random(77)
     algebra = embedded_spin7_lie_basis()
-    phi = Spinor(rational_unit_tuple(8, rng), "+")
-    assert stabilizer_dimension(rep, phi, algebra) == 14
+    assert stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra) == 14
     assert len(g2_intersection_basis(rep)) == 14
 
 

@@ -88,9 +88,8 @@ def test_cohomology_default_file(capsys):
 
 
 def test_cohomology_degree_zero_point(capsys):
-    from spinkit.fileio import data_path
-
-    code, out, _ = run_cli(capsys, "cohomology", str(data_path("point.json")), "--degree", "0")
+    point = Path(__file__).parent / "data" / "point.json"
+    code, out, _ = run_cli(capsys, "cohomology", str(point), "--degree", "0")
     assert code == 0
     assert out.strip() == "H^0(point; Z) = Z"
 
@@ -404,20 +403,10 @@ def test_failing_check_maps_to_exit_1(capsys):
     assert "FAIL" in out and "boom" in out
 
 
-def test_public_names_resolve():
-    import spinkit.gammarep as gammarep
-
-    for module in (spinkit, gammarep):
-        missing = [name for name in module.__all__ if not hasattr(module, name)]
-        assert not missing, f"{module.__name__}.__all__ names {missing}"
-    # the package re-exports resolve lazily, and dir() still lists them
-    assert set(spinkit.__all__) <= set(dir(spinkit))
-
-
 def test_every_module_level_name_is_used():
-    """Each module-level def, class or constant in the package is read in the
-    package or the benchmark outside its own definition, so no API survives
-    only for tests."""
+    """Each module-level def, class or constant in the package, and each
+    method a class body defines, is read in the package or the benchmark
+    outside its own definition, so no API survives only for tests."""
     package = Path(spinkit.__file__).resolve().parent
     sources = sorted(package.glob("*.py")) + sorted((package.parents[1] / "bench").glob("*.py"))
     uses = {}
@@ -434,22 +423,29 @@ def test_every_module_level_name_is_used():
             uses.setdefault(word, []).append((path, tok.start[0]))
     unused = []
     for path in sorted(package.glob("*.py")):
+        defined = []
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                defined.append((node.name, node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for name in names:
-                outside = [
-                    (p, line) for p, line in uses.get(name, [])
-                    if not (p == path and node.lineno <= line <= node.end_lineno)
+                defined += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef)
                 ]
-                if not outside and not name.startswith("__"):
-                    unused.append((path.stem, name))
-    assert [f"{m}.{n}" for m, n in unused if n not in spinkit.__all__] == []
+        for qualname, node in defined:
+            name = qualname.rpartition(".")[2]
+            outside = [
+                (p, line) for p, line in uses.get(name, [])
+                if not (p == path and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside and not name.startswith("__"):
+                unused.append(f"{path.stem}.{qualname}")
+    # the cochain arithmetic waits for ROADMAP item 4, stage 2, which uses
+    # it or deletes it; its other members pass only on names used elsewhere
+    pending = {"cwcomplex.Cochain.is_zero"}
+    assert [name for name in unused if name not in pending] == []
 
 
 def test_usage_error_exit_code():

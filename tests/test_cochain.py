@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -277,7 +278,8 @@ def test_product_with_interval_matches_block_oracle(random_pair_complex):
         CWPairComplex([2, 1], {1: [[-1], [1]]}),
         CWPairComplex([1, 1, 1], boundary={1: [[0]], 2: [[2]]}),
         disk8_pair(),
-        *(load_complex(data_path(f)) for f in ("disk8_rel_sphere7.json", "point.json")),
+        load_complex(data_path("disk8_rel_sphere7.json")),
+        load_complex(Path(__file__).parent / "data" / "point.json"),
     ]
     randoms = [random_pair_complex(rng, max_pieces=rng.randint(2, 12), dim=rng.randint(0, 8)) for _ in range(150)]
     for cx in fixed + randoms:

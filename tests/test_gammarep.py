@@ -25,7 +25,6 @@ from spinkit.errors import (
     InternalCheckError,
 )
 from spinkit.gammarep import (
-    Spinor,
     action_columns,
     build_cl8_rep,
     chiral_action_matrix,
@@ -467,13 +466,13 @@ def test_common_fixed_space(rep):
     assert len(line) == 1
     assert full == list(I8)
     psi = rep.fixed_spinor()
-    assert psi.components == (1, line[0])
-    assert sum(c * c for c in psi.components[1]) > 0
+    assert psi == (1, line[0])
+    assert sum(c * c for c in psi[1]) > 0
     sub_basis = [Multivector.blade(7, [i, j]) for i in range(6) for j in range(i + 1, 6)]
     sub_space = common_fixed_space(rep, sub_basis)
     assert len(sub_space) >= 1
     # psi lies in the span: appending it does not raise the rank
-    assert la.rank(sub_space + [psi.components[1]]) == la.rank(sub_space)
+    assert la.rank(sub_space + [psi[1]]) == la.rank(sub_space)
 
 
 def test_stabilizer_dimensions(rep):
@@ -481,12 +480,9 @@ def test_stabilizer_dimensions(rep):
     assert stabilizer_dimension(rep, psi) == 21
     rng = random.Random(23)
     for _ in range(3):
-        phi = Spinor(rational_unit_tuple(8, rng), "+")
-        assert stabilizer_dimension(rep, phi) == 21
-    with pytest.raises(ValueError):
-        stabilizer_dimension(rep, Spinor((1, (0,) * 8), "+"))
-    with pytest.raises(ChiralityError):
-        stabilizer_dimension(rep, Spinor(psi.components, "-"))
+        assert stabilizer_dimension(rep, rational_unit_tuple(8, rng)) == 21
+    with pytest.raises(ValueError, match="zero spinor"):
+        stabilizer_dimension(rep, (1, (0,) * 8))
 
 
 def test_g2_intersection(rep):
@@ -495,7 +491,7 @@ def test_g2_intersection(rep):
     psi = rep.fixed_spinor()
     for z in basis:
         _, m = chiral_action_matrix(rep, z, "+")
-        assert not any(la.mat_mul((psi.components[1],), la.transpose(m))[0])  # (m psi)^T
+        assert not any(la.mat_mul((psi[1],), la.transpose(m))[0])  # (m psi)^T
         col0 = tuple(ad_differential(z).entries[1][i][0] for i in range(8))
         assert not any(col0)
 
@@ -516,8 +512,7 @@ def test_sphere_transitivity(rep):
     rng = random.Random(3)
     algebra = embedded_spin7_lie_basis()
     for _ in range(10):
-        phi = Spinor(rational_unit_tuple(8, rng), "+")
-        assert stabilizer_dimension(rep, phi, algebra) == 14
+        assert stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra) == 14
 
 
 def test_sigma_plus_factors_through_rotations(rep):
@@ -527,10 +522,12 @@ def test_sigma_plus_factors_through_rotations(rep):
     assert delta7(rep, -z) == (d, _negated(m))
 
 
-def test_spinor_type_validation():
-    with pytest.raises(DimensionMismatchError):
-        Spinor((1, (1, 0, 0)), "+")
-    with pytest.raises(ValueError):
-        Spinor((1, (1,) * 16), "sideways")
-    full = Spinor((1, (1,) + (0,) * 15), "full")
-    assert sum(c * c for c in full.components[1]) == 1
+def test_spinor_type_validation(rep):
+    # a spinor is a pair (d, entries) of eight exact entries of S8+
+    for entries in ((1, 0, 0), (1,) + (0,) * 15):
+        with pytest.raises(DimensionMismatchError, match=f"got {len(entries)}$"):
+            stabilizer_dimension(rep, (1, entries))
+    with pytest.raises(TypeError, match="not float$"):
+        stabilizer_dimension(rep, (1, [0.5] + [0] * 7))
+    # the scale of a spinor does not change its stabilizer
+    assert stabilizer_dimension(rep, (3, [Fraction(1, 2)] + [0] * 7)) == 21

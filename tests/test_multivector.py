@@ -177,7 +177,7 @@ def test_volume_elements():
     assert w8 * w8 == Multivector.scalar(8, 1)
     for i in range(7):
         assert w7 * e(7, i) == e(7, i) * w7
-    v = Multivector.vector(8, [1, -2, 3, 0, 5, 0, 7, 11])
+    v = Multivector(8, {1 << i: c for i, c in enumerate([1, -2, 3, 0, 5, 0, 7, 11])})
     assert w8 * v == -(v * w8)
 
 

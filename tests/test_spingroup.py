@@ -19,7 +19,7 @@ from conftest import (
     loop_conjugated_basis,
 )
 from spinkit.errors import InvalidSpinElementError, LiftError
-from spinkit.gammarep import Spinor, iota_plus
+from spinkit.gammarep import build_cl8_rep, iota_plus, stabilizer_dimension
 from spinkit.multivector import Multivector, volume_element
 from spinkit.spingroup import (
     RotationMatrix,
@@ -110,7 +110,7 @@ def test_reflection_preserves_gram_values():
 
 
 def test_reflection_requires_unit_vector():
-    v = Multivector.vector(8, [2, 0, 0, 0, 0, 0, 0, 0])
+    v = Multivector(8, {1: 2})
     with pytest.raises(InvalidSpinElementError):
         reflect(v, Multivector.basis_vector(8, 1))
 
@@ -201,7 +201,7 @@ def test_lie_lift_inverts_ad_differential():
         d, rows = ad_differential(b).entries
         for j in range(n):
             ej = Multivector.basis_vector(n, j)
-            column = Multivector.vector(n, [Fraction(row[j], d) for row in rows])
+            column = Multivector(n, {1 << i: Fraction(row[j], d) for i, row in enumerate(rows)})
             assert column == b * ej - ej * b
     assert lie_lift(SkewMatrix((1, [[0] * 8 for _ in range(8)]))).terms == {}
     # e0 e1 e2 e3 - e3 e0 e1 e2 = 2 e0 e1 e2 e3 is not a vector
@@ -451,7 +451,10 @@ def test_empty_rotation_matrix_is_rejected():
             lambda: SkewMatrix((1, [[0, Decimal("0.1")], [Decimal("-0.1"), 0]])), "Decimal",
             id="skew-Decimal",
         ),
-        pytest.param(lambda: Spinor((1, ["1"] + [0] * 7), "+"), "str", id="spinor-str"),
+        pytest.param(
+            lambda: stabilizer_dimension(build_cl8_rep(), (1, ["1"] + [0] * 7)), "str",
+            id="spinor-str",
+        ),
     ],
 )
 def test_float_entries_rejected(build, kind):
@@ -464,7 +467,6 @@ def test_fraction_entries_are_held_over_one_denominator():
     exact = SkewMatrix((1, [[0, half], [-half, 0]]))
     assert exact.entries == (2, ((0, 1), (-1, 0)))
     assert SkewMatrix((4, [[0, 2], [-2, 0]])) == exact
-    assert Spinor((3, [half] + [0] * 7), "+").components == (6, (1,) + (0,) * 7)
 
 
 def test_checked_elements_keep_their_columns(monkeypatch):

@@ -31,7 +31,7 @@ def test_singleton_trivial_torsor():
     d = DifferenceTable(trivial, ("a",), {("a", "a"): ()})
     assert verify_difference_axioms(d) is None
     action = action_from_difference(d)
-    assert action.act((), "a") == "a"
+    assert action.table[((), "a")] == "a"
     assert difference_from_action(action).table == d.table
 
 
@@ -44,9 +44,9 @@ def test_two_point_torsor():
     )
     assert verify_difference_axioms(d) is None
     action = action_from_difference(d)
-    assert action.act((1,), "a") == "b"
-    assert action.act((1,), "b") == "a"
-    assert action.act((0,), "a") == "a"
+    assert action.table[((1,), "a")] == "b"
+    assert action.table[((1,), "b")] == "a"
+    assert action.table[((0,), "a")] == "a"
 
 
 def test_degenerate_difference_fails_separation():
@@ -74,8 +74,8 @@ def test_regular_difference_of_cyclic_four():
     z4 = FiniteAbelianGroup((4,))
     d = regular_difference_table(z4)
     # D(x, y) = y - x on the group itself
-    assert d.difference("g0", "g3") == (3,)
-    assert d.difference("g3", "g0") == (1,)
+    assert d.table[("g0", "g3")] == (3,)
+    assert d.table[("g3", "g0")] == (1,)
     assert verify_difference_axioms(d) is None
 
 
@@ -111,7 +111,7 @@ def test_antisymmetry_follows_from_axioms():
         d = regular_difference_table(group)
         for x in d.carrier:
             for y in d.carrier:
-                assert d.difference(x, y) == group_neg(group, d.difference(y, x))
+                assert d.table[(x, y)] == group_neg(group, d.table[(y, x)])
 
 
 @settings(max_examples=50, deadline=None)
