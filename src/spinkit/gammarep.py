@@ -16,6 +16,9 @@ sets the sign of the first basis vector of S8+.  The chiral action of an
 even element is therefore a signed block of its 16x16 matrix: the integer
 columns ``action_columns`` sums over the common denominator d of the
 element's coefficients, as an exact ``(d, rows)`` pair of ``exactlinalg``.
+``chiral_action_matrix`` is the one chiral action: the half-spin
+representation delta8 on Spin(8) and, after ``embed_spin7``, ``delta7`` on
+Spin(7) and on its Lie algebra alike.
 
 The module has one form: the generators, the 256 monomials and the two
 halves are stored as signed permutations (``GammaRep.gamma``,
@@ -246,37 +249,20 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     )
 
 
-def delta8(rep: GammaRep, zeta: SpinElement, chirality: str = "+") -> la.Exact:
-    """Chiral spin representation of Spin(8): c(zeta) on one eigenspace."""
-    if zeta.n != 8:
-        raise DimensionMismatchError("delta8 needs a Spin(8) element")
-    if any(blade_grade(m) & 1 for m in zeta.value.terms):
-        raise ChiralityError("odd element cannot act chirally")
-    return chiral_action_matrix(rep, zeta.value, chirality)
-
-
-_EMBEDDED_MASK = 0b11111110  # generators 1..7 of Cl(0,8)
-
-
 def embed_spin7(a: Multivector) -> Multivector:
     """Even elements of Cl(0,7) inside Cl(0,8), using generators 1..7."""
-    if a.n == 7:
-        if any(blade_grade(m) & 1 for m in a.terms):
-            raise EmbeddingDomainError("only even elements embed blade-wise")
-        return p_iso(a)
-    if a.n == 8:
-        if any(mask & ~_EMBEDDED_MASK for mask in a.terms) or any(
-            blade_grade(m) & 1 for m in a.terms
-        ):
-            raise EmbeddingDomainError("element is not in the embedded even Cl(0,7)")
-        return a
-    raise EmbeddingDomainError("expected an element of Cl(0,7) or embedded Cl(0,8)")
+    if a.n != 7:
+        raise EmbeddingDomainError(f"expected an element of Cl(0,7), got Cl(0,{a.n})")
+    if any(blade_grade(m) & 1 for m in a.terms):
+        raise EmbeddingDomainError("only even elements embed blade-wise")
+    return p_iso(a)
 
 
-def delta7(rep: GammaRep, zeta: SpinElement) -> la.Exact:
-    """Spin representation of Spin(7) on S8+ (does not descend to SO(7))."""
-    embedded = embed_spin7(zeta.value)
-    return chiral_action_matrix(rep, embedded, "+")
+def delta7(rep: GammaRep, x: Multivector) -> la.Exact:
+    """c(x) on S8+ for an even x of Cl(0,7), embedded by ``embed_spin7``: the
+    spin representation on a point of Spin(7) (it does not descend to SO(7)),
+    its skew differential on a bivector of so(7)."""
+    return chiral_action_matrix(rep, embed_spin7(x), "+")
 
 
 def iota_vector(zeta: SpinElement) -> SpinElement:
@@ -291,10 +277,10 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     trivially on the fixed spinor psi is returned; this choice makes the
     map a homomorphism and sends -1 to the volume element omega8.
     """
-    rotation = RotationMatrix(delta7(rep, zeta))
+    rotation = RotationMatrix(delta7(rep, zeta.value))
     eta = lift_rotation(rotation)
     psi = rep.fixed_spinor()[1]
-    d, m = delta8(rep, eta, "+")
+    d, m = chiral_action_matrix(rep, eta.value, "+")
     (image,) = la.mat_mul((psi,), la.transpose(m))  # (m psi)^T
     if image == tuple(d * x for x in psi):
         return eta
@@ -308,16 +294,6 @@ def spin7_lie_basis() -> list[Multivector]:
     return [Multivector.blade(7, [i, j]) for i, j in combinations(range(7), 2)]
 
 
-def embedded_spin7_lie_basis() -> list[Multivector]:
-    """The same basis pushed into Cl(0,8) (indices shifted to 1..7)."""
-    return [Multivector.blade(8, [i, j]) for i, j in combinations(range(1, 8), 2)]
-
-
-def spin8_lie_basis() -> list[Multivector]:
-    """All 28 bivectors e_i e_j of so(8)."""
-    return [Multivector.blade(8, [i, j]) for i, j in combinations(range(8), 2)]
-
-
 _BIVECTOR_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(8), 2)]
 
 
@@ -329,14 +305,9 @@ def bivector_coordinates(a: Multivector) -> tuple[int, tuple[int, ...]]:
     return a.d, tuple(a.terms.get(mask, 0) for mask in _BIVECTOR_MASKS)
 
 
-def d_delta7(rep: GammaRep, x: Multivector) -> la.Exact:
-    """Differential of delta7: the skew 8x8 chiral action of a so(7) element."""
-    return chiral_action_matrix(rep, embed_spin7(x), "+")
-
-
 def d_iota_plus(rep: GammaRep, x: Multivector) -> Multivector:
-    """Differential of iota_plus: the so(8) bivector with d(Ad) image d_delta7(x)."""
-    return lie_lift(SkewMatrix(d_delta7(rep, x)))
+    """Differential of iota_plus: the so(8) bivector with d(Ad) image delta7(x)."""
+    return lie_lift(SkewMatrix(delta7(rep, x)))
 
 
 def common_fixed_space(rep: GammaRep, generators: list[Multivector]) -> list[tuple[int, ...]]:
@@ -373,7 +344,7 @@ def stabilizer_dimension(
         raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
     if not any(v):
         raise ValueError("stabilizer of the zero spinor is not defined")
-    basis = algebra if algebra is not None else spin8_lie_basis()
+    basis = algebra if algebra is not None else [Multivector(8, {m: 1}) for m in _BIVECTOR_MASKS]
     # a rank ignores the scale of each row, so every denominator is dropped
     if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
         raise ValueError("algebra basis must be linearly independent")
@@ -391,7 +362,7 @@ def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
     ignores the scale of each row), and ``la.intersection_basis`` raises
     unless each has 21 independent rows.
     """
-    vector_side = [bivector_coordinates(x)[1] for x in embedded_spin7_lie_basis()]
+    vector_side = [bivector_coordinates(embed_spin7(x))[1] for x in spin7_lie_basis()]
     spinor_side = [bivector_coordinates(d_iota_plus(rep, x))[1] for x in spin7_lie_basis()]
     out = []
     for coords in la.intersection_basis(vector_side, spinor_side):
@@ -423,9 +394,4 @@ def monomial_span_rank(rep: GammaRep) -> int:
             for b, sb in members:
                 row[b] += sa * sb
     return la.rank(gram)
-
-
-def omega8_element() -> SpinElement:
-    """The oriented volume element as a point of Spin(8)."""
-    return SpinElement(volume_element(8), check=False)
 

@@ -91,14 +91,14 @@ class Multivector:
 
     @classmethod
     def basis_vector(cls, n: int, i: int) -> "Multivector":
-        if not 0 <= i < n:
-            raise ValueError(f"generator index {i} out of range for n={n}")
-        return cls(n, {1 << i: 1})
+        return cls.blade(n, [i])
 
     @classmethod
     def blade(cls, n: int, indices: Iterable[int], coeff: Scalar = 1) -> "Multivector":
         mask = 0
         for i in indices:
+            if type(i) is not int:
+                raise TypeError(f"generator index {i!r} must be int, not {type(i).__name__}")
             if not 0 <= i < n:
                 raise ValueError(f"generator index {i} out of range for n={n}")
             if mask & (1 << i):

@@ -142,20 +142,6 @@ class SpinElement:
     def __repr__(self) -> str:
         return f"SpinElement({self.value!r})"
 
-    @classmethod
-    def from_unit_vectors(cls, vectors: list[Multivector]) -> "SpinElement":
-        if len(vectors) % 2:
-            raise InvalidSpinElementError("need an even number of unit vectors")
-        n = vectors[0].n
-        out = Multivector.scalar(n, 1)
-        for v in vectors:
-            if v.grades() not in ({1}, set()):
-                raise InvalidSpinElementError("factors must be grade-1")
-            if (v * v) != Multivector.scalar(n, -1):
-                raise InvalidSpinElementError("factors must be unit vectors")
-            out = out * v
-        return cls(out)
-
 
 def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
     """``(d^2, cols)``: cols[j] / d^2 are the components of the grade-1 part
@@ -319,4 +305,7 @@ def random_spin(n: int, k: int, seed: int) -> SpinElement:
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = random.Random(seed)
-    return SpinElement.from_unit_vectors([rational_unit_vector(n, rng) for _ in range(2 * k)])
+    product = Multivector.scalar(n, 1)
+    for _ in range(2 * k):
+        product = product * rational_unit_vector(n, rng)
+    return SpinElement(product)

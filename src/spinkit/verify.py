@@ -21,17 +21,14 @@ from .gammarep import (
     build_cl8_rep,
     chiral_action_matrix,
     common_fixed_space,
-    d_delta7,
     d_iota_plus,
     delta7,
-    delta8,
-    embedded_spin7_lie_basis,
+    embed_spin7,
     g2_intersection_basis,
     generator_relation_failure,
     iota_plus,
     iota_vector,
     monomial_span_rank,
-    omega8_element,
     sp_compose,
     sp_identity,
     spin7_lie_basis,
@@ -339,9 +336,9 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     results.append(_run("25 random unit vectors swap the chiral halves isometrically", swap_isometry))
 
     def omega_signs() -> str | None:
-        if delta8(rep, omega8_element(), "+") != ident8:
+        if chiral_action_matrix(rep, volume_element(8), "+") != ident8:
             return "volume element does not act as +1 on the positive half"
-        if delta8(rep, omega8_element(), "-") != _negated(ident8):
+        if chiral_action_matrix(rep, volume_element(8), "-") != _negated(ident8):
             return "volume element does not act as -1 on the negative half"
         return None
 
@@ -359,11 +356,11 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
 
     def lift_identity() -> str | None:
         for x in spin7_lie_basis():
-            if ad_differential(d_iota_plus(rep, x)).entries != d_delta7(rep, x):
+            if ad_differential(d_iota_plus(rep, x)).entries != delta7(rep, x):
                 return "Lie-algebra level identity fails"
         for _ in range(10):
             z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-            if adjoint_action(iota_plus(rep, z)).entries != delta7(rep, z):
+            if adjoint_action(iota_plus(rep, z)).entries != delta7(rep, z.value):
                 return "group level identity fails"
         return None
 
@@ -407,7 +404,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     )
 
     def sphere_transitivity() -> str | None:
-        algebra = embedded_spin7_lie_basis()
+        algebra = [embed_spin7(x) for x in spin7_lie_basis()]
         for _ in range(10):
             dim = stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra)
             if dim != 14:
@@ -436,9 +433,10 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     def sigma_factors() -> str | None:
         for _ in range(5):
             z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-            if delta8(rep, iota_plus(rep, z), "+") != delta8(rep, iota_plus(rep, -z), "+"):
+            lift, lift_of_minus = iota_plus(rep, z).value, iota_plus(rep, -z).value
+            if chiral_action_matrix(rep, lift, "+") != chiral_action_matrix(rep, lift_of_minus, "+"):
                 return "chiral rep of the lift does not factor through the rotation group"
-            if delta7(rep, -z) != _negated(delta7(rep, z)):
+            if delta7(rep, -z.value) != _negated(delta7(rep, z.value)):
                 return "spin rep is not odd under negation"
         return None
 

@@ -406,7 +406,8 @@ def test_failing_check_maps_to_exit_1(capsys):
 def test_every_module_level_name_is_used():
     """Each module-level def, class or constant in the package, and each
     method a class body defines, is read in the package or the benchmark
-    outside its own definition, so no API survives only for tests."""
+    outside its own definition, so no API survives only for tests; and each
+    name a package module imports is read in that module."""
     package = Path(spinkit.__file__).resolve().parent
     sources = sorted(package.glob("*.py")) + sorted((package.parents[1] / "bench").glob("*.py"))
     uses = {}
@@ -423,8 +424,17 @@ def test_every_module_level_name_is_used():
             uses.setdefault(word, []).append((path, tok.start[0]))
     unused = []
     for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            unused += [f"{path.stem} imports {name}" for name in bound if name not in read]
         defined = []
-        for node in ast.parse(path.read_text()).body:
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((node.name, node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):

@@ -29,19 +29,15 @@ from spinkit.gammarep import (
     build_cl8_rep,
     chiral_action_matrix,
     common_fixed_space,
-    d_delta7,
     d_iota_plus,
     delta7,
-    delta8,
     embed_spin7,
-    embedded_spin7_lie_basis,
     g2_intersection_basis,
     generator_relation_failure,
     iota_plus,
     iota_vector,
     monomial_span_rank,
     octonion_basis_product,
-    omega8_element,
     sp_compose,
     spin7_lie_basis,
     stabilizer_dimension,
@@ -374,48 +370,57 @@ def test_unit_vectors_swap_halves(rep):
 
 
 def test_delta8_values(rep):
-    one = SpinElement(Multivector.scalar(8, 1), check=False)
-    assert delta8(rep, one, "+") == (1, I8)
-    assert delta8(rep, omega8_element(), "+") == (1, I8)
-    assert delta8(rep, omega8_element(), "-") == (1, _negated(I8))
+    """delta8, the chiral spin representation of Spin(8), is c on one half."""
+    assert chiral_action_matrix(rep, Multivector.scalar(8, 1), "+") == (1, I8)
+    assert chiral_action_matrix(rep, volume_element(8), "+") == (1, I8)
+    assert chiral_action_matrix(rep, volume_element(8), "-") == (1, _negated(I8))
 
 
 def test_delta8_orthogonal_on_20_random_elements(rep):
     for seed in range(20):
         z = random_spin(8, 1, seed)
-        d, m = delta8(rep, z, "+" if seed % 2 else "-")
+        d, m = chiral_action_matrix(rep, z.value, "+" if seed % 2 else "-")
         assert _product((d, la.transpose(m)), (d, m)) == (1, I8)
 
 
 def test_delta8_is_a_homomorphism(rep):
-    z1, z2 = random_spin(8, 1, 21), random_spin(8, 2, 22)
-    assert delta8(rep, z1 * z2, "+") == _product(delta8(rep, z1, "+"), delta8(rep, z2, "+"))
+    z1, z2 = random_spin(8, 1, 21).value, random_spin(8, 2, 22).value
+    assert chiral_action_matrix(rep, z1 * z2, "+") == _product(
+        chiral_action_matrix(rep, z1, "+"), chiral_action_matrix(rep, z2, "+")
+    )
+
+
+@pytest.mark.parametrize("chirality", ["+", "-"])
+def test_chiral_action_domain_errors(rep, chirality):
+    with pytest.raises(DimensionMismatchError, match="element of Cl\\(0,8\\)$"):
+        chiral_action_matrix(rep, random_spin(7, 1, 5).value, chirality)
+    odd = random_spin(8, 1, 6).value * Multivector.basis_vector(8, 3)
+    mixed = Multivector.scalar(8, 1) + Multivector.basis_vector(8, 0)
+    for a in (Multivector.basis_vector(8, 0), odd, mixed):
+        with pytest.raises(ChiralityError, match="does not preserve the chiral subspace$"):
+            chiral_action_matrix(rep, a, chirality)
 
 
 def test_delta7_values(rep):
-    one = SpinElement(Multivector.scalar(7, 1), check=False)
-    minus_one = SpinElement(Multivector.scalar(7, -1), check=False)
-    assert delta7(rep, one) == (1, I8)
-    assert delta7(rep, minus_one) == (1, _negated(I8))
-    z = SpinElement(Multivector.blade(7, [0, 1]))  # embeds as e1 e2
-    d, m = delta7(rep, z)
+    assert delta7(rep, Multivector.scalar(7, 1)) == (1, I8)
+    assert delta7(rep, Multivector.scalar(7, -1)) == (1, _negated(I8))
+    d, m = delta7(rep, Multivector.blade(7, [0, 1]))  # embeds as e1 e2
     assert _product((d, la.transpose(m)), (d, m)) == (1, I8)
     assert _product((d, m), (d, m)) == (1, _negated(I8))  # (e1 e2)^2 = -1
 
 
 def test_delta7_domain_errors(rep):
-    bad = SpinElement(Multivector.blade(8, [0, 1]))  # uses generator 0
-    with pytest.raises(EmbeddingDomainError):
-        delta7(rep, bad)
-    with pytest.raises(EmbeddingDomainError):
-        embed_spin7(Multivector.basis_vector(7, 0))  # odd element
-
-
-def test_embed_spin7_accepts_both_labelings(rep):
-    z7 = random_spin(7, 2, 13)
-    embedded = embed_spin7(z7.value)
-    assert embed_spin7(embedded) == embedded
-    assert delta7(rep, SpinElement(embedded, check=False)) == delta7(rep, z7)
+    z7 = random_spin(7, 2, 13).value
+    for bad in (
+        Multivector.blade(8, [0, 1]),  # uses generator 0
+        embed_spin7(z7),  # already embedded: Cl(0,8) is not the domain
+        Multivector.basis_vector(7, 0),  # odd element
+        z7 + Multivector.basis_vector(7, 0),  # mixed parity
+    ):
+        with pytest.raises(EmbeddingDomainError):
+            embed_spin7(bad)
+        with pytest.raises(EmbeddingDomainError):
+            delta7(rep, bad)
 
 
 def test_iota_vector(rep):
@@ -436,7 +441,7 @@ def test_iota_plus_defining_properties(rep):
     assert iota_plus(rep, minus_one).value != iota_vector(minus_one).value
     for seed in (41, 42):
         z = random_spin(7, 2, seed)
-        assert adjoint_action(iota_plus(rep, z)).entries == delta7(rep, z)
+        assert adjoint_action(iota_plus(rep, z)).entries == delta7(rep, z.value)
 
 
 def test_iota_plus_is_multiplicative(rep):
@@ -456,7 +461,7 @@ def test_iota_plus_is_multiplicative(rep):
 
 def test_lie_level_lift_identity(rep):
     for x in spin7_lie_basis():
-        assert ad_differential(d_iota_plus(rep, x)).entries == d_delta7(rep, x)
+        assert ad_differential(d_iota_plus(rep, x)).entries == delta7(rep, x)
 
 
 def test_common_fixed_space(rep):
@@ -510,16 +515,17 @@ def test_sphere_transitivity(rep):
     # the chiral so(7) stabilizes a 14-dim subalgebra at every unit spinor,
     # so each orbit has rank 21 - 14 = 7, the dimension of the 7-sphere
     rng = random.Random(3)
-    algebra = embedded_spin7_lie_basis()
+    algebra = [embed_spin7(x) for x in spin7_lie_basis()]
     for _ in range(10):
         assert stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra) == 14
 
 
 def test_sigma_plus_factors_through_rotations(rep):
     z = random_spin(7, 2, 77)
-    assert delta8(rep, iota_plus(rep, z), "+") == delta8(rep, iota_plus(rep, -z), "+")
-    d, m = delta7(rep, z)
-    assert delta7(rep, -z) == (d, _negated(m))
+    lift, lift_of_minus = iota_plus(rep, z).value, iota_plus(rep, -z).value
+    assert chiral_action_matrix(rep, lift, "+") == chiral_action_matrix(rep, lift_of_minus, "+")
+    d, m = delta7(rep, z.value)
+    assert delta7(rep, -z.value) == (d, _negated(m))
 
 
 def test_spinor_type_validation(rep):

@@ -104,12 +104,17 @@ def test_dimension_mismatch_rejected():
         pytest.param(lambda: Multivector.scalar(2, 3) - "2", "str", id="minus-str"),
         pytest.param(lambda: Multivector(2.0, {0: 1}), "float", id="float-n"),
         pytest.param(lambda: Multivector(True, {0: 1}), "bool", id="bool-n"),
+        pytest.param(lambda: Multivector.basis_vector(8, True), "bool", id="bool-index"),
+        pytest.param(lambda: Multivector.basis_vector(8, 1.0), "float", id="float-index"),
+        pytest.param(lambda: Multivector.blade(8, [0, True]), "bool", id="blade-bool-index"),
+        pytest.param(lambda: Multivector.blade(8, [1.0]), "float", id="blade-float-index"),
     ],
 )
 def test_float_coefficients_rejected(build, kind):
     """Coefficients, blade masks and scalar factors must be exact ints or
-    Fractions (masks and the generator count ints), bool excluded, and a
-    sum or difference takes Multivectors only; nothing is coerced."""
+    Fractions (masks, generator indices and the generator count ints), bool
+    excluded, and a sum or difference takes Multivectors only; nothing is
+    coerced."""
     with pytest.raises(TypeError, match=f"not {kind}$"):
         build()
 
