@@ -1,4 +1,4 @@
-"""Finite relative CW pairs and their cellular cochain algebra.
+"""Finite CW pairs (X, Y): cochains, the coboundary, the relative check, the difference cochain.
 
 A :class:`CWPairComplex` stores per-dimension cell counts, integer
 incidence matrices, and flags marking a closed subcomplex Y.  Cochains
@@ -180,6 +180,10 @@ class Cochain:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            raise TypeError(f"cochain degree must be an integer, not {self.degree!r}")
+        if not isinstance(self.coefficients, CoefficientGroup):
+            raise TypeError(f"cochain coefficients must be a CoefficientGroup, not {self.coefficients!r}")
         if not 0 <= self.degree <= self.complex.dim:
             raise DimensionMismatchError(
                 f"degree {self.degree} out of range for a {self.complex.dim}-complex"
@@ -193,44 +197,6 @@ class Cochain:
             if type(v) is not int:
                 raise TypeError(f"cochain values must be integers, not {v!r}")
         object.__setattr__(self, "values", tuple(map(self.coefficients.reduce, self.values)))
-
-    @classmethod
-    def zero(cls, complex: CWPairComplex, degree: int, coefficients: CoefficientGroup) -> "Cochain":
-        return cls(complex, degree, coefficients, (0,) * complex.cell_count(degree))
-
-    def _compatible(self, other: "Cochain") -> None:
-        if (
-            self.complex != other.complex
-            or self.degree != other.degree
-            or self.coefficients != other.coefficients
-        ):
-            raise DimensionMismatchError("cochains live on different complexes/degrees/coefficients")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        return Cochain(
-            self.complex,
-            self.degree,
-            self.coefficients,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-        )
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        return Cochain(
-            self.complex,
-            self.degree,
-            self.coefficients,
-            tuple(a - b for a, b in zip(self.values, other.values)),
-        )
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.complex, self.degree, self.coefficients, tuple(-v for v in self.values)
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
     def is_relative(self) -> bool:
         flags = self.complex.sub[self.degree]
@@ -263,6 +229,8 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     decomposition H^k(;Z/m) = H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m)
     reduces every order d to gcd(d, m), with H^(k+1) torsion read from up.
     """
+    if type(k) is not int:
+        raise TypeError(f"degree must be an integer, not {k!r}")
     if k < 0 or k > cx.dim:
         return AbelianGroup(0)
     m = coefficients.modulus

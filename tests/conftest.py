@@ -452,6 +452,26 @@ def group_sub(g, a, b):
     return group_add(g, a, group_neg(g, b))
 
 
+def zero_cochain(cx, k, coeff):
+    return Cochain(cx, k, coeff, (0,) * cx.cell_count(k))
+
+
+def cochain_add(a, b):
+    """a + b for two cochains on one complex, degree and coefficient group,
+    reduced by the constructor: the oracle for the identities that
+    ``coboundary`` and ``difference_cochain`` satisfy."""
+    assert (a.complex, a.degree, a.coefficients) == (b.complex, b.degree, b.coefficients)
+    return Cochain(a.complex, a.degree, a.coefficients, tuple(x + y for x, y in zip(a.values, b.values)))
+
+
+def cochain_neg(a):
+    return Cochain(a.complex, a.degree, a.coefficients, tuple(-x for x in a.values))
+
+
+def cochain_sub(a, b):
+    return cochain_add(a, cochain_neg(b))
+
+
 def all_points_difference_axioms(d):
     """The difference-table axioms checked at every pair and triple: the
     oracle for verify_difference_axioms.  True when all of them hold."""

@@ -67,6 +67,31 @@ def test_output_matches_golden_report(capsys, argv, golden):
     assert out.encode() == (data / golden).read_bytes()
 
 
+def cohomology_transcript(capsys):
+    """Each cohomology invocation of the golden, in order: a header line
+    naming the arguments and the exit code, then what it printed."""
+    data = Path(__file__).parent / "data"
+    parts = []
+    for file in (None, "point.json"):
+        for degree in (-1, 0, 1, 7, 8, 9):
+            for coeff in ("z", "z2", "z3"):
+                for fmt in ("text", "structured"):
+                    args = ["--degree", str(degree), "--coeff", coeff, "--format", fmt]
+                    code, out, _ = run_cli(
+                        capsys, "cohomology", *([str(data / file)] if file else []), *args
+                    )
+                    shown = " ".join(["cohomology", *([file] if file else []), *args])
+                    parts.append(f"$ spinkit {shown}  # exit {code}\n{out}")
+    return "".join(parts)
+
+
+def test_cohomology_matches_golden_report(capsys):
+    """H^k of the bundled (D8, S7) and of a point, for degrees -1, 0, 1, 7, 8
+    and 9 over Z, Z/2 and Z/3 in both formats, byte for byte."""
+    golden = Path(__file__).parent / "data" / "cohomology_bundled.txt"
+    assert cohomology_transcript(capsys).encode() == golden.read_bytes()
+
+
 def test_verify_structured_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "spin", "--seed", "3", "--format", "structured")
     assert code == 0
@@ -404,24 +429,27 @@ def test_failing_check_maps_to_exit_1(capsys):
 
 
 def test_every_module_level_name_is_used():
-    """Each module-level def, class or constant in the package, and each
-    method a class body defines, is read in the package or the benchmark
-    outside its own definition, so no API survives only for tests; and each
-    name a package module imports is read in that module."""
+    """Each module-level def, class or constant in the package is read in the
+    package or the benchmark outside its own definition, and each method a
+    class body defines is read there as an attribute, ``x.method``, or named
+    as the benchmark tracer names what it wraps, ``"Class.method"``; so no
+    API survives only for tests, and no name is exempt.  Each name a package
+    module imports is read in that module."""
     package = Path(spinkit.__file__).resolve().parent
     sources = sorted(package.glob("*.py")) + sorted((package.parents[1] / "bench").glob("*.py"))
-    uses = {}
+    uses, attribute_uses = {}, {}
     for path in sources:
-        text = path.read_text()
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        after_dot = False
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            where = (path, tok.start[0])
             if tok.type == tokenize.NAME:
-                word = tok.string
+                uses.setdefault(tok.string, []).append(where)
+                if after_dot:
+                    attribute_uses.setdefault(tok.string, []).append(where)
             elif tok.type == tokenize.STRING and tok.string[0] in "'\"":
                 # the benchmark tracer names the functions it wraps in strings
-                word = ast.literal_eval(tok.string)
-            else:
-                continue
-            uses.setdefault(word, []).append((path, tok.start[0]))
+                uses.setdefault(ast.literal_eval(tok.string), []).append(where)
+            after_dot = tok.type == tokenize.OP and tok.string == "."
     unused = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -446,16 +474,14 @@ def test_every_module_level_name_is_used():
                 ]
         for qualname, node in defined:
             name = qualname.rpartition(".")[2]
+            found = uses.get(qualname, []) + (attribute_uses.get(name, []) if name != qualname else [])
             outside = [
-                (p, line) for p, line in uses.get(name, [])
+                (p, line) for p, line in found
                 if not (p == path and node.lineno <= line <= node.end_lineno)
             ]
             if not outside and not name.startswith("__"):
                 unused.append(f"{path.stem}.{qualname}")
-    # the cochain arithmetic waits for ROADMAP item 4, stage 2, which uses
-    # it or deletes it; its other members pass only on names used elsewhere
-    pending = {"cwcomplex.Cochain.is_zero"}
-    assert [name for name in unused if name not in pending] == []
+    assert unused == []
 
 
 def test_usage_error_exit_code():
