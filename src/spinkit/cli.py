@@ -136,7 +136,7 @@ def _cmd_census(args) -> int:
                     "e_s_plus": str(r.e_s_plus),
                     "e_s_minus": str(r.e_s_minus),
                     "exists": r.exists,
-                    "count": r.count if isinstance(r.count, int) else (r.count or None),
+                    "count": r.count,
                     "ahat": str(r.ahat),
                     "holonomy_note": r.holonomy_note,
                 }

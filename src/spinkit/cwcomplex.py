@@ -145,9 +145,6 @@ class CWPairComplex:
             and self.sub == other.sub
         )
 
-    def __hash__(self):
-        return hash((tuple(self.cells),))
-
     def cell_count(self, k: int) -> int:
         return self.cells[k] if 0 <= k <= self.dim else 0
 
@@ -158,10 +155,10 @@ class CWPairComplex:
 
     def relative_coboundary_matrix(self, k: int) -> list[list[int]]:
         """delta: C^k(X,Y) -> C^(k+1)(X,Y), the restricted transpose of d_(k+1)."""
+        if k + 1 > self.dim:
+            return []
         rows = self.relative_indices(k + 1)
         cols = self.relative_indices(k)
-        if k + 1 > self.dim:
-            return [[] for _ in rows] if rows else []
         b = self.boundary[k + 1]
         return [[b[c][r] for c in cols] for r in rows]
 
@@ -180,6 +177,8 @@ class Cochain:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.complex, CWPairComplex):
+            raise TypeError(f"cochain complex must be a CWPairComplex, not {self.complex!r}")
         if type(self.degree) is not int:
             raise TypeError(f"cochain degree must be an integer, not {self.degree!r}")
         if not isinstance(self.coefficients, CoefficientGroup):
@@ -231,6 +230,8 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     """
     if type(k) is not int:
         raise TypeError(f"degree must be an integer, not {k!r}")
+    if not isinstance(coefficients, CoefficientGroup):
+        raise TypeError(f"coefficients must be a CoefficientGroup, not {coefficients!r}")
     if k < 0 or k > cx.dim:
         return AbelianGroup(0)
     m = coefficients.modulus

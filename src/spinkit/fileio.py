@@ -114,14 +114,13 @@ def load_complex(path: str | Path) -> CWPairComplex:
         raise ComplexValidationError(f"{path}: {exc}") from None
 
 
-_REQUIRED_FIELDS = ("name", "p1_sq", "p2", "euler", "h7_rel_rank", "h8_z2_dim")
-_OPTIONAL_FIELDS = ("components", "simply_connected", "has_boundary", "spin")
-
-
 def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
     """Read a manifold catalogue, naming the offending record on errors."""
+    from dataclasses import MISSING, fields
     from .census import ManifoldCharData
 
+    names = {f.name for f in fields(ManifoldCharData)}
+    required = [f.name for f in fields(ManifoldCharData) if f.default is MISSING]
     raw = _read_json(path, CensusDataError)
     records = raw.get("manifolds") if isinstance(raw, dict) else None
     if not isinstance(records, list):
@@ -131,10 +130,10 @@ def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
         label = rec.get("name", f"record #{i}") if isinstance(rec, dict) else f"record #{i}"
         if not isinstance(rec, dict):
             raise CensusDataError(f"{path}: {label} is not an object")
-        missing = [f for f in _REQUIRED_FIELDS if f not in rec]
+        missing = [f for f in required if f not in rec]
         if missing:
             raise CensusDataError(f"{path}: {label} is missing fields {missing}")
-        unknown = set(rec) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
+        unknown = set(rec) - names
         if unknown:
             raise CensusDataError(f"{path}: {label} has unknown fields {sorted(unknown)}")
         try:

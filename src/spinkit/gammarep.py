@@ -267,7 +267,7 @@ def delta7(rep: GammaRep, x: Multivector) -> la.Exact:
 
 def iota_vector(zeta: SpinElement) -> SpinElement:
     """Blade-wise inclusion Spin(7) -> Spin(8); its rotations fix e0."""
-    return SpinElement(embed_spin7(zeta.value), check=False)
+    return SpinElement(embed_spin7(zeta.value))
 
 
 def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:

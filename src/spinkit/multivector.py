@@ -94,7 +94,7 @@ class Multivector:
         return cls.blade(n, [i])
 
     @classmethod
-    def blade(cls, n: int, indices: Iterable[int], coeff: Scalar = 1) -> "Multivector":
+    def blade(cls, n: int, indices: Iterable[int]) -> "Multivector":
         mask = 0
         for i in indices:
             if type(i) is not int:
@@ -104,7 +104,7 @@ class Multivector:
             if mask & (1 << i):
                 raise ValueError("blade indices must be distinct")
             mask |= 1 << i
-        return cls(n, {mask: coeff})
+        return cls(n, {mask: 1})
 
     # -- ring structure ----------------------------------------------------
 

@@ -12,8 +12,10 @@ scalar part of P e_i, and that of a reverse(b) is sum_B (-1)^|B| a_B b_B.  W
 is Y with that parity sign folded in (W = Y for an even zeta).  The grade-1
 check is zeta e_j == v_j zeta on every blade, d^2 X == V Y row by row: once
 reverse(zeta) = zeta^{-1} the rest r_j = zeta e_j zeta^{-1} - v_j vanishes
-exactly then, since (v_j + r_j) zeta = zeta e_j.  A checked element keeps
-its columns, so ``adjoint_action`` does not compute them again.
+exactly then, since (v_j + r_j) zeta = zeta e_j.  ``SpinElement(value)``
+always certifies its value and keeps the columns for ``adjoint_action``.  Only
+zeta eta and -zeta are built unchecked, soundly: each is a spin element
+whenever its operands are, and Ad(-zeta) = Ad(zeta) keeps zeta's columns.
 
 The grade-1 check also certifies the unit norm, so validation never forms
 the dense product zeta * reverse(zeta).  For an even zeta = sum c_S e_S the
@@ -99,16 +101,21 @@ class SkewMatrix:
 
 
 class SpinElement:
-    """Point of Spin(n) represented by an even multivector of unit norm."""
+    """Point of Spin(n): an even multivector of unit norm, certified on construction."""
 
-    __slots__ = ("value", "n", "_columns")
+    __slots__ = ("value", "_columns")
 
-    def __init__(self, value: Multivector, check: bool = True):
+    def __init__(self, value: Multivector):
         self.value = value
-        self.n = value.n
-        self._columns: tuple[int, la.Rows] | None = None
-        if check:
-            self._validate()
+        self._validate()
+
+    @classmethod
+    def _of(cls, value: Multivector, columns: tuple[int, la.Rows] | None) -> "SpinElement":
+        """A product or negative of spin elements, unchecked (module docstring)."""
+        out = object.__new__(cls)
+        out.value = value
+        out._columns = columns
+        return out
 
     def _validate(self) -> None:
         if any(blade_grade(m) & 1 for m in self.value.terms):
@@ -121,23 +128,15 @@ class SpinElement:
         try:
             self._columns = _conjugated_basis(self.value)
         except InvalidSpinElementError:
-            if self.value * self.value.reverse() != Multivector.scalar(self.n, 1):
+            if self.value * self.value.reverse() != Multivector.scalar(self.value.n, 1):
                 raise InvalidSpinElementError(_NORM_MESSAGE) from None
             raise
 
     def __mul__(self, other: "SpinElement") -> "SpinElement":
-        return SpinElement(self.value * other.value, check=False)
+        return SpinElement._of(self.value * other.value, None)
 
     def __neg__(self) -> "SpinElement":
-        out = SpinElement(-self.value, check=False)
-        out._columns = self._columns  # Ad(-zeta) = Ad(zeta)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SpinElement) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
+        return SpinElement._of(-self.value, self._columns)  # Ad(-zeta) = Ad(zeta)
 
     def __repr__(self) -> str:
         return f"SpinElement({self.value!r})"

@@ -74,9 +74,9 @@ def _run(name: str, fn: Callable[[], str | None]) -> CheckResult:
     return CheckResult(name, detail is None, detail or "")
 
 
-def _random_multivector(n: int, rng: random.Random, blades: int = 4) -> Multivector:
+def _random_multivector(n: int, rng: random.Random) -> Multivector:
     terms = {}
-    for _ in range(blades):
+    for _ in range(4):
         terms[rng.randrange(1 << n)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Multivector(n, terms)
 
@@ -191,7 +191,7 @@ def spin_suite(seed: int = 0) -> list[CheckResult]:
         for n in (3, 7, 8):
             ident = (1, la.identity(n))
             for sign in (1, -1):
-                z = SpinElement(Multivector.scalar(n, sign), check=False)
+                z = SpinElement(Multivector.scalar(n, sign))
                 if adjoint_action(z).entries != ident:
                     return f"+-1 not in the kernel for n={n}"
             z = random_spin(n, 1, rng.randrange(10**6))
@@ -223,8 +223,8 @@ def spin_suite(seed: int = 0) -> list[CheckResult]:
             w = rational_unit_vector(n, rng)
             x = rational_unit_vector(n, rng)
             composed = reflect(w, reflect(v, x))
-            z = SpinElement(w * v, check=False)
-            conj = z.value * x * z.value.reverse()
+            z = w * v
+            conj = z * x * z.reverse()
             if composed != conj:
                 return "double reflection disagrees with conjugation"
             inner = (reflect(v, x) * reflect(v, x)).scalar_part()
@@ -345,7 +345,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     results.append(_run("volume element acts as +1 on S+ and -1 on S-", omega_signs))
 
     def minus_one_lift() -> str | None:
-        minus_one = SpinElement(Multivector.scalar(7, -1), check=False)
+        minus_one = SpinElement(Multivector.scalar(7, -1))
         if iota_plus(rep, minus_one).value != volume_element(8):
             return "spinor-type lift of -1 is not the volume element"
         if iota_vector(minus_one).value != Multivector.scalar(8, -1):

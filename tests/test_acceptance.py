@@ -129,7 +129,7 @@ def test_criterion_3_chirality(rep):
 
 @criterion(4, "lift sends -1 to omega8; conjugation of lift = spin rep, exact")
 def test_criterion_4_lift_identity(rep):
-    minus_one = SpinElement(Multivector.scalar(7, -1), check=False)
+    minus_one = SpinElement(Multivector.scalar(7, -1))
     assert iota_plus(rep, minus_one).value == volume_element(8)
     basis = spin7_lie_basis()
     assert len(basis) == 21

@@ -1,12 +1,10 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import ast
-import io
 import json
 import os
 import subprocess
 import sys
-import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -428,30 +426,35 @@ def test_failing_check_maps_to_exit_1(capsys):
     assert "FAIL" in out and "boom" in out
 
 
-def test_every_module_level_name_is_used():
-    """Each module-level def, class or constant in the package is read in the
-    package or the benchmark outside its own definition, and each method a
-    class body defines is read there as an attribute, ``x.method``, or named
-    as the benchmark tracer names what it wraps, ``"Class.method"``; so no
-    API survives only for tests, and no name is exempt.  Each name a package
-    module imports is read in that module."""
-    package = Path(spinkit.__file__).resolve().parent
-    sources = sorted(package.glob("*.py")) + sorted((package.parents[1] / "bench").glob("*.py"))
+def _unused_names(modules, sources):
+    """The module-level defs, classes and constants of ``modules`` read in no
+    file of ``sources`` outside their own definition, the methods a class
+    body defines read there neither as an attribute, ``x.method``, nor named
+    as the benchmark tracer names what it wraps, ``"Class.method"``, and the
+    names a module imports but does not read.
+
+    A read is a ``Name``, an attribute, an imported name, a keyword or
+    argument name, or a whole string constant, found with ``ast``, which
+    also parses f-strings on every interpreter."""
     uses, attribute_uses = {}, {}
     for path in sources:
-        after_dot = False
-        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-            where = (path, tok.start[0])
-            if tok.type == tokenize.NAME:
-                uses.setdefault(tok.string, []).append(where)
-                if after_dot:
-                    attribute_uses.setdefault(tok.string, []).append(where)
-            elif tok.type == tokenize.STRING and tok.string[0] in "'\"":
-                # the benchmark tracer names the functions it wraps in strings
-                uses.setdefault(ast.literal_eval(tok.string), []).append(where)
-            after_dot = tok.type == tokenize.OP and tok.string == "."
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+                attribute_uses.setdefault(node.attr, []).append((path, node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.keyword, ast.arg)):
+                names = [node.arg]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            for name in names:
+                uses.setdefault(name, []).append((path, node.lineno))
     unused = []
-    for path in sorted(package.glob("*.py")):
+    for path in modules:
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -481,7 +484,37 @@ def test_every_module_level_name_is_used():
             ]
             if not outside and not name.startswith("__"):
                 unused.append(f"{path.stem}.{qualname}")
-    assert unused == []
+    return unused
+
+
+def test_every_module_level_name_is_used():
+    """Each module-level name and class member in the package is read in the
+    package or the benchmark (see ``_unused_names``), so no API survives only
+    for tests, and no name is exempt."""
+    package = Path(spinkit.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    sources = modules + sorted((package.parents[1] / "bench").glob("*.py"))
+    assert _unused_names(modules, sources) == []
+
+
+def test_unused_name_guard_reads_f_strings(tmp_path):
+    """A name or member read only inside an f-string counts as used; a
+    function nothing reads is still reported."""
+    module = tmp_path / "snippet.py"
+    module.write_text(
+        "LIMIT = 3\n"
+        "\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "\n"
+        "def show(box):\n"
+        '    return f"{box.size()} of {LIMIT}"\n'
+        "\n"
+        "def unread():\n"
+        "    return show(Box())\n"
+    )
+    assert _unused_names([module], [module]) == ["snippet.unread"]
 
 
 def test_usage_error_exit_code():

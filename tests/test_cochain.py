@@ -100,8 +100,16 @@ def _cochain_coefficients(v):
     return Cochain(INTERVAL_PAIR, 0, v, (1, 2))
 
 
+def _cochain_complex(v):
+    return Cochain(v, 0, Z_COEFF, (1,))
+
+
 def _cohomology_degree(v):
     return relative_cohomology(INTERVAL_PAIR, v, Z_COEFF)
+
+
+def _cohomology_coefficients(v):
+    return relative_cohomology(INTERVAL_PAIR, 1, v)
 
 
 def _cyclic_group(v):
@@ -142,6 +150,8 @@ def _generator_count(v):
         (_cohomology_degree, True),
         (_cohomology_degree, 1.0),
         (_cochain_coefficients, 2),
+        (_cochain_complex, "x"),
+        (_cohomology_coefficients, 2),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )

@@ -429,13 +429,13 @@ def test_iota_vector(rep):
     assert eta.value == embed_spin7(z.value)
     d, r = adjoint_action(eta).entries
     assert tuple(r[i][0] for i in range(8)) == (d,) + (0,) * 7
-    minus_one = SpinElement(Multivector.scalar(7, -1), check=False)
+    minus_one = SpinElement(Multivector.scalar(7, -1))
     assert iota_vector(minus_one).value == Multivector.scalar(8, -1)
 
 
 def test_iota_plus_defining_properties(rep):
-    one = SpinElement(Multivector.scalar(7, 1), check=False)
-    minus_one = SpinElement(Multivector.scalar(7, -1), check=False)
+    one = SpinElement(Multivector.scalar(7, 1))
+    minus_one = SpinElement(Multivector.scalar(7, -1))
     assert iota_plus(rep, one).value == Multivector.scalar(8, 1)
     assert iota_plus(rep, minus_one).value == volume_element(8)
     assert iota_plus(rep, minus_one).value != iota_vector(minus_one).value

@@ -1,6 +1,7 @@
 """Spin group: conjugation cover, reflections, lifting, Lie algebra section."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ def test_spin_element_invariants():
     with pytest.raises(InvalidSpinElementError):
         SpinElement(Multivector.basis_vector(8, 0))  # odd
     with pytest.raises(InvalidSpinElementError):
-        SpinElement(Multivector.blade(8, [0, 1], 2))  # norm 4 != 1
+        SpinElement(Multivector.blade(8, [0, 1]) * 2)  # norm 4 != 1
     z = SpinElement(Multivector.blade(8, [0, 1]))
     assert z.value * z.value.reverse() == Multivector.scalar(8, 1)
     # (3 + 4 e0...e5)/5 is even with zeta * reverse(zeta) = 1, but it sends
@@ -48,13 +49,11 @@ def test_spin_element_invariants():
     assert tilted * tilted.reverse() == Multivector.scalar(6, 1)
     with pytest.raises(InvalidSpinElementError, match="grade 1"):
         SpinElement(tilted)
-    with pytest.raises(InvalidSpinElementError, match="grade 1"):
-        adjoint_action(SpinElement(tilted, check=False))
 
 
 def test_adjoint_of_minus_one_is_identity():
     for n in (3, 7, 8):
-        z = SpinElement(Multivector.scalar(n, -1), check=False)
+        z = SpinElement(Multivector.scalar(n, -1))
         assert adjoint_action(z).entries == (1, la.identity(n))
 
 
@@ -171,7 +170,7 @@ def test_even_reflection_count_matches_adjoint():
     for n in (3, 8):
         v1 = rational_unit_vector(n, rng)
         v2 = rational_unit_vector(n, rng)
-        z = SpinElement(v1 * v2, check=False)
+        z = SpinElement(v1 * v2)
         x = rational_unit_vector(n, rng)
         composed = reflect(v1, reflect(v2, x))
         assert composed == z.value * x * z.value.reverse()
@@ -182,7 +181,7 @@ def test_lie_lift_inverts_ad_differential():
     elementary = [[0] * 8 for _ in range(8)]
     elementary[0][1], elementary[1][0] = 1, -1
     b = lie_lift(SkewMatrix((1, elementary)))
-    assert b == Multivector.blade(8, [0, 1], Fraction(-1, 2))
+    assert b == Multivector.blade(8, [0, 1]) * Fraction(-1, 2)
     assert ad_differential(b).entries == la.exact(1, elementary)
     for _ in range(20):
         n = rng.choice([4, 7, 8])
@@ -341,16 +340,21 @@ def test_conjugated_basis_matches_blade_loop(value):
 
 
 def test_central_and_zero_conjugation():
-    """Ad of the mixed-parity central elements is the identity; zero gives
-    zero columns, which adjoint_action rejects as not orthogonal."""
+    """Conjugation by the mixed-parity central elements is the identity and
+    zero gives zero columns, which RotationMatrix rejects as not orthogonal;
+    SpinElement rejects all of them."""
     for value in _CENTRAL:
         dd, cols = spingroup._conjugated_basis(value)
         assert la.exact(dd, cols) == (1, la.identity(value.n))
-        assert adjoint_action(SpinElement(value, check=False)).entries == (1, la.identity(value.n))
+        with pytest.raises(InvalidSpinElementError, match="must be even"):
+            SpinElement(value)
     for n in (1, 8):
-        assert spingroup._conjugated_basis(Multivector(n)) == (1, ((0,) * n,) * n)
+        dd, cols = spingroup._conjugated_basis(Multivector(n))
+        assert (dd, cols) == (1, ((0,) * n,) * n)
         with pytest.raises(ValueError, match="matrix is not orthogonal"):
-            adjoint_action(SpinElement(Multivector(n), check=False))
+            RotationMatrix((dd, la.transpose(cols)))
+        with pytest.raises(InvalidSpinElementError, match=re.escape(spingroup._NORM_MESSAGE)):
+            SpinElement(Multivector(n))
 
 
 def test_validation_forms_no_dense_product(rep, monkeypatch):
@@ -471,8 +475,7 @@ def test_fraction_entries_are_held_over_one_denominator():
 
 def test_checked_elements_keep_their_columns(monkeypatch):
     """_validate computes the grade-1 columns once; adjoint_action reuses
-    them, also for -zeta.  Unchecked elements compute theirs on demand and
-    a bad one still raises."""
+    them, also for -zeta.  A product computes its own on demand, once."""
     calls = []
     real = spingroup._conjugated_basis
 
@@ -492,18 +495,9 @@ def test_checked_elements_keep_their_columns(monkeypatch):
     assert adjoint_action(lifted).entries == rot.entries
     assert len(calls) == 2
 
-    unchecked = SpinElement(z.value * z.value, check=False)
+    square = z * z
     assert len(calls) == 2
-    assert fraction_view(adjoint_action(unchecked).entries) == fraction_adjoint_action(
-        unchecked.value
-    )
+    assert fraction_view(adjoint_action(square).entries) == fraction_adjoint_action(square.value)
     d, r = rot.entries
-    assert adjoint_action(unchecked).entries == la.exact(d * d, la.mat_mul(r, r))
+    assert adjoint_action(square).entries == la.exact(d * d, la.mat_mul(r, r))
     assert len(calls) == 3
-
-    tilted = SpinElement(Multivector(6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)}), check=False)
-    for _ in range(2):
-        with pytest.raises(InvalidSpinElementError, match="grade 1"):
-            adjoint_action(tilted)
-        with pytest.raises(InvalidSpinElementError, match="grade 1"):
-            adjoint_action(-tilted)
