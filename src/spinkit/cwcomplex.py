@@ -228,6 +228,8 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     decomposition H^k(;Z/m) = H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m)
     reduces every order d to gcd(d, m), with H^(k+1) torsion read from up.
     """
+    if not isinstance(cx, CWPairComplex):
+        raise TypeError(f"complex must be a CWPairComplex, not {cx!r}")
     if type(k) is not int:
         raise TypeError(f"degree must be an integer, not {k!r}")
     if not isinstance(coefficients, CoefficientGroup):

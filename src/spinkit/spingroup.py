@@ -3,19 +3,38 @@ and constructive lifting between SO(n) and Spin(n).
 
 A spin element is an even multivector zeta with zeta * reverse(zeta) = 1
 whose conjugation preserves grade one.  On its exact form zeta = Z/d
-(numerators ``terms`` over ``d``) let rows k of X and Y hold the numerators
-of Z e_k and of e_k Z over the blades B they reach.  Column j of Ad(zeta),
-the grade-1 part v_j of zeta e_j reverse(zeta), is row j of V = X W^T over d^2:
-Ad(zeta)_ij = <e_i Z, Z e_j> / d^2 with <a, b> = sum_B (-1)^(|B|+1) a_B b_B,
-since reverse(Z) e_i = reverse(e_i Z), the e_i coefficient of P is minus the
-scalar part of P e_i, and that of a reverse(b) is sum_B (-1)^|B| a_B b_B.  W
-is Y with that parity sign folded in (W = Y for an even zeta).  The grade-1
-check is zeta e_j == v_j zeta on every blade, d^2 X == V Y row by row: once
+(numerators c_S in ``terms`` over ``d``) let rows k of X and Y hold the
+numerators of Z e_k and of e_k Z over the blades B they reach.  Column j of
+Ad(zeta), the grade-1 part v_j of zeta e_j reverse(zeta), is row j of V over
+d^2: Ad(zeta)_ij = <e_i Z, Z e_j> / d^2 with <a, b> = sum_B (-1)^(|B|+1) a_B b_B,
+since reverse(Z) e_i = reverse(e_i Z), the e_i coefficient of an element u
+is minus the scalar part of u e_i, and that of a reverse(b) is
+sum_B (-1)^|B| a_B b_B.  Split by the parity of B, with P_odd = X_o Y_o^T
+over the odd blades and P_even = X_e Y_e^T over the even ones,
+V = P_odd - P_even.  The even part of Z reaches only odd blades and its odd
+part only even ones, so an even zeta has V = P_odd and costs n^2 dot
+products.
+
+The grade-1 check is zeta e_j == v_j zeta on every blade, d^2 X == V Y: once
 reverse(zeta) = zeta^{-1} the rest r_j = zeta e_j zeta^{-1} - v_j vanishes
-exactly then, since (v_j + r_j) zeta = zeta e_j.  ``SpinElement(value)``
-always certifies its value and keeps the columns for ``adjoint_action``.  Only
-zeta eta and -zeta are built unchecked, soundly: each is a spin element
-whenever its operands are, and Ad(-zeta) = Ad(zeta) keeps zeta's columns.
+exactly then, since (v_j + r_j) zeta = zeta e_j.  It is checked as one
+integer identity.  Rows k of X and Y are the images of the coefficient
+vector z of Z under right and left multiplication R_k, L_k by e_k.  On the
+blade basis each is a signed permutation, orthogonal and skew, since
+e_k^{-1} = -e_k.  For k != l, R_k^T R_l = -R_k R_l and L_k^T L_l = -L_k L_l
+multiply by the bivectors -e_l e_k and -e_k e_l, which square to -1, so they
+are skew as well, and z^T A z = 0 for a skew A.  Hence X X^T = Y Y^T = s I
+with s = sum c_S^2, and with P = X Y^T = P_odd + P_even
+
+    |d^2 X - V Y|_F^2 = n s d^4 - 2 d^2 <V, P> + s |V|_F^2.
+
+A sum of squares of integers is 0 exactly when every term is, so this
+integer is 0 exactly when d^2 X == V Y: the same check, made exactly.  For
+an even zeta with s = d^2, every certified element, P = V and it reads
+|V|_F^2 = n d^4.  ``SpinElement(value)`` always certifies its value and
+keeps the columns for ``adjoint_action``.  Only zeta eta and -zeta are built
+unchecked, soundly: each is a spin element whenever its operands are, and
+Ad(-zeta) = Ad(zeta) keeps zeta's columns.
 
 The grade-1 check also certifies the unit norm, so validation never forms
 the dense product zeta * reverse(zeta).  For an even zeta = sum c_S e_S the
@@ -48,12 +67,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, isqrt
-from operator import mul
+from operator import add, mul, sub
 
 from . import exactlinalg as la
 from .errors import InvalidSpinElementError, LiftError
-from .multivector import Multivector, blade_grade, integer_product
+from .multivector import _SIGN_MASKS, Multivector, blade_grade, integer_product
 
 _NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"
 
@@ -106,6 +126,10 @@ class SpinElement:
     __slots__ = ("value", "_columns")
 
     def __init__(self, value: Multivector):
+        if not isinstance(value, Multivector):
+            raise TypeError(
+                f"spin element value {value!r} must be a Multivector, not {type(value).__name__}"
+            )
         self.value = value
         self._validate()
 
@@ -144,29 +168,49 @@ class SpinElement:
 
 def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
     """``(d^2, cols)``: cols[j] / d^2 are the components of the grade-1 part
-    v_j of zeta e_j reverse(zeta), zeta = Z / d, read off V = X W^T (module
-    docstring).
+    v_j of zeta e_j reverse(zeta), zeta = Z / d, the rows of V = P_odd - P_even
+    (module docstring).
 
-    Raises InvalidSpinElementError unless every image is a vector, checked
-    as zeta e_j == v_j zeta on every blade: d^2 X == V Y.  For an even zeta
-    with sum c_S^2 = 1 a passing check proves reverse(zeta) = zeta^{-1}, so
-    the images are the columns of Ad(zeta).
+    Raises InvalidSpinElementError unless every image is a vector, that is
+    unless d^2 X == V Y, checked as the one integer identity
+    n s d^4 - 2 d^2 <V, P> + s |V|^2 == 0 with P = P_odd + P_even and
+    s = sum c_S^2.  For an even zeta with s = d^2 a passing check proves
+    reverse(zeta) = zeta^{-1}, so the images are the columns of Ad(zeta).
     """
-    z = zeta.terms.items()
-    right = [integer_product(z, [(1 << k, 1)]) for k in range(zeta.n)]  # Z e_k
-    left = [integer_product([(1 << k, 1)], z) for k in range(zeta.n)]  # e_k Z
-    # both reach the blades m ^ e_k; zeta = 0 gets one zero column
-    blades = sorted({m for row in right for m in row}) or [0]
-    x = [[row.get(m, 0) for m in blades] for row in right]
-    y = [[row.get(m, 0) for m in blades] for row in left]
-    # the parity sign (-1)^(|B|+1), +1 on every blade B an even zeta reaches
-    w = [[c if blade_grade(m) & 1 else -c for m, c in zip(blades, row)] for row in y]
-    cols = la.mat_mul(x, la.transpose(w))  # over d^2
-    dd = zeta.d * zeta.d
-    for v, row in zip(cols, x):
-        if la.mat_mul((v,), y)[0] != tuple(dd * c for c in row):
-            raise InvalidSpinElementError("conjugation does not preserve grade 1")
-    return dd, cols
+    n, dd = zeta.n, zeta.d * zeta.d
+    even = [(m, c) for m, c in zeta.terms.items() if not blade_grade(m) & 1]
+    odd = [(m, c) for m, c in zeta.terms.items() if blade_grade(m) & 1]
+    # the even part of Z reaches only odd blades (P_odd) and its odd part
+    # only even ones (P_even); zeta = 0 reaches none and gives V = 0
+    v = p = _blade_products(even, n)
+    if odd:
+        p_even = _blade_products(odd, n)
+        v = tuple(tuple(map(sub, a, b)) for a, b in zip(p, p_even))
+        p = tuple(tuple(map(add, a, b)) for a, b in zip(p, p_even))
+    s = sum(c * c for c in zeta.terms.values())
+    vv = sum(c * c for row in v for c in row)
+    vp = sum(map(mul, chain.from_iterable(v), chain.from_iterable(p)))
+    if n * s * dd * dd - 2 * dd * vp + s * vv:
+        raise InvalidSpinElementError("conjugation does not preserve grade 1")
+    return dd, v
+
+
+def _blade_products(terms: list[tuple[int, int]], n: int) -> la.Rows:
+    """X Y^T for the blade -> int ``terms`` of one parity: row k of X holds
+    Z e_k and row k of Y holds e_k Z on the blades m ^ e_k they reach, each
+    sign read off ``_SIGN_MASKS`` as in ``integer_product``."""
+    pos = {b: i for i, b in enumerate({m ^ (1 << k) for m, _ in terms for k in range(n)})}
+    x, y = [], []
+    for k in range(n):
+        bit, left = 1 << k, _SIGN_MASKS[1 << k]
+        xk, yk = [0] * len(pos), [0] * len(pos)
+        for m, c in terms:
+            i = pos[m ^ bit]
+            xk[i] = -c if _SIGN_MASKS[m] & bit else c  # e_m e_k
+            yk[i] = -c if (m & left).bit_count() & 1 else c  # e_k e_m
+        x.append(xk)
+        y.append(yk)
+    return tuple(tuple(sum(map(mul, xj, yk)) for yk in y) for xj in x)
 
 
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:

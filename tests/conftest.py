@@ -140,6 +140,20 @@ def loop_conjugated_basis(zeta):
     return dd, cols
 
 
+def one_sided_product_rows(zeta):
+    """X and Y of spingroup's module docstring from integer_product: rows k
+    hold the numerators of Z e_k and of e_k Z, zeta = Z / d, on every blade
+    either reaches, in one order.  The rows the Gram lemma
+    X X^T = Y Y^T = (sum c_S^2) I is checked on."""
+    z = zeta.terms.items()
+    right = [integer_product(z, [(1 << k, 1)]) for k in range(zeta.n)]
+    left = [integer_product([(1 << k, 1)], z) for k in range(zeta.n)]
+    blades = sorted({m for row in right + left for m in row})
+    return tuple(
+        tuple(tuple(row.get(m, 0) for m in blades) for row in rows) for rows in (right, left)
+    )
+
+
 def fraction_mat_mul(a, b):
     """Row-by-column sums of Fraction products: the oracle for la.mat_mul
     and for a product of exact pairs."""

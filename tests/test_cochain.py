@@ -104,6 +104,10 @@ def _cochain_complex(v):
     return Cochain(v, 0, Z_COEFF, (1,))
 
 
+def _cohomology_complex(v):
+    return relative_cohomology(v, 1, CoefficientGroup(0))
+
+
 def _cohomology_degree(v):
     return relative_cohomology(INTERVAL_PAIR, v, Z_COEFF)
 
@@ -151,6 +155,7 @@ def _generator_count(v):
         (_cohomology_degree, 1.0),
         (_cochain_coefficients, 2),
         (_cochain_complex, "x"),
+        (_cohomology_complex, "x"),
         (_cohomology_coefficients, 2),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),

@@ -4,6 +4,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from conftest import (
     fraction_spin_validate,
     fraction_view,
     loop_conjugated_basis,
+    one_sided_product_rows,
 )
 from spinkit.errors import InvalidSpinElementError, LiftError
 from spinkit.gammarep import build_cl8_rep, iota_plus, stabilizer_dimension
@@ -293,8 +295,11 @@ def _random_terms(rng, n, parity):
 @st.composite
 def conjugation_inputs(draw):
     """Spin elements for n = 1..8 and their products, non-unit even, odd and
-    mixed-parity elements, the central cases and zero."""
-    kind = draw(st.sampled_from(["spin", "product", "even", "odd", "mixed", "central", "zero"]))
+    mixed-parity elements, the central cases and zero, and spin elements with
+    one coefficient negated: even, with sum c_S^2 = d^2 still, so only the
+    grade-1 identity can reject them."""
+    kinds = ["spin", "product", "even", "odd", "mixed", "central", "zero", "flipped"]
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(min_value=1, max_value=8))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
     zeta = random_spin(n, rng.choice([1, 2]), rng.randrange(10**6)).value
@@ -315,7 +320,20 @@ def conjugation_inputs(draw):
         return rng.choice(_CENTRAL)
     if kind == "zero":
         return Multivector(n)
+    if kind == "flipped":
+        return _flipped(zeta, rng.choice(sorted(zeta.terms)))
     return zeta
+
+
+def _flipped(zeta, mask):
+    """zeta with the coefficient of the blade mask negated."""
+    return zeta - 2 * Multivector(zeta.n, {mask: Fraction(zeta.terms[mask], zeta.d)})
+
+
+# (3 + 4 omega)/5, omega the pseudoscalar of Cl(0,n) for even n: even, with
+# sum c_S^2 = 1, and omega anticommutes with every e_j, so it is no spin element
+def _pythagorean_tilt(n):
+    return Multivector(n, {0: Fraction(3, 5), (1 << n) - 1: Fraction(4, 5)})
 
 
 def _basis_or_error(kernel, value):
@@ -332,11 +350,41 @@ def _basis_or_error(kernel, value):
 @example(_CENTRAL[1])
 @example(Multivector(7, {0: Fraction(5, 4), 0b111: Fraction(3, 4)}))  # not central: rejected
 @example(Multivector(8))
+@example(_pythagorean_tilt(4))
+@example(_pythagorean_tilt(8))
 def test_conjugated_basis_matches_blade_loop(value):
-    """The two matrix products return the blade loop's (d^2, cols), or raise
-    its exception with its message."""
+    """The parity-split dot products return the blade loop's (d^2, cols), or
+    raise its exception with its message."""
     got = _basis_or_error(spingroup._conjugated_basis, value)
     assert got == _basis_or_error(loop_conjugated_basis, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(conjugation_inputs())
+def test_one_sided_products_have_scalar_gram(value):
+    """Rows of X and Y, built from integer_product, satisfy
+    X X^T = Y Y^T = s I with s = sum c_S^2: the lemma that turns the
+    grade-1 check into one integer identity."""
+    s = sum(c * c for c in value.terms.values())
+    s_identity = tuple(tuple(s * x for x in row) for row in la.identity(value.n))
+    for rows in one_sided_product_rows(value):
+        assert tuple(tuple(sum(map(mul, a, b)) for b in rows) for a in rows) == s_identity
+
+
+def test_grade_one_identity_rejects_even_unit_sum_elements():
+    """Even elements with sum c_S^2 = d^2 that are no spin elements: the
+    pseudoscalar tilts and spin elements with one coefficient negated.  The
+    identity rejects each, as the blade loop does, and SpinElement rejects
+    each with the Fraction oracle's message: the norm message, except for
+    n = 6, where omega^2 = -1 makes the tilt a unit."""
+    values = [_pythagorean_tilt(n) for n in (4, 6, 8)]
+    values += [_flipped(random_spin(8, 2, seed).value, 0) for seed in range(10)]
+    for value in values:
+        for kernel in (spingroup._conjugated_basis, loop_conjugated_basis):
+            with pytest.raises(InvalidSpinElementError, match="does not preserve grade 1"):
+                kernel(value)
+        verdict = _rejection(SpinElement, value)
+        assert verdict is not None and verdict == _rejection(fraction_spin_validate, value)
 
 
 def test_central_and_zero_conjugation():
@@ -459,6 +507,7 @@ def test_empty_rotation_matrix_is_rejected():
             lambda: stabilizer_dimension(build_cl8_rep(), (1, ["1"] + [0] * 7)), "str",
             id="spinor-str",
         ),
+        pytest.param(lambda: SpinElement(5), "int", id="spin-element-int"),
     ],
 )
 def test_float_entries_rejected(build, kind):
