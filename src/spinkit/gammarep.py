@@ -24,6 +24,13 @@ The module has one form: the generators, the 256 monomials and the two
 halves are stored as signed permutations (``GammaRep.gamma``,
 ``GammaRep.monomials``, ``GammaRep.halves``), and no dense copy is kept.
 The actions and the ``verify reps`` checks read these same permutations.
+Where a check needs c(a) on one positive spinor psi rather than the whole
+8x8 block, ``spinor_image`` sums the ``action_columns`` columns at the rows
+psi reaches, weighted by psi's signed entries: the stabilizer dimensions,
+the g2 check and the choice of sign in ``iota_plus`` read it.  The span of
+the monomials is ranked block by block: a flattened c(e_A) is nonzero only
+at the positions (perm[j], j), and rank over Q adds up over groups of rows
+whose column supports are disjoint.
 
 Conjugation (Ad) and the chiral restriction of c give the two
 non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
@@ -35,6 +42,7 @@ spinor.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 from typing import Iterable
 
 from . import exactlinalg as la
@@ -49,6 +57,7 @@ from .spingroup import (
     RotationMatrix,
     SkewMatrix,
     SpinElement,
+    _require,
     lie_lift,
     lift_rotation,
 )
@@ -249,6 +258,35 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     )
 
 
+def spinor_image(
+    rep: GammaRep, a: Multivector, psi: tuple[int, Iterable]
+) -> tuple[int, tuple[int, ...]]:
+    """c(a) psi for a positive spinor psi = ``(d, entries)``, returned as
+    ``(d', entries)`` in the basis of S8+, in lowest terms.
+
+    Basis spinor j is signs[j] * e_rows[j], so c(a) psi is the sum of the
+    columns rows[j] of c(a) weighted by signs[j] * entries[j]: only the
+    ``action_columns`` columns at the rows psi reaches are built, and no 8x8
+    block.  Raises ChiralityError when the image leaves S8+, as it does for
+    an odd element and a nonzero psi.
+    """
+    dp, (v,) = la.exact(psi[0], [psi[1]])
+    if len(v) != 8:
+        raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
+    rows, signs = rep.halves["+"]
+    reached = [j for j in range(8) if v[j]]
+    d, cols = action_columns(rep, a, tuple(rows[j] for j in reached))
+    weights = [signs[j] * v[j] for j in reached]
+    image = [sum(map(mul, weights, entries)) for entries in zip(*cols)] if cols else [0] * 16
+    inside = [s * image[r] for r, s in zip(rows, signs)]
+    for r in rows:
+        image[r] = 0
+    if any(image):
+        raise ChiralityError("element does not preserve the chiral subspace")
+    d, (out,) = la.exact(d * dp, [inside])
+    return d, out
+
+
 def embed_spin7(a: Multivector) -> Multivector:
     """Even elements of Cl(0,7) inside Cl(0,8), using generators 1..7."""
     if a.n != 7:
@@ -267,6 +305,7 @@ def delta7(rep: GammaRep, x: Multivector) -> la.Exact:
 
 def iota_vector(zeta: SpinElement) -> SpinElement:
     """Blade-wise inclusion Spin(7) -> Spin(8); its rotations fix e0."""
+    _require(zeta, SpinElement, "spin element")
     return SpinElement(embed_spin7(zeta.value))
 
 
@@ -275,16 +314,18 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
 
     Among the two preimages of the rotation delta7(zeta) the one acting
     trivially on the fixed spinor psi is returned; this choice makes the
-    map a homomorphism and sends -1 to the volume element omega8.
+    map a homomorphism and sends -1 to the volume element omega8.  The
+    test c(eta) psi = +-psi reads ``spinor_image``: exact pairs are in lowest
+    terms, so equal values are equal pairs.
     """
+    _require(zeta, SpinElement, "spin element")
     rotation = RotationMatrix(delta7(rep, zeta.value))
     eta = lift_rotation(rotation)
-    psi = rep.fixed_spinor()[1]
-    d, m = chiral_action_matrix(rep, eta.value, "+")
-    (image,) = la.mat_mul((psi,), la.transpose(m))  # (m psi)^T
-    if image == tuple(d * x for x in psi):
+    psi = rep.fixed_spinor()
+    image = spinor_image(rep, eta.value, psi)
+    if image == psi:
         return eta
-    if image == tuple(-d * x for x in psi):
+    if image == (psi[0], tuple(-x for x in psi[1])):
         return -eta
     raise InternalCheckError("candidate lift moves the fixed spinor line")
 
@@ -336,7 +377,9 @@ def stabilizer_dimension(
     psi is a positive spinor ``(d, entries)``: eight int or Fraction entries
     over d, in the basis of S8+.  ``algebra`` is a linearly independent list
     of bivectors acting through the chiral representation; the default is
-    the full 28-dimensional bivector basis.
+    the full 28-dimensional bivector basis.  The dimension is the length of
+    the basis minus the rank of the images c(x) psi, each read by
+    ``spinor_image`` without building the 8x8 block of c(x).
     """
     d, entries = psi
     _, (v,) = la.exact(d, [entries])
@@ -348,9 +391,7 @@ def stabilizer_dimension(
     # a rank ignores the scale of each row, so every denominator is dropped
     if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
         raise ValueError("algebra basis must be linearly independent")
-    images = [
-        la.mat_mul((v,), la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0] for x in basis
-    ]
+    images = [spinor_image(rep, x, (1, v))[1] for x in basis]
     return len(basis) - la.rank(images)
 
 
@@ -371,27 +412,64 @@ def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
     return out
 
 
+def _monomial_blocks(rep: GammaRep) -> list[list[int]]:
+    """The 256 monomial masks grouped so that the flattened matrices of
+    different groups have disjoint supports.
+
+    A flattened c(e_A) is nonzero only at the positions (perm[j], j), so
+    monomials that share a permutation share a support.  Each permutation
+    class joins every group whose positions it meets, and those groups
+    merge; in the octonion model the 16 classes of 16 meet nowhere.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for mask in range(256):
+        classes.setdefault(rep.monomials[mask][0], []).append(mask)
+    owner: dict[tuple[int, int], int] = {}  # position -> id of the group holding it
+    groups: dict[int, tuple[list[int], set[tuple[int, int]]]] = {}  # id -> (masks, positions)
+    for gid, (perm, masks) in enumerate(classes.items()):
+        positions = set(zip(perm, range(16)))
+        for met in {owner[p] for p in positions if p in owner}:
+            met_masks, met_positions = groups.pop(met)
+            masks, positions = met_masks + masks, positions | met_positions
+        groups[gid] = masks, positions
+        owner.update(dict.fromkeys(positions, gid))
+    return [sorted(masks) for masks, _ in groups.values()]
+
+
+def _trace_gram(rep: GammaRep, masks: list[int]) -> list[list[int]]:
+    """The integer trace Gram tr(c(e_A)^T c(e_B)) over A, B in ``masks``.
+
+    The trace form is the dot product of the flattened matrices, so each
+    monomial is laid out on the positions its group reaches and the Gram
+    is read as dot products of those sign rows, each pair once.
+    """
+    index: dict[tuple[int, int], int] = {}
+    for mask in masks:
+        for position in zip(rep.monomials[mask][0], range(16)):
+            index.setdefault(position, len(index))
+    rows = []
+    for mask in masks:
+        perm, sign = rep.monomials[mask]
+        row = [0] * len(index)
+        for j, s in enumerate(sign):
+            row[index[perm[j], j]] = s
+        rows.append(row)
+    gram = [[0] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b in range(a, len(rows)):
+            gram[a][b] = gram[b][a] = sum(map(mul, row, rows[b]))
+    return gram
+
+
 def monomial_span_rank(rep: GammaRep) -> int:
     """Rank over Q of the 256 monomial matrices c(e_A).
 
-    It is the rank of their integer trace Gram matrix tr(c(e_A)^T c(e_B)),
-    since over Q a Gram matrix has the rank of its vectors; a return value
-    of 256 is an exact witness that the monomials span the whole
-    256-dimensional matrix space.  For signed permutations the trace sums
-    the sign products over the columns that both send to the same row, so
-    the Gram matrix is accumulated over (column, row) buckets and ranked
-    as integers.
+    A return value of 256 is an exact witness that the monomials span the
+    whole 256-dimensional matrix space.  Rows with disjoint column supports
+    span independent subspaces, so the rank is the sum over
+    ``_monomial_blocks`` of each group's rank.  A group's rank is that of
+    its integer trace Gram (``_trace_gram``), since over Q a Gram matrix has
+    the rank of its vectors; here that is 16 ranks of 16x16 Grams, each
+    16 I.
     """
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for mask in range(256):
-        perm, sign = rep.monomials[mask]
-        for j in range(16):
-            buckets.setdefault((j, perm[j]), []).append((mask, sign[j]))
-    gram = [[0] * 256 for _ in range(256)]
-    for members in buckets.values():
-        for a, sa in members:
-            row = gram[a]
-            for b, sb in members:
-                row[b] += sa * sb
-    return la.rank(gram)
-
+    return sum(la.rank(_trace_gram(rep, masks)) for masks in _monomial_blocks(rep))

@@ -78,6 +78,12 @@ from .multivector import _SIGN_MASKS, Multivector, blade_grade, integer_product
 _NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"
 
 
+def _require(value, cls: type, what: str) -> None:
+    """Raise TypeError naming ``value`` unless it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} {value!r} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class RotationMatrix:
     """Element of SO(n), given as ``(d, rows)`` with int or Fraction entries
@@ -126,10 +132,7 @@ class SpinElement:
     __slots__ = ("value", "_columns")
 
     def __init__(self, value: Multivector):
-        if not isinstance(value, Multivector):
-            raise TypeError(
-                f"spin element value {value!r} must be a Multivector, not {type(value).__name__}"
-            )
+        _require(value, Multivector, "spin element value")
         self.value = value
         self._validate()
 
@@ -215,6 +218,7 @@ def _blade_products(terms: list[tuple[int, int]], n: int) -> la.Rows:
 
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:
     """The rotation x -> zeta x zeta^{-1} of R^n (the two-to-one cover map)."""
+    _require(zeta, SpinElement, "spin element")
     if zeta._columns is None:
         zeta._columns = _conjugated_basis(zeta.value)
     dd, cols = zeta._columns
@@ -251,6 +255,7 @@ def lift_rotation(rotation: RotationMatrix) -> SpinElement:
     adjoint_action(zeta) == R and is sign-canonicalized so that its first
     nonzero coefficient in ascending blade order is positive.
     """
+    _require(rotation, RotationMatrix, "rotation")
     n = rotation.n
     # the peeled columns 0..j-1 are e_0..e_(j-1), orthogonal to every later
     # factor, so only the columns after j are reflected

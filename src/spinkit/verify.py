@@ -32,6 +32,7 @@ from .gammarep import (
     sp_compose,
     sp_identity,
     spin7_lie_basis,
+    spinor_image,
     stabilizer_dimension,
 )
 from .multivector import (
@@ -391,9 +392,9 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
         basis = g2_intersection_basis(rep)
         if len(basis) != 14:
             return f"intersection dimension {len(basis)} != 14"
-        psi = (rep.fixed_spinor()[1],)
+        psi = rep.fixed_spinor()
         for z in basis:
-            if any(la.mat_mul(psi, la.transpose(chiral_action_matrix(rep, z, "+")[1]))[0]):
+            if any(spinor_image(rep, z, psi)[1]):
                 return "intersection element moves the fixed spinor"
             if any(row[0] for row in ad_differential(z).entries[1]):
                 return "intersection element moves e0 infinitesimally"

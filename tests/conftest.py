@@ -8,7 +8,7 @@ import pytest
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
 from spinkit.errors import ChiralityError, InvalidSpinElementError, LiftError, TorsorError
-from spinkit.gammarep import build_cl8_rep
+from spinkit.gammarep import build_cl8_rep, chiral_action_matrix
 from spinkit.multivector import Multivector, integer_product, volume_element
 from spinkit.snf import AbelianGroup, smith_diagonal
 from spinkit.spingroup import rational_unit_vector
@@ -380,6 +380,30 @@ def dense_chiral_action(rep, a, chirality):
     if fraction_mat_mul(basis, compressed) != image:
         raise ChiralityError("element does not preserve the chiral subspace")
     return compressed
+
+
+def fraction_spinor_image(rep, a, psi):
+    """c(a) psi by the dense oracle: psi = (d, entries) embedded in R^16
+    through the basis spinors of S8+, multiplied by fraction_clifford_action
+    and read back in that basis; the oracle for spinor_image.  Raises
+    ChiralityError when the image has a component outside S8+."""
+    d, entries = psi
+    basis = dense_signed_perm(rep.halves["+"])
+    embedded = fraction_mat_vec(basis, [Fraction(x, d) for x in entries])
+    image = fraction_mat_vec(fraction_clifford_action(rep, a), embedded)
+    coords = fraction_mat_vec(la.transpose(basis), image)
+    if fraction_mat_vec(basis, coords) != image:
+        raise ChiralityError("element does not preserve the chiral subspace")
+    return coords
+
+
+def chiral_matrix_stabilizer_dimension(rep, psi, algebra):
+    """The stabilizer dimension read off the whole 8x8 chiral matrix of each
+    algebra element times psi: the oracle for stabilizer_dimension."""
+    d, entries = psi
+    _, (v,) = la.exact(d, [entries])
+    images = [la.mat_mul((v,), la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0] for x in algebra]
+    return len(algebra) - la.rank(images)
 
 
 def dense_orthogonal_skew_failure(rep):

@@ -92,8 +92,9 @@ def test_criterion_1_clifford_relations():
 def test_criterion_2_representation_isomorphism():
     start = time.perf_counter()
     fresh = build_cl8_rep()
-    # the integer trace Gram matrix of the monomials has the rank of the
-    # monomials over Q, so 256 is an exact certificate
+    # each permutation class's integer trace Gram has the rank of its
+    # monomials over Q and the classes' supports are disjoint, so 256 is an
+    # exact certificate
     assert monomial_span_rank(fresh) == 256
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.3f}s"

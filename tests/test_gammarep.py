@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
 from conftest import (
+    chiral_matrix_stabilizer_dimension,
     dense_chiral_action,
     dense_eigensplit_failure,
     dense_orthogonal_skew_failure,
@@ -16,6 +18,7 @@ from conftest import (
     first_failing_anticommutator,
     fraction_clifford_action,
     fraction_mat_mul,
+    fraction_spinor_image,
     fraction_view,
 )
 from spinkit.errors import (
@@ -40,6 +43,7 @@ from spinkit.gammarep import (
     octonion_basis_product,
     sp_compose,
     spin7_lie_basis,
+    spinor_image,
     stabilizer_dimension,
 )
 from spinkit.multivector import Multivector, volume_element
@@ -205,25 +209,75 @@ def test_monomial_span_is_full(rep):
     assert monomial_span_rank(rep) == 256
 
 
-def _ranked_gram(rep, monkeypatch):
-    """(rank, Gram matrix) of monomial_span_rank, the Gram caught on its way
-    into la.rank."""
+def _ranked_grams(rep, monkeypatch):
+    """(rank, groups, Grams) of monomial_span_rank: the groups of
+    ``_monomial_blocks`` and the Gram of each, caught on its way into
+    la.rank in the same order."""
     seen, real_rank = [], la.rank
     monkeypatch.setattr(la, "rank", lambda m: seen.append(m) or real_rank(m))
     r = monomial_span_rank(rep)
-    (gram,) = seen
-    return r, gram
+    monkeypatch.setattr(la, "rank", real_rank)
+    groups = gammarep._monomial_blocks(rep)
+    assert len(seen) == len(groups)
+    return r, groups, seen
+
+
+def _assert_blocked_trace_form(rep, groups, grams):
+    """The groups partition the 256 masks, the trace form of the flattened
+    monomials is 0 between groups, and each Gram is the trace form of its
+    group's flattened rows."""
+    assert sorted(m for group in groups for m in group) == list(range(256))
+    rows = [_monomial_row(rep, mask) for mask in range(256)]
+    group_of = {m: i for i, group in enumerate(groups) for m in group}
+    for a in range(256):
+        for b in range(a + 1, 256):
+            if group_of[a] != group_of[b]:
+                assert sum(map(mul, rows[a], rows[b])) == 0, (a, b)
+    for group, gram in zip(groups, grams):
+        assert [list(row) for row in gram] == [
+            [sum(map(mul, rows[a], rows[b])) for b in group] for a in group
+        ]
 
 
 def test_monomial_span_detects_a_repeated_monomial(monkeypatch):
     damaged = build_cl8_rep()
     damaged.monomials[3] = damaged.monomials[5]
-    r, gram = _ranked_gram(damaged, monkeypatch)
+    r, groups, grams = _ranked_grams(damaged, monkeypatch)
     assert r == 255
-    # off the diagonal too, the Gram is the trace form of the flattened matrices
-    rows = [_monomial_row(damaged, mask) for mask in range(256)]
-    for a in (3, 5):
-        assert list(gram[a]) == [sum(x * y for x, y in zip(rows[a], row)) for row in rows]
+    _assert_blocked_trace_form(damaged, groups, grams)
+    # the repeat joins the class of c(e0 e2), whose Gram alone loses a rank
+    deficits = [(len(g) - la.rank(gram), 3 in g, 5 in g) for g, gram in zip(groups, grams)]
+    assert sorted(deficits) == [(0, False, False)] * 15 + [(1, True, True)]
+
+
+def _swapped(sp):
+    """sp with the rows of its columns 0 and 1 exchanged: a permutation that
+    meets the class of sp on 14 positions and other classes on 2."""
+    perm, sign = sp
+    return (perm[1], perm[0]) + perm[2:], sign
+
+
+@pytest.mark.parametrize(
+    "masks, want",
+    [
+        ((3,), 256),  # the new class is met early and grows as classes join it
+        ((200,), 256),  # it is met last and merges groups that were apart
+        ((3, 200), 255),  # two equal planted monomials: one dependency
+    ],
+)
+def test_monomial_groups_merge_where_supports_meet(masks, want, monkeypatch):
+    damaged = build_cl8_rep()
+    planted = _swapped(damaged.monomials[masks[0]])
+    for mask in masks:
+        damaged.monomials[mask] = planted
+    r, groups, grams = _ranked_grams(damaged, monkeypatch)
+    _assert_blocked_trace_form(damaged, groups, grams)
+    # the planted class meets the rest of its source's class (15) and the
+    # class (16) holding both positions it moved to: the three merge
+    (merged,) = [g for g in groups if masks[0] in g]
+    assert len(groups) == 15 and len(merged) == 31 + len(masks)
+    # the dense oracle: the rank of the 256 flattened matrices as rows
+    assert r == la.rank([_monomial_row(damaged, mask) for mask in range(256)]) == want
 
 
 def test_flipped_generator_sign_fails_construction(monkeypatch):
@@ -251,14 +305,23 @@ def _monomial_row(rep, mask):
 
 def test_monomial_gram_is_diagonal(rep, monkeypatch):
     # tr(c(e_S)^T c(e_T)) = 16 delta_ST: an independent orthogonality witness
-    # (the trace form is the dot product of the flattened matrices), and the
-    # Gram that monomial_span_rank ranks
-    rows = [_monomial_row(rep, mask) for mask in range(256)]
-    _, gram = _ranked_gram(rep, monkeypatch)
-    for a in range(256):
-        for b in range(a, 256):
-            tr = sum(x * y for x, y in zip(rows[a], rows[b]))
-            assert tr == (16 if a == b else 0) == gram[a][b] == gram[b][a]
+    # (the trace form is the dot product of the flattened matrices), and
+    # the Grams that monomial_span_rank ranks, one per permutation class
+    r, groups, grams = _ranked_grams(rep, monkeypatch)
+    assert r == 256
+    assert sorted(map(len, groups)) == [16] * 16
+    _assert_blocked_trace_form(rep, groups, grams)
+    for gram in grams:
+        assert [list(row) for row in gram] == [[16 * x for x in row] for row in I16]
+
+
+def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
+    """No la.rank operand of the whole reps verdict has more than 28 rows,
+    the so(8) basis: the monomial span is ranked group by group."""
+    sizes, real_rank = [], la.rank
+    monkeypatch.setattr(la, "rank", lambda m: sizes.append(len(m)) or real_rank(m))
+    assert all(x.passed for x in reps_suite(0, rep))
+    assert sizes and max(sizes) <= 28
 
 
 def _clifford_action(rep, a):
@@ -488,6 +551,79 @@ def test_stabilizer_dimensions(rep):
         assert stabilizer_dimension(rep, rational_unit_tuple(8, rng)) == 21
     with pytest.raises(ValueError, match="zero spinor"):
         stabilizer_dimension(rep, (1, (0,) * 8))
+
+
+def _spinors(rep):
+    """The fixed spinor, random unit spinors and an integer spinor over 3."""
+    rng = random.Random(29)
+    return [rep.fixed_spinor()] + [rational_unit_tuple(8, rng) for _ in range(4)] + [
+        (3, (1, -2, 0, 5, 0, 0, 7, -1))
+    ]
+
+
+def test_spinor_image_matches_the_dense_oracle(rep):
+    rng = random.Random(30)
+    even_masks = [m for m in range(256) if not bin(m).count("1") & 1]
+    elements = [iota_plus(rep, random_spin(7, 2, seed)).value for seed in (51, 52)]
+    elements += [random_spin(8, 2, 53).value, volume_element(8), Multivector.scalar(8, -1)]
+    elements += [Multivector.blade(8, [i, j]) for i, j in ((0, 1), (2, 5), (3, 7))]
+    elements += [d_iota_plus(rep, x) for x in spin7_lie_basis()[::4]]
+    elements += [
+        Multivector(8, {rng.choice(even_masks): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                        for _ in range(rng.randint(1, 12))})
+        for _ in range(4)
+    ]
+    for a in elements:
+        for psi in _spinors(rep):
+            d, image = spinor_image(rep, a, psi)
+            assert la.exact(d, [image]) == (d, (image,))  # lowest terms
+            assert tuple(Fraction(x, d) for x in image) == fraction_spinor_image(rep, a, psi)
+
+
+def test_spinor_image_rejects_odd_elements(rep):
+    odd = [Multivector.basis_vector(8, i) for i in range(8)]
+    odd += [random_spin(8, 1, 6).value * Multivector.basis_vector(8, 3)]
+    odd += [Multivector.scalar(8, 1) + Multivector.basis_vector(8, 0)]  # mixed parity
+    for a in odd:
+        for psi in _spinors(rep):
+            with pytest.raises(ChiralityError):
+                spinor_image(rep, a, psi)
+            with pytest.raises(ChiralityError):
+                fraction_spinor_image(rep, a, psi)
+    # odd, but (1 - omega8)/2 annihilates S8+, so every image is 0 in S8+
+    a = Multivector.basis_vector(8, 0) * (Multivector.scalar(8, 1) - volume_element(8)) * Fraction(1, 2)
+    for psi in _spinors(rep):
+        assert spinor_image(rep, a, psi) == (1, (0,) * 8)
+        assert fraction_spinor_image(rep, a, psi) == (0,) * 8
+    with pytest.raises(DimensionMismatchError, match="got 7$"):
+        spinor_image(rep, volume_element(8), (1, (1,) * 7))
+    with pytest.raises(DimensionMismatchError):
+        spinor_image(rep, Multivector.scalar(7, 1), rep.fixed_spinor())
+
+
+def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
+    rng = random.Random(31)
+    full = [Multivector(8, {m: 1}) for m in gammarep._BIVECTOR_MASKS]
+    algebras = [
+        [embed_spin7(x) for x in spin7_lie_basis()],
+        [d_iota_plus(rep, x) for x in spin7_lie_basis()],
+        g2_intersection_basis(rep),
+    ]
+    algebras += [rng.sample(full, k) for k in (1, 5, 12, 20)]
+    while len(algebras) < 10:  # random integer combinations, kept when independent
+        k = rng.randint(2, 9)
+        combos = [sum((x * rng.randint(-3, 3) for x in rng.sample(full, 3)), Multivector(8, {}))
+                  for _ in range(k)]
+        if la.rank([gammarep.bivector_coordinates(x)[1] for x in combos]) == k:
+            algebras.append(combos)
+    dims = set()
+    for psi in _spinors(rep):
+        assert stabilizer_dimension(rep, psi) == chiral_matrix_stabilizer_dimension(rep, psi, full)
+        for algebra in algebras:
+            dim = stabilizer_dimension(rep, psi, algebra)
+            assert dim == chiral_matrix_stabilizer_dimension(rep, psi, algebra)
+            dims.add(dim)
+    assert len(dims) > 3
 
 
 def test_g2_intersection(rep):

@@ -22,7 +22,7 @@ from conftest import (
     one_sided_product_rows,
 )
 from spinkit.errors import InvalidSpinElementError, LiftError
-from spinkit.gammarep import build_cl8_rep, iota_plus, stabilizer_dimension
+from spinkit.gammarep import build_cl8_rep, iota_plus, iota_vector, stabilizer_dimension
 from spinkit.multivector import Multivector, volume_element
 from spinkit.spingroup import (
     RotationMatrix,
@@ -508,6 +508,13 @@ def test_empty_rotation_matrix_is_rejected():
             id="spinor-str",
         ),
         pytest.param(lambda: SpinElement(5), "int", id="spin-element-int"),
+        pytest.param(lambda: adjoint_action(Multivector.scalar(3, 1)), "Multivector",
+                     id="adjoint-multivector"),
+        pytest.param(lambda: iota_vector(Multivector.scalar(7, 1)), "Multivector",
+                     id="iota-vector-multivector"),
+        pytest.param(lambda: iota_plus(build_cl8_rep(), Multivector.scalar(7, 1)), "Multivector",
+                     id="iota-plus-multivector"),
+        pytest.param(lambda: lift_rotation((1, ((1, 0), (0, 1)))), "tuple", id="lift-tuple"),
     ],
 )
 def test_float_entries_rejected(build, kind):
