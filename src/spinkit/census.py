@@ -22,9 +22,9 @@ emitted report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .errors import CensusDataError, TorsorError
 from .torsor import (
     MAX_TORSOR_ORDER,
@@ -46,20 +46,42 @@ MAX_H8_Z2_DIM = 14284
 MAX_CHAR_NUMBER = 10**4298 - 1
 
 
-@dataclass(frozen=True)
-class ManifoldCharData:
-    """Characteristic numbers and cohomological ranks of a compact spin 8-manifold."""
+class ManifoldCharData(Frozen):
+    """Characteristic numbers and cohomological ranks of a compact spin 8-manifold.
 
-    name: str
-    p1_sq: int
-    p2: int
-    euler: int
-    h7_rel_rank: int
-    h8_z2_dim: int
-    components: int = 1
-    simply_connected: bool = False
-    has_boundary: bool = False
-    spin: bool = True
+    The catalogue reader takes its field names from ``REQUIRED_FIELDS`` and
+    ``OPTIONAL_FIELDS``, the parameters of ``__init__`` without and with a
+    default.
+    """
+
+    REQUIRED_FIELDS = ("name", "p1_sq", "p2", "euler", "h7_rel_rank", "h8_z2_dim")
+    OPTIONAL_FIELDS = ("components", "simply_connected", "has_boundary", "spin")
+    _fields = __slots__ = REQUIRED_FIELDS + OPTIONAL_FIELDS
+
+    def __init__(
+        self,
+        name: str,
+        p1_sq: int,
+        p2: int,
+        euler: int,
+        h7_rel_rank: int,
+        h8_z2_dim: int,
+        components: int = 1,
+        simply_connected: bool = False,
+        has_boundary: bool = False,
+        spin: bool = True,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "p1_sq", p1_sq)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "h7_rel_rank", h7_rel_rank)
+        object.__setattr__(self, "h8_z2_dim", h8_z2_dim)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "simply_connected", simply_connected)
+        object.__setattr__(self, "has_boundary", has_boundary)
+        object.__setattr__(self, "spin", spin)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -129,16 +151,26 @@ def holonomy_from_ahat(d: ManifoldCharData) -> str | None:
     return f"Spin({8 - int(a)})" if a.denominator == 1 and 1 <= a <= 4 else None
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Frozen):
     """Census outcome for one manifold record."""
 
-    name: str
-    e_s_plus: int
-    e_s_minus: int
-    count: int | str | None
-    ahat: Fraction
-    holonomy_note: str = ""
+    _fields = __slots__ = ("name", "e_s_plus", "e_s_minus", "count", "ahat", "holonomy_note")
+
+    def __init__(
+        self,
+        name: str,
+        e_s_plus: int,
+        e_s_minus: int,
+        count: int | str | None,
+        ahat: Fraction,
+        holonomy_note: str = "",
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "e_s_plus", e_s_plus)
+        object.__setattr__(self, "e_s_minus", e_s_minus)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "ahat", ahat)
+        object.__setattr__(self, "holonomy_note", holonomy_note)
 
     @property
     def exists(self) -> bool:

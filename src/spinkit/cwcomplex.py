@@ -26,10 +26,10 @@ d(s x I) = (ds) x I + (-1)^dim(s) (s x 1 - s x 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 
+from ._frozen import Frozen
 from .errors import ComplexValidationError, DimensionMismatchError, ResidueError
 from .snf import AbelianGroup, smith_diagonal
 
@@ -37,11 +37,14 @@ from .snf import AbelianGroup, smith_diagonal
 MAX_DIMENSION = 10
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
+class CoefficientGroup(Frozen):
     """Z (modulus 0) or the cyclic group Z/m."""
 
-    modulus: int
+    _fields = __slots__ = ("modulus",)
+
+    def __init__(self, modulus: int):
+        object.__setattr__(self, "modulus", modulus)
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.modulus) is not int:
@@ -163,18 +166,23 @@ class CWPairComplex:
         return [[b[c][r] for c in cols] for r in rows]
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Frozen):
     """Cellular k-cochain with Z or Z/m coefficients.
 
     Values are indexed by all k-cells of the complex; relative cochains
     are exactly those vanishing on the subcomplex.
     """
 
-    complex: CWPairComplex
-    degree: int
-    coefficients: CoefficientGroup
-    values: tuple[int, ...]
+    _fields = __slots__ = ("complex", "degree", "coefficients", "values")
+
+    def __init__(
+        self, complex: CWPairComplex, degree: int, coefficients: CoefficientGroup, values: tuple[int, ...]
+    ):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.complex, CWPairComplex):

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -57,6 +56,8 @@ def data_path(filename: str) -> Path:
     override = os.environ.get(DATA_DIR_ENV)
     if override:
         return Path(override) / filename
+    from importlib import resources
+
     return Path(str(resources.files("spinkit").joinpath("data", filename)))
 
 
@@ -116,11 +117,10 @@ def load_complex(path: str | Path) -> CWPairComplex:
 
 def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
     """Read a manifold catalogue, naming the offending record on errors."""
-    from dataclasses import MISSING, fields
     from .census import ManifoldCharData
 
-    names = {f.name for f in fields(ManifoldCharData)}
-    required = [f.name for f in fields(ManifoldCharData) if f.default is MISSING]
+    required = ManifoldCharData.REQUIRED_FIELDS
+    names = {*required, *ManifoldCharData.OPTIONAL_FIELDS}
     raw = _read_json(path, CensusDataError)
     records = raw.get("manifolds") if isinstance(raw, dict) else None
     if not isinstance(records, list):

@@ -336,6 +336,9 @@ def spin7_lie_basis() -> list[Multivector]:
 
 
 _BIVECTOR_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(8), 2)]
+# the default algebra of stabilizer_dimension: all of so(8), whose
+# coordinate rows are the 28x28 identity, so it needs no independence check
+_BIVECTOR_BASIS = tuple(Multivector(8, {m: 1}) for m in _BIVECTOR_MASKS)
 
 
 def bivector_coordinates(a: Multivector) -> tuple[int, tuple[int, ...]]:
@@ -387,10 +390,13 @@ def stabilizer_dimension(
         raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
     if not any(v):
         raise ValueError("stabilizer of the zero spinor is not defined")
-    basis = algebra if algebra is not None else [Multivector(8, {m: 1}) for m in _BIVECTOR_MASKS]
-    # a rank ignores the scale of each row, so every denominator is dropped
-    if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
-        raise ValueError("algebra basis must be linearly independent")
+    if algebra is None:
+        basis = _BIVECTOR_BASIS
+    else:
+        basis = algebra
+        # a rank ignores the scale of each row, so every denominator is dropped
+        if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
+            raise ValueError("algebra basis must be linearly independent")
     images = [spinor_image(rep, x, (1, v))[1] for x in basis]
     return len(basis) - la.rank(images)
 

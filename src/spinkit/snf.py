@@ -8,8 +8,9 @@ needed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from ._frozen import Frozen
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
@@ -87,12 +88,15 @@ def _divisibility_chain(values: list[int]) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """Z^free_rank + Z/t1 + Z/t2 + ... with 1 < t1 | t2 | ..."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    _fields = __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        self.__post_init__()
 
     def __post_init__(self):
         for x in (self.free_rank, *self.torsion):

@@ -66,12 +66,12 @@ the root of that product, over 4d and over the reflection's denominator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt
 from operator import add, mul, sub
 
 from . import exactlinalg as la
+from ._frozen import Frozen
 from .errors import InvalidSpinElementError, LiftError
 from .multivector import _SIGN_MASKS, Multivector, blade_grade, integer_product
 
@@ -84,13 +84,16 @@ def _require(value, cls: type, what: str) -> None:
         raise TypeError(f"{what} {value!r} must be a {cls.__name__}, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
+class RotationMatrix(Frozen):
     """Element of SO(n), given as ``(d, rows)`` with int or Fraction entries
     and held as ``exactlinalg.exact`` reduces it.  The checks run on the
     integers: rows^T rows = d^2 I and det(rows) = d^n."""
 
-    entries: la.Exact
+    _fields = __slots__ = ("entries",)
+
+    def __init__(self, entries: la.Exact):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         d, a = la.exact(*self.entries)
@@ -108,12 +111,15 @@ class RotationMatrix:
         return len(self.entries[1])
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(Frozen):
     """Skew-symmetric matrix (an element of so(n)), given and held like
     :class:`RotationMatrix`."""
 
-    entries: la.Exact
+    _fields = __slots__ = ("entries",)
+
+    def __init__(self, entries: la.Exact):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         d, a = la.exact(*self.entries)

@@ -35,10 +35,10 @@ zero.  A check of one group therefore builds its |H|^2 differences once.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
+from ._frozen import Frozen
 from .errors import TorsorError
 
 Element = tuple[int, ...]
@@ -49,11 +49,15 @@ Element = tuple[int, ...]
 MAX_TORSOR_ORDER = 64
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Frozen):
     """Direct sum of cyclic groups; elements are tuples of residues."""
 
-    orders: tuple[int, ...]
+    _fields = ("orders",)
+    __slots__ = ("orders", "__dict__")  # __dict__ holds the cached differences
+
+    def __init__(self, orders: tuple[int, ...]):
+        object.__setattr__(self, "orders", orders)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "orders", tuple(self.orders))
@@ -95,22 +99,36 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{m}" for m in self.orders if m > 1)
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
+class DifferenceTable(Frozen):
     """Carrier set with a candidate affine difference function D(x, y) = table[(x, y)]."""
 
-    group: FiniteAbelianGroup
-    carrier: tuple[str, ...]
-    table: dict[tuple[str, str], Element] = field(compare=False)
+    _fields = __slots__ = ("group", "carrier", "table")
+
+    def __init__(
+        self, group: FiniteAbelianGroup, carrier: tuple[str, ...], table: dict[tuple[str, str], Element]
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "table", table)
+
+    def _key(self) -> tuple:
+        return self.group, self.carrier  # == and hash leave the table out
 
 
-@dataclass(frozen=True)
-class ActionTable:
+class ActionTable(Frozen):
     """Carrier set with a candidate group action h . x = table[(h, x)]."""
 
-    group: FiniteAbelianGroup
-    carrier: tuple[str, ...]
-    table: dict[tuple[Element, str], str] = field(compare=False)
+    _fields = __slots__ = ("group", "carrier", "table")
+
+    def __init__(
+        self, group: FiniteAbelianGroup, carrier: tuple[str, ...], table: dict[tuple[Element, str], str]
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "table", table)
+
+    def _key(self) -> tuple:
+        return self.group, self.carrier  # == and hash leave the table out
 
 
 def verify_difference_axioms(d: DifferenceTable) -> None:

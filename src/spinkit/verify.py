@@ -10,11 +10,11 @@ and a one-line detail on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import exactlinalg as la
+from ._frozen import Frozen
 from .gammarep import (
     GammaRep,
     action_columns,
@@ -60,11 +60,13 @@ def _negated(m: la.Exact) -> la.Exact:
     return m[0], tuple(tuple(-x for x in row) for row in m[1])
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Frozen):
+    _fields = __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _run(name: str, fn: Callable[[], str | None]) -> CheckResult:

@@ -1,5 +1,7 @@
 """Characteristic-class census arithmetic and catalogue I/O."""
 
+import inspect
+import json
 from fractions import Fraction
 
 import pytest
@@ -214,6 +216,28 @@ def test_catalogue_errors(tmp_path):
                    '"h7_rel_rank": 0, "h8_z2_dim": 1, "mystery": 3}]}')
     with pytest.raises(CensusDataError, match="unknown fields"):
         load_catalogue(bad)
+
+
+def test_catalogue_fields_are_the_record_parameters(tmp_path):
+    """load_catalogue requires the parameters of ManifoldCharData that have no
+    default, accepts those that have one, and rejects any other field."""
+    params = inspect.signature(ManifoldCharData).parameters.values()
+    required = [p.name for p in params if p.default is p.empty]
+    optional = {p.name: p.default for p in params if p.default is not p.empty}
+    path = tmp_path / "fields.json"
+
+    def load(record):
+        path.write_text(json.dumps({"manifolds": [record]}))
+        return load_catalogue(path)
+
+    with pytest.raises(CensusDataError) as exc:
+        load({"name": "x"})
+    assert str(exc.value) == f"{path}: x is missing fields {required[1:]}"
+    record = {"name": "x", **dict.fromkeys(required[1:], 0), "h8_z2_dim": 1}
+    assert load(record) == load({**record, **optional})
+    with pytest.raises(CensusDataError) as exc:
+        load({**record, **optional, "mystery": 3, "absent": 4})
+    assert str(exc.value) == f"{path}: x has unknown fields ['absent', 'mystery']"
 
 
 def test_complex_file_errors(tmp_path):

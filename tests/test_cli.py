@@ -348,36 +348,45 @@ def test_characteristic_numbers_at_the_bound_print(capsys, tmp_path):
 
 
 def test_package_imports_with_the_standard_library_only():
-    """Each entry module loads only the spinkit modules it runs; afterwards
-    every submodule imports with the standard library alone."""
+    """Each entry module loads only the spinkit modules it runs, and none of
+    the slow standard modules it does not need; afterwards every submodule
+    imports with the standard library alone."""
     # -I -S: no site-packages and no environment paths, so any third-party
-    # import anywhere in the package fails
+    # import anywhere in the package fails; -B: -I ignores
+    # PYTHONDONTWRITEBYTECODE, and the child must leave no bytecode behind
     src = Path(spinkit.__file__).resolve().parents[1]
     loads = {
         "spinkit": set(),
-        "spinkit.cli": {"cli", "errors", "census", "torsor", "fileio"},
+        "spinkit.cli": {"cli", "errors", "census", "torsor", "fileio", "_frozen"},
+        "spinkit.cwcomplex": {"cwcomplex", "snf", "errors", "_frozen"},
         "spinkit.fileio": {"fileio", "errors"},
         "spinkit.multivector": {"multivector", "exactlinalg", "errors"},
+        "spinkit.verify": {
+            "verify", "gammarep", "spingroup", "multivector", "exactlinalg", "errors", "_frozen",
+        },
     }
+    unwanted = ["dataclasses", "inspect", "importlib.resources"]
     for target, submodules in loads.items():
         code = (
             "import importlib, json, pkgutil, sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             f"importlib.import_module({target!r})\n"
             "loaded = sorted(n for n in sys.modules if n.partition('.')[0] == 'spinkit')\n"
+            f"slow = [n for n in {unwanted!r} if n in sys.modules]\n"
             "import spinkit\n"
             "names = [m.name for m in pkgutil.iter_modules(spinkit.__path__, 'spinkit.')]\n"
             "for name in names:\n"
             "    importlib.import_module(name)\n"
-            "print(json.dumps([loaded, len(names)]))\n"
+            "print(json.dumps([loaded, slow, len(names)]))\n"
         )
         done = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+            [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        loaded, count = json.loads(done.stdout)
+        loaded, slow, count = json.loads(done.stdout)
         assert set(loaded) == {"spinkit", *(f"spinkit.{m}" for m in submodules)}, target
-        assert count >= 12
+        assert slow == [], target
+        assert count >= 13
 
 
 def test_verify_scopes_match_the_suites():

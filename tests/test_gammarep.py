@@ -601,6 +601,14 @@ def test_spinor_image_rejects_odd_elements(rep):
         spinor_image(rep, Multivector.scalar(7, 1), rep.fixed_spinor())
 
 
+def test_default_stabilizer_basis_has_identity_coordinates():
+    """stabilizer_dimension checks no independence for its default basis,
+    whose coordinate rows are the 28x28 identity over denominator 1."""
+    coords = [gammarep.bivector_coordinates(x) for x in gammarep._BIVECTOR_BASIS]
+    assert [d for d, _ in coords] == [1] * 28
+    assert tuple(row for _, row in coords) == la.identity(28)
+
+
 def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
     rng = random.Random(31)
     full = [Multivector(8, {m: 1}) for m in gammarep._BIVECTOR_MASKS]
