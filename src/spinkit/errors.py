@@ -30,7 +30,10 @@ class EmbeddingDomainError(SpinkitError, ValueError):
 
 
 class InternalCheckError(SpinkitError, AssertionError):
-    """A construction self-check failed; indicates a bug, not bad input."""
+    """An internal consistency check failed; indicates a bug, not bad input.
+
+    ``GammaRep.fixed_spinor`` and ``iota_plus`` raise it, and the ``verify
+    reps`` checks that call them report it as a FAIL line."""
 
 
 class ResidueError(SpinkitError, ValueError):

@@ -11,8 +11,9 @@ too and the whole module stays in exact integer arithmetic.
 The splitting S8 = S8+ + S8- is the eigenspace decomposition of c(omega8),
 omega8 = e0 e1 ... e7.  In this model c(omega8) is diagonal, -1 on the
 first octonion summand and +1 on the second, so S8- is the first summand
-and S8+ the second, each with its coordinate basis; the orientation probe
-sets the sign of the first basis vector of S8+.  The chiral action of an
+and S8+ the second, each with its coordinate basis, except that the first
+basis vector of S8+ is -e8: that orientation makes the lift of the spin
+representation send -1 to +omega8.  The chiral action of an
 even element is therefore a signed block of its 16x16 matrix: the integer
 columns ``action_columns`` sums over the common denominator d of the
 element's coefficients, as an exact ``(d, rows)`` pair of ``exactlinalg``.
@@ -52,7 +53,7 @@ from .errors import (
     EmbeddingDomainError,
     InternalCheckError,
 )
-from .multivector import Multivector, blade_grade, p_iso, volume_element
+from .multivector import Multivector, blade_grade, p_iso
 from .spingroup import (
     RotationMatrix,
     SkewMatrix,
@@ -149,60 +150,26 @@ def _build_gamma_sp() -> list[_SignedPerm]:
 
 
 class GammaRep:
-    """The action of Cl(0,8) on R^16 with its chiral splitting."""
+    """The action of Cl(0,8) on R^16 with its chiral splitting.
+
+    Construction builds the tables and checks nothing: each claim about them
+    is one ``verify reps`` check, so a broken module reads FAIL there.
+    """
 
     def __init__(self) -> None:
         self.gamma: tuple[_SignedPerm, ...] = tuple(_build_gamma_sp())
-        failure = generator_relation_failure(self.gamma)
-        if failure is not None:
-            i, j = failure
-            raise InternalCheckError(f"generator anticommutator failed at ({i},{j})")
         self.monomials: dict[int, _SignedPerm] = {0: sp_identity(16)}
         for mask in range(1, 256):
             low = mask & -mask
             i = low.bit_length() - 1
             self.monomials[mask] = sp_compose(self.gamma[i], self.monomials[mask ^ low])
         # chirality -> (rows, signs): basis spinor j is signs[j] * e_rows[j]
-        self.halves = self._split_eigenspaces()
-        self._orient_positive_half()
-        self._psi: tuple[int, tuple[int, ...]] | None = None
-
-    # -- construction-time consistency checks -------------------------------
-
-    def _split_eigenspaces(self) -> dict[str, _SignedPerm]:
-        """The chiral halves, read off the signed permutation c(omega8).
-
-        c(omega8) must be diagonal with eight +1 and eight -1 signs; each
-        half is then spanned by the coordinate vectors of its sign, which
-        are orthonormal by construction.
-        """
-        perm, sign = self.monomials[255]
-        if perm != tuple(range(16)) or sign.count(1) != 8:
-            raise InternalCheckError("volume element eigenspaces are not 8+8 dimensional")
-        return {
-            chirality: (tuple(j for j in range(16) if sign[j] == s), (1,) * 8)
-            for chirality, s in (("+", 1), ("-", -1))
+        # (certified by the eigensplit, volume-sign and minus-one-lift checks)
+        self.halves: dict[str, _SignedPerm] = {
+            "+": (tuple(range(8, 16)), (-1,) + (1,) * 7),
+            "-": (tuple(range(8)), (1,) * 8),
         }
-
-    def _orient_positive_half(self) -> None:
-        """Fix the orientation of S8+ so the spin-representation lift sends -1
-        to +omega8.
-
-        -1 = (e1 e2)^2 in the even Cl(0,7) copy, and the square of either
-        preimage of a rotation is sign-unambiguous, so the test below does
-        not depend on lift_rotation's sign canonicalization.  If the lift
-        lands on -omega8 the orientation of S8+ is reversed by negating the
-        sign of its first basis vector.
-        """
-        bivector = Multivector.blade(8, [1, 2])
-        half_turn = chiral_action_matrix(self, bivector, "+")
-        eta = lift_rotation(RotationMatrix(half_turn))
-        square = (eta * eta).value
-        if square == -volume_element(8):
-            rows, signs = self.halves["+"]
-            self.halves["+"] = rows, (-signs[0],) + signs[1:]
-        elif square != volume_element(8):
-            raise InternalCheckError("orientation probe did not land on +-omega8")
+        self._psi: tuple[int, tuple[int, ...]] | None = None
 
     # -- basic module structure ---------------------------------------------
 
@@ -218,7 +185,7 @@ class GammaRep:
 
 
 def build_cl8_rep() -> GammaRep:
-    """Construct the representation and run its construction self-checks."""
+    """Construct the representation; ``verify reps`` checks its claims."""
     return GammaRep()
 
 

@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+import spinkit.cli as cli
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
 from conftest import (
@@ -21,12 +22,7 @@ from conftest import (
     fraction_spinor_image,
     fraction_view,
 )
-from spinkit.errors import (
-    ChiralityError,
-    DimensionMismatchError,
-    EmbeddingDomainError,
-    InternalCheckError,
-)
+from spinkit.errors import ChiralityError, DimensionMismatchError, EmbeddingDomainError
 from spinkit.gammarep import (
     action_columns,
     build_cl8_rep,
@@ -131,6 +127,8 @@ def _damage(rep, case):
         rep.gamma = rep.gamma[:3] + (_redirected(g3, 1, row=g3[0][0]),) + rep.gamma[4:]
     elif case == "c(omega8) is c(e0)":
         rep.monomials[255] = rep.gamma[0]
+    elif case == "c(omega8) is the identity":
+        rep.monomials[255] = (tuple(range(16)), (1,) * 16)  # diagonal, one eigenvalue
     elif case == "exchange a row between the halves":
         rep.halves["+"] = plus[:-1] + minus[:1], plus_signs
         rep.halves["-"] = plus[-1:] + minus[1:], minus_signs
@@ -162,6 +160,8 @@ _SWAP = "25 random unit vectors swap the chiral halves isometrically"
          "gamma_3 is not orthogonal"),
         ("c(omega8) is c(e0)", _EIGENSPLIT, dense_eigensplit_failure,
          "volume action does not square to 1"),
+        ("c(omega8) is the identity", _EIGENSPLIT, dense_eigensplit_failure,
+         "claimed eigenbasis is not an eigenbasis"),
         ("exchange a row between the halves", _EIGENSPLIT, dense_eigensplit_failure,
          "claimed eigenbasis is not an eigenbasis"),
         ("repeat a row of S+", _EIGENSPLIT, dense_eigensplit_failure,
@@ -183,6 +183,18 @@ def test_module_check_names_the_damage(case, name, oracle, detail):
     _damage(damaged, case)
     (result,) = [x for x in reps_suite(0, damaged) if x.name == name]
     assert (result.passed, result.detail) == (False, detail) == (False, oracle(damaged))
+
+
+def test_reversed_orientation_fails_the_minus_one_lift():
+    """The orientation of S8+ is a constant of the model: with the first
+    basis spinor +e8, the halves still pass the module checks, and the
+    minus-one lift check is the one that reports the orientation."""
+    damaged = build_cl8_rep()
+    rows, signs = damaged.halves["+"]
+    damaged.halves["+"] = rows, (1,) + signs[1:]
+    results = {x.name: x.passed for x in reps_suite(0, damaged)}
+    assert all(list(results.values())[:6])
+    assert not results["spinor lift sends -1 to omega8; blade embedding keeps -1"]
 
 
 def test_reps_verdict_builds_no_16_wide_matrix(rep, monkeypatch):
@@ -280,18 +292,18 @@ def test_monomial_groups_merge_where_supports_meet(masks, want, monkeypatch):
     assert r == la.rank([_monomial_row(damaged, mask) for mask in range(256)]) == want
 
 
-def test_flipped_generator_sign_fails_construction(monkeypatch):
-    real = gammarep._build_gamma_sp
-
-    def damaged():
-        gammas = real()
-        perm, sign = gammas[3]
-        gammas[3] = (perm, sign[:5] + (-sign[5],) + sign[6:])
-        return gammas
-
-    monkeypatch.setattr(gammarep, "_build_gamma_sp", damaged)
-    with pytest.raises(InternalCheckError, match="anticommutator"):
-        build_cl8_rep()
+def test_reordered_fano_line_is_a_failed_check(monkeypatch, capsys):
+    """A broken module is a report with FAIL lines and exit code 1: the
+    clifford and spin checks, which do not read the module, still pass."""
+    lines = list(gammarep._FANO_LINES)
+    lines[0] = (1, 4, 2)
+    monkeypatch.setattr(gammarep, "_FANO_LINES", tuple(lines))
+    assert cli.main(["verify", "all", "--seed", "42"]) == 1
+    checks = capsys.readouterr().out.splitlines()[1:-1]
+    assert len(checks) == 26
+    assert all(line.endswith("  PASS") for line in checks[:12])
+    (anticommutators,) = [x for x in checks if x.startswith("gamma anticommutators")]
+    assert anticommutators.endswith("  FAIL  [pair (1,3)]")
 
 
 def _monomial_row(rep, mask):
@@ -360,16 +372,6 @@ def test_omega8_eigenspaces(rep):
     assert fraction_mat_mul(omega, minus) == _negated(minus)
     assert fraction_mat_mul(la.transpose(plus), plus) == I8
     assert fraction_mat_mul(la.transpose(minus), minus) == I8
-
-
-def test_split_needs_a_diagonal_volume_element():
-    damaged = build_cl8_rep()
-    damaged.monomials[255] = damaged.monomials[1]  # c(e0) swaps the summands
-    with pytest.raises(InternalCheckError, match="8\\+8"):
-        damaged._split_eigenspaces()
-    damaged.monomials[255] = (tuple(range(16)), (1,) * 16)  # diagonal, one eigenvalue
-    with pytest.raises(InternalCheckError, match="8\\+8"):
-        damaged._split_eigenspaces()
 
 
 def test_chiral_action_matches_the_dense_oracle(rep):
