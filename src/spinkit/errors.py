@@ -32,8 +32,8 @@ class EmbeddingDomainError(SpinkitError, ValueError):
 class InternalCheckError(SpinkitError, AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input.
 
-    ``GammaRep.fixed_spinor`` and ``iota_plus`` raise it, and the ``verify
-    reps`` checks that call them report it as a FAIL line."""
+    Only ``gammarep.iota_plus`` raises it, and the ``verify reps`` checks
+    that call it report it as a FAIL line."""
 
 
 class ResidueError(SpinkitError, ValueError):

@@ -12,8 +12,9 @@ The splitting S8 = S8+ + S8- is the eigenspace decomposition of c(omega8),
 omega8 = e0 e1 ... e7.  In this model c(omega8) is diagonal, -1 on the
 first octonion summand and +1 on the second, so S8- is the first summand
 and S8+ the second, each with its coordinate basis, except that the first
-basis vector of S8+ is -e8: that orientation makes the lift of the spin
-representation send -1 to +omega8.  The chiral action of an
+basis vector of S8+ is -e8: that orientation puts the spinor fixed by the
+spinor-type Spin(7) copy into S8+, where it is basis spinor 0 (the reversed
+orientation puts it into S8-).  The chiral action of an
 even element is therefore a signed block of its 16x16 matrix: the integer
 columns ``action_columns`` sums over the common denominator d of the
 element's coefficients, as an exact ``(d, rows)`` pair of ``exactlinalg``.
@@ -164,24 +165,15 @@ class GammaRep:
             i = low.bit_length() - 1
             self.monomials[mask] = sp_compose(self.gamma[i], self.monomials[mask ^ low])
         # chirality -> (rows, signs): basis spinor j is signs[j] * e_rows[j]
-        # (certified by the eigensplit, volume-sign and minus-one-lift checks)
+        # (certified by the eigensplit and volume-sign checks; the orientation
+        # of S8+ by the fixed-line check)
         self.halves: dict[str, _SignedPerm] = {
             "+": (tuple(range(8, 16)), (-1,) + (1,) * 7),
             "-": (tuple(range(8)), (1,) * 8),
         }
-        self._psi: tuple[int, tuple[int, ...]] | None = None
-
-    # -- basic module structure ---------------------------------------------
-
-    def fixed_spinor(self) -> tuple[int, tuple[int, ...]]:
-        """The positive spinor line fixed by the spinor-type Spin(7) copy, as
-        ``(1, primitive integer entries)`` in the basis of S8+."""
-        if self._psi is None:
-            basis = common_fixed_space(self, spin7_lie_basis())
-            if len(basis) != 1:
-                raise InternalCheckError("fixed space of the spin(7) action is not a line")
-            self._psi = 1, basis[0]
-        return self._psi
+        # the positive spinor fixed by the spinor-type Spin(7) copy: basis
+        # spinor 0 of S8+, that is -e8 (certified by the fixed-line check)
+        self.fixed_spinor: tuple[int, tuple[int, ...]] = 1, (1,) + (0,) * 7
 
 
 def build_cl8_rep() -> GammaRep:
@@ -288,7 +280,7 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     _require(zeta, SpinElement, "spin element")
     rotation = RotationMatrix(delta7(rep, zeta.value))
     eta = lift_rotation(rotation)
-    psi = rep.fixed_spinor()
+    psi = rep.fixed_spinor
     image = spinor_image(rep, eta.value, psi)
     if image == psi:
         return eta

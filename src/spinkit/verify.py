@@ -372,15 +372,18 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
     )
 
     def fixed_line() -> str | None:
+        # certifies the model's psi and the orientation of S8+ (reversed, it is 0)
         basis = common_fixed_space(rep, spin7_lie_basis())
         if len(basis) != 1:
             return f"fixed space has dimension {len(basis)}"
+        if basis != [rep.fixed_spinor[1]]:
+            return "fixed line is not spanned by the model's fixed spinor"
         return None
 
     results.append(_run("joint fixed space of the spinor-type so(7) copy is a line", fixed_line))
 
     def stabilizer_21() -> str | None:
-        dim = stabilizer_dimension(rep, rep.fixed_spinor())
+        dim = stabilizer_dimension(rep, rep.fixed_spinor)
         if dim != 21:
             return f"stabilizer dimension {dim} != 21"
         for _ in range(3):
@@ -394,7 +397,7 @@ def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
         basis = g2_intersection_basis(rep)
         if len(basis) != 14:
             return f"intersection dimension {len(basis)} != 14"
-        psi = rep.fixed_spinor()
+        psi = rep.fixed_spinor
         for z in basis:
             if any(spinor_image(rep, z, psi)[1]):
                 return "intersection element moves the fixed spinor"

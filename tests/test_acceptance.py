@@ -145,14 +145,14 @@ def test_criterion_4_lift_identity(rep):
 @criterion(5, "fixed spinor line is 1-dim; its so(8)-stabilizer is 21-dim")
 def test_criterion_5_fixed_space_and_stabilizer(rep):
     line = common_fixed_space(rep, spin7_lie_basis())
-    assert len(line) == 1
-    psi = rep.fixed_spinor()
+    assert line == [rep.fixed_spinor[1]]
+    psi = rep.fixed_spinor
     assert stabilizer_dimension(rep, psi) == 21
 
 
 @criterion(6, "orbit rank 7; chiral so(7)-stabilizer 14; so(7) copies meet in 14")
 def test_criterion_6_homogeneous_spaces(rep):
-    psi = rep.fixed_spinor()
+    psi = rep.fixed_spinor
     assert 28 - stabilizer_dimension(rep, psi) == 7
     rng = random.Random(77)
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]

@@ -185,16 +185,41 @@ def test_module_check_names_the_damage(case, name, oracle, detail):
     assert (result.passed, result.detail) == (False, detail) == (False, oracle(damaged))
 
 
-def test_reversed_orientation_fails_the_minus_one_lift():
+_FIXED_LINE = "joint fixed space of the spinor-type so(7) copy is a line"
+_LIFT_MOVES_PSI = "InternalCheckError: candidate lift moves the fixed spinor line"
+
+
+def test_reversed_orientation_fails_the_fixed_line():
     """The orientation of S8+ is a constant of the model: with the first
-    basis spinor +e8, the halves still pass the module checks, and the
-    minus-one lift check is the one that reports the orientation."""
+    basis spinor +e8, the halves still pass the six module checks, the
+    spinor-type so(7) copy fixes no line of S8+, and the fixed-line check is
+    the one that reports the orientation.  The minus-one lift check cannot:
+    c(omega8) is +1 on all of S8+, so the lift of -1 that fixes any psi in
+    S8+ is +omega8 in either orientation."""
     damaged = build_cl8_rep()
     rows, signs = damaged.halves["+"]
     damaged.halves["+"] = rows, (1,) + signs[1:]
-    results = {x.name: x.passed for x in reps_suite(0, damaged)}
-    assert all(list(results.values())[:6])
-    assert not results["spinor lift sends -1 to omega8; blade embedding keeps -1"]
+    results = reps_suite(0, damaged)
+    assert all(x.passed for x in results[:6])
+    failed = {x.name: x.detail for x in results if not x.passed}
+    assert failed == {
+        "conjugation of the spinor lift equals the spin rep (21 basis + 10 group)": _LIFT_MOVES_PSI,
+        _FIXED_LINE: "fixed space has dimension 0",
+        "the two embeddings differ: only the vector copy fixes e0": _LIFT_MOVES_PSI,
+        "chiral rep of the lift factors through rotations; spin rep is odd": _LIFT_MOVES_PSI,
+    }
+    assert "spinor lift sends -1 to omega8; blade embedding keeps -1" not in failed
+
+
+def test_wrong_fixed_spinor_fails_the_fixed_line():
+    """psi is a constant of the model, and the fixed-line check certifies it:
+    another basis spinor spans no fixed line of the spinor-type so(7) copy."""
+    damaged = build_cl8_rep()
+    damaged.fixed_spinor = 1, (0, 1) + (0,) * 6
+    (result,) = [x for x in reps_suite(0, damaged) if x.name == _FIXED_LINE]
+    assert (result.passed, result.detail) == (
+        False, "fixed line is not spanned by the model's fixed spinor"
+    )
 
 
 def test_reps_verdict_builds_no_16_wide_matrix(rep, monkeypatch):
@@ -533,9 +558,9 @@ def test_common_fixed_space(rep):
     full = common_fixed_space(rep, [])
     assert len(full) == 8
     line = common_fixed_space(rep, spin7_lie_basis())
-    assert len(line) == 1
+    assert line == [rep.fixed_spinor[1]]
     assert full == list(I8)
-    psi = rep.fixed_spinor()
+    psi = rep.fixed_spinor
     assert psi == (1, line[0])
     assert sum(c * c for c in psi[1]) > 0
     sub_basis = [Multivector.blade(7, [i, j]) for i in range(6) for j in range(i + 1, 6)]
@@ -546,7 +571,7 @@ def test_common_fixed_space(rep):
 
 
 def test_stabilizer_dimensions(rep):
-    psi = rep.fixed_spinor()
+    psi = rep.fixed_spinor
     assert stabilizer_dimension(rep, psi) == 21
     rng = random.Random(23)
     for _ in range(3):
@@ -558,7 +583,7 @@ def test_stabilizer_dimensions(rep):
 def _spinors(rep):
     """The fixed spinor, random unit spinors and an integer spinor over 3."""
     rng = random.Random(29)
-    return [rep.fixed_spinor()] + [rational_unit_tuple(8, rng) for _ in range(4)] + [
+    return [rep.fixed_spinor] + [rational_unit_tuple(8, rng) for _ in range(4)] + [
         (3, (1, -2, 0, 5, 0, 0, 7, -1))
     ]
 
@@ -600,7 +625,7 @@ def test_spinor_image_rejects_odd_elements(rep):
     with pytest.raises(DimensionMismatchError, match="got 7$"):
         spinor_image(rep, volume_element(8), (1, (1,) * 7))
     with pytest.raises(DimensionMismatchError):
-        spinor_image(rep, Multivector.scalar(7, 1), rep.fixed_spinor())
+        spinor_image(rep, Multivector.scalar(7, 1), rep.fixed_spinor)
 
 
 def test_default_stabilizer_basis_has_identity_coordinates():
@@ -639,7 +664,7 @@ def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
 def test_g2_intersection(rep):
     basis = g2_intersection_basis(rep)
     assert len(basis) == 14  # the dimension of the intersection
-    psi = rep.fixed_spinor()
+    psi = rep.fixed_spinor
     for z in basis:
         _, m = chiral_action_matrix(rep, z, "+")
         assert not any(la.mat_mul((psi[1],), la.transpose(m))[0])  # (m psi)^T
