@@ -15,10 +15,10 @@ Exit codes: 0 success, 1 at least one check failed, 2 usage or input errors.
 A text report is built whole and printed in one write, so a line that
 standard output cannot encode fails it before any of it is shown.
 
-Each subcommand imports its layer when it runs: ``verify`` loads the Clifford
-stack and ``cohomology`` the cellular one, so ``census`` and ``torsor-check``
-load neither.  The census and torsor layers are imported here, with the file
-readers.
+Each handler imports its own layer when it runs: ``verify`` the Clifford
+stack, ``cohomology`` the file readers and the cellular layer, ``census`` the
+file readers and the census layer, and ``torsor-check`` the torsor layer.
+This module itself loads only the standard library and the error classes.
 """
 
 from __future__ import annotations
@@ -27,28 +27,15 @@ import argparse
 import json
 import re
 import sys
-from typing import TYPE_CHECKING
 
-from .census import NEGATIVE_CHIRALITY_CONVENTION, census_report
 from .errors import SpinkitError, TorsorError
-from .fileio import BUNDLED_CATALOGUE, data_path, load_catalogue, load_complex
-from .torsor import (
-    MAX_TORSOR_ORDER,
-    abelian_groups_up_to,
-    action_from_difference,
-    difference_from_action,
-    regular_difference_table,
-)
-
-if TYPE_CHECKING:
-    from .cwcomplex import CoefficientGroup
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _parse_coefficients(text: str) -> CoefficientGroup:
+def _parse_coefficients(text: str):
     from .cwcomplex import Z_COEFF, CoefficientGroup
 
     # ASCII digits without a leading zero or surrounding space, so no other
@@ -94,6 +81,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     from .cwcomplex import relative_cohomology
+    from .fileio import data_path, load_complex
 
     path = args.file if args.file else data_path("disk8_rel_sphere7.json")
     cx = load_complex(path)
@@ -125,6 +113,9 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .census import NEGATIVE_CHIRALITY_CONVENTION, census_report
+    from .fileio import BUNDLED_CATALOGUE, data_path, load_catalogue
+
     path = args.file if args.file else data_path(BUNDLED_CATALOGUE)
     rows = [census_report(d) for d in load_catalogue(path)]
     if args.format == "structured":
@@ -158,6 +149,14 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_torsor_check(args) -> int:
+    from .torsor import (
+        MAX_TORSOR_ORDER,
+        abelian_groups_up_to,
+        action_from_difference,
+        difference_from_action,
+        regular_difference_table,
+    )
+
     if not 1 <= args.max_order <= MAX_TORSOR_ORDER:
         raise SpinkitError(f"--max-order must be between 1 and {MAX_TORSOR_ORDER}")
     results = []

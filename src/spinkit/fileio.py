@@ -54,11 +54,7 @@ BUNDLED_CATALOGUE = "manifolds.json"
 def data_path(filename: str) -> Path:
     """Resolve a bundled data file, honoring the data-directory override."""
     override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override) / filename
-    from importlib import resources
-
-    return Path(str(resources.files("spinkit").joinpath("data", filename)))
+    return Path(override or Path(__file__).parent / "data") / filename
 
 
 _COMPLEX_KEYS = ("name", "cells", "boundary", "sub")

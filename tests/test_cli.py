@@ -12,6 +12,7 @@ import pytest
 
 import spinkit
 import spinkit.cli as cli
+import spinkit.torsor as torsor
 from spinkit.census import MAX_CHAR_NUMBER
 from spinkit.cli import main
 from spinkit.errors import TorsorError
@@ -195,7 +196,7 @@ def test_torsor_check_reports_torsor_errors_as_failures(capsys, monkeypatch):
     def not_free(action):
         raise TorsorError("action is not free")
 
-    monkeypatch.setattr(cli, "difference_from_action", not_free)
+    monkeypatch.setattr(torsor, "difference_from_action", not_free)
     code, out, _ = run_cli(capsys, "torsor-check", "--max-order", "3")
     assert code == 1
     assert out.count("FAIL  [action is not free]") == 3
@@ -207,7 +208,7 @@ def test_torsor_check_reports_torsor_errors_as_failures(capsys, monkeypatch):
         table = {(x, y): group.zero for x in carrier for y in carrier}
         return DifferenceTable(group, carrier, table)
 
-    monkeypatch.setattr(cli, "regular_difference_table", constant_table)
+    monkeypatch.setattr(torsor, "regular_difference_table", constant_table)
     code, out, _ = run_cli(capsys, "torsor-check", "--max-order", "2")
     assert code == 1
     rows = out.splitlines()[1:3]
@@ -357,7 +358,7 @@ def test_package_imports_with_the_standard_library_only():
     src = Path(spinkit.__file__).resolve().parents[1]
     loads = {
         "spinkit": set(),
-        "spinkit.cli": {"cli", "errors", "census", "torsor", "fileio", "_frozen"},
+        "spinkit.cli": {"cli", "errors"},
         "spinkit.cwcomplex": {"cwcomplex", "snf", "errors", "_frozen"},
         "spinkit.fileio": {"fileio", "errors"},
         "spinkit.multivector": {"multivector", "exactlinalg", "errors"},
@@ -387,6 +388,41 @@ def test_package_imports_with_the_standard_library_only():
         assert set(loaded) == {"spinkit", *(f"spinkit.{m}" for m in submodules)}, target
         assert slow == [], target
         assert count >= 13
+
+
+def test_each_subcommand_loads_only_its_own_layer():
+    """A subcommand run through ``cli.main`` loads the spinkit modules of its
+    own layer and no slow standard module it does not use."""
+    src = Path(spinkit.__file__).resolve().parents[1]
+    clifford = {"verify", "gammarep", "spingroup", "multivector", "exactlinalg"}
+    cases = [
+        (["torsor-check", "--max-order", "1"], {"torsor"}, ["fractions", "decimal", "typing"]),
+        (["cohomology", "--degree", "8"], {"fileio", "cwcomplex", "snf"}, ["fractions", "decimal"]),
+        (["census"], {"fileio", "census", "torsor"}, []),
+        (["verify", "clifford"], clifford, []),
+    ]
+    for argv, layer, absent in cases:
+        unwanted = [*absent, "importlib.resources"]
+        code = (
+            "import io, json, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "sys.stdout = io.StringIO()\n"
+            "from spinkit import cli\n"
+            f"status = cli.main({argv!r})\n"
+            "sys.stdout = sys.__stdout__\n"
+            "loaded = sorted(n for n in sys.modules if n.partition('.')[0] == 'spinkit')\n"
+            f"slow = [n for n in {unwanted!r} if n in sys.modules]\n"
+            "print(json.dumps([status, loaded, slow]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        status, loaded, slow = json.loads(done.stdout)
+        assert status == 0, argv
+        want = {"cli", "errors", "_frozen", *layer}
+        assert set(loaded) == {"spinkit", *(f"spinkit.{m}" for m in want)}, argv
+        assert slow == [], argv
 
 
 def test_verify_scopes_match_the_suites():
