@@ -24,19 +24,22 @@ action, write x = h_x.b: then k.(h.x) = (h_x + h + k).b = (h + k).x, the
 orbit h -> (h_x + h).b is a bijection, and 0.x = (h_x + 0).b = x, at
 every x.
 
-All group arithmetic is read off one subtraction table per group,
-``FiniteAbelianGroup.differences`` (a -> {b: a - b}), built once per group
-instance and cached: the regular table reads D(x, y) = y - x from it, the
-cocycle step reads D(b, z) - D(b, y) from the row of D(b, z), and the
-compatibility step reads h + k = h - (-k), with -k taken from the row of
-zero.  A check of one group therefore builds its |H|^2 differences once.
+All group arithmetic is read off one integer table per group,
+``FiniteAbelianGroup.shifts``: ``shifts[j][i]`` is the index in
+``elements()`` of e_i - e_j, built once per group instance and cached.  The
+regular table reads D(x, y) = y - x from it, the cocycle step reads
+D(b, z) - D(b, y) from the row of D(b, y), and the compatibility step reads
+h + k = k - (-h), with -h = 0 - h the first entry of the row of h.  Each
+check reads the candidate table once, in product order, and compares whole
+rows against the rows read off ``shifts``; it walks a row only to name the
+triple at which the law fails.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 
 from ._frozen import Frozen
 from .errors import TorsorError
@@ -48,12 +51,15 @@ Element = tuple[int, ...]
 # have n^2 entries each.
 MAX_TORSOR_ORDER = 64
 
+# What the certificates read for a key that a candidate table lacks.
+_MISSING = object()
+
 
 class FiniteAbelianGroup(Frozen):
     """Direct sum of cyclic groups; elements are tuples of residues."""
 
     _fields = ("orders",)
-    __slots__ = ("orders", "__dict__")  # __dict__ holds the cached differences
+    __slots__ = ("orders", "__dict__")  # __dict__ holds the cached shifts
 
     def __init__(self, orders: tuple[int, ...]):
         object.__setattr__(self, "orders", orders)
@@ -67,10 +73,6 @@ class FiniteAbelianGroup(Frozen):
         if any(m < 1 for m in self.orders):
             raise ValueError("cyclic orders must be positive")
 
-    @property
-    def zero(self) -> Element:
-        return (0,) * len(self.orders)
-
     def order(self) -> int:
         out = 1
         for m in self.orders:
@@ -81,17 +83,15 @@ class FiniteAbelianGroup(Frozen):
         return list(product(*(range(m) for m in self.orders)))
 
     @cached_property
-    def differences(self) -> dict[Element, dict[Element, Element]]:
-        """The subtraction table a -> {b: a - b}, rows and keys in the order of elements()."""
-        elements = self.elements()
-        # with b in product order, a - b runs over the product of the
-        # columns (a_i - t) mod m_i, t = 0 .. m_i - 1
-        return {
-            a: dict(zip(elements, product(*(
-                [(x - t) % m for t in range(m)] for x, m in zip(a, self.orders)
-            ))))
-            for a in elements
-        }
+    def shifts(self) -> list[list[int]]:
+        """shifts[j][i] is the index in elements() of e_i - e_j."""
+        # a cyclic factor's rows are its rotations; appending a factor of
+        # order m sends the index p of the earlier factors to p * m + t
+        table = [[0]]
+        for m in self.orders:
+            rotations = [[(t - s) % m for t in range(m)] for s in range(m)]
+            table = [[p * m + t for p in row for t in rotation] for row in table for rotation in rotations]
+        return table
 
     def __str__(self) -> str:
         if self.order() == 1:
@@ -133,75 +133,89 @@ class ActionTable(Frozen):
 
 def verify_difference_axioms(d: DifferenceTable) -> None:
     """Certify (a)-(c) from the base point; raise TorsorError naming the failed step."""
-    g = d.group
-    if not d.carrier:
+    _validate_difference(d)
+
+
+def _validate_difference(d: DifferenceTable) -> list:
+    """Certify (a)-(c) from the base point; return the values D(x, y) in product order."""
+    g, carrier = d.group, d.carrier
+    if not carrier:
         raise TorsorError("carrier is empty")
-    for x, y in product(d.carrier, repeat=2):
-        if (x, y) not in d.table:
-            raise TorsorError(f"missing difference value for ({x},{y})")
-    if len(d.carrier) != g.order():
-        raise TorsorError(f"carrier size {len(d.carrier)} != group order {g.order()}")
-    b = d.carrier[0]
-    base = {y: d.table[(b, y)] for y in d.carrier}
-    if set(base.values()) != set(g.elements()):
+    values = list(map(d.table.get, product(carrier, repeat=2), repeat(_MISSING)))
+    n = len(carrier)
+    if _MISSING in values:
+        i, j = divmod(values.index(_MISSING), n)
+        raise TorsorError(f"missing difference value for ({carrier[i]},{carrier[j]})")
+    if n != g.order():
+        raise TorsorError(f"carrier size {n} != group order {g.order()}")
+    b = carrier[0]
+    elements = g.elements()
+    base = values[:n]
+    if set(base) != set(elements):
         raise TorsorError(f"D({b}, .) is not a bijection onto the group")
-    # D(b, z) - D(b, y) is the entry D(b, y) of the row of D(b, z)
-    base_rows = [(z, g.differences[base[z]]) for z in d.carrier]
-    for y in d.carrier:
-        h = base[y]
-        for z, row in base_rows:
-            if d.table[(y, z)] != row[h]:
-                raise TorsorError(f"cocycle fails at ({b},{y},{z})")
+    # D(y, z) = D(b, z) - D(b, y): row D(b, y) of shifts, read at D(b, z)
+    index = dict(zip(elements, range(n)))
+    at = [index[h] for h in base]
+    shifts = g.shifts
+    expected = [elements[shifts[j][i]] for j in at for i in at]
+    if values != expected:
+        k = next(k for k, (v, e) in enumerate(zip(values, expected)) if v != e)
+        raise TorsorError(f"cocycle fails at ({b},{carrier[k // n]},{carrier[k % n]})")
+    return values
 
 
 def action_from_difference(d: DifferenceTable) -> ActionTable:
     """The action h . x = (the unique y with D(x, y) = h)."""
-    verify_difference_axioms(d)
-    table = {(d.table[(x, y)], x): y for x in d.carrier for y in d.carrier}
-    return ActionTable(d.group, d.carrier, table)
+    values = _validate_difference(d)
+    n = len(d.carrier)
+    xs = chain.from_iterable(map(repeat, d.carrier, repeat(n)))
+    return ActionTable(d.group, d.carrier, dict(zip(zip(values, xs), d.carrier * n)))
 
 
-def _validate_action(a: ActionTable) -> None:
-    """Certify a free transitive action from the base point; raise TorsorError."""
-    g = a.group
+def _validate_action(a: ActionTable) -> list:
+    """Certify a free transitive action from the base point; return the values
+    h . x in product order, or raise TorsorError."""
+    g, carrier = a.group, a.carrier
     elements = g.elements()
-    if not a.carrier:
+    if not carrier:
         raise TorsorError("carrier is empty")
-    for h, x in product(elements, a.carrier):
-        if (h, x) not in a.table:
-            raise TorsorError(f"action value missing for ({h},{x})")
-    if len(a.carrier) != g.order():
-        raise TorsorError(f"carrier size {len(a.carrier)} != group order {g.order()}")
-    b = a.carrier[0]
-    at_b = {h: a.table[(h, b)] for h in elements}
-    orbit = set(at_b.values())
+    values = list(map(a.table.get, product(elements, carrier), repeat(_MISSING)))
+    n = len(carrier)
+    if _MISSING in values:
+        i, j = divmod(values.index(_MISSING), n)
+        raise TorsorError(f"action value missing for ({elements[i]},{carrier[j]})")
+    if n != g.order():
+        raise TorsorError(f"carrier size {n} != group order {g.order()}")
+    at_b = values[::n]
+    orbit = set(at_b)
     if len(orbit) != len(elements):
         raise TorsorError("action is not free")
-    if orbit != set(a.carrier):
+    if orbit != set(carrier):
         raise TorsorError("action is not transitive")
-    # h + k = h - (-k), and -k is the entry k of the row of zero
-    negatives = list(g.differences[g.zero].items())
-    for h in elements:
-        row, x = g.differences[h], at_b[h]
-        for k, minus_k in negatives:
-            if a.table[(k, x)] != at_b[row[minus_k]]:
-                raise TorsorError("action is not compatible with addition")
+    # k . (h . b) = (h + k) . b, where h + k = k - (-h) and -h = 0 - h
+    column = dict(zip(carrier, range(n)))
+    shifts = g.shifts
+    for row, x in zip(shifts, at_b):
+        if values[column[x]::n] != list(map(at_b.__getitem__, shifts[row[0]])):
+            raise TorsorError("action is not compatible with addition")
+    return values
 
 
 def difference_from_action(a: ActionTable) -> DifferenceTable:
     """D(x, y) = the unique h with y = h . x, for a free transitive action."""
-    _validate_action(a)
-    table = {(x, a.table[(h, x)]): h for h, x in product(a.group.elements(), a.carrier)}
-    return DifferenceTable(a.group, a.carrier, table)
+    values = _validate_action(a)
+    n = len(a.carrier)
+    hs = chain.from_iterable(map(repeat, a.group.elements(), repeat(n)))
+    return DifferenceTable(a.group, a.carrier, dict(zip(zip(a.carrier * n, values), hs)))
 
 
 def regular_difference_table(g: FiniteAbelianGroup) -> DifferenceTable:
     """The regular torsor: Gamma = H with D(x, y) = y - x."""
-    labels = {e: "g" + "".join(str(c) for c in e) for e in g.elements()}
-    carrier = tuple(labels.values())
-    rows = [(labels[y], row) for y, row in g.differences.items()]
-    table = {(lx, ly): row[x] for x, lx in labels.items() for ly, row in rows}
-    return DifferenceTable(g, carrier, table)
+    elements = g.elements()
+    carrier = tuple("g" + "".join(map(str, e)) for e in elements)
+    # row x of shifts holds the indices of y - x, y in the order of elements()
+    values = map(elements.__getitem__, chain.from_iterable(g.shifts))
+    return DifferenceTable(g, carrier, dict(zip(product(carrier, repeat=2), values)))
 
 
 def abelian_groups_up_to(max_order: int) -> Iterator[FiniteAbelianGroup]:
@@ -210,7 +224,7 @@ def abelian_groups_up_to(max_order: int) -> Iterator[FiniteAbelianGroup]:
     Each group is a product of prime-power cyclic factors; classes are
     enumerated by partitions of the exponent of every prime factor.  The
     groups are yielded one at a time, so a caller that drops each group
-    after use also drops its cached subtraction table.
+    after use also drops its cached shift table.
     """
     for n in range(1, max_order + 1):
         per_prime = [

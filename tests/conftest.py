@@ -476,9 +476,14 @@ def dense_pair_check(dim, boundary, sub):
     return None
 
 
+def group_zero(g):
+    """The zero of the FiniteAbelianGroup g."""
+    return (0,) * len(g.orders)
+
+
 def group_add(g, a, b):
     """a + b in the FiniteAbelianGroup g, componentwise: the oracle for its
-    subtraction table."""
+    shift table."""
     return tuple((x + y) % m for x, y, m in zip(a, b, g.orders))
 
 
@@ -520,7 +525,7 @@ def all_points_difference_axioms(d):
         if d.table[(x, z)] != group_add(g, d.table[(x, y)], d.table[(y, z)]):
             return False
     for x, y in product(d.carrier, repeat=2):
-        if (d.table[(x, y)] == g.zero) != (x == y):
+        if (d.table[(x, y)] == group_zero(g)) != (x == y):
             return False
     for x in d.carrier:
         if {d.table[(x, y)] for y in d.carrier} != set(g.elements()):
@@ -541,7 +546,7 @@ def all_points_validate_action(a):
     if len(a.carrier) != g.order():
         raise TorsorError(f"carrier size {len(a.carrier)} != group order {g.order()}")
     for x in a.carrier:
-        if a.table[(g.zero, x)] != x:
+        if a.table[(group_zero(g), x)] != x:
             raise TorsorError("zero does not act as the identity")
     for h, k, x in product(elements, elements, a.carrier):
         if a.table[(k, a.table[(h, x)])] != a.table[(group_add(g, h, k), x)]:

@@ -17,6 +17,7 @@ from spinkit.census import MAX_CHAR_NUMBER
 from spinkit.cli import main
 from spinkit.errors import TorsorError
 from spinkit.torsor import DifferenceTable
+from conftest import group_zero
 
 
 def run_cli(capsys, *argv):
@@ -205,7 +206,7 @@ def test_torsor_check_reports_torsor_errors_as_failures(capsys, monkeypatch):
 
     def constant_table(group):
         carrier = ("a", "b")
-        table = {(x, y): group.zero for x in carrier for y in carrier}
+        table = {(x, y): group_zero(group) for x in carrier for y in carrier}
         return DifferenceTable(group, carrier, table)
 
     monkeypatch.setattr(torsor, "regular_difference_table", constant_table)
@@ -216,6 +217,35 @@ def test_torsor_check_reports_torsor_errors_as_failures(capsys, monkeypatch):
     assert rows[0].endswith("FAIL  [carrier size 2 != group order 1]")
     assert rows[1].startswith("Z/2 (order 2) ")
     assert rows[1].endswith("FAIL  [D(a, .) is not a bijection onto the group]")
+
+
+def _abelian_group_count(max_order):
+    """Abelian groups of order <= max_order: for each order, the product over
+    its prime powers p^e of the number of partitions of e."""
+
+    def partitions(e, cap):
+        return 1 if e == 0 else sum(partitions(e - part, part) for part in range(1, min(e, cap) + 1))
+
+    total = 0
+    for n in range(1, max_order + 1):
+        count, p = 1, 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            count *= partitions(e, e)
+            p += 1
+        total += count
+    return total
+
+
+def test_torsor_check_at_the_order_cap(capsys):
+    """The largest groups, (2,)^6, (4,4,4), (8,8) and (2,32) among them, pass."""
+    code, out, _ = run_cli(capsys, "torsor-check", "--max-order", "64", "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["groups"]) == _abelian_group_count(64) == 117
+    assert all(g["passed"] for g in payload["groups"]) and payload["failed"] == 0
 
 
 def test_torsor_check_order_cap(capsys):

@@ -23,6 +23,7 @@ from conftest import (
     group_add,
     group_neg,
     group_sub,
+    group_zero,
 )
 
 
@@ -124,8 +125,8 @@ def test_group_arithmetic_laws(orders, seed):
     elements = g.elements()
     a = elements[seed % len(elements)]
     b = elements[(seed // 7) % len(elements)]
-    assert group_add(g, a, g.zero) == a
-    assert group_add(g, a, group_neg(g, a)) == g.zero
+    assert group_add(g, a, group_zero(g)) == a
+    assert group_add(g, a, group_neg(g, a)) == group_zero(g)
     assert group_add(g, a, b) == group_add(g, b, a)
     assert group_sub(g, a, b) == group_add(g, a, group_neg(g, b))
 
@@ -133,12 +134,15 @@ def test_group_arithmetic_laws(orders, seed):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3))
 def test_subtraction_table_matches_componentwise_oracle(orders):
+    """shifts[j][i] is the index of e_i - e_j, so each row is a permutation
+    of the indices; factors of order 1 and the trivial group included."""
     g = FiniteAbelianGroup(tuple(orders))
     elements = g.elements()
-    assert list(g.differences) == elements
-    for a, row in g.differences.items():
-        assert list(row) == elements
-        assert all(row[b] == group_sub(g, a, b) for b in elements)
+    n = len(elements)
+    assert len(g.shifts) == n
+    for j, row in enumerate(g.shifts):
+        assert sorted(row) == list(range(n))
+        assert all(elements[row[i]] == group_sub(g, e, elements[j]) for i, e in enumerate(elements))
 
 
 def test_empty_carrier_rejected():
@@ -176,6 +180,19 @@ def _difference(group, carrier, rows):
         (DifferenceTable(Z2, ("a", "b"),
                          {("a", "a"): (0,), ("a", "b"): (1,), ("b", "a"): (1, 0), ("b", "b"): (0,)}),
          r"cocycle fails at \(a,b,a\)"),
+        # a missing entry comes before the carrier size, even in the last row
+        (_difference(Z2, ("a", "b", "c"), [[0, 1, 1], [1, 0, 0], [1, 0, None]]),
+         r"missing difference value for \(c,c\)"),
+        # of two missing entries, the first in product order is named
+        (_difference(Z3, ("a", "b", "c"), [[0, 1, 2], [2, 0, None], [1, None, 0]]),
+         r"missing difference value for \(b,c\)"),
+        # a value None is present: it fails the base row or the cocycle, not completeness
+        (DifferenceTable(Z2, ("a", "b"),
+                         {("a", "a"): (0,), ("a", "b"): None, ("b", "a"): (1,), ("b", "b"): (0,)}),
+         r"D\(a, \.\) is not a bijection onto the group"),
+        (DifferenceTable(Z2, ("a", "b"),
+                         {("a", "a"): (0,), ("a", "b"): (1,), ("b", "a"): None, ("b", "b"): (0,)}),
+         r"cocycle fails at \(a,b,a\)"),
     ],
 )
 def test_difference_certificate_names_the_failed_step(table, message):
@@ -202,6 +219,12 @@ def _action(group, carrier, images):
         (_action(Z3, ("a", "b", "c"), ["abc", "bac", "cab"]), "action is not compatible with addition"),
         # 0 . b = c is caught by compatibility at a: 0 . (1 . a) != 1 . a
         (_action(Z3, ("a", "b", "c"), ["acb", "bca", "cab"]), "action is not compatible with addition"),
+        # a missing value comes before the carrier size
+        (_action(Z2, ("a", "b", "c"), ["abc", ("b", None, "c")]), r"action value missing for \(\(1,\),b\)"),
+        # a value None is present: 1 . a = None leaves the orbit of a off the carrier
+        (ActionTable(Z2, ("a", "b"),
+                     {((0,), "a"): "a", ((0,), "b"): "b", ((1,), "a"): None, ((1,), "b"): "a"}),
+         "action is not transitive"),
     ],
 )
 def test_action_certificate_names_the_failed_step(table, message):
