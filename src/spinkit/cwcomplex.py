@@ -9,10 +9,13 @@ difference-cochain decomposition compare the two end blocks of a cylinder
 cochain with the end cochains before reading off the interval component.
 
 Complexes are immutable: validated once, at construction, never changed
-afterwards.  The constructor reads each boundary matrix once, into the
-nonzero (row, entry) columns of d_k that the pair keeps; the dd = 0 and
-closed-Y checks, :func:`pair_product` and :func:`coboundary` read those
-columns, while the dense ``boundary`` stays the public and file form.
+afterwards.  A pair stores d_k only as its nonzero (row, entry) columns,
+row-sorted; the dd = 0 and closed-Y checks, :func:`pair_product`,
+:func:`coboundary`, equality and the relative coboundary matrices read
+them.  The public constructor parses dense matrices (the file form) into
+columns, :func:`pair_product` builds its columns directly, and both pass
+through one assembly step that checks the dimension cap and validates.
+``boundary`` is a dense view, rebuilt from the columns on each read.
 Each pair also keeps the one cylinder X x I that
 :func:`product_with_interval` builds and validates for it, and the one
 Smith diagonal of each coboundary delta_k that :func:`relative_cohomology`
@@ -63,11 +66,12 @@ Z_COEFF = CoefficientGroup(0)
 
 
 class CWPairComplex:
-    """Finite CW pair (X, Y) as integer boundary matrices plus Y-flags.
+    """Finite CW pair (X, Y) as integer boundary columns plus Y-flags.
 
-    ``cells[k]`` counts the k-cells; ``boundary[k]`` is the cells[k-1] x
-    cells[k] incidence matrix of d_k; ``sub[k][i]`` marks cell i of
-    dimension k as belonging to the subcomplex Y.
+    ``cells[k]`` counts the k-cells; ``sub[k][i]`` marks cell i of
+    dimension k as belonging to the subcomplex Y.  The constructor takes
+    ``boundary[k]``, the cells[k-1] x cells[k] incidence matrix of d_k, in
+    dense form.
     """
 
     def __init__(
@@ -83,18 +87,14 @@ class CWPairComplex:
             raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
         if not isinstance(name, str):
             raise ComplexValidationError("the complex name must be a string")
-        self.cells = list(cells)
-        self.dim = len(self.cells) - 1
-        self.name = name
-        self.boundary: dict[int, list[list[int]]] = {}
-        # _columns[k][j]: the nonzero (row, entry) pairs of column j of d_k
-        self._columns: list[list[list[tuple[int, int]]]] = [[[] for _ in range(self.cell_count(0))]]
+        dim = len(cells) - 1
+        all_columns: list[list[list[tuple[int, int]]]] = [[[] for _ in range(cells[0] if cells else 0)]]
         boundary = boundary or {}
         sub = sub or {}
-        if not set(boundary) | set(sub) <= set(range(self.dim + 1)) or 0 in boundary:
-            raise ComplexValidationError(f"boundary or sub data outside degrees 0..{self.dim}")
-        for k in range(1, self.dim + 1):
-            rows, cols = self.cells[k - 1], self.cells[k]
+        if not set(boundary) | set(sub) <= set(range(dim + 1)) or 0 in boundary:
+            raise ComplexValidationError(f"boundary or sub data outside degrees 0..{dim}")
+        for k in range(1, dim + 1):
+            rows, cols = cells[k - 1], cells[k]
             matrix = boundary.get(k)
             if matrix is None:
                 matrix = [[0] * cols for _ in range(rows)]
@@ -109,19 +109,38 @@ class CWPairComplex:
                         raise ComplexValidationError(f"boundary matrix in degree {k} must hold integers")
                     if x:
                         columns[j].append((i, x))
-            self.boundary[k] = [list(r) for r in matrix]
-            self._columns.append(columns)
-        self.sub: dict[int, list[bool]] = {}
-        for k in range(0, self.dim + 1):
-            flags = sub.get(k, [0] * self.cells[k])
-            if not isinstance(flags, list) or len(flags) != self.cells[k]:
+            all_columns.append(columns)
+        flags: dict[int, list[bool]] = {}
+        for k in range(0, dim + 1):
+            given = sub.get(k, [0] * cells[k])
+            if not isinstance(given, list) or len(given) != cells[k]:
                 raise ComplexValidationError(f"sub flags in degree {k} have wrong length")
-            if not all(isinstance(x, int) and x in (0, 1) for x in flags):
+            if not all(isinstance(x, int) and x in (0, 1) for x in given):
                 raise ComplexValidationError(f"sub flags in degree {k} must be 0, 1, true or false")
-            self.sub[k] = [bool(x) for x in flags]
+            flags[k] = [bool(x) for x in given]
+        self._assemble(list(cells), all_columns, flags, name)
+
+    def _assemble(
+        self, cells: list[int], columns: list[list[list[tuple[int, int]]]], sub: dict[int, list[bool]], name: str
+    ) -> CWPairComplex:
+        """The step every complex passes through: store the columns and flags, then validate.
+
+        ``columns[k][j]`` lists the nonzero (row, entry) pairs of column j of
+        d_k in increasing row order, ``columns[0]`` one empty column per 0-cell.
+        """
+        if len(cells) > MAX_DIMENSION:
+            raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
+        if not isinstance(name, str):
+            raise ComplexValidationError("the complex name must be a string")
+        self.cells = cells
+        self.dim = len(cells) - 1
+        self.name = name
+        self._columns = columns
+        self.sub = sub
         self._validate()
         self._cylinder: CWPairComplex | None = None
         self._diagonals: dict[int, list[int]] = {}
+        return self
 
     def _validate(self) -> None:
         # column j of d_k d_(k+1): the sum of x * (column t of d_k) over (t, x) in column j of d_(k+1)
@@ -140,11 +159,28 @@ class CWPairComplex:
                 if in_y and not all(below[i] for i, _ in col):
                     raise ComplexValidationError("subcomplex is not closed under the boundary")
 
+    @property
+    def boundary(self) -> dict[int, list[list[int]]]:
+        """d_k for k = 1..dim as dense cells[k-1] x cells[k] matrices.
+
+        Each read builds a fresh dict from the stored columns, so changing
+        the result leaves the complex as it was.
+        """
+        out = {}
+        for k in range(1, self.dim + 1):
+            matrix = [[0] * self.cells[k] for _ in range(self.cells[k - 1])]
+            for j, col in enumerate(self._columns[k]):
+                for i, x in col:
+                    matrix[i][j] = x
+            out[k] = matrix
+        return out
+
     def __eq__(self, other: object) -> bool:
+        # equal matrices have equal columns, since columns are row-sorted and hold no zeros
         return (
             isinstance(other, CWPairComplex)
             and self.cells == other.cells
-            and self.boundary == other.boundary
+            and self._columns == other._columns
             and self.sub == other.sub
         )
 
@@ -160,10 +196,15 @@ class CWPairComplex:
         """delta: C^k(X,Y) -> C^(k+1)(X,Y), the restricted transpose of d_(k+1)."""
         if k + 1 > self.dim:
             return []
-        rows = self.relative_indices(k + 1)
-        cols = self.relative_indices(k)
-        b = self.boundary[k + 1]
-        return [[b[c][r] for c in cols] for r in rows]
+        cols = {c: n for n, c in enumerate(self.relative_indices(k))}
+        out = []
+        for r in self.relative_indices(k + 1):
+            row = [0] * len(cols)
+            for c, x in self._columns[k + 1][r]:
+                if c in cols:
+                    row[cols[c]] = x
+            out.append(row)
+        return out
 
 
 class Cochain(Frozen):
@@ -257,8 +298,12 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
 
     Its k-cells a x b, |a| + |b| = k, are ordered by the cell b of Y (by
     degree, then index) and then by the cell a of X; the boundary is
-    d(a x b) = da x b + (-1)^|a| a x db.  A product of dimension over 9 is
-    rejected by the constructor like any other complex.
+    d(a x b) = da x b + (-1)^|a| a x db.  Each column of the product is
+    built from the columns of the factors: the a x db rows lie in blocks of
+    lower degree in Y than the da x b rows, so putting them first keeps the
+    column row-sorted.  The product passes through the same assembly step
+    as a constructed complex, so one of dimension over 9 is rejected and
+    every product is validated.
     """
     dim = p.dim + q.dim
     blocks = [(j, b) for j in range(q.dim + 1) for b in range(q.cells[j])]
@@ -267,27 +312,30 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
         sizes = [p.cell_count(k - j) for j, _ in blocks]
         cells.append(sum(sizes))
         starts.append(dict(zip(blocks, accumulate(sizes, initial=0))))
-    boundary = {k: [[0] * cells[k] for _ in range(cells[k - 1])] for k in range(1, dim + 1)}
-    sub = {k: [False] * cells[k] for k in range(dim + 1)}
+    columns: list[list[list[tuple[int, int]]]] = []
+    sub: dict[int, list[bool]] = {}
     p_cols, q_cols = p._columns, q._columns
     for k in range(dim + 1):
-        for (j, b), col0 in starts[k].items():
+        columns_k: list[list[tuple[int, int]]] = []
+        flags: list[bool] = []
+        for j, b in blocks:
             i = k - j
             n = p.cell_count(i)
             if not n:
                 continue
-            sub[k][col0 : col0 + n] = [True] * n if q.sub[j][b] else p.sub[i]
+            flags += [True] * n if q.sub[j][b] else p.sub[i]
             if not k:
+                columns_k += [[] for _ in range(n)]
                 continue
-            m, down = boundary[k], starts[k - 1][j, b]
+            down = starts[k - 1][j, b]
             sign = -1 if i & 1 else 1
             db = [(starts[k - 1][j - 1, r], sign * y) for r, y in q_cols[j][b]]
-            for a, da in enumerate(p_cols[i]):
-                for r, x in da:  # da x b
-                    m[down + r][col0 + a] = x
-                for row0, y in db:  # (-1)^|a| a x db
-                    m[row0 + a][col0 + a] = y
-    return CWPairComplex(cells, boundary, sub, name=f"{p.name} x {q.name}" if name is None else name)
+            for a, da in enumerate(p_cols[i]):  # (-1)^|a| a x db, then da x b
+                columns_k.append([(row0 + a, y) for row0, y in db] + [(down + r, x) for r, x in da])
+        columns.append(columns_k)
+        sub[k] = flags
+    name = f"{p.name} x {q.name}" if name is None else name
+    return CWPairComplex.__new__(CWPairComplex)._assemble(cells, columns, sub, name)
 
 
 # (I, dI): the endpoints 0 and 1 in the subcomplex, dI = 1 - 0

@@ -210,9 +210,15 @@ def difference_from_action(a: ActionTable) -> DifferenceTable:
 
 
 def regular_difference_table(g: FiniteAbelianGroup) -> DifferenceTable:
-    """The regular torsor: Gamma = H with D(x, y) = y - x."""
+    """The regular torsor: Gamma = H with D(x, y) = y - x.
+
+    The element (e_1, ..., e_r) is labelled "g" followed by its components
+    joined by "_", so no two elements share a label: "g3" in Z/4, "g1_11"
+    and "g11_1" in Z/12 x Z/12.  TorsorError messages separate labels
+    with ",".
+    """
     elements = g.elements()
-    carrier = tuple("g" + "".join(map(str, e)) for e in elements)
+    carrier = tuple("g" + "_".join(map(str, e)) for e in elements)
     # row x of shifts holds the indices of y - x, y in the order of elements()
     values = map(elements.__getitem__, chain.from_iterable(g.shifts))
     return DifferenceTable(g, carrier, dict(zip(product(carrier, repeat=2), values)))

@@ -642,6 +642,7 @@ def block_cylinder(cx: CWPairComplex) -> CWPairComplex:
         k: [1] * (2 * cx.cell_count(k)) + [int(cx.sub[k - 1][t]) for t in range(cx.cell_count(k - 1))]
         for k in range(dim + 1)
     }
+    dense = cx.boundary  # each read of cx.boundary builds a fresh copy
     boundary = {}
     for k in range(1, dim + 1):
         nk0, nk1, nk2 = cx.cell_count(k), cx.cell_count(k - 1), cx.cell_count(k - 2)
@@ -649,13 +650,13 @@ def block_cylinder(cx: CWPairComplex) -> CWPairComplex:
         sign = -1 if (k - 1) & 1 else 1
         for j in range(nk0):  # columns s x 0 and s x 1
             for i in range(nk1):
-                m[i][j] = m[nk1 + i][nk0 + j] = cx.boundary[k][i][j]
+                m[i][j] = m[nk1 + i][nk0 + j] = dense[k][i][j]
         for t in range(nk1):  # columns t x I
             col = 2 * nk0 + t
             m[t][col] = -sign
             m[nk1 + t][col] = sign
             for i in range(nk2):
-                m[2 * nk1 + i][col] = cx.boundary[k - 1][i][t]
+                m[2 * nk1 + i][col] = dense[k - 1][i][t]
         boundary[k] = m
     return CWPairComplex(cells, boundary, sub)
 

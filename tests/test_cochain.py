@@ -364,6 +364,63 @@ def test_pair_product_dimension_cap():
         product_with_interval(CWPairComplex([1] * 10))
 
 
+def test_columns_are_what_the_constructor_parses(random_pair_complex):
+    """Random pairs, their cylinders and products of two random pairs store
+    the row-sorted, zero-free columns the public constructor parses from
+    their dense ``boundary``; a complex with one entry changed is unequal."""
+    rng = random.Random(15)
+    changed = 0
+    for trial in range(150):
+        cx = random_pair_complex(rng, max_pieces=8, dim=4)
+        if trial % 3 == 1:
+            cx = product_with_interval(cx)
+        elif trial % 3 == 2:
+            cx = pair_product(cx, random_pair_complex(rng, max_pieces=4, dim=rng.randint(0, 4)))
+        parsed = CWPairComplex(cx.cells, cx.boundary, cx.sub)
+        assert parsed._columns == cx._columns and parsed == cx, cx.cells
+        degrees = [k for k in range(1, cx.dim + 1) if cx.cells[k] and cx.cells[k - 1]]
+        if not degrees:
+            continue
+        boundary = cx.boundary
+        k = rng.choice(degrees)
+        i, j = rng.randrange(cx.cells[k - 1]), rng.randrange(cx.cells[k])
+        boundary[k][i][j] += rng.choice([-2, -1, 1, 2])
+        try:
+            other = CWPairComplex(cx.cells, boundary, cx.sub)
+        except ComplexValidationError:
+            continue
+        assert other != cx and cx != other
+        changed += 1
+    assert changed >= 10, changed
+
+
+def test_products_are_validated(monkeypatch):
+    """A factor whose columns break dd = 0 gives a product the assembly step rejects."""
+    rp2 = CWPairComplex([1, 1, 1], boundary={1: [[0]], 2: [[2]]})
+    monkeypatch.setattr(rp2, "_columns", [[[]], [[(0, 1)]], [[(0, 2)]]])
+    with pytest.raises(ComplexValidationError, match="dd != 0 between degrees 2 and 1"):
+        pair_product(rp2, INTERVAL_PAIR)
+    with pytest.raises(ComplexValidationError, match="dd != 0 between degrees 2 and 1"):
+        pair_product(INTERVAL_PAIR, rp2)
+
+
+def test_boundary_is_a_view():
+    """Changing the matrix ``boundary`` returns leaves the complex as it was."""
+    cx = CWPairComplex([1, 1], {1: [[0]]})
+    dense = cx.boundary
+    dense[1][0][0] = 2
+    assert cx.boundary == {1: [[0]]}
+    assert str(relative_cohomology(cx, 1, Z_COEFF)) == "Z"
+    assert cx == CWPairComplex([1, 1], {1: [[0]]})
+    cyl = product_with_interval(cx)
+    dense = cyl.boundary
+    want = [[list(r) for r in m] for m in dense.values()]
+    dense[2][0][0] += 1
+    del dense[1]
+    assert list(cyl.boundary.values()) == want
+    assert cyl == block_cylinder(cx)
+
+
 def test_cross_product_identities(random_pair_complex):
     rng = random.Random(5)
     for _ in range(25):

@@ -317,3 +317,10 @@ def test_base_point_checks_match_all_points_oracles():
         verdicts[passed] += 1
         verdicts[not rejected] += 1
     assert min(verdicts.values()) >= 200, verdicts
+
+
+def test_regular_torsor_labels_are_distinct_for_two_digit_orders():
+    """(1, 11) and (11, 1) in Z/12 x Z/12 get different labels."""
+    d = regular_difference_table(FiniteAbelianGroup((12, 12)))
+    assert len(set(d.carrier)) == len(d.carrier) == 144
+    assert verify_difference_axioms(d) is None
