@@ -1,10 +1,14 @@
-"""Machine-checked verification suites behind the `verify` subcommand.
+"""Machine-checked verification checks behind the `verify` subcommand.
 
 Every check is exact: equality of rational matrices in the ``(d, rows)``
-form of ``exactlinalg``, of multivectors, or of integer ranks.  Randomized
-checks draw from a seeded generator, so a run is fully determined by
-(scope, seed).  Each check returns a short mathematical name plus PASS/FAIL
-and a one-line detail on failure.
+form of ``exactlinalg``, of multivectors, or of integer ranks.  The checks
+are module-level functions, each listed once in ``CHECKS`` as a
+``(scope, name, check)`` row; a scope runs its rows in table order, so
+adding a scope means adding rows.  A check names what it reads as its
+parameters: ``rng`` is a generator seeded with ``f"{seed}:{name}"``, so a
+check's draws depend only on the seed and its own name, and ``rep`` is the
+Cl(0,8) module, built once per run and only when a selected row reads it.
+A check returns None when it passes and a one-line detail when it fails.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ class CheckResult(Frozen):
         object.__setattr__(self, "detail", detail)
 
 
-def _run(name: str, fn: Callable[[], str | None]) -> CheckResult:
+def _run(name: str, check: Callable[..., str | None], **inputs) -> CheckResult:
     try:
-        detail = fn()
+        detail = check(**inputs)
     except Exception as exc:  # a crash is a failed check, not a crashed report
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, detail is None, detail or "")
@@ -87,385 +91,371 @@ def _random_multivector(n: int, rng: random.Random) -> Multivector:
 # ---------------------------------------------------------------------------
 # clifford scope
 
-def clifford_suite(seed: int = 0) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
+def generator_relations() -> str | None:
+    for n in range(1, 9):
+        for i in range(n):
+            for j in range(n):
+                a = Multivector.basis_vector(n, i)
+                b = Multivector.basis_vector(n, j)
+                want = Multivector.scalar(n, -2 if i == j else 0)
+                if a * b + b * a != want:
+                    return f"failed at n={n}, pair ({i},{j})"
+    return None
 
-    def generator_relations() -> str | None:
-        for n in range(1, 9):
-            for i in range(n):
-                for j in range(n):
-                    a = Multivector.basis_vector(n, i)
-                    b = Multivector.basis_vector(n, j)
-                    want = Multivector.scalar(n, -2 if i == j else 0)
-                    if a * b + b * a != want:
-                        return f"failed at n={n}, pair ({i},{j})"
-        return None
 
-    results.append(_run("generator relations e_i e_j + e_j e_i = -2 delta_ij, n = 1..8", generator_relations))
+def associativity(rng: random.Random) -> str | None:
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        a, b, c = (_random_multivector(n, rng) for _ in range(3))
+        if (a * b) * c != a * (b * c):
+            return f"failed in Cl(0,{n})"
+    return None
 
-    def associativity() -> str | None:
-        for _ in range(40):
-            n = rng.randint(2, 8)
-            a, b, c = (_random_multivector(n, rng) for _ in range(3))
-            if (a * b) * c != a * (b * c):
-                return f"failed in Cl(0,{n})"
-        return None
 
-    results.append(_run("geometric product associativity (40 random triples)", associativity))
+def involution_laws(rng: random.Random) -> str | None:
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        a, b = (_random_multivector(n, rng) for _ in range(2))
+        if (a * b).grade_involution() != a.grade_involution() * b.grade_involution():
+            return "grade involution is not multiplicative"
+        if (a * b).reverse() != b.reverse() * a.reverse():
+            return "reversal is not anti-multiplicative"
+    return None
 
-    def involution() -> str | None:
-        for _ in range(30):
-            n = rng.randint(2, 8)
-            a, b = (_random_multivector(n, rng) for _ in range(2))
-            if (a * b).grade_involution() != a.grade_involution() * b.grade_involution():
-                return "grade involution is not multiplicative"
-            if (a * b).reverse() != b.reverse() * a.reverse():
-                return "reversal is not anti-multiplicative"
-        return None
 
-    results.append(_run("grade involution / reversal (anti)automorphism laws", involution))
+def even_embedding(rng: random.Random) -> str | None:
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        a, b = (_random_multivector(n, rng) for _ in range(2))
+        image = p_iso(a * b)
+        if image != p_iso(a) * p_iso(b):
+            return "even-part embedding is not multiplicative"
+        if any(blade_grade(m) & 1 for m in image.terms):
+            return "image contains odd blades"
+    return None
 
-    def embedding() -> str | None:
-        for _ in range(30):
-            n = rng.randint(1, 7)
-            a, b = (_random_multivector(n, rng) for _ in range(2))
-            image = p_iso(a * b)
-            if image != p_iso(a) * p_iso(b):
-                return "even-part embedding is not multiplicative"
-            if any(blade_grade(m) & 1 for m in image.terms):
-                return "image contains odd blades"
-        return None
 
-    results.append(_run("even-part embedding is an algebra map with even image", embedding))
+def volume_element_laws() -> str | None:
+    w7, w8 = volume_element(7), volume_element(8)
+    if w7 * w7 != Multivector.scalar(7, 1) or w8 * w8 != Multivector.scalar(8, 1):
+        return "volume element square is not 1"
+    for i in range(7):
+        e = Multivector.basis_vector(7, i)
+        if w7 * e != e * w7:
+            return "omega7 is not central"
+    for mask in range(256):
+        blade = Multivector(8, {mask: 1})
+        sign = -1 if blade_grade(mask) & 1 else 1
+        if w8 * blade != blade * w8 * sign:
+            return f"omega8 parity rule fails on blade {mask:#x}"
+    return None
 
-    def volumes() -> str | None:
-        w7, w8 = volume_element(7), volume_element(8)
-        if w7 * w7 != Multivector.scalar(7, 1) or w8 * w8 != Multivector.scalar(8, 1):
-            return "volume element square is not 1"
-        for i in range(7):
-            e = Multivector.basis_vector(7, i)
-            if w7 * e != e * w7:
-                return "omega7 is not central"
-        for mask in range(256):
-            blade = Multivector(8, {mask: 1})
-            sign = -1 if blade_grade(mask) & 1 else 1
-            if w8 * blade != blade * w8 * sign:
-                return f"omega8 parity rule fails on blade {mask:#x}"
-        return None
 
-    results.append(_run("volume elements: squares, centrality, parity commutation", volumes))
-
-    def projectors() -> str | None:
-        plus, minus = chiral_projectors()
-        one = Multivector.scalar(7, 1)
-        zero = Multivector(7, {})
-        if plus * plus != plus or minus * minus != minus:
-            return "projectors are not idempotent"
-        if plus * minus != zero or plus + minus != one:
-            return "projectors are not complementary"
-        return None
-
-    results.append(_run("chiral projectors: idempotent, orthogonal, complete", projectors))
-    return results
+def projector_laws() -> str | None:
+    plus, minus = chiral_projectors()
+    one = Multivector.scalar(7, 1)
+    zero = Multivector(7, {})
+    if plus * plus != plus or minus * minus != minus:
+        return "projectors are not idempotent"
+    if plus * minus != zero or plus + minus != one:
+        return "projectors are not complementary"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # spin scope
 
-def spin_suite(seed: int = 0) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
+def cover_homomorphism(rng: random.Random) -> str | None:
+    for _ in range(10):
+        n = rng.choice([3, 5, 7, 8])
+        z1 = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
+        z2 = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
+        lhs = adjoint_action(z1 * z2).entries
+        (d1, r1), (d2, r2) = adjoint_action(z1).entries, adjoint_action(z2).entries
+        if lhs != la.exact(d1 * d2, la.mat_mul(r1, r2)):
+            return f"failed in Spin({n})"
+    return None
 
-    def cover_homomorphism() -> str | None:
-        for _ in range(10):
-            n = rng.choice([3, 5, 7, 8])
-            z1 = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
-            z2 = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
-            lhs = adjoint_action(z1 * z2).entries
-            (d1, r1), (d2, r2) = adjoint_action(z1).entries, adjoint_action(z2).entries
-            if lhs != la.exact(d1 * d2, la.mat_mul(r1, r2)):
-                return f"failed in Spin({n})"
-        return None
 
-    results.append(_run("conjugation cover is a homomorphism (10 random pairs)", cover_homomorphism))
+def cover_kernel(rng: random.Random) -> str | None:
+    for n in (3, 7, 8):
+        ident = (1, la.identity(n))
+        for sign in (1, -1):
+            z = SpinElement(Multivector.scalar(n, sign))
+            if adjoint_action(z).entries != ident:
+                return f"+-1 not in the kernel for n={n}"
+        z = random_spin(n, 1, rng.randrange(10**6))
+        if z.value not in (Multivector.scalar(n, 1), Multivector.scalar(n, -1)):
+            if adjoint_action(z).entries == ident:
+                return f"non-central element acts trivially in Spin({n})"
+    return None
 
-    def kernel() -> str | None:
-        for n in (3, 7, 8):
-            ident = (1, la.identity(n))
-            for sign in (1, -1):
-                z = SpinElement(Multivector.scalar(n, sign))
-                if adjoint_action(z).entries != ident:
-                    return f"+-1 not in the kernel for n={n}"
-            z = random_spin(n, 1, rng.randrange(10**6))
-            if z.value not in (Multivector.scalar(n, 1), Multivector.scalar(n, -1)):
-                if adjoint_action(z).entries == ident:
-                    return f"non-central element acts trivially in Spin({n})"
-        return None
 
-    results.append(_run("kernel of the cover is exactly {+1, -1} (sampled)", kernel))
+def lift_section(rng: random.Random) -> str | None:
+    for _ in range(6):
+        n = rng.choice([3, 7, 8])
+        z = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
+        rot = adjoint_action(z)
+        lifted = lift_rotation(rot)
+        if adjoint_action(lifted).entries != rot.entries:
+            return f"lift does not invert the cover in Spin({n})"
+        if lifted.value not in (z.value, (-z).value):
+            return "lift is not the original element up to sign"
+    return None
 
-    def lift_section() -> str | None:
-        for _ in range(6):
-            n = rng.choice([3, 7, 8])
-            z = random_spin(n, rng.randint(1, 2), rng.randrange(10**6))
-            rot = adjoint_action(z)
-            lifted = lift_rotation(rot)
-            if adjoint_action(lifted).entries != rot.entries:
-                return f"lift does not invert the cover in Spin({n})"
-            if lifted.value not in (z.value, (-z).value):
-                return "lift is not the original element up to sign"
-        return None
 
-    results.append(_run("constructive lift inverts the cover (6 random rotations)", lift_section))
+def double_reflection(rng: random.Random) -> str | None:
+    for _ in range(10):
+        n = rng.choice([3, 7, 8])
+        v = rational_unit_vector(n, rng)
+        w = rational_unit_vector(n, rng)
+        x = rational_unit_vector(n, rng)
+        composed = reflect(w, reflect(v, x))
+        z = w * v
+        conj = z * x * z.reverse()
+        if composed != conj:
+            return "double reflection disagrees with conjugation"
+        inner = (reflect(v, x) * reflect(v, x)).scalar_part()
+        if inner != (x * x).scalar_part():
+            return "reflection does not preserve lengths"
+    return None
 
-    def reflections() -> str | None:
-        for _ in range(10):
-            n = rng.choice([3, 7, 8])
-            v = rational_unit_vector(n, rng)
-            w = rational_unit_vector(n, rng)
-            x = rational_unit_vector(n, rng)
-            composed = reflect(w, reflect(v, x))
-            z = w * v
-            conj = z * x * z.reverse()
-            if composed != conj:
-                return "double reflection disagrees with conjugation"
-            inner = (reflect(v, x) * reflect(v, x)).scalar_part()
-            if inner != (x * x).scalar_part():
-                return "reflection does not preserve lengths"
-        return None
 
-    results.append(_run("double reflection equals conjugation by the factor product", reflections))
+def bivector_lift(rng: random.Random) -> str | None:
+    for _ in range(8):
+        n = rng.choice([4, 7, 8])
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                entries[i][j] = rng.randint(-5, 5)
+                entries[j][i] = -entries[i][j]
+        a = SkewMatrix((1, entries))
+        if ad_differential(lie_lift(a)).entries != a.entries:
+            return f"skew lift fails for n={n}"
+    return None
 
-    def skew_section() -> str | None:
-        for _ in range(8):
-            n = rng.choice([4, 7, 8])
-            entries = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i):
-                    entries[i][j] = rng.randint(-5, 5)
-                    entries[j][i] = -entries[i][j]
-            a = SkewMatrix((1, entries))
-            if ad_differential(lie_lift(a)).entries != a.entries:
-                return f"skew lift fails for n={n}"
-        return None
 
-    results.append(_run("bivector lift is a section of the cover differential", skew_section))
-
-    def determinism() -> str | None:
-        for n, k, s in ((7, 2, 5), (8, 3, 17)):
-            z1, z2 = random_spin(n, k, s), random_spin(n, k, s)
-            if z1.value != z2.value:
-                return "equal seeds gave different elements"
-            norm = z1.value * z1.value.reverse()
-            if norm != Multivector.scalar(n, 1):
-                return "seeded element is not unit-norm"
-        return None
-
-    results.append(_run("seeded spin elements: deterministic, unit norm", determinism))
-    return results
+def seeded_determinism() -> str | None:
+    for n, k, s in ((7, 2, 5), (8, 3, 17)):
+        z1, z2 = random_spin(n, k, s), random_spin(n, k, s)
+        if z1.value != z2.value:
+            return "equal seeds gave different elements"
+        norm = z1.value * z1.value.reverse()
+        if norm != Multivector.scalar(n, 1):
+            return "seeded element is not unit-norm"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # reps scope
+#
+# The module checks read the signed permutations the actions use:
+# M e_j = s_j e_p(j), and a half's basis spinor j is s_j e_rows(j).
 
-def reps_suite(seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
-    rep = rep if rep is not None else build_cl8_rep()
+def gamma_anticommutators(rep: GammaRep) -> str | None:
+    failure = generator_relation_failure(rep.gamma)
+    return None if failure is None else f"pair ({failure[0]},{failure[1]})"
+
+
+def gamma_orthogonal_skew(rep: GammaRep) -> str | None:
+    # orthogonal: p permutes 0..15 and every s_j = +-1;
+    # skew: M[j][p(j)] = -s_j, that is p(p(j)) = j and s_p(j) = -s_j
+    for i, (perm, sign) in enumerate(rep.gamma):
+        if sorted(perm) != list(range(16)) or any(s * s != 1 for s in sign):
+            return f"gamma_{i} is not orthogonal"
+        if any(perm[perm[j]] != j or sign[perm[j]] != -sign[j] for j in range(16)):
+            return f"gamma_{i} is not skew"
+    return None
+
+
+def monomial_span(rep: GammaRep) -> str | None:
+    r = monomial_span_rank(rep)
+    return None if r == 256 else f"rank {r} != 256"
+
+
+def volume_eigensplit(rep: GammaRep) -> str | None:
+    omega = rep.monomials[255]
+    if sp_compose(omega, omega) != sp_identity(16):
+        return "volume action does not square to 1"
+    perm, sign = omega
+    for chirality, s in (("+", 1), ("-", -1)):
+        rows, signs = rep.halves[chirality]
+        if any(perm[r] != r or sign[r] != s for r in rows):
+            return "claimed eigenbasis is not an eigenbasis"
+        if len(rows) != 8 or len(set(rows)) != 8 or any(x * x != 1 for x in signs):
+            return "eigenbasis is not orthonormal"
+    return None
+
+
+def chiral_swap(rep: GammaRep, rng: random.Random) -> str | None:
+    # d c(v) on a half's rows, as integer columns; the halves' signs are
+    # +-1 (eigensplit), so they change neither a zero entry nor |column|
+    plus, minus = rep.halves["+"][0], rep.halves["-"][0]
+    outside_minus = [r for r in range(16) if r not in minus]
+    outside_plus = [r for r in range(16) if r not in plus]
+    for _ in range(25):
+        v = rational_unit_vector(8, rng)
+        d, cols = action_columns(rep, v, plus)
+        if any(col[r] for col in cols for r in outside_minus):
+            return "unit vector does not map S+ into S-"
+        for a, ca in enumerate(cols):
+            for b in range(a, len(cols)):
+                if sum(x * y for x, y in zip(ca, cols[b])) != (d * d if a == b else 0):
+                    return "unit vector action is not an isometry"
+        _, cols = action_columns(rep, v, minus)
+        if any(col[r] for col in cols for r in outside_plus):
+            return "unit vector does not map S- into S+"
+    return None
+
+
+def volume_signs(rep: GammaRep) -> str | None:
     ident8 = (1, la.identity(8))
+    if chiral_action_matrix(rep, volume_element(8), "+") != ident8:
+        return "volume element does not act as +1 on the positive half"
+    if chiral_action_matrix(rep, volume_element(8), "-") != _negated(ident8):
+        return "volume element does not act as -1 on the negative half"
+    return None
 
-    # The module checks read the signed permutations the actions use:
-    # M e_j = s_j e_p(j), and a half's basis spinor j is s_j e_rows(j).
-    def anticommutators() -> str | None:
-        failure = generator_relation_failure(rep.gamma)
-        return None if failure is None else f"pair ({failure[0]},{failure[1]})"
 
-    results.append(_run("gamma anticommutators realize the generator relations", anticommutators))
+def minus_one_lift(rep: GammaRep) -> str | None:
+    minus_one = SpinElement(Multivector.scalar(7, -1))
+    if iota_plus(rep, minus_one).value != volume_element(8):
+        return "spinor-type lift of -1 is not the volume element"
+    if iota_vector(minus_one).value != Multivector.scalar(8, -1):
+        return "vector-type embedding of -1 is not -1"
+    return None
 
-    def orthogonal_skew() -> str | None:
-        # orthogonal: p permutes 0..15 and every s_j = +-1;
-        # skew: M[j][p(j)] = -s_j, that is p(p(j)) = j and s_p(j) = -s_j
-        for i, (perm, sign) in enumerate(rep.gamma):
-            if sorted(perm) != list(range(16)) or any(s * s != 1 for s in sign):
-                return f"gamma_{i} is not orthogonal"
-            if any(perm[perm[j]] != j or sign[perm[j]] != -sign[j] for j in range(16)):
-                return f"gamma_{i} is not skew"
-        return None
 
-    results.append(_run("gamma matrices are orthogonal and skew-symmetric", orthogonal_skew))
+def spinor_lift_identity(rep: GammaRep, rng: random.Random) -> str | None:
+    for x in spin7_lie_basis():
+        if ad_differential(d_iota_plus(rep, x)).entries != delta7(rep, x):
+            return "Lie-algebra level identity fails"
+    for _ in range(10):
+        z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
+        if adjoint_action(iota_plus(rep, z)).entries != delta7(rep, z.value):
+            return "group level identity fails"
+    return None
 
-    def span() -> str | None:
-        r = monomial_span_rank(rep)
-        return None if r == 256 else f"rank {r} != 256"
 
-    results.append(_run("256 monomial matrices span a 256-dimensional space", span))
+def fixed_line(rep: GammaRep) -> str | None:
+    # certifies the model's psi and the orientation of S8+ (reversed, it is 0)
+    basis = common_fixed_space(rep, spin7_lie_basis())
+    if len(basis) != 1:
+        return f"fixed space has dimension {len(basis)}"
+    if basis != [rep.fixed_spinor[1]]:
+        return "fixed line is not spanned by the model's fixed spinor"
+    return None
 
-    def eigensplit() -> str | None:
-        omega = rep.monomials[255]
-        if sp_compose(omega, omega) != sp_identity(16):
-            return "volume action does not square to 1"
-        perm, sign = omega
-        for chirality, s in (("+", 1), ("-", -1)):
-            rows, signs = rep.halves[chirality]
-            if any(perm[r] != r or sign[r] != s for r in rows):
-                return "claimed eigenbasis is not an eigenbasis"
-            if len(rows) != 8 or len(set(rows)) != 8 or any(x * x != 1 for x in signs):
-                return "eigenbasis is not orthonormal"
-        return None
 
-    results.append(_run("volume action splits R^16 into orthonormal 8+8 eigenspaces", eigensplit))
+def stabilizer_21(rep: GammaRep, rng: random.Random) -> str | None:
+    dim = stabilizer_dimension(rep, rep.fixed_spinor)
+    if dim != 21:
+        return f"stabilizer dimension {dim} != 21"
+    for _ in range(3):
+        if stabilizer_dimension(rep, rational_unit_tuple(8, rng)) != 21:
+            return "random unit spinor has a different stabilizer dimension"
+    return None
 
-    def swap_isometry() -> str | None:
-        # d c(v) on a half's rows, as integer columns; the halves' signs are
-        # +-1 (eigensplit), so they change neither a zero entry nor |column|
-        plus, minus = rep.halves["+"][0], rep.halves["-"][0]
-        outside_minus = [r for r in range(16) if r not in minus]
-        outside_plus = [r for r in range(16) if r not in plus]
-        for _ in range(25):
-            v = rational_unit_vector(8, rng)
-            d, cols = action_columns(rep, v, plus)
-            if any(col[r] for col in cols for r in outside_minus):
-                return "unit vector does not map S+ into S-"
-            for a, ca in enumerate(cols):
-                for b in range(a, len(cols)):
-                    if sum(x * y for x, y in zip(ca, cols[b])) != (d * d if a == b else 0):
-                        return "unit vector action is not an isometry"
-            _, cols = action_columns(rep, v, minus)
-            if any(col[r] for col in cols for r in outside_plus):
-                return "unit vector does not map S- into S+"
-        return None
 
-    results.append(_run("25 random unit vectors swap the chiral halves isometrically", swap_isometry))
+def g2_intersection(rep: GammaRep) -> str | None:
+    basis = g2_intersection_basis(rep)
+    if len(basis) != 14:
+        return f"intersection dimension {len(basis)} != 14"
+    psi = rep.fixed_spinor
+    for z in basis:
+        if any(spinor_image(rep, z, psi)[1]):
+            return "intersection element moves the fixed spinor"
+        if any(row[0] for row in ad_differential(z).entries[1]):
+            return "intersection element moves e0 infinitesimally"
+    return None
 
-    def omega_signs() -> str | None:
-        if chiral_action_matrix(rep, volume_element(8), "+") != ident8:
-            return "volume element does not act as +1 on the positive half"
-        if chiral_action_matrix(rep, volume_element(8), "-") != _negated(ident8):
-            return "volume element does not act as -1 on the negative half"
-        return None
 
-    results.append(_run("volume element acts as +1 on S+ and -1 on S-", omega_signs))
+def sphere_transitivity(rep: GammaRep, rng: random.Random) -> str | None:
+    algebra = [embed_spin7(x) for x in spin7_lie_basis()]
+    for _ in range(10):
+        dim = stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra)
+        if dim != 14:
+            return f"chiral so(7) stabilizer has dimension {dim} != 14"
+    return None
 
-    def minus_one_lift() -> str | None:
-        minus_one = SpinElement(Multivector.scalar(7, -1))
-        if iota_plus(rep, minus_one).value != volume_element(8):
-            return "spinor-type lift of -1 is not the volume element"
-        if iota_vector(minus_one).value != Multivector.scalar(8, -1):
-            return "vector-type embedding of -1 is not -1"
-        return None
 
-    results.append(_run("spinor lift sends -1 to omega8; blade embedding keeps -1", minus_one_lift))
-
-    def lift_identity() -> str | None:
-        for x in spin7_lie_basis():
-            if ad_differential(d_iota_plus(rep, x)).entries != delta7(rep, x):
-                return "Lie-algebra level identity fails"
-        for _ in range(10):
-            z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-            if adjoint_action(iota_plus(rep, z)).entries != delta7(rep, z.value):
-                return "group level identity fails"
-        return None
-
-    results.append(
-        _run("conjugation of the spinor lift equals the spin rep (21 basis + 10 group)", lift_identity)
+def embeddings_differ(rep: GammaRep, rng: random.Random) -> str | None:
+    z = random_spin(7, 2, rng.randrange(10**6))
+    d, r_vec = adjoint_action(iota_vector(z)).entries
+    if tuple(row[0] for row in r_vec) != (d,) + (0,) * 7:
+        return "vector-type embedding does not fix e0"
+    d, r_spin = adjoint_action(iota_plus(rep, z)).entries
+    fixed = la.kernel_basis(
+        [[x - d if i == j else x for j, x in enumerate(row)] for i, row in enumerate(r_spin)]
     )
-
-    def fixed_line() -> str | None:
-        # certifies the model's psi and the orientation of S8+ (reversed, it is 0)
-        basis = common_fixed_space(rep, spin7_lie_basis())
-        if len(basis) != 1:
-            return f"fixed space has dimension {len(basis)}"
-        if basis != [rep.fixed_spinor[1]]:
-            return "fixed line is not spanned by the model's fixed spinor"
-        return None
-
-    results.append(_run("joint fixed space of the spinor-type so(7) copy is a line", fixed_line))
-
-    def stabilizer_21() -> str | None:
-        dim = stabilizer_dimension(rep, rep.fixed_spinor)
-        if dim != 21:
-            return f"stabilizer dimension {dim} != 21"
-        for _ in range(3):
-            if stabilizer_dimension(rep, rational_unit_tuple(8, rng)) != 21:
-                return "random unit spinor has a different stabilizer dimension"
-        return None
-
-    results.append(_run("so(8)-stabilizer of unit spinors has dimension 21 (orbit rank 7)", stabilizer_21))
-
-    def g2_dim() -> str | None:
-        basis = g2_intersection_basis(rep)
-        if len(basis) != 14:
-            return f"intersection dimension {len(basis)} != 14"
-        psi = rep.fixed_spinor
-        for z in basis:
-            if any(spinor_image(rep, z, psi)[1]):
-                return "intersection element moves the fixed spinor"
-            if any(row[0] for row in ad_differential(z).entries[1]):
-                return "intersection element moves e0 infinitesimally"
-        return None
-
-    results.append(
-        _run("the two so(7) copies intersect in dimension 14, fixing spinor and vector", g2_dim)
-    )
-
-    def sphere_transitivity() -> str | None:
-        algebra = [embed_spin7(x) for x in spin7_lie_basis()]
-        for _ in range(10):
-            dim = stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra)
-            if dim != 14:
-                return f"chiral so(7) stabilizer has dimension {dim} != 14"
-        return None
-
-    results.append(
-        _run("chiral so(7) stabilizer of 10 random unit spinors is 14-dim (orbit rank 7)", sphere_transitivity)
-    )
-
-    def embeddings_differ() -> str | None:
-        z = random_spin(7, 2, rng.randrange(10**6))
-        d, r_vec = adjoint_action(iota_vector(z)).entries
-        if tuple(row[0] for row in r_vec) != (d,) + (0,) * 7:
-            return "vector-type embedding does not fix e0"
-        d, r_spin = adjoint_action(iota_plus(rep, z)).entries
-        fixed = la.kernel_basis(
-            [[x - d if i == j else x for j, x in enumerate(row)] for i, row in enumerate(r_spin)]
-        )
-        if len(fixed) != 0:
-            return "spinor-type rotation of a generic element has a fixed vector"
-        return None
-
-    results.append(_run("the two embeddings differ: only the vector copy fixes e0", embeddings_differ))
-
-    def sigma_factors() -> str | None:
-        for _ in range(5):
-            z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-            lift, lift_of_minus = iota_plus(rep, z).value, iota_plus(rep, -z).value
-            if chiral_action_matrix(rep, lift, "+") != chiral_action_matrix(rep, lift_of_minus, "+"):
-                return "chiral rep of the lift does not factor through the rotation group"
-            if delta7(rep, -z.value) != _negated(delta7(rep, z.value)):
-                return "spin rep is not odd under negation"
-        return None
-
-    results.append(
-        _run("chiral rep of the lift factors through rotations; spin rep is odd", sigma_factors)
-    )
-    return results
+    if len(fixed) != 0:
+        return "spinor-type rotation of a generic element has a fixed vector"
+    return None
 
 
-SCOPES = ("clifford", "spin", "reps")
+def sigma_factors(rep: GammaRep, rng: random.Random) -> str | None:
+    for _ in range(5):
+        z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
+        lift, lift_of_minus = iota_plus(rep, z).value, iota_plus(rep, -z).value
+        if chiral_action_matrix(rep, lift, "+") != chiral_action_matrix(rep, lift_of_minus, "+"):
+            return "chiral rep of the lift does not factor through the rotation group"
+        if delta7(rep, -z.value) != _negated(delta7(rep, z.value)):
+            return "spin rep is not odd under negation"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the table: the names key the seeds, so each is listed once
+
+CHECKS = (
+    ("clifford", "generator relations e_i e_j + e_j e_i = -2 delta_ij, n = 1..8", generator_relations),
+    ("clifford", "geometric product associativity (40 random triples)", associativity),
+    ("clifford", "grade involution / reversal (anti)automorphism laws", involution_laws),
+    ("clifford", "even-part embedding is an algebra map with even image", even_embedding),
+    ("clifford", "volume elements: squares, centrality, parity commutation", volume_element_laws),
+    ("clifford", "chiral projectors: idempotent, orthogonal, complete", projector_laws),
+    ("spin", "conjugation cover is a homomorphism (10 random pairs)", cover_homomorphism),
+    ("spin", "kernel of the cover is exactly {+1, -1} (sampled)", cover_kernel),
+    ("spin", "constructive lift inverts the cover (6 random rotations)", lift_section),
+    ("spin", "double reflection equals conjugation by the factor product", double_reflection),
+    ("spin", "bivector lift is a section of the cover differential", bivector_lift),
+    ("spin", "seeded spin elements: deterministic, unit norm", seeded_determinism),
+    ("reps", "gamma anticommutators realize the generator relations", gamma_anticommutators),
+    ("reps", "gamma matrices are orthogonal and skew-symmetric", gamma_orthogonal_skew),
+    ("reps", "256 monomial matrices span a 256-dimensional space", monomial_span),
+    ("reps", "volume action splits R^16 into orthonormal 8+8 eigenspaces", volume_eigensplit),
+    ("reps", "25 random unit vectors swap the chiral halves isometrically", chiral_swap),
+    ("reps", "volume element acts as +1 on S+ and -1 on S-", volume_signs),
+    ("reps", "spinor lift sends -1 to omega8; blade embedding keeps -1", minus_one_lift),
+    ("reps", "conjugation of the spinor lift equals the spin rep (21 basis + 10 group)",
+     spinor_lift_identity),
+    ("reps", "joint fixed space of the spinor-type so(7) copy is a line", fixed_line),
+    ("reps", "so(8)-stabilizer of unit spinors has dimension 21 (orbit rank 7)", stabilizer_21),
+    ("reps", "the two so(7) copies intersect in dimension 14, fixing spinor and vector",
+     g2_intersection),
+    ("reps", "chiral so(7) stabilizer of 10 random unit spinors is 14-dim (orbit rank 7)",
+     sphere_transitivity),
+    ("reps", "the two embeddings differ: only the vector copy fixes e0", embeddings_differ),
+    ("reps", "chiral rep of the lift factors through rotations; spin rep is odd", sigma_factors),
+)
+
+SCOPES = tuple(dict.fromkeys(scope for scope, _, _ in CHECKS))
 
 
 def run_suites(scope: str, seed: int = 0, rep: GammaRep | None = None) -> list[CheckResult]:
-    """Run one named suite, or all of them in order."""
-    if scope == "clifford":
-        return clifford_suite(seed)
-    if scope == "spin":
-        return spin_suite(seed)
-    if scope == "reps":
-        return reps_suite(seed, rep=rep)
-    if scope == "all":
-        out: list[CheckResult] = []
-        for s in SCOPES:
-            out.extend(run_suites(s, seed, rep=rep))
-        return out
-    raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES + ('all',)}")
+    """Run the rows of one scope, or of every scope ("all"), in table order."""
+    if scope not in SCOPES + ("all",):
+        raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES + ('all',)}")
+    results = []
+    for row_scope, name, check in CHECKS:
+        if scope not in (row_scope, "all"):
+            continue
+        params = check.__code__.co_varnames[: check.__code__.co_argcount]
+        inputs = {}
+        if "rep" in params:
+            rep = rep if rep is not None else build_cl8_rep()
+            inputs["rep"] = rep
+        if "rng" in params:
+            inputs["rng"] = random.Random(f"{seed}:{name}")
+        results.append(_run(name, check, **inputs))
+    return results

@@ -434,11 +434,14 @@ def dense_eigensplit_failure(rep):
     return None
 
 
+SWAP_CHECK = "25 random unit vectors swap the chiral halves isometrically"
+
+
 def dense_swap_failure(rep, seed=0):
-    """The reps check "25 random unit vectors swap the chiral halves
-    isometrically" on dense Fraction matrices, drawing the vectors as
-    reps_suite(seed) does: its oracle."""
-    rng = random.Random(seed)
+    """The reps check SWAP_CHECK on dense Fraction matrices, drawing the
+    vectors from that check's own generator, seeded "{seed}:{name}": its
+    oracle."""
+    rng = random.Random(f"{seed}:{SWAP_CHECK}")
     plus, minus = dense_signed_perm(rep.halves["+"]), dense_signed_perm(rep.halves["-"])
     for _ in range(25):
         m = fraction_clifford_action(rep, rational_unit_vector(8, rng))

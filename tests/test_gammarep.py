@@ -10,6 +10,7 @@ import spinkit.cli as cli
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
 from conftest import (
+    SWAP_CHECK,
     chiral_matrix_stabilizer_dimension,
     dense_chiral_action,
     dense_eigensplit_failure,
@@ -51,7 +52,7 @@ from spinkit.spingroup import (
     rational_unit_tuple,
     rational_unit_vector,
 )
-from spinkit.verify import reps_suite
+from spinkit.verify import CHECKS, run_suites
 
 I8 = la.identity(8)
 I16 = la.identity(16)
@@ -102,7 +103,7 @@ def test_anticommutator_check_names_the_first_failing_pair():
     want = first_failing_anticommutator([dense_signed_perm(g) for g in damaged.gamma])
     assert want is not None
     name = "gamma anticommutators realize the generator relations"
-    (result,) = [x for x in reps_suite(0, damaged) if x.name == name]
+    (result,) = [x for x in run_suites("reps", 0, damaged) if x.name == name]
     assert (result.passed, result.detail) == (False, want)
 
 
@@ -148,7 +149,6 @@ def _damage(rep, case):
 
 _ORTHOGONAL_SKEW = "gamma matrices are orthogonal and skew-symmetric"
 _EIGENSPLIT = "volume action splits R^16 into orthonormal 8+8 eigenspaces"
-_SWAP = "25 random unit vectors swap the chiral halves isometrically"
 
 
 @pytest.mark.parametrize(
@@ -166,13 +166,13 @@ _SWAP = "25 random unit vectors swap the chiral halves isometrically"
          "claimed eigenbasis is not an eigenbasis"),
         ("repeat a row of S+", _EIGENSPLIT, dense_eigensplit_failure,
          "eigenbasis is not orthonormal"),
-        ("c(e2) is the even c(e0 e1)", _SWAP, dense_swap_failure,
+        ("c(e2) is the even c(e0 e1)", SWAP_CHECK, dense_swap_failure,
          "unit vector does not map S+ into S-"),
         # c(v) is then c(v + v_2 e2): orthogonal columns of the wrong length
-        ("double c(e2)", _SWAP, dense_swap_failure, "unit vector action is not an isometry"),
-        ("send two S+ columns of c(e2) to one row", _SWAP, dense_swap_failure,
+        ("double c(e2)", SWAP_CHECK, dense_swap_failure, "unit vector action is not an isometry"),
+        ("send two S+ columns of c(e2) to one row", SWAP_CHECK, dense_swap_failure,
          "unit vector action is not an isometry"),
-        ("keep an S- column of c(e2) in S-", _SWAP, dense_swap_failure,
+        ("keep an S- column of c(e2) in S-", SWAP_CHECK, dense_swap_failure,
          "unit vector does not map S- into S+"),
     ],
 )
@@ -181,7 +181,7 @@ def test_module_check_names_the_damage(case, name, oracle, detail):
     detail that its dense Fraction oracle reports on the same damage."""
     damaged = build_cl8_rep()
     _damage(damaged, case)
-    (result,) = [x for x in reps_suite(0, damaged) if x.name == name]
+    (result,) = [x for x in run_suites("reps", 0, damaged) if x.name == name]
     assert (result.passed, result.detail) == (False, detail) == (False, oracle(damaged))
 
 
@@ -199,7 +199,7 @@ def test_reversed_orientation_fails_the_fixed_line():
     damaged = build_cl8_rep()
     rows, signs = damaged.halves["+"]
     damaged.halves["+"] = rows, (1,) + signs[1:]
-    results = reps_suite(0, damaged)
+    results = run_suites("reps", 0, damaged)
     assert all(x.passed for x in results[:6])
     failed = {x.name: x.detail for x in results if not x.passed}
     assert failed == {
@@ -216,7 +216,7 @@ def test_wrong_fixed_spinor_fails_the_fixed_line():
     another basis spinor spans no fixed line of the spinor-type so(7) copy."""
     damaged = build_cl8_rep()
     damaged.fixed_spinor = 1, (0, 1) + (0,) * 6
-    (result,) = [x for x in reps_suite(0, damaged) if x.name == _FIXED_LINE]
+    (result,) = [x for x in run_suites("reps", 0, damaged) if x.name == _FIXED_LINE]
     assert (result.passed, result.detail) == (
         False, "fixed line is not spanned by the model's fixed spinor"
     )
@@ -232,7 +232,7 @@ def test_reps_verdict_builds_no_16_wide_matrix(rep, monkeypatch):
         return real_mat_mul(a, b)
 
     monkeypatch.setattr(la, "mat_mul", spy)
-    assert all(x.passed for x in reps_suite(0, rep))
+    assert all(x.passed for x in run_suites("reps", 0, rep))
     assert shapes and not [s for s in shapes if 16 in s]
 
 
@@ -325,8 +325,10 @@ def test_reordered_fano_line_is_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(gammarep, "_FANO_LINES", tuple(lines))
     assert cli.main(["verify", "all", "--seed", "42"]) == 1
     checks = capsys.readouterr().out.splitlines()[1:-1]
-    assert len(checks) == 26
-    assert all(line.endswith("  PASS") for line in checks[:12])
+    assert len(checks) == len(CHECKS)
+    for (scope, name, _), line in zip(CHECKS, checks):
+        assert line.startswith(name)
+        assert scope == "reps" or line.endswith("  PASS")
     (anticommutators,) = [x for x in checks if x.startswith("gamma anticommutators")]
     assert anticommutators.endswith("  FAIL  [pair (1,3)]")
 
@@ -357,7 +359,7 @@ def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
     the so(8) basis: the monomial span is ranked group by group."""
     sizes, real_rank = [], la.rank
     monkeypatch.setattr(la, "rank", lambda m: sizes.append(len(m)) or real_rank(m))
-    assert all(x.passed for x in reps_suite(0, rep))
+    assert all(x.passed for x in run_suites("reps", 0, rep))
     assert sizes and max(sizes) <= 28
 
 

@@ -1,0 +1,58 @@
+"""The verify check table: each check's draws depend only on the seed and
+the check's name, and the Cl(0,8) module is built only for rows that read it."""
+
+import pytest
+
+from spinkit import verify
+from spinkit.multivector import Multivector
+from spinkit.spingroup import SpinElement
+
+LIFT = "constructive lift inverts the cover (6 random rotations)"
+
+
+def _row(name):
+    (row,) = [r for r in verify.CHECKS if r[1] == name]
+    return row
+
+
+def test_check_names_are_unique():
+    """The names key the checks' seeds, so no two rows may share one."""
+    names = [name for _, name, _ in verify.CHECKS]
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_a_check_draws_the_same_alone_and_in_all(seed, rep, monkeypatch):
+    """A planted lift that returns 1 fails the lift check on its first drawn
+    rotation: that rotation and the detail, which names the drawn n, are the
+    same when the check runs alone as after the checks before it in "all"."""
+    seen = []
+
+    def lift_to_one(rot):
+        seen.append(rot.entries)
+        return SpinElement(Multivector.scalar(len(rot.entries[1]), 1))
+
+    monkeypatch.setattr(verify, "lift_rotation", lift_to_one)
+    failed = {r.name: r.detail for r in verify.run_suites("all", seed, rep) if not r.passed}
+    in_all = seen.copy()
+    seen.clear()
+    monkeypatch.setattr(verify, "CHECKS", (_row(LIFT),))
+    (alone,) = verify.run_suites("spin", seed)
+    assert failed == {LIFT: alone.detail}
+    assert alone.detail.startswith("lift does not invert the cover in Spin(")
+    assert seen == in_all and len(seen) == 1
+
+
+def test_the_module_is_built_once_and_only_for_rows_that_read_it(monkeypatch):
+    builds, real_build = [], verify.build_cl8_rep
+    monkeypatch.setattr(verify, "build_cl8_rep", lambda: builds.append(1) or real_build())
+    rows = [_row(name) for name in (
+        "gamma anticommutators realize the generator relations",
+        LIFT,
+        "volume element acts as +1 on S+ and -1 on S-",
+    )]
+    monkeypatch.setattr(verify, "CHECKS", tuple(rows))
+    assert [r.passed for r in verify.run_suites("spin", 3)] == [True]
+    assert builds == []
+    assert [r.passed for r in verify.run_suites("all", 3)] == [True] * 3
+    assert builds == [1]
