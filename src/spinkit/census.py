@@ -81,9 +81,6 @@ class ManifoldCharData(Frozen):
         object.__setattr__(self, "simply_connected", simply_connected)
         object.__setattr__(self, "has_boundary", has_boundary)
         object.__setattr__(self, "spin", spin)
-        self.__post_init__()
-
-    def __post_init__(self):
         if not isinstance(self.name, str):
             raise CensusDataError(f"{self.name!r}: name must be a string")
         for key in ("p1_sq", "p2", "euler", "h7_rel_rank", "h8_z2_dim", "components"):

@@ -15,7 +15,9 @@ row-sorted; the dd = 0 and closed-Y checks, :func:`pair_product`,
 them.  The public constructor parses dense matrices (the file form) into
 columns, :func:`pair_product` builds its columns directly, and both pass
 through one assembly step that checks the dimension cap and validates.
-``boundary`` is a dense view, rebuilt from the columns on each read.
+``boundary``, ``cells`` and ``sub`` are views: each read builds fresh lists
+from the stored columns, cell-count tuple and flag tuples, so changing them
+leaves the pair as it was.
 Each pair also keeps the one cylinder X x I that
 :func:`product_with_interval` builds and validates for it, and the one
 Smith diagonal of each coboundary delta_k that :func:`relative_cohomology`
@@ -46,14 +48,11 @@ class CoefficientGroup(Frozen):
     _fields = __slots__ = ("modulus",)
 
     def __init__(self, modulus: int):
-        object.__setattr__(self, "modulus", modulus)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if type(self.modulus) is not int:
-            raise TypeError(f"modulus must be an integer, not {self.modulus!r}")
-        if self.modulus < 0:
+        if type(modulus) is not int:
+            raise TypeError(f"modulus must be an integer, not {modulus!r}")
+        if modulus < 0:
             raise ValueError("modulus must be >= 0 (0 meaning Z)")
+        object.__setattr__(self, "modulus", modulus)
 
     def reduce(self, x: int) -> int:
         return x % self.modulus if self.modulus else x
@@ -71,7 +70,7 @@ class CWPairComplex:
     ``cells[k]`` counts the k-cells; ``sub[k][i]`` marks cell i of
     dimension k as belonging to the subcomplex Y.  The constructor takes
     ``boundary[k]``, the cells[k-1] x cells[k] incidence matrix of d_k, in
-    dense form.
+    dense form.  All three read back as fresh views (module docstring).
     """
 
     def __init__(
@@ -85,8 +84,6 @@ class CWPairComplex:
             type(c) is int and c >= 0 for c in cells
         ):
             raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
-        if not isinstance(name, str):
-            raise ComplexValidationError("the complex name must be a string")
         dim = len(cells) - 1
         all_columns: list[list[list[tuple[int, int]]]] = [[[] for _ in range(cells[0] if cells else 0)]]
         boundary = boundary or {}
@@ -118,7 +115,7 @@ class CWPairComplex:
             if not all(isinstance(x, int) and x in (0, 1) for x in given):
                 raise ComplexValidationError(f"sub flags in degree {k} must be 0, 1, true or false")
             flags[k] = [bool(x) for x in given]
-        self._assemble(list(cells), all_columns, flags, name)
+        self._assemble(cells, all_columns, flags, name)
 
     def _assemble(
         self, cells: list[int], columns: list[list[list[tuple[int, int]]]], sub: dict[int, list[bool]], name: str
@@ -132,11 +129,10 @@ class CWPairComplex:
             raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
         if not isinstance(name, str):
             raise ComplexValidationError("the complex name must be a string")
-        self.cells = cells
-        self.dim = len(cells) - 1
+        self._cells = tuple(cells)
         self.name = name
         self._columns = columns
-        self.sub = sub
+        self._sub = {k: tuple(flags) for k, flags in sub.items()}
         self._validate()
         self._cylinder: CWPairComplex | None = None
         self._diagonals: dict[int, list[int]] = {}
@@ -154,21 +150,29 @@ class CWPairComplex:
                 if any(acc.values()):
                     raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
         for k in range(1, self.dim + 1):
-            below = self.sub[k - 1]
-            for col, in_y in zip(self._columns[k], self.sub[k]):
+            below = self._sub[k - 1]
+            for col, in_y in zip(self._columns[k], self._sub[k]):
                 if in_y and not all(below[i] for i, _ in col):
                     raise ComplexValidationError("subcomplex is not closed under the boundary")
 
     @property
-    def boundary(self) -> dict[int, list[list[int]]]:
-        """d_k for k = 1..dim as dense cells[k-1] x cells[k] matrices.
+    def dim(self) -> int:
+        return len(self._cells) - 1
 
-        Each read builds a fresh dict from the stored columns, so changing
-        the result leaves the complex as it was.
-        """
+    @property
+    def cells(self) -> list[int]:
+        return list(self._cells)
+
+    @property
+    def sub(self) -> dict[int, list[bool]]:
+        return {k: list(flags) for k, flags in self._sub.items()}
+
+    @property
+    def boundary(self) -> dict[int, list[list[int]]]:
+        """d_k for k = 1..dim as dense cells[k-1] x cells[k] matrices, a fresh dict on each read."""
         out = {}
         for k in range(1, self.dim + 1):
-            matrix = [[0] * self.cells[k] for _ in range(self.cells[k - 1])]
+            matrix = [[0] * self._cells[k] for _ in range(self._cells[k - 1])]
             for j, col in enumerate(self._columns[k]):
                 for i, x in col:
                     matrix[i][j] = x
@@ -179,18 +183,16 @@ class CWPairComplex:
         # equal matrices have equal columns, since columns are row-sorted and hold no zeros
         return (
             isinstance(other, CWPairComplex)
-            and self.cells == other.cells
+            and self._cells == other._cells
             and self._columns == other._columns
-            and self.sub == other.sub
+            and self._sub == other._sub
         )
 
     def cell_count(self, k: int) -> int:
-        return self.cells[k] if 0 <= k <= self.dim else 0
+        return self._cells[k] if 0 <= k < len(self._cells) else 0
 
     def relative_indices(self, k: int) -> list[int]:
-        if not 0 <= k <= self.dim:
-            return []
-        return [i for i in range(self.cells[k]) if not self.sub[k][i]]
+        return [i for i, in_y in enumerate(self._sub.get(k, ())) if not in_y]
 
     def relative_coboundary_matrix(self, k: int) -> list[list[int]]:
         """delta: C^k(X,Y) -> C^(k+1)(X,Y), the restricted transpose of d_(k+1)."""
@@ -219,35 +221,27 @@ class Cochain(Frozen):
     def __init__(
         self, complex: CWPairComplex, degree: int, coefficients: CoefficientGroup, values: tuple[int, ...]
     ):
+        if not isinstance(complex, CWPairComplex):
+            raise TypeError(f"cochain complex must be a CWPairComplex, not {complex!r}")
+        if type(degree) is not int:
+            raise TypeError(f"cochain degree must be an integer, not {degree!r}")
+        if not isinstance(coefficients, CoefficientGroup):
+            raise TypeError(f"cochain coefficients must be a CoefficientGroup, not {coefficients!r}")
+        if not 0 <= degree <= complex.dim:
+            raise DimensionMismatchError(f"degree {degree} out of range for a {complex.dim}-complex")
+        expected = complex.cell_count(degree)
+        if len(values) != expected:
+            raise DimensionMismatchError(f"expected {expected} values in degree {degree}, got {len(values)}")
+        for v in values:
+            if type(v) is not int:
+                raise TypeError(f"cochain values must be integers, not {v!r}")
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "values", values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.complex, CWPairComplex):
-            raise TypeError(f"cochain complex must be a CWPairComplex, not {self.complex!r}")
-        if type(self.degree) is not int:
-            raise TypeError(f"cochain degree must be an integer, not {self.degree!r}")
-        if not isinstance(self.coefficients, CoefficientGroup):
-            raise TypeError(f"cochain coefficients must be a CoefficientGroup, not {self.coefficients!r}")
-        if not 0 <= self.degree <= self.complex.dim:
-            raise DimensionMismatchError(
-                f"degree {self.degree} out of range for a {self.complex.dim}-complex"
-            )
-        expected = self.complex.cell_count(self.degree)
-        if len(self.values) != expected:
-            raise DimensionMismatchError(
-                f"expected {expected} values in degree {self.degree}, got {len(self.values)}"
-            )
-        for v in self.values:
-            if type(v) is not int:
-                raise TypeError(f"cochain values must be integers, not {v!r}")
-        object.__setattr__(self, "values", tuple(map(self.coefficients.reduce, self.values)))
+        object.__setattr__(self, "values", tuple(map(coefficients.reduce, values)))
 
     def is_relative(self) -> bool:
-        flags = self.complex.sub[self.degree]
+        flags = self.complex._sub[self.degree]
         return all(v == 0 for v, f in zip(self.values, flags) if f)
 
 
@@ -306,7 +300,7 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
     every product is validated.
     """
     dim = p.dim + q.dim
-    blocks = [(j, b) for j in range(q.dim + 1) for b in range(q.cells[j])]
+    blocks = [(j, b) for j, count in enumerate(q._cells) for b in range(count)]
     cells, starts = [], []  # starts[k][j, b]: index of the first k-cell a x b
     for k in range(dim + 1):
         sizes = [p.cell_count(k - j) for j, _ in blocks]
@@ -323,7 +317,7 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
             n = p.cell_count(i)
             if not n:
                 continue
-            flags += [True] * n if q.sub[j][b] else p.sub[i]
+            flags += [True] * n if q._sub[j][b] else p._sub[i]
             if not k:
                 columns_k += [[] for _ in range(n)]
                 continue
@@ -379,7 +373,7 @@ def difference_cochain(o_hat: Cochain, o0: Cochain, o1: Cochain) -> Cochain:
     if o_hat.values[:n] != o0.values or o_hat.values[n : 2 * n] != o1.values:
         raise ResidueError("inputs leave a residue on the end blocks of the cylinder")
     interval_values = o_hat.values[2 * n :]
-    sub_flags = base.sub[m - 1]
+    sub_flags = base._sub[m - 1]
     if any(v for v, f in zip(interval_values, sub_flags) if f):
         raise ResidueError("inputs leave a residue over the subcomplex")
     return Cochain(base, m - 1, o0.coefficients, interval_values)

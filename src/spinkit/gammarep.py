@@ -305,7 +305,8 @@ def bivector_coordinates(a: Multivector) -> tuple[int, tuple[int, ...]]:
     ``(d, numerators)`` over the common denominator of its coefficients."""
     if a.n != 8 or a.grades() not in ({2}, set()):
         raise ValueError("expected a bivector in Cl(0,8)")
-    return a.d, tuple(a.terms.get(mask, 0) for mask in _BIVECTOR_MASKS)
+    terms = a.terms  # one read-only view for all 28 lookups
+    return a.d, tuple(terms.get(mask, 0) for mask in _BIVECTOR_MASKS)
 
 
 def d_iota_plus(rep: GammaRep, x: Multivector) -> Multivector:

@@ -6,11 +6,11 @@ Conventions used throughout the package:
   (negative-definite convention: ``v*w + w*v = -2<v,w>``);
 * a basis blade is encoded as an n-bit mask, bit i meaning "contains e_i",
   and blades are kept in canonical ascending-index order;
-* a multivector has the one exact form of ``exactlinalg``: nonzero integer
-  numerators ``terms`` (blade -> int) over one positive denominator ``d``,
-  in lowest terms (gcd of d and every numerator 1), and absent blades are
-  zero, so every identity below is checked with ``==``, never with a
-  tolerance;
+* a multivector has the one exact form of ``exactlinalg``, fixed once
+  built: nonzero integer numerators ``terms`` (a read-only blade -> int
+  mapping) over one positive denominator ``d``, in lowest terms (gcd of d
+  and every numerator 1), and absent blades are zero, so every identity
+  below is checked with ``==``, never with a tolerance;
 * a product multiplies the numerators blade by blade over the product of
   the two denominators and divides out one gcd.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
@@ -52,7 +53,7 @@ class Multivector:
     """Element of Cl(0,n): blade -> nonzero int numerator ``terms`` over the
     positive denominator ``d``, in lowest terms."""
 
-    __slots__ = ("n", "d", "terms")
+    __slots__ = ("_n", "_d", "_terms")
 
     def __init__(self, n: int, terms: Mapping[int, Scalar] | None = None):
         if type(n) is not int:
@@ -66,9 +67,21 @@ class Multivector:
             if not 0 <= mask < (1 << n):
                 raise ValueError(f"blade mask {mask:#x} uses generators beyond n={n}")
         d, (numerators,) = exact(1, [terms.values()])
-        self.n = n
-        self.d = d
-        self.terms = {m: c for m, c in zip(terms, numerators) if c}
+        self._n = n
+        self._d = d
+        self._terms = {m: c for m, c in zip(terms, numerators) if c}
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def d(self) -> int:
+        return self._d
+
+    @property
+    def terms(self) -> Mapping[int, int]:
+        return MappingProxyType(self._terms)
 
     @classmethod
     def _over(cls, n: int, d: int, numerators: Mapping[int, int]) -> "Multivector":
@@ -78,9 +91,9 @@ class Multivector:
         terms = {m: c for m, c in numerators.items() if c}
         g = gcd(d, *terms.values())
         out = object.__new__(cls)
-        out.n = n
-        out.d = d // g
-        out.terms = {m: c // g for m, c in terms.items()} if g > 1 else terms
+        out._n = n
+        out._d = d // g
+        out._terms = {m: c // g for m, c in terms.items()} if g > 1 else terms
         return out
 
     # -- constructors ------------------------------------------------------
@@ -111,37 +124,37 @@ class Multivector:
     def _check_same_algebra(self, other: "Multivector") -> None:
         if not isinstance(other, Multivector):
             raise TypeError(f"operand must be a Multivector, not {type(other).__name__}")
-        if self.n != other.n:
-            raise DimensionMismatchError(f"mixing Cl(0,{self.n}) with Cl(0,{other.n})")
+        if self._n != other._n:
+            raise DimensionMismatchError(f"mixing Cl(0,{self._n}) with Cl(0,{other._n})")
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check_same_algebra(other)
-        d = lcm(self.d, other.d)
-        fa, fb = d // self.d, d // other.d
-        terms = {m: c * fa for m, c in self.terms.items()}
-        for m, c in other.terms.items():
+        d = lcm(self._d, other._d)
+        fa, fb = d // self._d, d // other._d
+        terms = {m: c * fa for m, c in self._terms.items()}
+        for m, c in other._terms.items():
             terms[m] = terms.get(m, 0) + c * fb
-        return Multivector._over(self.n, d, terms)
+        return Multivector._over(self._n, d, terms)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check_same_algebra(other)
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector._over(self.n, self.d, {m: -c for m, c in self.terms.items()})
+        return Multivector._over(self._n, self._d, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: Union["Multivector", Scalar]) -> "Multivector":
         t = type(other)
         if t is int or t is Fraction:
             p = other.numerator
             return Multivector._over(
-                self.n, self.d * other.denominator, {m: c * p for m, c in self.terms.items()}
+                self._n, self._d * other.denominator, {m: c * p for m, c in self._terms.items()}
             )
         if not isinstance(other, Multivector):
             raise TypeError(f"multiplier must be a Multivector, int or Fraction, not {t.__name__}")
         self._check_same_algebra(other)
         return Multivector._over(
-            self.n, self.d * other.d, integer_product(self.terms.items(), other.terms.items())
+            self._n, self._d * other._d, integer_product(self._terms.items(), other._terms.items())
         )
 
     def __rmul__(self, other: Scalar) -> "Multivector":
@@ -150,45 +163,45 @@ class Multivector:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Multivector)
-            and self.n == other.n
-            and self.d == other.d
-            and self.terms == other.terms
+            and self._n == other._n
+            and self._d == other._d
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.d, frozenset(self.terms.items())))
+        return hash((self._n, self._d, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"Multivector({self.n}, 0)"
+        if not self._terms:
+            return f"Multivector({self._n}, 0)"
         parts = []
-        for mask in sorted(self.terms):
-            c = Fraction(self.terms[mask], self.d)
-            name = "1" if mask == 0 else "".join(f"e{i}" for i in range(self.n) if mask >> i & 1)
+        for mask in sorted(self._terms):
+            c = Fraction(self._terms[mask], self._d)
+            name = "1" if mask == 0 else "".join(f"e{i}" for i in range(self._n) if mask >> i & 1)
             parts.append(f"{c}*{name}" if mask else f"{c}")
-        return f"Multivector({self.n}, {' + '.join(parts)})"
+        return f"Multivector({self._n}, {' + '.join(parts)})"
 
     # -- structure maps ----------------------------------------------------
 
     def grades(self) -> set[int]:
-        return {blade_grade(m) for m in self.terms}
+        return {blade_grade(m) for m in self._terms}
 
     def scalar_part(self) -> Fraction:
-        return Fraction(self.terms.get(0, 0), self.d)
+        return Fraction(self._terms.get(0, 0), self._d)
 
     def grade_involution(self) -> "Multivector":
         """Blade of grade k scaled by (-1)^k; splits Cl into even/odd parts."""
         return Multivector._over(
-            self.n, self.d, {m: -c if blade_grade(m) & 1 else c for m, c in self.terms.items()}
+            self._n, self._d, {m: -c if blade_grade(m) & 1 else c for m, c in self._terms.items()}
         )
 
     def reverse(self) -> "Multivector":
         """Anti-automorphism scaling a grade-k blade by (-1)^(k(k-1)/2)."""
         terms = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             k = blade_grade(m)
             terms[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector._over(self.n, self.d, terms)
+        return Multivector._over(self._n, self._d, terms)
 
 
 def integer_product(a: Iterable[tuple[int, int]], b: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -221,10 +234,10 @@ def p_iso(a: Multivector) -> Multivector:
     e0^k = (-1)^floor(k/2) e0^(k mod 2); the exponent k(k-1)/2 + floor(k/2)
     is even for every k (check k mod 4), so the sign is always +1.
     """
-    if a.n >= MAX_GENERATORS:
+    if a._n >= MAX_GENERATORS:
         raise UnsupportedDimensionError(f"cannot extend past {MAX_GENERATORS} generators")
     return Multivector._over(
-        a.n + 1, a.d, {(mask << 1) | (mask.bit_count() & 1): c for mask, c in a.terms.items()}
+        a._n + 1, a._d, {(mask << 1) | (mask.bit_count() & 1): c for mask, c in a._terms.items()}
     )
 
 

@@ -94,27 +94,23 @@ class AbelianGroup(Frozen):
     _fields = __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        self.__post_init__()
-
-    def __post_init__(self):
-        for x in (self.free_rank, *self.torsion):
+        for x in (free_rank, *torsion):
             if type(x) is not int:
                 raise TypeError(f"group invariants must be int, not {x!r}")
-        if self.free_rank < 0 or any(t < 1 for t in self.torsion):
+        if free_rank < 0 or any(t < 1 for t in torsion):
             raise ValueError("free rank must be nonnegative and torsion orders positive")
-        tors = tuple(t for t in self.torsion if t != 1)
+        tors = tuple(t for t in torsion if t != 1)
         for a, b in zip(tors, tors[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tors)
 
     @classmethod
     def from_orders(cls, orders: list[int]) -> "AbelianGroup":
         """Build from arbitrary cyclic orders (0 meaning Z), normalizing."""
         free = sum(1 for d in orders if d == 0)
-        # the chain may start with 1s, which __post_init__ drops
+        # the chain may start with 1s, which __init__ drops
         return cls(free, tuple(_divisibility_chain([d for d in orders if d > 1])))
 
     def __str__(self) -> str:

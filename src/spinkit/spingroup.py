@@ -84,20 +84,30 @@ def _require(value, cls: type, what: str) -> None:
         raise TypeError(f"{what} {value!r} must be a {cls.__name__}, not {type(value).__name__}")
 
 
-class RotationMatrix(Frozen):
-    """Element of SO(n), given as ``(d, rows)`` with int or Fraction entries
-    and held as ``exactlinalg.exact`` reduces it.  The checks run on the
-    integers: rows^T rows = d^2 I and det(rows) = d^n."""
+class _Matrix(Frozen):
+    """A square matrix ``entries``, held as ``exactlinalg.exact`` reduces it
+    and checked by the subclass's ``__post_init__``."""
 
     _fields = __slots__ = ("entries",)
 
     def __init__(self, entries: la.Exact):
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", la.exact(*entries))
         self.__post_init__()
 
+    @property
+    def n(self) -> int:
+        return len(self.entries[1])
+
+
+class RotationMatrix(_Matrix):
+    """Element of SO(n), given as ``(d, rows)`` with int or Fraction entries
+    and held as ``exactlinalg.exact`` reduces it.  The checks run on the
+    integers: rows^T rows = d^2 I and det(rows) = d^n."""
+
+    __slots__ = ()
+
     def __post_init__(self):
-        d, a = la.exact(*self.entries)
-        object.__setattr__(self, "entries", (d, a))
+        d, a = self.entries
         if not a:
             raise ValueError("rotation matrix must be at least 1x1")
         d2_identity = tuple(tuple(d * d * x for x in row) for row in la.identity(len(a)))
@@ -106,73 +116,65 @@ class RotationMatrix(Frozen):
         if la.det(a) != d ** len(a):
             raise ValueError("matrix has determinant != +1")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries[1])
 
-
-class SkewMatrix(Frozen):
+class SkewMatrix(_Matrix):
     """Skew-symmetric matrix (an element of so(n)), given and held like
     :class:`RotationMatrix`."""
 
-    _fields = __slots__ = ("entries",)
-
-    def __init__(self, entries: la.Exact):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
+    __slots__ = ()
 
     def __post_init__(self):
-        d, a = la.exact(*self.entries)
-        object.__setattr__(self, "entries", (d, a))
+        a = self.entries[1]
         if la.transpose(a) != tuple(tuple(-x for x in row) for row in a):
             raise ValueError("matrix is not skew-symmetric")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries[1])
-
 
 class SpinElement:
-    """Point of Spin(n): an even multivector of unit norm, certified on construction."""
+    """Point of Spin(n): an even multivector of unit norm, certified on
+    construction and compared by identity; ``value`` is read-only."""
 
-    __slots__ = ("value", "_columns")
+    __slots__ = ("_value", "_columns")
 
     def __init__(self, value: Multivector):
         _require(value, Multivector, "spin element value")
-        self.value = value
+        self._value = value
         self._validate()
 
     @classmethod
     def _of(cls, value: Multivector, columns: tuple[int, la.Rows] | None) -> "SpinElement":
         """A product or negative of spin elements, unchecked (module docstring)."""
         out = object.__new__(cls)
-        out.value = value
+        out._value = value
         out._columns = columns
         return out
 
+    @property
+    def value(self) -> Multivector:
+        return self._value
+
     def _validate(self) -> None:
-        if any(blade_grade(m) & 1 for m in self.value.terms):
+        if any(blade_grade(m) & 1 for m in self._value.terms):
             raise InvalidSpinElementError("spin element must be even")
         # sum c_S^2, the scalar part of zeta * reverse(zeta), on the numerators
-        if sum(c * c for c in self.value.terms.values()) != self.value.d ** 2:
+        if sum(c * c for c in self._value.terms.values()) != self._value.d ** 2:
             raise InvalidSpinElementError(_NORM_MESSAGE)
         # the grade-1 certificate proves zeta * reverse(zeta) = 1 (module
         # docstring); on failure the dense product picks the message
         try:
-            self._columns = _conjugated_basis(self.value)
+            self._columns = _conjugated_basis(self._value)
         except InvalidSpinElementError:
-            if self.value * self.value.reverse() != Multivector.scalar(self.value.n, 1):
+            if self._value * self._value.reverse() != Multivector.scalar(self._value.n, 1):
                 raise InvalidSpinElementError(_NORM_MESSAGE) from None
             raise
 
     def __mul__(self, other: "SpinElement") -> "SpinElement":
-        return SpinElement._of(self.value * other.value, None)
+        return SpinElement._of(self._value * other._value, None)
 
     def __neg__(self) -> "SpinElement":
-        return SpinElement._of(-self.value, self._columns)  # Ad(-zeta) = Ad(zeta)
+        return SpinElement._of(-self._value, self._columns)  # Ad(-zeta) = Ad(zeta)
 
     def __repr__(self) -> str:
-        return f"SpinElement({self.value!r})"
+        return f"SpinElement({self._value!r})"
 
 
 def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
@@ -226,7 +228,7 @@ def adjoint_action(zeta: SpinElement) -> RotationMatrix:
     """The rotation x -> zeta x zeta^{-1} of R^n (the two-to-one cover map)."""
     _require(zeta, SpinElement, "spin element")
     if zeta._columns is None:
-        zeta._columns = _conjugated_basis(zeta.value)
+        zeta._columns = _conjugated_basis(zeta._value)
     dd, cols = zeta._columns
     return RotationMatrix((dd, la.transpose(cols)))
 

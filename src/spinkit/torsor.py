@@ -62,16 +62,13 @@ class FiniteAbelianGroup(Frozen):
     __slots__ = ("orders", "__dict__")  # __dict__ holds the cached shifts
 
     def __init__(self, orders: tuple[int, ...]):
-        object.__setattr__(self, "orders", orders)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(self.orders))
-        for m in self.orders:
+        orders = tuple(orders)
+        for m in orders:
             if type(m) is not int:
                 raise TypeError(f"cyclic orders must be integers, not {m!r}")
-        if any(m < 1 for m in self.orders):
+        if any(m < 1 for m in orders):
             raise ValueError("cyclic orders must be positive")
+        object.__setattr__(self, "orders", orders)
 
     def order(self) -> int:
         out = 1

@@ -617,12 +617,13 @@ def make_consistent_difference_inputs(base: CWPairComplex, degree: int, rng: ran
     m = degree
     values = [rng.randint(-5, 5) for _ in range(prod.cell_count(m - 1))]
     nb = base.cell_count(m - 1)
+    flags = base.sub  # each read of base.sub builds a fresh copy
     for s in range(nb):
-        if base.sub[m - 1][s]:
+        if flags[m - 1][s]:
             values[s] = 0
             values[nb + s] = 0
     for t in range(base.cell_count(m - 2)):
-        if base.sub[m - 2][t]:
+        if flags[m - 2][t]:
             values[2 * nb + t] = 0
     b = Cochain(prod, m - 1, coeff, tuple(values))
     o_hat = coboundary(b)
@@ -641,10 +642,8 @@ def block_cylinder(cx: CWPairComplex) -> CWPairComplex:
     """
     dim = cx.dim + 1
     cells = [2 * cx.cell_count(k) + cx.cell_count(k - 1) for k in range(dim + 1)]
-    sub = {
-        k: [1] * (2 * cx.cell_count(k)) + [int(cx.sub[k - 1][t]) for t in range(cx.cell_count(k - 1))]
-        for k in range(dim + 1)
-    }
+    flags = cx.sub  # each read of cx.sub builds a fresh copy
+    sub = {k: [1] * (2 * cx.cell_count(k)) + [int(f) for f in flags.get(k - 1, [])] for k in range(dim + 1)}
     dense = cx.boundary  # each read of cx.boundary builds a fresh copy
     boundary = {}
     for k in range(1, dim + 1):

@@ -231,7 +231,7 @@ def test_relative_coboundary_stays_relative(random_pair_complex):
     for _ in range(30):
         cx = random_pair_complex(rng)
         k = rng.randint(0, cx.dim - 1)
-        values = [0 if cx.sub[k][i] else rng.randint(-4, 4) for i in range(cx.cell_count(k))]
+        values = [0 if in_y else rng.randint(-4, 4) for in_y in cx.sub[k]]
         c = Cochain(cx, k, Z_COEFF, tuple(values))
         assert c.is_relative()
         assert coboundary(c).is_relative()
@@ -405,7 +405,7 @@ def test_products_are_validated(monkeypatch):
 
 
 def test_boundary_is_a_view():
-    """Changing the matrix ``boundary`` returns leaves the complex as it was."""
+    """Changing what ``boundary``, ``cells`` or ``sub`` returns leaves the complex as it was."""
     cx = CWPairComplex([1, 1], {1: [[0]]})
     dense = cx.boundary
     dense[1][0][0] = 2
@@ -419,6 +419,13 @@ def test_boundary_is_a_view():
     del dense[1]
     assert list(cyl.boundary.values()) == want
     assert cyl == block_cylinder(cx)
+    # flagging the interval's 1-cell would leave Y not closed, and H^0 would read Z^2
+    interval = CWPairComplex([2, 1], {1: [[-1], [1]]})
+    interval.sub[1][0] = True
+    interval.cells[0] = 5
+    assert interval == CWPairComplex([2, 1], {1: [[-1], [1]]})
+    assert interval.sub == {0: [False, False], 1: [False]} and interval.cells == [2, 1]
+    assert str(relative_cohomology(interval, 0, Z_COEFF)) == "Z"
 
 
 def test_cross_product_identities(random_pair_complex):
@@ -463,8 +470,7 @@ def test_difference_cochain_cocycle_case(random_pair_complex, consistent_differe
         m = rng.randint(2, cx.dim - 1)
         # a relative cocycle supported on the interval block: z x I for a
         # relative cocycle z on the base
-        nz = cx.cell_count(m - 1)
-        values = [0 if cx.sub[m - 1][i] else rng.randint(-3, 3) for i in range(nz)]
+        values = [0 if in_y else rng.randint(-3, 3) for in_y in cx.sub[m - 1]]
         z = Cochain(cx, m - 1, Z_COEFF, tuple(values))
         if any(coboundary(z).values):
             continue

@@ -6,8 +6,9 @@ import pytest
 
 from spinkit.census import CensusReport, ManifoldCharData
 from spinkit.cwcomplex import CWPairComplex, Cochain, CoefficientGroup
+from spinkit.multivector import Multivector
 from spinkit.snf import AbelianGroup
-from spinkit.spingroup import RotationMatrix, SkewMatrix
+from spinkit.spingroup import RotationMatrix, SkewMatrix, adjoint_action, random_spin
 from spinkit.torsor import ActionTable, DifferenceTable, FiniteAbelianGroup
 from spinkit.verify import CheckResult
 
@@ -44,6 +45,54 @@ def test_value_classes_are_frozen_records(build):
     with pytest.raises(AttributeError, match=f"cannot delete field '{cls._fields[0]}'"):
         delattr(value, cls._fields[0])
     assert value == build()
+
+
+def _interval():
+    return CWPairComplex([2, 1], {1: [[-1], [1]]})
+
+
+def _half_e0():
+    return Multivector(3, {1: Fraction(1, 2)})
+
+
+# certified values that are not Frozen records, each with a field it shows read-only
+READ_ONLY = [
+    pytest.param(lambda: random_spin(4, 1, 3), "value", id="SpinElement.value"),
+    pytest.param(_half_e0, "n", id="Multivector.n"),
+    pytest.param(_half_e0, "d", id="Multivector.d"),
+    pytest.param(_half_e0, "terms", id="Multivector.terms"),
+    pytest.param(_interval, "cells", id="CWPairComplex.cells"),
+    pytest.param(_interval, "sub", id="CWPairComplex.sub"),
+    pytest.param(_interval, "dim", id="CWPairComplex.dim"),
+    pytest.param(_interval, "boundary", id="CWPairComplex.boundary"),
+]
+
+
+@pytest.mark.parametrize("build, name", READ_ONLY)
+def test_certified_fields_refuse_assignment(build, name):
+    value = build()
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, {})
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == before
+
+
+def test_multivector_terms_are_a_read_only_mapping():
+    """A spin element's numerators cannot be changed in place, so its
+    certified norm and cached rotation stay true of it."""
+    z = random_spin(4, 1, 3)
+    rotation = adjoint_action(z)
+    terms = z.value.terms
+    mask = min(terms)
+    with pytest.raises(TypeError):
+        terms[mask] = 2 * terms[mask]
+    with pytest.raises(TypeError):
+        del terms[mask]
+    assert terms == z.value.terms and len(terms) > 1
+    assert z.value * z.value.reverse() == Multivector.scalar(4, 1)
+    assert adjoint_action(z) == rotation
 
 
 def test_table_equality_leaves_the_table_out():
