@@ -1,8 +1,8 @@
 """The base of the package's immutable value classes.
 
 A value class names its fields in ``_fields``, in declaration order, and
-lists them in ``__slots__``.  Its ``__init__`` validates and stores each
-field with ``object.__setattr__``.  Instances compare and hash by
+lists them in ``__slots__``.  Its one ``__init__`` validates and stores
+each field with ``object.__setattr__``.  Instances compare and hash by
 ``_key()``, the tuple of their fields, print as ``Name(field=value, ...)``
 and refuse assignment and deletion.
 
