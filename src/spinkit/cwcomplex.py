@@ -17,7 +17,7 @@ columns, :func:`pair_product` builds its columns directly, and both pass
 through one assembly step that checks the dimension cap and validates.
 ``boundary``, ``cells`` and ``sub`` are views: each read builds fresh lists
 from the stored columns, cell-count tuple and flag tuples, so changing them
-leaves the pair as it was.
+leaves the pair as it was; ``name`` is read-only.
 Each pair also keeps the one cylinder X x I that
 :func:`product_with_interval` builds and validates for it, and the one
 Smith diagonal of each coboundary delta_k that :func:`relative_cohomology`
@@ -130,7 +130,7 @@ class CWPairComplex:
         if not isinstance(name, str):
             raise ComplexValidationError("the complex name must be a string")
         self._cells = tuple(cells)
-        self.name = name
+        self._name = name
         self._columns = columns
         self._sub = {k: tuple(flags) for k, flags in sub.items()}
         self._validate()
@@ -154,6 +154,10 @@ class CWPairComplex:
             for col, in_y in zip(self._columns[k], self._sub[k]):
                 if in_y and not all(below[i] for i, _ in col):
                     raise ComplexValidationError("subcomplex is not closed under the boundary")
+
+    @property
+    def name(self) -> str:
+        return self._name
 
     @property
     def dim(self) -> int:
@@ -328,7 +332,7 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
                 columns_k.append([(row0 + a, y) for row0, y in db] + [(down + r, x) for r, x in da])
         columns.append(columns_k)
         sub[k] = flags
-    name = f"{p.name} x {q.name}" if name is None else name
+    name = f"{p._name} x {q._name}" if name is None else name
     return CWPairComplex.__new__(CWPairComplex)._assemble(cells, columns, sub, name)
 
 
@@ -345,7 +349,7 @@ def product_with_interval(cx: CWPairComplex) -> CWPairComplex:
     validated on the first call; later calls return the same object.
     """
     if cx._cylinder is None:
-        cx._cylinder = pair_product(cx, INTERVAL_PAIR, name=f"{cx.name} x I" if cx.name else "cylinder")
+        cx._cylinder = pair_product(cx, INTERVAL_PAIR, name=f"{cx._name} x I" if cx._name else "cylinder")
     return cx._cylinder
 
 

@@ -29,7 +29,7 @@ The actions and the ``verify reps`` checks read these same permutations.
 Where a check needs c(a) on one positive spinor psi rather than the whole
 8x8 block, ``spinor_image`` sums the ``action_columns`` columns at the rows
 psi reaches, weighted by psi's signed entries: the stabilizer dimensions,
-the g2 check and the choice of sign in ``iota_plus`` read it.  The span of
+the g2 check and the fixed-spinor check in ``iota_plus`` read it.  The span of
 the monomials is ranked block by block: a flattened c(e_A) is nonzero only
 at the positions (perm[j], j), and rank over Q adds up over groups of rows
 whose column supports are disjoint.
@@ -38,13 +38,13 @@ Conjugation (Ad) and the chiral restriction of c give the two
 non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
 blade-wise inclusion that stabilizes the vector e0, ``iota_plus`` the lift
 of the 8-dimensional spin representation that stabilizes a positive unit
-spinor.
+spinor, read off c of the lift as traces against the monomials.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import mul
+from operator import getitem, mul
 from typing import Iterable
 
 from . import exactlinalg as la
@@ -53,6 +53,7 @@ from .errors import (
     DimensionMismatchError,
     EmbeddingDomainError,
     InternalCheckError,
+    InvalidSpinElementError,
 )
 from .multivector import Multivector, blade_grade, p_iso
 from .spingroup import (
@@ -61,7 +62,6 @@ from .spingroup import (
     SpinElement,
     _require,
     lie_lift,
-    lift_rotation,
 )
 
 # Fano-plane triples (a, b, c): cyclically e_a e_b = e_c.  The (i, i+1, i+3)
@@ -268,25 +268,60 @@ def iota_vector(zeta: SpinElement) -> SpinElement:
     return SpinElement(embed_spin7(zeta.value))
 
 
-def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
-    """The lift of delta7 through the conjugation cover of SO(8).
+_EVEN_MASKS = tuple(m for m in range(256) if not blade_grade(m) & 1)
+_MOVES_PSI = "candidate lift moves the fixed spinor line"
 
-    Among the two preimages of the rotation delta7(zeta) the one acting
-    trivially on the fixed spinor psi is returned; this choice makes the
-    map a homomorphism and sends -1 to the volume element omega8.  The
-    test c(eta) psi = +-psi reads ``spinor_image``: exact pairs are in lowest
-    terms, so equal values are equal pairs.
+
+def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
+    """The lift of R = delta7(zeta) through the conjugation cover of SO(8)
+    that fixes psi: a homomorphism that sends -1 to omega8.
+
+    If c(eta) psi = psi, then c(eta) c(x) psi = c(Ad(eta) x) psi for all x,
+    so with R = (d, r) c(eta) sends c(e_i) psi to sum_a r[a][i] c(e_a) psi / d
+    on S8- and c(e_0) c(e_i) psi to sum_{a,b} r[a][0] r[b][i] c(e_a) c(e_b) psi
+    / d^2 on S8+, all signed basis vectors of R^16 read off ``monomials``.
+    The monomials are trace-orthogonal, tr(c(e_A)^T c(e_B)) = 16 delta_AB,
+    so eta_A = tr(c(e_A)^T c(eta)) / 16 for each even mask A.  The candidate
+    passes the full ``SpinElement`` certification and ``spinor_image`` checks
+    c(eta) psi = psi.  It certifies exactly when some lift of R fixes the line
+    of psi, since the construction then forces Ad(eta) = R; otherwise, and
+    when psi is not one basis spinor or the basis vectors miss a row, the
+    candidate moves the fixed spinor line (InternalCheckError).
     """
     _require(zeta, SpinElement, "spin element")
     rotation = RotationMatrix(delta7(rep, zeta.value))
-    eta = lift_rotation(rotation)
+    d, r = rotation.entries
     psi = rep.fixed_spinor
-    image = spinor_image(rep, eta.value, psi)
-    if image == psi:
-        return eta
-    if image == (psi[0], tuple(-x for x in psi[1])):
-        return -eta
-    raise InternalCheckError("candidate lift moves the fixed spinor line")
+    rows = [row for row, x in zip(rep.halves["+"][0], psi[1]) if x]
+    gens = [rep.monomials[1 << a] for a in range(8)]
+    # minus[a] = c(e_a) u and plus[b][a] = c(e_a) c(e_b) u as (row, sign),
+    # for the basis vector u at psi's row: c(eta) u = u exactly when c(eta) psi = psi
+    minus = [(perm[rows[0]], sign[rows[0]]) for perm, sign in gens] if len(rows) == 1 else []
+    plus = [[(perm[row], sign[row] * s) for perm, sign in gens] for row, s in minus]
+    columns = {}  # row j -> column j of d^2 c(eta); a source s e_j has 1/s = s
+    for i, (source, s) in enumerate(minus):
+        columns[source] = column = [0] * 16
+        for a, (row, sa) in enumerate(minus):
+            column[row] += s * d * r[a][i] * sa
+    for i, (source, s) in enumerate(row[0] for row in plus):
+        columns[source] = column = [0] * 16
+        for b, products in enumerate(plus):
+            for a, (row, sab) in enumerate(products):
+                column[row] += s * r[a][0] * r[b][i] * sab
+    if len(columns) != 16:
+        raise InternalCheckError(_MOVES_PSI)
+    columns = [columns[j] for j in range(16)]
+    terms = {}
+    for mask in _EVEN_MASKS:
+        perm, sign = rep.monomials[mask]
+        terms[mask] = sum(map(mul, sign, map(getitem, columns, perm)))
+    try:
+        eta = SpinElement(Multivector._over(8, 16 * d * d, terms))
+    except InvalidSpinElementError:
+        raise InternalCheckError(_MOVES_PSI) from None
+    if spinor_image(rep, eta.value, psi) != psi:
+        raise InternalCheckError(_MOVES_PSI)
+    return eta
 
 
 def spin7_lie_basis() -> list[Multivector]:

@@ -7,11 +7,11 @@ import pytest
 
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
-from spinkit.errors import ChiralityError, InvalidSpinElementError, LiftError, TorsorError
-from spinkit.gammarep import build_cl8_rep, chiral_action_matrix
+from spinkit.errors import ChiralityError, InternalCheckError, InvalidSpinElementError, LiftError, TorsorError
+from spinkit.gammarep import build_cl8_rep, chiral_action_matrix, delta7, spinor_image
 from spinkit.multivector import Multivector, integer_product, volume_element
 from spinkit.snf import AbelianGroup, smith_diagonal
-from spinkit.spingroup import rational_unit_vector
+from spinkit.spingroup import RotationMatrix, lift_rotation, rational_unit_vector
 
 
 def fraction_view(m):
@@ -298,6 +298,21 @@ def fraction_lift_rotation(rotation):
     if coefficients[min(coefficients)] < 0:
         zeta = -zeta
     return zeta
+
+
+def reflection_iota_plus(rep, zeta):
+    """The spinor-type lift by reflections: the Cartan-Dieudonne lift of the
+    rotation delta7(zeta), with the sign that fixes the model's spinor psi
+    read by ``spinor_image``.  The oracle for iota_plus, which reads the lift
+    off the module instead."""
+    eta = lift_rotation(RotationMatrix(delta7(rep, zeta.value)))
+    psi = rep.fixed_spinor
+    image = spinor_image(rep, eta.value, psi)
+    if image == psi:
+        return eta
+    if image == (psi[0], tuple(-x for x in psi[1])):
+        return -eta
+    raise InternalCheckError("candidate lift moves the fixed spinor line")
 
 
 def loop_p_iso(a):

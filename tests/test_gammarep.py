@@ -1,6 +1,7 @@
 """The Cl(0,8) module, chirality, and the two Spin(7) copies in Spin(8)."""
 
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -9,6 +10,8 @@ import pytest
 import spinkit.cli as cli
 import spinkit.exactlinalg as la
 import spinkit.gammarep as gammarep
+import spinkit.spingroup as spingroup
+import spinkit.verify as verify
 from conftest import (
     SWAP_CHECK,
     chiral_matrix_stabilizer_dimension,
@@ -22,6 +25,7 @@ from conftest import (
     fraction_mat_mul,
     fraction_spinor_image,
     fraction_view,
+    reflection_iota_plus,
 )
 from spinkit.errors import ChiralityError, DimensionMismatchError, EmbeddingDomainError
 from spinkit.gammarep import (
@@ -209,6 +213,64 @@ def test_reversed_orientation_fails_the_fixed_line():
         "chiral rep of the lift factors through rotations; spin rep is odd": _LIFT_MOVES_PSI,
     }
     assert "spinor lift sends -1 to omega8; blade embedding keeps -1" not in failed
+
+
+# The reps checks that fail at seed 0 when iota_plus lifts by reflections
+# (``reflection_iota_plus``), keyed by the damage of a fresh module.
+_REFLECTION_LIFT_FAILURES = {
+    "flip a sign of gamma_3": {"gamma_anticommutators", "gamma_orthogonal_skew"},
+    "send two columns of gamma_3 to one row": {"gamma_anticommutators", "gamma_orthogonal_skew"},
+    "c(omega8) is c(e0)": {"embeddings_differ", "minus_one_lift", "monomial_span", "sigma_factors",
+                           "spinor_lift_identity", "volume_eigensplit", "volume_signs"},
+    "c(omega8) is the identity": {"monomial_span", "volume_eigensplit", "volume_signs"},
+    "exchange a row between the halves": {
+        "chiral_swap", "embeddings_differ", "fixed_line", "g2_intersection", "sigma_factors",
+        "sphere_transitivity", "spinor_lift_identity", "stabilizer_21", "volume_eigensplit",
+        "volume_signs"},
+    "repeat a row of S+": {
+        "chiral_swap", "embeddings_differ", "fixed_line", "g2_intersection", "minus_one_lift",
+        "sigma_factors", "sphere_transitivity", "spinor_lift_identity", "stabilizer_21",
+        "volume_eigensplit", "volume_signs"},
+    "c(e2) is the even c(e0 e1)": {"chiral_swap", "monomial_span"},
+    "double c(e2)": {"chiral_swap"},
+    "send two S+ columns of c(e2) to one row": {"chiral_swap"},
+    "keep an S- column of c(e2) in S-": {"chiral_swap"},
+    "reversed S8+ orientation": {"embeddings_differ", "fixed_line", "sigma_factors",
+                                 "spinor_lift_identity"},
+    "psi = e1": {"embeddings_differ", "fixed_line", "g2_intersection", "sigma_factors",
+                 "spinor_lift_identity"},
+    "psi = (1, 1, 0, ...)": {"embeddings_differ", "fixed_line", "g2_intersection", "sigma_factors",
+                             "spinor_lift_identity"},
+}
+
+
+def _failing_reps_checks(case):
+    """check function name -> detail for each reps check that fails at seed 0
+    on a fresh module with the damage ``case``."""
+    damaged = build_cl8_rep()
+    if case == "reversed S8+ orientation":
+        rows, signs = damaged.halves["+"]
+        damaged.halves["+"] = rows, (1,) + signs[1:]
+    elif case == "psi = e1":
+        damaged.fixed_spinor = 1, (0, 1) + (0,) * 6
+    elif case == "psi = (1, 1, 0, ...)":
+        damaged.fixed_spinor = 1, (1, 1) + (0,) * 6
+    else:
+        _damage(damaged, case)
+    checks = {name: check.__name__ for _, name, check in CHECKS}
+    return {checks[x.name]: x.detail for x in run_suites("reps", 0, damaged) if not x.passed}
+
+
+@pytest.mark.parametrize("case", list(_REFLECTION_LIFT_FAILURES))
+def test_module_read_lift_fails_where_the_reflection_lift_fails(case, monkeypatch):
+    """Reading the lift off the module keeps every failure of the reflection
+    lift on a damaged module, and no failure is an untyped lookup error."""
+    failed = _failing_reps_checks(case)
+    assert set(failed) >= _REFLECTION_LIFT_FAILURES[case]
+    bad = ("KeyError", "ValueError: too many values", "IndexError")
+    assert not [detail for detail in failed.values() if detail.startswith(bad)]
+    monkeypatch.setattr(verify, "iota_plus", reflection_iota_plus)
+    assert set(_failing_reps_checks(case)) == _REFLECTION_LIFT_FAILURES[case]
 
 
 def test_wrong_fixed_spinor_fails_the_fixed_line():
@@ -549,6 +611,35 @@ def test_iota_plus_is_multiplicative(rep):
             adjoint_action(iota_plus(rep, z1)).entries,
             adjoint_action(iota_plus(rep, z2)).entries,
         )
+
+
+def test_iota_plus_matches_the_reflection_oracle(rep):
+    """The lift read off the module is the Cartan-Dieudonne lift with the
+    sign that fixes psi, sign included, on +-1, seeded draws and products."""
+    zetas = [SpinElement(Multivector.scalar(7, s)) for s in (1, -1)]
+    rng = random.Random(33)
+    draws = [random_spin(7, 1 + i % 2, rng.randrange(10**6)) for i in range(30)]
+    zetas += draws + [a * b for a, b in zip(draws[:8], draws[8:16])] + [-z for z in draws[:4]]
+    for z in zetas:
+        assert iota_plus(rep, z).value == reflection_iota_plus(rep, z).value
+
+
+def test_only_the_spin_scope_lifts_by_reflections(rep, monkeypatch):
+    """A reps verdict calls lift_rotation 0 times, since iota_plus reads its
+    lift off the module; the spin scope's lift check calls it 6 times."""
+    calls, real = [], spingroup.lift_rotation
+
+    def counted(rotation):
+        calls.append(rotation)
+        return real(rotation)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinkit."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    assert all(x.passed for x in run_suites("reps", 0, rep)) and len(calls) == 0
+    assert all(x.passed for x in run_suites("spin", 0)) and len(calls) == 6
 
 
 def test_lie_level_lift_identity(rep):

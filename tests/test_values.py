@@ -65,6 +65,7 @@ READ_ONLY = [
     pytest.param(_interval, "sub", id="CWPairComplex.sub"),
     pytest.param(_interval, "dim", id="CWPairComplex.dim"),
     pytest.param(_interval, "boundary", id="CWPairComplex.boundary"),
+    pytest.param(_interval, "name", id="CWPairComplex.name"),
 ]
 
 
