@@ -62,7 +62,8 @@ _COMPLEX_KEYS = ("name", "cells", "boundary", "sub")
 
 def _read_json(path: str | Path, error: type[SpinkitError]):
     """Parse a JSON file, raising ``error`` on bad syntax, an over-long integer
-    literal or a key repeated in one object."""
+    literal, nesting deeper than the interpreter's recursion limit or a key
+    repeated in one object."""
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
@@ -82,6 +83,8 @@ def _read_json(path: str | Path, error: type[SpinkitError]):
     except ValueError as exc:
         # an integer literal over the int-string digit limit, or bytes that are not UTF-8
         raise error(f"{path}: not valid input: {exc}") from None
+    except RecursionError:
+        raise error(f"{path}: not valid input: nested too deeply") from None
 
 
 def _by_degree(raw: dict, key: str) -> dict[int, object]:

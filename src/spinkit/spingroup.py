@@ -9,11 +9,8 @@ Ad(zeta), the grade-1 part v_j of zeta e_j reverse(zeta), is row j of V over
 d^2: Ad(zeta)_ij = <e_i Z, Z e_j> / d^2 with <a, b> = sum_B (-1)^(|B|+1) a_B b_B,
 since reverse(Z) e_i = reverse(e_i Z), the e_i coefficient of an element u
 is minus the scalar part of u e_i, and that of a reverse(b) is
-sum_B (-1)^|B| a_B b_B.  Split by the parity of B, with P_odd = X_o Y_o^T
-over the odd blades and P_even = X_e Y_e^T over the even ones,
-V = P_odd - P_even.  The even part of Z reaches only odd blades and its odd
-part only even ones, so an even zeta has V = P_odd and costs n^2 dot
-products.
+sum_B (-1)^|B| a_B b_B.  An even Z reaches only odd blades B, on which the
+sign is +1, so V = X Y^T and costs n^2 dot products.
 
 The grade-1 check is zeta e_j == v_j zeta on every blade, d^2 X == V Y: once
 reverse(zeta) = zeta^{-1} the rest r_j = zeta e_j zeta^{-1} - v_j vanishes
@@ -24,14 +21,14 @@ blade basis each is a signed permutation, orthogonal and skew, since
 e_k^{-1} = -e_k.  For k != l, R_k^T R_l = -R_k R_l and L_k^T L_l = -L_k L_l
 multiply by the bivectors -e_l e_k and -e_k e_l, which square to -1, so they
 are skew as well, and z^T A z = 0 for a skew A.  Hence X X^T = Y Y^T = s I
-with s = sum c_S^2, and with P = X Y^T = P_odd + P_even
+with s = sum c_S^2, and with X Y^T = V
 
-    |d^2 X - V Y|_F^2 = n s d^4 - 2 d^2 <V, P> + s |V|_F^2.
+    |d^2 X - V Y|_F^2 = n s d^4 - 2 d^2 |V|_F^2 + s |V|_F^2.
 
-A sum of squares of integers is 0 exactly when every term is, so this
-integer is 0 exactly when d^2 X == V Y: the same check, made exactly.  For
-an even zeta with s = d^2, every certified element, P = V and it reads
-|V|_F^2 = n d^4.  ``SpinElement(value)`` always certifies its value and
+Validation checks s = d^2 first, and then this integer is
+d^2 (n d^4 - |V|_F^2).  A sum of squares of integers is 0 exactly when
+every term is, so |V|_F^2 == n d^4 exactly when d^2 X == V Y: the same
+check, made exactly.  ``SpinElement(value)`` always certifies its value and
 keeps the columns for ``adjoint_action``.  Only zeta eta and -zeta are built
 unchecked, soundly: each is a spin element whenever its operands are, and
 Ad(-zeta) = Ad(zeta) keeps zeta's columns.
@@ -40,8 +37,8 @@ The grade-1 check also certifies the unit norm, so validation never forms
 the dense product zeta * reverse(zeta).  For an even zeta = sum c_S e_S the
 scalar part of zeta * reverse(zeta), and of reverse(zeta) * zeta, is
 sum c_S^2, since e_S reverse(e_S) = (-1)^|S| = 1 for even |S| and blades
-S != T contribute no scalar.  Validation checks sum c_S^2 == 1 on the
-integer numerators first, then runs the grade-1 check.  If
+S != T contribute no scalar.  Validation checks that this scalar part is 1
+on the integer numerators first, then runs the grade-1 check.  If
 zeta e_j = v_j zeta holds for vectors v_j, reversing gives
 e_j reverse(zeta) = reverse(zeta) v_j, so M = reverse(zeta) * zeta
 satisfies M e_j = reverse(zeta) v_j zeta = e_j M for every j.  M commutes
@@ -66,9 +63,8 @@ the root of that product, over 4d and over the reflection's denominator.
 from __future__ import annotations
 
 import random
-from itertools import chain
 from math import gcd, isqrt
-from operator import add, mul, sub
+from operator import mul
 
 from . import exactlinalg as la
 from ._frozen import Frozen
@@ -178,38 +174,19 @@ class SpinElement:
 
 
 def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
-    """``(d^2, cols)``: cols[j] / d^2 are the components of the grade-1 part
-    v_j of zeta e_j reverse(zeta), zeta = Z / d, the rows of V = P_odd - P_even
-    (module docstring).
+    """``(d^2, cols)`` for an even zeta = Z / d with sum c_S^2 = d^2:
+    cols[j] / d^2 are the components of the grade-1 part v_j of
+    zeta e_j reverse(zeta), the rows of V = X Y^T (module docstring).  Row k
+    of X holds Z e_k and row k of Y holds e_k Z on the blades m ^ e_k they
+    reach, each sign read off ``_SIGN_MASKS`` as in ``integer_product``.
 
     Raises InvalidSpinElementError unless every image is a vector, that is
     unless d^2 X == V Y, checked as the one integer identity
-    n s d^4 - 2 d^2 <V, P> + s |V|^2 == 0 with P = P_odd + P_even and
-    s = sum c_S^2.  For an even zeta with s = d^2 a passing check proves
-    reverse(zeta) = zeta^{-1}, so the images are the columns of Ad(zeta).
+    |V|^2 == n d^4.  A passing check proves reverse(zeta) = zeta^{-1}, so
+    the images are the columns of Ad(zeta).
     """
     n, dd = zeta.n, zeta.d * zeta.d
-    even = [(m, c) for m, c in zeta.terms.items() if not blade_grade(m) & 1]
-    odd = [(m, c) for m, c in zeta.terms.items() if blade_grade(m) & 1]
-    # the even part of Z reaches only odd blades (P_odd) and its odd part
-    # only even ones (P_even); zeta = 0 reaches none and gives V = 0
-    v = p = _blade_products(even, n)
-    if odd:
-        p_even = _blade_products(odd, n)
-        v = tuple(tuple(map(sub, a, b)) for a, b in zip(p, p_even))
-        p = tuple(tuple(map(add, a, b)) for a, b in zip(p, p_even))
-    s = sum(c * c for c in zeta.terms.values())
-    vv = sum(c * c for row in v for c in row)
-    vp = sum(map(mul, chain.from_iterable(v), chain.from_iterable(p)))
-    if n * s * dd * dd - 2 * dd * vp + s * vv:
-        raise InvalidSpinElementError("conjugation does not preserve grade 1")
-    return dd, v
-
-
-def _blade_products(terms: list[tuple[int, int]], n: int) -> la.Rows:
-    """X Y^T for the blade -> int ``terms`` of one parity: row k of X holds
-    Z e_k and row k of Y holds e_k Z on the blades m ^ e_k they reach, each
-    sign read off ``_SIGN_MASKS`` as in ``integer_product``."""
+    terms = zeta.terms.items()
     pos = {b: i for i, b in enumerate({m ^ (1 << k) for m, _ in terms for k in range(n)})}
     x, y = [], []
     for k in range(n):
@@ -221,7 +198,10 @@ def _blade_products(terms: list[tuple[int, int]], n: int) -> la.Rows:
             yk[i] = -c if (m & left).bit_count() & 1 else c  # e_k e_m
         x.append(xk)
         y.append(yk)
-    return tuple(tuple(sum(map(mul, xj, yk)) for yk in y) for xj in x)
+    v = tuple(tuple(sum(map(mul, xj, yk)) for yk in y) for xj in x)
+    if sum(c * c for row in v for c in row) != n * dd * dd:
+        raise InvalidSpinElementError("conjugation does not preserve grade 1")
+    return dd, v
 
 
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:

@@ -326,6 +326,10 @@ def _record(**override):
         pytest.param(["cohomology", "{file}", "--degree", "0"],
                      '{"cells": [1, 1], "boundary": {"1": [[' + "7" * 5001 + ']]}}',
                      "5001 digits", id="cohomology-long-literal"),
+        # json recurses once per nesting level, and 10^5 levels pass any recursion limit
+        *(pytest.param([cmd, "{file}", *flags], "[" * 10**5 + "]" * 10**5, "nested too deeply",
+                       id=f"{cmd}-deep-nesting")
+          for cmd, flags in (("census", []), ("cohomology", ["--degree", "0"]))),
         # 4300-digit characteristic numbers whose e(S+) or A-hat would not print
         pytest.param(["census", "{file}", "--format", "structured"],
                      _record(p1_sq=10**4300 - 12, p2=-(10**4300 - 1), h8_z2_dim=0),

@@ -94,6 +94,11 @@ def _mutate(doc, kind: str, pick: int, small: int) -> None:
     elif kind == "long" and ints:
         container, i = ints[pick % len(ints)]
         container[i] = _Raw("9" * 5000)
+    elif kind == "deep" and slots:
+        # written as text, since _dump recurses once per level as json.load
+        # does; 10^5 levels pass the raised recursion limit hypothesis runs under
+        container, i = slots[pick % len(slots)]
+        container[i] = _Raw("[" * 10**5 + "]" * 10**5)
     elif kind in ("not-spin", "wide") and objects:
         key, value = ("spin", False) if kind == "not-spin" else ("h8_z2_dim", 20000)
         obj = objects[pick % len(objects)]
@@ -106,7 +111,7 @@ def _mutate(doc, kind: str, pick: int, small: int) -> None:
 
 
 _MUTATION = st.tuples(
-    st.sampled_from(("drop", "repeat", "retype", "nudge", "long", "not-spin", "wide")),
+    st.sampled_from(("drop", "repeat", "retype", "nudge", "long", "deep", "not-spin", "wide")),
     st.integers(0, 10_000),
     st.integers(-2, 2),
 )

@@ -23,7 +23,7 @@ from conftest import (
 )
 from spinkit.errors import InvalidSpinElementError, LiftError
 from spinkit.gammarep import build_cl8_rep, iota_plus, iota_vector, stabilizer_dimension
-from spinkit.multivector import Multivector, volume_element
+from spinkit.multivector import Multivector, blade_grade, volume_element
 from spinkit.spingroup import (
     RotationMatrix,
     SkewMatrix,
@@ -36,6 +36,7 @@ from spinkit.spingroup import (
     rational_unit_vector,
     reflect,
 )
+from spinkit.verify import run_suites
 
 
 def test_spin_element_invariants():
@@ -292,13 +293,18 @@ def _random_terms(rng, n, parity):
     )
 
 
+_CONJUGATION_KINDS = ("spin", "product", "even", "odd", "mixed", "central", "zero", "flipped")
+# the kinds SpinElement sends to spingroup._conjugated_basis: even, with
+# sum c_S^2 = d^2
+_KERNEL_DOMAIN = ("spin", "product", "flipped")
+
+
 @st.composite
-def conjugation_inputs(draw):
+def conjugation_inputs(draw, kinds=_CONJUGATION_KINDS):
     """Spin elements for n = 1..8 and their products, non-unit even, odd and
     mixed-parity elements, the central cases and zero, and spin elements with
     one coefficient negated: even, with sum c_S^2 = d^2 still, so only the
-    grade-1 identity can reject them."""
-    kinds = ["spin", "product", "even", "odd", "mixed", "central", "zero", "flipped"]
+    grade-1 identity can reject them.  ``kinds`` picks a subset."""
     kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(min_value=1, max_value=8))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
@@ -345,16 +351,13 @@ def _basis_or_error(kernel, value):
 
 
 @settings(max_examples=200, deadline=None)
-@given(conjugation_inputs())
-@example(_CENTRAL[0])
-@example(_CENTRAL[1])
-@example(Multivector(7, {0: Fraction(5, 4), 0b111: Fraction(3, 4)}))  # not central: rejected
-@example(Multivector(8))
+@given(conjugation_inputs(_KERNEL_DOMAIN))
 @example(_pythagorean_tilt(4))
 @example(_pythagorean_tilt(8))
 def test_conjugated_basis_matches_blade_loop(value):
-    """The parity-split dot products return the blade loop's (d^2, cols), or
-    raise its exception with its message."""
+    """On the even elements with sum c_S^2 = d^2 that SpinElement sends it,
+    the one-identity kernel returns the blade loop's (d^2, cols), or raises
+    its exception with its message."""
     got = _basis_or_error(spingroup._conjugated_basis, value)
     assert got == _basis_or_error(loop_conjugated_basis, value)
 
@@ -388,21 +391,50 @@ def test_grade_one_identity_rejects_even_unit_sum_elements():
 
 
 def test_central_and_zero_conjugation():
-    """Conjugation by the mixed-parity central elements is the identity and
-    zero gives zero columns, which RotationMatrix rejects as not orthogonal;
-    SpinElement rejects all of them."""
+    """SpinElement rejects the mixed-parity central elements, whose
+    conjugation is the identity, as not even, and zero by its norm."""
     for value in _CENTRAL:
-        dd, cols = spingroup._conjugated_basis(value)
-        assert la.exact(dd, cols) == (1, la.identity(value.n))
         with pytest.raises(InvalidSpinElementError, match="must be even"):
             SpinElement(value)
     for n in (1, 8):
-        dd, cols = spingroup._conjugated_basis(Multivector(n))
-        assert (dd, cols) == (1, ((0,) * n,) * n)
-        with pytest.raises(ValueError, match="matrix is not orthogonal"):
-            RotationMatrix((dd, la.transpose(cols)))
         with pytest.raises(InvalidSpinElementError, match=re.escape(spingroup._NORM_MESSAGE)):
             SpinElement(Multivector(n))
+
+
+def test_conjugation_kernel_sees_only_its_domain(rep, monkeypatch):
+    """Every element the verify suites and SpinElement's rejections send to
+    _conjugated_basis is even with sum c_S^2 = d^2, the domain on which
+    |V|^2 = n d^4 is the grade-1 check."""
+    seen = []
+    real = spingroup._conjugated_basis
+
+    def recording(zeta):
+        seen.append(zeta)
+        return real(zeta)
+
+    monkeypatch.setattr(spingroup, "_conjugated_basis", recording)
+    for seed in range(3):
+        assert all(x.passed for x in run_suites("spin", seed))
+        assert all(x.passed for x in run_suites("reps", seed, rep))
+    zeta = random_spin(8, 2, 5).value
+    accepted = len(seen)
+    rejected = [
+        *_CENTRAL,
+        Multivector(8),
+        zeta * Multivector.basis_vector(8, 3),
+        zeta * 2,
+        zeta + Multivector.scalar(8, Fraction(1, 3)),
+        _flipped(zeta, 0),
+        *(_pythagorean_tilt(n) for n in (4, 6, 8)),
+    ]
+    for value in rejected:
+        with pytest.raises(InvalidSpinElementError):
+            SpinElement(value)
+    # only the flipped element and the three tilts pass the first two checks
+    assert len(seen) == accepted + 4
+    for value in seen:
+        assert not any(blade_grade(m) & 1 for m in value.terms)
+        assert sum(c * c for c in value.terms.values()) == value.d**2
 
 
 def test_validation_forms_no_dense_product(rep, monkeypatch):
