@@ -68,6 +68,8 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Rows:
     """a b for integer rows."""
     if a and len(a[0]) != len(b):
         raise DimensionMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}-row matrix")
+    if len(set(map(len, a))) > 1 or len(set(map(len, b))) > 1:
+        raise DimensionMismatchError("cannot multiply a matrix with ragged rows")
     cols = transpose(b)
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
@@ -85,6 +87,8 @@ def _integer_rref(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int
     divided by its pivot entry.
     """
     rows = [_primitive(list(row)) for row in a]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("ragged matrix")
     nrows = len(rows)
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):

@@ -24,6 +24,8 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
         if not set(map(type, r)) <= {int}:
             bad = next(x for x in r if type(x) is not int)
             raise TypeError(f"Smith normal form needs integer entries, not {bad!r}")
+    if len(set(map(len, a))) > 1:
+        raise ValueError("ragged matrix")
     m = len(a)
     n = len(a[0]) if m else 0
     diag: list[int] = []
@@ -109,6 +111,8 @@ class AbelianGroup(Frozen):
     @classmethod
     def from_orders(cls, orders: list[int]) -> "AbelianGroup":
         """Build from arbitrary cyclic orders (0 meaning Z), normalizing."""
+        if any(d < 0 for d in orders):
+            raise ValueError(f"cyclic orders must be nonnegative, not {min(orders)}")
         free = sum(1 for d in orders if d == 0)
         # the chain may start with 1s, which __init__ drops
         return cls(free, tuple(_divisibility_chain([d for d in orders if d > 1])))

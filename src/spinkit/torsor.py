@@ -10,10 +10,11 @@ table D : Gamma x Gamma -> H satisfying
 is the same data as a free transitive action of H on Gamma, and the two
 constructions below invert each other.
 
-Each direction is certified from one base point b = carrier[0]: the table
-is complete, the carrier has as many labels as H has elements (so no label
-is repeated once the base-point map is a bijection), the base-point map is
-a bijection onto its target, and the compatibility law holds at b.  For a
+Each direction is certified from one base point b = carrier[0]: the one
+reader of both tables, ``_read``, finds the table complete and the carrier
+as large as H (so no label is repeated once the base-point map is a
+bijection), the base-point map is a bijection onto its target, and the
+compatibility law holds at b.  For a
 difference table, the base row D(b, .) is a bijection onto the reduced
 elements of H, and the law (a) at b is checked in the form
 D(y, z) = D(b, z) - D(b, y), as an equality of tuples, so every value is a
@@ -40,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, product, repeat
+from math import prod
 
 from ._frozen import Frozen
 from .errors import TorsorError
@@ -71,10 +73,7 @@ class FiniteAbelianGroup(Frozen):
         object.__setattr__(self, "orders", orders)
 
     def order(self) -> int:
-        out = 1
-        for m in self.orders:
-            out *= m
-        return out
+        return prod(self.orders)
 
     def elements(self) -> list[Element]:
         return list(product(*(range(m) for m in self.orders)))
@@ -96,36 +95,46 @@ class FiniteAbelianGroup(Frozen):
         return " x ".join(f"Z/{m}" for m in self.orders if m > 1)
 
 
-class DifferenceTable(Frozen):
+class _Table(Frozen):
+    """A group, a carrier and a candidate table; == and hash leave the table out."""
+
+    _fields = __slots__ = ("group", "carrier", "table")
+
+    def __init__(self, group: FiniteAbelianGroup, carrier: tuple[str, ...], table: dict):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "table", table)
+
+    def _key(self) -> tuple:
+        return self.group, self.carrier
+
+
+class DifferenceTable(_Table):
     """Carrier set with a candidate affine difference function D(x, y) = table[(x, y)]."""
 
-    _fields = __slots__ = ("group", "carrier", "table")
-
-    def __init__(
-        self, group: FiniteAbelianGroup, carrier: tuple[str, ...], table: dict[tuple[str, str], Element]
-    ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "table", table)
-
-    def _key(self) -> tuple:
-        return self.group, self.carrier  # == and hash leave the table out
+    __slots__ = ()
 
 
-class ActionTable(Frozen):
+class ActionTable(_Table):
     """Carrier set with a candidate group action h . x = table[(h, x)]."""
 
-    _fields = __slots__ = ("group", "carrier", "table")
+    __slots__ = ()
 
-    def __init__(
-        self, group: FiniteAbelianGroup, carrier: tuple[str, ...], table: dict[tuple[Element, str], str]
-    ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "table", table)
 
-    def _key(self) -> tuple:
-        return self.group, self.carrier  # == and hash leave the table out
+def _read(t: _Table, rows: tuple | list, missing: str) -> list:
+    """table[(r, x)] for r in rows and x in the carrier, in product order,
+    once the carrier is nonempty, complete and as large as the group."""
+    carrier = t.carrier
+    if not carrier:
+        raise TorsorError("carrier is empty")
+    values = list(map(t.table.get, product(rows, carrier), repeat(_MISSING)))
+    n = len(carrier)
+    if _MISSING in values:
+        i, j = divmod(values.index(_MISSING), n)
+        raise TorsorError(missing.format(rows[i], carrier[j]))
+    if n != t.group.order():
+        raise TorsorError(f"carrier size {n} != group order {t.group.order()}")
+    return values
 
 
 def verify_difference_axioms(d: DifferenceTable) -> None:
@@ -136,17 +145,8 @@ def verify_difference_axioms(d: DifferenceTable) -> None:
 def _validate_difference(d: DifferenceTable) -> list:
     """Certify (a)-(c) from the base point; return the values D(x, y) in product order."""
     g, carrier = d.group, d.carrier
-    if not carrier:
-        raise TorsorError("carrier is empty")
-    values = list(map(d.table.get, product(carrier, repeat=2), repeat(_MISSING)))
-    n = len(carrier)
-    if _MISSING in values:
-        i, j = divmod(values.index(_MISSING), n)
-        raise TorsorError(f"missing difference value for ({carrier[i]},{carrier[j]})")
-    if n != g.order():
-        raise TorsorError(f"carrier size {n} != group order {g.order()}")
-    b = carrier[0]
-    elements = g.elements()
+    values = _read(d, carrier, "missing difference value for ({},{})")
+    n, b, elements = len(carrier), carrier[0], g.elements()
     base = values[:n]
     if set(base) != set(elements):
         raise TorsorError(f"D({b}, .) is not a bijection onto the group")
@@ -174,15 +174,8 @@ def _validate_action(a: ActionTable) -> list:
     h . x in product order, or raise TorsorError."""
     g, carrier = a.group, a.carrier
     elements = g.elements()
-    if not carrier:
-        raise TorsorError("carrier is empty")
-    values = list(map(a.table.get, product(elements, carrier), repeat(_MISSING)))
+    values = _read(a, elements, "action value missing for ({},{})")
     n = len(carrier)
-    if _MISSING in values:
-        i, j = divmod(values.index(_MISSING), n)
-        raise TorsorError(f"action value missing for ({elements[i]},{carrier[j]})")
-    if n != g.order():
-        raise TorsorError(f"carrier size {n} != group order {g.order()}")
     at_b = values[::n]
     orbit = set(at_b)
     if len(orbit) != len(elements):

@@ -223,3 +223,14 @@ def test_mismatched_shapes_raise():
     with pytest.raises(DimensionMismatchError):
         la.intersection_basis(a, b)
     assert la.mat_mul(b, a) == a
+    # ragged rows raise instead of being truncated or read past their end
+    with pytest.raises(DimensionMismatchError):
+        la.mat_mul([[1, 2], [3]], [[1], [1]])
+    with pytest.raises(DimensionMismatchError):
+        la.mat_mul(b, [[1, 2], [3]])
+    for ragged in ([[1], [2, 3]], [[1, 2], [3]]):
+        for kernel in (la.rank, la.kernel_basis):
+            with pytest.raises(ValueError, match="ragged matrix"):
+                kernel(ragged)
+        with pytest.raises(ValueError, match="ragged matrix"):
+            la.intersection_basis(ragged, [[1, 0]])

@@ -29,6 +29,12 @@ def test_smith_diagonal_rejects_non_integers(bad):
         smith_diagonal([[2, 0], [0, bad]])
 
 
+@pytest.mark.parametrize("ragged", [[[0], [0, 5]], [[1, 2], [3]], [[2, 0], [0, 3], [1]]], ids=repr)
+def test_smith_diagonal_rejects_ragged_rows(ragged):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_diagonal(ragged)
+
+
 def test_smith_divisibility_chain_and_determinant():
     rng = random.Random(0)
     for _ in range(60):
@@ -76,6 +82,10 @@ def test_abelian_group_normalization():
             AbelianGroup(0, torsion)
     with pytest.raises(ValueError, match="free rank must be nonnegative"):
         AbelianGroup(-1)
+    # a negative order is rejected, not dropped as if it were 1
+    for orders, bad in (([-4], -4), ([0, -3], -3), ([2, -1, 6], -1)):
+        with pytest.raises(ValueError, match=f"cyclic orders must be nonnegative, not {bad}$"):
+            AbelianGroup.from_orders(orders)
 
 
 @settings(max_examples=300, deadline=None)

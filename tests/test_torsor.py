@@ -71,6 +71,22 @@ def test_wrong_carrier_size_fails():
         verify_difference_axioms(d)
 
 
+def test_tables_compare_by_kind_group_and_carrier():
+    z2 = FiniteAbelianGroup((2,))
+    d = regular_difference_table(z2)
+    swapped = {key: tuple(1 - v for v in value) for key, value in d.table.items()}
+    other = DifferenceTable(z2, d.carrier, swapped)
+    # == and hash leave the table out
+    assert other.table != d.table
+    assert d == other and hash(d) == hash(other)
+    assert d != DifferenceTable(z2, ("a", "b"), d.table)
+    assert d != DifferenceTable(FiniteAbelianGroup((1, 2)), d.carrier, d.table)
+    # a difference table never equals an action table with the same fields
+    assert d != ActionTable(z2, d.carrier, d.table)
+    assert ActionTable(z2, d.carrier, d.table) != d
+    assert d != action_from_difference(d)
+
+
 def test_regular_difference_of_cyclic_four():
     z4 = FiniteAbelianGroup((4,))
     d = regular_difference_table(z4)
