@@ -16,7 +16,7 @@ them.  The public constructor parses dense matrices (the file form) into
 columns, :func:`pair_product` builds its columns directly, and both pass
 through one assembly step that checks the dimension cap and validates.
 ``boundary``, ``cells`` and ``sub`` are views: each read builds fresh lists
-from the stored columns, cell-count tuple and flag tuples, so changing them
+from the stored column, cell-count and flag tuples, so changing them
 leaves the pair as it was; ``name`` is read-only.
 Each pair also keeps the one cylinder X x I that
 :func:`product_with_interval` builds and validates for it, and the one
@@ -40,6 +40,7 @@ from .snf import AbelianGroup, smith_diagonal
 
 # base pairs live in dimensions 0..8; their cylinders reach dimension 9
 MAX_DIMENSION = 10
+Column = tuple[tuple[int, int], ...]  # the nonzero (row, entry) pairs of one column of d_k
 
 
 class CoefficientGroup(Frozen):
@@ -85,7 +86,7 @@ class CWPairComplex:
         ):
             raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
         dim = len(cells) - 1
-        all_columns: list[list[list[tuple[int, int]]]] = [[[] for _ in range(cells[0] if cells else 0)]]
+        all_columns: list[tuple[Column, ...]] = [((),) * (cells[0] if cells else 0)]
         boundary = boundary or {}
         sub = sub or {}
         if not set(boundary) | set(sub) <= set(range(dim + 1)) or 0 in boundary:
@@ -106,7 +107,7 @@ class CWPairComplex:
                         raise ComplexValidationError(f"boundary matrix in degree {k} must hold integers")
                     if x:
                         columns[j].append((i, x))
-            all_columns.append(columns)
+            all_columns.append(tuple(map(tuple, columns)))
         flags: dict[int, list[bool]] = {}
         for k in range(0, dim + 1):
             given = sub.get(k, [0] * cells[k])
@@ -118,7 +119,7 @@ class CWPairComplex:
         self._assemble(cells, all_columns, flags, name)
 
     def _assemble(
-        self, cells: list[int], columns: list[list[list[tuple[int, int]]]], sub: dict[int, list[bool]], name: str
+        self, cells: list[int], columns: list[tuple[Column, ...]], sub: dict[int, list[bool]], name: str
     ) -> CWPairComplex:
         """The step every complex passes through: store the columns and flags, then validate.
 
@@ -131,7 +132,7 @@ class CWPairComplex:
             raise ComplexValidationError("the complex name must be a string")
         self._cells = tuple(cells)
         self._name = name
-        self._columns = columns
+        self._columns = tuple(columns)
         self._sub = {k: tuple(flags) for k, flags in sub.items()}
         self._validate()
         self._cylinder: CWPairComplex | None = None
@@ -310,11 +311,11 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
         sizes = [p.cell_count(k - j) for j, _ in blocks]
         cells.append(sum(sizes))
         starts.append(dict(zip(blocks, accumulate(sizes, initial=0))))
-    columns: list[list[list[tuple[int, int]]]] = []
+    columns: list[tuple[Column, ...]] = []
     sub: dict[int, list[bool]] = {}
     p_cols, q_cols = p._columns, q._columns
     for k in range(dim + 1):
-        columns_k: list[list[tuple[int, int]]] = []
+        columns_k: list[Column] = []
         flags: list[bool] = []
         for j, b in blocks:
             i = k - j
@@ -323,14 +324,14 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
                 continue
             flags += [True] * n if q._sub[j][b] else p._sub[i]
             if not k:
-                columns_k += [[] for _ in range(n)]
+                columns_k += [()] * n
                 continue
             down = starts[k - 1][j, b]
             sign = -1 if i & 1 else 1
             db = [(starts[k - 1][j - 1, r], sign * y) for r, y in q_cols[j][b]]
             for a, da in enumerate(p_cols[i]):  # (-1)^|a| a x db, then da x b
-                columns_k.append([(row0 + a, y) for row0, y in db] + [(down + r, x) for r, x in da])
-        columns.append(columns_k)
+                columns_k.append((*[(row0 + a, y) for row0, y in db], *[(down + r, x) for r, x in da]))
+        columns.append(tuple(columns_k))
         sub[k] = flags
     name = f"{p._name} x {q._name}" if name is None else name
     return CWPairComplex.__new__(CWPairComplex)._assemble(cells, columns, sub, name)

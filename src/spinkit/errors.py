@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exact kernels' shape guard."""
 
 
 class SpinkitError(Exception):
@@ -6,7 +6,17 @@ class SpinkitError(Exception):
 
 
 class DimensionMismatchError(SpinkitError, ValueError):
-    """Operands live in different algebras or have incompatible shapes."""
+    """Operands live in different algebras or have incompatible shapes,
+    or a matrix has ragged rows."""
+
+
+def row_width(rows) -> int | None:
+    """The common length of ``rows``, None when there are none; rows of
+    different lengths raise ``DimensionMismatchError("ragged matrix")``."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise DimensionMismatchError("ragged matrix")
+    return widths.pop() if widths else None
 
 
 class UnsupportedDimensionError(SpinkitError, ValueError):

@@ -11,16 +11,20 @@ ignores row scaling, so ``rank`` and ``kernel_basis`` read the rows alone
 and eliminate on them kept primitive (divided by their gcd) after every
 update.  ``det`` is Bareiss's fraction-free elimination (Math. Comp. 22,
 1968).
+
+Every kernel reads its rows through one guard, ``errors.row_width``: ragged
+rows raise ``DimensionMismatchError``, nothing is truncated, and a matrix
+with no rows has no width.  :func:`exact` takes entries of type int or Fraction.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, row_width
 
 Rows = tuple[tuple[int, ...], ...]
 Exact = tuple[int, Rows]
@@ -29,16 +33,15 @@ Exact = tuple[int, Rows]
 def exact(d: int, rows: Iterable[Iterable]) -> Exact:
     """The rational matrix rows / d as ``(d, integer rows)`` in lowest terms.
 
-    Entries must be int or Fraction.  Anything else, bool included, raises
-    TypeError naming its type rather than being converted on a guess.
+    Entries must be of type int or Fraction; anything else, subclasses such as
+    bool included, raises TypeError naming its type rather than being converted on a guess.
     """
     if type(d) is not int or d < 1:
         raise ValueError(f"denominator must be a positive int, got {d!r}")
     rows = [tuple(r) for r in rows]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
+    row_width(rows)
     if any(type(x) is not int for r in rows for x in r):
-        bad = next((x for r in rows for x in r if not _is_rational(x)), None)
+        bad = next((x for r in rows for x in r if type(x) not in (int, Fraction)), None)
         if bad is not None:
             raise TypeError(f"entries must be exact (int or Fraction), not {type(bad).__name__}")
         den = lcm(*(x.denominator for r in rows for x in r))
@@ -50,27 +53,20 @@ def exact(d: int, rows: Iterable[Iterable]) -> Exact:
     return d, tuple(rows)
 
 
-def _is_rational(x) -> bool:
-    """int or Fraction: not bool, and a Rational with int numerator and denominator."""
-    parts = {type(x.numerator), type(x.denominator)} if isinstance(x, Rational) else None
-    return type(x) is not bool and parts == {int}
-
-
 def identity(n: int) -> Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Rows:
-    return tuple(zip(*a)) if a else ()
+    row_width(a)
+    return tuple(zip(*a))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Rows:
-    """a b for integer rows."""
-    if a and len(a[0]) != len(b):
-        raise DimensionMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}-row matrix")
-    if len(set(map(len, a))) > 1 or len(set(map(len, b))) > 1:
-        raise DimensionMismatchError("cannot multiply a matrix with ragged rows")
-    cols = transpose(b)
+    """a b for integer rows; an a with no rows gives no rows."""
+    width, cols = row_width(a), transpose(b)
+    if width not in (None, len(b)):
+        raise DimensionMismatchError(f"cannot multiply {len(a)}x{width} by {len(b)}-row matrix")
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
@@ -87,11 +83,9 @@ def _integer_rref(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int
     divided by its pivot entry.
     """
     rows = [_primitive(list(row)) for row in a]
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("ragged matrix")
     nrows = len(rows)
     pivots: list[int] = []
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(row_width(rows) or 0):
         r = len(pivots)
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
@@ -118,8 +112,8 @@ def rank(a: Sequence[Sequence[int]]) -> int:
 def det(a: Sequence[Sequence[int]]) -> int:
     """Determinant of integer rows by Bareiss elimination."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
+    if row_width(a) not in (None, n):
+        raise DimensionMismatchError("determinant of a non-square matrix")
     rows = [list(row) for row in a]
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -141,10 +135,8 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of the right null space {x : a x = 0} of integer rows, read off
     the reduced row echelon form: one vector per free column f, scaled to
     primitive integers with a positive entry at f."""
-    if not a:
-        return []
-    ncols = len(a[0])
     rows, pivots = _integer_rref(a)
+    ncols = row_width(a) or 0
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         scale = lcm(*(abs(row[c]) for row, c in zip(rows, pivots) if row[f]))
@@ -168,7 +160,7 @@ def intersection_basis(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
         raise ValueError("intersection_basis needs matrices with independent rows")
     if not a or not b:
         return ()
-    if len(a[0]) != len(b[0]):
+    if row_width(a) != row_width(b):
         raise DimensionMismatchError("intersection of row spaces of different widths")
     stacked = [ra + tuple(-x for x in rb) for ra, rb in zip(transpose(a), transpose(b))]
     images = mat_mul([sol[: len(a)] for sol in kernel_basis(stacked)], a)

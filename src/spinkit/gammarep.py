@@ -217,6 +217,14 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     )
 
 
+def _positive_spinor(psi: tuple[int, Iterable]) -> tuple[int, tuple[int, ...]]:
+    """The positive spinor psi = ``(d, entries)`` as ``la.exact`` reduces it."""
+    d, (v,) = la.exact(psi[0], [psi[1]])
+    if len(v) != 8:
+        raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
+    return d, v
+
+
 def spinor_image(
     rep: GammaRep, a: Multivector, psi: tuple[int, Iterable]
 ) -> tuple[int, tuple[int, ...]]:
@@ -229,9 +237,7 @@ def spinor_image(
     block.  Raises ChiralityError when the image leaves S8+, as it does for
     an odd element and a nonzero psi.
     """
-    dp, (v,) = la.exact(psi[0], [psi[1]])
-    if len(v) != 8:
-        raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
+    dp, v = _positive_spinor(psi)
     rows, signs = rep.halves["+"]
     reached = [j for j in range(8) if v[j]]
     d, cols = action_columns(rep, a, tuple(rows[j] for j in reached))
@@ -379,10 +385,7 @@ def stabilizer_dimension(
     the basis minus the rank of the images c(x) psi, each read by
     ``spinor_image`` without building the 8x8 block of c(x).
     """
-    d, entries = psi
-    _, (v,) = la.exact(d, [entries])
-    if len(v) != 8:
-        raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
+    v = _positive_spinor(psi)[1]
     if not any(v):
         raise ValueError("stabilizer of the zero spinor is not defined")
     if algebra is None:

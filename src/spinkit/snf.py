@@ -3,7 +3,8 @@
 The normal form is computed with exact arbitrary-precision integers,
 selecting the smallest nonzero entry as pivot to keep coefficient growth
 in check.  Only the diagonal is returned; base-change matrices are never
-needed here.
+needed here.  ``smith_diagonal`` rejects ragged rows through the kernels'
+shape guard, ``errors.row_width``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._frozen import Frozen
+from .errors import row_width
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
@@ -24,10 +26,7 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
         if not set(map(type, r)) <= {int}:
             bad = next(x for x in r if type(x) is not int)
             raise TypeError(f"Smith normal form needs integer entries, not {bad!r}")
-    if len(set(map(len, a))) > 1:
-        raise ValueError("ragged matrix")
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m, n = len(a), row_width(a) or 0
     diag: list[int] = []
     top = 0
     while top < m and top < n:

@@ -107,7 +107,7 @@ class RotationMatrix(_Matrix):
         if not a:
             raise ValueError("rotation matrix must be at least 1x1")
         d2_identity = tuple(tuple(d * d * x for x in row) for row in la.identity(len(a)))
-        if len(a[0]) != len(a) or la.mat_mul(la.transpose(a), a) != d2_identity:
+        if la.mat_mul(la.transpose(a), a) != d2_identity:
             raise ValueError("matrix is not orthogonal")
         if la.det(a) != d ** len(a):
             raise ValueError("matrix has determinant != +1")

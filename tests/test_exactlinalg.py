@@ -1,6 +1,8 @@
 """Exact matrix products and integer elimination against the Fraction oracles."""
 
+from enum import IntEnum
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
     fraction_view,
 )
 from spinkit.errors import DimensionMismatchError
+from spinkit.snf import smith_diagonal
 
 _ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -73,8 +76,10 @@ def test_mat_mul_of_zero_and_empty_matrices():
     assert (d, b) == (6, ((2, 12), (30, -21), (0, 6)))
     assert la.mat_mul(zero, b) == ((0, 0), (0, 0))
     assert la.exact(d, la.mat_mul(zero, b)) == (1, ((0, 0), (0, 0)))
-    assert la.mat_mul((), b) == ()
+    # no rows have no width: a product with no rows in a has no rows, whatever b's shape
+    assert la.mat_mul((), b) == la.mat_mul((), ()) == la.mat_mul([], ((1, 2, 3),)) == ()
     assert la.mat_mul(((), ()), ()) == ((), ())
+    assert la.transpose(()) == la.transpose(((), ())) == ()
     assert la.mat_mul(la.identity(4), la.identity(4)) == la.identity(4)
 
 
@@ -142,6 +147,7 @@ def test_det_matches_fraction_elimination(a):
 
 def test_elimination_on_zero_empty_and_non_square_inputs():
     assert la.rank(()) == 0 and la.kernel_basis(()) == [] and la.det(()) == 1
+    assert la.rank([]) == 0 and la.kernel_basis([]) == [] and la.det([]) == 1
     zero = ((0, 0, 0), (0, 0, 0))
     assert la.rank(zero) == 0
     assert la.kernel_basis(zero) == list(la.identity(3))
@@ -166,6 +172,12 @@ def test_exact_form_is_in_lowest_terms():
     for d in (0, -2, True, Fraction(1, 2)):
         with pytest.raises(ValueError, match="denominator"):
             la.exact(d, [[1]])
+    # the entry types are exactly int and Fraction: a subclass is not converted on a guess
+    Flag = IntEnum("Flag", "A")
+    Half = type("Half", (Fraction,), {})
+    for bad in (True, Flag.A, Half(1, 2), 0.5):
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+            la.exact(1, [[bad, 1]])
 
 
 def test_rank_of_the_monomial_gram(rep):
@@ -223,12 +235,25 @@ def test_mismatched_shapes_raise():
     with pytest.raises(DimensionMismatchError):
         la.intersection_basis(a, b)
     assert la.mat_mul(b, a) == a
+    with pytest.raises(DimensionMismatchError, match="^determinant of a non-square matrix$"):
+        la.det(a)
     # ragged rows raise instead of being truncated or read past their end
-    with pytest.raises(DimensionMismatchError):
-        la.mat_mul([[1, 2], [3]], [[1], [1]])
-    with pytest.raises(DimensionMismatchError):
-        la.mat_mul(b, [[1, 2], [3]])
     for ragged in ([[1], [2, 3]], [[1, 2], [3]]):
+        for kernel in (
+            partial(la.exact, 1),
+            la.transpose,
+            lambda r: la.mat_mul(r, [[1], [1]]),
+            lambda r: la.mat_mul(b, r),
+            lambda r: la.mat_mul((), r),
+            la.rank,
+            la.kernel_basis,
+            lambda r: la.intersection_basis(r, [[1, 0]]),
+            lambda r: la.intersection_basis([[1, 0]], r),
+            la.det,
+            smith_diagonal,
+        ):
+            with pytest.raises(DimensionMismatchError, match="^ragged matrix$"):
+                kernel(ragged)
         for kernel in (la.rank, la.kernel_basis):
             with pytest.raises(ValueError, match="ragged matrix"):
                 kernel(ragged)

@@ -522,6 +522,14 @@ def test_empty_rotation_matrix_is_rejected():
         RotationMatrix((1, ()))
 
 
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[]]], ids=repr)
+def test_non_square_rotation_matrix_is_rejected(rows):
+    """rows^T rows of an m x n matrix is n x n, so it differs from the m x m
+    d^2 I whenever m != n, even for orthonormal columns."""
+    with pytest.raises(ValueError, match="^matrix is not orthogonal$"):
+        RotationMatrix((1, rows))
+
+
 @pytest.mark.parametrize(
     "build, kind",
     [
