@@ -19,9 +19,10 @@ through one assembly step that checks the dimension cap and validates.
 from the stored column, cell-count and flag tuples, so changing them
 leaves the pair as it was; ``name`` is read-only.
 Each pair also keeps the one cylinder X x I that
-:func:`product_with_interval` builds and validates for it, and the one
-Smith diagonal of each coboundary delta_k that :func:`relative_cohomology`
-reads for H^k and H^(k+1) over every coefficient group.
+:func:`product_with_interval` builds and validates for it, and, for each
+coboundary delta_k, the rank and the torsion (the entries above 1) of its one
+Smith diagonal, which :func:`relative_cohomology` reads for H^k and H^(k+1)
+over every coefficient group.
 
 Sign convention, fixed once and checked by the tests: products of pairs
 follow the Koszul rule d(a x b) = da x b + (-1)^|a| a x db.  The interval
@@ -136,7 +137,7 @@ class CWPairComplex:
         self._sub = {k: tuple(flags) for k, flags in sub.items()}
         self._validate()
         self._cylinder: CWPairComplex | None = None
-        self._diagonals: dict[int, list[int]] = {}
+        self._diagonals: dict[int, tuple[int, list[int]]] = {}
         return self
 
     def _validate(self) -> None:
@@ -261,18 +262,24 @@ def coboundary(c: Cochain) -> Cochain:
     return Cochain(cx, k + 1, c.coefficients, out)
 
 
-def _coboundary_diagonal(cx: CWPairComplex, k: int) -> list[int]:
-    """Smith diagonal of delta_k, computed on the first call for cx and k."""
+def _coboundary_diagonal(cx: CWPairComplex, k: int) -> tuple[int, list[int]]:
+    """Rank and torsion of delta_k, computed on the first call for cx and k.
+
+    The rank is the length of the Smith diagonal of delta_k, and the torsion
+    lists its entries above 1; the 1s only ever give trivial summands.
+    """
     if k not in cx._diagonals:
-        cx._diagonals[k] = smith_diagonal(cx.relative_coboundary_matrix(k))
+        diag = smith_diagonal(cx.relative_coboundary_matrix(k))
+        cx._diagonals[k] = (len(diag), [d for d in diag if d > 1])
     return cx._diagonals[k]
 
 
 def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGroup) -> AbelianGroup:
     """H^k(X, Y; G) via Smith normal form over Z.
 
-    With up and down the Smith diagonals of delta_k and delta_(k-1), H^k over
-    Z is Z^free + sum Z/d over down.  For G = Z/m the universal coefficient
+    With up and down the torsion of the Smith diagonals of delta_k and
+    delta_(k-1), H^k over Z is Z^free + sum Z/d over down, free being the
+    relative k-cells less both ranks.  For G = Z/m the universal coefficient
     decomposition H^k(;Z/m) = H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m)
     reduces every order d to gcd(d, m), with H^(k+1) torsion read from up.
     """
@@ -285,10 +292,9 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     if k < 0 or k > cx.dim:
         return AbelianGroup(0)
     m = coefficients.modulus
-    n_k = len(cx.relative_indices(k))
-    up = _coboundary_diagonal(cx, k) if k < cx.dim else []
-    down = _coboundary_diagonal(cx, k - 1) if k > 0 else []
-    free = n_k - len(up) - len(down)
+    up_rank, up = _coboundary_diagonal(cx, k) if k < cx.dim else (0, [])
+    down_rank, down = _coboundary_diagonal(cx, k - 1) if k > 0 else (0, [])
+    free = cx._sub[k].count(False) - up_rank - down_rank
     return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 
 

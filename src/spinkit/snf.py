@@ -1,14 +1,21 @@
 """Integer Smith normal form and finitely generated abelian group descriptors.
 
-The normal form is computed with exact arbitrary-precision integers,
-selecting the smallest nonzero entry as pivot to keep coefficient growth
-in check.  Only the diagonal is returned; base-change matrices are never
-needed here.  ``smith_diagonal`` rejects ragged rows through the kernels'
-shape guard, ``errors.row_width``.
+The normal form is computed with exact arbitrary-precision integers.  Step t
+takes as pivot the first entry of least nonzero absolute value, in row-major
+order, of the live block (rows and columns t and beyond); one row swap and
+one column swap bring it to (t, t).  Its column is then cleared by integer
+division and its row likewise; a nonzero remainder is swapped into (t, t)
+and the step restarts.  The row-major order is kept on purpose: entry growth
+in integer elimination depends on the pivot order, so another order (one that
+moves rows after each pivot, say) can grow the entries of a big-entry matrix
+much faster, though it reaches the same diagonal.  Only the diagonal is
+returned; base-change matrices are never needed here.  ``smith_diagonal``
+rejects ragged rows through the kernels' shape guard, ``errors.row_width``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 from ._frozen import Frozen
@@ -19,60 +26,81 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form, as nonnegative d1 | d2 | ... | dr.
 
     Zero diagonal entries are dropped; the result lists the nontrivial
-    elementary divisors (possibly 1s) of the matrix.
+    elementary divisors (possibly 1s) of the matrix.  ``rows`` may hold
+    lists or tuples and is left unchanged.
+
+    The pivots are those the module docstring names, and every step
+    reaches the same matrix as the full elimination loop while touching
+    only the live block.  Before step t the finished block is fixed: for
+    s < t, entry (s, s) is the s-th diagonal value and every other entry of
+    row s and of column s is zero.  So the pivot scan stops at the first
+    +-1, which no later entry can beat; column swaps touch rows t and below;
+    rows with a zero in the pivot column are skipped; and once the column
+    below the pivot is clear, a column operation changes the pivot row
+    alone.
     """
     a = [list(r) for r in rows]
-    for r in a:
-        if not set(map(type, r)) <= {int}:
-            bad = next(x for x in r if type(x) is not int)
-            raise TypeError(f"Smith normal form needs integer entries, not {bad!r}")
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
+        bad = next(x for x in chain.from_iterable(a) if type(x) is not int)
+        raise TypeError(f"Smith normal form needs integer entries, not {bad!r}")
     m, n = len(a), row_width(a) or 0
     diag: list[int] = []
-    top = 0
-    while top < m and top < n:
-        # locate the smallest nonzero entry in the remaining block
-        best = None
+    for top in range(min(m, n)):
+        best = 0
         for i in range(top, m):
-            for j in range(top, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+            row = a[i]
+            # the finished columns of a live row are zero, so the whole row is scanned
+            if any(row):
+                v = min(map(abs, filter(None, row)))
+                if not best or v < best:
+                    best, bi = v, i
+                    if v == 1:
+                        break
+        if not best:
             break
-        _, bi, bj = best
+        bj = list(map(abs, a[bi])).index(best)
         a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-
-        while True:
-            pivot = a[top][top]
-            done = True
-            for i in range(top + 1, m):
-                q = a[i][top] // pivot
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                if a[i][top]:
-                    # remainder smaller than pivot: swap it up and restart
-                    a[top], a[i] = a[i], a[top]
-                    done = False
-                    break
-            if not done:
-                continue
-            for j in range(top + 1, n):
-                q = a[top][j] // pivot
-                if q:
-                    for row in a:
-                        row[j] -= q * row[top]
-                if a[top][j]:
-                    for row in a:
-                        row[top], row[j] = row[j], row[top]
-                    done = False
-                    break
-            if done:
-                break
+        if bj != top:
+            for row in a[top:]:
+                row[top], row[bj] = row[bj], row[top]
+        while _eliminate(a, top):
+            pass
         diag.append(abs(a[top][top]))
-        top += 1
     return _divisibility_chain(diag)
+
+
+def _eliminate(a: list[list[int]], top: int) -> bool:
+    """One pass of step ``top``: clear the pivot column, then the pivot row.
+
+    Rows below the pivot drop multiples of the pivot row; only the pivot
+    row's nonzero entries enter.  Once the column below the pivot is clear
+    a column operation changes the pivot row alone, so each entry right of
+    the pivot becomes its remainder mod the pivot.  Returns True when a
+    nonzero remainder was swapped into the pivot position, which restarts
+    the step.
+    """
+    prow = a[top]
+    pivot = prow[top]
+    # the pivot row is zero left of the pivot, so support[0] is (top, pivot)
+    support = [(j, y) for j, y in enumerate(prow) if y]
+    for i in range(top + 1, len(a)):
+        row = a[i]
+        x = row[top]
+        if x:
+            q = x // pivot
+            if q:
+                for j, y in support:
+                    row[j] -= q * y
+            if row[top]:
+                a[top], a[i] = row, prow
+                return True
+    for j, y in support[1:]:
+        y = prow[j] = y % pivot
+        if y:
+            for row in a[top:]:
+                row[top], row[j] = row[j], row[top]
+            return True
+    return False
 
 
 def _divisibility_chain(values: list[int]) -> list[int]:
@@ -98,7 +126,7 @@ class AbelianGroup(Frozen):
         for x in (free_rank, *torsion):
             if type(x) is not int:
                 raise TypeError(f"group invariants must be int, not {x!r}")
-        if free_rank < 0 or any(t < 1 for t in torsion):
+        if free_rank < 0 or min(torsion, default=1) < 1:
             raise ValueError("free rank must be nonnegative and torsion orders positive")
         tors = tuple(t for t in torsion if t != 1)
         for a, b in zip(tors, tors[1:]):
@@ -110,11 +138,11 @@ class AbelianGroup(Frozen):
     @classmethod
     def from_orders(cls, orders: list[int]) -> "AbelianGroup":
         """Build from arbitrary cyclic orders (0 meaning Z), normalizing."""
-        if any(d < 0 for d in orders):
-            raise ValueError(f"cyclic orders must be nonnegative, not {min(orders)}")
-        free = sum(1 for d in orders if d == 0)
+        low = min(orders, default=0)
+        if low < 0:
+            raise ValueError(f"cyclic orders must be nonnegative, not {low}")
         # the chain may start with 1s, which __init__ drops
-        return cls(free, tuple(_divisibility_chain([d for d in orders if d > 1])))
+        return cls(orders.count(0), tuple(_divisibility_chain([d for d in orders if d > 1])))
 
     def __str__(self) -> str:
         parts = []

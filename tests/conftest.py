@@ -7,10 +7,17 @@ import pytest
 
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, Cochain, coboundary, product_with_interval
-from spinkit.errors import ChiralityError, InternalCheckError, InvalidSpinElementError, LiftError, TorsorError
+from spinkit.errors import (
+    ChiralityError,
+    InternalCheckError,
+    InvalidSpinElementError,
+    LiftError,
+    TorsorError,
+    row_width,
+)
 from spinkit.gammarep import build_cl8_rep, chiral_action_matrix, delta7, spinor_image
 from spinkit.multivector import Multivector, integer_product, volume_element
-from spinkit.snf import AbelianGroup, smith_diagonal
+from spinkit.snf import AbelianGroup, _divisibility_chain, smith_diagonal
 from spinkit.spingroup import RotationMatrix, lift_rotation, rational_unit_vector
 
 
@@ -340,6 +347,65 @@ def uncached_relative_cohomology(cx, k, coefficients):
     down = smith_diagonal(cx.relative_coboundary_matrix(k - 1)) if k > 0 else []
     free = len(cx.relative_indices(k)) - len(up) - len(down)
     return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
+
+
+def smith_diagonal_reference(rows):
+    """The Smith diagonal by the full elimination loop: each step scans the
+    whole remaining block for its pivot and applies every row and column
+    operation to all m rows.  The oracle for snf.smith_diagonal, which
+    takes the same pivots and reaches the same intermediate matrices."""
+    a = [list(r) for r in rows]
+    for r in a:
+        if not set(map(type, r)) <= {int}:
+            bad = next(x for x in r if type(x) is not int)
+            raise TypeError(f"Smith normal form needs integer entries, not {bad!r}")
+    m, n = len(a), row_width(a) or 0
+    diag: list[int] = []
+    top = 0
+    while top < m and top < n:
+        # locate the smallest nonzero entry in the remaining block
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                v = abs(a[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        a[top], a[bi] = a[bi], a[top]
+        for row in a:
+            row[top], row[bj] = row[bj], row[top]
+
+        while True:
+            pivot = a[top][top]
+            done = True
+            for i in range(top + 1, m):
+                q = a[i][top] // pivot
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
+                if a[i][top]:
+                    # remainder smaller than pivot: swap it up and restart
+                    a[top], a[i] = a[i], a[top]
+                    done = False
+                    break
+            if not done:
+                continue
+            for j in range(top + 1, n):
+                q = a[top][j] // pivot
+                if q:
+                    for row in a:
+                        row[j] -= q * row[top]
+                if a[top][j]:
+                    for row in a:
+                        row[top], row[j] = row[j], row[top]
+                    done = False
+                    break
+            if done:
+                break
+        diag.append(abs(a[top][top]))
+        top += 1
+    return _divisibility_chain(diag)
 
 
 def sweep_until_stable(orders):

@@ -3,7 +3,9 @@
 import random
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, CoefficientGroup, Z_COEFF, relative_cohomology
 from spinkit.snf import AbelianGroup, smith_diagonal
-from conftest import rank_mod_p, sweep_until_stable
+from conftest import rank_mod_p, smith_diagonal_reference, sweep_until_stable
 
 
 def test_smith_diagonal_known_values():
@@ -21,6 +23,74 @@ def test_smith_diagonal_known_values():
     assert smith_diagonal([[0, 0], [0, 0]]) == []
     assert smith_diagonal([[6]]) == [6]
     assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+
+
+def test_smith_diagonal_takes_tuple_rows_and_leaves_its_argument_unchanged():
+    rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    assert smith_diagonal(rows) == [2, 2, 156]
+    assert rows == [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    frozen = ((0, 0, 0), (0, 4, 6), (0, 0, 0), (3, 0, 9))
+    assert smith_diagonal(frozen) == [1, 6]
+    assert smith_diagonal(list(frozen)) == [1, 6]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 12 x 16, entries in +-1..+-12 on up to a third of the places,
+    with whole rows and columns held at zero; no known diagonal."""
+    rng = draw(st.randoms(use_true_random=True))
+    r, c = rng.randint(0, 12), rng.randint(0, 16)
+    dead_rows, dead_cols = rng.sample(range(r), r // 3), rng.sample(range(c), c // 3)
+    density = rng.uniform(0.05, 0.35)
+    m = [[0] * c for _ in range(r)]
+    for i in range(r):
+        for j in range(c):
+            if i not in dead_rows and j not in dead_cols and rng.random() < density:
+                m[i][j] = rng.choice((-1, 1)) * rng.randint(1, 12)
+    return m, None
+
+
+@st.composite
+def scrambled_diagonals(draw):
+    """A known Smith diagonal d1 | d2 | ..., placed in an r x c zero matrix
+    (r <= 8, c <= 10) and scrambled by unimodular row and column operations
+    while every entry stays within 4096."""
+    rng = draw(st.randoms(use_true_random=True))
+    r, c = rng.randint(1, 8), rng.randint(1, 10)
+    diag = list(accumulate((rng.randint(1, 4) for _ in range(rng.randint(0, min(r, c)))), mul))
+    m = [[0] * c for _ in range(r)]
+    for t, d in enumerate(diag):
+        m[t][t] = d
+    for _ in range(200):
+        on_rows = rng.random() < 0.5
+        work = m if on_rows else [list(col) for col in zip(*m)]
+        if len(work) < 2:
+            continue
+        s, t = rng.sample(range(len(work)), 2)
+        q = rng.randint(-3, 3)
+        if q:
+            new = [x + q * y for x, y in zip(work[t], work[s])]
+            if max(map(abs, new)) > 4096:
+                continue
+            work[t] = new
+        else:
+            work[s], work[t] = work[t], work[s]
+        m = work if on_rows else [list(row) for row in zip(*work)]
+    return m, diag
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(sparse_matrices(), scrambled_diagonals()))
+def test_smith_diagonal_matches_the_reference_loop(case):
+    """Sparse boundary-like matrices and big-entry scrambles: the live-block
+    elimination returns what the full loop returns (and the scrambled
+    diagonal, where it is known), and copies its input."""
+    m, known = case
+    snapshot = [list(row) for row in m]
+    got = smith_diagonal(m)
+    assert got == smith_diagonal_reference(m)
+    assert known is None or got == known
+    assert m == snapshot
 
 
 @pytest.mark.parametrize("bad", [2.5, "4", Fraction(4), True], ids=repr)
