@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._frozen import Frozen
-from .errors import CensusDataError, TorsorError
+from .errors import CensusDataError, Frozen, TorsorError
 from .torsor import (
     MAX_TORSOR_ORDER,
     FiniteAbelianGroup,
@@ -81,8 +80,9 @@ class ManifoldCharData(Frozen):
         object.__setattr__(self, "simply_connected", simply_connected)
         object.__setattr__(self, "has_boundary", has_boundary)
         object.__setattr__(self, "spin", spin)
-        if not isinstance(self.name, str):
-            raise CensusDataError(f"{self.name!r}: name must be a string")
+        # the name is printed inside a report line, so it may hold no line break
+        if not isinstance(self.name, str) or not self.name.isprintable():
+            raise CensusDataError(f"{self.name!r}: name must be a printable string")
         for key in ("p1_sq", "p2", "euler", "h7_rel_rank", "h8_z2_dim", "components"):
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):

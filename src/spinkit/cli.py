@@ -12,8 +12,11 @@ files are used when FILE is omitted; the environment variable
 ``SPINKIT_DATA_DIR`` points lookups at a different data directory.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or input errors.
-A text report is built whole and printed in one write, so a line that
-standard output cannot encode fails it before any of it is shown.
+
+Each handler returns its report as ``(status, payload, lines)``: the exit
+code, the structured report and the text report's lines.  ``main`` alone
+prints, rendering the payload or the lines in one write, so a line that
+standard output cannot encode fails a text report before any of it is shown.
 
 Each handler imports its own layer when it runs: ``verify`` the Clifford
 stack, ``cohomology`` the file readers and the cellular layer, ``census`` the
@@ -48,38 +51,31 @@ def _parse_coefficients(text: str):
     raise argparse.ArgumentTypeError(f"coefficient spec {text!r} is not z or zN (N >= 2)")
 
 
-def _emit_checks(title: str, results, fmt: str) -> int:
-    failed = [r for r in results if not r.passed]
-    if fmt == "structured":
-        payload = {
-            "report": title,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-        }
-        print(json.dumps(payload, indent=1))
-    else:
-        width = max(len(r.name) for r in results) if results else 0
-        lines = [f"# {title}"]
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            suffix = f"  [{r.detail}]" if r.detail else ""
-            lines.append(f"{r.name:<{width}}  {status}{suffix}")
-        lines.append(f"# {len(results) - len(failed)} passed, {len(failed)} failed")
-        print("\n".join(lines))
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+def _check_report(title: str, results) -> tuple[int, dict, list[str]]:
+    failed = sum(not r.passed for r in results)
+    payload = {
+        "report": title,
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "passed": len(results) - failed,
+        "failed": failed,
+    }
+    width = max((len(r.name) for r in results), default=0)
+    lines = [f"# {title}"]
+    for r in results:
+        suffix = f"  [{r.detail}]" if r.detail else ""
+        lines.append(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}{suffix}")
+    lines.append(f"# {len(results) - failed} passed, {failed} failed")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK, payload, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     from .verify import run_suites
 
     results = run_suites(args.scope, seed=args.seed)
-    return _emit_checks(f"verify {args.scope} (seed {args.seed})", results, args.format)
+    return _check_report(f"verify {args.scope} (seed {args.seed})", results)
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args) -> tuple[int, dict, list[str]]:
     from .cwcomplex import relative_cohomology
     from .fileio import data_path, load_complex
 
@@ -93,62 +89,50 @@ def _cmd_cohomology(args) -> int:
     core = cx.name.strip() if cx.name else "X, Y"
     if core.startswith("(") and core.endswith(")"):
         core = core[1:-1]
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "complex": cx.name,
-                    "degree": args.degree,
-                    "coefficients": str(args.coeff),
-                    "group": shown,
-                    "free_rank": group.free_rank,
-                    "torsion": list(group.torsion),
-                },
-                indent=1,
-            )
-        )
-    else:
-        print(f"H^{args.degree}({core}; {args.coeff}) = {shown}")
-    return EXIT_OK
+    payload = {
+        "complex": cx.name,
+        "degree": args.degree,
+        "coefficients": str(args.coeff),
+        "group": shown,
+        "free_rank": group.free_rank,
+        "torsion": list(group.torsion),
+    }
+    return EXIT_OK, payload, [f"H^{args.degree}({core}; {args.coeff}) = {shown}"]
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[int, dict, list[str]]:
     from .census import NEGATIVE_CHIRALITY_CONVENTION, census_report
     from .fileio import BUNDLED_CATALOGUE, data_path, load_catalogue
 
     path = args.file if args.file else data_path(BUNDLED_CATALOGUE)
     rows = [census_report(d) for d in load_catalogue(path)]
-    if args.format == "structured":
-        payload = {
-            "convention": NEGATIVE_CHIRALITY_CONVENTION,
-            "manifolds": [
-                {
-                    "name": r.name,
-                    "e_s_plus": str(r.e_s_plus),
-                    "e_s_minus": str(r.e_s_minus),
-                    "exists": r.exists,
-                    "count": r.count,
-                    "ahat": str(r.ahat),
-                    "holonomy_note": r.holonomy_note,
-                }
-                for r in rows
-            ],
-        }
-        print(json.dumps(payload, indent=1))
-    else:
-        header = f"{'manifold':<24} {'e(S+)':>8} {'exists':>6} {'count':>12}  note"
-        lines = [header, "-" * len(header)]
-        for r in rows:
-            count = "-" if r.count is None else str(r.count)
-            lines.append(f"{r.name:<24} {str(r.e_s_plus):>8} {str(r.exists).lower():>6} {count:>12}  {r.holonomy_note}")
-        with_structure = sum(1 for r in rows if r.exists)
-        lines.append(f"# {len(rows)} manifolds, {with_structure} admit a structure")
-        lines.append(f"# convention: {NEGATIVE_CHIRALITY_CONVENTION}")
-        print("\n".join(lines))
-    return EXIT_OK
+    payload = {
+        "convention": NEGATIVE_CHIRALITY_CONVENTION,
+        "manifolds": [
+            {
+                "name": r.name,
+                "e_s_plus": str(r.e_s_plus),
+                "e_s_minus": str(r.e_s_minus),
+                "exists": r.exists,
+                "count": r.count,
+                "ahat": str(r.ahat),
+                "holonomy_note": r.holonomy_note,
+            }
+            for r in rows
+        ],
+    }
+    header = f"{'manifold':<24} {'e(S+)':>8} {'exists':>6} {'count':>12}  note"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        count = "-" if r.count is None else str(r.count)
+        lines.append(f"{r.name:<24} {str(r.e_s_plus):>8} {str(r.exists).lower():>6} {count:>12}  {r.holonomy_note}")
+    with_structure = sum(1 for r in rows if r.exists)
+    lines.append(f"# {len(rows)} manifolds, {with_structure} admit a structure")
+    lines.append(f"# convention: {NEGATIVE_CHIRALITY_CONVENTION}")
+    return EXIT_OK, payload, lines
 
 
-def _cmd_torsor_check(args) -> int:
+def _cmd_torsor_check(args) -> tuple[int, dict, list[str]]:
     from .torsor import (
         MAX_TORSOR_ORDER,
         abelian_groups_up_to,
@@ -170,29 +154,18 @@ def _cmd_torsor_check(args) -> int:
         except TorsorError as exc:
             ok, detail = False, str(exc)
         results.append((f"{group} (order {group.order()})", ok, detail))
-    failed = [r for r in results if not r[1]]
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "max_order": args.max_order,
-                    "groups": [
-                        {"group": name, "passed": ok, "detail": detail}
-                        for name, ok, detail in results
-                    ],
-                    "failed": len(failed),
-                },
-                indent=1,
-            )
-        )
-    else:
-        lines = [f"# torsor axioms + roundtrips for abelian groups of order <= {args.max_order}"]
-        for name, ok, detail in results:
-            suffix = f"  [{detail}]" if detail else ""
-            lines.append(f"{name:<40} {'PASS' if ok else 'FAIL'}{suffix}")
-        lines.append(f"# {len(results) - len(failed)} passed, {len(failed)} failed")
-        print("\n".join(lines))
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    failed = sum(not ok for _, ok, _ in results)
+    payload = {
+        "max_order": args.max_order,
+        "groups": [{"group": name, "passed": ok, "detail": detail} for name, ok, detail in results],
+        "failed": failed,
+    }
+    lines = [f"# torsor axioms + roundtrips for abelian groups of order <= {args.max_order}"]
+    for name, ok, detail in results:
+        suffix = f"  [{detail}]" if detail else ""
+        lines.append(f"{name:<40} {'PASS' if ok else 'FAIL'}{suffix}")
+    lines.append(f"# {len(results) - failed} passed, {failed} failed")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the exact verification suites")
     p_verify.add_argument("scope", choices=("clifford", "spin", "reps", "all"))
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--format", choices=("text", "structured"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_coh = sub.add_parser("cohomology", help="relative cohomology of a CW pair file")
@@ -214,26 +186,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--degree", type=int, required=True)
     p_coh.add_argument("--coeff", type=_parse_coefficients, default="z",
                        help="z (integers) or zN (mod N); default z")
-    p_coh.add_argument("--format", choices=("text", "structured"), default="text")
     p_coh.set_defaults(func=_cmd_cohomology)
 
     p_census = sub.add_parser("census", help="structure existence/count table for a catalogue")
     p_census.add_argument("file", nargs="?", help="catalogue file (default: bundled)")
-    p_census.add_argument("--format", choices=("text", "structured"), default="text")
     p_census.set_defaults(func=_cmd_census)
 
     p_torsor = sub.add_parser("torsor-check", help="exhaustive difference/action equivalence")
     p_torsor.add_argument("--max-order", type=int, default=16)
-    p_torsor.add_argument("--format", choices=("text", "structured"), default="text")
     p_torsor.set_defaults(func=_cmd_torsor_check)
+
+    # declared last, so help and usage list it after each subcommand's own options
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "structured"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, payload, lines = args.func(args)
+        print(json.dumps(payload, indent=1) if args.format == "structured" else "\n".join(lines))
+        return status
     except (SpinkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,8 +35,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from ._frozen import Frozen
-from .errors import ComplexValidationError, DimensionMismatchError, ResidueError
+from .errors import ComplexValidationError, DimensionMismatchError, Frozen, ResidueError
 from .snf import AbelianGroup, smith_diagonal
 
 # base pairs live in dimensions 0..8; their cylinders reach dimension 9
@@ -129,8 +128,9 @@ class CWPairComplex:
         """
         if len(cells) > MAX_DIMENSION:
             raise ComplexValidationError("cell counts must be nonnegative integers, dimensions 0..9")
-        if not isinstance(name, str):
-            raise ComplexValidationError("the complex name must be a string")
+        # the name is printed inside a report line, so it may hold no line break
+        if not isinstance(name, str) or not name.isprintable():
+            raise ComplexValidationError(f"the complex name {name!r} is not a printable string")
         self._cells = tuple(cells)
         self._name = name
         self._columns = tuple(columns)

@@ -127,6 +127,8 @@ def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
     out = []
     for i, rec in enumerate(records):
         label = rec.get("name", f"record #{i}") if isinstance(rec, dict) else f"record #{i}"
+        if isinstance(label, str) and not label.isprintable():
+            label = repr(label)
         if not isinstance(rec, dict):
             raise CensusDataError(f"{path}: {label} is not an object")
         missing = [f for f in required if f not in rec]

@@ -18,8 +18,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd
 
-from ._frozen import Frozen
-from .errors import row_width
+from .errors import Frozen, row_width
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:

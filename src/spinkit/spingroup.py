@@ -67,8 +67,7 @@ from math import gcd, isqrt
 from operator import mul
 
 from . import exactlinalg as la
-from ._frozen import Frozen
-from .errors import InvalidSpinElementError, LiftError
+from .errors import Frozen, InvalidSpinElementError, LiftError
 from .multivector import _SIGN_MASKS, Multivector, blade_grade, integer_product
 
 _NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"

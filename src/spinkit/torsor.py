@@ -43,8 +43,7 @@ from functools import cached_property
 from itertools import chain, product, repeat
 from math import prod
 
-from ._frozen import Frozen
-from .errors import TorsorError
+from .errors import Frozen, TorsorError
 
 Element = tuple[int, ...]
 

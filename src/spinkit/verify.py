@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import exactlinalg as la
-from ._frozen import Frozen
+from .errors import Frozen
 from .gammarep import (
     GammaRep,
     action_columns,

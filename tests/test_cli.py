@@ -345,6 +345,16 @@ def _record(**override):
                        % (10**4299 + 1, 10**4299 + 2),
                        "H^1 has a torsion order too long to print", id=f"cohomology-long-torsion-{fmt}")
           for fmt in ("text", "structured")),
+        # a name holding a line break would forge a report line; it is shown escaped
+        pytest.param(["census", "{file}"], _record(name="S8\n# 0 manifolds, 0 admit a structure"),
+                     "'S8\\n# 0 manifolds, 0 admit a structure': name must be a printable string",
+                     id="census-forged-name"),
+        pytest.param(["census", "{file}"], '{"manifolds": [{"name": "x\\u2028y"}]}',
+                     "'x\\u2028y' is missing fields", id="census-forged-name-missing-fields"),
+        pytest.param(["cohomology", "{file}", "--degree", "0"],
+                     '{"name": "pt; Z) = 0\\nH^0(pt", "cells": [1]}',
+                     "the complex name 'pt; Z) = 0\\nH^0(pt' is not a printable string",
+                     id="cohomology-forged-name"),
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
@@ -393,11 +403,11 @@ def test_package_imports_with_the_standard_library_only():
     loads = {
         "spinkit": set(),
         "spinkit.cli": {"cli", "errors"},
-        "spinkit.cwcomplex": {"cwcomplex", "snf", "errors", "_frozen"},
+        "spinkit.cwcomplex": {"cwcomplex", "snf", "errors"},
         "spinkit.fileio": {"fileio", "errors"},
         "spinkit.multivector": {"multivector", "exactlinalg", "errors"},
         "spinkit.verify": {
-            "verify", "gammarep", "spingroup", "multivector", "exactlinalg", "errors", "_frozen",
+            "verify", "gammarep", "spingroup", "multivector", "exactlinalg", "errors",
         },
     }
     unwanted = ["dataclasses", "inspect", "importlib.resources"]
@@ -421,7 +431,18 @@ def test_package_imports_with_the_standard_library_only():
         loaded, slow, count = json.loads(done.stdout)
         assert set(loaded) == {"spinkit", *(f"spinkit.{m}" for m in submodules)}, target
         assert slow == [], target
-        assert count >= 13
+        assert count == 12
+
+
+def test_readme_module_map_lists_each_module():
+    """README's module map has one row per module of the package, ``__init__`` excepted."""
+    package = Path(spinkit.__file__).resolve().parent
+    readme = (package.parents[1] / "README.md").read_text()
+    table = readme.split("## Module map", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1].strip().strip("`") for line in table.splitlines()[2:]]
+    modules = [f"spinkit.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(modules)
 
 
 def test_each_subcommand_loads_only_its_own_layer():
@@ -454,7 +475,7 @@ def test_each_subcommand_loads_only_its_own_layer():
         assert done.returncode == 0, done.stderr
         status, loaded, slow = json.loads(done.stdout)
         assert status == 0, argv
-        want = {"cli", "errors", "_frozen", *layer}
+        want = {"cli", "errors", *layer}
         assert set(loaded) == {"spinkit", *(f"spinkit.{m}" for m in want)}, argv
         assert slow == [], argv
 
@@ -493,16 +514,111 @@ def test_catalogue_is_read_as_utf8_in_an_ascii_locale(tmp_path):
     assert done.stderr.startswith("error: ") and "--format structured" in done.stderr
 
 
-def test_failing_check_maps_to_exit_1(capsys):
-    from spinkit.cli import _emit_checks
+def test_failing_check_maps_to_exit_1():
     from spinkit.verify import CheckResult
 
-    code = _emit_checks(
-        "synthetic", [CheckResult("good", True), CheckResult("bad", False, "boom")], "text"
+    code, payload, lines = cli._check_report(
+        "synthetic", [CheckResult("good", True), CheckResult("bad", False, "boom")]
     )
-    out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in out and "boom" in out
+    assert "bad   FAIL  [boom]" in lines
+    assert payload["failed"] == 1
+
+
+def test_verify_reports_a_planted_failure(capsys, monkeypatch):
+    """A failing check row reaches both formats and exit code 1."""
+    from spinkit import verify
+
+    def crashes():
+        raise ValueError("planted")
+
+    monkeypatch.setattr(verify, "CHECKS", (
+        ("clifford", "passes", lambda: None),
+        ("clifford", "planted failure", lambda: "boom at n=3"),
+        ("clifford", "crashes", crashes),
+        ("spin", "not in scope", lambda: "never run"),
+    ))
+    code, out, err = run_cli(capsys, "verify", "clifford", "--seed", "5")
+    assert (code, err) == (1, "")
+    assert out == (
+        "# verify clifford (seed 5)\n"
+        "passes           PASS\n"
+        "planted failure  FAIL  [boom at n=3]\n"
+        "crashes          FAIL  [ValueError: planted]\n"
+        "# 1 passed, 2 failed\n"
+    )
+    code, out, err = run_cli(capsys, "verify", "clifford", "--seed", "5", "--format", "structured")
+    assert (code, err) == (1, "")
+    checks = [
+        {"name": "passes", "passed": True, "detail": ""},
+        {"name": "planted failure", "passed": False, "detail": "boom at n=3"},
+        {"name": "crashes", "passed": False, "detail": "ValueError: planted"},
+    ]
+    report = {"report": "verify clifford (seed 5)", "checks": checks, "passed": 1, "failed": 2}
+    assert out == json.dumps(report, indent=1) + "\n"
+
+
+def test_torsor_check_reports_a_planted_roundtrip_failure(capsys, monkeypatch):
+    """A roundtrip that returns a different table fails only its own group,
+    in both formats, with exit code 1."""
+    real = torsor.difference_from_action
+
+    def lossy(action):
+        back = real(action)
+        return DifferenceTable(back.group, back.carrier, {}) if len(back.carrier) == 2 else back
+
+    monkeypatch.setattr(torsor, "difference_from_action", lossy)
+    code, out, err = run_cli(capsys, "torsor-check", "--max-order", "3")
+    assert (code, err) == (1, "")
+    assert out == (
+        "# torsor axioms + roundtrips for abelian groups of order <= 3\n"
+        f"{'0 (order 1)':<40} PASS\n"
+        f"{'Z/2 (order 2)':<40} FAIL  [roundtrip mismatch]\n"
+        f"{'Z/3 (order 3)':<40} PASS\n"
+        "# 2 passed, 1 failed\n"
+    )
+    code, out, err = run_cli(capsys, "torsor-check", "--max-order", "3", "--format", "structured")
+    assert (code, err) == (1, "")
+    groups = [
+        {"group": "0 (order 1)", "passed": True, "detail": ""},
+        {"group": "Z/2 (order 2)", "passed": False, "detail": "roundtrip mismatch"},
+        {"group": "Z/3 (order 3)", "passed": True, "detail": ""},
+    ]
+    assert out == json.dumps({"max_order": 3, "groups": groups, "failed": 1}, indent=1) + "\n"
+
+
+def test_each_subcommand_lists_format_last():
+    """Each subcommand's options, in the order help and usage show them."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    shown = {
+        name: [a.option_strings[0] if a.option_strings else a.dest for a in parser._actions]
+        for name, parser in sub.choices.items()
+    }
+    assert shown == {
+        "verify": ["-h", "scope", "--seed", "--format"],
+        "cohomology": ["-h", "file", "--degree", "--coeff", "--format"],
+        "census": ["-h", "file", "--format"],
+        "torsor-check": ["-h", "--max-order", "--format"],
+    }
+    usage = sub.choices["cohomology"].format_usage()
+    assert usage.index("--coeff") < usage.index("--format") < usage.index("[file]")
+
+
+def test_reports_are_printed_once_in_main():
+    """Handlers return their reports; one print in ``main`` writes stdout,
+    and ``--format`` and ``json.dumps`` each appear once."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    to_stdout = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        and not any(k.arg == "file" for k in node.keywords)
+    ]
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert len(to_stdout) == 1 and to_stdout[0] in list(ast.walk(main_def))
+    calls = [ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert calls.count("json.dumps") == 1
+    strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+    assert strings.count("--format") == 1
 
 
 def _unused_names(modules, sources):

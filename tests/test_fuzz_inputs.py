@@ -2,8 +2,9 @@
 
 Each example starts from a bundled file (the manifold catalogue or the
 (D8, S7) complex), applies one to three mutations from a fixed menu and runs
-``main`` in process on the result.  Objects are kept as lists of key/value
-pairs so that a repeated key can be written out.
+``main`` in process on the result.  A run that exits 0 prints no name that
+could add a report line.  Objects are kept as lists of key/value pairs so
+that a repeated key can be written out.
 """
 
 import contextlib
@@ -73,6 +74,8 @@ def _objects(value):
 
 
 _OTHER_TYPES = ("x", 1.5, True, None, [], {}, 0)
+# names that would add a line to a text report: a census summary, an H^0 line
+_FORGED_NAMES = ("S8\n# 0 manifolds, 0 admit a structure", "pt; Z) = 0\nH^0(pt")
 
 
 def _mutate(doc, kind: str, pick: int, small: int) -> None:
@@ -99,8 +102,12 @@ def _mutate(doc, kind: str, pick: int, small: int) -> None:
         # does; 10^5 levels pass the raised recursion limit hypothesis runs under
         container, i = slots[pick % len(slots)]
         container[i] = _Raw("[" * 10**5 + "]" * 10**5)
-    elif kind in ("not-spin", "wide") and objects:
-        key, value = ("spin", False) if kind == "not-spin" else ("h8_z2_dim", 20000)
+    elif kind in ("not-spin", "wide", "forge") and objects:
+        key, value = {
+            "not-spin": ("spin", False),
+            "wide": ("h8_z2_dim", 20000),
+            "forge": ("name", _FORGED_NAMES[small % 2]),
+        }[kind]
         obj = objects[pick % len(objects)]
         for pair in obj:
             if pair[0] == key:
@@ -111,7 +118,9 @@ def _mutate(doc, kind: str, pick: int, small: int) -> None:
 
 
 _MUTATION = st.tuples(
-    st.sampled_from(("drop", "repeat", "retype", "nudge", "long", "deep", "not-spin", "wide")),
+    st.sampled_from(
+        ("drop", "repeat", "retype", "nudge", "long", "deep", "not-spin", "wide", "forge")
+    ),
     st.integers(0, 10_000),
     st.integers(-2, 2),
 )
@@ -135,3 +144,7 @@ def test_mutated_files_exit_0_or_2_without_traceback(fmt, mutations):
     if code == 2:
         assert out.getvalue() == ""
         assert str(path) in err.getvalue()
+    elif fmt == "complex":
+        assert out.getvalue().count("\n") == 1  # one H^8 line, whatever the name
+    else:
+        assert all(m["name"].isprintable() for m in json.loads(out.getvalue())["manifolds"])
