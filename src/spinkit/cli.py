@@ -77,7 +77,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_cohomology(args) -> tuple[int, dict, list[str]]:
     from .cwcomplex import relative_cohomology
-    from .fileio import data_path, load_complex
+    from .fileio import data_path, load_complex, shown
 
     path = args.file if args.file else data_path("disk8_rel_sphere7.json")
     cx = load_complex(path)
@@ -85,7 +85,7 @@ def _cmd_cohomology(args) -> tuple[int, dict, list[str]]:
     try:
         shown = str(group)
     except ValueError:  # an order past the int-to-str digit limit
-        raise SpinkitError(f"{path}: H^{args.degree} has a torsion order too long to print")
+        raise SpinkitError(f"{shown(str(path))}: H^{args.degree} has a torsion order too long to print")
     core = cx.name.strip() if cx.name else "X, Y"
     if core.startswith("(") and core.endswith(")"):
         core = core[1:-1]

@@ -13,7 +13,8 @@ afterwards.  A pair stores d_k only as its nonzero (row, entry) columns,
 row-sorted; the dd = 0 and closed-Y checks, :func:`pair_product`,
 :func:`coboundary`, equality and the relative coboundary matrices read
 them.  The public constructor parses dense matrices (the file form) into
-columns, :func:`pair_product` builds its columns directly, and both pass
+columns, :func:`pair_product` builds its columns directly (a block at row
+offset 0 shares the factor's immutable column tuples), and both pass
 through one assembly step that checks the dimension cap and validates.
 ``boundary``, ``cells`` and ``sub`` are views: each read builds fresh lists
 from the stored column, cell-count and flag tuples, so changing them
@@ -137,19 +138,24 @@ class CWPairComplex:
         self._sub = {k: tuple(flags) for k, flags in sub.items()}
         self._validate()
         self._cylinder: CWPairComplex | None = None
-        self._diagonals: dict[int, tuple[int, list[int]]] = {}
+        self._diagonals: dict[int, tuple[int, tuple[int, ...]]] = {}
         return self
 
     def _validate(self) -> None:
-        # column j of d_k d_(k+1): the sum of x * (column t of d_k) over (t, x) in column j of d_(k+1)
+        # column j of d_k d_(k+1), the sum of x * (column t of d_k) over (t, x) in column j of d_(k+1),
+        # adds up in one list of zeros, which a passing column leaves zero; a lone (t, x) needs column t empty
         for k in range(1, self.dim):
             a_cols = self._columns[k]
+            acc = [0] * self._cells[k - 1]
             for col in self._columns[k + 1]:
-                acc: dict[int, int] = {}
+                if len(col) == 1:
+                    if a_cols[col[0][0]]:
+                        raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
+                    continue
                 for t, x in col:
                     for i, y in a_cols[t]:
-                        acc[i] = acc.get(i, 0) + x * y
-                if any(acc.values()):
+                        acc[i] += x * y
+                if any(acc):
                     raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
         for k in range(1, self.dim + 1):
             below = self._sub[k - 1]
@@ -253,6 +259,8 @@ class Cochain(Frozen):
 
 def coboundary(c: Cochain) -> Cochain:
     """delta c, the transpose-of-boundary action with reduced coefficients."""
+    if not isinstance(c, Cochain):
+        raise TypeError(f"coboundary needs a Cochain, not {c!r}")
     cx = c.complex
     k = c.degree
     if k + 1 > cx.dim:
@@ -262,7 +270,7 @@ def coboundary(c: Cochain) -> Cochain:
     return Cochain(cx, k + 1, c.coefficients, out)
 
 
-def _coboundary_diagonal(cx: CWPairComplex, k: int) -> tuple[int, list[int]]:
+def _coboundary_diagonal(cx: CWPairComplex, k: int) -> tuple[int, tuple[int, ...]]:
     """Rank and torsion of delta_k, computed on the first call for cx and k.
 
     The rank is the length of the Smith diagonal of delta_k, and the torsion
@@ -270,7 +278,7 @@ def _coboundary_diagonal(cx: CWPairComplex, k: int) -> tuple[int, list[int]]:
     """
     if k not in cx._diagonals:
         diag = smith_diagonal(cx.relative_coboundary_matrix(k))
-        cx._diagonals[k] = (len(diag), [d for d in diag if d > 1])
+        cx._diagonals[k] = (len(diag), tuple(d for d in diag if d > 1))
     return cx._diagonals[k]
 
 
@@ -279,9 +287,10 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
 
     With up and down the torsion of the Smith diagonals of delta_k and
     delta_(k-1), H^k over Z is Z^free + sum Z/d over down, free being the
-    relative k-cells less both ranks.  For G = Z/m the universal coefficient
-    decomposition H^k(;Z/m) = H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m)
-    reduces every order d to gcd(d, m), with H^(k+1) torsion read from up.
+    relative k-cells less both ranks; down is already a chain 1 < d1 | d2 | ...
+    For G = Z/m the universal coefficient decomposition H^k(;Z/m) =
+    H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m) gives m per free summand and
+    gcd(d, m) per d of down and of up, H^(k+1) torsion being read from up.
     """
     if not isinstance(cx, CWPairComplex):
         raise TypeError(f"complex must be a CWPairComplex, not {cx!r}")
@@ -292,10 +301,12 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     if k < 0 or k > cx.dim:
         return AbelianGroup(0)
     m = coefficients.modulus
-    up_rank, up = _coboundary_diagonal(cx, k) if k < cx.dim else (0, [])
-    down_rank, down = _coboundary_diagonal(cx, k - 1) if k > 0 else (0, [])
+    up_rank, up = _coboundary_diagonal(cx, k) if k < cx.dim else (0, ())
+    down_rank, down = _coboundary_diagonal(cx, k - 1) if k > 0 else (0, ())
     free = cx._sub[k].count(False) - up_rank - down_rank
-    return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
+    if not m:
+        return AbelianGroup(free, down)
+    return AbelianGroup.from_orders([m] * free + [gcd(d, m) for d in down + up])
 
 
 def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) -> CWPairComplex:
@@ -310,6 +321,9 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
     as a constructed complex, so one of dimension over 9 is rejected and
     every product is validated.
     """
+    for factor in (p, q):
+        if not isinstance(factor, CWPairComplex):
+            raise TypeError(f"pair_product factors must be CWPairComplex, not {factor!r}")
     dim = p.dim + q.dim
     blocks = [(j, b) for j, count in enumerate(q._cells) for b in range(count)]
     cells, starts = [], []  # starts[k][j, b]: index of the first k-cell a x b
@@ -329,14 +343,14 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
             if not n:
                 continue
             flags += [True] * n if q._sub[j][b] else p._sub[i]
-            if not k:
-                columns_k += [()] * n
-                continue
-            down = starts[k - 1][j, b]
+            down = starts[k - 1][j, b] if k else 0
+            shifted = p_cols[i] if not down else [tuple([(down + r, x) for r, x in da]) for da in p_cols[i]]
             sign = -1 if i & 1 else 1
             db = [(starts[k - 1][j - 1, r], sign * y) for r, y in q_cols[j][b]]
-            for a, da in enumerate(p_cols[i]):  # (-1)^|a| a x db, then da x b
-                columns_k.append((*[(row0 + a, y) for row0, y in db], *[(down + r, x) for r, x in da]))
+            if db:  # (-1)^|a| a x db, then da x b
+                columns_k += [tuple([(row0 + a, y) for row0, y in db]) + da for a, da in enumerate(shifted)]
+            else:
+                columns_k += shifted
         columns.append(tuple(columns_k))
         sub[k] = flags
     name = f"{p._name} x {q._name}" if name is None else name
@@ -355,6 +369,8 @@ def product_with_interval(cx: CWPairComplex) -> CWPairComplex:
     k-cells and t over the (k-1)-cells of X.  The cylinder is built and
     validated on the first call; later calls return the same object.
     """
+    if not isinstance(cx, CWPairComplex):
+        raise TypeError(f"complex must be a CWPairComplex, not {cx!r}")
     if cx._cylinder is None:
         cx._cylinder = pair_product(cx, INTERVAL_PAIR, name=f"{cx._name} x I" if cx._name else "cylinder")
     return cx._cylinder
@@ -368,6 +384,9 @@ def difference_cochain(o_hat: Cochain, o0: Cochain, o1: Cochain) -> Cochain:
     vanish over the subcomplex, otherwise the inputs were inconsistent and a
     ResidueError is raised.  The interval block is then d.
     """
+    for label, c in (("o_hat", o_hat), ("o0", o0), ("o1", o1)):
+        if not isinstance(c, Cochain):
+            raise TypeError(f"{label} must be a Cochain, not {c!r}")
     if o0.complex != o1.complex or o0.degree != o1.degree or o0.coefficients != o1.coefficients:
         raise DimensionMismatchError("end cochains must match in complex, degree and coefficients")
     base = o0.complex

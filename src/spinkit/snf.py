@@ -105,9 +105,12 @@ def _eliminate(a: list[list[int]], top: int) -> bool:
 def _divisibility_chain(values: list[int]) -> list[int]:
     """Rewrite positive integers in place as d1 | d2 | ... by gcd/lcm swaps.
 
-    One pass suffices: values[i] only shrinks to divisors of itself, and
+    A chain is returned unchanged after one pass over neighbours.  Otherwise
+    one sweep suffices: values[i] only shrinks to divisors of itself, and
     later swaps replace two of its multiples by their gcd and lcm.
     """
+    if not any(map(int.__mod__, values[1:], values)):
+        return values
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             if values[j] % values[i]:
@@ -122,15 +125,14 @@ class AbelianGroup(Frozen):
     _fields = __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        for x in (free_rank, *torsion):
-            if type(x) is not int:
-                raise TypeError(f"group invariants must be int, not {x!r}")
+        if type(free_rank) is not int or not set(map(type, torsion)) <= {int}:
+            bad = next(x for x in (free_rank, *torsion) if type(x) is not int)
+            raise TypeError(f"group invariants must be int, not {bad!r}")
         if free_rank < 0 or min(torsion, default=1) < 1:
             raise ValueError("free rank must be nonnegative and torsion orders positive")
-        tors = tuple(t for t in torsion if t != 1)
-        for a, b in zip(tors, tors[1:]):
-            if b % a:
-                raise ValueError("torsion coefficients must form a divisibility chain")
+        tors = tuple(t for t in torsion if t != 1) if 1 in torsion else tuple(torsion)
+        if any(map(int.__mod__, tors[1:], tors)):
+            raise ValueError("torsion coefficients must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tors)
 

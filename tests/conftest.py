@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, isqrt
 
 import pytest
@@ -560,6 +560,87 @@ def dense_pair_check(dim, boundary, sub):
     return None
 
 
+def dict_pair_check(cells, columns, sub):
+    """The dd = 0 and closed-Y checks on stored (row, entry) columns, each
+    column of d_k d_(k+1) added up in a fresh dict, one-entry columns
+    included: the oracle for CWPairComplex._validate and its list
+    accumulator.  Returns the message the assembly step should raise, or
+    None when the columns form a valid pair."""
+    for k in range(1, len(cells) - 1):
+        for col in columns[k + 1]:
+            acc = {}
+            for t, x in col:
+                for i, y in columns[k][t]:
+                    acc[i] = acc.get(i, 0) + x * y
+            if any(acc.values()):
+                return f"dd != 0 between degrees {k + 1} and {k}"
+    for k in range(1, len(cells)):
+        below = sub[k - 1]
+        for col, in_y in zip(columns[k], sub[k]):
+            if in_y and not all(below[i] for i, _ in col):
+                return "subcomplex is not closed under the boundary"
+    return None
+
+
+def starred_product(p, q):
+    """(cells, columns, sub) of the product pair (X, A) x (Y, B), each column
+    built on its own by starred unpacking of shifted (row, entry) lists: the
+    oracle for pair_product's block-wise columns."""
+    blocks = [(j, b) for j, count in enumerate(q._cells) for b in range(count)]
+    cells, starts = [], []
+    for k in range(p.dim + q.dim + 1):
+        sizes = [p.cell_count(k - j) for j, _ in blocks]
+        cells.append(sum(sizes))
+        starts.append(dict(zip(blocks, accumulate(sizes, initial=0))))
+    columns, sub = [], {}
+    for k in range(len(cells)):
+        columns_k, flags = [], []
+        for j, b in blocks:
+            i = k - j
+            n = p.cell_count(i)
+            if not n:
+                continue
+            flags += [True] * n if q._sub[j][b] else p._sub[i]
+            if not k:
+                columns_k += [()] * n
+                continue
+            down = starts[k - 1][j, b]
+            sign = -1 if i & 1 else 1
+            db = [(starts[k - 1][j - 1, r], sign * y) for r, y in q._columns[j][b]]
+            for a, da in enumerate(p._columns[i]):
+                columns_k.append((*[(row0 + a, y) for row0, y in db], *[(down + r, x) for r, x in da]))
+        columns.append(tuple(columns_k))
+        sub[k] = tuple(flags)
+    return cells, tuple(columns), sub
+
+
+def loop_group_invariants(free_rank, torsion):
+    """The torsion AbelianGroup(free_rank, torsion) keeps, or the exception it
+    raises, by one Python loop per check: the oracle for its C-level passes."""
+    for x in (free_rank, *torsion):
+        if type(x) is not int:
+            raise TypeError(f"group invariants must be int, not {x!r}")
+    if free_rank < 0 or min(torsion, default=1) < 1:
+        raise ValueError("free rank must be nonnegative and torsion orders positive")
+    tors = tuple(t for t in torsion if t != 1)
+    for a, b in zip(tors, tors[1:]):
+        if b % a:
+            raise ValueError("torsion coefficients must form a divisibility chain")
+    return tors
+
+
+def swept_chain(values):
+    """values rewritten as d1 | d2 | ... by the full gcd/lcm double loop, with
+    no early return for chains: the oracle for snf._divisibility_chain."""
+    values = list(values)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[j] % values[i]:
+                g = gcd(values[i], values[j])
+                values[i], values[j] = g, values[i] * values[j] // g
+    return values
+
+
 def group_zero(g):
     """The zero of the FiniteAbelianGroup g."""
     return (0,) * len(g.orders)
@@ -649,12 +730,14 @@ def rep():
     return build_cl8_rep()
 
 
-def make_random_pair_complex(rng: random.Random, max_pieces: int = 10, dim: int = 5) -> CWPairComplex:
+def make_random_pair_complex(
+    rng: random.Random, max_pieces: int = 10, dim: int = 5, incidences: tuple[int, ...] = (1, 2, 3)
+) -> CWPairComplex:
     """Random valid CW pair: a direct sum of cells and two-cell torsion pieces.
 
     Every piece is either a lone d-cell or a pair (d-cell, (d-1)-cell) with
-    incidence m in {1, 2, 3}; whole pieces may be marked as part of Y, which
-    keeps the subcomplex closed under the boundary by construction.
+    incidence m in ``incidences``; whole pieces may be marked as part of Y,
+    which keeps the subcomplex closed under the boundary by construction.
     """
     cells = [0] * (dim + 1)
     pieces = []
@@ -662,7 +745,7 @@ def make_random_pair_complex(rng: random.Random, max_pieces: int = 10, dim: int 
         d = rng.randint(0, dim)
         in_y = rng.random() < 0.3
         if d >= 1 and rng.random() < 0.5:
-            pieces.append((d, rng.choice([1, 2, 3]), in_y))
+            pieces.append((d, rng.choice(list(incidences)), in_y))
         else:
             pieces.append((d, None, in_y))
     for d, m, _ in pieces:

@@ -68,3 +68,27 @@ def test_record_has_the_required_keys(path):
             named.add((run["workload"], name))
     claim = record["claim"]
     assert claim is None or (claim["workload"], claim["metric"]) in named
+
+
+CLAIMED = [p for p in RECORDS if json.loads(p.read_text())["claim"] is not None]
+
+
+@pytest.mark.parametrize("path", CLAIMED, ids=[p.name for p in CLAIMED])
+def test_claimed_gain_meets_the_gain_rule(path):
+    """A claimed gain holds on every run of its workload that times its
+    metric: at least 10 pairs, none failing on either side, the change
+    better in at least 9 of 10, and its median better than the parent's by
+    more than the parent's interquartile distance."""
+    record = json.loads(path.read_text())
+    workload, name = record["claim"]["workload"], record["claim"]["metric"]
+    runs = [r for r in record["runs"] if r["workload"] == workload and name in r["metrics"]]
+    assert runs
+    sign = 1 if BETTER.get(name, "lower") == "lower" else -1
+    for run in runs:
+        metric = run["metrics"][name]
+        assert run["n_pairs"] >= 10
+        assert run["failed"] == {"parent": 0, "change": 0}
+        assert metric["wins"] >= 0.9 * run["n_pairs"]
+        low, high = metric["quartiles"]["parent"]
+        parent, change = _sides(metric["median"])
+        assert sign * (parent - change) > high - low

@@ -368,6 +368,45 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, text, named):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "stem, argv, text, want",
+    [
+        # a complex without a name key is named after its stem, escaped
+        ("pt\tx", ["cohomology", "{file}", "--degree", "0"], '{"cells": [1]}', "H^0(pt\\tx; Z) = Z\n"),
+        ("a\u2028b", ["cohomology", "{file}", "--degree", "0", "--coeff", "z2"], '{"cells": [1]}',
+         "H^0(a\\u2028b; Z/2) = Z/2\n"),
+        # a path holding a line break is shown escaped in every error message
+        ("bad\nname", ["cohomology", "{file}", "--degree", "0"], '{"cells": [1], "mystery": 0}',
+         "bad\\nname.json: unknown keys ['mystery']"),
+        ("bad\nname", ["cohomology", "{file}", "--degree", "0"], '{"cells": [1], "cells": [1]}',
+         "bad\\nname.json: key 'cells' appears twice in one object"),
+        ("bad\nname", ["cohomology", "{file}", "--degree", "0"], "[", "bad\\nname.json: not valid JSON"),
+        ("bad\nname", ["census", "{file}"], '{"manifolds": [{"name": "x"}]}',
+         "bad\\nname.json: x is missing fields"),
+        ("bad\rname", ["cohomology", "{file}", "--degree", "1"],
+         '{"cells": [2, 2], "boundary": {"1": [[%d, 0], [0, %d]]}}' % (10**4299 + 1, 10**4299 + 2),
+         "bad\\rname.json: H^1 has a torsion order too long to print"),
+        # a name key that is not printable is still refused
+        ("named", ["cohomology", "{file}", "--degree", "0"], '{"name": "p\\tq", "cells": [1]}',
+         "named.json: the complex name 'p\\tq' is not a printable string"),
+    ],
+    ids=["stem-tab", "stem-line-separator", "path-unknown-keys", "path-repeated-key", "path-bad-json",
+         "path-catalogue", "path-long-torsion", "name-key-tab"],
+)
+def test_non_printable_stems_and_paths_are_shown_escaped(capsys, tmp_path, stem, argv, text, want):
+    """A file whose stem or path holds a tab, a line break or a line
+    separator gives one line of output or of error, showing each such
+    character as repr escapes it."""
+    path = tmp_path / f"{stem}.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    if want.startswith("H^"):
+        assert (code, out, err) == (0, want, "")
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and want in err and err.count("\n") == 1, err
+
+
 def test_characteristic_numbers_at_the_bound_print(capsys, tmp_path):
     """At |p1_sq|, |p2|, |euler| = MAX_CHAR_NUMBER the 13-fold numerator of
     e(S+) still prints, in both formats and in the rejection message."""

@@ -33,7 +33,9 @@ from conftest import (
     cochain_sub,
     cross_with_interval,
     dense_pair_check,
+    dict_pair_check,
     rank_mod_p,
+    starred_product,
     uncached_relative_cohomology,
     zero_cochain,
 )
@@ -128,6 +130,30 @@ def _generator_count(v):
     return Multivector(v, {0: 1})
 
 
+def _product_left(v):
+    return pair_product(v, INTERVAL_PAIR)
+
+
+def _product_right(v):
+    return pair_product(INTERVAL_PAIR, v)
+
+
+def _interval_end(value):
+    return Cochain(INTERVAL_PAIR, 0, Z_COEFF, value)
+
+
+def _difference_o_hat(v):
+    return difference_cochain(v, _interval_end((0, 0)), _interval_end((0, 0)))
+
+
+def _difference_o0(v):
+    return difference_cochain(_interval_end((0, 0)), v, _interval_end((0, 0)))
+
+
+def _difference_o1(v):
+    return difference_cochain(_interval_end((0, 0)), _interval_end((0, 0)), v)
+
+
 @pytest.mark.parametrize(
     "build, bad",
     [
@@ -157,6 +183,14 @@ def _generator_count(v):
         (_cochain_complex, "x"),
         (_cohomology_complex, "x"),
         (_cohomology_coefficients, 2),
+        (_product_left, "x"),
+        (_product_right, [[1]]),
+        (product_with_interval, "x"),
+        (coboundary, "x"),
+        (coboundary, (1, 2)),
+        (_difference_o_hat, "x"),
+        (_difference_o0, (0, 0)),
+        (_difference_o1, None),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )
@@ -604,3 +638,101 @@ def test_dd_check_matches_dense_oracle(random_pair_complex):
         assert got == want, (cx.cells, k, i, j)
         outcomes["accepted" if want is None else "dd" if want.startswith("dd") else "closure"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def _product_cases(rng, random_pair_complex, count):
+    """Pairs of factors: a random pair with I, with another random pair in
+    either order, and a cylinder (whose columns have several entries) with
+    a random pair."""
+    for trial in range(count):
+        p = random_pair_complex(rng, max_pieces=8, dim=rng.randint(0, 4))
+        q = random_pair_complex(rng, max_pieces=5, dim=rng.randint(0, 4))
+        yield [(p, INTERVAL_PAIR), (p, q), (q, p), (product_with_interval(q), p)][trial % 4]
+
+
+def test_product_columns_match_the_starred_loop(random_pair_complex):
+    """pair_product's block-wise columns, shared at offset 0 and shifted once
+    per block elsewhere, equal the columns the one-column-at-a-time loop
+    builds, on products with I and of two random pairs."""
+    rng = random.Random(16)
+    shared = 0
+    for p, q in _product_cases(rng, random_pair_complex, 200):
+        cells, columns, sub = starred_product(p, q)
+        prod = pair_product(p, q)
+        assert (prod.cells, prod._columns, prod._sub) == (cells, columns, sub), (p.cells, q.cells)
+        shared += any(c is d for k in range(1, p.dim + 1) for c, d in zip(prod._columns[k], p._columns[k]) if c)
+    assert shared >= 50, shared
+
+
+def _assembled(cells, columns, sub):
+    """The message the assembly step raises for these columns, or None."""
+    try:
+        CWPairComplex.__new__(CWPairComplex)._assemble(list(cells), columns, sub, "")
+    except ComplexValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_dd_check_matches_the_dict_loop(random_pair_complex):
+    """The list accumulator and the one-entry rule of the dd = 0 check give
+    the dict loop's verdict and message on random pairs, cylinders and
+    products, as built and with one planted defect: a one-entry column
+    pointed at another row, an entry of a longer column changed, or a flag
+    of Y flipped."""
+    rng = random.Random(17)
+    outcomes = {"accepted": 0, "one-entry dd": 0, "dd": 0, "closure": 0}
+    for p, q in _product_cases(rng, random_pair_complex, 600):
+        cx = [p, pair_product(p, q)][rng.randrange(2)]
+        cells, sub = cx.cells, dict(cx._sub)
+        columns = [list(cols) for cols in cx._columns]
+        assert _assembled(cells, cx._columns, sub) is None and dict_pair_check(cells, cx._columns, sub) is None
+        places = [(k, j) for k in range(2, cx.dim + 1) for j, col in enumerate(columns[k]) if col]
+        if not places:
+            continue
+        k, j = rng.choice(places)
+        col = columns[k][j]
+        kind = rng.choice(["one-entry", "entry", "flag"])
+        if kind == "one-entry":
+            columns[k][j] = ((rng.randrange(cells[k - 1]), rng.choice([-2, -1, 1, 3])),)
+        elif kind == "entry":
+            n = rng.randrange(len(col))
+            t, x = col[n]
+            col = list(col)
+            col[n] = (t, x + rng.choice([-2, -1, 1, 2]) or 5)
+            columns[k][j] = tuple(col)
+        else:
+            flags = list(sub[k])
+            flags[j] = not flags[j]
+            sub[k] = tuple(flags)
+        columns = tuple(map(tuple, columns))
+        want = dict_pair_check(cells, columns, sub)
+        assert _assembled(cells, columns, sub) == want, (cells, k, j, kind)
+        if want is None:
+            outcomes["accepted"] += 1
+        elif want.startswith("dd"):
+            outcomes["one-entry dd" if len(columns[k][j]) == 1 else "dd"] += 1
+        else:
+            outcomes["closure"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_cohomology_matches_the_from_orders_route(random_pair_complex):
+    """H^k read off the cached torsion (over Z as it stands, over Z/m through
+    m per free summand) equals the group from_orders builds from fresh
+    diagonals, for moduli 0, 2, 3, 4, 6 and 12, on random pairs with
+    incidences up to 12, their cylinders and products."""
+    rng = random.Random(18)
+    moduli = [CoefficientGroup(m) for m in (0, 2, 3, 4, 6, 12)]
+    torsion = set()
+    for trial in range(45):
+        cx = random_pair_complex(rng, max_pieces=8, dim=rng.randint(0, 4), incidences=(1, 2, 3, 4, 6, 8, 12))
+        if trial % 3 == 1:
+            cx = product_with_interval(cx)
+        elif trial % 3 == 2:
+            cx = pair_product(cx, random_pair_complex(rng, max_pieces=4, dim=rng.randint(0, 3), incidences=(2, 4, 6)))
+        for coefficients in moduli:
+            for k in range(-1, cx.dim + 2):
+                got = relative_cohomology(cx, k, coefficients)
+                assert got == uncached_relative_cohomology(cx, k, coefficients), (cx.cells, k, coefficients)
+                torsion.update(got.torsion)
+    assert {2, 3, 4, 6, 12} <= torsion, torsion

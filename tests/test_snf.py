@@ -13,8 +13,14 @@ from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
 from spinkit.cwcomplex import CWPairComplex, CoefficientGroup, Z_COEFF, relative_cohomology
-from spinkit.snf import AbelianGroup, smith_diagonal
-from conftest import rank_mod_p, smith_diagonal_reference, sweep_until_stable
+from spinkit.snf import AbelianGroup, _divisibility_chain, smith_diagonal
+from conftest import (
+    loop_group_invariants,
+    rank_mod_p,
+    smith_diagonal_reference,
+    swept_chain,
+    sweep_until_stable,
+)
 
 
 def test_smith_diagonal_known_values():
@@ -164,6 +170,37 @@ def test_from_orders_single_sweep_matches_repeated_sweeps(orders):
     g = AbelianGroup.from_orders(orders)
     assert g.free_rank == orders.count(0)
     assert g.torsion == sweep_until_stable(orders)
+
+
+def _outcome(build, *args):
+    """What build(*args) returns, or the type and text of what it raises."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# bools, floats, strings, 0, negatives, 1s and non-chains among the invariants
+_INVARIANTS = st.sampled_from([0, 1, 2, 3, 4, 6, 12, -1, -4, True, False, 2.0, 0.5, "2", Fraction(4)])
+
+
+@settings(max_examples=600, deadline=None)
+@given(_INVARIANTS, st.lists(_INVARIANTS, max_size=5))
+def test_abelian_group_checks_match_the_loop(free_rank, torsion):
+    """AbelianGroup's C-level type, sign and chain passes raise what the
+    per-item loop raises, with the same text, and keep the same torsion."""
+    got = _outcome(lambda: AbelianGroup(free_rank, tuple(torsion)).torsion)
+    assert got == _outcome(loop_group_invariants, free_rank, tuple(torsion))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=7), st.lists(st.integers(1, 360), max_size=7))
+def test_divisibility_chain_leaves_chains_unchanged(factors, orders):
+    """A chain d1 | d2 | ... comes back as the same list, unchanged; any
+    other list comes back as the full gcd/lcm loop leaves it."""
+    chain = list(accumulate(factors, mul))
+    assert _divisibility_chain(chain) is chain and chain == list(accumulate(factors, mul))
+    assert _divisibility_chain(list(orders)) == swept_chain(orders)
 
 
 def test_smith_diagonal_matches_sympy_invariant_factors():
