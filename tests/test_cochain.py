@@ -682,7 +682,7 @@ def test_dd_check_matches_the_dict_loop(random_pair_complex):
     rng = random.Random(17)
     outcomes = {"accepted": 0, "one-entry dd": 0, "dd": 0, "closure": 0}
     for p, q in _product_cases(rng, random_pair_complex, 600):
-        cx = [p, pair_product(p, q)][rng.randrange(2)]
+        cx = pair_product(p, q) if rng.randrange(2) else p
         cells, sub = cx.cells, dict(cx._sub)
         columns = [list(cols) for cols in cx._columns]
         assert _assembled(cells, cx._columns, sub) is None and dict_pair_check(cells, cx._columns, sub) is None
