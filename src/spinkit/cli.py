@@ -83,9 +83,9 @@ def _cmd_cohomology(args) -> tuple[int, dict, list[str]]:
     cx = load_complex(path)
     group = relative_cohomology(cx, args.degree, args.coeff)
     try:
-        shown = str(group)
+        text = str(group)
     except ValueError:  # an order past the int-to-str digit limit
-        raise SpinkitError(f"{shown(str(path))}: H^{args.degree} has a torsion order too long to print")
+        raise SpinkitError(f"{shown(path)}: H^{args.degree} has a torsion order too long to print")
     core = cx.name.strip() if cx.name else "X, Y"
     if core.startswith("(") and core.endswith(")"):
         core = core[1:-1]
@@ -93,11 +93,11 @@ def _cmd_cohomology(args) -> tuple[int, dict, list[str]]:
         "complex": cx.name,
         "degree": args.degree,
         "coefficients": str(args.coeff),
-        "group": shown,
+        "group": text,
         "free_rank": group.free_rank,
         "torsion": list(group.torsion),
     }
-    return EXIT_OK, payload, [f"H^{args.degree}({core}; {args.coeff}) = {shown}"]
+    return EXIT_OK, payload, [f"H^{args.degree}({core}; {args.coeff}) = {text}"]
 
 
 def _cmd_census(args) -> tuple[int, dict, list[str]]:

@@ -143,20 +143,18 @@ class CWPairComplex:
 
     def _validate(self) -> None:
         # column j of d_k d_(k+1), the sum of x * (column t of d_k) over (t, x) in column j of d_(k+1),
-        # adds up in one list of zeros, which a passing column leaves zero; a lone (t, x) needs column t empty
+        # adds up in one list of zeros; only the rows it touched are read, and a passing column leaves them zero
         for k in range(1, self.dim):
             a_cols = self._columns[k]
             acc = [0] * self._cells[k - 1]
             for col in self._columns[k + 1]:
-                if len(col) == 1:
-                    if a_cols[col[0][0]]:
-                        raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
-                    continue
                 for t, x in col:
                     for i, y in a_cols[t]:
                         acc[i] += x * y
-                if any(acc):
-                    raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
+                for t, _ in col:
+                    for i, _ in a_cols[t]:
+                        if acc[i]:
+                            raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
         for k in range(1, self.dim + 1):
             below = self._sub[k - 1]
             for col, in_y in zip(self._columns[k], self._sub[k]):

@@ -16,8 +16,9 @@ Complex file::
 ``cells[k]`` counts k-cells; ``boundary[str(k)]`` is the cells[k-1] x
 cells[k] integer incidence matrix, row-major, omitted when zero;
 ``sub[str(k)]`` holds 0/1 (or false/true) flags marking subcomplex cells,
-omitted when all zero; ``name``, printable, defaults to the file's stem.  Counts and entries must be integers; any other key
-or type, or a degree key not written as ``str(k)`` (``"07"``), is an error.
+omitted when all zero; ``name``, printable, defaults to the file's stem.
+Counts and entries must be integers; any other key or type, or a degree
+key not written as ``str(k)`` (``"07"``), is an error.
 
 Manifold catalogue::
 
@@ -60,23 +61,23 @@ def data_path(filename: str) -> Path:
 _COMPLEX_KEYS = ("name", "cells", "boundary", "sub")
 
 
-def shown(text: str) -> str:
-    """``text`` with each non-printable character escaped as ``repr`` shows it,
-    so a path or file stem put in a message or a report stays on one line."""
-    return text if text.isprintable() else "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+def shown(path: str | Path) -> str:
+    """``str(path)`` with each non-printable character escaped as ``repr``
+    shows it, so a path or file stem put in a message or a report stays on
+    one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
 
 
 def _read_json(path: str | Path, error: type[SpinkitError]):
     """Parse a JSON file, raising ``error`` on bad syntax, an over-long integer
     literal, nesting deeper than the interpreter's recursion limit or a key
     repeated in one object."""
-    where = shown(str(path))
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
         for key, value in pairs:
             if key in obj:
-                raise error(f"{where}: key {key!r} appears twice in one object")
+                raise error(f"{shown(path)}: key {key!r} appears twice in one object")
             obj[key] = value
         return obj
 
@@ -84,14 +85,14 @@ def _read_json(path: str | Path, error: type[SpinkitError]):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise error(f"{where}: not valid JSON (line {exc.lineno}): {exc.msg}")
+        raise error(f"{shown(path)}: not valid JSON (line {exc.lineno}): {exc.msg}")
     except error:
         raise
     except ValueError as exc:
         # an integer literal over the int-string digit limit, or bytes that are not UTF-8
-        raise error(f"{where}: not valid input: {exc}") from None
+        raise error(f"{shown(path)}: not valid input: {exc}") from None
     except RecursionError:
-        raise error(f"{where}: not valid input: nested too deeply") from None
+        raise error(f"{shown(path)}: not valid input: nested too deeply") from None
 
 
 def _by_degree(raw: dict, key: str) -> dict[int, object]:
@@ -109,18 +110,17 @@ def load_complex(path: str | Path) -> CWPairComplex:
     without a ``name`` key is named after the file's stem, shown escaped."""
     from .cwcomplex import CWPairComplex
 
-    where = shown(str(path))
     raw = _read_json(path, ComplexValidationError)
     if not isinstance(raw, dict) or "cells" not in raw:
-        raise ComplexValidationError(f"{where}: expected an object with a 'cells' list")
+        raise ComplexValidationError(f"{shown(path)}: expected an object with a 'cells' list")
     unknown = set(raw) - set(_COMPLEX_KEYS)
     if unknown:
-        raise ComplexValidationError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ComplexValidationError(f"{shown(path)}: unknown keys {sorted(unknown)}")
     try:
         boundary, sub = _by_degree(raw, "boundary"), _by_degree(raw, "sub")
         return CWPairComplex(raw["cells"], boundary, sub, raw["name"] if "name" in raw else shown(Path(path).stem))
     except ComplexValidationError as exc:
-        raise ComplexValidationError(f"{where}: {exc}") from None
+        raise ComplexValidationError(f"{shown(path)}: {exc}") from None
 
 
 def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
@@ -129,26 +129,25 @@ def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
 
     required = ManifoldCharData.REQUIRED_FIELDS
     names = {*required, *ManifoldCharData.OPTIONAL_FIELDS}
-    where = shown(str(path))
     raw = _read_json(path, CensusDataError)
     records = raw.get("manifolds") if isinstance(raw, dict) else None
     if not isinstance(records, list):
-        raise CensusDataError(f"{where}: expected an object with a 'manifolds' list")
+        raise CensusDataError(f"{shown(path)}: expected an object with a 'manifolds' list")
     out = []
     for i, rec in enumerate(records):
         label = rec.get("name", f"record #{i}") if isinstance(rec, dict) else f"record #{i}"
         if isinstance(label, str) and not label.isprintable():
             label = repr(label)
         if not isinstance(rec, dict):
-            raise CensusDataError(f"{where}: {label} is not an object")
+            raise CensusDataError(f"{shown(path)}: {label} is not an object")
         missing = [f for f in required if f not in rec]
         if missing:
-            raise CensusDataError(f"{where}: {label} is missing fields {missing}")
+            raise CensusDataError(f"{shown(path)}: {label} is missing fields {missing}")
         unknown = set(rec) - names
         if unknown:
-            raise CensusDataError(f"{where}: {label} has unknown fields {sorted(unknown)}")
+            raise CensusDataError(f"{shown(path)}: {label} has unknown fields {sorted(unknown)}")
         try:
             out.append(ManifoldCharData(**rec))
         except CensusDataError as exc:
-            raise CensusDataError(f"{where}: {exc}") from None
+            raise CensusDataError(f"{shown(path)}: {exc}") from None
     return out

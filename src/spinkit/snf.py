@@ -105,12 +105,10 @@ def _eliminate(a: list[list[int]], top: int) -> bool:
 def _divisibility_chain(values: list[int]) -> list[int]:
     """Rewrite positive integers in place as d1 | d2 | ... by gcd/lcm swaps.
 
-    A chain is returned unchanged after one pass over neighbours.  Otherwise
-    one sweep suffices: values[i] only shrinks to divisors of itself, and
-    later swaps replace two of its multiples by their gcd and lcm.
+    One sweep suffices: values[i] only shrinks to divisors of itself, and
+    later swaps replace two of its multiples by their gcd and lcm.  A chain
+    needs no swap, so it comes back unchanged.
     """
-    if not any(map(int.__mod__, values[1:], values)):
-        return values
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             if values[j] % values[i]:
@@ -130,7 +128,7 @@ class AbelianGroup(Frozen):
             raise TypeError(f"group invariants must be int, not {bad!r}")
         if free_rank < 0 or min(torsion, default=1) < 1:
             raise ValueError("free rank must be nonnegative and torsion orders positive")
-        tors = tuple(t for t in torsion if t != 1) if 1 in torsion else tuple(torsion)
+        tors = tuple(t for t in torsion if t != 1)
         if any(map(int.__mod__, tors[1:], tors)):
             raise ValueError("torsion coefficients must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)

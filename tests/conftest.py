@@ -562,9 +562,8 @@ def dense_pair_check(dim, boundary, sub):
 
 def dict_pair_check(cells, columns, sub):
     """The dd = 0 and closed-Y checks on stored (row, entry) columns, each
-    column of d_k d_(k+1) added up in a fresh dict, one-entry columns
-    included: the oracle for CWPairComplex._validate and its list
-    accumulator.  Returns the message the assembly step should raise, or
+    column of d_k d_(k+1) added up in a fresh dict: the oracle for
+    CWPairComplex._validate and its list accumulator.  Returns the message the assembly step should raise, or
     None when the columns form a valid pair."""
     for k in range(1, len(cells) - 1):
         for col in columns[k + 1]:
@@ -627,18 +626,6 @@ def loop_group_invariants(free_rank, torsion):
         if b % a:
             raise ValueError("torsion coefficients must form a divisibility chain")
     return tors
-
-
-def swept_chain(values):
-    """values rewritten as d1 | d2 | ... by the full gcd/lcm double loop, with
-    no early return for chains: the oracle for snf._divisibility_chain."""
-    values = list(values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[j] % values[i]:
-                g = gcd(values[i], values[j])
-                values[i], values[j] = g, values[i] * values[j] // g
-    return values
 
 
 def group_zero(g):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -674,11 +675,11 @@ def _assembled(cells, columns, sub):
 
 
 def test_dd_check_matches_the_dict_loop(random_pair_complex):
-    """The list accumulator and the one-entry rule of the dd = 0 check give
-    the dict loop's verdict and message on random pairs, cylinders and
-    products, as built and with one planted defect: a one-entry column
-    pointed at another row, an entry of a longer column changed, or a flag
-    of Y flipped."""
+    """The list accumulator of the dd = 0 check, which reads back only the
+    rows each column touched, gives the dict loop's verdict and message on
+    random pairs, cylinders and products, as built and with one planted
+    defect: a one-entry column pointed at another row, an entry of a longer
+    column changed, or a flag of Y flipped."""
     rng = random.Random(17)
     outcomes = {"accepted": 0, "one-entry dd": 0, "dd": 0, "closure": 0}
     for p, q in _product_cases(rng, random_pair_complex, 600):
@@ -715,6 +716,20 @@ def test_dd_check_matches_the_dict_loop(random_pair_complex):
             outcomes["closure"] += 1
     assert min(outcomes.values()) >= 20, outcomes
 
+
+
+@pytest.mark.parametrize("middle", [0, 2])
+def test_dd_check_time_grows_with_the_entries(middle):
+    """Checking dd = 0 on 10^5 + 10^5 cells costs time in line with the
+    entries, not with cells[k-1] per column of d_(k+1): with no 1-cells,
+    and with two parallel edges that every 2-cell runs along both ways."""
+    n = 10**5
+    boundary = {1: [[1, 1], [-1, -1]] + [[0, 0]] * (n - 2), 2: [[1] * n, [-1] * n]} if middle else {}
+    start = time.perf_counter()
+    cx = CWPairComplex([n, middle, n], boundary)
+    elapsed = time.perf_counter() - start
+    assert cx.cells == [n, middle, n]
+    assert elapsed < 5.0, f"took {elapsed:.3f}s"
 
 def test_cohomology_matches_the_from_orders_route(random_pair_complex):
     """H^k read off the cached torsion (over Z as it stands, over Z/m through

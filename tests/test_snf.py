@@ -18,7 +18,6 @@ from conftest import (
     loop_group_invariants,
     rank_mod_p,
     smith_diagonal_reference,
-    swept_chain,
     sweep_until_stable,
 )
 
@@ -197,10 +196,13 @@ def test_abelian_group_checks_match_the_loop(free_rank, torsion):
 @given(st.lists(st.integers(min_value=1, max_value=6), max_size=7), st.lists(st.integers(1, 360), max_size=7))
 def test_divisibility_chain_leaves_chains_unchanged(factors, orders):
     """A chain d1 | d2 | ... comes back as the same list, unchanged; any
-    other list comes back as the full gcd/lcm loop leaves it."""
+    other list comes back as a chain whose entries above 1 are the torsion
+    coefficients that repeated sweeps reach."""
     chain = list(accumulate(factors, mul))
     assert _divisibility_chain(chain) is chain and chain == list(accumulate(factors, mul))
-    assert _divisibility_chain(list(orders)) == swept_chain(orders)
+    swept = _divisibility_chain(list(orders))
+    assert not any(b % a for a, b in zip(swept, swept[1:]))
+    assert tuple(d for d in swept if d > 1) == sweep_until_stable(orders)
 
 
 def test_smith_diagonal_matches_sympy_invariant_factors():
