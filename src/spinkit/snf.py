@@ -128,7 +128,7 @@ class AbelianGroup(Frozen):
             raise TypeError(f"group invariants must be int, not {bad!r}")
         if free_rank < 0 or min(torsion, default=1) < 1:
             raise ValueError("free rank must be nonnegative and torsion orders positive")
-        # a torsion tuple with no 1s is kept as it is, not copied
+        # a tuple with no 1s is kept, not copied: copying every H^k group's torsion raised peak memory
         tors = tuple(t for t in torsion if t != 1) if 1 in torsion else tuple(torsion)
         if any(map(int.__mod__, tors[1:], tors)):
             raise ValueError("torsion coefficients must form a divisibility chain")
