@@ -95,8 +95,9 @@ class CWPairComplex:
         for k in range(1, dim + 1):
             rows, cols = cells[k - 1], cells[k]
             matrix = boundary.get(k)
-            if matrix is None:
-                matrix = [[0] * cols for _ in range(rows)]
+            if matrix is None:  # d_k = 0: one empty column per k-cell, no dense zeros
+                all_columns.append(((),) * cols)
+                continue
             if not isinstance(matrix, list) or len(matrix) != rows or not all(
                 isinstance(r, list) and len(r) == cols for r in matrix
             ):

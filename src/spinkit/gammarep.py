@@ -56,13 +56,7 @@ from .errors import (
     InvalidSpinElementError,
 )
 from .multivector import Multivector, blade_grade, p_iso
-from .spingroup import (
-    RotationMatrix,
-    SkewMatrix,
-    SpinElement,
-    _require,
-    lie_lift,
-)
+from .spingroup import SkewMatrix, SpinElement, _require, lie_lift
 
 # Fano-plane triples (a, b, c): cyclically e_a e_b = e_c.  The (i, i+1, i+3)
 # mod 7 orientation is one of the standard alternative-algebra conventions.
@@ -287,16 +281,21 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     on S8- and c(e_0) c(e_i) psi to sum_{a,b} r[a][0] r[b][i] c(e_a) c(e_b) psi
     / d^2 on S8+, all signed basis vectors of R^16 read off ``monomials``.
     The monomials are trace-orthogonal, tr(c(e_A)^T c(e_B)) = 16 delta_AB,
-    so eta_A = tr(c(e_A)^T c(eta)) / 16 for each even mask A.  The candidate
-    passes the full ``SpinElement`` certification and ``spinor_image`` checks
-    c(eta) psi = psi.  It certifies exactly when some lift of R fixes the line
-    of psi, since the construction then forces Ad(eta) = R; otherwise, and
-    when psi is not one basis spinor or the basis vectors miss a row, the
-    candidate moves the fixed spinor line (InternalCheckError).
+    so eta_A = tr(c(e_A)^T M) / 16 for each even mask A, M the matrix built.
+    The candidate passes the full ``SpinElement`` certification and
+    ``spinor_image`` checks c(eta) psi = psi.  R itself needs no check:
+
+      M maps S8- to S8- and S8+ to S8+, so it is c of an even element: c(eta) = M;
+      so a certified eta with c(eta) psi = psi has c(Ad(eta) e_i) psi = M c(e_i) psi;
+      so Ad(eta) = r / d, as x -> c(x) psi is injective on vectors, and R is a rotation.
+
+    It certifies exactly when some lift of R fixes the line of psi;
+    otherwise, and when R is no rotation, psi is not one basis spinor or the
+    basis vectors miss a row, the candidate moves the fixed spinor line
+    (InternalCheckError).
     """
     _require(zeta, SpinElement, "spin element")
-    rotation = RotationMatrix(delta7(rep, zeta.value))
-    d, r = rotation.entries
+    d, r = delta7(rep, zeta.value)
     psi = rep.fixed_spinor
     rows = [row for row, x in zip(rep.halves["+"][0], psi[1]) if x]
     gens = [rep.monomials[1 << a] for a in range(8)]

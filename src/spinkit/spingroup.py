@@ -28,10 +28,9 @@ with s = sum c_S^2, and with X Y^T = V
 Validation checks s = d^2 first, and then this integer is
 d^2 (n d^4 - |V|_F^2).  A sum of squares of integers is 0 exactly when
 every term is, so |V|_F^2 == n d^4 exactly when d^2 X == V Y: the same
-check, made exactly.  ``SpinElement(value)`` always certifies its value and
-keeps the columns for ``adjoint_action``.  Only zeta eta and -zeta are built
-unchecked, soundly: each is a spin element whenever its operands are, and
-Ad(-zeta) = Ad(zeta) keeps zeta's columns.
+check, made exactly.  ``SpinElement(value)`` is the only way a spin element
+is built, products and negatives included: it always certifies its value and
+keeps the columns for ``adjoint_action``.
 
 The grade-1 check also certifies the unit norm, so validation never forms
 the dense product zeta * reverse(zeta).  For an even zeta = sum c_S e_S the
@@ -135,14 +134,6 @@ class SpinElement:
         self._value = value
         self._validate()
 
-    @classmethod
-    def _of(cls, value: Multivector, columns: tuple[int, la.Rows] | None) -> "SpinElement":
-        """A product or negative of spin elements, unchecked (module docstring)."""
-        out = object.__new__(cls)
-        out._value = value
-        out._columns = columns
-        return out
-
     @property
     def value(self) -> Multivector:
         return self._value
@@ -163,10 +154,10 @@ class SpinElement:
             raise
 
     def __mul__(self, other: "SpinElement") -> "SpinElement":
-        return SpinElement._of(self._value * other._value, None)
+        return SpinElement(self._value * other._value)
 
     def __neg__(self) -> "SpinElement":
-        return SpinElement._of(-self._value, self._columns)  # Ad(-zeta) = Ad(zeta)
+        return SpinElement(-self._value)
 
     def __repr__(self) -> str:
         return f"SpinElement({self._value!r})"
@@ -206,8 +197,6 @@ def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:
     """The rotation x -> zeta x zeta^{-1} of R^n (the two-to-one cover map)."""
     _require(zeta, SpinElement, "spin element")
-    if zeta._columns is None:
-        zeta._columns = _conjugated_basis(zeta._value)
     dd, cols = zeta._columns
     return RotationMatrix((dd, la.transpose(cols)))
 

@@ -199,7 +199,7 @@ def lift_section(rng: random.Random) -> str | None:
         lifted = lift_rotation(rot)
         if adjoint_action(lifted).entries != rot.entries:
             return f"lift does not invert the cover in Spin({n})"
-        if lifted.value not in (z.value, (-z).value):
+        if lifted.value not in (z.value, -z.value):
             return "lift is not the original element up to sign"
     return None
 

@@ -27,7 +27,12 @@ from conftest import (
     fraction_view,
     reflection_iota_plus,
 )
-from spinkit.errors import ChiralityError, DimensionMismatchError, EmbeddingDomainError
+from spinkit.errors import (
+    ChiralityError,
+    DimensionMismatchError,
+    EmbeddingDomainError,
+    InternalCheckError,
+)
 from spinkit.gammarep import (
     action_columns,
     build_cl8_rep,
@@ -271,6 +276,29 @@ def test_module_read_lift_fails_where_the_reflection_lift_fails(case, monkeypatc
     assert not [detail for detail in failed.values() if detail.startswith(bad)]
     monkeypatch.setattr(verify, "iota_plus", reflection_iota_plus)
     assert set(_failing_reps_checks(case)) == _REFLECTION_LIFT_FAILURES[case]
+
+
+def _shear(n):
+    return [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "d, rows",
+    [
+        pytest.param(1, [[2 * x for x in row] for row in la.identity(8)], id="twice-identity"),
+        pytest.param(1, _shear(8), id="shear"),
+        pytest.param(1, [[-x if i == 7 else x for x in row] for i, row in enumerate(la.identity(8))],
+                     id="reflection"),
+        pytest.param(1, [[0] * 8] * 8, id="zero"),
+    ],
+)
+def test_iota_plus_rejects_a_spin_rep_that_is_no_rotation(rep, monkeypatch, d, rows):
+    """delta7 is not checked as a rotation on its own: the final certificate
+    of iota_plus (SpinElement and the fixed spinor) rejects every matrix
+    that is not one."""
+    monkeypatch.setattr(gammarep, "delta7", lambda rep, x: la.exact(d, rows))
+    with pytest.raises(InternalCheckError, match="^candidate lift moves the fixed spinor line$"):
+        iota_plus(rep, SpinElement(Multivector.scalar(7, 1)))
 
 
 def test_wrong_fixed_spinor_fails_the_fixed_line():

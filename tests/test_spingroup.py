@@ -570,8 +570,9 @@ def test_fraction_entries_are_held_over_one_denominator():
 
 
 def test_checked_elements_keep_their_columns(monkeypatch):
-    """_validate computes the grade-1 columns once; adjoint_action reuses
-    them, also for -zeta.  A product computes its own on demand, once."""
+    """Every spin element is built by its certifying constructor: z, -z,
+    z * z and a lift each compute the grade-1 columns once, when they are
+    built, and adjoint_action reuses them without computing any."""
     calls = []
     real = spingroup._conjugated_basis
 
@@ -581,19 +582,18 @@ def test_checked_elements_keep_their_columns(monkeypatch):
 
     monkeypatch.setattr(spingroup, "_conjugated_basis", counting)
     z = random_spin(6, 2, 12)
-    assert len(calls) == 1
+    assert calls == [z.value]
     rot = adjoint_action(z)
-    assert adjoint_action(-z).entries == rot.entries
     assert fraction_view(rot.entries) == fraction_adjoint_action(z.value)
-    assert len(calls) == 1
-    lifted = lift_rotation(rot)
-    assert len(calls) == 2
-    assert adjoint_action(lifted).entries == rot.entries
-    assert len(calls) == 2
-
+    minus = -z
+    assert calls == [z.value, -z.value]
+    assert adjoint_action(minus).entries == rot.entries
     square = z * z
-    assert len(calls) == 2
+    assert calls == [z.value, -z.value, square.value]
     assert fraction_view(adjoint_action(square).entries) == fraction_adjoint_action(square.value)
     d, r = rot.entries
     assert adjoint_action(square).entries == la.exact(d * d, la.mat_mul(r, r))
-    assert len(calls) == 3
+    lifted = lift_rotation(rot)
+    assert calls == [z.value, -z.value, square.value, lifted.value]
+    assert adjoint_action(lifted).entries == rot.entries
+    assert len(calls) == 4
