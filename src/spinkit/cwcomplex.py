@@ -72,7 +72,7 @@ class CWPairComplex:
     ``cells[k]`` counts the k-cells; ``sub[k][i]`` marks cell i of
     dimension k as belonging to the subcomplex Y.  The constructor takes
     ``boundary[k]``, the cells[k-1] x cells[k] incidence matrix of d_k, in
-    dense form.  All three read back as fresh views (module docstring).
+    dense form; an omitted degree has d_k = 0.  All three read back as fresh views (module docstring).
     """
 
     def __init__(
@@ -95,7 +95,7 @@ class CWPairComplex:
         for k in range(1, dim + 1):
             rows, cols = cells[k - 1], cells[k]
             matrix = boundary.get(k)
-            if matrix is None:  # d_k = 0: one empty column per k-cell, no dense zeros
+            if matrix is None:  # d_k = 0: one empty column per k-cell
                 all_columns.append(((),) * cols)
                 continue
             if not isinstance(matrix, list) or len(matrix) != rows or not all(

@@ -283,20 +283,20 @@ def _shear(n):
 
 
 @pytest.mark.parametrize(
-    "d, rows",
+    "rows",
     [
-        pytest.param(1, [[2 * x for x in row] for row in la.identity(8)], id="twice-identity"),
-        pytest.param(1, _shear(8), id="shear"),
-        pytest.param(1, [[-x if i == 7 else x for x in row] for i, row in enumerate(la.identity(8))],
+        pytest.param([[2 * x for x in row] for row in la.identity(8)], id="twice-identity"),
+        pytest.param(_shear(8), id="shear"),
+        pytest.param([[-x if i == 7 else x for x in row] for i, row in enumerate(la.identity(8))],
                      id="reflection"),
-        pytest.param(1, [[0] * 8] * 8, id="zero"),
+        pytest.param([[0] * 8] * 8, id="zero"),
     ],
 )
-def test_iota_plus_rejects_a_spin_rep_that_is_no_rotation(rep, monkeypatch, d, rows):
+def test_iota_plus_rejects_a_spin_rep_that_is_no_rotation(rep, monkeypatch, rows):
     """delta7 is not checked as a rotation on its own: the final certificate
     of iota_plus (SpinElement and the fixed spinor) rejects every matrix
     that is not one."""
-    monkeypatch.setattr(gammarep, "delta7", lambda rep, x: la.exact(d, rows))
+    monkeypatch.setattr(gammarep, "delta7", lambda rep, x: la.exact(1, rows))
     with pytest.raises(InternalCheckError, match="^candidate lift moves the fixed spinor line$"):
         iota_plus(rep, SpinElement(Multivector.scalar(7, 1)))
 
