@@ -33,7 +33,7 @@ d(s x I) = (ds) x I + (-1)^dim(s) (s x 1 - s x 0).
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
 
 from .errors import ComplexValidationError, DimensionMismatchError, Frozen, ResidueError
@@ -156,11 +156,11 @@ class CWPairComplex:
                     for i, _ in a_cols[t]:
                         if acc[i]:
                             raise ComplexValidationError(f"dd != 0 between degrees {k + 1} and {k}")
+        # every row that a column in Y reaches is in Y: one list over the Y columns per degree
         for k in range(1, self.dim + 1):
             below = self._sub[k - 1]
-            for col, in_y in zip(self._columns[k], self._sub[k]):
-                if in_y and not all(below[i] for i, _ in col):
-                    raise ComplexValidationError("subcomplex is not closed under the boundary")
+            if not all([below[i] for col in compress(self._columns[k], self._sub[k]) for i, _ in col]):
+                raise ComplexValidationError("subcomplex is not closed under the boundary")
 
     @property
     def name(self) -> str:

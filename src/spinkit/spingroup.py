@@ -10,7 +10,13 @@ d^2: Ad(zeta)_ij = <e_i Z, Z e_j> / d^2 with <a, b> = sum_B (-1)^(|B|+1) a_B b_B
 since reverse(Z) e_i = reverse(e_i Z), the e_i coefficient of an element u
 is minus the scalar part of u e_i, and that of a reverse(b) is
 sum_B (-1)^|B| a_B b_B.  An even Z reaches only odd blades B, on which the
-sign is +1, so V = X Y^T and costs n^2 dot products.
+sign is +1, so V = X Y^T, summed over blade pairs rather than as n^2 dot
+products: V_jk = sum_m s_jk(m) c_m c_m' over even m, m' = m ^ e_j ^ e_k,
+where e_m e_j = s_jk(m) e_k e_m' (the signs of X's and Y's entries).
+Multiplying by e_k^{-1} on the left and e_j^{-1} on the right gives
+e_m' e_j = s_jk(m) e_k e_m, so s_jk(m') = s_jk(m), and for j != k each
+pair {m, m'} is one product c_m c_m' that feeds both V_jk and V_kj with
+weight 2 s_jk(m) and 2 s_kj(m).  The diagonal V_jj needs only the squares.
 
 The grade-1 check is zeta e_j == v_j zeta on every blade, d^2 X == V Y: once
 reverse(zeta) = zeta^{-1} the rest r_j = zeta e_j zeta^{-1} - v_j vanishes
@@ -62,6 +68,8 @@ the root of that product, over 4d and over the reflection's denominator.
 from __future__ import annotations
 
 import random
+from functools import cache
+from itertools import combinations, compress
 from math import gcd, isqrt
 from operator import mul
 
@@ -163,12 +171,34 @@ class SpinElement:
         return f"SpinElement({self._value!r})"
 
 
+def _odd(a: int, b: int) -> int:
+    """1 when e_a e_b = -e_(a ^ b), read off ``_SIGN_MASKS`` as ``integer_product`` does."""
+    return (b & _SIGN_MASKS[a]).bit_count() & 1
+
+
+@cache
+def _pair_tables(n: int) -> tuple:
+    """For ``_conjugated_basis`` on Cl(0,n), built on first use: the even blades;
+    selectors of those with s_jj = -1; and per j < k the pairs {m, m ^ e_j ^ e_k}
+    as (firsts, seconds) index tuples in four groups, by (s_jk, s_kj) = (+, +),
+    (+, -), (-, +), (-, -) (module docstring)."""
+    even = tuple(m for m in range(1 << n) if not m.bit_count() & 1)
+    minus = tuple(tuple(_odd(m, 1 << j) ^ _odd(1 << j, m) for m in even) for j in range(n))
+    blocks = []
+    for j, k in combinations(range(n), 2):
+        ej, ek, groups = 1 << j, 1 << k, ([], [], [], [])
+        for m in even:
+            if m < (pair := m ^ ej ^ ek):
+                groups[2 * (_odd(m, ej) ^ _odd(ek, pair)) + (_odd(m, ek) ^ _odd(ej, pair))].append(m)
+        blocks.append((j, k, tuple((tuple(g), tuple(m ^ ej ^ ek for m in g)) for g in groups)))
+    return even, minus, tuple(blocks)
+
+
 def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
     """``(d^2, cols)`` for an even zeta = Z / d with sum c_S^2 = d^2:
     cols[j] / d^2 are the components of the grade-1 part v_j of
-    zeta e_j reverse(zeta), the rows of V = X Y^T (module docstring).  Row k
-    of X holds Z e_k and row k of Y holds e_k Z on the blades m ^ e_k they
-    reach, each sign read off ``_SIGN_MASKS`` as in ``integer_product``.
+    zeta e_j reverse(zeta), the rows of V = X Y^T, summed from the squares
+    of the even blades and one product per blade pair (module docstring).
 
     Raises InvalidSpinElementError unless every image is a vector, that is
     unless d^2 X == V Y, checked as the one integer identity
@@ -176,22 +206,22 @@ def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
     the images are the columns of Ad(zeta).
     """
     n, dd = zeta.n, zeta.d * zeta.d
-    terms = zeta.terms.items()
-    pos = {b: i for i, b in enumerate({m ^ (1 << k) for m, _ in terms for k in range(n)})}
-    x, y = [], []
-    for k in range(n):
-        bit, left = 1 << k, _SIGN_MASKS[1 << k]
-        xk, yk = [0] * len(pos), [0] * len(pos)
-        for m, c in terms:
-            i = pos[m ^ bit]
-            xk[i] = -c if _SIGN_MASKS[m] & bit else c  # e_m e_k
-            yk[i] = -c if (m & left).bit_count() & 1 else c  # e_k e_m
-        x.append(xk)
-        y.append(yk)
-    v = tuple(tuple(sum(map(mul, xj, yk)) for yk in y) for xj in x)
-    if sum(c * c for row in v for c in row) != n * dd * dd:
+    even, minus, blocks = _pair_tables(n)
+    coefficients = [0] * (1 << n)
+    for m, c in zeta.terms.items():
+        coefficients[m] = c
+    get = coefficients.__getitem__
+    squares = [c * c for c in map(get, even)]
+    s = sum(squares)
+    v = [[0] * n for _ in range(n)]
+    for j, sel in enumerate(minus):
+        v[j][j] = s - 2 * sum(compress(squares, sel))
+    for j, k, groups in blocks:
+        pp, pm, mp, mm = [sum(map(mul, map(get, firsts), map(get, seconds))) for firsts, seconds in groups]
+        v[j][k], v[k][j] = 2 * (pp + pm - mp - mm), 2 * (pp - pm + mp - mm)
+    if sum(x * x for row in v for x in row) != n * dd * dd:
         raise InvalidSpinElementError("conjugation does not preserve grade 1")
-    return dd, v
+    return dd, tuple(map(tuple, v))
 
 
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:

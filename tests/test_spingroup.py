@@ -2,9 +2,12 @@
 
 import random
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -304,13 +307,15 @@ def conjugation_inputs(draw, kinds=_CONJUGATION_KINDS):
     """Spin elements for n = 1..8 and their products, non-unit even, odd and
     mixed-parity elements, the central cases and zero, and spin elements with
     one coefficient negated: even, with sum c_S^2 = d^2 still, so only the
-    grade-1 identity can reject them.  ``kinds`` picks a subset."""
+    grade-1 identity can reject them.  A spin element is a product of up to
+    8 unit vectors, so for n = 8 it reaches grades 6 and 8 as well, as the
+    dense lifts do.  ``kinds`` picks a subset."""
     kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(min_value=1, max_value=8))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
-    zeta = random_spin(n, rng.choice([1, 2]), rng.randrange(10**6)).value
+    zeta = random_spin(n, rng.randint(1, 4), rng.randrange(10**6)).value
     if kind == "product":
-        return zeta * random_spin(n, rng.choice([1, 2]), rng.randrange(10**6)).value
+        return zeta * random_spin(n, rng.randint(1, 4), rng.randrange(10**6)).value
     if kind == "even":
         if rng.random() < 0.5:
             return zeta * Fraction(rng.choice([2, 3, -2]), rng.choice([1, 3, 5]))
@@ -354,12 +359,40 @@ def _basis_or_error(kernel, value):
 @given(conjugation_inputs(_KERNEL_DOMAIN))
 @example(_pythagorean_tilt(4))
 @example(_pythagorean_tilt(8))
+@example(iota_plus(build_cl8_rep(), random_spin(7, 2, 11)).value)
+@example(_flipped(iota_plus(build_cl8_rep(), random_spin(7, 2, 11)).value, 0b11111111))
+@example(random_spin(1, 1, 0).value)
+@example(random_spin(2, 2, 3).value)
 def test_conjugated_basis_matches_blade_loop(value):
     """On the even elements with sum c_S^2 = d^2 that SpinElement sends it,
-    the one-identity kernel returns the blade loop's (d^2, cols), or raises
-    its exception with its message."""
+    the pair-product kernel returns the blade loop's (d^2, cols), or raises
+    its exception with its message: on dense spinor-type lifts, which hold
+    every even blade, and for n = 1 and 2, with no blade pair or one."""
     got = _basis_or_error(spingroup._conjugated_basis, value)
     assert got == _basis_or_error(loop_conjugated_basis, value)
+
+
+def test_pair_tables_are_built_on_first_use():
+    """In a fresh interpreter, importing the verify stack and building the
+    Cl(0,8) module builds no conjugation table, so the tables stay off
+    set-up and cold start; the first spin element builds the one for its n."""
+    src = Path(spingroup.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import spinkit.verify\n"
+        "from spinkit.gammarep import build_cl8_rep\n"
+        "from spinkit.multivector import Multivector\n"
+        "from spinkit.spingroup import SpinElement, _pair_tables\n"
+        "build_cl8_rep()\n"
+        "print(_pair_tables.cache_info().currsize)\n"
+        "SpinElement(Multivector.scalar(8, 1))\n"
+        "print(_pair_tables.cache_info().currsize)\n"
+    )
+    # -I: no environment paths; -B: the child leaves no bytecode behind
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]
 
 
 @settings(max_examples=100, deadline=None)
