@@ -9,8 +9,8 @@ The kernels run on integer rows.  The product of ``(da, a)`` and
 ``(db, b)`` is ``exact(da * db, mat_mul(a, b))``; a rank or a kernel
 ignores row scaling, so ``rank`` and ``kernel_basis`` read the rows alone
 and eliminate on them kept primitive (divided by their gcd) after every
-update.  ``det`` is Bareiss's fraction-free elimination (Math. Comp. 22,
-1968).
+update; ``rank`` eliminates a tall matrix's transpose, its short side.
+``det`` is Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 
 Every kernel reads its rows through one guard, ``errors.row_width``: ragged
 rows raise ``DimensionMismatchError``, nothing is truncated, and a matrix
@@ -105,8 +105,8 @@ def _integer_rref(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int
 
 
 def rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of integer rows."""
-    return len(_integer_rref(a)[1])
+    """Rank over Q of integer rows, eliminated on the short side (transposing keeps the rank)."""
+    return len(_integer_rref(transpose(a) if len(a) > (row_width(a) or 0) else a)[1])
 
 
 def det(a: Sequence[Sequence[int]]) -> int:

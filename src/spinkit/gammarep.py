@@ -26,13 +26,13 @@ The module has one form: the generators, the 256 monomials and the two
 halves are stored as signed permutations (``GammaRep.gamma``,
 ``GammaRep.monomials``, ``GammaRep.halves``), and no dense copy is kept.
 The actions and the ``verify reps`` checks read these same permutations.
-Where a check needs c(a) on one positive spinor psi rather than the whole
-8x8 block, ``spinor_image`` sums the ``action_columns`` columns at the rows
-psi reaches, weighted by psi's signed entries: the stabilizer dimensions,
-the g2 check and the fixed-spinor check in ``iota_plus`` read it.  The span of
-the monomials is ranked block by block: a flattened c(e_A) is nonzero only
-at the positions (perm[j], j), and rank over Q adds up over groups of rows
-whose column supports are disjoint.
+Where a check needs c(a) on one positive spinor psi, ``spinor_image`` moves
+psi's nonzero signed entries by each term's signed permutation, one step per
+(term, entry) and no 8x8 block: the stabilizer dimensions, the g2 check and
+the fixed-spinor check in ``iota_plus`` read it.  The span of the monomials
+is ranked block by block: a flattened c(e_A) is nonzero only at the
+positions (perm[j], j), and rank over Q adds up over groups of rows whose
+column supports are disjoint.
 
 Conjugation (Ad) and the chiral restriction of c give the two
 non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
@@ -121,12 +121,7 @@ def generator_relation_failure(gammas: tuple[_SignedPerm, ...]) -> tuple[int, in
 
 def _left_mult_sp(i: int) -> _SignedPerm:
     """Column description of octonion left multiplication by e_i."""
-    perm, sign = [], []
-    for j in range(8):
-        k, s = octonion_basis_product(i, j)
-        perm.append(k)
-        sign.append(s)
-    return tuple(perm), tuple(sign)
+    return tuple(zip(*(octonion_basis_product(i, j) for j in range(8))))
 
 
 def _build_gamma_sp() -> list[_SignedPerm]:
@@ -225,24 +220,28 @@ def spinor_image(
     """c(a) psi for a positive spinor psi = ``(d, entries)``, returned as
     ``(d', entries)`` in the basis of S8+, in lowest terms.
 
-    Basis spinor j is signs[j] * e_rows[j], so c(a) psi is the sum of the
-    columns rows[j] of c(a) weighted by signs[j] * entries[j]: only the
-    ``action_columns`` columns at the rows psi reaches are built, and no 8x8
-    block.  Raises ChiralityError when the image leaves S8+, as it does for
-    an odd element and a nonzero psi.
+    Basis spinor j is signs[j] * e_rows[j], and a term c e_A of a sends
+    e_rows[j] to c sign[rows[j]] e_perm[rows[j]] (``monomials[A]``): the
+    image is summed term by term over psi's nonzero entries, and no column
+    of c(a) is built.  Raises ChiralityError when the image leaves S8+, as
+    it does for an odd element and a nonzero psi.
     """
     dp, v = _positive_spinor(psi)
+    if a.n != 8:
+        raise DimensionMismatchError("the Cl(0,8) action needs an element of Cl(0,8)")
     rows, signs = rep.halves["+"]
-    reached = [j for j in range(8) if v[j]]
-    d, cols = action_columns(rep, a, tuple(rows[j] for j in reached))
-    weights = [signs[j] * v[j] for j in reached]
-    image = [sum(map(mul, weights, entries)) for entries in zip(*cols)] if cols else [0] * 16
+    entries = [(rows[j], signs[j] * x) for j, x in enumerate(v) if x]
+    image = [0] * 16
+    for mask, c in a.terms.items():
+        perm, sign = rep.monomials[mask]
+        for row, x in entries:
+            image[perm[row]] += c * x * sign[row]
     inside = [s * image[r] for r, s in zip(rows, signs)]
     for r in rows:
         image[r] = 0
     if any(image):
         raise ChiralityError("element does not preserve the chiral subspace")
-    d, (out,) = la.exact(d * dp, [inside])
+    d, (out,) = la.exact(a.d * dp, [inside])
     return d, out
 
 
@@ -308,11 +307,12 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
         columns[source] = column = [0] * 16
         for a, (row, sa) in enumerate(minus):
             column[row] += s * d * r[a][i] * sa
-    for i, (source, s) in enumerate(row[0] for row in plus):
-        columns[source] = column = [0] * 16
-        for b, products in enumerate(plus):
-            for a, (row, sab) in enumerate(products):
-                column[row] += s * r[a][0] * r[b][i] * sab
+    w = [[0] * len(plus) for _ in range(16)]  # w[row][b]: w_b = sum_a r[a][0] c(e_a) c(e_b) u
+    for b, products in enumerate(plus):
+        for (row, sab), ra in zip(products, r):
+            w[row][b] += ra[0] * sab
+    for (source, s), ri in zip((row[0] for row in plus), zip(*r)):  # column i is sum_b r[b][i] w_b
+        columns[source] = [s * sum(map(mul, ri, at_row)) for at_row in w]
     if len(columns) != 16:
         raise InternalCheckError(_MOVES_PSI)
     columns = [columns[j] for j in range(16)]

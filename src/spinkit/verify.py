@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from . import exactlinalg as la
@@ -300,7 +301,7 @@ def chiral_swap(rep: GammaRep, rng: random.Random) -> str | None:
             return "unit vector does not map S+ into S-"
         for a, ca in enumerate(cols):
             for b in range(a, len(cols)):
-                if sum(x * y for x, y in zip(ca, cols[b])) != (d * d if a == b else 0):
+                if sum(map(mul, ca, cols[b])) != (d * d if a == b else 0):
                     return "unit vector action is not an isometry"
         _, cols = action_columns(rep, v, minus)
         if any(col[r] for col in cols for r in outside_plus):

@@ -480,11 +480,12 @@ def fraction_spinor_image(rep, a, psi):
 
 def chiral_matrix_stabilizer_dimension(rep, psi, algebra):
     """The stabilizer dimension read off the whole 8x8 chiral matrix of each
-    algebra element times psi: the oracle for stabilizer_dimension."""
+    algebra element times psi, ranked by the Fraction RREF rather than
+    la.rank: the oracle for stabilizer_dimension."""
     d, entries = psi
     _, (v,) = la.exact(d, [entries])
     images = [la.mat_mul((v,), la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0] for x in algebra]
-    return len(algebra) - la.rank(images)
+    return len(algebra) - len(fraction_rref([list(map(Fraction, row)) for row in images])[1])
 
 
 def dense_orthogonal_skew_failure(rep):

@@ -119,9 +119,28 @@ def matrices(draw, square=False):
     return tuple(map(tuple, rows))
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_rank_and_kernel_match_fraction_rref(a):
+@st.composite
+def orbit_shaped_matrices(draw):
+    """Tall r x c and wide c x r integer matrices, r in 9..28 and c in 1..8:
+    the shapes of the orbit images ``stabilizer_dimension`` ranks (28 x 8 at
+    most), with entries up to about 10^3.  Some are sparse, and a product
+    through k < c inner columns has rank at most k."""
+    r, c = draw(st.integers(9, 28)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "sparse", "product"]))
+    if kind == "product" and c > 1:
+        k = draw(st.integers(1, c - 1))
+        small = st.integers(-12, 12)
+        a = tuple(tuple(Fraction(draw(small)) for _ in range(k)) for _ in range(r))
+        rows = fraction_mat_mul(a, tuple(tuple(draw(small) for _ in range(c)) for _ in range(k)))
+    else:
+        entries = st.integers(-1000, 1000)
+        if kind == "sparse":
+            entries = st.one_of(st.just(0), st.just(0), entries)
+        rows = tuple(tuple(Fraction(draw(entries)) for _ in range(c)) for _ in range(r))
+    return tuple(zip(*rows)) if draw(st.booleans()) else rows
+
+
+def _assert_rank_and_kernel_match(a):
     _, pivots = fraction_rref([list(row) for row in a])
     _, ia = la.exact(1, a)
     assert la.rank(ia) == len(pivots) == la.rank(la.transpose(ia))
@@ -133,6 +152,20 @@ def test_rank_and_kernel_match_fraction_rref(a):
     if a:
         assert len(kernel) == len(a[0]) - len(pivots)
         assert all(not any(la.mat_mul((v,), la.transpose(ia))[0]) for v in kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_and_kernel_match_fraction_rref(a):
+    _assert_rank_and_kernel_match(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_shaped_matrices())
+def test_rank_and_kernel_of_tall_and_wide_matrices_match_fraction_rref(a):
+    """rank eliminates a tall matrix's transpose; the Fraction RREF of the
+    matrix itself is the oracle for it and for kernel_basis."""
+    _assert_rank_and_kernel_match(a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,3 +292,8 @@ def test_mismatched_shapes_raise():
                 kernel(ragged)
         with pytest.raises(ValueError, match="ragged matrix"):
             la.intersection_basis(ragged, [[1, 0]])
+    # a ragged tall input raises before any transpose is taken
+    for ragged in ([[1, 2]] * 5 + [[3]], [[1]] + [[2, 3]] * 5, [[1, 2, 3]] * 28 + [[4, 5]]):
+        for kernel in (la.rank, la.kernel_basis, la.transpose):
+            with pytest.raises(DimensionMismatchError, match="^ragged matrix$"):
+                kernel(ragged)

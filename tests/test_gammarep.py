@@ -453,6 +453,20 @@ def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
     assert sizes and max(sizes) <= 28
 
 
+def test_orbit_checks_build_no_action_columns(rep, monkeypatch):
+    """stabilizer_21 and sphere_transitivity read each image c(x) psi term by
+    term: action_columns, which builds dense 16-entry columns, runs 0 times
+    while they do; the spy does see the columns chiral_action_matrix builds."""
+    calls, real = [], gammarep.action_columns
+    monkeypatch.setattr(gammarep, "action_columns", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(verify, "action_columns", gammarep.action_columns)
+    names = {check: name for _, name, check in CHECKS}
+    for check in (verify.stabilizer_21, verify.sphere_transitivity):
+        assert check(rep, random.Random(f"0:{names[check]}")) is None
+    assert calls == []
+    assert chiral_action_matrix(rep, volume_element(8), "+") == (1, I8) and len(calls) == 1
+
+
 def _clifford_action(rep, a):
     """The 16x16 matrix of c(a) as an exact pair, read off action_columns."""
     d, cols = action_columns(rep, a, range(16))
