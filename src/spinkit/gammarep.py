@@ -29,7 +29,10 @@ The actions and the ``verify reps`` checks read these same permutations.
 Where a check needs c(a) on one positive spinor psi, ``spinor_image`` moves
 psi's nonzero signed entries by each term's signed permutation, one step per
 (term, entry) and no 8x8 block: the stabilizer dimensions, the g2 check and
-the fixed-spinor check in ``iota_plus`` read it.  The span of the monomials
+the fixed-spinor check in ``iota_plus`` read it.  The stabilizer dimensions
+of several spinors in one algebra are one call of ``_stabilizer_dimensions``,
+which proves the algebra independent once and ranks the unreduced images,
+since a rank ignores the scale of each row.  The span of the monomials
 is ranked block by block: a flattened c(e_A) is nonzero only at the
 positions (perm[j], j), and rank over Q adds up over groups of rows whose
 column supports are disjoint.
@@ -38,14 +41,18 @@ Conjugation (Ad) and the chiral restriction of c give the two
 non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
 blade-wise inclusion that stabilizes the vector e0, ``iota_plus`` the lift
 of the 8-dimensional spin representation that stabilizes a positive unit
-spinor, read off c of the lift as traces against the monomials.
+spinor, read off c of the lift as traces against the monomials.  Each
+trace is two index sums over the 16x16 matrix flattened once: a monomial's
+positions are grouped by sign (``GammaRep._read_out``, built on the first
+lift), so the read-out multiplies by no sign.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import getitem, mul
-from typing import Iterable
+from functools import cached_property
+from itertools import chain, combinations
+from operator import itemgetter, mul
+from typing import Iterable, Iterator
 
 from . import exactlinalg as la
 from .errors import (
@@ -164,6 +171,31 @@ class GammaRep:
         # spinor 0 of S8+, that is -e8 (certified by the fixed-line check)
         self.fixed_spinor: tuple[int, tuple[int, ...]] = 1, (1,) + (0,) * 7
 
+    @cached_property
+    def _read_out(self) -> tuple[tuple, tuple]:
+        """``(signed, scaled)`` for ``iota_plus``, built from ``monomials`` on
+        the first lift: the positions 16 j + perm[j] of each even monomial in
+        a 16x16 matrix M flattened column by column, grouped by sign value.
+        ``signed`` holds (mask, plus, minus) itemgetters for the signs +1 and
+        -1, ``scaled`` (mask, s, getter) for every other nonzero sign s, so
+        sum_j sign[j] M[perm[j]][j] is sum(plus) - sum(minus) plus
+        s * sum(getter) over mask's scaled groups.  Every getter also reads
+        position 256, a zero, twice, so it returns a tuple for any group."""
+        signed, scaled = [], []
+        for mask, (perm, sign) in self.monomials.items():
+            if blade_grade(mask) & 1:
+                continue
+            groups: dict[int, list[int]] = {}
+            for j, (row, s) in enumerate(zip(perm, sign)):
+                groups.setdefault(s, []).append(16 * j + row)
+            get = {s: itemgetter(*positions, 256, 256) for s, positions in groups.items() if s}
+            signed.append((mask, get.pop(1, _NO_READ), get.pop(-1, _NO_READ)))
+            scaled.extend((mask, s, getter) for s, getter in get.items())
+        return tuple(signed), tuple(scaled)
+
+
+_NO_READ = itemgetter(256, 256)
+
 
 def build_cl8_rep() -> GammaRep:
     """Construct the representation; ``verify reps`` checks its claims."""
@@ -227,6 +259,14 @@ def spinor_image(
     it does for an odd element and a nonzero psi.
     """
     dp, v = _positive_spinor(psi)
+    d, (out,) = la.exact(a.d * dp, [_image_numerators(rep, a, v)])
+    return d, out
+
+
+def _image_numerators(rep: GammaRep, a: Multivector, v: tuple[int, ...]) -> list[int]:
+    """The entries of c(a) psi in the basis of S8+ times a.d, for psi's integer
+    numerators v, not reduced: ``spinor_image`` less its ``la.exact``, for
+    callers that only rank images and so ignore their scale."""
     if a.n != 8:
         raise DimensionMismatchError("the Cl(0,8) action needs an element of Cl(0,8)")
     rows, signs = rep.halves["+"]
@@ -241,8 +281,7 @@ def spinor_image(
         image[r] = 0
     if any(image):
         raise ChiralityError("element does not preserve the chiral subspace")
-    d, (out,) = la.exact(a.d * dp, [inside])
-    return d, out
+    return inside
 
 
 def embed_spin7(a: Multivector) -> Multivector:
@@ -267,7 +306,6 @@ def iota_vector(zeta: SpinElement) -> SpinElement:
     return SpinElement(embed_spin7(zeta.value))
 
 
-_EVEN_MASKS = tuple(m for m in range(256) if not blade_grade(m) & 1)
 _MOVES_PSI = "candidate lift moves the fixed spinor line"
 
 
@@ -280,7 +318,10 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     on S8- and c(e_0) c(e_i) psi to sum_{a,b} r[a][0] r[b][i] c(e_a) c(e_b) psi
     / d^2 on S8+, all signed basis vectors of R^16 read off ``monomials``.
     The monomials are trace-orthogonal, tr(c(e_A)^T c(e_B)) = 16 delta_AB,
-    so eta_A = tr(c(e_A)^T M) / 16 for each even mask A, M the matrix built.
+    so eta_A = tr(c(e_A)^T M) / 16 for each even mask A, M the matrix built;
+    with M flattened column by column, the trace is the sum of M's entries at
+    A's positions of sign +1 less the sum at those of sign -1 (plus s times
+    the sum at those of any other sign s: ``GammaRep._read_out``).
     The candidate passes the full ``SpinElement`` certification and
     ``spinor_image`` checks c(eta) psi = psi.  R itself needs no check:
 
@@ -315,11 +356,12 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
         columns[source] = [s * sum(map(mul, ri, at_row)) for at_row in w]
     if len(columns) != 16:
         raise InternalCheckError(_MOVES_PSI)
-    columns = [columns[j] for j in range(16)]
-    terms = {}
-    for mask in _EVEN_MASKS:
-        perm, sign = rep.monomials[mask]
-        terms[mask] = sum(map(mul, sign, map(getitem, columns, perm)))
+    # M = d^2 c(eta) flattened column by column, flat[16 j + i] = M[i][j]
+    flat = [*chain.from_iterable(map(columns.__getitem__, range(16))), 0]
+    signed, scaled = rep._read_out
+    terms = {mask: sum(pos(flat)) - sum(neg(flat)) for mask, pos, neg in signed}
+    for mask, scale, get in scaled:
+        terms[mask] += scale * sum(get(flat))
     try:
         eta = SpinElement(Multivector._over(8, 16 * d * d, terms))
     except InvalidSpinElementError:
@@ -350,7 +392,8 @@ def bivector_coordinates(a: Multivector) -> tuple[int, tuple[int, ...]]:
 
 
 def d_iota_plus(rep: GammaRep, x: Multivector) -> Multivector:
-    """Differential of iota_plus: the so(8) bivector with d(Ad) image delta7(x)."""
+    """Differential of iota_plus, lie_lift(SkewMatrix(delta7(rep, x))): the
+    so(8) bivector with d(Ad) image delta7(x)."""
     return lie_lift(SkewMatrix(delta7(rep, x)))
 
 
@@ -381,12 +424,26 @@ def stabilizer_dimension(
     over d, in the basis of S8+.  ``algebra`` is a linearly independent list
     of bivectors acting through the chiral representation; the default is
     the full 28-dimensional bivector basis.  The dimension is the length of
-    the basis minus the rank of the images c(x) psi, each read by
-    ``spinor_image`` without building the 8x8 block of c(x).
+    the basis minus the rank of the images c(x) psi, each read term by term
+    as ``spinor_image`` reads it, without building the 8x8 block of c(x).
     """
-    v = _positive_spinor(psi)[1]
-    if not any(v):
-        raise ValueError("stabilizer of the zero spinor is not defined")
+    return next(_stabilizer_dimensions(rep, [psi], algebra))
+
+
+def _stabilizer_dimensions(
+    rep: GammaRep, psis: list[tuple[int, Iterable]], algebra: list[Multivector] | None = None
+) -> Iterator[int]:
+    """``stabilizer_dimension`` of each spinor in ``psis``, in order, inside
+    one algebra.  Every spinor is checked and the algebra proved independent
+    once, on the call; each dimension is then ranked as it is read, from the
+    unreduced image numerators, since a rank ignores the scale of each row.
+    """
+    vs = []
+    for psi in psis:
+        v = _positive_spinor(psi)[1]
+        if not any(v):
+            raise ValueError("stabilizer of the zero spinor is not defined")
+        vs.append(v)
     if algebra is None:
         basis = _BIVECTOR_BASIS
     else:
@@ -394,8 +451,7 @@ def stabilizer_dimension(
         # a rank ignores the scale of each row, so every denominator is dropped
         if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
             raise ValueError("algebra basis must be linearly independent")
-    images = [spinor_image(rep, x, (1, v))[1] for x in basis]
-    return len(basis) - la.rank(images)
+    return (len(basis) - la.rank([_image_numerators(rep, x, v) for x in basis]) for v in vs)
 
 
 def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:

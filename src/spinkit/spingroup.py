@@ -68,6 +68,7 @@ the root of that product, over 4d and over the reflection's denominator.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import cache
 from itertools import combinations, compress
 from math import gcd, isqrt
@@ -178,11 +179,13 @@ def _odd(a: int, b: int) -> int:
 
 @cache
 def _pair_tables(n: int) -> tuple:
-    """For ``_conjugated_basis`` on Cl(0,n), built on first use: the even blades;
-    selectors of those with s_jj = -1; and per j < k the pairs {m, m ^ e_j ^ e_k}
-    as (firsts, seconds) index tuples in four groups, by (s_jk, s_kj) = (+, +),
-    (+, -), (-, +), (-, -) (module docstring)."""
-    even = tuple(m for m in range(1 << n) if not m.bit_count() & 1)
+    """For ``_conjugated_basis`` on Cl(0,n), built on first use: the even blades
+    in order of grade; selectors of those with s_jj = -1; and per j < k the pairs
+    {m, m ^ e_j ^ e_k} as (firsts, seconds) index tuples in four groups, by
+    (s_jk, s_kj) = (+, +), (+, -), (-, +), (-, -) (module docstring), each in
+    order of the larger grade of its pair.  Each ordered tuple comes with its
+    ends: ends[g] counts its leading entries with no blade above grade g."""
+    even = tuple(sorted((m for m in range(1 << n) if not m.bit_count() & 1), key=int.bit_count))
     minus = tuple(tuple(_odd(m, 1 << j) ^ _odd(1 << j, m) for m in even) for j in range(n))
     blocks = []
     for j, k in combinations(range(n), 2):
@@ -190,8 +193,18 @@ def _pair_tables(n: int) -> tuple:
         for m in even:
             if m < (pair := m ^ ej ^ ek):
                 groups[2 * (_odd(m, ej) ^ _odd(ek, pair)) + (_odd(m, ek) ^ _odd(ej, pair))].append(m)
-        blocks.append((j, k, tuple((tuple(g), tuple(m ^ ej ^ ek for m in g)) for g in groups)))
-    return even, minus, tuple(blocks)
+        tables = []
+        for g in groups:
+            ordered = sorted((max(m.bit_count(), (m ^ ej ^ ek).bit_count()), m) for m in g)
+            firsts = tuple(m for _, m in ordered)
+            tables.append((firsts, tuple(m ^ ej ^ ek for m in firsts), _ends([t for t, _ in ordered], n)))
+        blocks.append((j, k, tuple(tables)))
+    return (even, _ends([m.bit_count() for m in even], n)), minus, tuple(blocks)
+
+
+def _ends(grades: list[int], n: int) -> tuple[int, ...]:
+    """ends[g] for g = 0..n: how many of the nondecreasing ``grades`` are at most g."""
+    return tuple(bisect_right(grades, g) for g in range(n + 1))
 
 
 def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
@@ -199,6 +212,10 @@ def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
     cols[j] / d^2 are the components of the grade-1 part v_j of
     zeta e_j reverse(zeta), the rows of V = X Y^T, summed from the squares
     of the even blades and one product per blade pair (module docstring).
+    Only blades up to zeta's top grade are read: any square or pair with a
+    blade above it has a zero factor, so the cost follows the top grade,
+    from one square for a scalar to 1920 products for a dense Spin(8)
+    element.
 
     Raises InvalidSpinElementError unless every image is a vector, that is
     unless d^2 X == V Y, checked as the one integer identity
@@ -206,18 +223,22 @@ def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
     the images are the columns of Ad(zeta).
     """
     n, dd = zeta.n, zeta.d * zeta.d
-    even, minus, blocks = _pair_tables(n)
+    (even, reach), minus, blocks = _pair_tables(n)
+    # a square or pair with a blade above zeta's top grade has a zero factor
+    top = max(map(int.bit_count, zeta.terms), default=0)
     coefficients = [0] * (1 << n)
     for m, c in zeta.terms.items():
         coefficients[m] = c
     get = coefficients.__getitem__
-    squares = [c * c for c in map(get, even)]
+    squares = [c * c for c in map(get, even[: reach[top]])]
     s = sum(squares)
     v = [[0] * n for _ in range(n)]
     for j, sel in enumerate(minus):
         v[j][j] = s - 2 * sum(compress(squares, sel))
-    for j, k, groups in blocks:
-        pp, pm, mp, mm = [sum(map(mul, map(get, firsts), map(get, seconds))) for firsts, seconds in groups]
+    for j, k, groups in blocks if top > 1 else ():  # a pair's larger grade is at least 2
+        pp, pm, mp, mm = [
+            sum(map(mul, map(get, firsts[: ends[top]]), map(get, seconds))) for firsts, seconds, ends in groups
+        ]
         v[j][k], v[k][j] = 2 * (pp + pm - mp - mm), 2 * (pp - pm + mp - mm)
     if sum(x * x for row in v for x in row) != n * dd * dd:
         raise InvalidSpinElementError("conjugation does not preserve grade 1")

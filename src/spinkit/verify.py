@@ -22,11 +22,11 @@ from . import exactlinalg as la
 from .errors import Frozen
 from .gammarep import (
     GammaRep,
+    _stabilizer_dimensions,
     action_columns,
     build_cl8_rep,
     chiral_action_matrix,
     common_fixed_space,
-    d_iota_plus,
     delta7,
     embed_spin7,
     g2_intersection_basis,
@@ -329,7 +329,8 @@ def minus_one_lift(rep: GammaRep) -> str | None:
 
 def spinor_lift_identity(rep: GammaRep, rng: random.Random) -> str | None:
     for x in spin7_lie_basis():
-        if ad_differential(d_iota_plus(rep, x)).entries != delta7(rep, x):
+        r = delta7(rep, x)  # d_iota_plus(rep, x) is lie_lift(SkewMatrix(r))
+        if ad_differential(lie_lift(SkewMatrix(r))).entries != r:
             return "Lie-algebra level identity fails"
     for _ in range(10):
         z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
@@ -352,9 +353,9 @@ def stabilizer_21(rep: GammaRep, rng: random.Random) -> str | None:
     dim = stabilizer_dimension(rep, rep.fixed_spinor)
     if dim != 21:
         return f"stabilizer dimension {dim} != 21"
-    for _ in range(3):
-        if stabilizer_dimension(rep, rational_unit_tuple(8, rng)) != 21:
-            return "random unit spinor has a different stabilizer dimension"
+    psis = [rational_unit_tuple(8, rng) for _ in range(3)]
+    if any(dim != 21 for dim in _stabilizer_dimensions(rep, psis)):
+        return "random unit spinor has a different stabilizer dimension"
     return None
 
 
@@ -373,8 +374,8 @@ def g2_intersection(rep: GammaRep) -> str | None:
 
 def sphere_transitivity(rep: GammaRep, rng: random.Random) -> str | None:
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
-    for _ in range(10):
-        dim = stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra)
+    psis = [rational_unit_tuple(8, rng) for _ in range(10)]
+    for dim in _stabilizer_dimensions(rep, psis, algebra):
         if dim != 14:
             return f"chiral so(7) stabilizer has dimension {dim} != 14"
     return None
