@@ -321,7 +321,7 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     so eta_A = tr(c(e_A)^T M) / 16 for each even mask A, M the matrix built;
     with M flattened column by column, the trace is the sum of M's entries at
     A's positions of sign +1 less the sum at those of sign -1 (plus s times
-    the sum at those of any other sign s: ``GammaRep._read_out``).
+    the sum at those of any other sign s: ``_even_traces``).
     The candidate passes the full ``SpinElement`` certification and
     ``spinor_image`` checks c(eta) psi = psi.  R itself needs no check:
 
@@ -356,12 +356,7 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
         columns[source] = [s * sum(map(mul, ri, at_row)) for at_row in w]
     if len(columns) != 16:
         raise InternalCheckError(_MOVES_PSI)
-    # M = d^2 c(eta) flattened column by column, flat[16 j + i] = M[i][j]
-    flat = [*chain.from_iterable(map(columns.__getitem__, range(16))), 0]
-    signed, scaled = rep._read_out
-    terms = {mask: sum(pos(flat)) - sum(neg(flat)) for mask, pos, neg in signed}
-    for mask, scale, get in scaled:
-        terms[mask] += scale * sum(get(flat))
+    terms = _even_traces(rep, [columns[j] for j in range(16)])
     try:
         eta = SpinElement(Multivector._over(8, 16 * d * d, terms))
     except InvalidSpinElementError:
@@ -369,6 +364,18 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     if spinor_image(rep, eta.value, psi) != psi:
         raise InternalCheckError(_MOVES_PSI)
     return eta
+
+
+def _even_traces(rep: GammaRep, columns: list[list[int]]) -> dict[int, int]:
+    """tr(c(e_A)^T M) = sum_j sign[j] M[perm[j]][j] for each even mask A, M the
+    16x16 integer matrix with the given columns, read as index sums over M
+    flattened column by column (``GammaRep._read_out``)."""
+    flat = [*chain.from_iterable(columns), 0]  # flat[16 j + i] = M[i][j], then a zero
+    signed, scaled = rep._read_out
+    traces = {mask: sum(pos(flat)) - sum(neg(flat)) for mask, pos, neg in signed}
+    for mask, scale, get in scaled:
+        traces[mask] += scale * sum(get(flat))
+    return traces
 
 
 def spin7_lie_basis() -> list[Multivector]:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, isqrt
+from operator import getitem, mul
 
 import pytest
 
@@ -16,7 +17,7 @@ from spinkit.errors import (
     row_width,
 )
 from spinkit.gammarep import build_cl8_rep, chiral_action_matrix, delta7, spinor_image
-from spinkit.multivector import Multivector, integer_product, volume_element
+from spinkit.multivector import Multivector, blade_grade, integer_product, volume_element
 from spinkit.snf import AbelianGroup, _divisibility_chain, smith_diagonal
 from spinkit.spingroup import RotationMatrix, lift_rotation, rational_unit_vector
 
@@ -320,6 +321,17 @@ def reflection_iota_plus(rep, zeta):
     if image == (psi[0], tuple(-x for x in psi[1])):
         return -eta
     raise InternalCheckError("candidate lift moves the fixed spinor line")
+
+
+def multiply_form_traces(rep, columns):
+    """tr(c(e_A)^T M) = sum_j sign[j] M[perm[j]][j] for each even mask A, one
+    multiplication by a sign per column, M given by its 16 columns: the
+    multiply-form read-out, the oracle for gammarep._even_traces."""
+    return {
+        mask: sum(map(mul, sign, map(getitem, columns, perm)))
+        for mask, (perm, sign) in rep.monomials.items()
+        if not blade_grade(mask) & 1
+    }
 
 
 def loop_p_iso(a):

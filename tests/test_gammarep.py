@@ -1,11 +1,15 @@
 """The Cl(0,8) module, chirality, and the two Spin(7) copies in Spin(8)."""
 
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinkit.cli as cli
 import spinkit.exactlinalg as la
@@ -25,6 +29,7 @@ from conftest import (
     fraction_mat_mul,
     fraction_spinor_image,
     fraction_view,
+    multiply_form_traces,
     reflection_iota_plus,
 )
 from spinkit.errors import (
@@ -666,6 +671,66 @@ def test_iota_plus_matches_the_reflection_oracle(rep):
         assert iota_plus(rep, z).value == reflection_iota_plus(rep, z).value
 
 
+def _sign_damaged_module():
+    """A fresh module whose even monomials carry signs other than +-1:
+    c(e0 e1) a 2 in column 0, c(e2 e3) a -3 in column 1 and a 0 in column 2."""
+    damaged = build_cl8_rep()
+    for mask, column, s in ((0b11, 0, 2), (0b1100, 1, -3), (0b1100, 2, 0)):
+        perm, sign = damaged.monomials[mask]
+        damaged.monomials[mask] = perm, sign[:column] + (s,) + sign[column + 1 :]
+    return damaged
+
+
+_READ_OUT_MODULES = (build_cl8_rep(), _sign_damaged_module())
+_BLOCK = st.lists(st.lists(st.integers(-(2**64), 2**64), min_size=8, max_size=8), min_size=8, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCK, _BLOCK)
+def test_sign_grouped_read_out_matches_the_multiply_form(minus_block, plus_block):
+    """On block-diagonal integer matrices, the shape of d^2 c(eta) for an even
+    eta, with entries up to 2^64, the sign-grouped index sums equal the
+    multiply form sum_j sign[j] M[perm[j]][j], on the model and on a module
+    whose even monomials carry the signs 2, -3 and 0."""
+    columns = [col + [0] * 8 for col in minus_block] + [[0] * 8 + col for col in plus_block]
+    for module in _READ_OUT_MODULES:
+        assert gammarep._even_traces(module, columns) == multiply_form_traces(module, columns)
+
+
+def test_read_out_table_is_built_on_first_use():
+    """In a fresh interpreter, importing the verify stack and building the
+    Cl(0,8) module builds no read-out table, so set-up does not pay for it;
+    the first lift builds it on the module."""
+    src = Path(gammarep.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import spinkit.verify\n"
+        "from spinkit.gammarep import build_cl8_rep, iota_plus\n"
+        "from spinkit.multivector import Multivector\n"
+        "from spinkit.spingroup import SpinElement\n"
+        "rep = build_cl8_rep()\n"
+        "print('_read_out' in vars(rep))\n"
+        "iota_plus(rep, SpinElement(Multivector.scalar(7, 1)))\n"
+        "print('_read_out' in vars(rep))\n"
+    )
+    # -I: no environment paths; -B: the child leaves no bytecode behind
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_lift_identity_reads_one_delta7_per_element(rep, monkeypatch):
+    """The lift identity check computes delta7 once per so(7) basis element
+    (21) and once per group draw besides the one inside iota_plus (2 x 10)."""
+    calls, real = [], gammarep.delta7
+    monkeypatch.setattr(gammarep, "delta7", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(verify, "delta7", gammarep.delta7)
+    name = "conjugation of the spinor lift equals the spin rep (21 basis + 10 group)"
+    assert verify.spinor_lift_identity(rep, random.Random(f"0:{name}")) is None
+    assert len(calls) == 21 + 2 * 10
+
+
 def test_only_the_spin_scope_lifts_by_reflections(rep, monkeypatch):
     """A reps verdict calls lift_rotation 0 times, since iota_plus reads its
     lift off the module; the spin scope's lift check calls it 6 times."""
@@ -772,6 +837,8 @@ def test_default_stabilizer_basis_has_identity_coordinates():
 
 
 def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
+    """stabilizer_dimension, spinor by spinor, and the multi-spinor kernel,
+    over all the spinors at once, each match the oracle in every algebra."""
     rng = random.Random(31)
     full = [Multivector(8, {m: 1}) for m in gammarep._BIVECTOR_MASKS]
     algebras = [
@@ -786,14 +853,42 @@ def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
                   for _ in range(k)]
         if la.rank([gammarep.bivector_coordinates(x)[1] for x in combos]) == k:
             algebras.append(combos)
+    psis = _spinors(rep)
     dims = set()
-    for psi in _spinors(rep):
-        assert stabilizer_dimension(rep, psi) == chiral_matrix_stabilizer_dimension(rep, psi, full)
-        for algebra in algebras:
-            dim = stabilizer_dimension(rep, psi, algebra)
-            assert dim == chiral_matrix_stabilizer_dimension(rep, psi, algebra)
-            dims.add(dim)
+    for algebra in [None] + algebras:
+        want = [chiral_matrix_stabilizer_dimension(rep, psi, algebra or full) for psi in psis]
+        assert [stabilizer_dimension(rep, psi, algebra) for psi in psis] == want
+        assert list(gammarep._stabilizer_dimensions(rep, psis, algebra)) == want
+        if algebra is not None:
+            dims.update(want)
     assert len(dims) > 3
+
+
+def test_stabilizer_kernel_checks_its_inputs_on_the_call(rep):
+    """The multi-spinor kernel raises before it ranks anything: for a zero
+    spinor at any position of the list and for a dependent algebra."""
+    psis = _spinors(rep)
+    for at in range(len(psis) + 1):
+        with pytest.raises(ValueError, match="^stabilizer of the zero spinor is not defined$"):
+            gammarep._stabilizer_dimensions(rep, psis[:at] + [(1, (0,) * 8)] + psis[at:])
+    algebra = [embed_spin7(x) for x in spin7_lie_basis()]
+    for dependent in (algebra + algebra[:1], algebra[:5] + [algebra[0] + algebra[3] * 2]):
+        with pytest.raises(ValueError, match="^algebra basis must be linearly independent$"):
+            gammarep._stabilizer_dimensions(rep, psis, dependent)
+
+
+def test_sphere_transitivity_proves_its_algebra_independent_once(rep, monkeypatch):
+    """The check ranks its 10 spinors in one so(7) copy: it reads the 21
+    basis coordinates once, not 210 times, and ranks 1 + 10 matrices."""
+    coordinates, real_coordinates = [], gammarep.bivector_coordinates
+    monkeypatch.setattr(
+        gammarep, "bivector_coordinates", lambda a: coordinates.append(a) or real_coordinates(a)
+    )
+    ranks, real_rank = [], la.rank
+    monkeypatch.setattr(la, "rank", lambda m: ranks.append(m) or real_rank(m))
+    name = "chiral so(7) stabilizer of 10 random unit spinors is 14-dim (orbit rank 7)"
+    assert verify.sphere_transitivity(rep, random.Random(f"0:{name}")) is None
+    assert len(coordinates) == 21 and len(ranks) == 11
 
 
 def test_g2_intersection(rep):

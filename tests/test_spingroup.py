@@ -367,11 +367,14 @@ def _basis_or_error(kernel, value):
 @example(_flipped(_DENSE_LIFT, 0b11111111))
 @example(random_spin(1, 1, 0).value)
 @example(random_spin(2, 2, 3).value)
+@example(Multivector.scalar(8, -1))
+@example(random_spin(8, 1, 7).value)
 def test_conjugated_basis_matches_blade_loop(value):
     """On the even elements with sum c_S^2 = d^2 that SpinElement sends it,
     the pair-product kernel returns the blade loop's (d^2, cols), or raises
     its exception with its message: on dense spinor-type lifts, which hold
-    every even blade, and for n = 1 and 2, with no blade pair or one."""
+    every even blade, for n = 1 and 2, with no blade pair or one, and on a
+    scalar and a grade-2 element, which read only their reachable blades."""
     got = _basis_or_error(spingroup._conjugated_basis, value)
     assert got == _basis_or_error(loop_conjugated_basis, value)
 
