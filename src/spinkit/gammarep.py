@@ -14,25 +14,26 @@ first octonion summand and +1 on the second, so S8- is the first summand
 and S8+ the second, each with its coordinate basis, except that the first
 basis vector of S8+ is -e8: that orientation puts the spinor fixed by the
 spinor-type Spin(7) copy into S8+, where it is basis spinor 0 (the reversed
-orientation puts it into S8-).  The chiral action of an
-even element is therefore a signed block of its 16x16 matrix: the integer
-columns ``action_columns`` sums over the common denominator d of the
-element's coefficients, as an exact ``(d, rows)`` pair of ``exactlinalg``.
-``chiral_action_matrix`` is the one chiral action: the half-spin
-representation delta8 on Spin(8) and, after ``embed_spin7``, ``delta7`` on
-Spin(7) and on its Lie algebra alike.
+orientation puts it into S8-).  Even elements preserve each half and
+odd ones exchange them, so c(a) is read on the halves alone: ``half_images``
+is the one kernel that applies it.  It takes sparse integer vectors in the
+basis of one half, sums their images term by term, each term moving each
+signed entry by its signed permutation, and reads the images in the basis
+of a half, over the common denominator d of a's coefficients.
+``chiral_action_matrix`` is its images of the 8 basis spinors, as an exact
+``(d, rows)`` pair of ``exactlinalg``: the half-spin representation delta8
+on Spin(8) and, after ``embed_spin7``, ``delta7`` on Spin(7) and on its Lie
+algebra alike.  ``spinor_image`` is its image of one positive spinor, and
+the stabilizer dimensions of several spinors in one algebra,
+``_stabilizer_dimensions``, take one call per algebra element with all the
+spinors, prove the algebra independent once and rank the unreduced images,
+since a rank ignores the scale of each row.
 
 The module has one form: the generators, the 256 monomials and the two
 halves are stored as signed permutations (``GammaRep.gamma``,
 ``GammaRep.monomials``, ``GammaRep.halves``), and no dense copy is kept.
 The actions and the ``verify reps`` checks read these same permutations.
-Where a check needs c(a) on one positive spinor psi, ``spinor_image`` moves
-psi's nonzero signed entries by each term's signed permutation, one step per
-(term, entry) and no 8x8 block: the stabilizer dimensions, the g2 check and
-the fixed-spinor check in ``iota_plus`` read it.  The stabilizer dimensions
-of several spinors in one algebra are one call of ``_stabilizer_dimensions``,
-which proves the algebra independent once and ranks the unreduced images,
-since a rank ignores the scale of each row.  The span of the monomials
+The span of the monomials
 is ranked block by block: a flattened c(e_A) is nonzero only at the
 positions (perm[j], j), and rank over Q adds up over groups of rows whose
 column supports are disjoint.
@@ -52,7 +53,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter, mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import exactlinalg as la
 from .errors import (
@@ -202,40 +203,52 @@ def build_cl8_rep() -> GammaRep:
     return GammaRep()
 
 
-def action_columns(
-    rep: GammaRep, a: Multivector, columns: range | tuple[int, ...]
-) -> tuple[int, list[list[int]]]:
-    """``(d, cols)``: cols[k] is column ``columns[k]`` of c(a) times d, as
-    16 integers, where d is the common denominator of a's coefficients."""
+# the 8 basis spinors of a half in the vector form of ``half_images``
+_BASIS_SPINORS = tuple([(j, 1)] for j in range(8))
+
+
+def half_images(
+    rep: GammaRep, a: Multivector, source: str, vectors: Sequence, target: str | None = None
+) -> list[list[int]]:
+    """c(a) v times a.d for each sparse integer vector v, a list of ``(j, x)``
+    in the basis of half ``source``, read in the basis of half ``target``
+    (by default ``source``) as 8 integers.
+
+    Basis spinor j is signs[j] * e_rows[j], and a term c e_A of a sends e_r
+    to c sign[r] e_perm[r] (``monomials[A]``): the images are summed term by
+    term into one flat accumulator, 16 entries per vector, and entry i of an
+    image is the target's signs[i] times its entry at rows[i].  Raises
+    ChiralityError when an image is nonzero at a row outside ``target``.
+    """
+    target = source if target is None else target
+    if source not in ("+", "-") or target not in ("+", "-"):
+        raise ValueError("chirality must be '+' or '-'")
     if a.n != 8:
         raise DimensionMismatchError("the Cl(0,8) action needs an element of Cl(0,8)")
-    cols = [[0] * 16 for _ in columns]
+    rows, signs = rep.halves[source]
+    entries = [(16 * k, rows[j], signs[j] * x) for k, v in enumerate(vectors) for j, x in v]
+    flat = [0] * (16 * len(vectors))
     for mask, c in a.terms.items():
         perm, sign = rep.monomials[mask]
-        for col, j in zip(cols, columns):
-            col[perm[j]] += c * sign[j]
-    return a.d, cols
+        for at, row, x in entries:
+            flat[at + perm[row]] += c * x * sign[row]
+    rows, signs = rep.halves[target]
+    images = []
+    for at in range(0, len(flat), 16):  # read each image, then clear its rows
+        images.append([s * flat[at + r] for r, s in zip(rows, signs)])
+        for r in rows:
+            flat[at + r] = 0
+    if any(flat):
+        raise ChiralityError("element does not preserve the chiral subspace")
+    return images
 
 
 def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") -> la.Exact:
-    """Matrix of c(a) restricted to one chiral half, in the half's basis.
-
-    With basis spinor j equal to signs[j] * e_rows[j], entry (i, j) is
-    signs[i] * signs[j] * c(a)[rows[i]][rows[j]].  Raises ChiralityError
-    when c(a) does not preserve the half, that is when a column of the half
-    has a nonzero entry in a row outside it (odd elements exchange the
-    halves).  Only the half's eight columns of c(a) are built.
-    """
-    if chirality not in ("+", "-"):
-        raise ValueError("chirality must be '+' or '-'")
-    rows, signs = rep.halves[chirality]
-    d, cols = action_columns(rep, a, rows)
-    outside = [r for r in range(16) if r not in rows]
-    if any(col[r] for col in cols for r in outside):
-        raise ChiralityError("element does not preserve the chiral subspace")
-    return la.exact(
-        d, ([si * sj * col[ri] for col, sj in zip(cols, signs)] for ri, si in zip(rows, signs))
-    )
+    """Matrix of c(a) restricted to one chiral half, in the half's basis:
+    column j is the ``half_images`` image of basis spinor j.  Raises
+    ChiralityError when c(a) does not preserve the half (odd elements
+    exchange the halves)."""
+    return la.exact(a.d, zip(*half_images(rep, a, chirality, _BASIS_SPINORS)))
 
 
 def _positive_spinor(psi: tuple[int, Iterable]) -> tuple[int, tuple[int, ...]]:
@@ -252,36 +265,14 @@ def spinor_image(
     """c(a) psi for a positive spinor psi = ``(d, entries)``, returned as
     ``(d', entries)`` in the basis of S8+, in lowest terms.
 
-    Basis spinor j is signs[j] * e_rows[j], and a term c e_A of a sends
-    e_rows[j] to c sign[rows[j]] e_perm[rows[j]] (``monomials[A]``): the
-    image is summed term by term over psi's nonzero entries, and no column
-    of c(a) is built.  Raises ChiralityError when the image leaves S8+, as
-    it does for an odd element and a nonzero psi.
+    One ``half_images`` call on psi's nonzero entries: no column of c(a) is
+    built.  Raises ChiralityError when the image leaves S8+, as it does for
+    an odd element and a nonzero psi.
     """
     dp, v = _positive_spinor(psi)
-    d, (out,) = la.exact(a.d * dp, [_image_numerators(rep, a, v)])
+    (image,) = half_images(rep, a, "+", [[(j, x) for j, x in enumerate(v) if x]])
+    d, (out,) = la.exact(a.d * dp, [image])
     return d, out
-
-
-def _image_numerators(rep: GammaRep, a: Multivector, v: tuple[int, ...]) -> list[int]:
-    """The entries of c(a) psi in the basis of S8+ times a.d, for psi's integer
-    numerators v, not reduced: ``spinor_image`` less its ``la.exact``, for
-    callers that only rank images and so ignore their scale."""
-    if a.n != 8:
-        raise DimensionMismatchError("the Cl(0,8) action needs an element of Cl(0,8)")
-    rows, signs = rep.halves["+"]
-    entries = [(rows[j], signs[j] * x) for j, x in enumerate(v) if x]
-    image = [0] * 16
-    for mask, c in a.terms.items():
-        perm, sign = rep.monomials[mask]
-        for row, x in entries:
-            image[perm[row]] += c * x * sign[row]
-    inside = [s * image[r] for r, s in zip(rows, signs)]
-    for r in rows:
-        image[r] = 0
-    if any(image):
-        raise ChiralityError("element does not preserve the chiral subspace")
-    return inside
 
 
 def embed_spin7(a: Multivector) -> Multivector:
@@ -431,8 +422,9 @@ def stabilizer_dimension(
     over d, in the basis of S8+.  ``algebra`` is a linearly independent list
     of bivectors acting through the chiral representation; the default is
     the full 28-dimensional bivector basis.  The dimension is the length of
-    the basis minus the rank of the images c(x) psi, each read term by term
-    as ``spinor_image`` reads it, without building the 8x8 block of c(x).
+    the basis minus the rank of the images c(x) psi, each read by
+    ``half_images`` on psi's nonzero entries, without building the 8x8 block
+    of c(x).
     """
     return next(_stabilizer_dimensions(rep, [psi], algebra))
 
@@ -442,15 +434,17 @@ def _stabilizer_dimensions(
 ) -> Iterator[int]:
     """``stabilizer_dimension`` of each spinor in ``psis``, in order, inside
     one algebra.  Every spinor is checked and the algebra proved independent
-    once, on the call; each dimension is then ranked as it is read, from the
-    unreduced image numerators, since a rank ignores the scale of each row.
+    once, on the call; one ``half_images`` call per algebra element then
+    reads its images of all the spinors, and each dimension is ranked as it
+    is read, from the unreduced images, since a rank ignores the scale of
+    each row.
     """
     vs = []
     for psi in psis:
         v = _positive_spinor(psi)[1]
         if not any(v):
             raise ValueError("stabilizer of the zero spinor is not defined")
-        vs.append(v)
+        vs.append([(j, x) for j, x in enumerate(v) if x])
     if algebra is None:
         basis = _BIVECTOR_BASIS
     else:
@@ -458,7 +452,8 @@ def _stabilizer_dimensions(
         # a rank ignores the scale of each row, so every denominator is dropped
         if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
             raise ValueError("algebra basis must be linearly independent")
-    return (len(basis) - la.rank([_image_numerators(rep, x, v) for x in basis]) for v in vs)
+    images = [half_images(rep, x, "+", vs) for x in basis]  # images[x][k] = c(x) psi_k
+    return (len(basis) - la.rank([row[k] for row in images]) for k in range(len(vs)))
 
 
 def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:

@@ -19,11 +19,11 @@ from operator import mul
 from typing import Callable
 
 from . import exactlinalg as la
-from .errors import Frozen
+from .errors import ChiralityError, Frozen
 from .gammarep import (
+    _BASIS_SPINORS,
     GammaRep,
     _stabilizer_dimensions,
-    action_columns,
     build_cl8_rep,
     chiral_action_matrix,
     common_fixed_space,
@@ -31,6 +31,7 @@ from .gammarep import (
     embed_spin7,
     g2_intersection_basis,
     generator_relation_failure,
+    half_images,
     iota_plus,
     iota_vector,
     monomial_span_rank,
@@ -289,22 +290,21 @@ def volume_eigensplit(rep: GammaRep) -> str | None:
 
 
 def chiral_swap(rep: GammaRep, rng: random.Random) -> str | None:
-    # d c(v) on a half's rows, as integer columns; the halves' signs are
-    # +-1 (eigensplit), so they change neither a zero entry nor |column|
-    plus, minus = rep.halves["+"][0], rep.halves["-"][0]
-    outside_minus = [r for r in range(16) if r not in minus]
-    outside_plus = [r for r in range(16) if r not in plus]
+    # d c(v) on a half's basis spinors, read in the other half's basis; the
+    # halves are orthonormal (eigensplit), so the reading keeps dot products
     for _ in range(25):
         v = rational_unit_vector(8, rng)
-        d, cols = action_columns(rep, v, plus)
-        if any(col[r] for col in cols for r in outside_minus):
+        try:
+            cols = half_images(rep, v, "+", _BASIS_SPINORS, "-")
+        except ChiralityError:
             return "unit vector does not map S+ into S-"
         for a, ca in enumerate(cols):
             for b in range(a, len(cols)):
-                if sum(map(mul, ca, cols[b])) != (d * d if a == b else 0):
+                if sum(map(mul, ca, cols[b])) != (v.d * v.d if a == b else 0):
                     return "unit vector action is not an isometry"
-        _, cols = action_columns(rep, v, minus)
-        if any(col[r] for col in cols for r in outside_plus):
+        try:
+            half_images(rep, v, "-", _BASIS_SPINORS, "+")
+        except ChiralityError:
             return "unit vector does not map S- into S+"
     return None
 

@@ -450,8 +450,8 @@ def dense_signed_perm(sp):
 
 
 def fraction_clifford_action(rep, a):
-    """c(a) summed monomial by monomial in Fractions: the oracle for
-    action_columns."""
+    """The 16x16 matrix of c(a) summed monomial by monomial in Fractions: the
+    dense view that the half_images oracle reads."""
     total = [[Fraction(0)] * 16 for _ in range(16)]
     for mask, coeff in fraction_terms(a).items():
         perm, sign = rep.monomials[mask]
@@ -473,6 +473,29 @@ def dense_chiral_action(rep, a, chirality):
     if fraction_mat_mul(basis, compressed) != image:
         raise ChiralityError("element does not preserve the chiral subspace")
     return compressed
+
+
+def fraction_half_images(rep, a, source, vectors, target=None):
+    """c(a) v for sparse vectors v = [(j, x), ...] in the basis of half
+    ``source``, by the dense oracle: each v embedded in R^16 through the
+    source's basis spinors, multiplied by fraction_clifford_action and read
+    back in the basis of ``target`` (default ``source``), as Fractions; the
+    oracle for half_images.  Raises ChiralityError when an image has a
+    component outside the target."""
+    source_basis = dense_signed_perm(rep.halves[source])
+    target_basis = dense_signed_perm(rep.halves[target or source])
+    m = fraction_clifford_action(rep, a)
+    images = []
+    for v in vectors:
+        dense = [Fraction(0)] * 8
+        for j, x in v:
+            dense[j] += x
+        image = fraction_mat_vec(m, fraction_mat_vec(source_basis, dense))
+        coords = fraction_mat_vec(la.transpose(target_basis), image)
+        if fraction_mat_vec(target_basis, coords) != image:
+            raise ChiralityError("element does not preserve the chiral subspace")
+        images.append(coords)
+    return images
 
 
 def fraction_spinor_image(rep, a, psi):

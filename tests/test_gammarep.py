@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from pathlib import Path
 
@@ -26,8 +27,10 @@ from conftest import (
     dense_swap_failure,
     first_failing_anticommutator,
     fraction_clifford_action,
+    fraction_half_images,
     fraction_mat_mul,
     fraction_spinor_image,
+    fraction_terms,
     fraction_view,
     multiply_form_traces,
     reflection_iota_plus,
@@ -39,7 +42,6 @@ from spinkit.errors import (
     InternalCheckError,
 )
 from spinkit.gammarep import (
-    action_columns,
     build_cl8_rep,
     chiral_action_matrix,
     common_fixed_space,
@@ -48,6 +50,7 @@ from spinkit.gammarep import (
     embed_spin7,
     g2_intersection_basis,
     generator_relation_failure,
+    half_images,
     iota_plus,
     iota_vector,
     monomial_span_rank,
@@ -57,7 +60,7 @@ from spinkit.gammarep import (
     spinor_image,
     stabilizer_dimension,
 )
-from spinkit.multivector import Multivector, volume_element
+from spinkit.multivector import Multivector, blade_grade, volume_element
 from spinkit.spingroup import (
     SpinElement,
     ad_differential,
@@ -458,34 +461,63 @@ def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
     assert sizes and max(sizes) <= 28
 
 
-def test_orbit_checks_build_no_action_columns(rep, monkeypatch):
-    """stabilizer_21 and sphere_transitivity read each image c(x) psi term by
-    term: action_columns, which builds dense 16-entry columns, runs 0 times
-    while they do; the spy does see the columns chiral_action_matrix builds."""
-    calls, real = [], gammarep.action_columns
-    monkeypatch.setattr(gammarep, "action_columns", lambda *a: calls.append(a) or real(*a))
-    monkeypatch.setattr(verify, "action_columns", gammarep.action_columns)
+def test_orbit_checks_pass_no_basis_spinors(rep, monkeypatch):
+    """stabilizer_21 and sphere_transitivity read each image c(x) psi through
+    half_images on the spinors themselves, one call per algebra element with
+    all of the check's spinors: they never pass the 8 basis spinors, which
+    build the 8x8 block of c(x); the spy does see chiral_action_matrix pass
+    them."""
+    calls, real = [], gammarep.half_images
+    monkeypatch.setattr(gammarep, "half_images", lambda *a: calls.append(a[3]) or real(*a))
+    basis = [[(j, 1)] for j in range(8)]
     names = {check: name for _, name, check in CHECKS}
+    counts = []
     for check in (verify.stabilizer_21, verify.sphere_transitivity):
+        calls.clear()
         assert check(rep, random.Random(f"0:{names[check]}")) is None
-    assert calls == []
-    assert chiral_action_matrix(rep, volume_element(8), "+") == (1, I8) and len(calls) == 1
+        assert calls and all([list(v) for v in vectors] != basis for vectors in calls)
+        counts.append(len(calls))
+    assert counts == [28 + 28, 21]  # so(8) for psi, then for 3 spinors; so(7) for 10
+    calls.clear()
+    assert chiral_action_matrix(rep, volume_element(8), "+") == (1, I8)
+    assert [[list(v) for v in vectors] for vectors in calls] == [basis]
 
 
-def _clifford_action(rep, a):
-    """The 16x16 matrix of c(a) as an exact pair, read off action_columns."""
-    d, cols = action_columns(rep, a, range(16))
-    return la.exact(d, la.transpose(cols))
+_OTHER_HALF = {"+": "-", "-": "+"}
+_EVEN_MASKS = [m for m in range(256) if not blade_grade(m) & 1]
+_ODD_MASKS = [m for m in range(256) if blade_grade(m) & 1]
+
+
+def _half_block(rep, a, source, target):
+    """The matrix of c(a) from half ``source`` to half ``target`` as an exact
+    pair: column j is half_images of basis spinor j of the source."""
+    basis = [[(j, 1)] for j in range(8)]
+    return la.exact(a.d, zip(*half_images(rep, a, source, basis, target)))
+
+
+def _parity_part(a, parity):
+    """The terms of a whose grade has the given parity."""
+    return Multivector(8, {m: c for m, c in fraction_terms(a).items() if blade_grade(m) & 1 == parity})
 
 
 def test_clifford_action_is_an_algebra_map(rep):
+    """c(ab) = c(a) c(b) on the half blocks: b takes each source half to a
+    half by its parity, and a takes that one on.  Even.even is checked on
+    both halves and odd.odd as the S+ -> S- -> S+ composite (and the reverse).
+    Dense elements, split by parity, match the Fraction oracle's blocks."""
     rng = random.Random(4)
-    for _ in range(10):
-        a = Multivector(8, {rng.randrange(256): Fraction(rng.randint(-5, 5), rng.randint(1, 3))})
-        b = Multivector(8, {rng.randrange(256): rng.randint(-4, 4)})
-        assert _clifford_action(rep, a * b) == _product(
-            _clifford_action(rep, a), _clifford_action(rep, b)
+    for i in range(10):  # every pair of parities, each at least twice
+        pa, pb = i & 1, i >> 1 & 1
+        a = Multivector(
+            8, {rng.choice((_EVEN_MASKS, _ODD_MASKS)[pa]): Fraction(rng.randint(-5, 5), rng.randint(1, 3))}
         )
+        b = Multivector(8, {rng.choice((_EVEN_MASKS, _ODD_MASKS)[pb]): rng.randint(-4, 4)})
+        for h in "+-":
+            hb = _OTHER_HALF[h] if pb else h
+            hab = _OTHER_HALF[hb] if pa else hb
+            assert _half_block(rep, a * b, h, hab) == _product(
+                _half_block(rep, a, hb, hab), _half_block(rep, b, h, hb)
+            )
     for _ in range(10):
         a = Multivector(
             8,
@@ -494,10 +526,59 @@ def test_clifford_action_is_an_algebra_map(rep):
                 for _ in range(rng.randint(0, 40))
             },
         )
-        assert fraction_view(_clifford_action(rep, a)) == fraction_clifford_action(rep, a)
-    assert _clifford_action(rep, Multivector.scalar(8, 1)) == (1, I16)
-    with pytest.raises(DimensionMismatchError):
-        action_columns(rep, Multivector.scalar(7, 1), range(16))
+        m = fraction_clifford_action(rep, a)
+        for parity, h in product((0, 1), "+-"):
+            t = _OTHER_HALF[h] if parity else h
+            source, target = dense_signed_perm(rep.halves[h]), dense_signed_perm(rep.halves[t])
+            want = fraction_mat_mul(la.transpose(target), fraction_mat_mul(m, source))
+            assert fraction_view(_half_block(rep, _parity_part(a, parity), h, t)) == want
+    for h in "+-":
+        assert _half_block(rep, Multivector.scalar(8, 1), h, h) == (1, I8)
+
+
+def test_half_images_match_the_dense_oracle(rep):
+    """half_images on all four (source, target) pairs against the Fraction
+    oracle, on zero, one-entry and dense vectors in one call.  An even
+    element keeps each half and an odd one swaps them, so each raises
+    ChiralityError on the other two pairs, and a mixed one on all four."""
+    rng = random.Random(44)
+
+    def element(masks):
+        return Multivector(8, {rng.choice(masks): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+                               for _ in range(rng.randint(1, 12))})
+
+    vectors = [[], [(rng.randrange(8), rng.choice((-3, -1, 2, 5)))]]
+    vectors += [[(j, rng.randint(-9, 9)) for j in range(8)] for _ in range(2)]
+    vectors += [[(j, rng.randint(-4, 4)) for j in rng.sample(range(8), 3)]]
+    kinds = {
+        "even": [element(_EVEN_MASKS) for _ in range(4)] + [Multivector.scalar(8, 1), volume_element(8)],
+        "odd": [element(_ODD_MASKS) for _ in range(4)] + [Multivector.basis_vector(8, 3)],
+        "mixed": [element(_EVEN_MASKS) + element(_ODD_MASKS) for _ in range(3)],
+    }
+    for kind, elements in kinds.items():
+        for a, (source, target) in product(elements, product("+-", repeat=2)):
+            if (source == target) != (kind == "even") or kind == "mixed":
+                with pytest.raises(ChiralityError):
+                    fraction_half_images(rep, a, source, vectors, target)
+                with pytest.raises(ChiralityError, match="does not preserve the chiral subspace$"):
+                    half_images(rep, a, source, vectors, target)
+                # the zero vector alone has the zero image in any half
+                assert half_images(rep, a, source, [[]], target) == [[0] * 8]
+                continue
+            want = fraction_half_images(rep, a, source, vectors, target)
+            got = half_images(rep, a, source, vectors, target)
+            assert [tuple(Fraction(x, a.d) for x in image) for image in got] == want
+            if source == target:
+                assert half_images(rep, a, source, vectors) == got
+    assert half_images(rep, volume_element(8), "-", []) == []
+    for bad in ("", "full", "+-", None):
+        with pytest.raises(ValueError, match="^chirality must be '\\+' or '-'$"):
+            half_images(rep, Multivector.scalar(8, 1), bad, vectors)
+        if bad is not None:
+            with pytest.raises(ValueError, match="^chirality must be '\\+' or '-'$"):
+                half_images(rep, Multivector.scalar(8, 1), "+", vectors, bad)
+    with pytest.raises(DimensionMismatchError, match="element of Cl\\(0,8\\)$"):
+        half_images(rep, Multivector.scalar(7, 1), "+", vectors)
 
 
 def test_omega8_eigenspaces(rep):
