@@ -14,29 +14,26 @@ first octonion summand and +1 on the second, so S8- is the first summand
 and S8+ the second, each with its coordinate basis, except that the first
 basis vector of S8+ is -e8: that orientation puts the spinor fixed by the
 spinor-type Spin(7) copy into S8+, where it is basis spinor 0 (the reversed
-orientation puts it into S8-).  Even elements preserve each half and
-odd ones exchange them, so c(a) is read on the halves alone: ``half_images``
-is the one kernel that applies it.  It takes sparse integer vectors in the
-basis of one half, sums their images term by term, each term moving each
-signed entry by its signed permutation, and reads the images in the basis
-of a half, over the common denominator d of a's coefficients.
-``chiral_action_matrix`` is its images of the 8 basis spinors, as an exact
+orientation puts it into S8-).  Even elements preserve each half and odd
+ones exchange them, so c(a) is applied on the halves alone, by the one
+kernel ``half_images``: sparse integer vectors in the basis of a half, each
+term moving their entries by its signed permutation, read in the basis of a
+half over the common denominator d of a's coefficients.
+``chiral_action_matrix`` is its images of the 8 basis spinors as an exact
 ``(d, rows)`` pair of ``exactlinalg``: the half-spin representation delta8
 on Spin(8) and, after ``embed_spin7``, ``delta7`` on Spin(7) and on its Lie
 algebra alike.  ``spinor_image`` is its image of one positive spinor, and
-the stabilizer dimensions of several spinors in one algebra,
-``_stabilizer_dimensions``, take one call per algebra element with all the
-spinors, prove the algebra independent once and rank the unreduced images,
-since a rank ignores the scale of each row.
+``_stabilizer_dimensions`` makes one call per algebra element with all its
+spinors, proves the algebra independent once and ranks the unreduced
+images, since a rank ignores the scale of each row.
 
 The module has one form: the generators, the 256 monomials and the two
 halves are stored as signed permutations (``GammaRep.gamma``,
 ``GammaRep.monomials``, ``GammaRep.halves``), and no dense copy is kept.
 The actions and the ``verify reps`` checks read these same permutations.
-The span of the monomials
-is ranked block by block: a flattened c(e_A) is nonzero only at the
-positions (perm[j], j), and rank over Q adds up over groups of rows whose
-column supports are disjoint.
+The span of the monomials is ranked block by block: a flattened c(e_A) is
+nonzero only at the positions (perm[j], j), and rank over Q adds up over
+groups of rows whose column supports are disjoint.
 
 Conjugation (Ad) and the chiral restriction of c give the two
 non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
@@ -234,7 +231,7 @@ def half_images(
             flat[at + perm[row]] += c * x * sign[row]
     rows, signs = rep.halves[target]
     images = []
-    for at in range(0, len(flat), 16):  # read each image, then clear its rows
+    for at in range(0, len(flat), 16):  # read, then clear: what is left lies outside
         images.append([s * flat[at + r] for r, s in zip(rows, signs)])
         for r in rows:
             flat[at + r] = 0
@@ -422,9 +419,8 @@ def stabilizer_dimension(
     over d, in the basis of S8+.  ``algebra`` is a linearly independent list
     of bivectors acting through the chiral representation; the default is
     the full 28-dimensional bivector basis.  The dimension is the length of
-    the basis minus the rank of the images c(x) psi, each read by
-    ``half_images`` on psi's nonzero entries, without building the 8x8 block
-    of c(x).
+    the basis minus the rank of the images c(x) psi, read by ``half_images``
+    on psi's nonzero entries without building the 8x8 block of c(x).
     """
     return next(_stabilizer_dimensions(rep, [psi], algebra))
 
@@ -434,10 +430,9 @@ def _stabilizer_dimensions(
 ) -> Iterator[int]:
     """``stabilizer_dimension`` of each spinor in ``psis``, in order, inside
     one algebra.  Every spinor is checked and the algebra proved independent
-    once, on the call; one ``half_images`` call per algebra element then
-    reads its images of all the spinors, and each dimension is ranked as it
-    is read, from the unreduced images, since a rank ignores the scale of
-    each row.
+    once, on the call; one ``half_images`` call per algebra element reads
+    its images of all the spinors, and each dimension is ranked as it is
+    read, from the unreduced images.
     """
     vs = []
     for psi in psis:
