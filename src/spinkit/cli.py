@@ -30,6 +30,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import accumulate
 
 from .errors import SpinkitError, TorsorError
 
@@ -86,9 +87,12 @@ def _cmd_cohomology(args) -> tuple[int, dict, list[str]]:
         text = str(group)
     except ValueError:  # an order past the int-to-str digit limit
         raise SpinkitError(f"{shown(path)}: H^{args.degree} has a torsion order too long to print")
-    core = cx.name.strip() if cx.name else "X, Y"
-    if core.startswith("(") and core.endswith(")"):
+    core = (cx.name or "").strip()
+    # drop the outer pair only when the "(" at position 0 closes at the end
+    depths = [*accumulate((ch == "(") - (ch == ")") for ch in core)]
+    if core.startswith("(") and 0 not in depths[:-1] and depths[-1] == 0:
         core = core[1:-1]
+    core = core if core.strip() else "X, Y"
     payload = {
         "complex": cx.name,
         "degree": args.degree,

@@ -22,10 +22,10 @@ half over the common denominator d of a's coefficients.
 ``chiral_action_matrix`` is its images of the 8 basis spinors as an exact
 ``(d, rows)`` pair of ``exactlinalg``: the half-spin representation delta8
 on Spin(8) and, after ``embed_spin7``, ``delta7`` on Spin(7) and on its Lie
-algebra alike.  ``spinor_image`` is its image of one positive spinor, and
-``_stabilizer_dimensions`` makes one call per algebra element with all its
-spinors, proves the algebra independent once and ranks the unreduced
-images, since a rank ignores the scale of each row.
+algebra alike.  The orbit map x -> c(x) psi of positive spinors has one
+entry point, ``stabilizer_dimensions``: one kernel call per algebra element
+with all its spinors, the algebra proved independent once and the
+unreduced images ranked, since a rank ignores the scale of each row.
 
 The module has one form: the generators, the 256 monomials and the two
 halves are stored as signed permutations (``GammaRep.gamma``,
@@ -50,7 +50,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import exactlinalg as la
 from .errors import (
@@ -248,30 +248,6 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     return la.exact(a.d, zip(*half_images(rep, a, chirality, _BASIS_SPINORS)))
 
 
-def _positive_spinor(psi: tuple[int, Iterable]) -> tuple[int, tuple[int, ...]]:
-    """The positive spinor psi = ``(d, entries)`` as ``la.exact`` reduces it."""
-    d, (v,) = la.exact(psi[0], [psi[1]])
-    if len(v) != 8:
-        raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
-    return d, v
-
-
-def spinor_image(
-    rep: GammaRep, a: Multivector, psi: tuple[int, Iterable]
-) -> tuple[int, tuple[int, ...]]:
-    """c(a) psi for a positive spinor psi = ``(d, entries)``, returned as
-    ``(d', entries)`` in the basis of S8+, in lowest terms.
-
-    One ``half_images`` call on psi's nonzero entries: no column of c(a) is
-    built.  Raises ChiralityError when the image leaves S8+, as it does for
-    an odd element and a nonzero psi.
-    """
-    dp, v = _positive_spinor(psi)
-    (image,) = half_images(rep, a, "+", [[(j, x) for j, x in enumerate(v) if x]])
-    d, (out,) = la.exact(a.d * dp, [image])
-    return d, out
-
-
 def embed_spin7(a: Multivector) -> Multivector:
     """Even elements of Cl(0,7) inside Cl(0,8), using generators 1..7."""
     if a.n != 7:
@@ -311,7 +287,8 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     A's positions of sign +1 less the sum at those of sign -1 (plus s times
     the sum at those of any other sign s: ``_even_traces``).
     The candidate passes the full ``SpinElement`` certification and
-    ``spinor_image`` checks c(eta) psi = psi.  R itself needs no check:
+    ``half_images`` on psi's nonzero entries checks c(eta) psi = psi in
+    integers.  R itself needs no check:
 
       M maps S8- to S8- and S8+ to S8+, so it is c of an even element: c(eta) = M;
       so a certified eta with c(eta) psi = psi has c(Ad(eta) e_i) psi = M c(e_i) psi;
@@ -349,7 +326,9 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
         eta = SpinElement(Multivector._over(8, 16 * d * d, terms))
     except InvalidSpinElementError:
         raise InternalCheckError(_MOVES_PSI) from None
-    if spinor_image(rep, eta.value, psi) != psi:
+    # c(eta) psi = psi, read in integers: half_images scales by eta's denominator
+    images = half_images(rep, eta.value, "+", [[(j, x) for j, x in enumerate(psi[1]) if x]])
+    if images != [[eta.value.d * x for x in psi[1]]]:
         raise InternalCheckError(_MOVES_PSI)
     return eta
 
@@ -372,7 +351,7 @@ def spin7_lie_basis() -> list[Multivector]:
 
 
 _BIVECTOR_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(8), 2)]
-# the default algebra of stabilizer_dimension: all of so(8), whose
+# the default algebra of stabilizer_dimensions: all of so(8), whose
 # coordinate rows are the 28x28 identity, so it needs no independence check
 _BIVECTOR_BASIS = tuple(Multivector(8, {m: 1}) for m in _BIVECTOR_MASKS)
 
@@ -410,33 +389,27 @@ def common_fixed_space(rep: GammaRep, generators: list[Multivector]) -> list[tup
     return la.kernel_basis(stacked)
 
 
-def stabilizer_dimension(
-    rep: GammaRep, psi: tuple[int, Iterable], algebra: list[Multivector] | None = None
-) -> int:
-    """Dimension of the annihilator of psi inside a Lie subalgebra of so(8).
+def stabilizer_dimensions(
+    rep: GammaRep, psis: list[tuple[int, Iterable]], algebra: list[Multivector] | None = None
+) -> list[int]:
+    """Dimension of the annihilator of each positive spinor in ``psis``, in
+    order, inside one Lie subalgebra of so(8).
 
-    psi is a positive spinor ``(d, entries)``: eight int or Fraction entries
+    A positive spinor is ``(d, entries)``: eight int or Fraction entries
     over d, in the basis of S8+.  ``algebra`` is a linearly independent list
     of bivectors acting through the chiral representation; the default is
-    the full 28-dimensional bivector basis.  The dimension is the length of
-    the basis minus the rank of the images c(x) psi, read by ``half_images``
-    on psi's nonzero entries without building the 8x8 block of c(x).
-    """
-    return next(_stabilizer_dimensions(rep, [psi], algebra))
-
-
-def _stabilizer_dimensions(
-    rep: GammaRep, psis: list[tuple[int, Iterable]], algebra: list[Multivector] | None = None
-) -> Iterator[int]:
-    """``stabilizer_dimension`` of each spinor in ``psis``, in order, inside
-    one algebra.  Every spinor is checked and the algebra proved independent
-    once, on the call; one ``half_images`` call per algebra element reads
-    its images of all the spinors, and each dimension is ranked as it is
-    read, from the unreduced images.
+    the full 28-dimensional bivector basis.  Every spinor is checked and the
+    algebra proved independent once, on the call.  A dimension is the length
+    of the basis minus the rank of the images c(x) psi: one ``half_images``
+    call per algebra element reads its images of all the spinors on their
+    nonzero entries, without building the 8x8 block of c(x), and a rank
+    ignores the scale of each row, so the images are ranked unreduced.
     """
     vs = []
     for psi in psis:
-        v = _positive_spinor(psi)[1]
+        _, (v,) = la.exact(psi[0], [psi[1]])
+        if len(v) != 8:
+            raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
         if not any(v):
             raise ValueError("stabilizer of the zero spinor is not defined")
         vs.append([(j, x) for j, x in enumerate(v) if x])
@@ -448,7 +421,7 @@ def _stabilizer_dimensions(
         if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
             raise ValueError("algebra basis must be linearly independent")
     images = [half_images(rep, x, "+", vs) for x in basis]  # images[x][k] = c(x) psi_k
-    return (len(basis) - la.rank([row[k] for row in images]) for k in range(len(vs)))
+    return [len(basis) - la.rank([row[k] for row in images]) for k in range(len(vs))]
 
 
 def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:

@@ -23,7 +23,6 @@ from .errors import ChiralityError, Frozen
 from .gammarep import (
     _BASIS_SPINORS,
     GammaRep,
-    _stabilizer_dimensions,
     build_cl8_rep,
     chiral_action_matrix,
     common_fixed_space,
@@ -38,8 +37,7 @@ from .gammarep import (
     sp_compose,
     sp_identity,
     spin7_lie_basis,
-    spinor_image,
-    stabilizer_dimension,
+    stabilizer_dimensions,
 )
 from .multivector import (
     Multivector,
@@ -350,11 +348,11 @@ def fixed_line(rep: GammaRep) -> str | None:
 
 
 def stabilizer_21(rep: GammaRep, rng: random.Random) -> str | None:
-    dim = stabilizer_dimension(rep, rep.fixed_spinor)
+    psis = [rational_unit_tuple(8, rng) for _ in range(3)]
+    dim, *dims = stabilizer_dimensions(rep, [rep.fixed_spinor, *psis])
     if dim != 21:
         return f"stabilizer dimension {dim} != 21"
-    psis = [rational_unit_tuple(8, rng) for _ in range(3)]
-    if any(dim != 21 for dim in _stabilizer_dimensions(rep, psis)):
+    if any(dim != 21 for dim in dims):
         return "random unit spinor has a different stabilizer dimension"
     return None
 
@@ -363,10 +361,9 @@ def g2_intersection(rep: GammaRep) -> str | None:
     basis = g2_intersection_basis(rep)
     if len(basis) != 14:
         return f"intersection dimension {len(basis)} != 14"
-    psi = rep.fixed_spinor
+    if stabilizer_dimensions(rep, [rep.fixed_spinor], basis) != [len(basis)]:
+        return "intersection element moves the fixed spinor"
     for z in basis:
-        if any(spinor_image(rep, z, psi)[1]):
-            return "intersection element moves the fixed spinor"
         if any(row[0] for row in ad_differential(z).entries[1]):
             return "intersection element moves e0 infinitesimally"
     return None
@@ -375,7 +372,7 @@ def g2_intersection(rep: GammaRep) -> str | None:
 def sphere_transitivity(rep: GammaRep, rng: random.Random) -> str | None:
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
     psis = [rational_unit_tuple(8, rng) for _ in range(10)]
-    for dim in _stabilizer_dimensions(rep, psis, algebra):
+    for dim in stabilizer_dimensions(rep, psis, algebra):
         if dim != 14:
             return f"chiral so(7) stabilizer has dimension {dim} != 14"
     return None

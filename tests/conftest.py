@@ -16,7 +16,7 @@ from spinkit.errors import (
     TorsorError,
     row_width,
 )
-from spinkit.gammarep import build_cl8_rep, chiral_action_matrix, delta7, spinor_image
+from spinkit.gammarep import build_cl8_rep, chiral_action_matrix, delta7
 from spinkit.multivector import Multivector, blade_grade, integer_product, volume_element
 from spinkit.snf import AbelianGroup, _divisibility_chain, smith_diagonal
 from spinkit.spingroup import RotationMatrix, lift_rotation, rational_unit_vector
@@ -311,14 +311,15 @@ def fraction_lift_rotation(rotation):
 def reflection_iota_plus(rep, zeta):
     """The spinor-type lift by reflections: the Cartan-Dieudonne lift of the
     rotation delta7(zeta), with the sign that fixes the model's spinor psi
-    read by ``spinor_image``.  The oracle for iota_plus, which reads the lift
-    off the module instead."""
+    read by the Fraction oracle ``fraction_spinor_image``.  The oracle for
+    iota_plus, which reads the lift off the module instead."""
     eta = lift_rotation(RotationMatrix(delta7(rep, zeta.value)))
-    psi = rep.fixed_spinor
-    image = spinor_image(rep, eta.value, psi)
+    d, entries = rep.fixed_spinor
+    psi = tuple(Fraction(x, d) for x in entries)
+    image = fraction_spinor_image(rep, eta.value, rep.fixed_spinor)
     if image == psi:
         return eta
-    if image == (psi[0], tuple(-x for x in psi[1])):
+    if image == tuple(-x for x in psi):
         return -eta
     raise InternalCheckError("candidate lift moves the fixed spinor line")
 
@@ -361,11 +362,12 @@ def uncached_relative_cohomology(cx, k, coefficients):
     return AbelianGroup.from_orders([gcd(d, m) for d in [0] * free + down + (up if m else [])])
 
 
-def smith_diagonal_reference(rows):
+def smith_diagonal_reference(rows, log=None):
     """The Smith diagonal by the full elimination loop: each step scans the
     whole remaining block for its pivot and applies every row and column
     operation to all m rows.  The oracle for snf.smith_diagonal, which
-    takes the same pivots and reaches the same intermediate matrices."""
+    takes the same pivots and reaches the same intermediate matrices: a
+    list ``log`` receives a copy of the matrix at the start of each pass."""
     a = [list(r) for r in rows]
     for r in a:
         if not set(map(type, r)) <= {int}:
@@ -390,6 +392,8 @@ def smith_diagonal_reference(rows):
             row[top], row[bj] = row[bj], row[top]
 
         while True:
+            if log is not None:
+                log.append([list(r) for r in a])
             pivot = a[top][top]
             done = True
             for i in range(top + 1, m):
@@ -501,7 +505,8 @@ def fraction_half_images(rep, a, source, vectors, target=None):
 def fraction_spinor_image(rep, a, psi):
     """c(a) psi by the dense oracle: psi = (d, entries) embedded in R^16
     through the basis spinors of S8+, multiplied by fraction_clifford_action
-    and read back in that basis; the oracle for spinor_image.  Raises
+    and read back in that basis; the oracle for the sign of
+    reflection_iota_plus.  Raises
     ChiralityError when the image has a component outside S8+."""
     d, entries = psi
     basis = dense_signed_perm(rep.halves["+"])
@@ -516,7 +521,7 @@ def fraction_spinor_image(rep, a, psi):
 def chiral_matrix_stabilizer_dimension(rep, psi, algebra):
     """The stabilizer dimension read off the whole 8x8 chiral matrix of each
     algebra element times psi, ranked by the Fraction RREF rather than
-    la.rank: the oracle for stabilizer_dimension."""
+    la.rank: the oracle for stabilizer_dimensions."""
     d, entries = psi
     _, (v,) = la.exact(d, [entries])
     images = [la.mat_mul((v,), la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0] for x in algebra]

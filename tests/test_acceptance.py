@@ -32,7 +32,7 @@ from spinkit.gammarep import (
     iota_plus,
     monomial_span_rank,
     spin7_lie_basis,
-    stabilizer_dimension,
+    stabilizer_dimensions,
 )
 from spinkit.multivector import Multivector, volume_element
 from spinkit.spingroup import (
@@ -147,16 +147,16 @@ def test_criterion_5_fixed_space_and_stabilizer(rep):
     line = common_fixed_space(rep, spin7_lie_basis())
     assert line == [rep.fixed_spinor[1]]
     psi = rep.fixed_spinor
-    assert stabilizer_dimension(rep, psi) == 21
+    assert stabilizer_dimensions(rep, [psi]) == [21]
 
 
 @criterion(6, "orbit rank 7; chiral so(7)-stabilizer 14; so(7) copies meet in 14")
 def test_criterion_6_homogeneous_spaces(rep):
     psi = rep.fixed_spinor
-    assert 28 - stabilizer_dimension(rep, psi) == 7
+    assert [28 - dim for dim in stabilizer_dimensions(rep, [psi])] == [7]
     rng = random.Random(77)
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
-    assert stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra) == 14
+    assert stabilizer_dimensions(rep, [rational_unit_tuple(8, rng)], algebra) == [14]
     assert len(g2_intersection_basis(rep)) == 14
 
 

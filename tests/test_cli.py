@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -117,6 +118,22 @@ def test_cohomology_degree_zero_point(capsys):
     code, out, _ = run_cli(capsys, "cohomology", str(point), "--degree", "0")
     assert code == 0
     assert out.strip() == "H^0(point; Z) = Z"
+
+
+@pytest.mark.parametrize(
+    "name, shown",
+    [
+        ("(D8, S7) x (I, dI)", "(D8, S7) x (I, dI)"),  # the first "(" closes before the end
+        ("   ", "X, Y"),
+        ("()", "X, Y"),
+    ],
+)
+def test_cohomology_report_drops_only_a_matching_outer_pair(capsys, tmp_path, name, shown):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"name": name, "cells": [1]}))
+    code, out, _ = run_cli(capsys, "cohomology", str(path), "--degree", "0")
+    assert code == 0
+    assert out == f"H^0({shown}; Z) = Z\n"
 
 
 def test_cohomology_structured(capsys):
@@ -749,6 +766,19 @@ def test_unused_name_guard_reads_f_strings(tmp_path):
         "    return show(Box())\n"
     )
     assert _unused_names([module], [module]) == ["snippet.unread"]
+
+
+def test_readme_module_map_names_only_what_the_package_has():
+    """Each identifier word inside backticks in README's module map occurs as
+    a word in some module of the package, so a deleted name cannot stay in
+    the map."""
+    package = Path(spinkit.__file__).resolve().parent
+    readme = (package.parents[1] / "README.md").read_text()
+    table = readme.split("## Module map", 1)[1].split("\n\n", 2)[1]
+    words = {w for span in re.findall(r"`([^`]*)`", table) for w in re.findall(r"[A-Za-z_]\w*", span)}
+    source = "\n".join(path.read_text() for path in package.glob("*.py"))
+    assert len(words) >= 30
+    assert [w for w in sorted(words) if not re.search(rf"\b{w}\b", source)] == []
 
 
 def test_usage_error_exit_code():

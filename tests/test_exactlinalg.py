@@ -122,7 +122,7 @@ def matrices(draw, square=False):
 @st.composite
 def orbit_shaped_matrices(draw):
     """Tall r x c and wide c x r integer matrices, r in 9..28 and c in 1..8:
-    the shapes of the orbit images ``stabilizer_dimension`` ranks (28 x 8 at
+    the shapes of the orbit images ``stabilizer_dimensions`` ranks (28 x 8 at
     most), with entries up to about 10^3.  Some are sparse, and a product
     through k < c inner columns has rank at most k."""
     r, c = draw(st.integers(9, 28)), draw(st.integers(1, 8))

@@ -29,7 +29,6 @@ from conftest import (
     fraction_clifford_action,
     fraction_half_images,
     fraction_mat_mul,
-    fraction_spinor_image,
     fraction_terms,
     fraction_view,
     multiply_form_traces,
@@ -57,8 +56,7 @@ from spinkit.gammarep import (
     octonion_basis_product,
     sp_compose,
     spin7_lie_basis,
-    spinor_image,
-    stabilizer_dimension,
+    stabilizer_dimensions,
 )
 from spinkit.multivector import Multivector, blade_grade, volume_element
 from spinkit.spingroup import (
@@ -462,22 +460,26 @@ def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
 
 
 def test_orbit_checks_pass_no_basis_spinors(rep, monkeypatch):
-    """stabilizer_21 and sphere_transitivity read each image c(x) psi through
-    half_images on the spinors themselves, one call per algebra element with
-    all of the check's spinors: they never pass the 8 basis spinors, which
-    build the 8x8 block of c(x); the spy does see chiral_action_matrix pass
-    them."""
+    """stabilizer_21, sphere_transitivity and g2_intersection read each image
+    c(x) psi through half_images on the spinors themselves, one call per
+    algebra element with all of the check's spinors: they never pass the 8
+    basis spinors, which build the 8x8 block of c(x); the spy does see
+    chiral_action_matrix pass them.  g2_intersection is handed its 14-element
+    basis, whose construction reads delta7 through chiral_action_matrix."""
+    g2 = g2_intersection_basis(rep)
+    monkeypatch.setattr(verify, "g2_intersection_basis", lambda rep: g2)
     calls, real = [], gammarep.half_images
     monkeypatch.setattr(gammarep, "half_images", lambda *a: calls.append(a[3]) or real(*a))
     basis = [[(j, 1)] for j in range(8)]
     names = {check: name for _, name, check in CHECKS}
     counts = []
-    for check in (verify.stabilizer_21, verify.sphere_transitivity):
+    for check in (verify.stabilizer_21, verify.sphere_transitivity, verify.g2_intersection):
         calls.clear()
-        assert check(rep, random.Random(f"0:{names[check]}")) is None
+        rng = random.Random(f"0:{names[check]}")
+        assert (check(rep) if check is verify.g2_intersection else check(rep, rng)) is None
         assert calls and all([list(v) for v in vectors] != basis for vectors in calls)
         counts.append(len(calls))
-    assert counts == [28 + 28, 21]  # so(8) for psi, then for 3 spinors; so(7) for 10
+    assert counts == [28, 21, 14]  # so(8) for psi and 3 spinors; so(7) for 10; g2 for psi
     calls.clear()
     assert chiral_action_matrix(rep, volume_element(8), "+") == (1, I8)
     assert [[list(v) for v in vectors] for vectors in calls] == [basis]
@@ -538,9 +540,11 @@ def test_clifford_action_is_an_algebra_map(rep):
 
 def test_half_images_match_the_dense_oracle(rep):
     """half_images on all four (source, target) pairs against the Fraction
-    oracle, on zero, one-entry and dense vectors in one call.  An even
-    element keeps each half and an odd one swaps them, so each raises
-    ChiralityError on the other two pairs, and a mixed one on all four."""
+    oracle, on zero, one-entry and dense vectors and the numerators of the
+    test spinors in one call.  The even elements include spin lifts, their
+    Lie algebra and -1; an even element keeps each half and an odd one swaps
+    them, so each raises ChiralityError on the other two pairs, and a mixed
+    one on all four."""
     rng = random.Random(44)
 
     def element(masks):
@@ -550,10 +554,17 @@ def test_half_images_match_the_dense_oracle(rep):
     vectors = [[], [(rng.randrange(8), rng.choice((-3, -1, 2, 5)))]]
     vectors += [[(j, rng.randint(-9, 9)) for j in range(8)] for _ in range(2)]
     vectors += [[(j, rng.randint(-4, 4)) for j in rng.sample(range(8), 3)]]
+    vectors += [[(j, x) for j, x in enumerate(v) if x] for _, v in _spinors(rep)]
+    even = [element(_EVEN_MASKS) for _ in range(4)] + [Multivector.scalar(8, 1), volume_element(8)]
+    even += [iota_plus(rep, random_spin(7, 2, 51)).value, random_spin(8, 2, 53).value]
+    even += [Multivector.scalar(8, -1), Multivector.blade(8, [2, 5])]
+    even += [d_iota_plus(rep, x) for x in spin7_lie_basis()[::10]]
     kinds = {
-        "even": [element(_EVEN_MASKS) for _ in range(4)] + [Multivector.scalar(8, 1), volume_element(8)],
-        "odd": [element(_ODD_MASKS) for _ in range(4)] + [Multivector.basis_vector(8, 3)],
-        "mixed": [element(_EVEN_MASKS) + element(_ODD_MASKS) for _ in range(3)],
+        "even": even,
+        "odd": [element(_ODD_MASKS) for _ in range(4)] + [Multivector.basis_vector(8, i) for i in range(8)]
+        + [random_spin(8, 1, 6).value * Multivector.basis_vector(8, 3)],
+        "mixed": [element(_EVEN_MASKS) + element(_ODD_MASKS) for _ in range(3)]
+        + [Multivector.scalar(8, 1) + Multivector.basis_vector(8, 0)],
     }
     for kind, elements in kinds.items():
         for a, (source, target) in product(elements, product("+-", repeat=2)):
@@ -571,6 +582,11 @@ def test_half_images_match_the_dense_oracle(rep):
             if source == target:
                 assert half_images(rep, a, source, vectors) == got
     assert half_images(rep, volume_element(8), "-", []) == []
+    # odd, but (1 - omega8)/2 annihilates S8+, so every image of S8+ is 0 in either half
+    kill = Multivector.basis_vector(8, 0) * (Multivector.scalar(8, 1) - volume_element(8)) * Fraction(1, 2)
+    for target in "+-":
+        assert half_images(rep, kill, "+", vectors, target) == [[0] * 8] * len(vectors)
+        assert fraction_half_images(rep, kill, "+", vectors, target) == [(0,) * 8] * len(vectors)
     for bad in ("", "full", "+-", None):
         with pytest.raises(ValueError, match="^chirality must be '\\+' or '-'$"):
             half_images(rep, Multivector.scalar(8, 1), bad, vectors)
@@ -852,13 +868,12 @@ def test_common_fixed_space(rep):
 
 
 def test_stabilizer_dimensions(rep):
-    psi = rep.fixed_spinor
-    assert stabilizer_dimension(rep, psi) == 21
     rng = random.Random(23)
-    for _ in range(3):
-        assert stabilizer_dimension(rep, rational_unit_tuple(8, rng)) == 21
+    psis = [rep.fixed_spinor] + [rational_unit_tuple(8, rng) for _ in range(3)]
+    assert stabilizer_dimensions(rep, psis) == [21] * 4
+    assert stabilizer_dimensions(rep, []) == []
     with pytest.raises(ValueError, match="zero spinor"):
-        stabilizer_dimension(rep, (1, (0,) * 8))
+        stabilizer_dimensions(rep, [(1, (0,) * 8)])
 
 
 def _spinors(rep):
@@ -869,48 +884,8 @@ def _spinors(rep):
     ]
 
 
-def test_spinor_image_matches_the_dense_oracle(rep):
-    rng = random.Random(30)
-    even_masks = [m for m in range(256) if not bin(m).count("1") & 1]
-    elements = [iota_plus(rep, random_spin(7, 2, seed)).value for seed in (51, 52)]
-    elements += [random_spin(8, 2, 53).value, volume_element(8), Multivector.scalar(8, -1)]
-    elements += [Multivector.blade(8, [i, j]) for i, j in ((0, 1), (2, 5), (3, 7))]
-    elements += [d_iota_plus(rep, x) for x in spin7_lie_basis()[::4]]
-    elements += [
-        Multivector(8, {rng.choice(even_masks): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                        for _ in range(rng.randint(1, 12))})
-        for _ in range(4)
-    ]
-    for a in elements:
-        for psi in _spinors(rep):
-            d, image = spinor_image(rep, a, psi)
-            assert la.exact(d, [image]) == (d, (image,))  # lowest terms
-            assert tuple(Fraction(x, d) for x in image) == fraction_spinor_image(rep, a, psi)
-
-
-def test_spinor_image_rejects_odd_elements(rep):
-    odd = [Multivector.basis_vector(8, i) for i in range(8)]
-    odd += [random_spin(8, 1, 6).value * Multivector.basis_vector(8, 3)]
-    odd += [Multivector.scalar(8, 1) + Multivector.basis_vector(8, 0)]  # mixed parity
-    for a in odd:
-        for psi in _spinors(rep):
-            with pytest.raises(ChiralityError):
-                spinor_image(rep, a, psi)
-            with pytest.raises(ChiralityError):
-                fraction_spinor_image(rep, a, psi)
-    # odd, but (1 - omega8)/2 annihilates S8+, so every image is 0 in S8+
-    a = Multivector.basis_vector(8, 0) * (Multivector.scalar(8, 1) - volume_element(8)) * Fraction(1, 2)
-    for psi in _spinors(rep):
-        assert spinor_image(rep, a, psi) == (1, (0,) * 8)
-        assert fraction_spinor_image(rep, a, psi) == (0,) * 8
-    with pytest.raises(DimensionMismatchError, match="got 7$"):
-        spinor_image(rep, volume_element(8), (1, (1,) * 7))
-    with pytest.raises(DimensionMismatchError):
-        spinor_image(rep, Multivector.scalar(7, 1), rep.fixed_spinor)
-
-
 def test_default_stabilizer_basis_has_identity_coordinates():
-    """stabilizer_dimension checks no independence for its default basis,
+    """stabilizer_dimensions checks no independence for its default basis,
     whose coordinate rows are the 28x28 identity over denominator 1."""
     coords = [gammarep.bivector_coordinates(x) for x in gammarep._BIVECTOR_BASIS]
     assert [d for d, _ in coords] == [1] * 28
@@ -918,8 +893,8 @@ def test_default_stabilizer_basis_has_identity_coordinates():
 
 
 def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
-    """stabilizer_dimension, spinor by spinor, and the multi-spinor kernel,
-    over all the spinors at once, each match the oracle in every algebra."""
+    """stabilizer_dimensions, spinor by spinor and over all the spinors at
+    once, matches the oracle in every algebra."""
     rng = random.Random(31)
     full = [Multivector(8, {m: 1}) for m in gammarep._BIVECTOR_MASKS]
     algebras = [
@@ -938,24 +913,29 @@ def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
     dims = set()
     for algebra in [None] + algebras:
         want = [chiral_matrix_stabilizer_dimension(rep, psi, algebra or full) for psi in psis]
-        assert [stabilizer_dimension(rep, psi, algebra) for psi in psis] == want
-        assert list(gammarep._stabilizer_dimensions(rep, psis, algebra)) == want
+        assert [stabilizer_dimensions(rep, [psi], algebra)[0] for psi in psis] == want
+        assert stabilizer_dimensions(rep, psis, algebra) == want
         if algebra is not None:
             dims.update(want)
     assert len(dims) > 3
 
 
 def test_stabilizer_kernel_checks_its_inputs_on_the_call(rep):
-    """The multi-spinor kernel raises before it ranks anything: for a zero
-    spinor at any position of the list and for a dependent algebra."""
+    """stabilizer_dimensions raises on the call, before it ranks anything:
+    for a zero spinor or a 7-entry one at any position of the list, for a
+    dependent algebra and for one of Cl(0,7) elements."""
     psis = _spinors(rep)
     for at in range(len(psis) + 1):
         with pytest.raises(ValueError, match="^stabilizer of the zero spinor is not defined$"):
-            gammarep._stabilizer_dimensions(rep, psis[:at] + [(1, (0,) * 8)] + psis[at:])
+            stabilizer_dimensions(rep, psis[:at] + [(1, (0,) * 8)] + psis[at:])
+        with pytest.raises(DimensionMismatchError, match="^a positive spinor needs 8 components, got 7$"):
+            stabilizer_dimensions(rep, psis[:at] + [(1, (1,) * 7)] + psis[at:])
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
     for dependent in (algebra + algebra[:1], algebra[:5] + [algebra[0] + algebra[3] * 2]):
         with pytest.raises(ValueError, match="^algebra basis must be linearly independent$"):
-            gammarep._stabilizer_dimensions(rep, psis, dependent)
+            stabilizer_dimensions(rep, psis, dependent)
+    with pytest.raises(ValueError, match="^expected a bivector in Cl\\(0,8\\)$"):
+        stabilizer_dimensions(rep, psis, spin7_lie_basis())
 
 
 def test_sphere_transitivity_proves_its_algebra_independent_once(rep, monkeypatch):
@@ -999,7 +979,7 @@ def test_sphere_transitivity(rep):
     rng = random.Random(3)
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
     for _ in range(10):
-        assert stabilizer_dimension(rep, rational_unit_tuple(8, rng), algebra) == 14
+        assert stabilizer_dimensions(rep, [rational_unit_tuple(8, rng)], algebra) == [14]
 
 
 def test_sigma_plus_factors_through_rotations(rep):
@@ -1012,10 +992,10 @@ def test_sigma_plus_factors_through_rotations(rep):
 
 def test_spinor_type_validation(rep):
     # a spinor is a pair (d, entries) of eight exact entries of S8+
-    for entries in ((1, 0, 0), (1,) + (0,) * 15):
+    for entries in ((1, 0, 0), (1,) * 7, (1,) + (0,) * 15):
         with pytest.raises(DimensionMismatchError, match=f"got {len(entries)}$"):
-            stabilizer_dimension(rep, (1, entries))
+            stabilizer_dimensions(rep, [(1, entries)])
     with pytest.raises(TypeError, match="not float$"):
-        stabilizer_dimension(rep, (1, [0.5] + [0] * 7))
+        stabilizer_dimensions(rep, [(1, [0.5] + [0] * 7)])
     # the scale of a spinor does not change its stabilizer
-    assert stabilizer_dimension(rep, (3, [Fraction(1, 2)] + [0] * 7)) == 21
+    assert stabilizer_dimensions(rep, [(3, [Fraction(1, 2)] + [0] * 7)]) == [21]

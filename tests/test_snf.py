@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
+import spinkit.snf as snf
 from spinkit.cwcomplex import CWPairComplex, CoefficientGroup, Z_COEFF, relative_cohomology
 from spinkit.snf import AbelianGroup, _divisibility_chain, smith_diagonal
 from conftest import (
@@ -96,6 +97,24 @@ def test_smith_diagonal_matches_the_reference_loop(case):
     assert got == smith_diagonal_reference(m)
     assert known is None or got == known
     assert m == snapshot
+
+
+def test_smith_diagonal_takes_the_reference_loop_pass_for_pass(monkeypatch):
+    """Each pass of smith_diagonal (one _eliminate call) starts from the
+    matrix the full loop holds at the start of its pass, so the two take
+    the same pivots in the same order, on random and big-entry matrices."""
+    passes, real = [], snf._eliminate
+    monkeypatch.setattr(snf, "_eliminate", lambda a, top: passes.append([list(r) for r in a]) or real(a, top))
+    rng = random.Random(88)
+    for k in range(400):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        big = k % 2
+        m = [[rng.randint(-4096, 4096) if big else rng.choice((0, 0, 0, 1, -2, 3, -4, 6, 12))
+              for _ in range(c)] for _ in range(r)]
+        passes.clear()
+        reference: list = []
+        assert smith_diagonal(m) == smith_diagonal_reference(m, reference)
+        assert passes == reference
 
 
 @pytest.mark.parametrize("bad", [2.5, "4", Fraction(4), True], ids=repr)

@@ -25,7 +25,7 @@ from conftest import (
     one_sided_product_rows,
 )
 from spinkit.errors import InvalidSpinElementError, LiftError
-from spinkit.gammarep import build_cl8_rep, iota_plus, iota_vector, stabilizer_dimension
+from spinkit.gammarep import build_cl8_rep, iota_plus, iota_vector, stabilizer_dimensions
 from spinkit.multivector import Multivector, blade_grade, volume_element
 from spinkit.spingroup import (
     RotationMatrix,
@@ -584,7 +584,7 @@ def test_non_square_rotation_matrix_is_rejected(rows):
             id="skew-Decimal",
         ),
         pytest.param(
-            lambda: stabilizer_dimension(build_cl8_rep(), (1, ["1"] + [0] * 7)), "str",
+            lambda: stabilizer_dimensions(build_cl8_rep(), [(1, ["1"] + [0] * 7)]), "str",
             id="spinor-str",
         ),
         pytest.param(lambda: SpinElement(5), "int", id="spin-element-int"),
