@@ -12,6 +12,7 @@ files are used when FILE is omitted; the environment variable
 ``SPINKIT_DATA_DIR`` points lookups at a different data directory.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or input errors.
+A reader that closes standard output early leaves the report's exit code.
 
 Each handler returns its report as ``(status, payload, lines)``: the exit
 code, the structured report and the text report's lines.  ``main`` alone
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import accumulate
@@ -210,7 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status, payload, lines = args.func(args)
-        print(json.dumps(payload, indent=1) if args.format == "structured" else "\n".join(lines))
+        try:
+            print(json.dumps(payload, indent=1) if args.format == "structured" else "\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed stdout; the report's status stands
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # silences the exit flush
         return status
     except (SpinkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

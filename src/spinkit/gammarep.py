@@ -201,7 +201,7 @@ def build_cl8_rep() -> GammaRep:
 
 
 # the 8 basis spinors of a half in the vector form of ``half_images``
-_BASIS_SPINORS = tuple([(j, 1)] for j in range(8))
+BASIS_SPINORS = tuple([(j, 1)] for j in range(8))
 
 
 def half_images(
@@ -245,7 +245,7 @@ def chiral_action_matrix(rep: GammaRep, a: Multivector, chirality: str = "+") ->
     column j is the ``half_images`` image of basis spinor j.  Raises
     ChiralityError when c(a) does not preserve the half (odd elements
     exchange the halves)."""
-    return la.exact(a.d, zip(*half_images(rep, a, chirality, _BASIS_SPINORS)))
+    return la.exact(a.d, zip(*half_images(rep, a, chirality, BASIS_SPINORS)))
 
 
 def embed_spin7(a: Multivector) -> Multivector:

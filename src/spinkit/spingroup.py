@@ -62,7 +62,7 @@ over the rationals whenever the product of the squared lengths of the factors is
 rotations arising as Ad- or spin-representation images of rational spin
 elements); otherwise no rational lift exists and ``lift_rotation`` raises.
 Lifts, Lie lifts and random unit vectors are built in the same form, over
-the root of that product, over 4d and over the reflection's denominator.
+the root of that product, over 2d and over the reflection's denominator.
 """
 
 from __future__ import annotations
@@ -319,20 +319,14 @@ def lie_lift(a: SkewMatrix) -> Multivector:
     """The bivector B with d(Ad)(B) = a, where d(Ad)(B)x = Bx - xB.
 
     For column action (a x)_i = sum_j a_ij x_j and the e_i^2 = -1 metric
-    this is B = (1/4) sum_ij a_ij e_j e_i.
+    this is B = (1/4) sum_ij a_ij e_j e_i.  SkewMatrix has certified
+    a_ji = -a_ij, and e_j e_i = -e_i e_j for i != j, so the terms of i, j
+    and j, i are equal: B = -sum_{i<j} a_ij e_i e_j / 2, read off the
+    strict upper triangle alone.
     """
     d, rows = a.entries
-    n = a.n
-    terms: dict[int, int] = {}  # over 4d
-    for i in range(n):
-        for j in range(n):
-            c = rows[i][j]
-            if not c or i == j:
-                continue
-            # e_j e_i written in canonical order: sign -1 when j > i
-            mask = (1 << i) | (1 << j)
-            terms[mask] = terms.get(mask, 0) + (c if j < i else -c)
-    return Multivector._over(n, 4 * d, terms)
+    terms = {(1 << i) | (1 << j): -rows[i][j] for i, j in combinations(range(a.n), 2)}
+    return Multivector._over(a.n, 2 * d, terms)
 
 
 def ad_differential(b: Multivector) -> SkewMatrix:

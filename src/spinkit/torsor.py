@@ -136,13 +136,9 @@ def _read(t: _Table, rows: tuple | list, missing: str) -> list:
     return values
 
 
-def verify_difference_axioms(d: DifferenceTable) -> None:
-    """Certify (a)-(c) from the base point; raise TorsorError naming the failed step."""
-    _validate_difference(d)
-
-
-def _validate_difference(d: DifferenceTable) -> list:
-    """Certify (a)-(c) from the base point; return the values D(x, y) in product order."""
+def verify_difference_axioms(d: DifferenceTable) -> list:
+    """Certify (a)-(c) from the base point and return the values D(x, y) in
+    product order; raise TorsorError naming the failed step."""
     g, carrier = d.group, d.carrier
     values = _read(d, carrier, "missing difference value for ({},{})")
     n, b, elements = len(carrier), carrier[0], g.elements()
@@ -162,7 +158,7 @@ def _validate_difference(d: DifferenceTable) -> list:
 
 def action_from_difference(d: DifferenceTable) -> ActionTable:
     """The action h . x = (the unique y with D(x, y) = h)."""
-    values = _validate_difference(d)
+    values = verify_difference_axioms(d)
     n = len(d.carrier)
     xs = chain.from_iterable(map(repeat, d.carrier, repeat(n)))
     return ActionTable(d.group, d.carrier, dict(zip(zip(values, xs), d.carrier * n)))

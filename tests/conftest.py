@@ -274,6 +274,24 @@ def fraction_reflection(v, x):
     return [xi - f * vi for xi, vi in zip(x, v)]
 
 
+def both_triangles_lie_lift(a):
+    """B = (1/4) sum_ij a_ij e_j e_i summed over every off-diagonal entry,
+    both triangles, in Fractions: the oracle for lie_lift, which reads each
+    pair i < j once."""
+    d, rows = a.entries
+    n = a.n
+    terms = {}
+    for i in range(n):
+        for j in range(n):
+            c = rows[i][j]
+            if not c or i == j:
+                continue
+            # e_j e_i written in canonical order: sign -1 when j > i
+            mask = (1 << i) | (1 << j)
+            terms[mask] = terms.get(mask, 0) + Fraction(c if j < i else -c, 4 * d)
+    return Multivector(n, terms)
+
+
 def fraction_lift_rotation(rotation):
     """The Cartan-Dieudonne lift with rational (not rescaled) reflection
     vectors, reflecting every column in Fractions and multiplying the factors

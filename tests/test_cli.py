@@ -570,6 +570,27 @@ def test_catalogue_is_read_as_utf8_in_an_ascii_locale(tmp_path):
     assert done.stderr.startswith("error: ") and "--format structured" in done.stderr
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_reader_that_closes_stdout_early_keeps_the_exit_code(tmp_path, fmt):
+    """``census BIG | head -1``: the report is larger than a pipe's buffer,
+    so writing it meets a closed pipe; that is no usage error, so the exit
+    code is the report's and standard error stays empty."""
+    record = json.loads(_record())["manifolds"][0]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"manifolds": [{**record, "name": f"m{i}"} for i in range(1500)]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(spinkit.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinkit.cli", "census", str(path), "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+
+
 def test_failing_check_maps_to_exit_1():
     from spinkit.verify import CheckResult
 
@@ -746,6 +767,21 @@ def test_every_module_level_name_is_used():
     modules = sorted(package.glob("*.py"))
     sources = modules + sorted((package.parents[1] / "bench").glob("*.py"))
     assert _unused_names(modules, sources) == []
+
+
+def test_verify_imports_no_private_name():
+    """The report layer reads the other layers through their public names:
+    ``spinkit.verify`` imports no name starting with ``_`` from another
+    spinkit module, nor any such module."""
+    package = Path(spinkit.__file__).resolve().parent
+    imported = []
+    for node in ast.walk(ast.parse((package / "verify.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "spinkit"):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names if alias.name.split(".")[0] == "spinkit"]
+    assert len(imported) >= 20
+    assert [name for name in imported if any(p.startswith("_") for p in name.split(".")[1:])] == []
 
 
 def test_unused_name_guard_reads_f_strings(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import spinkit.exactlinalg as la
 import spinkit.spingroup as spingroup
 from conftest import (
+    both_triangles_lie_lift,
     fraction_adjoint_action,
     fraction_lift_rotation,
     fraction_mat_mul,
@@ -212,6 +213,29 @@ def test_lie_lift_inverts_ad_differential():
     # e0 e1 e2 e3 - e3 e0 e1 e2 = 2 e0 e1 e2 e3 is not a vector
     with pytest.raises(ValueError, match="does not preserve grade 1"):
         ad_differential(Multivector.blade(8, [0, 1, 2]))
+
+
+@st.composite
+def skew_matrices(draw):
+    """A SkewMatrix on n = 1..8 over d = 1..12, its entries int or Fraction."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    d = draw(st.integers(min_value=1, max_value=12))
+    entry = st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j]
+    return SkewMatrix((d, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_matrices())
+@example(SkewMatrix((6, [[0, Fraction(5, 4), 3], [Fraction(-5, 4), 0, 0], [-3, 0, 0]])))
+def test_lie_lift_matches_the_both_triangle_oracle(a):
+    """Reading each pair i < j once gives, in lowest terms, the bivector that
+    the sum over both triangles gives."""
+    assert lie_lift(a) == both_triangles_lie_lift(a)
 
 
 def test_random_spin_contract():

@@ -30,7 +30,7 @@ from conftest import (
 def test_singleton_trivial_torsor():
     trivial = FiniteAbelianGroup(())
     d = DifferenceTable(trivial, ("a",), {("a", "a"): ()})
-    assert verify_difference_axioms(d) is None
+    assert verify_difference_axioms(d) == [()]
     action = action_from_difference(d)
     assert action.table[((), "a")] == "a"
     assert difference_from_action(action).table == d.table
@@ -43,7 +43,8 @@ def test_two_point_torsor():
         ("a", "b"),
         {("a", "a"): (0,), ("b", "b"): (0,), ("a", "b"): (1,), ("b", "a"): (1,)},
     )
-    assert verify_difference_axioms(d) is None
+    # the values D(x, y) in product order: (a, a), (a, b), (b, a), (b, b)
+    assert verify_difference_axioms(d) == [(0,), (1,), (1,), (0,)]
     action = action_from_difference(d)
     assert action.table[((1,), "a")] == "b"
     assert action.table[((1,), "b")] == "a"
@@ -93,7 +94,7 @@ def test_regular_difference_of_cyclic_four():
     # D(x, y) = y - x on the group itself
     assert d.table[("g0", "g3")] == (3,)
     assert d.table[("g3", "g0")] == (1,)
-    assert verify_difference_axioms(d) is None
+    assert verify_difference_axioms(d) == [((y - x) % 4,) for x in range(4) for y in range(4)]
 
 
 def test_invalid_action_rejected():
@@ -339,4 +340,4 @@ def test_regular_torsor_labels_are_distinct_for_two_digit_orders():
     """(1, 11) and (11, 1) in Z/12 x Z/12 get different labels."""
     d = regular_difference_table(FiniteAbelianGroup((12, 12)))
     assert len(set(d.carrier)) == len(d.carrier) == 144
-    assert verify_difference_axioms(d) is None
+    assert verify_difference_axioms(d) == [d.table[(x, y)] for x in d.carrier for y in d.carrier]

@@ -3,7 +3,7 @@ the check's name, and the Cl(0,8) module is built only for rows that read it."""
 
 import pytest
 
-from spinkit import verify
+from spinkit import spingroup, verify
 from spinkit.multivector import Multivector
 from spinkit.spingroup import SpinElement
 
@@ -56,3 +56,33 @@ def test_the_module_is_built_once_and_only_for_rows_that_read_it(monkeypatch):
     assert builds == []
     assert [r.passed for r in verify.run_suites("all", 3)] == [True] * 3
     assert builds == [1]
+
+
+def _failures(monkeypatch, *names, seed=0):
+    """The details of the named checks, run alone in table order, that fail."""
+    monkeypatch.setattr(verify, "CHECKS", tuple(_row(name) for name in names))
+    return {r.name: r.detail for r in verify.run_suites("all", seed) if not r.passed}
+
+
+def test_seeded_elements_that_are_not_unit_norm_fail(monkeypatch):
+    """Unit vectors of length 2 make the seeded products norm 16: the
+    SpinElement that random_spin returns rejects them, and the check reports
+    the raise."""
+    real = spingroup.rational_unit_vector
+    monkeypatch.setattr(spingroup, "rational_unit_vector", lambda n, rng: real(n, rng) * 2)
+    name = "seeded spin elements: deterministic, unit norm"
+    assert _failures(monkeypatch, name) == {
+        name: "InvalidSpinElementError: spin element must satisfy zeta * reverse(zeta) = 1"
+    }
+
+
+def test_a_reversal_that_is_the_identity_fails(monkeypatch):
+    """A reverse that returns its argument breaks anti-multiplicativity and
+    makes z x reverse(z) differ from the double reflection."""
+    monkeypatch.setattr(Multivector, "reverse", lambda self: self)
+    laws = "grade involution / reversal (anti)automorphism laws"
+    reflection = "double reflection equals conjugation by the factor product"
+    assert _failures(monkeypatch, laws, reflection) == {
+        laws: "reversal is not anti-multiplicative",
+        reflection: "double reflection disagrees with conjugation",
+    }
