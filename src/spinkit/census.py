@@ -25,12 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CensusDataError, Frozen, TorsorError
-from .torsor import (
-    MAX_TORSOR_ORDER,
-    FiniteAbelianGroup,
-    regular_difference_table,
-    verify_difference_axioms,
-)
 
 NEGATIVE_CHIRALITY_CONVENTION = "e(S-) = e(S+) - e(TW)"
 
@@ -214,6 +208,9 @@ def torsor_size_cross_check(d: ManifoldCharData) -> bool:
     and when 2^h8_z2_dim is over MAX_TORSOR_ORDER, past which the exhaustive
     table (4^h8_z2_dim entries) is not built.
     """
+    # imported here, so that a census run that makes no cross-check loads no torsor
+    from .torsor import MAX_TORSOR_ORDER, FiniteAbelianGroup, regular_difference_table, verify_difference_axioms
+
     expected = _structure_count(d)
     if expected is None:
         raise CensusDataError(f"{d.name}: no Spin(7)-structure exists (e(S+) != 0)")

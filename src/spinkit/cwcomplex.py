@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import accumulate, compress
 from math import gcd
 
-from .errors import ComplexValidationError, DimensionMismatchError, Frozen, ResidueError
+from .errors import ComplexValidationError, DimensionMismatchError, Frozen, ResidueError, require
 from .snf import AbelianGroup, smith_diagonal
 
 # base pairs live in dimensions 0..8; their cylinders reach dimension 9
@@ -232,12 +232,10 @@ class Cochain(Frozen):
     def __init__(
         self, complex: CWPairComplex, degree: int, coefficients: CoefficientGroup, values: tuple[int, ...]
     ):
-        if not isinstance(complex, CWPairComplex):
-            raise TypeError(f"cochain complex must be a CWPairComplex, not {complex!r}")
+        require(complex, CWPairComplex, "cochain complex")
         if type(degree) is not int:
             raise TypeError(f"cochain degree must be an integer, not {degree!r}")
-        if not isinstance(coefficients, CoefficientGroup):
-            raise TypeError(f"cochain coefficients must be a CoefficientGroup, not {coefficients!r}")
+        require(coefficients, CoefficientGroup, "cochain coefficients")
         if not 0 <= degree <= complex.dim:
             raise DimensionMismatchError(f"degree {degree} out of range for a {complex.dim}-complex")
         expected = complex.cell_count(degree)
@@ -258,8 +256,7 @@ class Cochain(Frozen):
 
 def coboundary(c: Cochain) -> Cochain:
     """delta c, the transpose-of-boundary action with reduced coefficients."""
-    if not isinstance(c, Cochain):
-        raise TypeError(f"coboundary needs a Cochain, not {c!r}")
+    require(c, Cochain, "coboundary input")
     cx = c.complex
     k = c.degree
     if k + 1 > cx.dim:
@@ -291,12 +288,10 @@ def relative_cohomology(cx: CWPairComplex, k: int, coefficients: CoefficientGrou
     H^k(;Z) (x) Z/m  +  Tor(H^(k+1)(;Z), Z/m) gives m per free summand and
     gcd(d, m) per d of down and of up, H^(k+1) torsion being read from up.
     """
-    if not isinstance(cx, CWPairComplex):
-        raise TypeError(f"complex must be a CWPairComplex, not {cx!r}")
+    require(cx, CWPairComplex, "complex")
     if type(k) is not int:
         raise TypeError(f"degree must be an integer, not {k!r}")
-    if not isinstance(coefficients, CoefficientGroup):
-        raise TypeError(f"coefficients must be a CoefficientGroup, not {coefficients!r}")
+    require(coefficients, CoefficientGroup, "coefficients")
     if k < 0 or k > cx.dim:
         return AbelianGroup(0)
     m = coefficients.modulus
@@ -321,8 +316,7 @@ def pair_product(p: CWPairComplex, q: CWPairComplex, name: str | None = None) ->
     every product is validated.
     """
     for factor in (p, q):
-        if not isinstance(factor, CWPairComplex):
-            raise TypeError(f"pair_product factors must be CWPairComplex, not {factor!r}")
+        require(factor, CWPairComplex, "pair_product factor")
     dim = p.dim + q.dim
     blocks = [(j, b) for j, count in enumerate(q._cells) for b in range(count)]
     cells, starts = [], []  # starts[k][j, b]: index of the first k-cell a x b
@@ -368,8 +362,7 @@ def product_with_interval(cx: CWPairComplex) -> CWPairComplex:
     k-cells and t over the (k-1)-cells of X.  The cylinder is built and
     validated on the first call; later calls return the same object.
     """
-    if not isinstance(cx, CWPairComplex):
-        raise TypeError(f"complex must be a CWPairComplex, not {cx!r}")
+    require(cx, CWPairComplex, "complex")
     if cx._cylinder is None:
         cx._cylinder = pair_product(cx, INTERVAL_PAIR, name=f"{cx._name} x I" if cx._name else "cylinder")
     return cx._cylinder
@@ -384,8 +377,7 @@ def difference_cochain(o_hat: Cochain, o0: Cochain, o1: Cochain) -> Cochain:
     ResidueError is raised.  The interval block is then d.
     """
     for label, c in (("o_hat", o_hat), ("o0", o0), ("o1", o1)):
-        if not isinstance(c, Cochain):
-            raise TypeError(f"{label} must be a Cochain, not {c!r}")
+        require(c, Cochain, label)
     if o0.complex != o1.complex or o0.degree != o1.degree or o0.coefficients != o1.coefficients:
         raise DimensionMismatchError("end cochains must match in complex, degree and coefficients")
     base = o0.complex

@@ -1,5 +1,6 @@
 """What every layer of the package shares: its exception types, the exact
-kernels' shape guard and ``Frozen``, the base of its immutable value classes.
+kernels' shape guard ``row_width``, the class guard ``require`` and
+``Frozen``, the base of its immutable value classes.
 
 They live in one module because each layer loads this one anyway, so a
 ``spinkit`` process pays for one import, not one per shared piece.
@@ -32,6 +33,12 @@ def row_width(rows) -> int | None:
     if len(widths) > 1:
         raise DimensionMismatchError("ragged matrix")
     return widths.pop() if widths else None
+
+
+def require(value, cls: type, what: str) -> None:
+    """Raise TypeError naming ``value`` unless it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} {value!r} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 class UnsupportedDimensionError(SpinkitError, ValueError):

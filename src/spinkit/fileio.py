@@ -133,6 +133,9 @@ def load_catalogue(path: str | Path) -> list[ManifoldCharData]:
     records = raw.get("manifolds") if isinstance(raw, dict) else None
     if not isinstance(records, list):
         raise CensusDataError(f"{shown(path)}: expected an object with a 'manifolds' list")
+    unknown = set(raw) - {"manifolds"}
+    if unknown:
+        raise CensusDataError(f"{shown(path)}: unknown keys {sorted(unknown)}")
     out = []
     for i, rec in enumerate(records):
         label = rec.get("name", f"record #{i}") if isinstance(rec, dict) else f"record #{i}"

@@ -22,8 +22,8 @@ half over the common denominator d of a's coefficients.
 ``chiral_action_matrix`` is its images of the 8 basis spinors as an exact
 ``(d, rows)`` pair of ``exactlinalg``: the half-spin representation delta8
 on Spin(8) and, after ``embed_spin7``, ``delta7`` on Spin(7) and on its Lie
-algebra alike.  The orbit map x -> c(x) psi of positive spinors has one
-entry point, ``stabilizer_dimensions``: one kernel call per algebra element
+algebra alike.  Stabilizer dimensions of positive spinors have one entry
+point, ``stabilizer_dimensions``: one kernel call per algebra element
 with all its spinors, the algebra proved independent once and the
 unreduced images ranked, since a rank ignores the scale of each row.
 
@@ -40,9 +40,9 @@ non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
 blade-wise inclusion that stabilizes the vector e0, ``iota_plus`` the lift
 of the 8-dimensional spin representation that stabilizes a positive unit
 spinor, read off c of the lift as traces against the monomials.  Each
-trace is two index sums over the 16x16 matrix flattened once: a monomial's
-positions are grouped by sign (``GammaRep._read_out``, built on the first
-lift), so the read-out multiplies by no sign.
+trace is read from the 16x16 matrix flattened once: a monomial's positions
+are grouped by sign value (``GammaRep._read_out``, built on the first lift),
+and each group's index sum is scaled by its sign once.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ from .errors import (
     EmbeddingDomainError,
     InternalCheckError,
     InvalidSpinElementError,
+    require,
 )
 from .multivector import Multivector, blade_grade, p_iso
-from .spingroup import SkewMatrix, SpinElement, _require, lie_lift
+from .spingroup import SkewMatrix, SpinElement, lie_lift
 
 # Fano-plane triples (a, b, c): cyclically e_a e_b = e_c.  The (i, i+1, i+3)
 # mod 7 orientation is one of the standard alternative-algebra conventions.
@@ -170,29 +171,24 @@ class GammaRep:
         self.fixed_spinor: tuple[int, tuple[int, ...]] = 1, (1,) + (0,) * 7
 
     @cached_property
-    def _read_out(self) -> tuple[tuple, tuple]:
-        """``(signed, scaled)`` for ``iota_plus``, built from ``monomials`` on
-        the first lift: the positions 16 j + perm[j] of each even monomial in
-        a 16x16 matrix M flattened column by column, grouped by sign value.
-        ``signed`` holds (mask, plus, minus) itemgetters for the signs +1 and
-        -1, ``scaled`` (mask, s, getter) for every other nonzero sign s, so
-        sum_j sign[j] M[perm[j]][j] is sum(plus) - sum(minus) plus
-        s * sum(getter) over mask's scaled groups.  Every getter also reads
-        position 256, a zero, twice, so it returns a tuple for any group."""
-        signed, scaled = [], []
+    def _read_out(self) -> tuple[tuple[int, ...], tuple]:
+        """``(masks, reads)`` for ``iota_plus``, built from ``monomials`` on the
+        first lift: the even masks, and one (mask, s, getter) per nonzero sign
+        value s of each even monomial, the getter an itemgetter of that
+        monomial's positions 16 j + perm[j] of sign s in a 16x16 matrix M
+        flattened column by column, so sum_j sign[j] M[perm[j]][j] is the sum
+        of s * sum(getter) over mask's reads.  Every getter also reads
+        position 256, a zero, so it returns a tuple for any group."""
+        masks, reads = [], []
         for mask, (perm, sign) in self.monomials.items():
             if blade_grade(mask) & 1:
                 continue
+            masks.append(mask)
             groups: dict[int, list[int]] = {}
             for j, (row, s) in enumerate(zip(perm, sign)):
                 groups.setdefault(s, []).append(16 * j + row)
-            get = {s: itemgetter(*positions, 256, 256) for s, positions in groups.items() if s}
-            signed.append((mask, get.pop(1, _NO_READ), get.pop(-1, _NO_READ)))
-            scaled.extend((mask, s, getter) for s, getter in get.items())
-        return tuple(signed), tuple(scaled)
-
-
-_NO_READ = itemgetter(256, 256)
+            reads.extend((mask, s, itemgetter(*positions, 256)) for s, positions in groups.items() if s)
+        return tuple(masks), tuple(reads)
 
 
 def build_cl8_rep() -> GammaRep:
@@ -266,7 +262,7 @@ def delta7(rep: GammaRep, x: Multivector) -> la.Exact:
 
 def iota_vector(zeta: SpinElement) -> SpinElement:
     """Blade-wise inclusion Spin(7) -> Spin(8); its rotations fix e0."""
-    _require(zeta, SpinElement, "spin element")
+    require(zeta, SpinElement, "spin element")
     return SpinElement(embed_spin7(zeta.value))
 
 
@@ -283,9 +279,9 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     / d^2 on S8+, all signed basis vectors of R^16 read off ``monomials``.
     The monomials are trace-orthogonal, tr(c(e_A)^T c(e_B)) = 16 delta_AB,
     so eta_A = tr(c(e_A)^T M) / 16 for each even mask A, M the matrix built;
-    with M flattened column by column, the trace is the sum of M's entries at
-    A's positions of sign +1 less the sum at those of sign -1 (plus s times
-    the sum at those of any other sign s: ``_even_traces``).
+    with M flattened column by column, the trace is the sum over A's sign
+    values s of s times the sum of M's entries at A's positions of sign s
+    (``_even_traces``).
     The candidate passes the full ``SpinElement`` certification and
     ``half_images`` on psi's nonzero entries checks c(eta) psi = psi in
     integers.  R itself needs no check:
@@ -299,14 +295,16 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     basis vectors miss a row, the candidate moves the fixed spinor line
     (InternalCheckError).
     """
-    _require(zeta, SpinElement, "spin element")
-    d, r = delta7(rep, zeta.value)
+    require(zeta, SpinElement, "spin element")
     psi = rep.fixed_spinor
     rows = [row for row, x in zip(rep.halves["+"][0], psi[1]) if x]
+    if len(rows) != 1:
+        raise InternalCheckError(_MOVES_PSI)
+    d, r = delta7(rep, zeta.value)
     gens = [rep.monomials[1 << a] for a in range(8)]
     # minus[a] = c(e_a) u and plus[b][a] = c(e_a) c(e_b) u as (row, sign),
     # for the basis vector u at psi's row: c(eta) u = u exactly when c(eta) psi = psi
-    minus = [(perm[rows[0]], sign[rows[0]]) for perm, sign in gens] if len(rows) == 1 else []
+    minus = [(perm[rows[0]], sign[rows[0]]) for perm, sign in gens]
     plus = [[(perm[row], sign[row] * s) for perm, sign in gens] for row, s in minus]
     columns = {}  # row j -> column j of d^2 c(eta); a source s e_j has 1/s = s
     for i, (source, s) in enumerate(minus):
@@ -338,10 +336,10 @@ def _even_traces(rep: GammaRep, columns: list[list[int]]) -> dict[int, int]:
     16x16 integer matrix with the given columns, read as index sums over M
     flattened column by column (``GammaRep._read_out``)."""
     flat = [*chain.from_iterable(columns), 0]  # flat[16 j + i] = M[i][j], then a zero
-    signed, scaled = rep._read_out
-    traces = {mask: sum(pos(flat)) - sum(neg(flat)) for mask, pos, neg in signed}
-    for mask, scale, get in scaled:
-        traces[mask] += scale * sum(get(flat))
+    masks, reads = rep._read_out
+    traces = dict.fromkeys(masks, 0)
+    for mask, s, get in reads:
+        traces[mask] += s * sum(get(flat))
     return traces
 
 

@@ -39,10 +39,10 @@ def _sign_mask(a: int) -> int:
     return out
 
 
-# e_a * e_b = (-1)^popcount(b & _SIGN_MASKS[a]) * e_(a ^ b): moving e_j of b
+# e_a * e_b = (-1)^popcount(b & SIGN_MASKS[a]) * e_(a ^ b): moving e_j of b
 # left past the generators of a above j takes one transposition each, and
 # meeting e_j itself in a contributes e_j^2 = -1.
-_SIGN_MASKS = tuple(_sign_mask(a) for a in range(1 << MAX_GENERATORS))
+SIGN_MASKS = tuple(_sign_mask(a) for a in range(1 << MAX_GENERATORS))
 
 
 def blade_grade(mask: int) -> int:
@@ -210,7 +210,7 @@ def integer_product(a: Iterable[tuple[int, int]], b: Iterable[tuple[int, int]]) 
     b = list(b)
     acc: dict[int, int] = {}
     for ma, ca in a:
-        signs = _SIGN_MASKS[ma]
+        signs = SIGN_MASKS[ma]
         for mb, cb in b:
             m = ma ^ mb
             if (mb & signs).bit_count() & 1:

@@ -75,16 +75,10 @@ from math import gcd, isqrt
 from operator import mul
 
 from . import exactlinalg as la
-from .errors import Frozen, InvalidSpinElementError, LiftError
-from .multivector import _SIGN_MASKS, Multivector, blade_grade, integer_product
+from .errors import Frozen, InvalidSpinElementError, LiftError, require
+from .multivector import SIGN_MASKS, Multivector, blade_grade, integer_product
 
 _NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"
-
-
-def _require(value, cls: type, what: str) -> None:
-    """Raise TypeError naming ``value`` unless it is an instance of cls."""
-    if not isinstance(value, cls):
-        raise TypeError(f"{what} {value!r} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 class _Matrix(Frozen):
@@ -139,7 +133,7 @@ class SpinElement:
     __slots__ = ("_value", "_columns")
 
     def __init__(self, value: Multivector):
-        _require(value, Multivector, "spin element value")
+        require(value, Multivector, "spin element value")
         self._value = value
         self._validate()
 
@@ -173,8 +167,8 @@ class SpinElement:
 
 
 def _odd(a: int, b: int) -> int:
-    """1 when e_a e_b = -e_(a ^ b), read off ``_SIGN_MASKS`` as ``integer_product`` does."""
-    return (b & _SIGN_MASKS[a]).bit_count() & 1
+    """1 when e_a e_b = -e_(a ^ b), read off ``SIGN_MASKS`` as ``integer_product`` does."""
+    return (b & SIGN_MASKS[a]).bit_count() & 1
 
 
 @cache
@@ -247,7 +241,7 @@ def _conjugated_basis(zeta: Multivector) -> tuple[int, la.Rows]:
 
 def adjoint_action(zeta: SpinElement) -> RotationMatrix:
     """The rotation x -> zeta x zeta^{-1} of R^n (the two-to-one cover map)."""
-    _require(zeta, SpinElement, "spin element")
+    require(zeta, SpinElement, "spin element")
     dd, cols = zeta._columns
     return RotationMatrix((dd, la.transpose(cols)))
 
@@ -282,7 +276,7 @@ def lift_rotation(rotation: RotationMatrix) -> SpinElement:
     adjoint_action(zeta) == R and is sign-canonicalized so that its first
     nonzero coefficient in ascending blade order is positive.
     """
-    _require(rotation, RotationMatrix, "rotation")
+    require(rotation, RotationMatrix, "rotation")
     n = rotation.n
     # the peeled columns 0..j-1 are e_0..e_(j-1), orthogonal to every later
     # factor, so only the columns after j are reflected

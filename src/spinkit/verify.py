@@ -357,7 +357,9 @@ def g2_intersection(rep: GammaRep) -> str | None:
     basis = g2_intersection_basis(rep)
     if len(basis) != 14:
         return f"intersection dimension {len(basis)} != 14"
-    if stabilizer_dimensions(rep, [rep.fixed_spinor], basis) != [len(basis)]:
+    # the span fixes psi exactly when c(x) psi = 0 for each basis element x
+    psi = [[(j, x) for j, x in enumerate(rep.fixed_spinor[1]) if x]]
+    if any(any(half_images(rep, x, "+", psi)[0]) for x in basis):
         return "intersection element moves the fixed spinor"
     for z in basis:
         if any(row[0] for row in ad_differential(z).entries[1]):

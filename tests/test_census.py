@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-import spinkit.census as census
+import spinkit.torsor as torsor
 from spinkit.census import (
     MAX_CHAR_NUMBER,
     MAX_H8_Z2_DIM,
@@ -109,7 +109,7 @@ def test_cross_check_refuses_groups_over_the_torsor_cap(monkeypatch, h8_z2_dim):
     def no_table(group):
         raise AssertionError(f"built a table for {group}")
 
-    monkeypatch.setattr(census, "regular_difference_table", no_table)
+    monkeypatch.setattr(torsor, "regular_difference_table", no_table)
     wide = ManifoldCharData("wide", 0, 0, 0, 0, h8_z2_dim, has_boundary=True)
     cap = rf"^wide: .*over the exhaustive torsor cap of {MAX_TORSOR_ORDER}$"
     with pytest.raises(CensusDataError, match=cap):

@@ -470,6 +470,7 @@ def test_orbit_checks_pass_no_basis_spinors(rep, monkeypatch):
     monkeypatch.setattr(verify, "g2_intersection_basis", lambda rep: g2)
     calls, real = [], gammarep.half_images
     monkeypatch.setattr(gammarep, "half_images", lambda *a: calls.append(a[3]) or real(*a))
+    monkeypatch.setattr(verify, "half_images", gammarep.half_images)
     basis = [[(j, 1)] for j in range(8)]
     names = {check: name for _, name, check in CHECKS}
     counts = []

@@ -1,11 +1,14 @@
 """The verify check table: each check's draws depend only on the seed and
 the check's name, and the Cl(0,8) module is built only for rows that read it."""
 
+from fractions import Fraction
+
 import pytest
 
-from spinkit import spingroup, verify
+from spinkit import exactlinalg as la
+from spinkit import multivector, spingroup, verify
 from spinkit.multivector import Multivector
-from spinkit.spingroup import SpinElement
+from spinkit.spingroup import RotationMatrix, SpinElement
 
 LIFT = "constructive lift inverts the cover (6 random rotations)"
 
@@ -86,3 +89,69 @@ def test_a_reversal_that_is_the_identity_fails(monkeypatch):
         laws: "reversal is not anti-multiplicative",
         reflection: "double reflection disagrees with conjugation",
     }
+
+
+def _sign_mask_of_blade_2_flipped(monkeypatch):
+    masks = list(multivector.SIGN_MASKS)
+    masks[2] ^= 1  # e1 e0 now reads +e0 e1
+    monkeypatch.setattr(multivector, "SIGN_MASKS", tuple(masks))
+
+
+def _p_iso_without_parity_bit(monkeypatch):
+    def shifted(a):
+        return Multivector(a.n + 1, {mask << 1: Fraction(c, a.d) for mask, c in a.terms.items()})
+
+    monkeypatch.setattr(verify, "p_iso", shifted)
+
+
+def _volume_element_is_e0(monkeypatch):
+    monkeypatch.setattr(verify, "volume_element", lambda n: Multivector.basis_vector(n, 0))
+
+
+def _projectors_are_equal(monkeypatch):
+    plus, _ = multivector.chiral_projectors()
+    monkeypatch.setattr(verify, "chiral_projectors", lambda: (plus, plus))
+
+
+def _adjoint_action_transposed(monkeypatch):
+    def transposed(z):
+        d, rows = spingroup.adjoint_action(z).entries
+        return RotationMatrix((d, la.transpose(rows)))
+
+    monkeypatch.setattr(verify, "adjoint_action", transposed)
+
+
+def _adjoint_action_is_the_identity(monkeypatch):
+    monkeypatch.setattr(verify, "adjoint_action", lambda z: RotationMatrix((1, la.identity(z.value.n))))
+
+
+def _lie_lift_doubled(monkeypatch):
+    monkeypatch.setattr(verify, "lie_lift", lambda a: spingroup.lie_lift(a) * 2)
+
+
+@pytest.mark.parametrize(
+    "plant, name, detail",
+    [
+        pytest.param(_sign_mask_of_blade_2_flipped, "generator relations e_i e_j + e_j e_i = -2 delta_ij, n = 1..8",
+                     "failed at n=2, pair (0,1)", id="generator-relations"),
+        pytest.param(_sign_mask_of_blade_2_flipped, "geometric product associativity (40 random triples)",
+                     "failed in Cl(0,7)", id="associativity"),
+        pytest.param(_p_iso_without_parity_bit, "even-part embedding is an algebra map with even image",
+                     "image contains odd blades", id="even-embedding"),
+        pytest.param(_volume_element_is_e0, "volume elements: squares, centrality, parity commutation",
+                     "volume element square is not 1", id="volume-element-laws"),
+        pytest.param(_projectors_are_equal, "chiral projectors: idempotent, orthogonal, complete",
+                     "projectors are not complementary", id="projector-laws"),
+        pytest.param(_adjoint_action_transposed, "conjugation cover is a homomorphism (10 random pairs)",
+                     "failed in Spin(5)", id="cover-homomorphism"),
+        pytest.param(_adjoint_action_is_the_identity, "kernel of the cover is exactly {+1, -1} (sampled)",
+                     "non-central element acts trivially in Spin(3)", id="cover-kernel"),
+        pytest.param(_lie_lift_doubled, "bivector lift is a section of the cover differential",
+                     "skew lift fails for n=7", id="bivector-lift"),
+    ],
+)
+def test_a_planted_fault_fails_its_check(monkeypatch, plant, name, detail):
+    """A check run alone reports FAIL, with its own detail, on a planted
+    fault in the layer it certifies."""
+    plant(monkeypatch)
+    assert _failures(monkeypatch, name) == {name: detail}
