@@ -16,9 +16,9 @@ basis vector of S8+ is -e8: that orientation puts the spinor fixed by the
 spinor-type Spin(7) copy into S8+, where it is basis spinor 0 (the reversed
 orientation puts it into S8-).  Even elements preserve each half and odd
 ones exchange them, so c(a) is applied on the halves alone, by the one
-kernel ``half_images``: sparse integer vectors in the basis of a half, each
-term moving their entries by its signed permutation, read in the basis of a
-half over the common denominator d of a's coefficients.
+kernel ``half_images``: integer rows of width 8 in the basis of a half, each
+term moving their nonzero entries by its signed permutation, read in the
+basis of a half over the common denominator d of a's coefficients.
 ``chiral_action_matrix`` is its images of the 8 basis spinors as an exact
 ``(d, rows)`` pair of ``exactlinalg``: the half-spin representation delta8
 on Spin(8) and, after ``embed_spin7``, ``delta7`` on Spin(7) and on its Lie
@@ -27,9 +27,9 @@ point, ``stabilizer_dimensions``: one kernel call per algebra element
 with all its spinors, the algebra proved independent once and the
 unreduced images ranked, since a rank ignores the scale of each row.
 
-The module has one form: the generators, the 256 monomials and the two
-halves are stored as signed permutations (``GammaRep.gamma``,
-``GammaRep.monomials``, ``GammaRep.halves``), and no dense copy is kept.
+The module has one form: the 256 monomials and the two halves are stored
+as signed permutations (``GammaRep.monomials``, ``GammaRep.halves``), and
+no dense or second copy is kept: generator i is ``monomials[1 << i]``.
 The actions and the ``verify reps`` checks read these same permutations.
 The span of the monomials is ranked block by block: a flattened c(e_A) is
 nonzero only at the positions (perm[j], j), and rank over Q adds up over
@@ -60,6 +60,7 @@ from .errors import (
     InternalCheckError,
     InvalidSpinElementError,
     require,
+    row_width,
 )
 from .multivector import Multivector, blade_grade, p_iso
 from .spingroup import SkewMatrix, SpinElement, lie_lift
@@ -102,9 +103,10 @@ def sp_identity(n: int) -> _SignedPerm:
     return tuple(range(n)), (1,) * n
 
 
-def generator_relation_failure(gammas: tuple[_SignedPerm, ...]) -> tuple[int, int] | None:
+def generator_relation_failure(rep: GammaRep) -> tuple[int, int] | None:
     """The first pair (i, j) with i <= j, in row-major order, at which
-    c(e_i) c(e_j) + c(e_j) c(e_i) != -2 delta_ij, or None when all hold.
+    c(e_i) c(e_j) + c(e_j) c(e_i) != -2 delta_ij, or None when all hold;
+    c(e_i) is ``rep.monomials[1 << i]``, the generator every action applies.
 
     The sum is symmetric in i and j, so this is also the first failing pair
     of the full row-major loop.  Two signed permutations sum to zero exactly
@@ -112,37 +114,17 @@ def generator_relation_failure(gammas: tuple[_SignedPerm, ...]) -> tuple[int, in
     relations are checked on the column descriptions without building a
     matrix.
     """
-    n = len(gammas[0][0])
-    minus_one = (tuple(range(n)), (-1,) * n)
+    gammas = [rep.monomials[1 << i] for i in range(8)]
+    minus_one = (tuple(range(16)), (-1,) * 16)
     for i, gi in enumerate(gammas):
         if sp_compose(gi, gi) != minus_one:
             return i, i
-        for j in range(i + 1, len(gammas)):
+        for j in range(i + 1, 8):
             gj = gammas[j]
             (p1, s1), (p2, s2) = sp_compose(gi, gj), sp_compose(gj, gi)
             if p1 != p2 or any(x != -y for x, y in zip(s1, s2)):
                 return i, j
     return None
-
-
-def _left_mult_sp(i: int) -> _SignedPerm:
-    """Column description of octonion left multiplication by e_i."""
-    return tuple(zip(*(octonion_basis_product(i, j) for j in range(8))))
-
-
-def _build_gamma_sp() -> list[_SignedPerm]:
-    """The eight 16x16 generators in column form, acting on (x, y) in O + O."""
-    gammas = []
-    # c(e0)(x, y) = (y, -x)
-    perm = [j + 8 for j in range(8)] + list(range(8))
-    sign = [-1] * 8 + [1] * 8
-    gammas.append((tuple(perm), tuple(sign)))
-    for i in range(1, 8):
-        lp, ls = _left_mult_sp(i)
-        perm = [lp[j] + 8 for j in range(8)] + [lp[j] for j in range(8)]
-        sign = list(ls) + list(ls)
-        gammas.append((tuple(perm), tuple(sign)))
-    return gammas
 
 
 class GammaRep:
@@ -153,12 +135,16 @@ class GammaRep:
     """
 
     def __init__(self) -> None:
-        self.gamma: tuple[_SignedPerm, ...] = tuple(_build_gamma_sp())
+        # the generators in column form, kept only as monomials[1 << i]:
+        # c(e0)(x, y) = (y, -x) and, for i > 0, c(e_i)(x, y) = (e_i y, e_i x)
+        gamma = [(tuple(range(8, 16)) + tuple(range(8)), (-1,) * 8 + (1,) * 8)]
+        for i in range(1, 8):
+            perm, sign = zip(*(octonion_basis_product(i, j) for j in range(8)))
+            gamma.append((tuple(p + 8 for p in perm) + perm, sign + sign))
         self.monomials: dict[int, _SignedPerm] = {0: sp_identity(16)}
         for mask in range(1, 256):
             low = mask & -mask
-            i = low.bit_length() - 1
-            self.monomials[mask] = sp_compose(self.gamma[i], self.monomials[mask ^ low])
+            self.monomials[mask] = sp_compose(gamma[low.bit_length() - 1], self.monomials[mask ^ low])
         # chirality -> (rows, signs): basis spinor j is signs[j] * e_rows[j]
         # (certified by the eigensplit and volume-sign checks; the orientation
         # of S8+ by the fixed-line check)
@@ -196,30 +182,35 @@ def build_cl8_rep() -> GammaRep:
     return GammaRep()
 
 
-# the 8 basis spinors of a half in the vector form of ``half_images``
-BASIS_SPINORS = tuple([(j, 1)] for j in range(8))
+# the 8 basis spinors of a half, as the unit rows ``half_images`` reads
+BASIS_SPINORS = la.identity(8)
 
 
 def half_images(
     rep: GammaRep, a: Multivector, source: str, vectors: Sequence, target: str | None = None
 ) -> list[list[int]]:
-    """c(a) v times a.d for each sparse integer vector v, a list of ``(j, x)``
-    in the basis of half ``source``, read in the basis of half ``target``
-    (by default ``source``) as 8 integers.
+    """c(a) v times a.d for each integer row v of width 8 in the basis of
+    half ``source``, read in the basis of half ``target`` (by default
+    ``source``) as 8 integers.
 
     Basis spinor j is signs[j] * e_rows[j], and a term c e_A of a sends e_r
-    to c sign[r] e_perm[r] (``monomials[A]``): the images are summed term by
-    term into one flat accumulator, 16 entries per vector, and entry i of an
-    image is the target's signs[i] times its entry at rows[i].  Raises
-    ChiralityError when an image is nonzero at a row outside ``target``.
+    to c sign[r] e_perm[r] (``monomials[A]``): the images of the nonzero
+    entries are summed term by term into one flat accumulator, 16 entries
+    per vector, and entry i of an image is the target's signs[i] times its
+    entry at rows[i].  Raises ChiralityError when an image is nonzero at a
+    row outside ``target``, and DimensionMismatchError when the rows fail
+    ``errors.row_width`` or have another width.
     """
     target = source if target is None else target
     if source not in ("+", "-") or target not in ("+", "-"):
         raise ValueError("chirality must be '+' or '-'")
     if a.n != 8:
         raise DimensionMismatchError("the Cl(0,8) action needs an element of Cl(0,8)")
+    width = row_width(vectors)
+    if width not in (None, 8):
+        raise DimensionMismatchError(f"a spinor of a half needs 8 entries, got {width}")
     rows, signs = rep.halves[source]
-    entries = [(16 * k, rows[j], signs[j] * x) for k, v in enumerate(vectors) for j, x in v]
+    entries = [(16 * k, rows[j], signs[j] * x) for k, v in enumerate(vectors) for j, x in enumerate(v) if x]
     flat = [0] * (16 * len(vectors))
     for mask, c in a.terms.items():
         perm, sign = rep.monomials[mask]
@@ -283,8 +274,8 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     values s of s times the sum of M's entries at A's positions of sign s
     (``_even_traces``).
     The candidate passes the full ``SpinElement`` certification and
-    ``half_images`` on psi's nonzero entries checks c(eta) psi = psi in
-    integers.  R itself needs no check:
+    ``half_images`` on psi's row checks c(eta) psi = psi in integers.  R
+    itself needs no check:
 
       M maps S8- to S8- and S8+ to S8+, so it is c of an even element: c(eta) = M;
       so a certified eta with c(eta) psi = psi has c(Ad(eta) e_i) psi = M c(e_i) psi;
@@ -325,8 +316,7 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     except InvalidSpinElementError:
         raise InternalCheckError(_MOVES_PSI) from None
     # c(eta) psi = psi, read in integers: half_images scales by eta's denominator
-    images = half_images(rep, eta.value, "+", [[(j, x) for j, x in enumerate(psi[1]) if x]])
-    if images != [[eta.value.d * x for x in psi[1]]]:
+    if half_images(rep, eta.value, "+", [psi[1]]) != [[eta.value.d * x for x in psi[1]]]:
         raise InternalCheckError(_MOVES_PSI)
     return eta
 
@@ -399,9 +389,9 @@ def stabilizer_dimensions(
     the full 28-dimensional bivector basis.  Every spinor is checked and the
     algebra proved independent once, on the call.  A dimension is the length
     of the basis minus the rank of the images c(x) psi: one ``half_images``
-    call per algebra element reads its images of all the spinors on their
-    nonzero entries, without building the 8x8 block of c(x), and a rank
-    ignores the scale of each row, so the images are ranked unreduced.
+    call per algebra element reads its images of all the spinors' integer
+    rows, without building the 8x8 block of c(x), and a rank ignores the
+    scale of each row, so the images are ranked unreduced.
     """
     vs = []
     for psi in psis:
@@ -410,7 +400,7 @@ def stabilizer_dimensions(
             raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
         if not any(v):
             raise ValueError("stabilizer of the zero spinor is not defined")
-        vs.append([(j, x) for j, x in enumerate(v) if x])
+        vs.append(v)
     if algebra is None:
         basis = _BIVECTOR_BASIS
     else:

@@ -246,17 +246,19 @@ def seeded_determinism() -> str | None:
 # reps scope
 #
 # The module checks read the signed permutations the actions use:
-# M e_j = s_j e_p(j), and a half's basis spinor j is s_j e_rows(j).
+# M e_j = s_j e_p(j), generator i is monomials[1 << i], and a half's basis
+# spinor j is s_j e_rows(j).
 
 def gamma_anticommutators(rep: GammaRep) -> str | None:
-    failure = generator_relation_failure(rep.gamma)
+    failure = generator_relation_failure(rep)
     return None if failure is None else f"pair ({failure[0]},{failure[1]})"
 
 
 def gamma_orthogonal_skew(rep: GammaRep) -> str | None:
     # orthogonal: p permutes 0..15 and every s_j = +-1;
     # skew: M[j][p(j)] = -s_j, that is p(p(j)) = j and s_p(j) = -s_j
-    for i, (perm, sign) in enumerate(rep.gamma):
+    for i in range(8):
+        perm, sign = rep.monomials[1 << i]
         if sorted(perm) != list(range(16)) or any(s * s != 1 for s in sign):
             return f"gamma_{i} is not orthogonal"
         if any(perm[perm[j]] != j or sign[perm[j]] != -sign[j] for j in range(16)):
@@ -358,7 +360,7 @@ def g2_intersection(rep: GammaRep) -> str | None:
     if len(basis) != 14:
         return f"intersection dimension {len(basis)} != 14"
     # the span fixes psi exactly when c(x) psi = 0 for each basis element x
-    psi = [[(j, x) for j, x in enumerate(rep.fixed_spinor[1]) if x]]
+    psi = [rep.fixed_spinor[1]]
     if any(any(half_images(rep, x, "+", psi)[0]) for x in basis):
         return "intersection element moves the fixed spinor"
     for z in basis:

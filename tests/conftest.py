@@ -329,12 +329,12 @@ def fraction_lift_rotation(rotation):
 def reflection_iota_plus(rep, zeta):
     """The spinor-type lift by reflections: the Cartan-Dieudonne lift of the
     rotation delta7(zeta), with the sign that fixes the model's spinor psi
-    read by the Fraction oracle ``fraction_spinor_image``.  The oracle for
+    read by the Fraction oracle ``fraction_half_images``.  The oracle for
     iota_plus, which reads the lift off the module instead."""
     eta = lift_rotation(RotationMatrix(delta7(rep, zeta.value)))
     d, entries = rep.fixed_spinor
     psi = tuple(Fraction(x, d) for x in entries)
-    image = fraction_spinor_image(rep, eta.value, rep.fixed_spinor)
+    (image,) = fraction_half_images(rep, eta.value, "+", [psi])
     if image == psi:
         return eta
     if image == tuple(-x for x in psi):
@@ -482,58 +482,24 @@ def fraction_clifford_action(rep, a):
     return tuple(tuple(row) for row in total)
 
 
-def dense_chiral_action(rep, a, chirality):
-    """basis^T c(a) basis on the dense 16x8 view of a chiral half: the oracle
-    for chiral_action_matrix.
-
-    The half is preserved exactly when projecting the image back onto it
-    changes nothing.
-    """
-    basis = dense_signed_perm(rep.halves[chirality])
-    image = fraction_mat_mul(fraction_clifford_action(rep, a), basis)
-    compressed = fraction_mat_mul(la.transpose(basis), image)
-    if fraction_mat_mul(basis, compressed) != image:
-        raise ChiralityError("element does not preserve the chiral subspace")
-    return compressed
-
-
 def fraction_half_images(rep, a, source, vectors, target=None):
-    """c(a) v for sparse vectors v = [(j, x), ...] in the basis of half
-    ``source``, by the dense oracle: each v embedded in R^16 through the
-    source's basis spinors, multiplied by fraction_clifford_action and read
-    back in the basis of ``target`` (default ``source``), as Fractions; the
-    oracle for half_images.  Raises ChiralityError when an image has a
-    component outside the target."""
+    """c(a) v for rows v of 8 coordinates in the basis of half ``source``,
+    by the dense oracle: each v embedded in R^16 through the source's basis
+    spinors, multiplied by fraction_clifford_action and read back in the
+    basis of ``target`` (default ``source``), as Fractions; the oracle for
+    half_images and, on the 8 unit rows, for chiral_action_matrix.  Raises
+    ChiralityError when an image has a component outside the target."""
     source_basis = dense_signed_perm(rep.halves[source])
     target_basis = dense_signed_perm(rep.halves[target or source])
     m = fraction_clifford_action(rep, a)
     images = []
     for v in vectors:
-        dense = [Fraction(0)] * 8
-        for j, x in v:
-            dense[j] += x
-        image = fraction_mat_vec(m, fraction_mat_vec(source_basis, dense))
+        image = fraction_mat_vec(m, fraction_mat_vec(source_basis, v))
         coords = fraction_mat_vec(la.transpose(target_basis), image)
         if fraction_mat_vec(target_basis, coords) != image:
             raise ChiralityError("element does not preserve the chiral subspace")
         images.append(coords)
     return images
-
-
-def fraction_spinor_image(rep, a, psi):
-    """c(a) psi by the dense oracle: psi = (d, entries) embedded in R^16
-    through the basis spinors of S8+, multiplied by fraction_clifford_action
-    and read back in that basis; the oracle for the sign of
-    reflection_iota_plus.  Raises
-    ChiralityError when the image has a component outside S8+."""
-    d, entries = psi
-    basis = dense_signed_perm(rep.halves["+"])
-    embedded = fraction_mat_vec(basis, [Fraction(x, d) for x in entries])
-    image = fraction_mat_vec(fraction_clifford_action(rep, a), embedded)
-    coords = fraction_mat_vec(la.transpose(basis), image)
-    if fraction_mat_vec(basis, coords) != image:
-        raise ChiralityError("element does not preserve the chiral subspace")
-    return coords
 
 
 def chiral_matrix_stabilizer_dimension(rep, psi, algebra):
@@ -550,7 +516,8 @@ def dense_orthogonal_skew_failure(rep):
     """The reps check "gamma matrices are orthogonal and skew-symmetric" on
     dense 16x16 Fraction generators: its oracle.  Returns the failure detail
     or None."""
-    for i, g in enumerate(map(dense_signed_perm, rep.gamma)):
+    for i in range(8):
+        g = dense_signed_perm(rep.monomials[1 << i])
         gt = la.transpose(g)
         if fraction_mat_mul(gt, g) != la.identity(16):
             return f"gamma_{i} is not orthogonal"

@@ -20,7 +20,6 @@ import spinkit.verify as verify
 from conftest import (
     SWAP_CHECK,
     chiral_matrix_stabilizer_dimension,
-    dense_chiral_action,
     dense_eigensplit_failure,
     dense_orthogonal_skew_failure,
     dense_signed_perm,
@@ -100,8 +99,8 @@ def test_octonion_table_is_alternative():
 
 
 def test_gamma_anticommutators(rep):
-    assert generator_relation_failure(rep.gamma) is None
-    dense = [la.exact(1, dense_signed_perm(g))[1] for g in rep.gamma]
+    assert generator_relation_failure(rep) is None
+    dense = [la.exact(1, dense_signed_perm(rep.monomials[1 << i]))[1] for i in range(8)]
     for i in range(8):
         for j in range(8):
             gij, gji = la.mat_mul(dense[i], dense[j]), la.mat_mul(dense[j], dense[i])
@@ -110,16 +109,21 @@ def test_gamma_anticommutators(rep):
 
 
 def test_anticommutator_check_names_the_first_failing_pair():
-    """One sign-flipped column of gamma_5: the reps check, which visits only
-    i <= j, names the pair that the full 8x8 dense loop finds first."""
+    """One sign-flipped column of gamma_5, planted in monomials[1 << 5]: the
+    reps check, which visits only i <= j, names the pair that the full 8x8
+    dense loop finds first."""
     damaged = build_cl8_rep()
-    g = damaged.gamma
-    damaged.gamma = g[:5] + (_redirected(g[5], 0, flip=True),) + g[6:]
-    want = first_failing_anticommutator([dense_signed_perm(g) for g in damaged.gamma])
+    damaged.monomials[1 << 5] = _redirected(damaged.monomials[1 << 5], 0, flip=True)
+    want = _dense_anticommutator_failure(damaged)
     assert want is not None
-    name = "gamma anticommutators realize the generator relations"
-    (result,) = [x for x in run_suites("reps", 0, damaged) if x.name == name]
+    (result,) = [x for x in run_suites("reps", 0, damaged) if x.name == _ANTICOMMUTATORS]
     assert (result.passed, result.detail) == (False, want)
+
+
+def _dense_anticommutator_failure(rep):
+    """The oracle of the anticommutator check on the dense generators, each
+    read where the actions read it, as monomials[1 << i]."""
+    return first_failing_anticommutator([dense_signed_perm(rep.monomials[1 << i]) for i in range(8)])
 
 
 def _redirected(sp, j, row=None, flip=False):
@@ -134,15 +138,16 @@ def _redirected(sp, j, row=None, flip=False):
 
 
 def _damage(rep, case):
-    """Break one part of a fresh module's column form."""
+    """Break one part of a fresh module's column form; a generator is
+    damaged where every action reads it, in ``monomials[1 << i]``."""
     (plus, plus_signs), (minus, minus_signs) = rep.halves["+"], rep.halves["-"]
-    g3, e2 = rep.gamma[3], rep.monomials[1 << 2]
+    g3, e2 = rep.monomials[1 << 3], rep.monomials[1 << 2]
     if case == "flip a sign of gamma_3":
-        rep.gamma = rep.gamma[:3] + (_redirected(g3, 0, flip=True),) + rep.gamma[4:]
+        rep.monomials[1 << 3] = _redirected(g3, 0, flip=True)
     elif case == "send two columns of gamma_3 to one row":
-        rep.gamma = rep.gamma[:3] + (_redirected(g3, 1, row=g3[0][0]),) + rep.gamma[4:]
+        rep.monomials[1 << 3] = _redirected(g3, 1, row=g3[0][0])
     elif case == "c(omega8) is c(e0)":
-        rep.monomials[255] = rep.gamma[0]
+        rep.monomials[255] = rep.monomials[1]
     elif case == "c(omega8) is the identity":
         rep.monomials[255] = (tuple(range(16)), (1,) * 16)  # diagonal, one eigenvalue
     elif case == "exchange a row between the halves":
@@ -162,6 +167,7 @@ def _damage(rep, case):
         raise ValueError(case)
 
 
+_ANTICOMMUTATORS = "gamma anticommutators realize the generator relations"
 _ORTHOGONAL_SKEW = "gamma matrices are orthogonal and skew-symmetric"
 _EIGENSPLIT = "volume action splits R^16 into orthonormal 8+8 eigenspaces"
 
@@ -169,6 +175,7 @@ _EIGENSPLIT = "volume action splits R^16 into orthonormal 8+8 eigenspaces"
 @pytest.mark.parametrize(
     "case, name, oracle, detail",
     [
+        ("flip a sign of gamma_3", _ANTICOMMUTATORS, _dense_anticommutator_failure, "pair (0,3)"),
         ("flip a sign of gamma_3", _ORTHOGONAL_SKEW, dense_orthogonal_skew_failure,
          "gamma_3 is not skew"),
         ("send two columns of gamma_3 to one row", _ORTHOGONAL_SKEW, dense_orthogonal_skew_failure,
@@ -185,6 +192,9 @@ _EIGENSPLIT = "volume action splits R^16 into orthonormal 8+8 eigenspaces"
          "unit vector does not map S+ into S-"),
         # c(v) is then c(v + v_2 e2): orthogonal columns of the wrong length
         ("double c(e2)", SWAP_CHECK, dense_swap_failure, "unit vector action is not an isometry"),
+        # the generator checks read the c(e2) that the actions apply
+        ("double c(e2)", _ANTICOMMUTATORS, _dense_anticommutator_failure, "pair (2,2)"),
+        ("double c(e2)", _ORTHOGONAL_SKEW, dense_orthogonal_skew_failure, "gamma_2 is not orthogonal"),
         ("send two S+ columns of c(e2) to one row", SWAP_CHECK, dense_swap_failure,
          "unit vector action is not an isometry"),
         ("keep an S- column of c(e2) in S-", SWAP_CHECK, dense_swap_failure,
@@ -227,7 +237,9 @@ def test_reversed_orientation_fails_the_fixed_line():
 
 
 # The reps checks that fail at seed 0 when iota_plus lifts by reflections
-# (``reflection_iota_plus``), keyed by the damage of a fresh module.
+# (``reflection_iota_plus``), keyed by the damage of a fresh module.  The
+# generator checks read c(e_i) as monomials[1 << i], so a damaged c(e2)
+# fails them too.
 _REFLECTION_LIFT_FAILURES = {
     "flip a sign of gamma_3": {"gamma_anticommutators", "gamma_orthogonal_skew"},
     "send two columns of gamma_3 to one row": {"gamma_anticommutators", "gamma_orthogonal_skew"},
@@ -242,10 +254,11 @@ _REFLECTION_LIFT_FAILURES = {
         "chiral_swap", "embeddings_differ", "fixed_line", "g2_intersection", "minus_one_lift",
         "sigma_factors", "sphere_transitivity", "spinor_lift_identity", "stabilizer_21",
         "volume_eigensplit", "volume_signs"},
-    "c(e2) is the even c(e0 e1)": {"chiral_swap", "monomial_span"},
-    "double c(e2)": {"chiral_swap"},
-    "send two S+ columns of c(e2) to one row": {"chiral_swap"},
-    "keep an S- column of c(e2) in S-": {"chiral_swap"},
+    "c(e2) is the even c(e0 e1)": {"chiral_swap", "gamma_anticommutators", "monomial_span"},
+    "double c(e2)": {"chiral_swap", "gamma_anticommutators", "gamma_orthogonal_skew"},
+    "send two S+ columns of c(e2) to one row": {"chiral_swap", "gamma_anticommutators",
+                                                "gamma_orthogonal_skew"},
+    "keep an S- column of c(e2) in S-": {"chiral_swap", "gamma_anticommutators", "gamma_orthogonal_skew"},
     "reversed S8+ orientation": {"embeddings_differ", "fixed_line", "sigma_factors",
                                  "spinor_lift_identity"},
     "psi = e1": {"embeddings_differ", "fixed_line", "g2_intersection", "sigma_factors",
@@ -333,8 +346,8 @@ def test_reps_verdict_builds_no_16_wide_matrix(rep, monkeypatch):
 
 
 def test_gamma_square_is_minus_identity(rep):
-    assert sp_compose(rep.gamma[0], rep.gamma[0]) == (tuple(range(16)), (-1,) * 16)
-    _, g0 = la.exact(1, dense_signed_perm(rep.gamma[0]))
+    assert sp_compose(rep.monomials[1], rep.monomials[1]) == (tuple(range(16)), (-1,) * 16)
+    _, g0 = la.exact(1, dense_signed_perm(rep.monomials[1]))
     assert la.mat_mul(g0, g0) == _negated(I16)
 
 
@@ -471,7 +484,7 @@ def test_orbit_checks_pass_no_basis_spinors(rep, monkeypatch):
     calls, real = [], gammarep.half_images
     monkeypatch.setattr(gammarep, "half_images", lambda *a: calls.append(a[3]) or real(*a))
     monkeypatch.setattr(verify, "half_images", gammarep.half_images)
-    basis = [[(j, 1)] for j in range(8)]
+    basis = [list(row) for row in I8]
     names = {check: name for _, name, check in CHECKS}
     counts = []
     for check in (verify.stabilizer_21, verify.sphere_transitivity, verify.g2_intersection):
@@ -494,8 +507,7 @@ _ODD_MASKS = [m for m in range(256) if blade_grade(m) & 1]
 def _half_block(rep, a, source, target):
     """The matrix of c(a) from half ``source`` to half ``target`` as an exact
     pair: column j is half_images of basis spinor j of the source."""
-    basis = [[(j, 1)] for j in range(8)]
-    return la.exact(a.d, zip(*half_images(rep, a, source, basis, target)))
+    return la.exact(a.d, zip(*half_images(rep, a, source, I8, target)))
 
 
 def _parity_part(a, parity):
@@ -552,10 +564,17 @@ def test_half_images_match_the_dense_oracle(rep):
         return Multivector(8, {rng.choice(masks): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
                                for _ in range(rng.randint(1, 12))})
 
-    vectors = [[], [(rng.randrange(8), rng.choice((-3, -1, 2, 5)))]]
-    vectors += [[(j, rng.randint(-9, 9)) for j in range(8)] for _ in range(2)]
-    vectors += [[(j, rng.randint(-4, 4)) for j in rng.sample(range(8), 3)]]
-    vectors += [[(j, x) for j, x in enumerate(v) if x] for _, v in _spinors(rep)]
+    def row(entries):
+        """The integer row of width 8 with the given (j, x) entries."""
+        v = [0] * 8
+        for j, x in entries:
+            v[j] = x
+        return v
+
+    vectors = [[0] * 8, row([(rng.randrange(8), rng.choice((-3, -1, 2, 5)))])]
+    vectors += [[rng.randint(-9, 9) for _ in range(8)] for _ in range(2)]
+    vectors += [row((j, rng.randint(-4, 4)) for j in rng.sample(range(8), 3))]
+    vectors += [list(v) for _, v in _spinors(rep)]
     even = [element(_EVEN_MASKS) for _ in range(4)] + [Multivector.scalar(8, 1), volume_element(8)]
     even += [iota_plus(rep, random_spin(7, 2, 51)).value, random_spin(8, 2, 53).value]
     even += [Multivector.scalar(8, -1), Multivector.blade(8, [2, 5])]
@@ -575,7 +594,7 @@ def test_half_images_match_the_dense_oracle(rep):
                 with pytest.raises(ChiralityError, match="does not preserve the chiral subspace$"):
                     half_images(rep, a, source, vectors, target)
                 # the zero vector alone has the zero image in any half
-                assert half_images(rep, a, source, [[]], target) == [[0] * 8]
+                assert half_images(rep, a, source, [[0] * 8], target) == [[0] * 8]
                 continue
             want = fraction_half_images(rep, a, source, vectors, target)
             got = half_images(rep, a, source, vectors, target)
@@ -596,6 +615,18 @@ def test_half_images_match_the_dense_oracle(rep):
                 half_images(rep, Multivector.scalar(8, 1), "+", vectors, bad)
     with pytest.raises(DimensionMismatchError, match="element of Cl\\(0,8\\)$"):
         half_images(rep, Multivector.scalar(7, 1), "+", vectors)
+    # rows of width 8 and nothing else: the (j, x) lists of the old sparse
+    # form, read there as basis spinor 7, as 3 * (spinor 0) or an IndexError,
+    # are rows of the wrong width here
+    for width in (7, 9):
+        with pytest.raises(DimensionMismatchError, match=f"^a spinor of a half needs 8 entries, got {width}$"):
+            half_images(rep, Multivector.scalar(8, 1), "+", [[1] * width] * 2)
+    for bad in ([(-1, 1)], [(0, 1), (0, 2)], [(8, 1)], []):
+        with pytest.raises(DimensionMismatchError, match="^a spinor of a half needs 8 entries, got [0-2]$"):
+            half_images(rep, Multivector.scalar(8, 1), "+", [bad])
+    for ragged in (vectors + [[1] * 7], [[1] * 9] + vectors, [[1] * 8, [1] * 9]):
+        with pytest.raises(DimensionMismatchError, match="^ragged matrix$"):
+            half_images(rep, Multivector.scalar(8, 1), "+", ragged)
 
 
 def test_omega8_eigenspaces(rep):
@@ -624,8 +655,9 @@ def test_chiral_action_matches_the_dense_oracle(rep):
     elements += [d_iota_plus(rep, x) for x in spin7_lie_basis()]
     for a in elements:
         for chirality in ("+", "-"):
-            # exact() of the oracle's Fractions is the one lowest-terms pair
-            want = la.exact(1, dense_chiral_action(rep, a, chirality))
+            # exact() of the oracle's Fractions is the one lowest-terms pair;
+            # its images of the 8 unit rows are the matrix's columns
+            want = la.exact(1, zip(*fraction_half_images(rep, a, chirality, I8)))
             assert chiral_action_matrix(rep, a, chirality) == want
 
 
@@ -636,7 +668,7 @@ def test_chiral_action_and_oracle_reject_unit_vectors(rep):
             with pytest.raises(ChiralityError):
                 chiral_action_matrix(rep, e, chirality)
             with pytest.raises(ChiralityError):
-                dense_chiral_action(rep, e, chirality)
+                fraction_half_images(rep, e, chirality, I8)
     with pytest.raises(ValueError):
         chiral_action_matrix(rep, Multivector.scalar(8, 1), "full")
 
@@ -647,11 +679,11 @@ def test_odd_element_killing_the_positive_half_acts_as_zero(rep):
     a = Multivector.basis_vector(8, 0) * (Multivector.scalar(8, 1) - volume_element(8)) * Fraction(1, 2)
     zero = ((0,) * 8,) * 8
     assert chiral_action_matrix(rep, a, "+") == (1, zero)
-    assert dense_chiral_action(rep, a, "+") == zero
+    assert tuple(fraction_half_images(rep, a, "+", I8)) == zero
     with pytest.raises(ChiralityError):
         chiral_action_matrix(rep, a, "-")
     with pytest.raises(ChiralityError):
-        dense_chiral_action(rep, a, "-")
+        fraction_half_images(rep, a, "-", I8)
 
 
 def test_unit_vectors_swap_halves(rep):
@@ -793,6 +825,13 @@ def test_sign_grouped_read_out_matches_the_multiply_form(minus_block, plus_block
     columns = [col + [0] * 8 for col in minus_block] + [[0] * 8 + col for col in plus_block]
     for module in _READ_OUT_MODULES:
         assert gammarep._even_traces(module, columns) == multiply_form_traces(module, columns)
+
+
+def test_the_module_stores_one_copy_of_each_table():
+    """Before any lift the module holds the monomials, the halves and psi
+    and nothing else: a generator is read as monomials[1 << i], so there is
+    no second copy for a check to certify in place of the one acted with."""
+    assert set(vars(build_cl8_rep())) == {"monomials", "halves", "fixed_spinor"}
 
 
 def test_read_out_table_is_built_on_first_use():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spinkit import exactlinalg as la
-from spinkit import multivector, spingroup, verify
+from spinkit import gammarep, multivector, spingroup, verify
 from spinkit.multivector import Multivector
 from spinkit.spingroup import RotationMatrix, SpinElement
 
@@ -154,4 +154,99 @@ def test_a_planted_fault_fails_its_check(monkeypatch, plant, name, detail):
     """A check run alone reports FAIL, with its own detail, on a planted
     fault in the layer it certifies."""
     plant(monkeypatch)
+    assert _failures(monkeypatch, name) == {name: detail}
+
+
+# reps-scope plants: each takes the module, for plants that lift through it
+
+def _iota_vector_is_the_identity(monkeypatch, rep):
+    monkeypatch.setattr(verify, "iota_vector", lambda z: z)
+
+
+def _iota_plus_is_the_vector_embedding(monkeypatch, rep):
+    monkeypatch.setattr(verify, "iota_plus", lambda rep, z: gammarep.iota_vector(z))
+
+
+def _iota_vector_is_the_spinor_lift(monkeypatch, rep):
+    monkeypatch.setattr(verify, "iota_vector", lambda z: gammarep.iota_plus(rep, z))
+
+
+def _stabilizers_read(*dims):
+    """A plant whose stabilizer_dimensions returns ``dims``, or its one value
+    once per spinor."""
+    def dimensions(rep, psis, algebra=None):
+        return list(dims) if len(dims) > 1 else list(dims) * len(psis)
+
+    def plant(monkeypatch, rep):
+        monkeypatch.setattr(verify, "stabilizer_dimensions", dimensions)
+
+    return plant
+
+
+def _g2_basis_short_by_one(monkeypatch, rep):
+    monkeypatch.setattr(verify, "g2_intersection_basis", lambda rep: gammarep.g2_intersection_basis(rep)[:13])
+
+
+def _g2_basis_with_a_spinor_side_element(monkeypatch, rep):
+    # d_iota_plus of an so(7) basis element fixes psi but not e0
+    x = gammarep.spin7_lie_basis()[0]
+    monkeypatch.setattr(verify, "g2_intersection_basis",
+                        lambda rep: gammarep.g2_intersection_basis(rep)[:13] + [gammarep.d_iota_plus(rep, x)])
+
+
+def _g2_basis_with_a_vector_side_element(monkeypatch, rep):
+    # embed_spin7 of an so(7) basis element fixes e0 but not psi
+    x = gammarep.embed_spin7(gammarep.spin7_lie_basis()[0])
+    monkeypatch.setattr(verify, "g2_intersection_basis", lambda rep: gammarep.g2_intersection_basis(rep)[:13] + [x])
+
+
+def _volume_element_negated(monkeypatch, rep):
+    monkeypatch.setattr(verify, "volume_element", lambda n: -multivector.volume_element(n))
+
+
+def _monomial_rank_short_by_one(monkeypatch, rep):
+    monkeypatch.setattr(verify, "monomial_span_rank", lambda rep: 255)
+
+
+_LIFT_IDENTITY = "conjugation of the spinor lift equals the spin rep (21 basis + 10 group)"
+_EMBEDDINGS_DIFFER = "the two embeddings differ: only the vector copy fixes e0"
+_STABILIZER_21 = "so(8)-stabilizer of unit spinors has dimension 21 (orbit rank 7)"
+_G2 = "the two so(7) copies intersect in dimension 14, fixing spinor and vector"
+
+
+@pytest.mark.parametrize(
+    "plant, name, detail",
+    [
+        pytest.param(_iota_vector_is_the_identity, "spinor lift sends -1 to omega8; blade embedding keeps -1",
+                     "vector-type embedding of -1 is not -1", id="minus-one-lift"),
+        pytest.param(lambda monkeypatch, rep: _lie_lift_doubled(monkeypatch), _LIFT_IDENTITY,
+                     "Lie-algebra level identity fails", id="spinor-lift-identity"),
+        pytest.param(_iota_plus_is_the_vector_embedding, _EMBEDDINGS_DIFFER,
+                     "spinor-type rotation of a generic element has a fixed vector", id="embeddings-differ-spinor"),
+        pytest.param(_iota_plus_is_the_vector_embedding,
+                     "chiral rep of the lift factors through rotations; spin rep is odd",
+                     "chiral rep of the lift does not factor through the rotation group", id="sigma-factors"),
+        pytest.param(_iota_vector_is_the_spinor_lift, _EMBEDDINGS_DIFFER,
+                     "vector-type embedding does not fix e0", id="embeddings-differ-vector"),
+        pytest.param(_stabilizers_read(20), _STABILIZER_21, "stabilizer dimension 20 != 21", id="stabilizer-21-psi"),
+        pytest.param(_stabilizers_read(21, 20, 21, 21), _STABILIZER_21,
+                     "random unit spinor has a different stabilizer dimension", id="stabilizer-21-random"),
+        pytest.param(_stabilizers_read(13),
+                     "chiral so(7) stabilizer of 10 random unit spinors is 14-dim (orbit rank 7)",
+                     "chiral so(7) stabilizer has dimension 13 != 14", id="sphere-transitivity"),
+        pytest.param(_g2_basis_short_by_one, _G2, "intersection dimension 13 != 14", id="g2-dimension"),
+        pytest.param(_g2_basis_with_a_spinor_side_element, _G2, "intersection element moves e0 infinitesimally",
+                     id="g2-moves-e0"),
+        pytest.param(_g2_basis_with_a_vector_side_element, _G2, "intersection element moves the fixed spinor",
+                     id="g2-moves-psi"),
+        pytest.param(_volume_element_negated, "volume element acts as +1 on S+ and -1 on S-",
+                     "volume element does not act as +1 on the positive half", id="volume-signs"),
+        pytest.param(_monomial_rank_short_by_one, "256 monomial matrices span a 256-dimensional space",
+                     "rank 255 != 256", id="monomial-span"),
+    ],
+)
+def test_a_planted_fault_fails_its_reps_check(monkeypatch, rep, plant, name, detail):
+    """A reps check run alone reports FAIL, with its own detail and not a
+    raise, on a planted fault in a verify name that it reads."""
+    plant(monkeypatch, rep)
     assert _failures(monkeypatch, name) == {name: detail}
