@@ -20,6 +20,7 @@ with no rows has no width.  :func:`exact` takes entries of type int or Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -40,14 +41,15 @@ def exact(d: int, rows: Iterable[Iterable]) -> Exact:
         raise ValueError(f"denominator must be a positive int, got {d!r}")
     rows = [tuple(r) for r in rows]
     row_width(rows)
-    if any(type(x) is not int for r in rows for x in r):
-        bad = next((x for r in rows for x in r if type(x) not in (int, Fraction)), None)
-        if bad is not None:
+    types = set(map(type, chain.from_iterable(rows)))
+    if not types <= {int}:
+        if not types <= {int, Fraction}:
+            bad = next(x for x in chain.from_iterable(rows) if type(x) not in (int, Fraction))
             raise TypeError(f"entries must be exact (int or Fraction), not {type(bad).__name__}")
-        den = lcm(*(x.denominator for r in rows for x in r))
-        rows = [tuple(x.numerator * (den // x.denominator) for x in r) for r in rows]
+        den = lcm(*[x.denominator for r in rows for x in r])
+        rows = [tuple([x.numerator * (den // x.denominator) for x in r]) for r in rows]
         d *= den
-    g = gcd(d, *(x for r in rows for x in r))
+    g = gcd(d, *chain.from_iterable(rows))
     if g > 1:
         return d // g, tuple(tuple(x // g for x in r) for r in rows)
     return d, tuple(rows)

@@ -12,7 +12,9 @@ Conventions used throughout the package:
   and every numerator 1), and absent blades are zero, so every identity
   below is checked with ``==``, never with a tolerance;
 * a product multiplies the numerators blade by blade over the product of
-  the two denominators and divides out one gcd.
+  the two denominators and divides out one gcd; the sign of each blade
+  product is ``PARITY[mb & SIGN_MASKS[ma]]``, one lookup in a 256-entry
+  table of popcount parities.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ def _sign_mask(a: int) -> int:
 # left past the generators of a above j takes one transposition each, and
 # meeting e_j itself in a contributes e_j^2 = -1.
 SIGN_MASKS = tuple(_sign_mask(a) for a in range(1 << MAX_GENERATORS))
+# PARITY[x] is the parity of the number of set bits of x.
+PARITY = tuple(x.bit_count() & 1 for x in range(1 << MAX_GENERATORS))
 
 
 def blade_grade(mask: int) -> int:
@@ -84,11 +88,12 @@ class Multivector:
         return MappingProxyType(self._terms)
 
     @classmethod
-    def _over(cls, n: int, d: int, numerators: Mapping[int, int]) -> "Multivector":
+    def _over(cls, n: int, d: int, numerators: dict[int, int]) -> "Multivector":
         """The element of Cl(0,n) with the given blade -> int numerators over
         d > 0: zeros are dropped and the gcd divided out, nothing else is
-        checked."""
-        terms = {m: c for m, c in numerators.items() if c}
+        checked.  A dict with no zero and gcd 1 is kept, not copied, so
+        callers pass one they no longer touch."""
+        terms = {m: c for m, c in numerators.items() if c} if 0 in numerators.values() else numerators
         g = gcd(d, *terms.values())
         out = object.__new__(cls)
         out._n = n
@@ -121,14 +126,11 @@ class Multivector:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_same_algebra(self, other: "Multivector") -> None:
+    def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             raise TypeError(f"operand must be a Multivector, not {type(other).__name__}")
         if self._n != other._n:
             raise DimensionMismatchError(f"mixing Cl(0,{self._n}) with Cl(0,{other._n})")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check_same_algebra(other)
         d = lcm(self._d, other._d)
         fa, fb = d // self._d, d // other._d
         terms = {m: c * fa for m, c in self._terms.items()}
@@ -137,8 +139,7 @@ class Multivector:
         return Multivector._over(self._n, d, terms)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_same_algebra(other)
-        return self + (-other)
+        return self + (-other if isinstance(other, Multivector) else other)  # __add__ rejects the rest
 
     def __neg__(self) -> "Multivector":
         return Multivector._over(self._n, self._d, {m: -c for m, c in self._terms.items()})
@@ -152,7 +153,8 @@ class Multivector:
             )
         if not isinstance(other, Multivector):
             raise TypeError(f"multiplier must be a Multivector, int or Fraction, not {t.__name__}")
-        self._check_same_algebra(other)
+        if self._n != other._n:
+            raise DimensionMismatchError(f"mixing Cl(0,{self._n}) with Cl(0,{other._n})")
         return Multivector._over(
             self._n, self._d * other._d, integer_product(self._terms.items(), other._terms.items())
         )
@@ -213,7 +215,7 @@ def integer_product(a: Iterable[tuple[int, int]], b: Iterable[tuple[int, int]]) 
         signs = SIGN_MASKS[ma]
         for mb, cb in b:
             m = ma ^ mb
-            if (mb & signs).bit_count() & 1:
+            if PARITY[mb & signs]:
                 acc[m] = acc.get(m, 0) - ca * cb
             else:
                 acc[m] = acc.get(m, 0) + ca * cb

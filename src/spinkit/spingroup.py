@@ -76,7 +76,7 @@ from operator import mul
 
 from . import exactlinalg as la
 from .errors import Frozen, InvalidSpinElementError, LiftError, require
-from .multivector import SIGN_MASKS, Multivector, blade_grade, integer_product
+from .multivector import PARITY, SIGN_MASKS, Multivector, blade_grade, integer_product
 
 _NORM_MESSAGE = "spin element must satisfy zeta * reverse(zeta) = 1"
 
@@ -168,7 +168,7 @@ class SpinElement:
 
 def _odd(a: int, b: int) -> int:
     """1 when e_a e_b = -e_(a ^ b), read off ``SIGN_MASKS`` as ``integer_product`` does."""
-    return (b & SIGN_MASKS[a]).bit_count() & 1
+    return PARITY[b & SIGN_MASKS[a]]
 
 
 @cache

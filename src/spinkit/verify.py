@@ -93,12 +93,11 @@ def _random_multivector(n: int, rng: random.Random) -> Multivector:
 
 def generator_relations() -> str | None:
     for n in range(1, 9):
-        for i in range(n):
-            for j in range(n):
-                a = Multivector.basis_vector(n, i)
-                b = Multivector.basis_vector(n, j)
-                want = Multivector.scalar(n, -2 if i == j else 0)
-                if a * b + b * a != want:
+        e = [Multivector.basis_vector(n, i) for i in range(n)]
+        minus_two, zero = Multivector.scalar(n, -2), Multivector.scalar(n, 0)
+        for i, a in enumerate(e):
+            for j, b in enumerate(e):
+                if a * b + b * a != (minus_two if i == j else zero):
                     return f"failed at n={n}, pair ({i},{j})"
     return None
 

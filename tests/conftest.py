@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import getitem, mul
 
 import pytest
@@ -27,6 +27,26 @@ def fraction_view(m):
     one way from the integer form back to the view the oracles read."""
     d, rows = m
     return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+
+def exact_reference(d, rows):
+    """``exactlinalg.exact`` as one Python loop per step: the oracle for its
+    C-level passes, raising the same exceptions with the same messages."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"denominator must be a positive int, got {d!r}")
+    rows = [tuple(r) for r in rows]
+    row_width(rows)
+    if any(type(x) is not int for r in rows for x in r):
+        bad = next((x for r in rows for x in r if type(x) not in (int, Fraction)), None)
+        if bad is not None:
+            raise TypeError(f"entries must be exact (int or Fraction), not {type(bad).__name__}")
+        den = lcm(*(x.denominator for r in rows for x in r))
+        rows = [tuple(x.numerator * (den // x.denominator) for x in r) for r in rows]
+        d *= den
+    g = gcd(d, *(x for r in rows for x in r))
+    if g > 1:
+        return d // g, tuple(tuple(x // g for x in r) for r in rows)
+    return d, tuple(rows)
 
 
 def fraction_terms(a):

@@ -1,5 +1,6 @@
 """Exact matrix products and integer elimination against the Fraction oracles."""
 
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from functools import partial
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import spinkit.exactlinalg as la
 from conftest import (
+    exact_reference,
     fraction_det,
     fraction_intersection_basis,
     fraction_kernel_basis,
@@ -193,6 +195,49 @@ def test_elimination_on_zero_empty_and_non_square_inputs():
     assert la.det(((0, 1), (1, 0))) == -1
     d, rows = la.exact(1, [[Fraction(1, 2), 3], [Fraction(-1, 3), 5]])
     assert Fraction(la.det(rows), d**2) == Fraction(7, 2)
+
+
+def _outcome(f, d, rows):
+    """f(d, rows), or the type and message of the exception it raises."""
+    try:
+        return f(d, rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def exact_inputs(draw):
+    """(d, rows) of int and Fraction entries, 0..5 rows of 0..5, with any of
+    three faults planted: ragged rows, a d < 1, and one or two bool, float,
+    str or Decimal entries at random positions."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.one_of(st.integers(-10**6, 10**6), _ENTRIES)
+    rows = [[draw(entries) for _ in range(c)] for _ in range(r)]
+    d = draw(st.integers(1, 10**4))
+    faults = draw(st.sets(st.sampled_from(("ragged", "d", "entry"))))
+    if "entry" in faults and r and c:
+        for _ in range(draw(st.integers(1, 2))):
+            bad = draw(st.sampled_from((True, False, 0.5, 2.0, "1", Decimal("0.1"))))
+            rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = bad
+    if "ragged" in faults and r > 1:
+        row = rows[draw(st.integers(0, r - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(entries))
+    if "d" in faults:
+        d = draw(st.integers(-3, 0))
+    return d, tuple(map(tuple, rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_inputs())
+def test_exact_matches_the_loop_oracle(case):
+    """exact's C-level passes give the loop oracle's pair, or raise its
+    exception with its message: ragged rows, a d < 1, and the first entry in
+    row-major order that is not an int or a Fraction."""
+    d, rows = case
+    assert _outcome(la.exact, d, rows) == _outcome(exact_reference, d, rows)
 
 
 def test_exact_form_is_in_lowest_terms():

@@ -7,6 +7,7 @@ repeats with a factor -1 each.
 """
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -116,6 +117,26 @@ def test_float_coefficients_rejected(build, kind):
     coerced."""
     with pytest.raises(TypeError, match=f"not {kind}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "n, terms, error, message",
+    [
+        pytest.param(8, {3: 1, -1: 1}, ValueError, "blade mask -0x1 uses generators beyond n=8", id="negative"),
+        pytest.param(3, {7: 1, 8: 1}, ValueError, "blade mask 0x8 uses generators beyond n=3", id="2^n"),
+        pytest.param(8, {0x300: 1, 1.5: 1}, ValueError, "blade mask 0x300 uses generators beyond n=8",
+                     id="range-then-type"),
+        pytest.param(8, {1.5: 1, 0x300: 1}, TypeError, "blade masks must be int, not float", id="type-then-range"),
+        pytest.param(2, {4: 0.5}, ValueError, "blade mask 0x4 uses generators beyond n=2", id="mask-then-coefficient"),
+    ],
+)
+def test_the_constructor_names_the_first_bad_mask(n, terms, error, message):
+    """Masks are checked in insertion order, before any coefficient: the
+    first bad one is named with its own error kind, TypeError for a mask
+    that is not an int and ValueError for one outside 0 .. 2^n - 1."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        Multivector(n, terms)
+    assert caught.type is error
 
 
 def test_grade_involution_values():

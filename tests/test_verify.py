@@ -97,6 +97,28 @@ def _sign_mask_of_blade_2_flipped(monkeypatch):
     monkeypatch.setattr(multivector, "SIGN_MASKS", tuple(masks))
 
 
+def test_generator_relations_multiplies_every_pair_on_operands_built_once(monkeypatch):
+    """Two products per ordered pair (i, j), n = 1..8, are 408 products, and
+    each n's basis vectors and its scalars -2 and 0 are built once: at most
+    52 constructions."""
+    inits, products = [], []
+    real_init, real_mul = Multivector.__init__, Multivector.__mul__
+
+    def counted_init(self, *args):
+        inits.append(1)
+        real_init(self, *args)
+
+    def counted_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Multivector, "__init__", counted_init)
+    monkeypatch.setattr(Multivector, "__mul__", counted_mul)
+    assert verify.generator_relations() is None
+    assert len(products) == 408
+    assert len(inits) <= 52
+
+
 def _p_iso_without_parity_bit(monkeypatch):
     def shifted(a):
         return Multivector(a.n + 1, {mask << 1: Fraction(c, a.d) for mask, c in a.terms.items()})
