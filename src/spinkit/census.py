@@ -168,9 +168,10 @@ class CensusReport(Frozen):
         return self.e_s_plus == 0
 
 
-def _structure_count(d: ManifoldCharData) -> int | str | None:
-    """The count that census_report prints and torsor_size_cross_check checks."""
-    if euler_positive_spinor(d) != 0:
+def _structure_count(d: ManifoldCharData, e_plus: int) -> int | str | None:
+    """The count that census_report prints and torsor_size_cross_check
+    checks, given e_plus = euler_positive_spinor(d)."""
+    if e_plus != 0:
         return None
     if d.h7_rel_rank > 0:
         return "undetermined"
@@ -194,7 +195,7 @@ def census_report(d: ManifoldCharData) -> CensusReport:
         name=d.name,
         e_s_plus=e_plus,
         e_s_minus=e_plus - d.euler,
-        count=_structure_count(d),
+        count=_structure_count(d, e_plus),
         ahat=ahat_genus(d),
         holonomy_note=note,
     )
@@ -211,7 +212,7 @@ def torsor_size_cross_check(d: ManifoldCharData) -> bool:
     # imported here, so that a census run that makes no cross-check loads no torsor
     from .torsor import MAX_TORSOR_ORDER, FiniteAbelianGroup, regular_difference_table, verify_difference_axioms
 
-    expected = _structure_count(d)
+    expected = _structure_count(d, euler_positive_spinor(d))
     if expected is None:
         raise CensusDataError(f"{d.name}: no Spin(7)-structure exists (e(S+) != 0)")
     if not isinstance(expected, int):

@@ -167,9 +167,10 @@ def _cmd_torsor_check(args) -> tuple[int, dict, list[str]]:
         "failed": failed,
     }
     lines = [f"# torsor axioms + roundtrips for abelian groups of order <= {args.max_order}"]
+    width = max([40] + [len(name) for name, _, _ in results])  # one column for every verdict
     for name, ok, detail in results:
         suffix = f"  [{detail}]" if detail else ""
-        lines.append(f"{name:<40} {'PASS' if ok else 'FAIL'}{suffix}")
+        lines.append(f"{name:<{width}} {'PASS' if ok else 'FAIL'}{suffix}")
     lines.append(f"# {len(results) - failed} passed, {failed} failed")
     return EXIT_CHECK_FAILED if failed else EXIT_OK, payload, lines
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import exactlinalg as la
 from .errors import (
@@ -103,30 +103,6 @@ def sp_identity(n: int) -> _SignedPerm:
     return tuple(range(n)), (1,) * n
 
 
-def generator_relation_failure(rep: GammaRep) -> tuple[int, int] | None:
-    """The first pair (i, j) with i <= j, in row-major order, at which
-    c(e_i) c(e_j) + c(e_j) c(e_i) != -2 delta_ij, or None when all hold;
-    c(e_i) is ``rep.monomials[1 << i]``, the generator every action applies.
-
-    The sum is symmetric in i and j, so this is also the first failing pair
-    of the full row-major loop.  Two signed permutations sum to zero exactly
-    when they share the permutation and have opposite signs, so the
-    relations are checked on the column descriptions without building a
-    matrix.
-    """
-    gammas = [rep.monomials[1 << i] for i in range(8)]
-    minus_one = (tuple(range(16)), (-1,) * 16)
-    for i, gi in enumerate(gammas):
-        if sp_compose(gi, gi) != minus_one:
-            return i, i
-        for j in range(i + 1, 8):
-            gj = gammas[j]
-            (p1, s1), (p2, s2) = sp_compose(gi, gj), sp_compose(gj, gi)
-            if p1 != p2 or any(x != -y for x, y in zip(s1, s2)):
-                return i, j
-    return None
-
-
 class GammaRep:
     """The action of Cl(0,8) on R^16 with its chiral splitting.
 
@@ -152,9 +128,9 @@ class GammaRep:
             "+": (tuple(range(8, 16)), (-1,) + (1,) * 7),
             "-": (tuple(range(8)), (1,) * 8),
         }
-        # the positive spinor fixed by the spinor-type Spin(7) copy: basis
-        # spinor 0 of S8+, that is -e8 (certified by the fixed-line check)
-        self.fixed_spinor: tuple[int, tuple[int, ...]] = 1, (1,) + (0,) * 7
+        # the positive spinor fixed by the spinor-type Spin(7) copy, as a row of
+        # S8+: basis spinor 0, that is -e8 (certified by the fixed-line check)
+        self.fixed_spinor: tuple[int, ...] = (1,) + (0,) * 7
 
     @cached_property
     def _read_out(self) -> tuple[tuple[int, ...], tuple]:
@@ -288,7 +264,7 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     """
     require(zeta, SpinElement, "spin element")
     psi = rep.fixed_spinor
-    rows = [row for row, x in zip(rep.halves["+"][0], psi[1]) if x]
+    rows = [row for row, x in zip(rep.halves["+"][0], psi) if x]
     if len(rows) != 1:
         raise InternalCheckError(_MOVES_PSI)
     d, r = delta7(rep, zeta.value)
@@ -316,7 +292,7 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     except InvalidSpinElementError:
         raise InternalCheckError(_MOVES_PSI) from None
     # c(eta) psi = psi, read in integers: half_images scales by eta's denominator
-    if half_images(rep, eta.value, "+", [psi[1]]) != [[eta.value.d * x for x in psi[1]]]:
+    if half_images(rep, eta.value, "+", [psi]) != [[eta.value.d * x for x in psi]]:
         raise InternalCheckError(_MOVES_PSI)
     return eta
 
@@ -344,13 +320,14 @@ _BIVECTOR_MASKS = [(1 << i) | (1 << j) for i, j in combinations(range(8), 2)]
 _BIVECTOR_BASIS = tuple(Multivector(8, {m: 1}) for m in _BIVECTOR_MASKS)
 
 
-def bivector_coordinates(a: Multivector) -> tuple[int, tuple[int, ...]]:
-    """Coordinates of a Cl(0,8) bivector in the fixed e_i e_j basis, as
-    ``(d, numerators)`` over the common denominator of its coefficients."""
+def bivector_coordinates(a: Multivector) -> tuple[int, ...]:
+    """The 28 numerators of a Cl(0,8) bivector in the fixed e_i e_j basis,
+    over its denominator ``a.d``: the coordinates up to that common scale,
+    which no rank, kernel or row space reads."""
     if a.n != 8 or a.grades() not in ({2}, set()):
         raise ValueError("expected a bivector in Cl(0,8)")
     terms = a.terms  # one read-only view for all 28 lookups
-    return a.d, tuple(terms.get(mask, 0) for mask in _BIVECTOR_MASKS)
+    return tuple(terms.get(mask, 0) for mask in _BIVECTOR_MASKS)
 
 
 def d_iota_plus(rep: GammaRep, x: Multivector) -> Multivector:
@@ -365,48 +342,48 @@ def common_fixed_space(rep: GammaRep, generators: list[Multivector]) -> list[tup
     Each generator x is mapped to d_iota_plus(x) and acts chirally; the
     exact intersection of the kernels is returned as a list of basis
     vectors, primitive integers as ``la.kernel_basis`` gives them.  A
-    kernel ignores each action's denominator, so only the integer rows are
-    stacked.  An empty generator list imposes no condition and yields the
-    full 8-dimensional space.
+    kernel ignores each action's denominator, so the rows of c(x) times
+    its denominator, the ``half_images`` columns transposed, are stacked
+    as they are.  An empty generator list imposes no condition and yields
+    the full 8-dimensional space.
     """
     stacked: list[tuple[int, ...]] = []
     for x in generators:
-        stacked.extend(chiral_action_matrix(rep, d_iota_plus(rep, x), "+")[1])
+        stacked.extend(zip(*half_images(rep, d_iota_plus(rep, x), "+", BASIS_SPINORS)))
     if not stacked:
         return list(la.identity(8))
     return la.kernel_basis(stacked)
 
 
 def stabilizer_dimensions(
-    rep: GammaRep, psis: list[tuple[int, Iterable]], algebra: list[Multivector] | None = None
+    rep: GammaRep, rows: Sequence[Sequence], algebra: list[Multivector] | None = None
 ) -> list[int]:
-    """Dimension of the annihilator of each positive spinor in ``psis``, in
-    order, inside one Lie subalgebra of so(8).
+    """Dimension of the annihilator of the positive spinor of each row in
+    ``rows``, in order, inside one Lie subalgebra of so(8).
 
-    A positive spinor is ``(d, entries)``: eight int or Fraction entries
-    over d, in the basis of S8+.  ``algebra`` is a linearly independent list
-    of bivectors acting through the chiral representation; the default is
-    the full 28-dimensional bivector basis.  Every spinor is checked and the
-    algebra proved independent once, on the call.  A dimension is the length
-    of the basis minus the rank of the images c(x) psi: one ``half_images``
-    call per algebra element reads its images of all the spinors' integer
-    rows, without building the 8x8 block of c(x), and a rank ignores the
-    scale of each row, so the images are ranked unreduced.
+    A positive spinor is a row of eight int or Fraction entries in the basis
+    of S8+, the form ``half_images`` reads.  ``algebra`` is a linearly
+    independent list of bivectors acting through the chiral representation;
+    the default is the full 28-dimensional bivector basis.  Every row is
+    checked and the algebra proved independent once, on the call.  A
+    dimension is the length of the basis minus the rank of the images
+    c(x) psi: the rows pass one ``exactlinalg.exact`` call, one
+    ``half_images`` call per algebra element reads its images of all the
+    integer rows, without building the 8x8 block of c(x), and a rank ignores
+    the scale of each row, so neither the rows' common denominator nor the
+    images' is read.
     """
-    vs = []
-    for psi in psis:
-        _, (v,) = la.exact(psi[0], [psi[1]])
-        if len(v) != 8:
-            raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(v)}")
-        if not any(v):
-            raise ValueError("stabilizer of the zero spinor is not defined")
-        vs.append(v)
+    for row in rows:
+        if len(row) != 8:
+            raise DimensionMismatchError(f"a positive spinor needs 8 components, got {len(row)}")
+    _, vs = la.exact(1, rows)
+    if not all(map(any, vs)):
+        raise ValueError("stabilizer of the zero spinor is not defined")
     if algebra is None:
         basis = _BIVECTOR_BASIS
     else:
         basis = algebra
-        # a rank ignores the scale of each row, so every denominator is dropped
-        if la.rank([bivector_coordinates(x)[1] for x in basis]) != len(basis):
+        if la.rank([bivector_coordinates(x) for x in basis]) != len(basis):
             raise ValueError("algebra basis must be linearly independent")
     images = [half_images(rep, x, "+", vs) for x in basis]  # images[x][k] = c(x) psi_k
     return [len(basis) - la.rank([row[k] for row in images]) for k in range(len(vs))]
@@ -420,8 +397,8 @@ def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
     ignores the scale of each row), and ``la.intersection_basis`` raises
     unless each has 21 independent rows.
     """
-    vector_side = [bivector_coordinates(embed_spin7(x))[1] for x in spin7_lie_basis()]
-    spinor_side = [bivector_coordinates(d_iota_plus(rep, x))[1] for x in spin7_lie_basis()]
+    vector_side = [bivector_coordinates(embed_spin7(x)) for x in spin7_lie_basis()]
+    spinor_side = [bivector_coordinates(d_iota_plus(rep, x)) for x in spin7_lie_basis()]
     out = []
     for coords in la.intersection_basis(vector_side, spinor_side):
         terms = {mask: c for mask, c in zip(_BIVECTOR_MASKS, coords) if c}

@@ -33,12 +33,9 @@ MAX_GENERATORS = 8
 
 
 def _sign_mask(a: int) -> int:
-    """Bit j is the parity of (the bits of a above j) + (bit j of a)."""
-    out = 0
-    for j in range(MAX_GENERATORS):
-        if ((a >> (j + 1)).bit_count() + (a >> j & 1)) & 1:
-            out |= 1 << j
-    return out
+    """Bit j is the parity of (the bits of a above j) + (bit j of a), which
+    are together the bits of a >> j."""
+    return sum(((a >> j).bit_count() & 1) << j for j in range(MAX_GENERATORS))
 
 
 # e_a * e_b = (-1)^popcount(b & SIGN_MASKS[a]) * e_(a ^ b): moving e_j of b

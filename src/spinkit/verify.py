@@ -14,7 +14,6 @@ A check returns None when it passes and a one-line detail when it fails.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from operator import mul
 from typing import Callable
 
@@ -29,7 +28,6 @@ from .gammarep import (
     delta7,
     embed_spin7,
     g2_intersection_basis,
-    generator_relation_failure,
     half_images,
     iota_plus,
     iota_vector,
@@ -82,10 +80,12 @@ def _run(name: str, check: Callable[..., str | None], **inputs) -> CheckResult:
 
 
 def _random_multivector(n: int, rng: random.Random) -> Multivector:
+    # coefficient p/q with q in 1..4 is p * (12 // q) over 12; the value is
+    # drawn before the mask, as Python evaluates it before the subscript
     terms = {}
     for _ in range(4):
-        terms[rng.randrange(1 << n)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return Multivector(n, terms)
+        terms[rng.randrange(1 << n)] = rng.randint(-6, 6) * (12 // rng.randint(1, 4))
+    return Multivector._over(n, 12, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +249,19 @@ def seeded_determinism() -> str | None:
 # spinor j is s_j e_rows(j).
 
 def gamma_anticommutators(rep: GammaRep) -> str | None:
-    failure = generator_relation_failure(rep)
-    return None if failure is None else f"pair ({failure[0]},{failure[1]})"
+    # the first pair i <= j in row-major order with c(e_i) c(e_j) + c(e_j) c(e_i)
+    # != -2 delta_ij; the sum is symmetric, and two signed permutations sum
+    # to zero exactly when they share p and have opposite signs
+    gammas = [rep.monomials[1 << i] for i in range(8)]
+    minus_one = (tuple(range(16)), (-1,) * 16)
+    for i, gi in enumerate(gammas):
+        if sp_compose(gi, gi) != minus_one:
+            return f"pair ({i},{i})"
+        for j in range(i + 1, 8):
+            (p1, s1), (p2, s2) = sp_compose(gi, gammas[j]), sp_compose(gammas[j], gi)
+            if p1 != p2 or any(x != -y for x, y in zip(s1, s2)):
+                return f"pair ({i},{j})"
+    return None
 
 
 def gamma_orthogonal_skew(rep: GammaRep) -> str | None:
@@ -339,13 +350,13 @@ def fixed_line(rep: GammaRep) -> str | None:
     basis = common_fixed_space(rep, spin7_lie_basis())
     if len(basis) != 1:
         return f"fixed space has dimension {len(basis)}"
-    if basis != [rep.fixed_spinor[1]]:
+    if basis != [rep.fixed_spinor]:
         return "fixed line is not spanned by the model's fixed spinor"
     return None
 
 
 def stabilizer_21(rep: GammaRep, rng: random.Random) -> str | None:
-    psis = [rational_unit_tuple(8, rng) for _ in range(3)]
+    psis = [rational_unit_tuple(8, rng)[1] for _ in range(3)]
     dim, *dims = stabilizer_dimensions(rep, [rep.fixed_spinor, *psis])
     if dim != 21:
         return f"stabilizer dimension {dim} != 21"
@@ -359,7 +370,7 @@ def g2_intersection(rep: GammaRep) -> str | None:
     if len(basis) != 14:
         return f"intersection dimension {len(basis)} != 14"
     # the span fixes psi exactly when c(x) psi = 0 for each basis element x
-    psi = [rep.fixed_spinor[1]]
+    psi = [rep.fixed_spinor]
     if any(any(half_images(rep, x, "+", psi)[0]) for x in basis):
         return "intersection element moves the fixed spinor"
     for z in basis:
@@ -370,7 +381,7 @@ def g2_intersection(rep: GammaRep) -> str | None:
 
 def sphere_transitivity(rep: GammaRep, rng: random.Random) -> str | None:
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
-    psis = [rational_unit_tuple(8, rng) for _ in range(10)]
+    psis = [rational_unit_tuple(8, rng)[1] for _ in range(10)]
     for dim in stabilizer_dimensions(rep, psis, algebra):
         if dim != 14:
             return f"chiral so(7) stabilizer has dimension {dim} != 14"

@@ -49,6 +49,16 @@ def exact_reference(d, rows):
     return d, tuple(rows)
 
 
+def fraction_random_multivector(n, rng):
+    """A multivector of 4 drawn terms with Fraction coefficients p/q,
+    p in -6..6 and q in 1..4, each drawn before its mask: the Fraction form
+    of verify._random_multivector and its oracle."""
+    terms = {}
+    for _ in range(4):
+        terms[rng.randrange(1 << n)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return Multivector(n, terms)
+
+
 def fraction_terms(a):
     """The blade -> Fraction coefficients a Multivector stands for: the one
     way from its integer numerators over a.d back to the view the oracles
@@ -352,8 +362,7 @@ def reflection_iota_plus(rep, zeta):
     read by the Fraction oracle ``fraction_half_images``.  The oracle for
     iota_plus, which reads the lift off the module instead."""
     eta = lift_rotation(RotationMatrix(delta7(rep, zeta.value)))
-    d, entries = rep.fixed_spinor
-    psi = tuple(Fraction(x, d) for x in entries)
+    psi = tuple(map(Fraction, rep.fixed_spinor))
     (image,) = fraction_half_images(rep, eta.value, "+", [psi])
     if image == psi:
         return eta
@@ -526,8 +535,7 @@ def chiral_matrix_stabilizer_dimension(rep, psi, algebra):
     """The stabilizer dimension read off the whole 8x8 chiral matrix of each
     algebra element times psi, ranked by the Fraction RREF rather than
     la.rank: the oracle for stabilizer_dimensions."""
-    d, entries = psi
-    _, (v,) = la.exact(d, [entries])
+    _, (v,) = la.exact(1, [psi])
     images = [la.mat_mul((v,), la.transpose(chiral_action_matrix(rep, x, "+")[1]))[0] for x in algebra]
     return len(algebra) - len(fraction_rref([list(map(Fraction, row)) for row in images])[1])
 

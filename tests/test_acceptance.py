@@ -145,7 +145,7 @@ def test_criterion_4_lift_identity(rep):
 @criterion(5, "fixed spinor line is 1-dim; its so(8)-stabilizer is 21-dim")
 def test_criterion_5_fixed_space_and_stabilizer(rep):
     line = common_fixed_space(rep, spin7_lie_basis())
-    assert line == [rep.fixed_spinor[1]]
+    assert line == [rep.fixed_spinor]
     psi = rep.fixed_spinor
     assert stabilizer_dimensions(rep, [psi]) == [21]
 
@@ -156,7 +156,7 @@ def test_criterion_6_homogeneous_spaces(rep):
     assert [28 - dim for dim in stabilizer_dimensions(rep, [psi])] == [7]
     rng = random.Random(77)
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
-    assert stabilizer_dimensions(rep, [rational_unit_tuple(8, rng)], algebra) == [14]
+    assert stabilizer_dimensions(rep, [rational_unit_tuple(8, rng)[1]], algebra) == [14]
     assert len(g2_intersection_basis(rep)) == 14
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import spinkit.census as census
 import spinkit.torsor as torsor
 from spinkit.census import (
     MAX_CHAR_NUMBER,
@@ -58,6 +59,17 @@ def test_euler_class_formula():
     values = [euler_positive_spinor(d) for d in basis]
     assert values == [-1, 4, 8]
     assert all(type(v) is int for v in values)
+
+
+def test_census_report_computes_e_plus_once(monkeypatch):
+    """A report reads e(S+) once and hands it to the count; a record reads
+    it once more, at construction, to check that it is an integer."""
+    records = [sphere8(), torus8(), quaternionic_plane(), holonomy_sample()]
+    calls, real = [], census.euler_positive_spinor
+    monkeypatch.setattr(census, "euler_positive_spinor", lambda d: calls.append(d) or real(d))
+    for d in records:
+        census_report(d)
+    assert calls == records
 
 
 def test_negative_spinor_convention():

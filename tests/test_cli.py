@@ -265,6 +265,16 @@ def test_torsor_check_at_the_order_cap(capsys):
     assert all(g["passed"] for g in payload["groups"]) and payload["failed"] == 0
 
 
+def test_torsor_check_puts_every_verdict_in_one_column(capsys):
+    """At the order cap the longest name, (Z/2)^6 with its order, is 44
+    characters, and its PASS lines up with every other row's."""
+    code, out, _ = run_cli(capsys, "torsor-check", "--max-order", "64")
+    assert code == 0
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 117
+    assert {line.index(" PASS") for line in rows} == {44}
+
+
 def test_torsor_check_order_cap(capsys):
     code, _, err = run_cli(capsys, "torsor-check", "--max-order", "100")
     assert code == 2

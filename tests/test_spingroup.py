@@ -608,7 +608,7 @@ def test_non_square_rotation_matrix_is_rejected(rows):
             id="skew-Decimal",
         ),
         pytest.param(
-            lambda: stabilizer_dimensions(build_cl8_rep(), [(1, ["1"] + [0] * 7)]), "str",
+            lambda: stabilizer_dimensions(build_cl8_rep(), [["1"] + [0] * 7]), "str",
             id="spinor-str",
         ),
         pytest.param(lambda: SpinElement(5), "int", id="spin-element-int"),

@@ -1,9 +1,11 @@
 """The verify check table: each check's draws depend only on the seed and
 the check's name, and the Cl(0,8) module is built only for rows that read it."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_random_multivector
 
 from spinkit import exactlinalg as la
 from spinkit import gammarep, multivector, spingroup, verify
@@ -95,6 +97,18 @@ def _sign_mask_of_blade_2_flipped(monkeypatch):
     masks = list(multivector.SIGN_MASKS)
     masks[2] ^= 1  # e1 e0 now reads +e0 e1
     monkeypatch.setattr(multivector, "SIGN_MASKS", tuple(masks))
+
+
+def test_random_multivectors_match_the_fraction_draws():
+    """The integer draws over 12 give the Fraction oracle's elements and
+    leave the generator where the oracle's draws leave it."""
+    for seed in range(300):
+        ours, oracle = random.Random(seed), random.Random(seed)
+        for n in range(1, 9):
+            a = verify._random_multivector(n, ours)
+            b = fraction_random_multivector(n, oracle)
+            assert (a.d, dict(a.terms)) == (b.d, dict(b.terms))
+        assert ours.getstate() == oracle.getstate()
 
 
 def test_generator_relations_multiplies_every_pair_on_operands_built_once(monkeypatch):
@@ -196,8 +210,8 @@ def _iota_vector_is_the_spinor_lift(monkeypatch, rep):
 def _stabilizers_read(*dims):
     """A plant whose stabilizer_dimensions returns ``dims``, or its one value
     once per spinor."""
-    def dimensions(rep, psis, algebra=None):
-        return list(dims) if len(dims) > 1 else list(dims) * len(psis)
+    def dimensions(rep, rows, algebra=None):
+        return list(dims) if len(dims) > 1 else list(dims) * len(rows)
 
     def plant(monkeypatch, rep):
         monkeypatch.setattr(verify, "stabilizer_dimensions", dimensions)
