@@ -38,8 +38,9 @@ groups of rows whose column supports are disjoint.
 Conjugation (Ad) and the chiral restriction of c give the two
 non-conjugate copies of Spin(7) in Spin(8): ``iota_vector`` is the
 blade-wise inclusion that stabilizes the vector e0, ``iota_plus`` the lift
-of the 8-dimensional spin representation that stabilizes a positive unit
-spinor, read off c of the lift as traces against the monomials.  Each
+of a ``delta7`` pair, the 8-dimensional spin representation of a point of
+Spin(7), that stabilizes a positive unit spinor, read off c of the lift as
+traces against the monomials.  Each
 trace is read from the 16x16 matrix flattened once: a monomial's positions
 are grouped by sign value (``GammaRep._read_out``, built on the first lift),
 and each group's index sum is scaled by its sign once.
@@ -63,7 +64,7 @@ from .errors import (
     row_width,
 )
 from .multivector import Multivector, blade_grade, p_iso
-from .spingroup import SkewMatrix, SpinElement, lie_lift
+from .spingroup import SpinElement
 
 # Fano-plane triples (a, b, c): cyclically e_a e_b = e_c.  The (i, i+1, i+3)
 # mod 7 orientation is one of the standard alternative-algebra conventions.
@@ -236,9 +237,11 @@ def iota_vector(zeta: SpinElement) -> SpinElement:
 _MOVES_PSI = "candidate lift moves the fixed spinor line"
 
 
-def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
+def iota_plus(rep: GammaRep, r: la.Exact) -> SpinElement:
     """The lift of R = delta7(zeta) through the conjugation cover of SO(8)
-    that fixes psi: a homomorphism that sends -1 to omega8.
+    that fixes psi: a homomorphism that sends -1 to omega8.  ``r`` is R as
+    the ``(d, rows)`` pair its caller computed with ``delta7``, so a caller
+    that also reads R computes it once.
 
     If c(eta) psi = psi, then c(eta) c(x) psi = c(Ad(eta) x) psi for all x,
     so with R = (d, r) c(eta) sends c(e_i) psi to sum_a r[a][i] c(e_a) psi / d
@@ -260,14 +263,21 @@ def iota_plus(rep: GammaRep, zeta: SpinElement) -> SpinElement:
     It certifies exactly when some lift of R fixes the line of psi;
     otherwise, and when R is no rotation, psi is not one basis spinor or the
     basis vectors miss a row, the candidate moves the fixed spinor line
-    (InternalCheckError).
+    (InternalCheckError).  ``r`` is read through ``exactlinalg.exact``: a
+    value that is not a tuple, or entries that are not int or Fraction,
+    raise TypeError, and anything but a pair of an 8x8 matrix raises
+    DimensionMismatchError.
     """
-    require(zeta, SpinElement, "spin element")
+    require(r, tuple, "spin representation")
+    if len(r) != 2:
+        raise DimensionMismatchError(f"a delta7 pair (d, rows) has 2 entries, got {len(r)}")
+    d, r = la.exact(*r)
+    if len(r) != 8 or row_width(r) != 8:
+        raise DimensionMismatchError("the spinor-type lift needs an 8x8 matrix")
     psi = rep.fixed_spinor
     rows = [row for row, x in zip(rep.halves["+"][0], psi) if x]
     if len(rows) != 1:
         raise InternalCheckError(_MOVES_PSI)
-    d, r = delta7(rep, zeta.value)
     gens = [rep.monomials[1 << a] for a in range(8)]
     # minus[a] = c(e_a) u and plus[b][a] = c(e_a) c(e_b) u as (row, sign),
     # for the basis vector u at psi's row: c(eta) u = u exactly when c(eta) psi = psi
@@ -330,26 +340,21 @@ def bivector_coordinates(a: Multivector) -> tuple[int, ...]:
     return tuple(terms.get(mask, 0) for mask in _BIVECTOR_MASKS)
 
 
-def d_iota_plus(rep: GammaRep, x: Multivector) -> Multivector:
-    """Differential of iota_plus, lie_lift(SkewMatrix(delta7(rep, x))): the
-    so(8) bivector with d(Ad) image delta7(x)."""
-    return lie_lift(SkewMatrix(delta7(rep, x)))
+def common_fixed_space(rep: GammaRep, images: list[Multivector]) -> list[tuple[int, ...]]:
+    """Joint kernel in S8+ of Cl(0,8) elements acting chirally.
 
-
-def common_fixed_space(rep: GammaRep, generators: list[Multivector]) -> list[tuple[int, ...]]:
-    """Joint kernel in S8+ of the spinor-embedding images of so(7) elements.
-
-    Each generator x is mapped to d_iota_plus(x) and acts chirally; the
-    exact intersection of the kernels is returned as a list of basis
-    vectors, primitive integers as ``la.kernel_basis`` gives them.  A
-    kernel ignores each action's denominator, so the rows of c(x) times
-    its denominator, the ``half_images`` columns transposed, are stacked
-    as they are.  An empty generator list imposes no condition and yields
-    the full 8-dimensional space.
+    ``images`` are even elements of Cl(0,8), for ``verify`` the so(8)
+    bivectors lie_lift(SkewMatrix(delta7(rep, x))) of so(7) elements x, the
+    spinor-type so(7) copy.  The exact intersection of their kernels on
+    S8+ is returned as a list of basis vectors, primitive integers as
+    ``la.kernel_basis`` gives them.  A kernel ignores each action's
+    denominator, so the rows of c(x) times its denominator, the
+    ``half_images`` columns transposed, are stacked as they are.  An empty
+    list imposes no condition and yields the full 8-dimensional space.
     """
     stacked: list[tuple[int, ...]] = []
-    for x in generators:
-        stacked.extend(zip(*half_images(rep, d_iota_plus(rep, x), "+", BASIS_SPINORS)))
+    for x in images:
+        stacked.extend(zip(*half_images(rep, x, "+", BASIS_SPINORS)))
     if not stacked:
         return list(la.identity(8))
     return la.kernel_basis(stacked)
@@ -389,16 +394,19 @@ def stabilizer_dimensions(
     return [len(basis) - la.rank([row[k] for row in images]) for k in range(len(vs))]
 
 
-def g2_intersection_basis(rep: GammaRep) -> list[Multivector]:
+def g2_intersection_basis(spinor_side: list[Multivector]) -> list[Multivector]:
     """A basis of the intersection of the two so(7) copies, as Cl(0,8) bivectors.
 
-    Its length is the dimension of the intersection.  The two copies are
-    given by the integer rows of their 21x28 so(8) coordinates (a row space
-    ignores the scale of each row), and ``la.intersection_basis`` raises
-    unless each has 21 independent rows.
+    Its length is the dimension of the intersection.  The vector-type copy
+    is ``embed_spin7`` of ``spin7_lie_basis()``; ``spinor_side`` is the
+    spinor-type copy as so(8) bivectors, for ``verify`` the 21
+    lie_lift(SkewMatrix(delta7(rep, x))) over the same basis.  Each copy is
+    given by the integer rows of its so(8) coordinates (a row space ignores
+    the scale of each row), and ``la.intersection_basis`` raises unless
+    each has independent rows.
     """
     vector_side = [bivector_coordinates(embed_spin7(x)) for x in spin7_lie_basis()]
-    spinor_side = [bivector_coordinates(d_iota_plus(rep, x)) for x in spin7_lie_basis()]
+    spinor_side = [bivector_coordinates(x) for x in spinor_side]
     out = []
     for coords in la.intersection_basis(vector_side, spinor_side):
         terms = {mask: c for mask, c in zip(_BIVECTOR_MASKS, coords) if c}

@@ -6,14 +6,21 @@ are module-level functions, each listed once in ``CHECKS`` as a
 ``(scope, name, check)`` row; a scope runs its rows in table order, so
 adding a scope means adding rows.  A check names what it reads as its
 parameters: ``rng`` is a generator seeded with ``f"{seed}:{name}"``, so a
-check's draws depend only on the seed and its own name, and ``rep`` is the
-Cl(0,8) module, built once per run and only when a selected row reads it.
+check's draws depend only on the seed and its own name.  Every other
+parameter names a per-run input, built by its builder in ``_INPUTS`` at
+most once per ``run_suites`` call, on the first read by a selected row,
+and shared by the later rows of that call: ``rep`` is the Cl(0,8) module,
+and ``spinor_so7`` the spinor-type so(7) copy, the 21 pairs
+``(delta7(rep, x), lie_lift(SkewMatrix(delta7(rep, x))))`` over
+``spin7_lie_basis()``.  A builder that raises fails every check that reads
+its input, with the detail of a check that raises.
 A check returns None when it passes and a one-line detail when it fails.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from operator import mul
 from typing import Callable
 
@@ -58,6 +65,9 @@ from .spingroup import (
 )
 
 
+_So7 = list[tuple[la.Exact, Multivector]]
+
+
 def _negated(m: la.Exact) -> la.Exact:
     return m[0], tuple(tuple(-x for x in row) for row in m[1])
 
@@ -71,10 +81,10 @@ class CheckResult(Frozen):
         object.__setattr__(self, "detail", detail)
 
 
-def _run(name: str, check: Callable[..., str | None], **inputs) -> CheckResult:
+def _run(name: str, check: Callable[..., str | None], inputs: Callable[[], dict]) -> CheckResult:
     try:
-        detail = check(**inputs)
-    except Exception as exc:  # a crash is a failed check, not a crashed report
+        detail = check(**inputs())
+    except Exception as exc:  # a crash, a builder's included, is a failed check, not a crashed report
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, detail is None, detail or "")
 
@@ -326,28 +336,28 @@ def volume_signs(rep: GammaRep) -> str | None:
 
 def minus_one_lift(rep: GammaRep) -> str | None:
     minus_one = SpinElement(Multivector.scalar(7, -1))
-    if iota_plus(rep, minus_one).value != volume_element(8):
+    if iota_plus(rep, delta7(rep, minus_one.value)).value != volume_element(8):
         return "spinor-type lift of -1 is not the volume element"
     if iota_vector(minus_one).value != Multivector.scalar(8, -1):
         return "vector-type embedding of -1 is not -1"
     return None
 
 
-def spinor_lift_identity(rep: GammaRep, rng: random.Random) -> str | None:
-    for x in spin7_lie_basis():
-        r = delta7(rep, x)  # d_iota_plus(rep, x) is lie_lift(SkewMatrix(r))
-        if ad_differential(lie_lift(SkewMatrix(r))).entries != r:
+def spinor_lift_identity(rep: GammaRep, spinor_so7: _So7, rng: random.Random) -> str | None:
+    for r, b in spinor_so7:
+        if ad_differential(b).entries != r:
             return "Lie-algebra level identity fails"
     for _ in range(10):
         z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-        if adjoint_action(iota_plus(rep, z)).entries != delta7(rep, z.value):
+        r = delta7(rep, z.value)
+        if adjoint_action(iota_plus(rep, r)).entries != r:
             return "group level identity fails"
     return None
 
 
-def fixed_line(rep: GammaRep) -> str | None:
+def fixed_line(rep: GammaRep, spinor_so7: _So7) -> str | None:
     # certifies the model's psi and the orientation of S8+ (reversed, it is 0)
-    basis = common_fixed_space(rep, spin7_lie_basis())
+    basis = common_fixed_space(rep, [b for _, b in spinor_so7])
     if len(basis) != 1:
         return f"fixed space has dimension {len(basis)}"
     if basis != [rep.fixed_spinor]:
@@ -365,8 +375,8 @@ def stabilizer_21(rep: GammaRep, rng: random.Random) -> str | None:
     return None
 
 
-def g2_intersection(rep: GammaRep) -> str | None:
-    basis = g2_intersection_basis(rep)
+def g2_intersection(rep: GammaRep, spinor_so7: _So7) -> str | None:
+    basis = g2_intersection_basis([b for _, b in spinor_so7])
     if len(basis) != 14:
         return f"intersection dimension {len(basis)} != 14"
     # the span fixes psi exactly when c(x) psi = 0 for each basis element x
@@ -393,7 +403,7 @@ def embeddings_differ(rep: GammaRep, rng: random.Random) -> str | None:
     d, r_vec = adjoint_action(iota_vector(z)).entries
     if tuple(row[0] for row in r_vec) != (d,) + (0,) * 7:
         return "vector-type embedding does not fix e0"
-    d, r_spin = adjoint_action(iota_plus(rep, z)).entries
+    d, r_spin = adjoint_action(iota_plus(rep, delta7(rep, z.value))).entries
     fixed = la.kernel_basis(
         [[x - d if i == j else x for j, x in enumerate(row)] for i, row in enumerate(r_spin)]
     )
@@ -405,12 +415,56 @@ def embeddings_differ(rep: GammaRep, rng: random.Random) -> str | None:
 def sigma_factors(rep: GammaRep, rng: random.Random) -> str | None:
     for _ in range(5):
         z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-        lift, lift_of_minus = iota_plus(rep, z).value, iota_plus(rep, -z).value
+        r, r_of_minus = delta7(rep, z.value), delta7(rep, -z.value)
+        lift, lift_of_minus = iota_plus(rep, r).value, iota_plus(rep, r_of_minus).value
         if chiral_action_matrix(rep, lift, "+") != chiral_action_matrix(rep, lift_of_minus, "+"):
             return "chiral rep of the lift does not factor through the rotation group"
-        if delta7(rep, -z.value) != _negated(delta7(rep, z.value)):
+        if r_of_minus != _negated(r):
             return "spin rep is not odd under negation"
     return None
+
+
+# ---------------------------------------------------------------------------
+# per-run inputs: a builder's parameters name the inputs it reads
+
+def _spinor_so7(rep: GammaRep) -> _So7:
+    """(r, b) for each x of ``spin7_lie_basis()``: r = delta7(rep, x), and
+    b = lie_lift(SkewMatrix(r)) the so(8) bivector whose d(Ad) image is r,
+    the differential of ``iota_plus`` at x."""
+    return [(r, lie_lift(SkewMatrix(r))) for r in (delta7(rep, x) for x in spin7_lie_basis())]
+
+
+_INPUTS = {
+    "rep": lambda: build_cl8_rep(),  # the name is read per call, so a planted build is seen
+    "spinor_so7": _spinor_so7,
+}
+
+
+def _params(f: Callable) -> tuple[str, ...]:
+    return f.__code__.co_varnames[: f.__code__.co_argcount]
+
+
+def _input(built: dict, key: str):
+    """Per-run input ``key``: built on its first read, with the inputs its
+    builder's parameters name, and kept in ``built``, or the exception its
+    builder raised, for every later read of the same run."""
+    if key not in built:
+        builder = _INPUTS[key]
+        try:
+            built[key] = builder(*[_input(built, k) for k in _params(builder)])
+        except Exception as exc:
+            built[key] = exc
+    value = built[key]
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _inputs(built: dict, seed: int, name: str, check: Callable) -> dict:
+    return {
+        key: random.Random(f"{seed}:{name}") if key == "rng" else _input(built, key)
+        for key in _params(check)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +509,11 @@ def run_suites(scope: str, seed: int = 0, rep: GammaRep | None = None) -> list[C
     """Run the rows of one scope, or of every scope ("all"), in table order."""
     if scope not in SCOPES + ("all",):
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES + ('all',)}")
+    built = {} if rep is None else {"rep": rep}
     results = []
     for row_scope, name, check in CHECKS:
         if scope not in (row_scope, "all"):
             continue
-        params = check.__code__.co_varnames[: check.__code__.co_argcount]
-        inputs = {}
-        if "rep" in params:
-            rep = rep if rep is not None else build_cl8_rep()
-            inputs["rep"] = rep
-        if "rng" in params:
-            inputs["rng"] = random.Random(f"{seed}:{name}")
-        results.append(_run(name, check, **inputs))
+        # the inputs are read inside _run, so a builder's raise is the check's FAIL
+        results.append(_run(name, check, partial(_inputs, built, seed, name, check)))
     return results

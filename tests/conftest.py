@@ -16,10 +16,10 @@ from spinkit.errors import (
     TorsorError,
     row_width,
 )
-from spinkit.gammarep import build_cl8_rep, chiral_action_matrix, delta7
+from spinkit.gammarep import build_cl8_rep, chiral_action_matrix, delta7, iota_plus, spin7_lie_basis
 from spinkit.multivector import Multivector, blade_grade, integer_product, volume_element
 from spinkit.snf import AbelianGroup, _divisibility_chain, smith_diagonal
-from spinkit.spingroup import RotationMatrix, lift_rotation, rational_unit_vector
+from spinkit.spingroup import RotationMatrix, SkewMatrix, lie_lift, lift_rotation, rational_unit_vector
 
 
 def fraction_view(m):
@@ -356,12 +356,13 @@ def fraction_lift_rotation(rotation):
     return zeta
 
 
-def reflection_iota_plus(rep, zeta):
+def reflection_iota_plus(rep, r):
     """The spinor-type lift by reflections: the Cartan-Dieudonne lift of the
-    rotation delta7(zeta), with the sign that fixes the model's spinor psi
-    read by the Fraction oracle ``fraction_half_images``.  The oracle for
-    iota_plus, which reads the lift off the module instead."""
-    eta = lift_rotation(RotationMatrix(delta7(rep, zeta.value)))
+    rotation r = delta7(zeta), a ``(d, rows)`` pair, with the sign that fixes
+    the model's spinor psi read by the Fraction oracle
+    ``fraction_half_images``.  The oracle for iota_plus, which reads the
+    lift off the module instead."""
+    eta = lift_rotation(RotationMatrix(r))
     psi = tuple(map(Fraction, rep.fixed_spinor))
     (image,) = fraction_half_images(rep, eta.value, "+", [psi])
     if image == psi:
@@ -369,6 +370,18 @@ def reflection_iota_plus(rep, zeta):
     if image == tuple(-x for x in psi):
         return -eta
     raise InternalCheckError("candidate lift moves the fixed spinor line")
+
+
+def spinor_so7(rep, basis=None):
+    """lie_lift(SkewMatrix(delta7(rep, x))) for each x of ``basis``, by default
+    spin7_lie_basis(): the spinor-type so(7) copy as so(8) bivectors, the
+    images common_fixed_space and g2_intersection_basis read."""
+    return [lie_lift(SkewMatrix(delta7(rep, x))) for x in (spin7_lie_basis() if basis is None else basis)]
+
+
+def spinor_lift(rep, zeta):
+    """iota_plus of a spin element zeta of Spin(7), lifted from its delta7 pair."""
+    return iota_plus(rep, delta7(rep, zeta.value))
 
 
 def multiply_form_traces(rep, columns):

@@ -25,7 +25,6 @@ from spinkit.cwcomplex import (
 from spinkit.gammarep import (
     build_cl8_rep,
     common_fixed_space,
-    d_iota_plus,
     delta7,
     embed_spin7,
     g2_intersection_basis,
@@ -57,6 +56,7 @@ from conftest import (
     make_consistent_difference_inputs,
     make_random_pair_complex,
     rank_mod_p,
+    spinor_so7,
 )
 
 
@@ -131,20 +131,21 @@ def test_criterion_3_chirality(rep):
 @criterion(4, "lift sends -1 to omega8; conjugation of lift = spin rep, exact")
 def test_criterion_4_lift_identity(rep):
     minus_one = SpinElement(Multivector.scalar(7, -1))
-    assert iota_plus(rep, minus_one).value == volume_element(8)
+    assert iota_plus(rep, delta7(rep, minus_one.value)).value == volume_element(8)
     basis = spin7_lie_basis()
     assert len(basis) == 21
-    for x in basis:
-        assert ad_differential(d_iota_plus(rep, x)).entries == delta7(rep, x)
+    for x, b in zip(basis, spinor_so7(rep)):
+        assert ad_differential(b).entries == delta7(rep, x)
     rng = random.Random(4242)
     for _ in range(10):
         z = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-        assert adjoint_action(iota_plus(rep, z)).entries == delta7(rep, z.value)
+        r = delta7(rep, z.value)
+        assert adjoint_action(iota_plus(rep, r)).entries == r
 
 
 @criterion(5, "fixed spinor line is 1-dim; its so(8)-stabilizer is 21-dim")
 def test_criterion_5_fixed_space_and_stabilizer(rep):
-    line = common_fixed_space(rep, spin7_lie_basis())
+    line = common_fixed_space(rep, spinor_so7(rep))
     assert line == [rep.fixed_spinor]
     psi = rep.fixed_spinor
     assert stabilizer_dimensions(rep, [psi]) == [21]
@@ -157,7 +158,7 @@ def test_criterion_6_homogeneous_spaces(rep):
     rng = random.Random(77)
     algebra = [embed_spin7(x) for x in spin7_lie_basis()]
     assert stabilizer_dimensions(rep, [rational_unit_tuple(8, rng)[1]], algebra) == [14]
-    assert len(g2_intersection_basis(rep)) == 14
+    assert len(g2_intersection_basis(spinor_so7(rep))) == 14
 
 
 @criterion(7, "difference-cochain identity on 100 inputs; SNF vs mod-p oracle")

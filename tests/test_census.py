@@ -114,6 +114,13 @@ def test_counts():
     assert len(str(census_report(widest).count)) == 4300
 
 
+def test_one_relative_degree_7_class_leaves_the_count_undetermined():
+    """h7_rel_rank 1 is the smallest rank that is not 0: the count is
+    "undetermined" there too, not 2^h8_z2_dim."""
+    one = ManifoldCharData("one", 0, 0, 0, h7_rel_rank=1, h8_z2_dim=1)
+    assert census_report(one).count == "undetermined"
+
+
 @pytest.mark.parametrize("h8_z2_dim", [7, 14, MAX_H8_Z2_DIM])
 def test_cross_check_refuses_groups_over_the_torsor_cap(monkeypatch, h8_z2_dim):
     """2^h8_z2_dim over MAX_TORSOR_ORDER raises, naming the record and the cap,
@@ -146,6 +153,17 @@ def test_ahat_and_holonomy():
     bounded = ManifoldCharData("bounded", 768, -96, 144, 0, 1, has_boundary=True)
     assert holonomy_from_ahat(bounded) is None
     assert census_report(bounded).holonomy_note == ""
+
+
+def test_ahat_5_gets_no_holonomy_note():
+    """Spin(8 - A-hat) is a holonomy only for A-hat in 1..4: a closed, simply
+    connected record with e(S+) = 0 and A-hat = 5 gets no note."""
+    five = ManifoldCharData(
+        "five", p1_sq=4800, p2=1200, euler=0, h7_rel_rank=0, h8_z2_dim=1, simply_connected=True
+    )
+    assert (euler_positive_spinor(five), ahat_genus(five)) == (0, 5)
+    assert holonomy_from_ahat(five) is None
+    assert census_report(five).holonomy_note == ""
 
 
 def test_validation_rules():

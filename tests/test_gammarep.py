@@ -32,6 +32,8 @@ from conftest import (
     fraction_view,
     multiply_form_traces,
     reflection_iota_plus,
+    spinor_lift,
+    spinor_so7,
 )
 from spinkit.errors import (
     ChiralityError,
@@ -43,7 +45,6 @@ from spinkit.gammarep import (
     build_cl8_rep,
     chiral_action_matrix,
     common_fixed_space,
-    d_iota_plus,
     delta7,
     embed_spin7,
     g2_intersection_basis,
@@ -210,6 +211,8 @@ def test_module_check_names_the_damage(case, name, oracle, detail):
 
 
 _FIXED_LINE = "joint fixed space of the spinor-type so(7) copy is a line"
+_LIFT_IDENTITY = "conjugation of the spinor lift equals the spin rep (21 basis + 10 group)"
+_G2 = "the two so(7) copies intersect in dimension 14, fixing spinor and vector"
 _LIFT_MOVES_PSI = "InternalCheckError: candidate lift moves the fixed spinor line"
 
 
@@ -310,13 +313,35 @@ def _shear(n):
         pytest.param([[0] * 8] * 8, id="zero"),
     ],
 )
-def test_iota_plus_rejects_a_spin_rep_that_is_no_rotation(rep, monkeypatch, rows):
-    """delta7 is not checked as a rotation on its own: the final certificate
-    of iota_plus (SpinElement and the fixed spinor) rejects every matrix
-    that is not one."""
-    monkeypatch.setattr(gammarep, "delta7", lambda rep, x: la.exact(1, rows))
+def test_iota_plus_rejects_a_spin_rep_that_is_no_rotation(rep, rows):
+    """The delta7 pair is not checked as a rotation on its own: the final
+    certificate of iota_plus (SpinElement and the fixed spinor) rejects
+    every matrix that is not one."""
     with pytest.raises(InternalCheckError, match="^candidate lift moves the fixed spinor line$"):
-        iota_plus(rep, SpinElement(Multivector.scalar(7, 1)))
+        iota_plus(rep, la.exact(1, rows))
+
+
+@pytest.mark.parametrize(
+    "r, error",
+    [
+        pytest.param(SpinElement(Multivector.scalar(7, 1)), TypeError, id="spin-element"),
+        pytest.param([1, I8], TypeError, id="list"),
+        pytest.param((1, 5), TypeError, id="rows-not-iterable"),
+        pytest.param((1, [[0.5] * 8] * 8), TypeError, id="float-entries"),
+        pytest.param((1,), DimensionMismatchError, id="one-entry"),
+        pytest.param((1, I8, 1), DimensionMismatchError, id="three-entries"),
+        pytest.param((1, ()), DimensionMismatchError, id="no-rows"),
+        pytest.param((1, I8[:7]), DimensionMismatchError, id="seven-rows"),
+        pytest.param((1, I8 + I8[:1]), DimensionMismatchError, id="nine-rows"),
+        pytest.param((1, [row[:7] for row in I8]), DimensionMismatchError, id="seven-columns"),
+        pytest.param((1, I8[:7] + ((1,) * 7,)), DimensionMismatchError, id="ragged"),
+    ],
+)
+def test_iota_plus_reads_only_a_delta7_pair(rep, r, error):
+    """iota_plus takes the (d, rows) pair of an 8x8 matrix: any other value
+    raises TypeError or DimensionMismatchError, never an index error."""
+    with pytest.raises(error):
+        iota_plus(rep, r)
 
 
 def test_wrong_fixed_spinor_fails_the_fixed_line():
@@ -476,10 +501,10 @@ def test_orbit_checks_pass_no_basis_spinors(rep, monkeypatch):
     c(x) psi through half_images on the spinors themselves, one call per
     algebra element with all of the check's spinors: they never pass the 8
     basis spinors, which build the 8x8 block of c(x); the spy does see
-    chiral_action_matrix pass them.  g2_intersection is handed its 14-element
-    basis, whose construction reads delta7 through chiral_action_matrix."""
-    g2 = g2_intersection_basis(rep)
-    monkeypatch.setattr(verify, "g2_intersection_basis", lambda rep: g2)
+    chiral_action_matrix pass them.  g2_intersection is handed the so(7)
+    images built before the spy counts, as run_suites builds them once per
+    run, and its basis is read off their coordinates."""
+    so7 = verify._spinor_so7(rep)
     calls, real = [], gammarep.half_images
     monkeypatch.setattr(gammarep, "half_images", lambda *a: calls.append(a[3]) or real(*a))
     monkeypatch.setattr(verify, "half_images", gammarep.half_images)
@@ -489,7 +514,7 @@ def test_orbit_checks_pass_no_basis_spinors(rep, monkeypatch):
     for check in (verify.stabilizer_21, verify.sphere_transitivity, verify.g2_intersection):
         calls.clear()
         rng = random.Random(f"0:{names[check]}")
-        assert (check(rep) if check is verify.g2_intersection else check(rep, rng)) is None
+        assert (check(rep, so7) if check is verify.g2_intersection else check(rep, rng)) is None
         assert calls and all([list(v) for v in vectors] != basis for vectors in calls)
         counts.append(len(calls))
     assert counts == [28, 21, 14]  # so(8) for psi and 3 spinors; so(7) for 10; g2 for psi
@@ -575,9 +600,9 @@ def test_half_images_match_the_dense_oracle(rep):
     vectors += [row((j, rng.randint(-4, 4)) for j in rng.sample(range(8), 3))]
     vectors += [list(la.exact(1, [v])[1][0]) for v in _spinors(rep)]
     even = [element(_EVEN_MASKS) for _ in range(4)] + [Multivector.scalar(8, 1), volume_element(8)]
-    even += [iota_plus(rep, random_spin(7, 2, 51)).value, random_spin(8, 2, 53).value]
+    even += [spinor_lift(rep, random_spin(7, 2, 51)).value, random_spin(8, 2, 53).value]
     even += [Multivector.scalar(8, -1), Multivector.blade(8, [2, 5])]
-    even += [d_iota_plus(rep, x) for x in spin7_lie_basis()[::10]]
+    even += spinor_so7(rep, spin7_lie_basis()[::10])
     kinds = {
         "even": even,
         "odd": [element(_ODD_MASKS) for _ in range(4)] + [Multivector.basis_vector(8, i) for i in range(8)]
@@ -651,7 +676,7 @@ def test_chiral_action_matches_the_dense_oracle(rep):
         )
         for _ in range(12)
     ]
-    elements += [d_iota_plus(rep, x) for x in spin7_lie_basis()]
+    elements += spinor_so7(rep)
     for a in elements:
         for chirality in ("+", "-"):
             # exact() of the oracle's Fractions is the one lowest-terms pair;
@@ -766,12 +791,12 @@ def test_iota_vector(rep):
 def test_iota_plus_defining_properties(rep):
     one = SpinElement(Multivector.scalar(7, 1))
     minus_one = SpinElement(Multivector.scalar(7, -1))
-    assert iota_plus(rep, one).value == Multivector.scalar(8, 1)
-    assert iota_plus(rep, minus_one).value == volume_element(8)
-    assert iota_plus(rep, minus_one).value != iota_vector(minus_one).value
+    assert spinor_lift(rep, one).value == Multivector.scalar(8, 1)
+    assert spinor_lift(rep, minus_one).value == volume_element(8)
+    assert spinor_lift(rep, minus_one).value != iota_vector(minus_one).value
     for seed in (41, 42):
-        z = random_spin(7, 2, seed)
-        assert adjoint_action(iota_plus(rep, z)).entries == delta7(rep, z.value)
+        r = delta7(rep, random_spin(7, 2, seed).value)
+        assert adjoint_action(iota_plus(rep, r)).entries == r
 
 
 def test_iota_plus_is_multiplicative(rep):
@@ -779,13 +804,13 @@ def test_iota_plus_is_multiplicative(rep):
     for _ in range(3):
         z1 = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
         z2 = random_spin(7, rng.randint(1, 2), rng.randrange(10**6))
-        lhs = iota_plus(rep, z1 * z2)
-        rhs = iota_plus(rep, z1) * iota_plus(rep, z2)
+        lhs = spinor_lift(rep, z1 * z2)
+        rhs = spinor_lift(rep, z1) * spinor_lift(rep, z2)
         assert lhs.value == rhs.value
         # in particular the conjugation images compose
         assert adjoint_action(lhs).entries == _product(
-            adjoint_action(iota_plus(rep, z1)).entries,
-            adjoint_action(iota_plus(rep, z2)).entries,
+            adjoint_action(spinor_lift(rep, z1)).entries,
+            adjoint_action(spinor_lift(rep, z2)).entries,
         )
 
 
@@ -797,7 +822,8 @@ def test_iota_plus_matches_the_reflection_oracle(rep):
     draws = [random_spin(7, 1 + i % 2, rng.randrange(10**6)) for i in range(30)]
     zetas += draws + [a * b for a, b in zip(draws[:8], draws[8:16])] + [-z for z in draws[:4]]
     for z in zetas:
-        assert iota_plus(rep, z).value == reflection_iota_plus(rep, z).value
+        r = delta7(rep, z.value)
+        assert iota_plus(rep, r).value == reflection_iota_plus(rep, r).value
 
 
 def _sign_damaged_module():
@@ -842,12 +868,11 @@ def test_read_out_table_is_built_on_first_use():
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import spinkit.verify\n"
-        "from spinkit.gammarep import build_cl8_rep, iota_plus\n"
+        "from spinkit.gammarep import build_cl8_rep, delta7, iota_plus\n"
         "from spinkit.multivector import Multivector\n"
-        "from spinkit.spingroup import SpinElement\n"
         "rep = build_cl8_rep()\n"
         "print('_read_out' in vars(rep))\n"
-        "iota_plus(rep, SpinElement(Multivector.scalar(7, 1)))\n"
+        "iota_plus(rep, delta7(rep, Multivector.scalar(7, 1)))\n"
         "print('_read_out' in vars(rep))\n"
     )
     # -I: no environment paths; -B: the child leaves no bytecode behind
@@ -856,51 +881,94 @@ def test_read_out_table_is_built_on_first_use():
     assert done.stdout.split() == ["False", "True"]
 
 
-def test_lift_identity_reads_one_delta7_per_element(rep, monkeypatch):
-    """The lift identity check computes delta7 once per so(7) basis element
-    (21) and once per group draw besides the one inside iota_plus (2 x 10)."""
-    calls, real = [], gammarep.delta7
-    monkeypatch.setattr(gammarep, "delta7", lambda *a: calls.append(a) or real(*a))
-    monkeypatch.setattr(verify, "delta7", gammarep.delta7)
-    name = "conjugation of the spinor lift equals the spin rep (21 basis + 10 group)"
-    assert verify.spinor_lift_identity(rep, random.Random(f"0:{name}")) is None
-    assert len(calls) == 21 + 2 * 10
+def _spy(monkeypatch, real):
+    """The argument tuples of every call of ``real`` from any spinkit module,
+    rebound under each name that holds it."""
+    calls = []
 
-
-def test_only_the_spin_scope_lifts_by_reflections(rep, monkeypatch):
-    """A reps verdict calls lift_rotation 0 times, since iota_plus reads its
-    lift off the module; the spin scope's lift check calls it 6 times."""
-    calls, real = [], spingroup.lift_rotation
-
-    def counted(rotation):
-        calls.append(rotation)
-        return real(rotation)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("spinkit."):
             for key, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_lift_identity_reads_one_delta7_per_element(rep, monkeypatch):
+    """The lift identity check, run alone, computes delta7 once per so(7)
+    basis element (21, in its per-run input) and once per group draw (10):
+    iota_plus lifts the pair the check compares with."""
+    calls = _spy(monkeypatch, gammarep.delta7)
+    monkeypatch.setattr(verify, "CHECKS", tuple(row for row in CHECKS if row[2] is verify.spinor_lift_identity))
+    assert [x.passed for x in run_suites("reps", 0, rep)] == [True]
+    assert len(calls) == 21 + 10
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_a_reps_verdict_computes_each_so7_image_once(rep, monkeypatch, seed):
+    """One reps verdict computes delta7 once per so(7) basis element and once
+    per group element: 21 + 10 (lift identity) + 2 x 5 (sigma factors, z and
+    -z) + 1 (minus-one lift) + 1 (embeddings differ).  It lifts each basis
+    image once, into the one input that three checks read, and certifies
+    41 spin elements: 10 + 5 + 1 draws, -1 and its blade embedding, the
+    embedding of one draw and the 22 spinor-type lifts."""
+    delta7_calls = _spy(monkeypatch, gammarep.delta7)
+    lie_lift_calls = _spy(monkeypatch, spingroup.lie_lift)
+    certified, real = [], SpinElement._validate
+    monkeypatch.setattr(SpinElement, "_validate", lambda self: certified.append(self) or real(self))
+    assert all(x.passed for x in run_suites("reps", seed, rep))
+    assert len(delta7_calls) == 21 + 10 + 2 * 5 + 1 + 1 == 43
+    # after the minus-one lift's call, the images' builder runs for the lift identity
+    assert [args[1] for args in delta7_calls[1:22]] == spin7_lie_basis()
+    assert len(lie_lift_calls) == 21
+    assert len(certified) == 41
+
+
+@pytest.mark.parametrize("case", ["exchange a row between the halves", "repeat a row of S+"])
+def test_a_raising_input_builder_fails_each_check_that_reads_it(monkeypatch, case):
+    """On these damages delta7 raises on an so(7) basis element, so the
+    builder of the per-run so(7) images raises, once: each of the three
+    checks that read the images reports that raise as its FAIL, and the
+    verdict still has all 14 rows."""
+    builds, real = [], verify._INPUTS["spinor_so7"]
+    monkeypatch.setitem(verify._INPUTS, "spinor_so7", lambda rep: builds.append(rep) or real(rep))
+    damaged = build_cl8_rep()
+    _damage(damaged, case)
+    results = run_suites("reps", 0, damaged)
+    assert len(results) == 14 and builds == [damaged]
+    details = {x.name: x.detail for x in results}
+    raised = "ChiralityError: element does not preserve the chiral subspace"
+    assert [details[name] for name in (_LIFT_IDENTITY, _FIXED_LINE, _G2)] == [raised] * 3
+
+
+def test_only_the_spin_scope_lifts_by_reflections(rep, monkeypatch):
+    """A reps verdict calls lift_rotation 0 times, since iota_plus reads its
+    lift off the module; the spin scope's lift check calls it 6 times."""
+    calls = _spy(monkeypatch, spingroup.lift_rotation)
     assert all(x.passed for x in run_suites("reps", 0, rep)) and len(calls) == 0
     assert all(x.passed for x in run_suites("spin", 0)) and len(calls) == 6
 
 
 def test_lie_level_lift_identity(rep):
-    for x in spin7_lie_basis():
-        assert ad_differential(d_iota_plus(rep, x)).entries == delta7(rep, x)
+    for x, b in zip(spin7_lie_basis(), spinor_so7(rep)):
+        assert ad_differential(b).entries == delta7(rep, x)
 
 
 def test_common_fixed_space(rep):
     full = common_fixed_space(rep, [])
     assert len(full) == 8
-    line = common_fixed_space(rep, spin7_lie_basis())
+    line = common_fixed_space(rep, spinor_so7(rep))
     assert line == [rep.fixed_spinor]
     assert full == list(I8)
     psi = rep.fixed_spinor
     assert psi == line[0]
     assert sum(c * c for c in psi) > 0
     sub_basis = [Multivector.blade(7, [i, j]) for i in range(6) for j in range(i + 1, 6)]
-    sub_space = common_fixed_space(rep, sub_basis)
+    sub_space = common_fixed_space(rep, spinor_so7(rep, sub_basis))
     assert len(sub_space) >= 1
     # psi lies in the span: appending it does not raise the rank
     assert la.rank(sub_space + [psi]) == la.rank(sub_space)
@@ -938,8 +1006,8 @@ def test_stabilizer_dimension_matches_the_chiral_matrix_oracle(rep):
     full = [Multivector(8, {m: 1}) for m in gammarep._BIVECTOR_MASKS]
     algebras = [
         [embed_spin7(x) for x in spin7_lie_basis()],
-        [d_iota_plus(rep, x) for x in spin7_lie_basis()],
-        g2_intersection_basis(rep),
+        spinor_so7(rep),
+        g2_intersection_basis(spinor_so7(rep)),
     ]
     algebras += [rng.sample(full, k) for k in (1, 5, 12, 20)]
     while len(algebras) < 10:  # random integer combinations, kept when independent
@@ -992,7 +1060,7 @@ def test_sphere_transitivity_proves_its_algebra_independent_once(rep, monkeypatc
 
 
 def test_g2_intersection(rep):
-    basis = g2_intersection_basis(rep)
+    basis = g2_intersection_basis(spinor_so7(rep))
     assert len(basis) == 14  # the dimension of the intersection
     psi = rep.fixed_spinor
     for z in basis:
@@ -1023,7 +1091,7 @@ def test_sphere_transitivity(rep):
 
 def test_sigma_plus_factors_through_rotations(rep):
     z = random_spin(7, 2, 77)
-    lift, lift_of_minus = iota_plus(rep, z).value, iota_plus(rep, -z).value
+    lift, lift_of_minus = spinor_lift(rep, z).value, spinor_lift(rep, -z).value
     assert chiral_action_matrix(rep, lift, "+") == chiral_action_matrix(rep, lift_of_minus, "+")
     d, m = delta7(rep, z.value)
     assert delta7(rep, -z.value) == (d, _negated(m))

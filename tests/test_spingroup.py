@@ -24,6 +24,7 @@ from conftest import (
     fraction_view,
     loop_conjugated_basis,
     one_sided_product_rows,
+    spinor_lift,
 )
 from spinkit.errors import InvalidSpinElementError, LiftError
 from spinkit.gammarep import build_cl8_rep, iota_plus, iota_vector, stabilizer_dimensions
@@ -372,7 +373,7 @@ def _pythagorean_tilt(n):
 
 
 # a spinor-type lift: all 128 even blades of Cl(0,8), grades 0 to 8
-_DENSE_LIFT = iota_plus(build_cl8_rep(), random_spin(7, 2, 11)).value
+_DENSE_LIFT = spinor_lift(build_cl8_rep(), random_spin(7, 2, 11)).value
 
 
 def _basis_or_error(kernel, value):
@@ -515,7 +516,7 @@ def test_validation_forms_no_dense_product(rep, monkeypatch):
     for seed in range(3):
         zeta = random_spin(7, 2, seed)
         monkeypatch.setattr(Multivector, "__mul__", counting)
-        lifted = iota_plus(rep, zeta)
+        lifted = spinor_lift(rep, zeta)
         checked = SpinElement(lifted.value)
         monkeypatch.setattr(Multivector, "__mul__", real)
         assert len(lifted.value.terms) > 64
@@ -616,8 +617,9 @@ def test_non_square_rotation_matrix_is_rejected(rows):
                      id="adjoint-multivector"),
         pytest.param(lambda: iota_vector(Multivector.scalar(7, 1)), "Multivector",
                      id="iota-vector-multivector"),
-        pytest.param(lambda: iota_plus(build_cl8_rep(), Multivector.scalar(7, 1)), "Multivector",
-                     id="iota-plus-multivector"),
+        # iota_plus lifts a delta7 pair; the spin element it once took is refused
+        pytest.param(lambda: iota_plus(build_cl8_rep(), SpinElement(Multivector.scalar(7, 1))), "SpinElement",
+                     id="iota-plus-spin-element"),
         pytest.param(lambda: lift_rotation((1, ((1, 0), (0, 1)))), "tuple", id="lift-tuple"),
     ],
 )

@@ -114,6 +114,19 @@ def test_classification_count_up_to_16():
     assert sum(1 for g in groups if g.order() == 16) == 5
 
 
+def test_groups_up_to_8_have_no_factor_of_order_1():
+    """One group per isomorphism class, written by its prime-power factors:
+    the trivial group has no factor, and no group carries a factor of 1."""
+    assert [g.orders for g in abelian_groups_up_to(8)] == [
+        (), (2,), (3,), (4,), (2, 2), (5,), (2, 3), (7,), (8,), (4, 2), (2, 2, 2)
+    ]
+
+
+def test_a_factor_of_order_1_is_not_printed():
+    assert str(FiniteAbelianGroup((1, 2))) == "Z/2"
+    assert str(FiniteAbelianGroup((1,))) == "0"
+
+
 def test_exhaustive_roundtrips_up_to_16():
     for group in abelian_groups_up_to(16):
         table = regular_difference_table(group)

@@ -63,6 +63,18 @@ def test_the_module_is_built_once_and_only_for_rows_that_read_it(monkeypatch):
     assert builds == [1]
 
 
+def test_the_so7_images_are_built_once_per_run_and_only_for_rows_that_read_them(rep, monkeypatch):
+    """The spinor-type so(7) images are built on the first read of a run,
+    from that run's module, and shared by the three checks that read them;
+    a run without such a check builds none, and no run reuses another's."""
+    builds, real = [], verify._INPUTS["spinor_so7"]
+    monkeypatch.setitem(verify._INPUTS, "spinor_so7", lambda rep: builds.append(rep) or real(rep))
+    assert all(r.passed for r in verify.run_suites("spin", 3, rep)) and builds == []
+    assert all(r.passed for r in verify.run_suites("reps", 3, rep)) and builds == [rep]
+    assert all(r.passed for r in verify.run_suites("reps", 4)) and len(builds) == 2
+    assert builds[1] is not rep
+
+
 def _failures(monkeypatch, *names, seed=0):
     """The details of the named checks, run alone in table order, that fail."""
     monkeypatch.setattr(verify, "CHECKS", tuple(_row(name) for name in names))
@@ -200,11 +212,24 @@ def _iota_vector_is_the_identity(monkeypatch, rep):
 
 
 def _iota_plus_is_the_vector_embedding(monkeypatch, rep):
-    monkeypatch.setattr(verify, "iota_plus", lambda rep, z: gammarep.iota_vector(z))
+    # iota_plus gets the delta7 pair of z, which is faithful on Spin(7): the
+    # plant keeps each pair's z and lifts it by the blade-wise inclusion
+    drawn = []  # (delta7 pair, element)
+
+    def delta7(rep, x):
+        drawn.append((gammarep.delta7(rep, x), x))
+        return drawn[-1][0]
+
+    def iota_plus(rep, r):
+        x = next(x for seen, x in drawn if seen == r)
+        return gammarep.iota_vector(SpinElement(x))
+
+    monkeypatch.setattr(verify, "delta7", delta7)
+    monkeypatch.setattr(verify, "iota_plus", iota_plus)
 
 
 def _iota_vector_is_the_spinor_lift(monkeypatch, rep):
-    monkeypatch.setattr(verify, "iota_vector", lambda z: gammarep.iota_plus(rep, z))
+    monkeypatch.setattr(verify, "iota_vector", lambda z: gammarep.iota_plus(rep, gammarep.delta7(rep, z.value)))
 
 
 def _stabilizers_read(*dims):
@@ -220,20 +245,20 @@ def _stabilizers_read(*dims):
 
 
 def _g2_basis_short_by_one(monkeypatch, rep):
-    monkeypatch.setattr(verify, "g2_intersection_basis", lambda rep: gammarep.g2_intersection_basis(rep)[:13])
+    monkeypatch.setattr(verify, "g2_intersection_basis", lambda images: gammarep.g2_intersection_basis(images)[:13])
 
 
 def _g2_basis_with_a_spinor_side_element(monkeypatch, rep):
-    # d_iota_plus of an so(7) basis element fixes psi but not e0
-    x = gammarep.spin7_lie_basis()[0]
+    # a spinor-side image of an so(7) basis element fixes psi but not e0
     monkeypatch.setattr(verify, "g2_intersection_basis",
-                        lambda rep: gammarep.g2_intersection_basis(rep)[:13] + [gammarep.d_iota_plus(rep, x)])
+                        lambda images: gammarep.g2_intersection_basis(images)[:13] + [images[0]])
 
 
 def _g2_basis_with_a_vector_side_element(monkeypatch, rep):
     # embed_spin7 of an so(7) basis element fixes e0 but not psi
     x = gammarep.embed_spin7(gammarep.spin7_lie_basis()[0])
-    monkeypatch.setattr(verify, "g2_intersection_basis", lambda rep: gammarep.g2_intersection_basis(rep)[:13] + [x])
+    monkeypatch.setattr(verify, "g2_intersection_basis",
+                        lambda images: gammarep.g2_intersection_basis(images)[:13] + [x])
 
 
 def _volume_element_negated(monkeypatch, rep):
