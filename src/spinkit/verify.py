@@ -20,7 +20,6 @@ A check returns None when it passes and a one-line detail when it fails.
 from __future__ import annotations
 
 import random
-from functools import partial
 from operator import mul
 from typing import Callable
 
@@ -81,10 +80,15 @@ class CheckResult(Frozen):
         object.__setattr__(self, "detail", detail)
 
 
-def _run(name: str, check: Callable[..., str | None], inputs: Callable[[], dict]) -> CheckResult:
+def _run(name: str, check: Callable[..., str | None], built: dict, seed: int) -> CheckResult:
     try:
-        detail = check(**inputs())
-    except Exception as exc:  # a crash, a builder's included, is a failed check, not a crashed report
+        # the inputs are read in here, so a builder's raise is the check's FAIL
+        inputs = {
+            key: random.Random(f"{seed}:{name}") if key == "rng" else _input(built, key)
+            for key in _params(check)
+        }
+        detail = check(**inputs)
+    except Exception as exc:  # a crash is a failed check, not a crashed report
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, detail is None, detail or "")
 
@@ -460,13 +464,6 @@ def _input(built: dict, key: str):
     return value
 
 
-def _inputs(built: dict, seed: int, name: str, check: Callable) -> dict:
-    return {
-        key: random.Random(f"{seed}:{name}") if key == "rng" else _input(built, key)
-        for key in _params(check)
-    }
-
-
 # ---------------------------------------------------------------------------
 # the table: the names key the seeds, so each is listed once
 
@@ -514,6 +511,5 @@ def run_suites(scope: str, seed: int = 0, rep: GammaRep | None = None) -> list[C
     for row_scope, name, check in CHECKS:
         if scope not in (row_scope, "all"):
             continue
-        # the inputs are read inside _run, so a builder's raise is the check's FAIL
-        results.append(_run(name, check, partial(_inputs, built, seed, name, check)))
+        results.append(_run(name, check, built, seed))
     return results

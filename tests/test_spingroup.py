@@ -617,7 +617,7 @@ def test_non_square_rotation_matrix_is_rejected(rows):
                      id="adjoint-multivector"),
         pytest.param(lambda: iota_vector(Multivector.scalar(7, 1)), "Multivector",
                      id="iota-vector-multivector"),
-        # iota_plus lifts a delta7 pair; the spin element it once took is refused
+        # iota_plus lifts a delta7 pair, not a spin element
         pytest.param(lambda: iota_plus(build_cl8_rep(), SpinElement(Multivector.scalar(7, 1))), "SpinElement",
                      id="iota-plus-spin-element"),
         pytest.param(lambda: lift_rotation((1, ((1, 0), (0, 1)))), "tuple", id="lift-tuple"),
