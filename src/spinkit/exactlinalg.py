@@ -9,7 +9,8 @@ The kernels run on integer rows.  The product of ``(da, a)`` and
 ``(db, b)`` is ``exact(da * db, mat_mul(a, b))``; a rank or a kernel
 ignores row scaling, so ``rank`` and ``kernel_basis`` read the rows alone
 and eliminate on them kept primitive (divided by their gcd) after every
-update; ``rank`` eliminates a tall matrix's transpose, its short side.
+update.  ``rank`` stops at row echelon form, on the short side (a tall
+matrix's transpose); only ``kernel_basis`` reads the reduced form.
 ``det`` is Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 
 Every kernel reads its rows through one guard, ``errors.row_width``: ragged
@@ -78,7 +79,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _integer_rref(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination on primitive integer rows.
+    """Gauss-Jordan elimination on primitive integer rows, for ``kernel_basis``.
 
     Returns (rows, pivot columns): row r has its pivot at pivots[r] and zeros
     in every other pivot column, so the reduced row echelon form is row r
@@ -107,8 +108,29 @@ def _integer_rref(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int
 
 
 def rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of integer rows, eliminated on the short side (transposing keeps the rank)."""
-    return len(_integer_rref(transpose(a) if len(a) > (row_width(a) or 0) else a)[1])
+    """Rank over Q of integer rows by forward elimination to row echelon form,
+    on the short side (transposing keeps the rank).  Each pivot, a nonzero
+    row, clears its leading column from the rows left, kept primitive and
+    dropped once zero; they are zero there, so the pivot is independent of
+    them and the rank is the number of pivots.  Nothing above it is cleared."""
+    rows = transpose(a) if len(a) > (row_width(a) or 0) else a
+    rows = [_primitive(list(row)) for row in rows if any(row)]
+    pivots = 0
+    while rows:
+        top = rows.pop()
+        c = next(i for i, x in enumerate(top) if x)
+        left = []
+        for row in rows:
+            if f := row[c]:
+                g = gcd(top[c], f)
+                p, q = top[c] // g, f // g
+                row = _primitive([p * x - q * y for x, y in zip(row, top)])
+                if not any(row):
+                    continue
+            left.append(row)
+        rows = left
+        pivots += 1
+    return pivots
 
 
 def det(a: Sequence[Sequence[int]]) -> int:

@@ -63,7 +63,7 @@ from .errors import (
     require,
     row_width,
 )
-from .multivector import Multivector, blade_grade, p_iso
+from .multivector import PARITY, Multivector, blade_grade, p_iso
 from .spingroup import SpinElement
 
 # Fano-plane triples (a, b, c): cyclically e_a e_b = e_c.  The (i, i+1, i+3)
@@ -216,7 +216,7 @@ def embed_spin7(a: Multivector) -> Multivector:
     """Even elements of Cl(0,7) inside Cl(0,8), using generators 1..7."""
     if a.n != 7:
         raise EmbeddingDomainError(f"expected an element of Cl(0,7), got Cl(0,{a.n})")
-    if any(blade_grade(m) & 1 for m in a.terms):
+    if any(map(PARITY.__getitem__, a.terms)):
         raise EmbeddingDomainError("only even elements embed blade-wise")
     return p_iso(a)
 
@@ -288,12 +288,16 @@ def iota_plus(rep: GammaRep, r: la.Exact) -> SpinElement:
         columns[source] = column = [0] * 16
         for a, (row, sa) in enumerate(minus):
             column[row] += s * d * r[a][i] * sa
-    w = [[0] * len(plus) for _ in range(16)]  # w[row][b]: w_b = sum_a r[a][0] c(e_a) c(e_b) u
+    # w[row][b]: w_b = sum_a r[a][0] c(e_a) c(e_b) u, kept only at the rows the products reach
+    w = {row: [0] * len(plus) for products in plus for row, _ in products}
     for b, products in enumerate(plus):
         for (row, sab), ra in zip(products, r):
             w[row][b] += ra[0] * sab
-    for (source, s), ri in zip((row[0] for row in plus), zip(*r)):  # column i is sum_b r[b][i] w_b
-        columns[source] = [s * sum(map(mul, ri, at_row)) for at_row in w]
+    # column i is sum_b r[b][i] w_b: dotted at the rows w holds, every other entry 0
+    for (source, s), ri in zip((row[0] for row in plus), zip(*r)):
+        columns[source] = column = [0] * 16
+        for row, at_row in w.items():
+            column[row] = s * sum(map(mul, ri, at_row))
     if len(columns) != 16:
         raise InternalCheckError(_MOVES_PSI)
     terms = _even_traces(rep, [columns[j] for j in range(16)])

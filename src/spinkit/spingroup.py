@@ -142,7 +142,7 @@ class SpinElement:
         return self._value
 
     def _validate(self) -> None:
-        if any(blade_grade(m) & 1 for m in self._value.terms):
+        if any(map(PARITY.__getitem__, self._value.terms)):
             raise InvalidSpinElementError("spin element must be even")
         # sum c_S^2, the scalar part of zeta * reverse(zeta), on the numerators
         if sum(c * c for c in self._value.terms.values()) != self._value.d ** 2:
@@ -325,18 +325,22 @@ def lie_lift(a: SkewMatrix) -> Multivector:
 
 def ad_differential(b: Multivector) -> SkewMatrix:
     """Matrix of x -> b x - x b on grade-1 elements (inverse of lie_lift),
-    its column j the integer numerators of b e_j - e_j b over those of b."""
+    its column j the integer numerators of b e_j - e_j b over those of b,
+    one pass over b's terms: e_m e_j and e_j e_m differ only in sign, so a
+    term c e_m adds -2 (odd(m, e_j) - odd(e_j, m)) c at the blade m ^ e_j,
+    which no other term reaches."""
     n = b.n
     terms = b.terms.items()
     cols = []
     for j in range(n):
-        ej = [(1 << j, 1)]
-        image = integer_product(terms, ej)
-        for m, c in integer_product(ej, terms).items():
-            image[m] = image.get(m, 0) - c
-        if any(c and blade_grade(m) != 1 for m, c in image.items()):
-            raise ValueError("commutator does not preserve grade 1")
-        cols.append([image.get(1 << i, 0) for i in range(n)])
+        ej, col = 1 << j, [0] * n
+        for m, c in terms:
+            if x := 2 * (_odd(ej, m) - _odd(m, ej)) * c:
+                blade = m ^ ej
+                if blade_grade(blade) != 1:
+                    raise ValueError("commutator does not preserve grade 1")
+                col[blade.bit_length() - 1] = x
+        cols.append(col)
     return SkewMatrix((b.d, la.transpose(cols)))
 
 

@@ -322,6 +322,23 @@ def both_triangles_lie_lift(a):
     return Multivector(n, terms)
 
 
+def ad_differential_reference(b):
+    """ad_differential with b e_j and e_j b formed as two integer_product
+    dicts and merged: the oracle for the one pass over b's terms."""
+    n = b.n
+    terms = b.terms.items()
+    cols = []
+    for j in range(n):
+        ej = [(1 << j, 1)]
+        image = integer_product(terms, ej)
+        for m, c in integer_product(ej, terms).items():
+            image[m] = image.get(m, 0) - c
+        if any(c and blade_grade(m) != 1 for m, c in image.items()):
+            raise ValueError("commutator does not preserve grade 1")
+        cols.append([image.get(1 << i, 0) for i in range(n)])
+    return SkewMatrix((b.d, la.transpose(cols)))
+
+
 def fraction_lift_rotation(rotation):
     """The Cartan-Dieudonne lift with rational (not rescaled) reflection
     vectors, reflecting every column in Fractions and multiplying the factors

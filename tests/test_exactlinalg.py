@@ -170,6 +170,60 @@ def test_rank_and_kernel_of_tall_and_wide_matrices_match_fraction_rref(a):
     _assert_rank_and_kernel_match(a)
 
 
+@st.composite
+def forward_pass_matrices(draw):
+    """Integer matrices on which forward elimination takes its other paths:
+    rows that become zero partway (duplicates, multiples and sums of other
+    rows, placed anywhere), zero rows and zero columns, 1 x n, n x 1, 0-row
+    and n x 0 shapes, and entries of 12 to 40 bits."""
+    kind = draw(st.sampled_from(["dependent", "zero lines", "thin", "wide entries"]))
+    if kind == "thin":
+        n = draw(st.integers(0, 9))
+        shape = draw(st.sampled_from([(1, n), (n, 1), (0, n), (n, 0)]))
+        return tuple(tuple(draw(st.integers(-5, 5)) for _ in range(shape[1])) for _ in range(shape[0]))
+    r, c = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = st.integers(-4, 4)
+    if kind == "wide entries":
+        entry = st.just(0) | st.integers(1 << 11, 1 << 40) | st.integers(-(1 << 40), -(1 << 11))
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if kind == "dependent":
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    if kind == "zero lines":
+        for _ in range(draw(st.integers(1, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), [0] * c)
+        for col in draw(st.lists(st.integers(0, c - 1), max_size=3)):
+            for row in rows:
+                row[col] = 0
+    rows = tuple(map(tuple, rows))
+    return tuple(zip(*rows)) if draw(st.booleans()) else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(forward_pass_matrices())
+def test_rank_matches_fraction_rref_on_forward_pass_paths(a):
+    """Forward elimination drops rows that become zero and pivots on any
+    nonzero row; the Fraction RREF of the matrix, which pivots column by
+    column, is the oracle, on the matrix and on its transpose."""
+    oracle = len(fraction_rref([[Fraction(x) for x in row] for row in a])[1])
+    assert la.rank(a) == oracle
+    if a:
+        assert la.rank(la.transpose(a)) == oracle
+
+
+def test_rank_of_thin_and_empty_shapes():
+    assert la.rank(((0, 0, 3, 0),)) == la.rank(((0,), (0,), (-2,))) == 1
+    assert la.rank(((0, 0),)) == la.rank(((0,), (0,))) == 0
+    assert la.rank(((), (), ())) == la.rank(()) == 0
+    assert la.rank(((1 << 40, 3), (1 << 41, 6))) == 1 and la.rank(((1 << 40, 3), (1 << 41, 7))) == 2
+    for ragged in ([[1, 2], [3]], [[1]] * 9 + [[1, 2]], [[1, 2, 3]] * 28 + [[4, 5]], [[0], []]):
+        with pytest.raises(DimensionMismatchError, match="^ragged matrix$"):
+            la.rank(ragged)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(square=True))
 def test_det_matches_fraction_elimination(a):

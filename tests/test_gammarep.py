@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -28,6 +29,7 @@ from conftest import (
     fraction_clifford_action,
     fraction_half_images,
     fraction_mat_mul,
+    fraction_rref,
     fraction_terms,
     fraction_view,
     multiply_form_traces,
@@ -494,6 +496,38 @@ def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
     monkeypatch.setattr(la, "rank", lambda m: sizes.append(len(m)) or real_rank(m))
     assert all(x.passed for x in run_suites("reps", 0, rep))
     assert sizes and max(sizes) <= 28
+
+
+def test_reps_verdict_ranks_keep_their_shapes_and_ranks(rep, monkeypatch):
+    """The la.rank operands of a reps verdict, by (rows, columns, rank): the
+    16 trace Grams (16 each), the 28 x 8 so(8) stabilizer images and the
+    21 x 8 so(7) ones (rank 7) and the 21 x 28 so(7) coordinate rows (21).
+    Each rank is also the Fraction RREF's."""
+    seen, real_rank = [], la.rank
+    monkeypatch.setattr(la, "rank", lambda m: seen.append(m) or real_rank(m))
+    assert all(x.passed for x in run_suites("reps", 0, rep))
+    monkeypatch.setattr(la, "rank", real_rank)
+    ranks = Counter((len(m), len(m[0]), la.rank(m)) for m in seen)
+    assert ranks == {(16, 16, 16): 16, (28, 8, 7): 4, (21, 8, 7): 10, (21, 28, 21): 3}
+    for m in seen:
+        assert la.rank(m) == len(fraction_rref([[Fraction(x) for x in row] for row in m])[1])
+
+
+def test_rank_checks_never_reach_the_reduced_form(rep, monkeypatch):
+    """monomial_span, stabilizer_21 and sphere_transitivity rank through
+    la.rank alone, which stops at row echelon form: with the Gauss-Jordan
+    elimination that kernel_basis reads made to raise, all three PASS."""
+
+    def gauss_jordan(a):
+        raise AssertionError("rank reached the reduced row echelon form")
+
+    monkeypatch.setattr(la, "_integer_rref", gauss_jordan)
+    checks = {check: name for _, name, check in CHECKS}
+    for check in (verify.monomial_span, verify.stabilizer_21, verify.sphere_transitivity):
+        result = verify._run(checks[check], check, {"rep": rep}, 0)
+        assert (result.passed, result.detail) == (True, "")
+    with pytest.raises(AssertionError, match="reduced row echelon"):
+        la.kernel_basis(((1, 2),))
 
 
 def test_orbit_checks_pass_no_basis_spinors(rep, monkeypatch):

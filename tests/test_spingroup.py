@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import spinkit.exactlinalg as la
 import spinkit.spingroup as spingroup
 from conftest import (
+    ad_differential_reference,
     both_triangles_lie_lift,
     fraction_adjoint_action,
     fraction_lift_rotation,
@@ -237,6 +238,40 @@ def test_lie_lift_matches_the_both_triangle_oracle(a):
     """Reading each pair i < j once gives, in lowest terms, the bivector that
     the sum over both triangles gives."""
     assert lie_lift(a) == both_triangles_lie_lift(a)
+
+
+@st.composite
+def commutator_inputs(draw):
+    """An element of Cl(0,n), n = 1..8, with terms of every grade or of
+    grades 0 and 2 alone, int or Fraction coefficients, and sometimes a
+    second element added that cancels some of the first one's terms."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    grades = range(n + 1) if draw(st.booleans()) else (0, 2)
+    masks = [m for m in range(1 << n) if blade_grade(m) in grades]
+    coefficient = st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    terms = draw(st.dictionaries(st.sampled_from(masks), coefficient, max_size=12))
+    b = Multivector(n, terms)
+    if terms and draw(st.booleans()):
+        cancelled = draw(st.lists(st.sampled_from(sorted(terms)), unique=True, min_size=1))
+        b = b + Multivector(n, {m: -terms[m] for m in cancelled})
+    return b
+
+
+def _commutator_outcome(f, b):
+    try:
+        return f(b).entries
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutator_inputs())
+@example(Multivector.blade(8, [0, 1, 2]))
+@example(Multivector(3, {0b111: 2, 0b011: Fraction(1, 3)}))
+def test_ad_differential_matches_the_two_product_oracle(b):
+    """One pass over b's terms gives the matrix, or the ValueError and its
+    message, that merging the two integer_product dicts gives."""
+    assert _commutator_outcome(ad_differential, b) == _commutator_outcome(ad_differential_reference, b)
 
 
 def test_random_spin_contract():
