@@ -491,22 +491,15 @@ def test_monomial_gram_is_diagonal(rep, monkeypatch):
 
 def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
     """No la.rank operand of the whole reps verdict has more than 28 rows,
-    the so(8) basis: the monomial span is ranked group by group."""
-    sizes, real_rank = [], la.rank
-    monkeypatch.setattr(la, "rank", lambda m: sizes.append(len(m)) or real_rank(m))
-    assert all(x.passed for x in run_suites("reps", 0, rep))
-    assert sizes and max(sizes) <= 28
-
-
-def test_reps_verdict_ranks_keep_their_shapes_and_ranks(rep, monkeypatch):
-    """The la.rank operands of a reps verdict, by (rows, columns, rank): the
-    16 trace Grams (16 each), the 28 x 8 so(8) stabilizer images and the
-    21 x 8 so(7) ones (rank 7) and the 21 x 28 so(7) coordinate rows (21).
-    Each rank is also the Fraction RREF's."""
+    the so(8) basis: the monomial span is ranked group by group.  By (rows,
+    columns, rank) the operands are the 16 trace Grams (16 each), the 28 x 8
+    so(8) and 21 x 8 so(7) stabilizer images (7) and the 21 x 28 so(7)
+    coordinate rows (21), each rank also the Fraction RREF's."""
     seen, real_rank = [], la.rank
     monkeypatch.setattr(la, "rank", lambda m: seen.append(m) or real_rank(m))
     assert all(x.passed for x in run_suites("reps", 0, rep))
     monkeypatch.setattr(la, "rank", real_rank)
+    assert seen and max(map(len, seen)) <= 28
     ranks = Counter((len(m), len(m[0]), la.rank(m)) for m in seen)
     assert ranks == {(16, 16, 16): 16, (28, 8, 7): 4, (21, 8, 7): 10, (21, 28, 21): 3}
     for m in seen:
