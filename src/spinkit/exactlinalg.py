@@ -9,8 +9,9 @@ The kernels run on integer rows.  The product of ``(da, a)`` and
 ``(db, b)`` is ``exact(da * db, mat_mul(a, b))``; a rank or a kernel
 ignores row scaling, so ``rank`` and ``kernel_basis`` read the rows alone
 and eliminate on them kept primitive (divided by their gcd) after every
-update.  ``rank`` stops at row echelon form, on the short side (a tall
-matrix's transpose); only ``kernel_basis`` reads the reduced form.
+update.  Both read one forward elimination to row echelon form: ``rank``
+counts its pivots, on the short side (a tall matrix's transpose), and
+``kernel_basis`` back-clears them to the reduced form it reads.
 ``det`` is Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 
 Every kernel reads its rows through one guard, ``errors.row_width``: ragged
@@ -78,59 +79,41 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_rref(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination on primitive integer rows, for ``kernel_basis``.
-
-    Returns (rows, pivot columns): row r has its pivot at pivots[r] and zeros
-    in every other pivot column, so the reduced row echelon form is row r
-    divided by its pivot entry.
-    """
-    rows = [_primitive(list(row)) for row in a]
-    nrows = len(rows)
-    pivots: list[int] = []
-    for c in range(row_width(rows) or 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                g = gcd(top[c], f)
-                p, q = top[c] // g, f // g
-                rows[i] = _primitive([p * x - q * y for x, y in zip(rows[i], top)])
-        pivots.append(c)
-        if r + 1 == nrows:
-            break
-    return rows, pivots
+def _cleared(row: list[int], top: list[int], c: int) -> list[int]:
+    """The primitive combination of row and top that is zero in column c."""
+    g = gcd(top[c], row[c])
+    p, q = top[c] // g, row[c] // g
+    return _primitive([p * x - q * y for x, y in zip(row, top)])
 
 
-def rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of integer rows by forward elimination to row echelon form,
-    on the short side (transposing keeps the rank).  Each pivot, a nonzero
-    row, clears its leading column from the rows left, kept primitive and
-    dropped once zero; they are zero there, so the pivot is independent of
-    them and the rank is the number of pivots.  Nothing above it is cleared."""
-    rows = transpose(a) if len(a) > (row_width(a) or 0) else a
-    rows = [_primitive(list(row)) for row in rows if any(row)]
-    pivots = 0
+def _echelon(a: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """Forward elimination of integer rows to row echelon form: (leading
+    column, primitive row) for each pivot, in the order found.  Each pivot,
+    a nonzero row, clears its leading column from the rows left, kept
+    primitive and dropped once zero; so every pivot is zero in the columns
+    of the pivots found before it, and their number is the rank."""
+    rows = [_primitive(list(row)) for row in a if any(row)]
+    pivots = []
     while rows:
         top = rows.pop()
         c = next(i for i, x in enumerate(top) if x)
         left = []
         for row in rows:
-            if f := row[c]:
-                g = gcd(top[c], f)
-                p, q = top[c] // g, f // g
-                row = _primitive([p * x - q * y for x, y in zip(row, top)])
+            if row[c]:
+                row = _cleared(row, top, c)
                 if not any(row):
                     continue
             left.append(row)
         rows = left
-        pivots += 1
+        pivots.append((c, top))
     return pivots
+
+
+def rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of integer rows: the number of ``_echelon`` pivots, on
+    the short side (transposing keeps the rank).  Nothing above a pivot is
+    cleared."""
+    return len(_echelon(transpose(a) if len(a) > (row_width(a) or 0) else a))
 
 
 def det(a: Sequence[Sequence[int]]) -> int:
@@ -156,17 +139,26 @@ def det(a: Sequence[Sequence[int]]) -> int:
 
 
 def kernel_basis(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of the right null space {x : a x = 0} of integer rows, read off
-    the reduced row echelon form: one vector per free column f, scaled to
-    primitive integers with a positive entry at f."""
-    rows, pivots = _integer_rref(a)
+    """Basis of the right null space {x : a x = 0} of integer rows: one
+    vector per free column f, scaled to primitive integers with a positive
+    entry at f.  It is read off the ``_echelon`` pivots once each pivot's
+    column is cleared from the pivots found before it, last found first;
+    the pivots found after it are already zero there."""
     ncols = row_width(a) or 0
+    pivots = _echelon(a)
+    for j in range(len(pivots) - 1, 0, -1):
+        c, top = pivots[j]
+        for i in range(j):
+            ci, row = pivots[i]
+            if row[c]:
+                pivots[i] = ci, _cleared(row, top, c)
+    leading = {c for c, _ in pivots}
     basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        scale = lcm(*(abs(row[c]) for row, c in zip(rows, pivots) if row[f]))
+    for f in (c for c in range(ncols) if c not in leading):
+        scale = lcm(*(abs(row[c]) for c, row in pivots if row[f]))
         v = [0] * ncols
         v[f] = scale
-        for row, c in zip(rows, pivots):
+        for c, row in pivots:
             v[c] = -row[f] * scale // row[c]
         basis.append(tuple(_primitive(v)))
     return basis

@@ -207,11 +207,13 @@ def forward_pass_matrices(draw):
 def test_rank_matches_fraction_rref_on_forward_pass_paths(a):
     """Forward elimination drops rows that become zero and pivots on any
     nonzero row; the Fraction RREF of the matrix, which pivots column by
-    column, is the oracle, on the matrix and on its transpose."""
+    column, is the oracle, on the matrix and on its transpose, and for the
+    kernel that kernel_basis back-clears from the same pivots."""
     oracle = len(fraction_rref([[Fraction(x) for x in row] for row in a])[1])
     assert la.rank(a) == oracle
     if a:
         assert la.rank(la.transpose(a)) == oracle
+    _assert_rank_and_kernel_match(tuple(tuple(map(Fraction, row)) for row in a))
 
 
 @settings(max_examples=200, deadline=None)

@@ -493,30 +493,36 @@ def test_reps_verdict_ranks_no_more_than_28_rows(rep, monkeypatch):
     """No la.rank operand of the whole reps verdict has more than 28 rows,
     the so(8) basis: the monomial span is ranked group by group.  By (rows,
     columns, rank) the operands are the 16 trace Grams (16 each), the 28 x 8
-    so(8) and 21 x 8 so(7) stabilizer images (7) and the 21 x 28 so(7)
-    coordinate rows (21), each rank also the Fraction RREF's."""
+    so(8) and 21 x 8 so(7) stabilizer images (7), the 21 x 28 so(7)
+    coordinate rows (21) and embeddings_differ's R - d I (8, no fixed
+    vector), each rank also the Fraction RREF's."""
     seen, real_rank = [], la.rank
     monkeypatch.setattr(la, "rank", lambda m: seen.append(m) or real_rank(m))
     assert all(x.passed for x in run_suites("reps", 0, rep))
     monkeypatch.setattr(la, "rank", real_rank)
     assert seen and max(map(len, seen)) <= 28
     ranks = Counter((len(m), len(m[0]), la.rank(m)) for m in seen)
-    assert ranks == {(16, 16, 16): 16, (28, 8, 7): 4, (21, 8, 7): 10, (21, 28, 21): 3}
+    assert ranks == {(16, 16, 16): 16, (28, 8, 7): 4, (21, 8, 7): 10, (21, 28, 21): 3, (8, 8, 8): 1}
     for m in seen:
         assert la.rank(m) == len(fraction_rref([[Fraction(x) for x in row] for row in m])[1])
 
 
 def test_rank_checks_never_reach_the_reduced_form(rep, monkeypatch):
-    """monomial_span, stabilizer_21 and sphere_transitivity rank through
-    la.rank alone, which stops at row echelon form: with the Gauss-Jordan
-    elimination that kernel_basis reads made to raise, all three PASS."""
+    """monomial_span, stabilizer_21, sphere_transitivity and embeddings_differ
+    read ranks alone, which stop at row echelon form: with kernel_basis, the
+    one reader of the back-cleared pivots, made to raise, all four PASS."""
 
-    def gauss_jordan(a):
+    def back_cleared(a):
         raise AssertionError("rank reached the reduced row echelon form")
 
-    monkeypatch.setattr(la, "_integer_rref", gauss_jordan)
+    monkeypatch.setattr(la, "kernel_basis", back_cleared)
     checks = {check: name for _, name, check in CHECKS}
-    for check in (verify.monomial_span, verify.stabilizer_21, verify.sphere_transitivity):
+    for check in (
+        verify.monomial_span,
+        verify.stabilizer_21,
+        verify.sphere_transitivity,
+        verify.embeddings_differ,
+    ):
         result = verify._run(checks[check], check, {"rep": rep}, 0)
         assert (result.passed, result.detail) == (True, "")
     with pytest.raises(AssertionError, match="reduced row echelon"):
